@@ -1,10 +1,12 @@
 #!/usr/bin/env bash
 # Large-tier end-to-end smoke, run by CTest under the integration label
 # (so the gcc and ASan/UBSan CI jobs both execute it): generate a
-# 10^6-edge DAG, stream it through the two-pass edge-list file reader,
-# build + save a DL snapshot, restart with --load-index (zero-copy mmap
-# path), and require 10k batched query answers byte-identical between the
-# freshly built server and the mmap-loaded one. The load leg must also
+# 10^6-edge DAG, stream it through the two-pass edge-list file reader
+# (reach_serve loads it with ReadGraphFile, which dispatches edge lists
+# there; the event=graph_read log line is asserted), build + save a DL
+# snapshot, restart with --load-index (zero-copy mmap path), and require
+# 10k batched query answers byte-identical between the freshly built
+# server and the mmap-loaded one. The load leg must also
 # report the lazy identity condensation (identity_scc 1): the snapshot was
 # saved over a DAG, so serving it must skip Tarjan entirely.
 #
@@ -84,6 +86,9 @@ server_pid=$!
 port=$(wait_for_port "$workdir/build.out")
 [ -n "$port" ] || fail "build server: no LISTENING line"
 [ -s "$workdir/index.snap" ] || fail "no index snapshot was written"
+# The graph read is logged as one key=value line before LISTENING.
+grep -q '^event=graph_read .*vertices=1001000 edges=1000000 read_ms=' \
+  "$workdir/build.err" || fail "build server did not log event=graph_read"
 "$CLIENT" --port="$port" < "$workdir/queries.txt" \
   > "$workdir/built_answers.out" || fail "build-leg client exited non-zero"
 built_count=$(wc -l < "$workdir/built_answers.out")

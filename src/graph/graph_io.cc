@@ -2,11 +2,13 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <cstring>
 #include <fstream>
 #include <istream>
+#include <memory>
 #include <ostream>
-#include <sstream>
 #include <string>
+#include <string_view>
 
 #include "util/strict_parse.h"
 
@@ -24,37 +26,138 @@ constexpr uint64_t kBinaryMagic = 0x52454143483031ULL;  // "REACH01"
 constexpr size_t kBinaryRowSliceEntries = 1 << 16;
 constexpr size_t kBinaryOffsetSliceEntries = 1 << 13;
 
+// Every text reader pulls its input through one fixed-size chunk, so
+// reading never costs more than this plus the longest line, whatever the
+// file size. Read with istream::read rather than mmap: a mapping SIGBUSes
+// if the file is truncated mid-read.
+constexpr size_t kScanChunkBytes = size_t{64} << 10;
+
 bool HasSuffix(const std::string& s, const std::string& suffix) {
   return s.size() >= suffix.size() &&
          s.compare(s.size() - suffix.size(), suffix.size(), suffix) == 0;
 }
 
-/// Strict shared parse of one edge-list line, used by the one-pass stream
-/// reader and both passes of the streamed file reader so every path
-/// reports identical errors. Returns OK with *skip=true for blank/comment
-/// lines.
-Status ParseEdgeListLine(const std::string& line, size_t line_no,
-                         uint64_t* u, uint64_t* v, bool* skip) {
+/// The C-locale isspace set: the separators istream token extraction used.
+bool IsSpace(char c) { return c == ' ' || (c >= '\t' && c <= '\r'); }
+
+/// Pops the next whitespace-separated token off the front of `*rest`.
+/// False when only whitespace is left.
+bool NextToken(std::string_view* rest, std::string_view* token) {
+  size_t begin = 0;
+  while (begin < rest->size() && IsSpace((*rest)[begin])) ++begin;
+  if (begin == rest->size()) return false;
+  size_t end = begin;
+  while (end < rest->size() && !IsSpace((*rest)[end])) ++end;
+  *token = rest->substr(begin, end - begin);
+  rest->remove_prefix(end);
+  return true;
+}
+
+/// Pops the next whitespace-separated token off the front of `*rest` and
+/// parses it as a strict decimal: the same accept set as NextToken plus
+/// ParseDecimalUint64, in one pass over the bytes (the edge-list hot path).
+bool NextNumber(std::string_view* rest, uint64_t* value) {
+  size_t begin = 0;
+  while (begin < rest->size() && IsSpace((*rest)[begin])) ++begin;
+  rest->remove_prefix(begin);
+  const size_t digits = ParseDecimalPrefix(*rest, value);
+  if (digits == 0 || (digits < rest->size() && !IsSpace((*rest)[digits]))) {
+    return false;
+  }
+  rest->remove_prefix(digits);
+  return true;
+}
+
+/// True when `text` is exactly one strict decimal token, optionally
+/// surrounded by whitespace.
+bool ParseSoleToken(std::string_view text, uint64_t* out) {
+  std::string_view extra;
+  return NextNumber(&text, out) && !NextToken(&text, &extra);
+}
+
+/// Splits a stream into lines without a string per line: '\n' ends a line
+/// and is dropped, an unterminated last line still counts, and a final
+/// '\n' adds no empty line (the line-by-line istream semantics). A line is a view
+/// into the chunk, or into the carry buffer when it crosses a chunk
+/// boundary; the carry only ever holds one line.
+class LineScanner {
+ public:
+  explicit LineScanner(std::istream& in)
+      : in_(in), chunk_(std::make_unique<char[]>(kScanChunkBytes)) {}
+
+  /// Advances to the next line; false at end of input. `*line` stays valid
+  /// until the next call.
+  bool Next(std::string_view* line) {
+    carry_.clear();
+    for (;;) {
+      const char* const begin = chunk_.get() + pos_;
+      const size_t avail = end_ - pos_;
+      const char* const newline =
+          static_cast<const char*>(std::memchr(begin, '\n', avail));
+      if (newline != nullptr) {
+        const size_t len = static_cast<size_t>(newline - begin);
+        pos_ += len + 1;
+        ++line_no_;
+        if (carry_.empty()) {
+          *line = std::string_view(begin, len);
+        } else {
+          carry_.append(begin, len);
+          *line = carry_;
+        }
+        return true;
+      }
+      carry_.append(begin, avail);
+      in_.read(chunk_.get(), static_cast<std::streamsize>(kScanChunkBytes));
+      pos_ = 0;
+      end_ = static_cast<size_t>(in_.gcount());
+      if (end_ == 0) {
+        if (carry_.empty()) return false;
+        ++line_no_;
+        *line = carry_;
+        return true;
+      }
+    }
+  }
+
+  /// 1-based number of the line Next last returned.
+  size_t line_no() const { return line_no_; }
+
+  /// IOError if the stream failed underneath (rather than ending).
+  Status status() const {
+    return in_.bad() ? Status::IOError("read failed") : Status::OK();
+  }
+
+ private:
+  std::istream& in_;
+  std::unique_ptr<char[]> chunk_;
+  size_t pos_ = 0;
+  size_t end_ = 0;
+  size_t line_no_ = 0;
+  std::string carry_;
+};
+
+/// Strict parse of one edge-list line. Returns OK with *skip=true for
+/// blank/comment lines.
+Status ParseEdgeListLine(std::string_view line, size_t line_no, uint64_t* u,
+                         uint64_t* v, bool* skip) {
   *skip = false;
   if (line.empty() || line[0] == '#' || line[0] == '%') {
     *skip = true;
     return Status::OK();
   }
-  std::istringstream ls(line);
-  std::string u_token;
-  std::string v_token;
+  std::string_view rest = line;
   // Strict per-token parse (digits only, whole token): istream's uint64
   // extraction would silently accept signs and hex/octal prefixes.
-  if (!(ls >> u_token >> v_token) || !ParseDecimalUint64(u_token, u) ||
-      !ParseDecimalUint64(v_token, v)) {
+  if (!NextNumber(&rest, u) || !NextNumber(&rest, v)) {
     return Status::Corruption("edge list line " + std::to_string(line_no) +
-                              ": expected 'u v', got '" + line + "'");
+                              ": expected 'u v', got '" + std::string(line) +
+                              "'");
   }
-  std::string extra;
-  if (ls >> extra) {
+  std::string_view extra;
+  if (NextToken(&rest, &extra)) {
     return Status::Corruption("edge list line " + std::to_string(line_no) +
-                              ": trailing '" + extra + "' after 'u v' in '" +
-                              line + "'");
+                              ": trailing '" + std::string(extra) +
+                              "' after 'u v' in '" + std::string(line) + "'");
   }
   if (*u > UINT32_MAX || *v > UINT32_MAX) {
     return Status::InvalidArgument("vertex id exceeds uint32 at line " +
@@ -63,25 +166,29 @@ Status ParseEdgeListLine(const std::string& line, size_t line_no,
   return Status::OK();
 }
 
-}  // namespace
-
-StatusOr<Digraph> ReadEdgeList(std::istream& in) {
-  GraphBuilder builder;
-  std::string line;
-  size_t line_no = 0;
-  while (std::getline(in, line)) {
-    ++line_no;
+/// Calls on_edge(u, v) for each edge line of `in`, in order, stopping at
+/// the first malformed line or on_edge error. The one-pass stream reader
+/// and both passes of the file reader all read through it, so every path
+/// accepts and rejects the same bytes with the same errors.
+template <typename OnEdge>
+Status ForEachEdge(std::istream& in, const OnEdge& on_edge) {
+  LineScanner lines(in);
+  std::string_view line;
+  while (lines.Next(&line)) {
     uint64_t u = 0;
     uint64_t v = 0;
     bool skip = false;
-    REACH_RETURN_IF_ERROR(ParseEdgeListLine(line, line_no, &u, &v, &skip));
-    if (skip) continue;
-    builder.AddEdge(static_cast<Vertex>(u), static_cast<Vertex>(v));
+    REACH_RETURN_IF_ERROR(
+        ParseEdgeListLine(line, lines.line_no(), &u, &v, &skip));
+    if (!skip) REACH_RETURN_IF_ERROR(on_edge(u, v));
   }
-  return builder.Build();
+  return lines.status();
 }
 
-StatusOr<Digraph> ReadEdgeListFile(const std::string& path) {
+/// The two-pass edge-list reader behind ReadEdgeListFile; `in` must be
+/// seekable, and `path` names it in errors.
+StatusOr<Digraph> ReadEdgeListTwoPass(std::istream& in,
+                                      const std::string& path) {
   // Two passes over the file, straight into CSR: pass 1 counts per-source
   // degrees (and learns the vertex count), pass 2 fills the neighbor array
   // in place. Nothing edge-sized is materialized besides the CSR itself —
@@ -89,29 +196,19 @@ StatusOr<Digraph> ReadEdgeListFile(const std::string& path) {
   // ~3x the final footprint, which is what caps loadable graph size. Rows
   // are then canonicalized (sorted, deduped, self-loops dropped) in place,
   // so the result is byte-identical to ReadEdgeList on the same bytes.
-  std::ifstream in(path);
-  if (!in) return Status::IOError("cannot open " + path);
-
   std::vector<uint64_t> degree;  // degree[u+1] = raw out-degree of u.
-  std::string line;
-  size_t line_no = 0;
   size_t n = 0;
   uint64_t raw_edges = 0;
-  while (std::getline(in, line)) {
-    ++line_no;
-    uint64_t u = 0;
-    uint64_t v = 0;
-    bool skip = false;
-    REACH_RETURN_IF_ERROR(ParseEdgeListLine(line, line_no, &u, &v, &skip));
-    if (skip) continue;
+  REACH_RETURN_IF_ERROR(ForEachEdge(in, [&](uint64_t u, uint64_t v) {
     // A self-loop line still grows the vertex space (GraphBuilder
     // semantics) but contributes no edge.
     n = std::max(n, static_cast<size_t>(std::max(u, v)) + 1);
-    if (u == v) continue;
+    if (u == v) return Status::OK();
     if (degree.size() < u + 2) degree.resize(u + 2, 0);
     ++degree[u + 1];
     ++raw_edges;
-  }
+    return Status::OK();
+  }));
   degree.resize(n + 1, 0);
   for (size_t v = 0; v < n; ++v) degree[v + 1] += degree[v];
   std::vector<uint64_t> offsets = degree;  // Prefix sums = row starts.
@@ -120,31 +217,30 @@ StatusOr<Digraph> ReadEdgeListFile(const std::string& path) {
   in.clear();
   in.seekg(0);
   if (!in) return Status::IOError("cannot rewind " + path);
-  line_no = 0;
-  while (std::getline(in, line)) {
-    ++line_no;
-    uint64_t u = 0;
-    uint64_t v = 0;
-    bool skip = false;
-    const Status status = ParseEdgeListLine(line, line_no, &u, &v, &skip);
-    // Pass 1 already accepted every line; a failure here (or a cursor
-    // overrun below) means the file changed between passes.
-    if (!status.ok()) {
-      return Status::Corruption(path + " changed while being read: " +
-                                status.message());
+  // Pass 1 accepted every line and sized every row, so a bad line, an id
+  // beyond the vertex count, or a row overrunning its size here means the
+  // file changed between passes.
+  Status fill = ForEachEdge(in, [&](uint64_t u, uint64_t v) {
+    if (u >= n || v >= n) {
+      return Status::Corruption("vertex id " + std::to_string(std::max(u, v)) +
+                                " appeared");
     }
-    if (skip || u == v) continue;
+    if (u == v) return Status::OK();
     if (degree[u] >= offsets[u + 1]) {
-      return Status::Corruption(path + " changed while being read: row " +
-                                std::to_string(u) + " grew");
+      return Status::Corruption("row " + std::to_string(u) + " grew");
     }
     heads[degree[u]++] = static_cast<Vertex>(v);  // degree[] is now cursors.
-  }
-  for (size_t v = 0; v < n; ++v) {
+    return Status::OK();
+  });
+  for (size_t v = 0; v < n && fill.ok(); ++v) {
     if (degree[v] != offsets[v + 1]) {
-      return Status::Corruption(path + " changed while being read: row " +
-                                std::to_string(v) + " shrank");
+      fill = Status::Corruption("row " + std::to_string(v) + " shrank");
     }
+  }
+  if (fill.IsIOError()) return fill;
+  if (!fill.ok()) {
+    return Status::Corruption(path + " changed while being read: " +
+                              fill.message());
   }
 
   // Canonicalize each row in place: sort + dedup, compacting leftwards
@@ -169,6 +265,23 @@ StatusOr<Digraph> ReadEdgeListFile(const std::string& path) {
   return Digraph::FromCsr(n, std::move(offsets), std::move(heads));
 }
 
+}  // namespace
+
+StatusOr<Digraph> ReadEdgeList(std::istream& in) {
+  GraphBuilder builder;
+  REACH_RETURN_IF_ERROR(ForEachEdge(in, [&](uint64_t u, uint64_t v) {
+    builder.AddEdge(static_cast<Vertex>(u), static_cast<Vertex>(v));
+    return Status::OK();
+  }));
+  return builder.Build();
+}
+
+StatusOr<Digraph> ReadEdgeListFile(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  if (!in) return Status::IOError("cannot open " + path);
+  return ReadEdgeListTwoPass(in, path);
+}
+
 Status WriteEdgeList(const Digraph& g, std::ostream& out) {
   out << "# libreach edge list: " << g.num_vertices() << " vertices, "
       << g.num_edges() << " edges\n";
@@ -180,39 +293,46 @@ Status WriteEdgeList(const Digraph& g, std::ostream& out) {
 }
 
 StatusOr<Digraph> ReadGra(std::istream& in) {
-  std::string header;
-  if (!std::getline(in, header)) return Status::Corruption("empty .gra file");
-  // Some producers emit a name line before the count; accept both.
-  size_t n = 0;
-  {
-    std::istringstream hs(header);
-    if (!(hs >> n)) {
-      std::string count_line;
-      if (!std::getline(in, count_line)) {
-        return Status::Corruption(".gra file missing vertex count");
-      }
-      std::istringstream cs(count_line);
-      if (!(cs >> n)) {
-        return Status::Corruption(".gra vertex count is not a number: '" +
-                                  count_line + "'");
-      }
-    }
+  LineScanner lines(in);
+  std::string_view line;
+  if (!lines.Next(&line)) {
+    REACH_RETURN_IF_ERROR(lines.status());
+    return Status::Corruption("empty .gra file");
   }
-  GraphBuilder builder(n);
-  std::string line;
-  size_t line_no = 0;
-  while (std::getline(in, line)) {
-    ++line_no;
+  // Some producers emit a name line before the count; accept both. A first
+  // line that starts like a number is the count, anything else a name.
+  std::string_view probe = line;
+  std::string_view first;
+  const bool named =
+      !NextToken(&probe, &first) ||
+      std::string_view("0123456789+-").find(first[0]) == std::string_view::npos;
+  if (named && !lines.Next(&line)) {
+    return Status::Corruption(".gra file missing vertex count");
+  }
+  uint64_t n = 0;
+  if (!ParseSoleToken(line, &n)) {
+    return Status::Corruption(".gra vertex count is not a number: '" +
+                              std::string(line) + "'");
+  }
+  // The count is untrusted: ids are uint32, and it sizes nothing until the
+  // adjacency lines that back it have been read (see below).
+  if (n > static_cast<uint64_t>(UINT32_MAX) + 1) {
+    return Status::Corruption(".gra vertex count " + std::to_string(n) +
+                              " exceeds uint32 id space");
+  }
+  const size_t header_lines = lines.line_no();
+  GraphBuilder builder;
+  uint64_t rows = 0;
+  while (lines.Next(&line)) {
+    const size_t line_no = lines.line_no() - header_lines;
     if (line.empty()) continue;
     const size_t colon = line.find(':');
-    if (colon == std::string::npos) {
+    if (colon == std::string_view::npos) {
       return Status::Corruption(".gra adjacency line " +
                                 std::to_string(line_no) + " lacks ':'");
     }
     uint64_t v = 0;
-    try {
-      v = std::stoull(line.substr(0, colon));
-    } catch (...) {
+    if (!ParseSoleToken(line.substr(0, colon), &v)) {
       return Status::Corruption(".gra bad vertex id at line " +
                                 std::to_string(line_no));
     }
@@ -220,15 +340,14 @@ StatusOr<Digraph> ReadGra(std::istream& in) {
       return Status::Corruption(".gra vertex id out of range at line " +
                                 std::to_string(line_no));
     }
-    std::istringstream ls(line.substr(colon + 1));
-    std::string token;
-    while (ls >> token) {
+    ++rows;
+    std::string_view rest = line.substr(colon + 1);
+    std::string_view token;
+    while (NextToken(&rest, &token)) {
       if (token == "#") break;
       uint64_t w = 0;
-      try {
-        w = std::stoull(token);
-      } catch (...) {
-        return Status::Corruption(".gra bad neighbor '" + token +
+      if (!ParseDecimalUint64(token, &w)) {
+        return Status::Corruption(".gra bad neighbor '" + std::string(token) +
                                   "' at line " + std::to_string(line_no));
       }
       if (w >= n) {
@@ -238,6 +357,16 @@ StatusOr<Digraph> ReadGra(std::istream& in) {
       builder.AddEdge(static_cast<Vertex>(v), static_cast<Vertex>(w));
     }
   }
+  REACH_RETURN_IF_ERROR(lines.status());
+  // Every vertex has its adjacency line (WriteGra emits one per vertex), so
+  // a count beyond the lines delivered is forged; refusing it here keeps
+  // Build from allocating vertices the file never paid for.
+  if (n > rows) {
+    return Status::Corruption(".gra vertex count " + std::to_string(n) +
+                              " exceeds the " + std::to_string(rows) +
+                              " adjacency lines present");
+  }
+  builder.EnsureVertices(static_cast<size_t>(n));
   return builder.Build();
 }
 
@@ -387,7 +516,12 @@ StatusOr<Digraph> ReadGraphFile(const std::string& path) {
   if (!in) return Status::IOError("cannot open " + path);
   if (HasSuffix(path, ".gra")) return ReadGra(in);
   if (HasSuffix(path, ".bin")) return ReadBinary(in);
-  return ReadEdgeList(in);
+  // Edge lists take the bounded-memory two-pass reader; a pipe cannot be
+  // rewound for the second pass, so it is read in one.
+  if (in.rdbuf()->pubseekoff(0, std::ios::cur) == std::streampos(-1)) {
+    return ReadEdgeList(in);
+  }
+  return ReadEdgeListTwoPass(in, path);
 }
 
 Status WriteGraphFile(const Digraph& g, const std::string& path) {

@@ -2,6 +2,8 @@
 // literature are supported plus a fast binary snapshot:
 //
 //  * Edge list: optional "# comment" lines, then "u v" per line (SNAP style).
+//    Empty lines and lines starting with '#' or '%' are skipped; any other
+//    line must be exactly two decimal ids separated by whitespace.
 //  * .gra adjacency (used by GRAIL/Path-Tree distributions):
 //        graph_for_greach
 //        <n>
@@ -21,18 +23,22 @@
 
 namespace reach {
 
-/// Parses a SNAP-style edge list from a stream (one pass; buffers an edge
-/// vector, so peak memory is ~3x the final CSR).
+/// Parses a SNAP-style edge list from a stream in one pass, for streams
+/// that cannot be rewound. Input is read in bounded chunks, but the edges
+/// are buffered in an edge vector, so peak memory is ~3x the final CSR;
+/// files should go through ReadEdgeListFile.
 StatusOr<Digraph> ReadEdgeList(std::istream& in);
 /// Parses a SNAP-style edge list from a file in two streaming passes
 /// (degree count, then CSR fill): no intermediate edge vector, so peak
-/// memory stays at the final CSR plus the offsets — the large-graph load
-/// path. Produces exactly the graph ReadEdgeList would.
+/// memory stays at the final CSR plus the offsets and one 64 KiB read
+/// chunk — the large-graph load path. Needs a seekable file. Accepts,
+/// rejects, and produces exactly what ReadEdgeList does on the same bytes.
 StatusOr<Digraph> ReadEdgeListFile(const std::string& path);
 /// Writes a SNAP-style edge list ("u v" per line, with a header comment).
 Status WriteEdgeList(const Digraph& g, std::ostream& out);
 
-/// Parses the ".gra" adjacency format from a stream.
+/// Parses the ".gra" adjacency format from a stream. The vertex count must
+/// fit the uint32 id space and be backed by that many adjacency lines.
 StatusOr<Digraph> ReadGra(std::istream& in);
 /// Writes the ".gra" adjacency format.
 Status WriteGra(const Digraph& g, std::ostream& out);
@@ -48,7 +54,9 @@ Status WriteBinary(const Digraph& g, std::ostream& out);
 StatusOr<Digraph> ReadBinary(std::istream& in);
 
 /// File-path conveniences that dispatch on extension:
-/// ".gra" -> gra, ".bin" -> binary, anything else -> edge list.
+/// ".gra" -> gra, ".bin" -> binary, anything else -> edge list. Edge lists
+/// are read in two streamed passes, as ReadEdgeListFile does; a pipe, which
+/// cannot be rewound, goes through the one-pass ReadEdgeList instead.
 StatusOr<Digraph> ReadGraphFile(const std::string& path);
 Status WriteGraphFile(const Digraph& g, const std::string& path);
 

@@ -1,19 +1,13 @@
 #include "util/strict_parse.h"
 
-#include <charconv>
-#include <system_error>
-
 namespace reach {
 
 bool ParseDecimalUint64(std::string_view text, uint64_t* out) {
-  // std::from_chars matches the contract exactly: no whitespace, sign, or
-  // base-prefix acceptance, overflow reported as result_out_of_range, no
-  // allocation. Requiring ptr to reach the end rejects trailing garbage
-  // (and an empty input fails with invalid_argument).
+  // The whole text must be one digit run; empty input fails.
   uint64_t value = 0;
-  const char* const end = text.data() + text.size();
-  const auto [ptr, ec] = std::from_chars(text.data(), end, value, 10);
-  if (ec != std::errc() || ptr != end) return false;
+  if (text.empty() || ParseDecimalPrefix(text, &value) != text.size()) {
+    return false;
+  }
   *out = value;
   return true;
 }

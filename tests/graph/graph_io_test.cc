@@ -1,10 +1,15 @@
 #include "graph/graph_io.h"
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <thread>
+#include <utility>
 #include <vector>
+
+#include <sys/stat.h>
 
 #include "gtest/gtest.h"
 #include "graph/generators.h"
@@ -404,6 +409,268 @@ TEST(GraphIoTest, BinaryRowLargerThanScratchSliceRoundTrips) {
   EXPECT_EQ(back->num_edges(), g.num_edges());
   EXPECT_EQ(back->OutNeighbors(0).size(), kLeaves);
   EXPECT_EQ(back->CollectEdges(), g.CollectEdges());
+}
+
+namespace {
+
+/// Byte-level CSR identity: same vertex count and, per vertex, the same
+/// out- and in-rows — i.e. identical offsets, heads and tails arrays.
+void ExpectSameCsr(const Digraph& got, const Digraph& want,
+                   const std::string& what) {
+  ASSERT_EQ(got.num_vertices(), want.num_vertices()) << what;
+  ASSERT_EQ(got.num_edges(), want.num_edges()) << what;
+  for (Vertex v = 0; v < want.num_vertices(); ++v) {
+    const auto got_out = got.OutNeighbors(v);
+    const auto want_out = want.OutNeighbors(v);
+    ASSERT_TRUE(std::equal(got_out.begin(), got_out.end(), want_out.begin(),
+                           want_out.end()))
+        << what << ": out-row " << v;
+    const auto got_in = got.InNeighbors(v);
+    const auto want_in = want.InNeighbors(v);
+    ASSERT_TRUE(std::equal(got_in.begin(), got_in.end(), want_in.begin(),
+                           want_in.end()))
+        << what << ": in-row " << v;
+  }
+}
+
+/// Reads `content` through the one-pass stream reader and the two-pass
+/// file reader and requires the same graph or the same error from both.
+/// Returns the one-pass result for case-specific checks.
+StatusOr<Digraph> ReadBothWays(const std::string& content,
+                               const std::string& tag) {
+  std::istringstream in(content);
+  StatusOr<Digraph> one_pass = ReadEdgeList(in);
+  const StatusOr<Digraph> two_pass = ReadEdgeListFileFromString(content, tag);
+  EXPECT_EQ(one_pass.ok(), two_pass.ok()) << tag;
+  if (one_pass.ok() && two_pass.ok()) {
+    ExpectSameCsr(*two_pass, *one_pass, tag);
+  } else if (!one_pass.ok() && !two_pass.ok()) {
+    EXPECT_EQ(two_pass.status().ToString(), one_pass.status().ToString())
+        << tag;
+  }
+  return one_pass;
+}
+
+// Mirrors the private chunk size of the text scanner in graph_io.cc.
+constexpr size_t kChunk = size_t{64} << 10;
+
+/// `count` copies of the 4-byte line "0 1\n".
+std::string FillerLines(size_t count) {
+  std::string out;
+  for (size_t i = 0; i < count; ++i) out += "0 1\n";
+  return out;
+}
+
+}  // namespace
+
+// Scanner edge cases: every case goes through both edge-list readers and
+// must yield the same graph or the same error.
+TEST(GraphIoTest, ScannerLineStraddlingChunkBoundary) {
+  // 16383 filler lines end 4 bytes before the boundary, so the next line
+  // starts in one chunk and ends in the next.
+  std::string content = FillerLines(kChunk / 4 - 1) + "12345 67890\n";
+  ASSERT_LT(content.size() - 12, kChunk);
+  ASSERT_GT(content.size(), kChunk);
+  auto g = ReadBothWays(content, "straddle");
+  ASSERT_TRUE(g.ok()) << g.status().ToString();
+  EXPECT_TRUE(g->HasEdge(12345, 67890));
+  EXPECT_EQ(g->num_edges(), 2u);
+}
+
+TEST(GraphIoTest, ScannerLinesLongerThanAChunk) {
+  // A comment, an edge behind more than a chunk of blanks, then an edge.
+  const std::string content = "#" + std::string(kChunk + 100, 'c') + "\n" +
+                              std::string(kChunk + 7, ' ') + "4 5\t\n6 7";
+  auto g = ReadBothWays(content, "long");
+  ASSERT_TRUE(g.ok()) << g.status().ToString();
+  EXPECT_TRUE(g->HasEdge(4, 5));
+  EXPECT_TRUE(g->HasEdge(6, 7));
+  EXPECT_EQ(g->num_edges(), 2u);
+
+  // A long bad line is reported whole, with its line number.
+  const std::string junk(2 * kChunk, 'y');
+  auto bad = ReadBothWays("0 1\n1 2 " + junk + "\n", "long_bad");
+  ASSERT_FALSE(bad.ok());
+  EXPECT_TRUE(bad.status().IsCorruption());
+  EXPECT_NE(bad.status().message().find("line 2: trailing '" + junk + "'"),
+            std::string::npos);
+}
+
+TEST(GraphIoTest, ScannerAcceptsCrlfAndTabs) {
+  auto g = ReadBothWays("# crlf\r\n0\t1\r\n1 \t 2\r\n\t2\t3\t\r\n", "crlf");
+  ASSERT_TRUE(g.ok()) << g.status().ToString();
+  EXPECT_EQ(g->num_edges(), 3u);
+  EXPECT_TRUE(g->HasEdge(0, 1));
+  EXPECT_TRUE(g->HasEdge(1, 2));
+  EXPECT_TRUE(g->HasEdge(2, 3));
+  // A CRLF blank line is not empty: "\r" is a whitespace-only line.
+  auto blank = ReadBothWays("0 1\r\n\r\n1 2\r\n", "crlf_blank");
+  ASSERT_FALSE(blank.ok());
+  EXPECT_NE(blank.status().message().find("line 2:"), std::string::npos)
+      << blank.status().ToString();
+}
+
+TEST(GraphIoTest, ScannerReadsLastLineWithoutNewline) {
+  auto g = ReadBothWays("0 1\n1 2", "no_newline");
+  ASSERT_TRUE(g.ok()) << g.status().ToString();
+  EXPECT_TRUE(g->HasEdge(1, 2));
+  EXPECT_EQ(g->num_edges(), 2u);
+}
+
+TEST(GraphIoTest, ScannerRejectsWhitespaceOnlyAndIndentedComment) {
+  for (const char* bad : {"0 1\n   \n", "0 1\n\t\n", "0 1\n  # comment\n"}) {
+    auto g = ReadBothWays(bad, "blank");
+    ASSERT_FALSE(g.ok()) << bad;
+    EXPECT_TRUE(g.status().IsCorruption()) << bad;
+    EXPECT_NE(g.status().message().find("line 2:"), std::string::npos)
+        << g.status().ToString();
+  }
+}
+
+TEST(GraphIoTest, ScannerRejectsEmbeddedNul) {
+  const std::string content("0 1\n2\0 3\n", 9);
+  auto g = ReadBothWays(content, "nul");
+  ASSERT_FALSE(g.ok());
+  EXPECT_TRUE(g.status().IsCorruption());
+  EXPECT_NE(g.status().message().find("line 2:"), std::string::npos);
+  // The offending text, NUL included, is quoted back.
+  EXPECT_NE(g.status().message().find(std::string("'2\0 3'", 6)),
+            std::string::npos);
+}
+
+TEST(GraphIoTest, ScannerCountsLinesPastTheFirstChunk) {
+  // 40000 4-byte lines span three chunks; the bad line is number 40001.
+  auto g = ReadBothWays(FillerLines(40000) + "not an edge\n", "late");
+  ASSERT_FALSE(g.ok());
+  EXPECT_NE(g.status().message().find(
+                "edge list line 40001: expected 'u v', got 'not an edge'"),
+            std::string::npos)
+      << g.status().ToString();
+  auto big = ReadBothWays(FillerLines(40000) + "0 4294967296\n", "late_big");
+  ASSERT_FALSE(big.ok());
+  EXPECT_TRUE(big.status().IsInvalidArgument());
+  EXPECT_NE(big.status().message().find("at line 40001"), std::string::npos)
+      << big.status().ToString();
+}
+
+// Differential round trip: generated graphs written as edge lists read back
+// byte-identical through both readers.
+TEST(GraphIoTest, EdgeListRoundTripIsByteIdenticalOnBothReaders) {
+  const std::vector<std::pair<std::string, Digraph>> graphs = {
+      {"random", RandomDag(1500, 4000, 21)},
+      {"citation", CitationDag(2000, 3.0, 22)},
+      {"tree", TreeLikeDag(2500, 1500, 23)},
+      {"cyclic", RandomDigraphWithCycles(1200, 3500, 400, 24)},
+  };
+  for (const auto& [name, g] : graphs) {
+    std::stringstream ss;
+    ASSERT_TRUE(WriteEdgeList(g, ss).ok()) << name;
+    std::istringstream one_pass_in(ss.str());
+    auto one_pass = ReadEdgeList(one_pass_in);
+    ASSERT_TRUE(one_pass.ok()) << name << ": " << one_pass.status().ToString();
+    auto two_pass = ReadEdgeListFileFromString(ss.str(), "roundtrip_" + name);
+    ASSERT_TRUE(two_pass.ok()) << name << ": " << two_pass.status().ToString();
+    // An edge list cannot carry isolated vertices past the largest id, so
+    // the expected CSR is the original's edges over the re-read id space.
+    ASSERT_LE(one_pass->num_vertices(), g.num_vertices()) << name;
+    const Digraph want =
+        Digraph::FromEdges(one_pass->num_vertices(), g.CollectEdges());
+    ExpectSameCsr(*one_pass, want, name + " one-pass");
+    ExpectSameCsr(*two_pass, want, name + " two-pass");
+  }
+}
+
+TEST(GraphIoTest, ReadGraphFileMatchesStreamedEdgeListReader) {
+  const Digraph g = RandomDigraphWithCycles(3000, 9000, 500, 31);
+  const std::string path = ::testing::TempDir() + "/graph_io_test.dispatch.txt";
+  ASSERT_TRUE(WriteGraphFile(g, path).ok());
+  auto via_dispatch = ReadGraphFile(path);
+  auto streamed = ReadEdgeListFile(path);
+  std::remove(path.c_str());
+  ASSERT_TRUE(via_dispatch.ok()) << via_dispatch.status().ToString();
+  ASSERT_TRUE(streamed.ok()) << streamed.status().ToString();
+  ExpectSameCsr(*via_dispatch, *streamed, "dispatch");
+}
+
+// A pipe cannot be rewound for the second pass, so ReadGraphFile reads it
+// in one; the graph is the same.
+TEST(GraphIoTest, ReadGraphFileReadsAPipeInOnePass) {
+  const std::string content = "# piped\n0 1\n1 2\n2 0\n5 3\n";
+  const std::string fifo = ::testing::TempDir() + "/graph_io_test.fifo.txt";
+  std::remove(fifo.c_str());
+  ASSERT_EQ(mkfifo(fifo.c_str(), 0600), 0);
+  std::thread writer([&] {
+    std::ofstream out(fifo, std::ios::binary);
+    out << content;
+  });
+  auto piped = ReadGraphFile(fifo);
+  writer.join();
+  std::remove(fifo.c_str());
+  ASSERT_TRUE(piped.ok()) << piped.status().ToString();
+  std::istringstream in(content);
+  auto want = ReadEdgeList(in);
+  ASSERT_TRUE(want.ok());
+  ExpectSameCsr(*piped, *want, "pipe");
+}
+
+// .gra hardening: ids and the count are strict decimal tokens, and a count
+// must be backed by the adjacency lines the file delivers.
+TEST(GraphIoTest, GraRejectsTrailingGarbageInNeighbor) {
+  std::stringstream ss("3\n0: 1abc #\n1: #\n2: #\n");
+  auto g = ReadGra(ss);
+  ASSERT_FALSE(g.ok());
+  EXPECT_TRUE(g.status().IsCorruption());
+  EXPECT_NE(g.status().message().find("bad neighbor '1abc' at line 1"),
+            std::string::npos)
+      << g.status().ToString();
+}
+
+TEST(GraphIoTest, GraRejectsSignedIds) {
+  for (const char* bad : {"2\n0: -0 #\n1: #\n", "2\n-0: 1 #\n1: #\n",
+                          "2\n0: 1 #\n+1: #\n", "2\n0: +1 #\n1: #\n"}) {
+    std::stringstream ss(bad);
+    auto g = ReadGra(ss);
+    ASSERT_FALSE(g.ok()) << bad;
+    EXPECT_TRUE(g.status().IsCorruption()) << bad;
+  }
+}
+
+TEST(GraphIoTest, GraRejectsNonDecimalCountHeader) {
+  for (const char* bad : {"3x\n0: 1 #\n1: #\n2: #\n", "+3\n0: #\n1: #\n2: #\n",
+                          "graph_for_greach\n3x\n0: #\n1: #\n2: #\n"}) {
+    std::stringstream ss(bad);
+    auto g = ReadGra(ss);
+    ASSERT_FALSE(g.ok()) << bad;
+    EXPECT_TRUE(g.status().IsCorruption()) << bad;
+    EXPECT_NE(g.status().message().find("vertex count is not a number"),
+              std::string::npos)
+        << g.status().ToString();
+  }
+}
+
+// The pre-hardening reader threw std::bad_alloc here (aborting
+// reach_serve): the count sized the graph before any line was read.
+TEST(GraphIoTest, GraRejectsCountBeyondIdSpace) {
+  std::stringstream ss("99999999999\n0: #\n");
+  auto g = ReadGra(ss);
+  ASSERT_FALSE(g.ok());
+  EXPECT_TRUE(g.status().IsCorruption());
+  EXPECT_NE(g.status().message().find("exceeds uint32 id space"),
+            std::string::npos)
+      << g.status().ToString();
+}
+
+TEST(GraphIoTest, GraRejectsCountBeyondAdjacencyLines) {
+  // 2^32 is a valid id-space size, but two lines cannot back it.
+  for (const char* bad : {"4294967296\n0: 1 #\n1: #\n", "3\n0: 1 #\n\n1: #\n"}) {
+    std::stringstream ss(bad);
+    auto g = ReadGra(ss);
+    ASSERT_FALSE(g.ok()) << bad;
+    EXPECT_TRUE(g.status().IsCorruption()) << bad;
+    EXPECT_NE(g.status().message().find("exceeds the 2 adjacency lines"),
+              std::string::npos)
+        << g.status().ToString();
+  }
 }
 
 }  // namespace

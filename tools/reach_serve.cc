@@ -32,6 +32,7 @@
 #include "graph/graph_io.h"
 #include "server/server.h"
 #include "util/strict_parse.h"
+#include "util/timer.h"
 
 namespace {
 
@@ -167,12 +168,19 @@ int main(int argc, char** argv) {
     return 2;
   }
 
+  const Timer read_timer;
   auto graph = ReadGraphFile(graph_path);
   if (!graph.ok()) {
     std::fprintf(stderr, "error reading %s: %s\n", graph_path.c_str(),
                  graph.status().ToString().c_str());
     return 1;
   }
+  // One key=value line per load phase, ahead of the readiness line.
+  std::fprintf(stderr,
+               "event=graph_read path=%s vertices=%zu edges=%zu "
+               "read_ms=%.1f\n",
+               graph_path.c_str(), graph->num_vertices(), graph->num_edges(),
+               read_timer.ElapsedMillis());
 
   server::ReachServer reach_server;
   // One line per index publish (startup and every RELOAD): load wall time,
