@@ -3,13 +3,8 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
-#include <fstream>
 #include <memory>
 #include <utility>
-
-#if defined(__GLIBC__)
-#include <malloc.h>  // malloc_trim: see ReleaseFreedHeap below.
-#endif
 
 #include "baselines/factory.h"
 #include "bench/reporter.h"
@@ -20,7 +15,9 @@
 #include "server/client.h"
 #include "server/server.h"
 #include "server/snapshot.h"
+#include "util/mapped_blob.h"
 #include "util/resource.h"
+#include "util/span_stream.h"
 #include "util/timer.h"
 
 namespace reach {
@@ -573,31 +570,21 @@ void RunPrefilter(const ExperimentSpec& spec, const BenchConfig& config,
 
 /// Cold-load path (load_quick): per (dataset, method) cell the oracle is
 /// built once in-process, saved as a server snapshot to a scratch file,
-/// and that file is then loaded twice into fresh indexes: once through the
-/// classic owned-read stream path (every label byte re-read into owned
-/// vectors) and once through the capability-picked mapped path
+/// and that file is then loaded twice into fresh indexes through the one
+/// load path (ReachabilityIndex::LoadMapped, no parse on either side):
+/// once over a read of the whole file into memory (MappedBlob::OpenOwned,
+/// the /owned column) and once over the capability-picked mapping
 /// (LoadIndexSnapshotFile; mmap where available). Each arm reports its
 /// load wall-ms as the cell value and the load's resident-set growth as
 /// "rss_kb=" in the note — the mapped arm's near-zero pair is the point:
-/// load cost drops to O(index pages touched). Before either arm is
-/// reported, the built, owned, and mapped indexes must answer a seeded
-/// query sample identically; one divergence fails both cells.
+/// load cost drops to O(index pages touched), while the owned arm pays
+/// O(file size) to read every byte. Before either arm is reported, the
+/// built, owned, and mapped indexes must answer a seeded query sample
+/// identically; one divergence fails both cells.
 ///
 /// The xl graphs deliberately bypass RunCache: pinning a 10^7-edge graph
 /// for the rest of a bench_all run would dwarf the cache's laptop-scale
 /// working set, and no other experiment revisits the tier.
-
-/// Returns freed heap pages to the OS so a load arm's rss_kb delta
-/// measures that arm's own allocations. Without this the owned arm mostly
-/// reuses pages the in-process build freed — still resident, so the delta
-/// reads near zero — while the mapped arm (whose pages come from the file
-/// mapping, never the heap) reports its full touch count. No-op off
-/// glibc; the deltas are then reuse-skewed but the wall times stand.
-void ReleaseFreedHeap() {
-#if defined(__GLIBC__)
-  malloc_trim(0);
-#endif
-}
 
 void RunLoad(const ExperimentSpec& spec, const BenchConfig& config,
              Reporter* reporter, RunCache* /*cache*/) {
@@ -710,22 +697,25 @@ void RunLoad(const ExperimentSpec& spec, const BenchConfig& config,
       }
       const std::vector<char> expected = answers_of(*built);
 
-      // Owned arm in its own scope so its vectors are gone (and their RSS
-      // mostly returned) before the mapped arm measures its growth.
+      // Owned arm in its own scope so its blob is released (and its RSS
+      // returned) before the mapped arm measures its growth.
       double owned_ms = 0;
       uint64_t owned_rss_kb = 0;
       Status owned_status = Status::OK();
       std::vector<char> owned_answers;
       {
-        ReleaseFreedHeap();
         const uint64_t rss_before = CurrentRssKb();
         Timer timer;
         const auto owned_load = [&]() -> StatusOr<ReachabilityIndex> {
-          std::ifstream in(path, std::ios::binary);
-          if (!in) return Status::IOError("cannot open snapshot " + path);
+          StatusOr<std::shared_ptr<const MappedBlob>> blob =
+              MappedBlob::OpenOwned(path);
+          if (!blob.ok()) return blob.status();
+          SpanIStream header((*blob)->bytes());
           REACH_RETURN_IF_ERROR(server::ReadSnapshotHeader(
-              in, method, graph.num_vertices(), graph.num_edges()));
-          return ReachabilityIndex::Load(graph, MakeOracle(method), in);
+              header, method, graph.num_vertices(), graph.num_edges()));
+          return ReachabilityIndex::LoadMapped(
+              graph, MakeOracle(method),
+              MappedRegion{*blob, server::SnapshotHeaderBytes(method.size())});
         };
         const StatusOr<ReachabilityIndex> owned = owned_load();
         owned_ms = timer.ElapsedMillis();
@@ -739,7 +729,6 @@ void RunLoad(const ExperimentSpec& spec, const BenchConfig& config,
       }
 
       bool mapped = false;
-      ReleaseFreedHeap();
       const uint64_t rss_before = CurrentRssKb();
       Timer timer;
       const StatusOr<ReachabilityIndex> mapped_index =
@@ -982,13 +971,13 @@ const std::vector<ExperimentSpec>& ExperimentRegistry() {
     ExperimentSpec load;
     load.id = "load_quick";
     load.title =
-        "Load: cold snapshot load (ms), owned read vs mmap, xl tier";
+        "Load: cold snapshot load (ms), file read vs mmap, xl tier";
     load.shape_note =
-        "the owned arm re-reads and re-validates every label byte into "
-        "owned vectors, so it scales with index bytes; the mapped arm "
-        "validates offsets and touches nothing else, staying O(index "
-        "pages touched) with ~0 rss_kb growth — >=10x faster than owned "
-        "read on the largest instance";
+        "both arms serve the snapshot bytes in place and validate only "
+        "the offsets; the owned arm first reads the whole file into "
+        "memory, so it scales with index bytes, while the mapped arm "
+        "touches nothing else, staying O(index pages touched) with ~0 "
+        "rss_kb growth";
     load.kind = ExperimentKind::kLoad;
     load.metric = Metric::kLoadMillis;
     load.large = true;
@@ -1122,46 +1111,6 @@ void RunExperiment(const ExperimentSpec& spec, const BenchConfig& config,
       RunTable(spec, config, reporter, cache);
       return;
   }
-}
-
-int RunExperimentMain(const std::string& experiment_id, int argc,
-                      char** argv) {
-  const StatusOr<ExperimentSpec> spec = FindExperiment(experiment_id);
-  if (!spec.ok()) {
-    std::fprintf(stderr, "%s\n", spec.status().ToString().c_str());
-    return 2;
-  }
-  const StatusOr<BenchOverrides> overrides =
-      ParseArgs(argc, argv, /*allow_experiments=*/false);
-  if (!overrides.ok()) {
-    std::fprintf(stderr, "%s\n%s", overrides.status().message().c_str(),
-                 UsageString(/*allow_experiments=*/false).c_str());
-    return 2;
-  }
-  if (overrides->help) {
-    std::printf("%s: %s\n%s", experiment_id.c_str(), spec->title.c_str(),
-                UsageString(/*allow_experiments=*/false).c_str());
-    return 0;
-  }
-  const BenchConfig config = ApplyOverrides(DefaultConfigFor(*spec),
-                                            *overrides);
-  for (const std::string& dataset : config.datasets) {
-    if (!ExperimentCoversDataset(*spec, dataset)) {
-      std::fprintf(stderr,
-                   "dataset '%s' is not part of %s's tier; this run would "
-                   "measure nothing for it\n",
-                   dataset.c_str(), experiment_id.c_str());
-      return 2;
-    }
-  }
-  StatusOr<std::unique_ptr<Reporter>> reporter = MakeReporter(config);
-  if (!reporter.ok()) {
-    std::fprintf(stderr, "%s\n", reporter.status().ToString().c_str());
-    return 2;
-  }
-  RunExperiment(*spec, config, reporter->get());
-  (*reporter)->EndRun();
-  return 0;
 }
 
 }  // namespace bench

@@ -143,12 +143,6 @@ bool ExperimentCoversDataset(const ExperimentSpec& spec,
 void RunExperiment(const ExperimentSpec& spec, const BenchConfig& config,
                    Reporter* reporter, RunCache* cache = nullptr);
 
-/// Shared main() for the legacy one-table binaries: parses flags with the
-/// experiment's defaults, builds the configured reporter, runs, returns the
-/// process exit code (2 on flag errors, with usage printed to stderr).
-int RunExperimentMain(const std::string& experiment_id, int argc,
-                      char** argv);
-
 }  // namespace bench
 }  // namespace reach
 

@@ -209,13 +209,6 @@ Status TwoHopOracle::BuildIndex(const Digraph& dag) {
   return Status::OK();
 }
 
-Status TwoHopOracle::LoadIndex(const Digraph& dag, std::istream& in) {
-  StatusOr<LabelStore> loaded = ReadLabelStoreFor(dag, in, "2HOP");
-  if (!loaded.ok()) return loaded.status();
-  labeling_ = std::move(*loaded);
-  return Status::OK();
-}
-
 Status TwoHopOracle::LoadIndexMapped(const Digraph& dag,
                                      MappedRegion region) {
   StatusOr<LabelStore> mapped =

@@ -25,7 +25,6 @@ namespace reach {
 class TwoHopOracle : public ReachabilityOracle {
  protected:
   Status BuildIndex(const Digraph& dag) override;
-  Status LoadIndex(const Digraph& dag, std::istream& in) override;
   Status LoadIndexMapped(const Digraph& dag, MappedRegion region) override;
 
  public:
@@ -38,7 +37,6 @@ class TwoHopOracle : public ReachabilityOracle {
   /// restart can skip the TC materialization + set-cover greedy entirely.
   /// LoadMapped serves the blob in place.
   bool SupportsSnapshot() const override { return true; }
-  bool SupportsMappedSnapshot() const override { return true; }
   Status SaveIndex(std::ostream& out) const override {
     return labeling_.Write(out);
   }

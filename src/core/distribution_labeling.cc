@@ -136,15 +136,6 @@ Status DistributionLabelingOracle::BuildIndex(const Digraph& dag) {
   return Status::OK();
 }
 
-Status DistributionLabelingOracle::LoadIndex(const Digraph& dag,
-                                             std::istream& in) {
-  StatusOr<LabelStore> loaded = ReadLabelStoreFor(dag, in, "DL");
-  if (!loaded.ok()) return loaded.status();
-  labeling_ = std::move(*loaded);
-  order_.clear();  // Construction metadata; not part of the snapshot.
-  return Status::OK();
-}
-
 Status DistributionLabelingOracle::LoadIndexMapped(const Digraph& dag,
                                                    MappedRegion region) {
   StatusOr<LabelStore> mapped = MapLabelStoreFor(dag, std::move(region), "DL");

@@ -69,7 +69,6 @@ class DistributionLabelingOracle : public ReachabilityOracle {
 
  protected:
   Status BuildIndex(const Digraph& dag) override;
-  Status LoadIndex(const Digraph& dag, std::istream& in) override;
   Status LoadIndexMapped(const Digraph& dag, MappedRegion region) override;
 
  public:
@@ -79,10 +78,9 @@ class DistributionLabelingOracle : public ReachabilityOracle {
   }
 
   /// Snapshots: the whole query state is the sealed labeling blob. After
-  /// Load (as opposed to Build) order() is empty — it is construction
+  /// LoadMapped (as opposed to Build) order() is empty — it is construction
   /// metadata, not query state. LoadMapped serves the blob in place.
   bool SupportsSnapshot() const override { return true; }
-  bool SupportsMappedSnapshot() const override { return true; }
   Status SaveIndex(std::ostream& out) const override {
     return labeling_.Write(out);
   }

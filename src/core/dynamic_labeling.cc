@@ -31,15 +31,6 @@ Status DynamicDistributionLabeling::BuildIndex(const Digraph& dag) {
   return Status::OK();
 }
 
-Status DynamicDistributionLabeling::LoadIndex(const Digraph& dag,
-                                              std::istream& in) {
-  StatusOr<LabelStore> loaded = ReadLabelStoreFor(dag, in, "DL+dyn");
-  if (!loaded.ok()) return loaded.status();
-  labeling_ = std::move(*loaded);
-  ResetOverlay(dag);
-  return Status::OK();
-}
-
 Status DynamicDistributionLabeling::LoadIndexMapped(const Digraph& dag,
                                                     MappedRegion region) {
   StatusOr<LabelStore> mapped =

@@ -43,7 +43,6 @@ class DynamicDistributionLabeling : public ReachabilityOracle {
   /// Builds the initial labeling (identical to DistributionLabelingOracle).
  protected:
   Status BuildIndex(const Digraph& dag) override;
-  Status LoadIndex(const Digraph& dag, std::istream& in) override;
   Status LoadIndexMapped(const Digraph& dag, MappedRegion region) override;
 
  public:
@@ -53,10 +52,10 @@ class DynamicDistributionLabeling : public ReachabilityOracle {
   }
 
   /// Snapshots carry the (patched) labeling only, never the edge overlay:
-  /// Load(dag, in) treats `dag` as the new base graph with zero inserted
-  /// edges. Callers that inserted edges before saving must therefore pass
-  /// the ACCUMULATED graph (base plus every inserted edge — e.g. rebuilt
-  /// via CollectEdges + the inserted list) to Load; passing the original
+  /// LoadMapped(dag, region) treats `dag` as the new base graph with zero
+  /// inserted edges. Callers that inserted edges before saving must
+  /// therefore pass the ACCUMULATED graph (base plus every inserted edge —
+  /// e.g. rebuilt via CollectEdges + the inserted list); passing the original
   /// base graph would answer queries correctly at first (the labels carry
   /// the patches) but compute later InsertEdge patches and Rebuild() over
   /// a graph that is missing the pre-save edges.
@@ -64,7 +63,6 @@ class DynamicDistributionLabeling : public ReachabilityOracle {
   /// LoadMapped serves the labeling straight from the mapping; the first
   /// InsertEdge unseals, which copies the labels out and releases it.
   bool SupportsSnapshot() const override { return true; }
-  bool SupportsMappedSnapshot() const override { return true; }
   Status SaveIndex(std::ostream& out) const override {
     return labeling_.Write(out);
   }
@@ -94,7 +92,7 @@ class DynamicDistributionLabeling : public ReachabilityOracle {
   std::vector<Vertex> OutNeighbors(Vertex v) const;
   std::vector<Vertex> InNeighbors(Vertex v) const;
 
-  /// Shared Load/LoadMapped tail: fresh overlay over the new base graph.
+  /// LoadMapped tail: fresh overlay over the new base graph.
   void ResetOverlay(const Digraph& dag);
 
   DistributionOptions options_;

@@ -228,15 +228,6 @@ Status HierarchicalLabelingOracle::BuildIndex(const Digraph& dag) {
   return Status::OK();
 }
 
-Status HierarchicalLabelingOracle::LoadIndex(const Digraph& dag,
-                                             std::istream& in) {
-  StatusOr<LabelStore> loaded = ReadLabelStoreFor(dag, in, "HL");
-  if (!loaded.ok()) return loaded.status();
-  labeling_ = std::move(*loaded);
-  hierarchy_.reset();  // Construction metadata; not part of the snapshot.
-  return Status::OK();
-}
-
 Status HierarchicalLabelingOracle::LoadIndexMapped(const Digraph& dag,
                                                    MappedRegion region) {
   StatusOr<LabelStore> mapped = MapLabelStoreFor(dag, std::move(region), "HL");

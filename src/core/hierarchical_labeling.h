@@ -54,7 +54,6 @@ class HierarchicalLabelingOracle : public ReachabilityOracle {
 
  protected:
   Status BuildIndex(const Digraph& dag) override;
-  Status LoadIndex(const Digraph& dag, std::istream& in) override;
   Status LoadIndexMapped(const Digraph& dag, MappedRegion region) override;
 
  public:
@@ -64,11 +63,10 @@ class HierarchicalLabelingOracle : public ReachabilityOracle {
   }
 
   /// Snapshots: the whole query state is the sealed labeling blob. After
-  /// Load (as opposed to Build) hierarchy() is unavailable — the
+  /// LoadMapped (as opposed to Build) hierarchy() is unavailable — the
   /// decomposition is construction metadata, not query state. LoadMapped
   /// serves the blob in place.
   bool SupportsSnapshot() const override { return true; }
-  bool SupportsMappedSnapshot() const override { return true; }
   Status SaveIndex(std::ostream& out) const override {
     return labeling_.Write(out);
   }
@@ -81,15 +79,15 @@ class HierarchicalLabelingOracle : public ReachabilityOracle {
   }
   uint64_t IndexSizeBytes() const override { return labeling_.MemoryBytes(); }
 
-  /// The decomposition (valid after Build, NOT after Load — a snapshot
+  /// The decomposition (valid after Build, NOT after LoadMapped — a snapshot
   /// carries only query state); exposed for tests and examples.
   const Hierarchy& hierarchy() const {
     assert(hierarchy_ != nullptr &&
-           "hierarchy() is only valid after Build(), not Load()");
+           "hierarchy() is only valid after Build(), not LoadMapped()");
     return *hierarchy_;
   }
 
-  /// False after Load (the decomposition is construction metadata).
+  /// False after LoadMapped (the decomposition is construction metadata).
   bool has_hierarchy() const { return hierarchy_ != nullptr; }
   const LabelStore& labeling() const { return labeling_; }
 

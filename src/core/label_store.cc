@@ -2,7 +2,8 @@
 
 #include <algorithm>
 #include <cstring>
-#include <istream>
+#include <functional>
+#include <new>
 #include <ostream>
 #include <string>
 
@@ -21,11 +22,7 @@ constexpr uint64_t kMagic = 0x524c53544f524533ULL;
 // Fixed header: magic, n, total_out, total_in.
 constexpr size_t kHeaderBytes = 4 * sizeof(uint64_t);
 
-// Sections of a hostile blob are read in bounded slices so a forged count
-// cannot make us allocate its full claimed size before the stream runs
-// dry (same discipline as graph_io's ReadBinary).
-constexpr size_t kKeySliceEntries = 1 << 16;
-constexpr size_t kOffsetSliceEntries = 1 << 13;
+using BuildSide = std::vector<std::vector<uint32_t>>;
 
 // A keys section of `total` u32 entries is zero-padded to the next
 // 8-byte boundary so the section after it stays aligned.
@@ -33,180 +30,95 @@ size_t KeysPadBytes(uint64_t total) {
   return (total % 2) * sizeof(uint32_t);
 }
 
-// Impossibility bound shared by both readers: labels are strictly
-// ascending keys < n, so a side holds at most n per vertex. Division
-// sidesteps the n * n overflow for n near 2^32.
+// Blob-relative byte offsets of the four array sections, and the blob
+// size, for n vertices and the two side totals: the one place that knows
+// the RLSTORE3 section order. Callers bound n and the totals first, so
+// the arithmetic cannot wrap.
+struct Layout {
+  uint64_t off_out;
+  uint64_t key_out;
+  uint64_t off_in;
+  uint64_t key_in;
+  uint64_t size;
+};
+
+Layout LayoutFor(uint64_t n, uint64_t total_out, uint64_t total_in) {
+  const uint64_t offsets_bytes = (n + 1) * sizeof(uint64_t);
+  Layout layout;
+  layout.off_out = kHeaderBytes;
+  layout.key_out = layout.off_out + offsets_bytes;
+  layout.off_in = layout.key_out + total_out * sizeof(uint32_t) +
+                  KeysPadBytes(total_out);
+  layout.key_in = layout.off_in + offsets_bytes;
+  layout.size =
+      layout.key_in + total_in * sizeof(uint32_t) + KeysPadBytes(total_in);
+  return layout;
+}
+
+uint64_t SideTotal(const BuildSide& labels) {
+  uint64_t total = 0;
+  for (const auto& label : labels) total += label.size();
+  return total;
+}
+
+// Impossibility bound: labels are strictly ascending keys < n, so a side
+// holds at most n per vertex. Division sidesteps the n * n overflow for n
+// near 2^32.
 bool SideTotalImpossible(uint64_t n, uint64_t total) {
   return n == 0 ? total != 0 : total / n > n;
 }
 
-Status ReadOffsets(std::istream& in, size_t n, uint64_t total,
-                   const char* side, std::vector<uint64_t>* offsets) {
-  // No n-sized pre-allocation from the untrusted header: the array grows
-  // one bounded slice at a time, so a forged n wastes at most one slice
-  // before the read failure surfaces.
-  offsets->clear();
-  uint64_t prev = 0;
-  std::vector<uint64_t> slice;
-  for (size_t remaining = n + 1; remaining > 0;) {
-    const size_t chunk = std::min(remaining, kOffsetSliceEntries);
-    slice.resize(chunk);
-    in.read(reinterpret_cast<char*>(slice.data()),
-            static_cast<std::streamsize>(chunk * sizeof(uint64_t)));
-    if (!in) {
-      return Status::Corruption("truncated label store " + std::string(side) +
-                                " offsets");
+// The writer pads with zeros; anything else is not a blob it produced.
+Status CheckPad(const std::byte* pad, uint64_t total, const char* side) {
+  for (size_t i = 0; i < KeysPadBytes(total); ++i) {
+    if (pad[i] != std::byte{0}) {
+      return Status::Corruption("label store " + std::string(side) +
+                                " padding is not zero");
     }
-    for (const uint64_t off : slice) {
-      if (offsets->empty() ? off != 0 : off < prev) {
-        return Status::Corruption("label store " + std::string(side) +
-                                  " offsets not monotone from zero");
-      }
-      if (off > total) {
-        return Status::Corruption("label store " + std::string(side) +
-                                  " offset exceeds the declared total");
-      }
-      prev = off;
-      offsets->push_back(off);
-    }
-    remaining -= chunk;
-  }
-  if (offsets->back() != total) {
-    return Status::Corruption("label store " + std::string(side) +
-                              " offsets end at " +
-                              std::to_string(offsets->back()) +
-                              ", header declared " + std::to_string(total));
   }
   return Status::OK();
 }
 
-Status ReadKeys(std::istream& in, size_t n, uint64_t total, const char* side,
-                const std::vector<uint64_t>& offsets,
-                std::vector<uint32_t>* keys) {
-  keys->clear();
-  keys->reserve(
-      static_cast<size_t>(std::min<uint64_t>(total, kKeySliceEntries)));
-  std::vector<uint32_t> slice;
-  for (uint64_t remaining = total; remaining > 0;) {
-    const size_t chunk =
-        static_cast<size_t>(std::min<uint64_t>(remaining, kKeySliceEntries));
-    slice.resize(chunk);
-    in.read(reinterpret_cast<char*>(slice.data()),
-            static_cast<std::streamsize>(chunk * sizeof(uint32_t)));
-    if (!in) {
-      return Status::Corruption("truncated label store " + std::string(side) +
-                                " keys");
-    }
-    for (const uint32_t key : slice) {
-      if (key >= n) {
-        return Status::Corruption("label store " + std::string(side) +
-                                  " key out of range");
-      }
-      keys->push_back(key);
-    }
-    remaining -= chunk;
-  }
-  // Per-row strict ascent, checked once the row boundaries are known.
-  for (Vertex v = 0; v < n; ++v) {
-    for (uint64_t i = offsets[v] + 1; i < offsets[v + 1]; ++i) {
-      if ((*keys)[i - 1] >= (*keys)[i]) {
-        return Status::Corruption("label store " + std::string(side) +
-                                  " row " + std::to_string(v) +
-                                  " keys not strictly ascending");
-      }
-    }
-  }
-  // The writer pads with zeros; anything else is not a blob it produced.
-  char pad[sizeof(uint32_t)] = {};
-  const size_t pad_bytes = KeysPadBytes(total);
-  if (pad_bytes > 0) {
-    in.read(pad, static_cast<std::streamsize>(pad_bytes));
-    if (!in) {
-      return Status::Corruption("truncated label store " + std::string(side) +
-                                " padding");
-    }
-    for (size_t i = 0; i < pad_bytes; ++i) {
-      if (pad[i] != 0) {
-        return Status::Corruption("label store " + std::string(side) +
-                                  " padding is not zero");
-      }
-    }
-  }
-  return Status::OK();
+// The one RLSTORE3 encoder: writes the header and both sides of the
+// build-phase labels into a fresh owned blob. `after_out`, when set, runs
+// once the Lout section is written — Seal frees the Lout build vectors
+// there, so they never coexist with the Lin section's pages.
+StatusOr<std::shared_ptr<const MappedBlob>> EncodeBlob(
+    const BuildSide& out, const BuildSide& in,
+    const std::function<void()>& after_out) {
+  const uint64_t n = out.size();
+  const uint64_t total_out = SideTotal(out);
+  const uint64_t total_in = SideTotal(in);
+  const Layout layout = LayoutFor(n, total_out, total_in);
+  return MappedBlob::CreateOwned(
+      static_cast<size_t>(layout.size), [&](std::span<std::byte> bytes) {
+        std::byte* base = bytes.data();
+        const uint64_t header[4] = {kMagic, n, total_out, total_in};
+        std::memcpy(base, header, sizeof(header));
+        const auto encode_side = [base](const BuildSide& labels,
+                                        uint64_t off_at, uint64_t key_at) {
+          uint64_t* offsets = reinterpret_cast<uint64_t*>(base + off_at);
+          uint32_t* keys = reinterpret_cast<uint32_t*>(base + key_at);
+          uint64_t at = 0;
+          offsets[0] = 0;
+          for (size_t v = 0; v < labels.size(); ++v) {
+            std::copy(labels[v].begin(), labels[v].end(), keys + at);
+            at += labels[v].size();
+            offsets[v + 1] = at;
+          }
+          std::memset(keys + at, 0, KeysPadBytes(at));
+        };
+        encode_side(out, layout.off_out, layout.key_out);
+        if (after_out) after_out();
+        encode_side(in, layout.off_in, layout.key_in);
+        return Status::OK();
+      });
 }
 
 }  // namespace
 
-LabelStore& LabelStore::operator=(const LabelStore& other) {
-  if (this == &other) return *this;
-  num_vertices_ = other.num_vertices_;
-  sealed_ = other.sealed_;
-  build_out_ = other.build_out_;
-  build_in_ = other.build_in_;
-  offsets_out_ = other.offsets_out_;
-  offsets_in_ = other.offsets_in_;
-  keys_out_ = other.keys_out_;
-  keys_in_ = other.keys_in_;
-  backing_ = other.backing_;
-  if (sealed_ && backing_ == nullptr) {
-    // The copied vectors live at new addresses; a mapped surface stays
-    // valid because the blob is shared.
-    RepointOwned();
-  } else {
-    off_out_ = other.off_out_;
-    off_in_ = other.off_in_;
-    key_out_ = other.key_out_;
-    key_in_ = other.key_in_;
-  }
-  return *this;
-}
-
-LabelStore& LabelStore::operator=(LabelStore&& other) noexcept {
-  if (this == &other) return *this;
-  num_vertices_ = other.num_vertices_;
-  sealed_ = other.sealed_;
-  build_out_ = std::move(other.build_out_);
-  build_in_ = std::move(other.build_in_);
-  // Vector moves transfer the heap buffer, so the owned read surface keeps
-  // pointing at live storage without re-pointing.
-  offsets_out_ = std::move(other.offsets_out_);
-  offsets_in_ = std::move(other.offsets_in_);
-  keys_out_ = std::move(other.keys_out_);
-  keys_in_ = std::move(other.keys_in_);
-  backing_ = std::move(other.backing_);
-  off_out_ = other.off_out_;
-  off_in_ = other.off_in_;
-  key_out_ = other.key_out_;
-  key_in_ = other.key_in_;
-  other.Clear();
-  return *this;
-}
-
-void LabelStore::RepointOwned() {
-  off_out_ = offsets_out_.data();
-  off_in_ = offsets_in_.data();
-  key_out_ = keys_out_.data();
-  key_in_ = keys_in_.data();
-}
-
-void LabelStore::Clear() {
-  num_vertices_ = 0;
-  sealed_ = false;
-  build_out_.clear();
-  build_in_.clear();
-  offsets_out_.clear();
-  offsets_in_.clear();
-  keys_out_.clear();
-  keys_in_.clear();
-  off_out_ = nullptr;
-  off_in_ = nullptr;
-  key_out_ = nullptr;
-  key_in_ = nullptr;
-  backing_.reset();
-}
-
 void LabelStore::Init(size_t num_vertices) {
-  Clear();
+  *this = LabelStore();
   num_vertices_ = num_vertices;
   build_out_.assign(num_vertices, {});
   build_in_.assign(num_vertices, {});
@@ -218,73 +130,55 @@ void LabelStore::Canonicalize() {
   for (auto& label : build_in_) SortUnique(&label);
 }
 
+void LabelStore::Attach(MappedRegion region) {
+  const std::byte* base = region.bytes().data();
+  uint64_t header[4];
+  std::memcpy(header, base, sizeof(header));
+  const Layout layout = LayoutFor(header[1], header[2], header[3]);
+  num_vertices_ = static_cast<size_t>(header[1]);
+  off_out_ = reinterpret_cast<const uint64_t*>(base + layout.off_out);
+  key_out_ = reinterpret_cast<const uint32_t*>(base + layout.key_out);
+  off_in_ = reinterpret_cast<const uint64_t*>(base + layout.off_in);
+  key_in_ = reinterpret_cast<const uint32_t*>(base + layout.key_in);
+  region_ = std::move(region);
+  sealed_ = true;
+}
+
 void LabelStore::Seal() {
   if (sealed_) return;
-  const size_t n = num_vertices_;
-  const auto seal_side = [n](std::vector<std::vector<uint32_t>>* build,
-                             std::vector<uint64_t>* offsets,
-                             std::vector<uint32_t>* keys) {
-    uint64_t total = 0;
-    for (const auto& label : *build) total += label.size();
-    // Exact-size allocations: after Seal, capacity == size on every array
-    // so MemoryBytes() is the true footprint.
-    offsets->clear();
-    offsets->reserve(n + 1);
-    keys->clear();
-    keys->reserve(static_cast<size_t>(total));
-    offsets->push_back(0);
-    for (const auto& label : *build) {
-      keys->insert(keys->end(), label.begin(), label.end());
-      offsets->push_back(keys->size());
-    }
-    build->clear();
-    build->shrink_to_fit();
-  };
-  seal_side(&build_out_, &offsets_out_, &keys_out_);
-  seal_side(&build_in_, &offsets_in_, &keys_in_);
-  sealed_ = true;
-  RepointOwned();
+  StatusOr<std::shared_ptr<const MappedBlob>> blob =
+      EncodeBlob(build_out_, build_in_, [this] {
+        build_out_.clear();
+        build_out_.shrink_to_fit();
+      });
+  if (!blob.ok()) throw std::bad_alloc();
+  build_in_.clear();
+  build_in_.shrink_to_fit();
+  Attach(MappedRegion{std::move(*blob), 0});
 }
 
 void LabelStore::Unseal() {
   if (!sealed_) return;
   const size_t n = num_vertices_;
-  // Copy out through the read surface, which serves owned and mapped
-  // backings alike; a mapped store materializes here and drops the blob.
-  std::vector<std::vector<uint32_t>> build_out(n);
-  std::vector<std::vector<uint32_t>> build_in(n);
+  BuildSide build_out(n);
+  BuildSide build_in(n);
   for (Vertex v = 0; v < n; ++v) {
     const std::span<const uint32_t> out = Out(v);
     build_out[v].assign(out.begin(), out.end());
     const std::span<const uint32_t> in = In(v);
     build_in[v].assign(in.begin(), in.end());
   }
+  *this = LabelStore();  // Drops the blob reference.
+  num_vertices_ = n;
   build_out_ = std::move(build_out);
   build_in_ = std::move(build_in);
-  offsets_out_.clear();
-  offsets_out_.shrink_to_fit();
-  offsets_in_.clear();
-  offsets_in_.shrink_to_fit();
-  keys_out_.clear();
-  keys_out_.shrink_to_fit();
-  keys_in_.clear();
-  keys_in_.shrink_to_fit();
-  off_out_ = nullptr;
-  off_in_ = nullptr;
-  key_out_ = nullptr;
-  key_in_ = nullptr;
-  backing_.reset();
-  sealed_ = false;
 }
 
 uint64_t LabelStore::TotalEntries() const {
   if (sealed_) {
     return off_out_[num_vertices_] + off_in_[num_vertices_];
   }
-  uint64_t total = 0;
-  for (const auto& label : build_out_) total += label.size();
-  for (const auto& label : build_in_) total += label.size();
-  return total;
+  return SideTotal(build_out_) + SideTotal(build_in_);
 }
 
 size_t LabelStore::MaxLabelSize() const {
@@ -297,9 +191,8 @@ size_t LabelStore::MaxLabelSize() const {
 
 size_t LabelStore::MemoryBytes() const {
   if (sealed_) {
-    // Exact: both backings address 2 offsets arrays + every key, nothing
-    // else (owned vectors are shrunk to fit; the mapped region is sized
-    // exactly by FromMapped's validation).
+    // Exact: the blob addresses 2 offsets arrays + every key, plus only
+    // the fixed header and at most two 4-byte pads, which are not counted.
     return 2 * (num_vertices_ + 1) * sizeof(uint64_t) +
            static_cast<size_t>(TotalEntries()) * sizeof(uint32_t);
   }
@@ -314,109 +207,19 @@ size_t LabelStore::MemoryBytes() const {
   return bytes;
 }
 
-uint64_t LabelStore::SerializedBytes() const {
-  uint64_t total_out = 0;
-  uint64_t total_in = 0;
-  for (Vertex v = 0; v < num_vertices_; ++v) {
-    total_out += Out(v).size();
-    total_in += In(v).size();
-  }
-  return kHeaderBytes + 2 * (num_vertices_ + 1) * sizeof(uint64_t) +
-         total_out * sizeof(uint32_t) + KeysPadBytes(total_out) +
-         total_in * sizeof(uint32_t) + KeysPadBytes(total_in);
-}
-
 Status LabelStore::Write(std::ostream& out) const {
-  const uint64_t magic = kMagic;
-  const uint64_t n = num_vertices_;
-  uint64_t total_out = 0;
-  uint64_t total_in = 0;
-  for (Vertex v = 0; v < num_vertices_; ++v) {
-    total_out += Out(v).size();
-    total_in += In(v).size();
+  MappedRegion encoded = region_;
+  if (!sealed_) {
+    StatusOr<std::shared_ptr<const MappedBlob>> blob =
+        EncodeBlob(build_out_, build_in_, nullptr);
+    if (!blob.ok()) return blob.status();
+    encoded = MappedRegion{std::move(*blob), 0};
   }
-  out.write(reinterpret_cast<const char*>(&magic), sizeof(magic));
-  out.write(reinterpret_cast<const char*>(&n), sizeof(n));
-  out.write(reinterpret_cast<const char*>(&total_out), sizeof(total_out));
-  out.write(reinterpret_cast<const char*>(&total_in), sizeof(total_in));
-  const char pad[sizeof(uint32_t)] = {};
-  const auto write_side = [&](bool out_side, uint64_t total) {
-    if (sealed_) {
-      // Both sealed backings expose contiguous arrays: bulk writes.
-      const uint64_t* offsets = out_side ? off_out_ : off_in_;
-      const uint32_t* keys = out_side ? key_out_ : key_in_;
-      out.write(reinterpret_cast<const char*>(offsets),
-                static_cast<std::streamsize>((n + 1) * sizeof(uint64_t)));
-      out.write(reinterpret_cast<const char*>(keys),
-                static_cast<std::streamsize>(total * sizeof(uint32_t)));
-    } else {
-      uint64_t acc = 0;
-      out.write(reinterpret_cast<const char*>(&acc), sizeof(acc));
-      for (Vertex v = 0; v < num_vertices_; ++v) {
-        acc += out_side ? Out(v).size() : In(v).size();
-        out.write(reinterpret_cast<const char*>(&acc), sizeof(acc));
-      }
-      for (Vertex v = 0; v < num_vertices_; ++v) {
-        const std::span<const uint32_t> label = out_side ? Out(v) : In(v);
-        out.write(reinterpret_cast<const char*>(label.data()),
-                  static_cast<std::streamsize>(label.size() *
-                                               sizeof(uint32_t)));
-      }
-    }
-    out.write(pad, static_cast<std::streamsize>(KeysPadBytes(total)));
-  };
-  write_side(/*out_side=*/true, total_out);
-  write_side(/*out_side=*/false, total_in);
+  const std::span<const std::byte> bytes = encoded.bytes();
+  out.write(reinterpret_cast<const char*>(bytes.data()),
+            static_cast<std::streamsize>(bytes.size()));
   if (!out) return Status::IOError("label store write failed");
   return Status::OK();
-}
-
-StatusOr<LabelStore> LabelStore::Read(std::istream& in) {
-  uint64_t magic = 0;
-  uint64_t n = 0;
-  uint64_t total_out = 0;
-  uint64_t total_in = 0;
-  in.read(reinterpret_cast<char*>(&magic), sizeof(magic));
-  if (!in || magic != kMagic) {
-    return Status::Corruption("bad label store magic");
-  }
-  in.read(reinterpret_cast<char*>(&n), sizeof(n));
-  in.read(reinterpret_cast<char*>(&total_out), sizeof(total_out));
-  in.read(reinterpret_cast<char*>(&total_in), sizeof(total_in));
-  if (!in) return Status::Corruption("truncated label store header");
-  // Strictly within the uint32 id space: n == 2^32 would leave no valid
-  // key able to address the last vertex, and the id arithmetic below
-  // assumes vertex ids fit uint32.
-  if (n > static_cast<uint64_t>(UINT32_MAX)) {
-    return Status::Corruption("label store vertex count " +
-                              std::to_string(n) + " exceeds uint32 id space");
-  }
-  if (SideTotalImpossible(n, total_out) || SideTotalImpossible(n, total_in)) {
-    return Status::Corruption("label store totals impossible for " +
-                              std::to_string(n) + " vertices");
-  }
-  LabelStore store;
-  store.num_vertices_ = static_cast<size_t>(n);
-  store.sealed_ = true;
-  REACH_RETURN_IF_ERROR(ReadOffsets(in, store.num_vertices_, total_out,
-                                    "Lout", &store.offsets_out_));
-  REACH_RETURN_IF_ERROR(ReadKeys(in, store.num_vertices_, total_out, "Lout",
-                                 store.offsets_out_, &store.keys_out_));
-  REACH_RETURN_IF_ERROR(ReadOffsets(in, store.num_vertices_, total_in, "Lin",
-                                    &store.offsets_in_));
-  REACH_RETURN_IF_ERROR(ReadKeys(in, store.num_vertices_, total_in, "Lin",
-                                 store.offsets_in_, &store.keys_in_));
-  if (in.peek() != std::istream::traits_type::eof()) {
-    return Status::Corruption("trailing bytes after label store blob");
-  }
-  // The incremental reads grow with amortized slack; drop it so a loaded
-  // store reports the same exact MemoryBytes() as a freshly sealed one.
-  store.offsets_out_.shrink_to_fit();
-  store.offsets_in_.shrink_to_fit();
-  store.keys_out_.shrink_to_fit();
-  store.keys_in_.shrink_to_fit();
-  store.RepointOwned();
-  return store;
 }
 
 StatusOr<LabelStore> LabelStore::FromMapped(MappedRegion region) {
@@ -448,6 +251,8 @@ StatusOr<LabelStore> LabelStore::FromMapped(MappedRegion region) {
     // magic bytes are written local-endian, so a swapped file cannot match.
     return Status::Corruption("bad label store magic");
   }
+  // Strictly within the uint32 id space: n == 2^32 would leave no valid
+  // key able to address the last vertex, and vertex ids are uint32.
   if (n > static_cast<uint64_t>(UINT32_MAX)) {
     return Status::Corruption("label store vertex count " +
                               std::to_string(n) + " exceeds uint32 id space");
@@ -457,41 +262,28 @@ StatusOr<LabelStore> LabelStore::FromMapped(MappedRegion region) {
                               std::to_string(n) + " vertices");
   }
   // Overflow-safe sizing: each total is first bounded by the region size
-  // (any larger value is truncation regardless), so the byte arithmetic
-  // below stays far from uint64 wraparound.
+  // (any larger value is truncation regardless), so the layout arithmetic
+  // stays far from uint64 wraparound.
   const uint64_t max_entries = bytes.size() / sizeof(uint32_t);
   if (total_out > max_entries || total_in > max_entries) {
     return Status::Corruption("label store blob truncated");
   }
-  const uint64_t offsets_bytes = (n + 1) * sizeof(uint64_t);
-  const uint64_t out_section = total_out * sizeof(uint32_t) +
-                               KeysPadBytes(total_out);
-  const uint64_t in_section = total_in * sizeof(uint32_t) +
-                              KeysPadBytes(total_in);
-  const uint64_t required =
-      kHeaderBytes + 2 * offsets_bytes + out_section + in_section;
+  const Layout layout = LayoutFor(n, total_out, total_in);
   // Exact: the label blob is always the final section of its file, so a
   // size mismatch means truncation or trailing bytes — both rejected.
-  if (required != bytes.size()) {
+  if (layout.size != bytes.size()) {
     return Status::Corruption(
         "label store blob is " + std::to_string(bytes.size()) +
-        " bytes, header implies " + std::to_string(required));
+        " bytes, header implies " + std::to_string(layout.size));
   }
   const std::byte* base = bytes.data();
-  const uint64_t* off_out = reinterpret_cast<const uint64_t*>(
-      base + kHeaderBytes);
-  const uint32_t* key_out = reinterpret_cast<const uint32_t*>(
-      base + kHeaderBytes + offsets_bytes);
-  const uint64_t* off_in = reinterpret_cast<const uint64_t*>(
-      base + kHeaderBytes + offsets_bytes + out_section);
-  const uint32_t* key_in = reinterpret_cast<const uint32_t*>(
-      base + kHeaderBytes + 2 * offsets_bytes + out_section);
   // The offsets arrays address memory (span construction adds them to the
   // keys base), so they are fully validated: monotone from zero, ending
   // exactly at the declared totals. Key VALUES are deliberately not
-  // validated here — see label_store.h for the memory-safety argument.
-  const auto check_offsets = [n](const uint64_t* offsets, uint64_t total,
-                                 const char* side) -> Status {
+  // validated here — see label_store.h and Validate().
+  const auto check_offsets = [n, base](uint64_t at, uint64_t total,
+                                       const char* side) -> Status {
+    const uint64_t* offsets = reinterpret_cast<const uint64_t*>(base + at);
     if (offsets[0] != 0 || offsets[n] != total) {
       return Status::Corruption("label store " + std::string(side) +
                                 " offsets do not span the declared total");
@@ -504,48 +296,46 @@ StatusOr<LabelStore> LabelStore::FromMapped(MappedRegion region) {
     }
     return Status::OK();
   };
-  REACH_RETURN_IF_ERROR(check_offsets(off_out, total_out, "Lout"));
-  REACH_RETURN_IF_ERROR(check_offsets(off_in, total_in, "Lin"));
-  const auto check_pad = [](const std::byte* pad, size_t count,
-                            const char* side) -> Status {
-    for (size_t i = 0; i < count; ++i) {
-      if (pad[i] != std::byte{0}) {
-        return Status::Corruption("label store " + std::string(side) +
-                                  " padding is not zero");
-      }
-    }
-    return Status::OK();
-  };
-  REACH_RETURN_IF_ERROR(
-      check_pad(base + kHeaderBytes + offsets_bytes +
-                    total_out * sizeof(uint32_t),
-                KeysPadBytes(total_out), "Lout"));
-  REACH_RETURN_IF_ERROR(
-      check_pad(base + kHeaderBytes + 2 * offsets_bytes + out_section +
-                    total_in * sizeof(uint32_t),
-                KeysPadBytes(total_in), "Lin"));
+  REACH_RETURN_IF_ERROR(check_offsets(layout.off_out, total_out, "Lout"));
+  REACH_RETURN_IF_ERROR(check_offsets(layout.off_in, total_in, "Lin"));
+  REACH_RETURN_IF_ERROR(CheckPad(
+      base + layout.key_out + total_out * sizeof(uint32_t), total_out,
+      "Lout"));
+  REACH_RETURN_IF_ERROR(CheckPad(
+      base + layout.key_in + total_in * sizeof(uint32_t), total_in, "Lin"));
   LabelStore store;
-  store.num_vertices_ = static_cast<size_t>(n);
-  store.sealed_ = true;
-  store.off_out_ = off_out;
-  store.off_in_ = off_in;
-  store.key_out_ = key_out;
-  store.key_in_ = key_in;
-  store.backing_ = std::move(region.blob);
+  store.Attach(std::move(region));
   return store;
 }
 
-StatusOr<LabelStore> ReadLabelStoreFor(const Digraph& dag, std::istream& in,
-                                       const char* who) {
-  StatusOr<LabelStore> loaded = LabelStore::Read(in);
-  if (!loaded.ok()) return loaded.status();
-  if (loaded->num_vertices() != dag.num_vertices()) {
-    return Status::Corruption(
-        std::string(who) + " snapshot covers " +
-        std::to_string(loaded->num_vertices()) + " vertices, graph has " +
-        std::to_string(dag.num_vertices()));
-  }
-  return loaded;
+Status LabelStore::Validate() const {
+  const uint64_t n = num_vertices_;
+  const auto check_side = [this, n](bool out_side,
+                                    const char* side) -> Status {
+    for (Vertex v = 0; v < n; ++v) {
+      const std::span<const uint32_t> label = out_side ? Out(v) : In(v);
+      for (size_t i = 0; i < label.size(); ++i) {
+        if (label[i] >= n) {
+          return Status::Corruption(
+              "label store " + std::string(side) + " row " +
+              std::to_string(v) + " key " + std::to_string(label[i]) +
+              " out of range for " + std::to_string(n) + " vertices");
+        }
+        if (i > 0 && label[i - 1] >= label[i]) {
+          return Status::Corruption("label store " + std::string(side) +
+                                    " row " + std::to_string(v) +
+                                    " keys not strictly ascending");
+        }
+      }
+    }
+    if (!sealed_) return Status::OK();
+    const uint32_t* keys = out_side ? key_out_ : key_in_;
+    const uint64_t total = (out_side ? off_out_ : off_in_)[n];
+    return CheckPad(reinterpret_cast<const std::byte*>(keys + total), total,
+                    side);
+  };
+  REACH_RETURN_IF_ERROR(check_side(/*out_side=*/true, "Lout"));
+  return check_side(/*out_side=*/false, "Lin");
 }
 
 StatusOr<LabelStore> MapLabelStoreFor(const Digraph& dag, MappedRegion region,
@@ -559,21 +349,6 @@ StatusOr<LabelStore> MapLabelStoreFor(const Digraph& dag, MappedRegion region,
         std::to_string(dag.num_vertices()));
   }
   return mapped;
-}
-
-std::optional<uint64_t> PeekSnapshotVertexCount(std::istream& in) {
-  if (!in) return std::nullopt;
-  const std::istream::pos_type pos = in.tellg();
-  if (pos == std::istream::pos_type(-1)) return std::nullopt;
-  uint64_t magic = 0;
-  uint64_t n = 0;
-  in.read(reinterpret_cast<char*>(&magic), sizeof(magic));
-  in.read(reinterpret_cast<char*>(&n), sizeof(n));
-  const bool ok = static_cast<bool>(in);
-  in.clear();
-  in.seekg(pos);
-  if (!in || !ok) return std::nullopt;
-  return n;
 }
 
 bool LabelStore::operator==(const LabelStore& other) const {

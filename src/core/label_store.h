@@ -8,11 +8,11 @@
 //
 //   build phase              Seal()              sealed phase
 //   ───────────              ──────              ────────────
-//   per-vertex               compacts both       offsets[] + keys[] CSR:
-//   std::vector labels,      sides into          one contiguous array per
-//   append/insert API        contiguous arrays   side, per-vertex spans,
-//   (construction mutates    and frees the       exact MemoryBytes(),
-//   labels constantly)       build vectors       cache-friendly queries
+//   per-vertex               encodes both        offsets[] + keys[] CSR:
+//   std::vector labels,      sides into one      one contiguous array per
+//   append/insert API        blob and frees      side, per-vertex spans,
+//   (construction mutates    the build           exact MemoryBytes(),
+//   labels constantly)       vectors             cache-friendly queries
 //
 // Construction algorithms run in the build phase (they interleave reads
 // and inserts); BuildIndex seals once the labeling is final, so every
@@ -21,24 +21,27 @@
 // dynamic oracle's incremental patches. Queries work in either phase and
 // answer identically.
 //
-// Sealed storage has two backings behind one read surface:
-//   * owned  — the offsets/keys vectors this store allocated (Seal, Read);
-//   * mapped — pointers into a caller-provided MappedBlob region
-//     (FromMapped), the zero-copy load path: the file's bytes ARE the
-//     index, no parse-and-copy. The store retains the blob shared_ptr, so
-//     the mapping outlives every span handed out while the store lives.
-// Unseal() of a mapped store copies the labels out and drops the blob.
+// The sealed form has exactly one representation: an RLSTORE3 blob (the
+// snapshot format, see Write) held in a MappedBlob, with the read surface
+// pointing into it. Seal() encodes the build vectors into an owned blob
+// (MappedBlob::CreateOwned); FromMapped points into a blob holding a
+// snapshot — an mmap of the file (the zero-copy load path: the file's
+// bytes ARE the index, no parse-and-copy) or the file read into memory
+// (MappedBlob::OpenOwned). Either way the store retains the blob
+// shared_ptr, so the bytes outlive every span handed out while the store
+// lives, and a copy of a sealed store shares the immutable blob. Unseal()
+// copies the labels out and drops it.
 //
 // The key space is algorithm-defined: Distribution Labeling stores
 // total-order positions (labels stay sorted by construction), Hierarchical
-// Labeling and 2HOP store vertex ids. Either way every key is < n, which
-// the owned reader validates per key. The mapped validator checks the
-// offsets arrays (they address memory) but deliberately not the key
+// Labeling and 2HOP store vertex ids. Either way every key is < n and
+// every label is strictly ascending. FromMapped validates the structure
+// (header, sizes, offsets arrays, padding) but deliberately not the key
 // values: keys only ever feed sorted-intersection *comparisons*, never
 // indexing, so a corrupt key can flip an answer but can never touch
-// memory out of bounds — and full-file key validation would fault in
-// every page of the index, which is exactly what zero-copy load avoids.
-// differential_fuzz pins owned-vs-mapped answer byte-identity.
+// memory out of bounds — and a full key scan would fault in every page of
+// the index, which is exactly what zero-copy load avoids. Validate() is
+// that full scan, run explicitly by callers that want it.
 
 #ifndef REACH_CORE_LABEL_STORE_H_
 #define REACH_CORE_LABEL_STORE_H_
@@ -47,7 +50,6 @@
 #include <cstdint>
 #include <iosfwd>
 #include <memory>
-#include <optional>
 #include <span>
 #include <vector>
 
@@ -59,19 +61,11 @@
 namespace reach {
 
 /// Two-sided hop labeling over a fixed vertex set; see header comment for
-/// the build/sealed lifecycle and the owned/mapped sealed backings.
+/// the build/sealed lifecycle and the single sealed representation.
 class LabelStore {
  public:
   LabelStore() = default;
   explicit LabelStore(size_t num_vertices) { Init(num_vertices); }
-
-  // Sealed reads go through raw pointers that target either the owned
-  // vectors or the mapped region; copies into owned storage must re-point
-  // at their own vectors, and a moved-from store must not dangle.
-  LabelStore(const LabelStore& other) { *this = other; }
-  LabelStore& operator=(const LabelStore& other);
-  LabelStore(LabelStore&& other) noexcept { *this = std::move(other); }
-  LabelStore& operator=(LabelStore&& other) noexcept;
 
   /// Resets to an empty build-phase store over `num_vertices` vertices.
   void Init(size_t num_vertices);
@@ -79,9 +73,11 @@ class LabelStore {
   size_t num_vertices() const { return num_vertices_; }
   bool sealed() const { return sealed_; }
 
-  /// True when the sealed arrays live in a caller-provided mapped region
-  /// rather than owned vectors (FromMapped). The blob is retained.
-  bool mapped() const { return backing_ != nullptr; }
+  /// True when the sealed labels are an mmap of a snapshot file rather
+  /// than an owned region (Seal, or a file read into memory).
+  bool mapped() const {
+    return region_.blob != nullptr && region_.blob->mapped();
+  }
 
   // --- Build-phase mutation (requires !sealed()). -------------------------
 
@@ -120,15 +116,16 @@ class LabelStore {
 
   // --- Phase transitions. -------------------------------------------------
 
-  /// Compacts both sides into contiguous offsets[] + keys[] arrays and
-  /// frees the build vectors. Queries and every read-only accessor keep
-  /// answering identically. Idempotent.
+  /// Encodes both sides into one owned RLSTORE3 blob and points the read
+  /// surface into it, freeing each side's build vectors as soon as that
+  /// side is encoded. Queries and every read-only accessor keep answering
+  /// identically. Idempotent. Throws std::bad_alloc when the blob cannot
+  /// be allocated, as the build vectors would.
   void Seal();
 
-  /// Expands the CSR arrays back into per-vertex vectors so the mutation
-  /// API works again (dynamic labeling's incremental patches). A mapped
-  /// store copies its labels to owned storage and releases the blob
-  /// reference. Idempotent.
+  /// Expands the sealed labels back into per-vertex vectors so the
+  /// mutation API works again (dynamic labeling's incremental patches),
+  /// and releases the blob reference. Idempotent.
   void Unseal();
 
   // --- Reads (either phase). ----------------------------------------------
@@ -169,16 +166,14 @@ class LabelStore {
 
   /// Footprint of the label arrays. Exact in the sealed phase: offsets +
   /// keys, no headers or slack. For a mapped store this counts the bytes
-  /// addressed through the view — identical to its owned twin by
-  /// construction, though only the touched pages are ever resident. In
-  /// the build phase an estimate including vector headers and capacity.
+  /// addressed through the view, though only the touched pages are ever
+  /// resident. In the build phase an estimate including vector headers
+  /// and capacity.
   size_t MemoryBytes() const;
 
-  /// Binary serialization ("RLSTORE3", local-endian). Writes the sealed
-  /// single-blob format from either phase; Read validates the untrusted
-  /// blob (header magic, bounds, offsets monotone, per-label
-  /// sorted-unique keys < n, zero padding, exact trailing-byte check)
-  /// and returns a sealed store with owned storage.
+  /// Binary serialization ("RLSTORE3", local-endian): one write of the
+  /// sealed blob's bytes. An unsealed store writes the same bytes through
+  /// the same encoder Seal uses.
   ///
   /// Layout, all sections 8-byte aligned relative to the blob start:
   ///   u64 magic, u64 n, u64 total_out, u64 total_in
@@ -187,72 +182,55 @@ class LabelStore {
   ///   u64 offsets_in[n + 1]
   ///   u32 keys_in[total_in], zero-padded to 8
   Status Write(std::ostream& out) const;
-  static StatusOr<LabelStore> Read(std::istream& in);
 
-  /// Zero-copy restore: the sealed arrays point into `region` (which must
+  /// The one load path: the sealed arrays point into `region` (which must
   /// start 8-byte aligned within its 64-aligned blob and extend exactly to
   /// the blob's end — the label blob is always a snapshot's final
-  /// section). Validates header arithmetic and the full offsets arrays
-  /// against the region size BEFORE dereferencing any array section, so a
-  /// truncated or forged file is rejected without ever touching bytes
-  /// past the mapping (no SIGBUS). Key values are not validated — see the
-  /// header comment for why that is memory-safe. The returned store
-  /// retains region.blob.
+  /// section). Validates header arithmetic, the full offsets arrays and
+  /// the zero padding against the region size BEFORE dereferencing any
+  /// array section, so a truncated or forged file is rejected without
+  /// ever touching bytes past the mapping (no SIGBUS). Key values are not
+  /// validated — see the header comment and Validate(). The returned
+  /// store retains region.blob.
   static StatusOr<LabelStore> FromMapped(MappedRegion region);
 
-  /// Exact serialized size of this store's Write() output in bytes.
-  uint64_t SerializedBytes() const;
+  /// Full scan of the key values, in either phase: every key below n and
+  /// every label strictly ascending; a sealed store's padding is
+  /// re-checked as zero. Corruption names the side and row at fault.
+  /// O(index size), and on a mapped store it faults in every page.
+  Status Validate() const;
 
   /// Logical equality: same vertex count and per-vertex labels, regardless
   /// of phase or backing (a sealed store equals its unsealed twin).
   bool operator==(const LabelStore& other) const;
 
  private:
-  /// Points the sealed read surface at the owned vectors.
-  void RepointOwned();
-  /// Clears to the default-constructed state (moved-from stores).
-  void Clear();
+  /// Points the sealed read surface into `region`, whose header and sizes
+  /// the encoder produced or FromMapped checked, and retains its blob.
+  void Attach(MappedRegion region);
 
   size_t num_vertices_ = 0;
   bool sealed_ = false;
   // Build phase.
   std::vector<std::vector<uint32_t>> build_out_;
   std::vector<std::vector<uint32_t>> build_in_;
-  // Sealed phase, owned backing: keys of vertex v occupy
-  // keys_xxx_[offsets_xxx_[v] .. offsets_xxx_[v + 1]). offsets arrays have
-  // num_vertices_ + 1 entries. Empty when mapped.
-  std::vector<uint64_t> offsets_out_;
-  std::vector<uint64_t> offsets_in_;
-  std::vector<uint32_t> keys_out_;
-  std::vector<uint32_t> keys_in_;
-  // Sealed-phase read surface: into the vectors above (owned) or into
-  // backing_'s region (mapped). Null in the build phase.
+  // Sealed phase: keys of vertex v occupy key_xxx_[off_xxx_[v] ..
+  // off_xxx_[v + 1]), all pointing into region_. Null in the build phase.
   const uint64_t* off_out_ = nullptr;
   const uint64_t* off_in_ = nullptr;
   const uint32_t* key_out_ = nullptr;
   const uint32_t* key_in_ = nullptr;
-  // Keepalive for the mapped backing; null means owned.
-  std::shared_ptr<const MappedBlob> backing_;
+  // The sealed blob (and the label section's offset in it); empty in the
+  // build phase.
+  MappedRegion region_;
 };
 
-/// Shared LoadIndex body of the labeling oracles: reads a snapshot blob
-/// and cross-checks its vertex count against `dag`'s (`who` names the
+/// Shared LoadIndexMapped body of the labeling oracles: maps a snapshot
+/// blob and cross-checks its vertex count against `dag`'s (`who` names the
 /// oracle in error messages). Validation of the blob itself lives in
-/// LabelStore::Read.
-StatusOr<LabelStore> ReadLabelStoreFor(const Digraph& dag, std::istream& in,
-                                       const char* who);
-
-/// Mapped twin of ReadLabelStoreFor: the shared LoadIndexMapped body.
+/// LabelStore::FromMapped.
 StatusOr<LabelStore> MapLabelStoreFor(const Digraph& dag, MappedRegion region,
                                       const char* who);
-
-/// Reads the vertex count every snapshot blob in this library leads with
-/// ([u64 magic][u64 vertex_count]: RLSTORE3 and the prefilter container
-/// alike) without consuming the stream, restoring the read position.
-/// nullopt when the stream is not seekable or too short. The value is
-/// untrusted — callers may only use it for decisions the subsequent
-/// validated load re-checks (the lazy-SCC fast path does exactly this).
-std::optional<uint64_t> PeekSnapshotVertexCount(std::istream& in);
 
 }  // namespace reach
 

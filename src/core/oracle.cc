@@ -27,24 +27,6 @@ Status ReachabilityOracle::Build(const Digraph& dag,
   return status;
 }
 
-Status ReachabilityOracle::Load(const Digraph& dag, std::istream& in) {
-  build_threads_ = 1;  // A snapshot restore is one sequential read.
-  Timer timer;
-  const Status status = LoadIndex(dag, in);
-  build_stats_ = BuildStats();
-  build_stats_.build_millis = timer.ElapsedMillis();
-  build_stats_.threads = build_threads_;
-  build_stats_.ok = status.ok();
-  if (status.ok()) {
-    build_stats_.index_integers = IndexSizeIntegers();
-    build_stats_.index_bytes = IndexSizeBytes();
-  } else {
-    build_stats_.failure_reason = status.message();
-  }
-  AnnotateBuildStats(build_stats_);
-  return status;
-}
-
 Status ReachabilityOracle::LoadMapped(const Digraph& dag,
                                       MappedRegion region) {
   build_threads_ = 1;  // A mapped restore is one sequential validation.
@@ -68,13 +50,8 @@ Status ReachabilityOracle::SaveIndex(std::ostream&) const {
   return Status::NotSupported(name() + " does not support index snapshots");
 }
 
-Status ReachabilityOracle::LoadIndex(const Digraph&, std::istream&) {
-  return Status::NotSupported(name() + " does not support index snapshots");
-}
-
 Status ReachabilityOracle::LoadIndexMapped(const Digraph&, MappedRegion) {
-  return Status::NotSupported(name() +
-                              " does not support mapped index snapshots");
+  return Status::NotSupported(name() + " does not support index snapshots");
 }
 
 namespace internal {

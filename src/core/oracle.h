@@ -115,40 +115,31 @@ class ReachabilityOracle {
   /// guarantee (BuildOptions::threads) it affects wall time only.
   Status Build(const Digraph& dag, const BuildOptions& options);
 
-  /// Restores a previously saved index for `dag` from `in` instead of
-  /// constructing it — the restart-without-rebuild path. Like Build it may
-  /// run exactly once, records build_stats() (build_millis is the load
-  /// time), and leaves the oracle ready to answer queries for exactly the
-  /// graph the snapshot was saved from; callers are responsible for pairing
-  /// snapshot and graph (the sealed blob carries the vertex count, which is
-  /// cross-checked, but not the edges). NotSupported unless
-  /// SupportsSnapshot().
-  Status Load(const Digraph& dag, std::istream& in);
-
-  /// Zero-copy twin of Load: restores from a mapped snapshot region
-  /// (util/mapped_blob.h) instead of a stream, leaving the oracle's label
-  /// arrays pointing into the mapping — the region's blob is retained for
-  /// the oracle's lifetime, and load cost is O(pages validated), not
-  /// O(index size). Same once-only/stats/pairing contract as Load.
-  /// NotSupported unless SupportsMappedSnapshot().
+  /// Restores a previously saved index for `dag` instead of constructing
+  /// it — the restart-without-rebuild path. The oracle serves its sealed
+  /// index straight out of `region` (util/mapped_blob.h: an mmap of the
+  /// snapshot file, or the same bytes read onto the heap), retaining the
+  /// region's blob for the oracle's lifetime, so load cost is O(pages
+  /// validated), not O(index size). Like Build it may run exactly once,
+  /// records build_stats() (build_millis is the load time), and leaves the
+  /// oracle ready to answer queries for exactly the graph the snapshot was
+  /// saved from; callers are responsible for pairing snapshot and graph
+  /// (the sealed blob carries the vertex count, which is cross-checked,
+  /// but not the edges). NotSupported unless SupportsSnapshot().
   Status LoadMapped(const Digraph& dag, MappedRegion region);
 
   /// Writes the built index to `out` in the method's sealed snapshot
   /// format (core/label_store.h for the labeling oracles). Only valid
-  /// after a successful Build or Load. NotSupported unless
+  /// after a successful Build or LoadMapped. NotSupported unless
   /// SupportsSnapshot().
   virtual Status SaveIndex(std::ostream& out) const;
 
-  /// True when this oracle implements SaveIndex/Load. The labeling-based
-  /// methods (DL, HL/TF, 2HOP, DL+dyn) do: their whole query state is one
-  /// sealed LabelStore blob. Traversal- and TC-based methods do not.
+  /// True when this oracle implements SaveIndex/LoadMapped. The
+  /// labeling-based methods (DL, HL/TF, 2HOP, DL+dyn) do: their whole query
+  /// state is one sealed LabelStore blob, and the bytes SaveIndex writes
+  /// are the bytes LoadMapped serves. Traversal- and TC-based methods do
+  /// not.
   virtual bool SupportsSnapshot() const { return false; }
-
-  /// True when this oracle implements LoadIndexMapped, i.e. can serve its
-  /// index straight out of a mapped snapshot without copying it onto the
-  /// heap. Implied subset of SupportsSnapshot(): the mapped format is the
-  /// same bytes SaveIndex writes.
-  virtual bool SupportsMappedSnapshot() const { return false; }
 
   /// True iff u reaches v. Only valid after a successful Build.
   virtual bool Reachable(Vertex u, Vertex v) const = 0;
@@ -179,20 +170,17 @@ class ReachabilityOracle {
   /// Method-specific construction; invoked exactly once by Build().
   virtual Status BuildIndex(const Digraph& dag) = 0;
 
-  /// Method-specific snapshot restore; invoked exactly once by Load().
-  /// Implementations must validate the (untrusted) stream and leave the
-  /// oracle answering exactly as the saved one did.
-  virtual Status LoadIndex(const Digraph& dag, std::istream& in);
-
-  /// Method-specific zero-copy restore; invoked exactly once by
+  /// Method-specific snapshot restore; invoked exactly once by
   /// LoadMapped(). Implementations validate the (untrusted) region
-  /// without ever touching bytes past its end and retain region.blob for
-  /// every pointer they keep into it.
+  /// without ever touching bytes past its end, retain region.blob for
+  /// every pointer they keep into it, and leave the oracle answering
+  /// exactly as the saved one did.
   virtual Status LoadIndexMapped(const Digraph& dag, MappedRegion region);
 
-  /// Hook for method-specific BuildStats fields, invoked by Build()/Load()
-  /// after the common fields are filled (the PrefilterOracle wrapper sets
-  /// prefilter_active and its stage-counter snapshot here).
+  /// Hook for method-specific BuildStats fields, invoked by
+  /// Build()/LoadMapped() after the common fields are filled (the
+  /// PrefilterOracle wrapper sets prefilter_active and its stage-counter
+  /// snapshot here).
   virtual void AnnotateBuildStats(BuildStats&) const {}
 
   /// The resolved worker count for the current Build() call (always >= 1).

@@ -1,13 +1,12 @@
 #include "core/prefilter.h"
 
 #include <algorithm>
-#include <istream>
+#include <cstring>
 #include <numeric>
 #include <ostream>
 #include <utility>
 
 #include "graph/topology.h"
-#include "util/span_stream.h"
 
 namespace reach {
 
@@ -20,10 +19,23 @@ namespace {
 // zero-copy mapped load path (LoadIndexMapped) requires.
 constexpr uint64_t kPrefilterMagic = 0x32544C4645525052ULL;
 
+// Bounds-checked sequential reads over the untrusted aux section: a read
+// running past the end fails instead of touching bytes past the region.
+struct AuxReader {
+  std::span<const std::byte> bytes;
+  size_t at = 0;
+
+  bool Read(void* out, size_t count) {
+    if (count > bytes.size() - at) return false;
+    if (count > 0) std::memcpy(out, bytes.data() + at, count);
+    at += count;
+    return true;
+  }
+};
+
 template <typename T>
-bool ReadPod(std::istream& in, T* value) {
-  in.read(reinterpret_cast<char*>(value), sizeof(T));
-  return static_cast<bool>(in);
+bool ReadPod(AuxReader& in, T* value) {
+  return in.Read(value, sizeof(T));
 }
 
 template <typename T>
@@ -35,11 +47,9 @@ void WritePod(std::ostream& out, const T& value) {
 // support count <= kMaxSupports), so the allocation is bounded by state the
 // caller already owns — a forged header cannot inflate it.
 template <typename T>
-bool ReadArray(std::istream& in, size_t count, std::vector<T>* out) {
+bool ReadArray(AuxReader& in, size_t count, std::vector<T>* out) {
   out->resize(count);
-  in.read(reinterpret_cast<char*>(out->data()),
-          static_cast<std::streamsize>(count * sizeof(T)));
-  return static_cast<bool>(in);
+  return in.Read(out->data(), count * sizeof(T));
 }
 
 template <typename T>
@@ -77,10 +87,6 @@ bool PrefilterOracle::ConcurrentQuerySafe() const {
 
 bool PrefilterOracle::SupportsSnapshot() const {
   return inner_->SupportsSnapshot();
-}
-
-bool PrefilterOracle::SupportsMappedSnapshot() const {
-  return inner_->SupportsMappedSnapshot();
 }
 
 uint64_t PrefilterOracle::AuxIntegers() const {
@@ -367,27 +373,14 @@ Status PrefilterOracle::SaveIndex(std::ostream& out) const {
   return inner_->SaveIndex(out);
 }
 
-Status PrefilterOracle::LoadIndex(const Digraph& dag, std::istream& in) {
+Status PrefilterOracle::LoadIndexMapped(const Digraph& dag,
+                                        MappedRegion region) {
   if (!inner_->SupportsSnapshot()) {
     return Status::NotSupported(name() + " does not support index snapshots");
   }
-  REACH_RETURN_IF_ERROR(LoadAux(dag, in));
-  // The wrapped oracle's own hardened reader consumes the rest of the
-  // stream and rejects trailing bytes.
-  return inner_->Load(dag, in);
-}
-
-Status PrefilterOracle::LoadIndexMapped(const Digraph& dag,
-                                        MappedRegion region) {
-  if (!inner_->SupportsMappedSnapshot()) {
-    return Status::NotSupported(name() +
-                                " does not support mapped index snapshots");
-  }
-  // The aux tables are parsed and deep-validated through the same
-  // stream reader the owned path uses (they are copied regardless — see
-  // LoadAux); only the wrapped labeling blob that follows is zero-copy.
-  SpanIStream aux(region.bytes());
-  REACH_RETURN_IF_ERROR(LoadAux(dag, aux));
+  // The aux tables are deep-validated and copied (see LoadAux); only the
+  // wrapped labeling blob that follows is zero-copy.
+  REACH_RETURN_IF_ERROR(LoadAux(dag, region.bytes()));
   // LoadAux consumed the aux section plus its alignment pad, so the inner
   // blob offset is 8-aligned relative to the (64-aligned) region start.
   const size_t consumed = AuxSectionBytes(n_, supports_.size()) +
@@ -395,7 +388,9 @@ Status PrefilterOracle::LoadIndexMapped(const Digraph& dag,
   return inner_->LoadMapped(dag, region.Subregion(consumed));
 }
 
-Status PrefilterOracle::LoadAux(const Digraph& dag, std::istream& in) {
+Status PrefilterOracle::LoadAux(const Digraph& dag,
+                                std::span<const std::byte> bytes) {
+  AuxReader in{bytes};
   uint64_t magic = 0;
   if (!ReadPod(in, &magic)) {
     return Status::Corruption("truncated prefilter snapshot header");
@@ -491,13 +486,12 @@ Status PrefilterOracle::LoadAux(const Digraph& dag, std::istream& in) {
   // alignment boundary; anything else is not a snapshot it produced.
   char pad[sizeof(uint64_t)] = {};
   const size_t pad_bytes = AuxPadBytes(n, declared_k);
-  if (pad_bytes > 0) {
-    in.read(pad, static_cast<std::streamsize>(pad_bytes));
-    if (!in) return Status::Corruption("truncated prefilter padding");
-    for (size_t i = 0; i < pad_bytes; ++i) {
-      if (pad[i] != 0) {
-        return Status::Corruption("prefilter padding is not zero");
-      }
+  if (!in.Read(pad, pad_bytes)) {
+    return Status::Corruption("truncated prefilter padding");
+  }
+  for (size_t i = 0; i < pad_bytes; ++i) {
+    if (pad[i] != 0) {
+      return Status::Corruption("prefilter padding is not zero");
     }
   }
   PackRecords();

@@ -18,6 +18,7 @@
 #include <cstdint>
 #include <iosfwd>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -63,7 +64,6 @@ class PrefilterOracle : public ReachabilityOracle {
   std::string name() const override;  // inner name + "+pf"
   bool ConcurrentQuerySafe() const override;
   bool SupportsSnapshot() const override;
-  bool SupportsMappedSnapshot() const override;
   Status SaveIndex(std::ostream& out) const override;
   uint64_t IndexSizeIntegers() const override;
   uint64_t IndexSizeBytes() const override;
@@ -106,7 +106,6 @@ class PrefilterOracle : public ReachabilityOracle {
 
  protected:
   Status BuildIndex(const Digraph& dag) override;
-  Status LoadIndex(const Digraph& dag, std::istream& in) override;
   Status LoadIndexMapped(const Digraph& dag, MappedRegion region) override;
   void AnnotateBuildStats(BuildStats& stats) const override;
 
@@ -132,12 +131,12 @@ class PrefilterOracle : public ReachabilityOracle {
   static_assert(sizeof(QueryRecord) == 64, "one cache line per vertex");
 
   void BuildAux(const Digraph& dag);
-  /// Shared LoadIndex/LoadIndexMapped front half: parses and validates the
-  /// aux section (header, arrays, alignment pad) from `in`, leaving the
-  /// stream positioned at the wrapped oracle's blob. The aux tables are
-  /// index-typed (they address arrays at query time), so they are always
+  /// LoadIndexMapped's front half: parses and validates the aux section
+  /// (header, arrays, alignment pad) from the front of `bytes`; the
+  /// wrapped oracle's blob follows it. The aux tables are index-typed
+  /// (they address arrays at query time), so they are always
   /// deep-validated and copied — only the wrapped labeling is zero-copy.
-  Status LoadAux(const Digraph& dag, std::istream& in);
+  Status LoadAux(const Digraph& dag, std::span<const std::byte> bytes);
   void PackRecords();
   uint64_t AuxIntegers() const;
   uint64_t AuxBytes() const;

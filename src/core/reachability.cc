@@ -4,15 +4,13 @@
 #include <optional>
 #include <utility>
 
-#include "core/label_store.h"
-
 namespace reach {
 
 namespace {
 
-/// Mapped twin of PeekSnapshotVertexCount: every snapshot blob leads with
-/// [u64 magic][u64 vertex_count]. Untrusted — only gates decisions the
-/// validated load re-checks.
+/// Every snapshot blob in this library leads with [u64 magic][u64
+/// vertex_count] (RLSTORE3 and the prefilter container alike). Untrusted —
+/// only gates decisions the validated load re-checks.
 std::optional<uint64_t> PeekMappedVertexCount(const MappedRegion& region) {
   const std::span<const std::byte> bytes = region.bytes();
   if (bytes.size() < 16) return std::nullopt;
@@ -52,9 +50,9 @@ StatusOr<ReachabilityIndex> ReachabilityIndex::Build(
   return ReachabilityIndex(std::move(condensation), std::move(oracle));
 }
 
-StatusOr<ReachabilityIndex> ReachabilityIndex::Load(
+StatusOr<ReachabilityIndex> ReachabilityIndex::LoadMapped(
     const Digraph& g, std::unique_ptr<ReachabilityOracle> oracle,
-    std::istream& in, BuildStats* stats_out) {
+    MappedRegion region, BuildStats* stats_out) {
   if (oracle == nullptr) {
     return Status::InvalidArgument("oracle must not be null");
   }
@@ -62,10 +60,10 @@ StatusOr<ReachabilityIndex> ReachabilityIndex::Load(
   // graph was built on the identity condensation (DAG input), so the
   // oracle can load directly over `g` — no Tarjan pass, no condensed-graph
   // materialization, no acyclicity re-check (see IdentityLoadApplies). The
-  // peek is untrusted; LoadIndex's validated cross-check rejects a forged
+  // peek is untrusted; the oracle's validated cross-check rejects a forged
   // count.
-  if (IdentityLoadApplies(g, PeekSnapshotVertexCount(in))) {
-    const Status status = oracle->Load(g, in);
+  if (IdentityLoadApplies(g, PeekMappedVertexCount(region))) {
+    const Status status = oracle->LoadMapped(g, std::move(region));
     if (stats_out != nullptr) *stats_out = oracle->build_stats();
     REACH_RETURN_IF_ERROR(status);
     return ReachabilityIndex(g.num_vertices(), std::move(oracle));
@@ -73,26 +71,7 @@ StatusOr<ReachabilityIndex> ReachabilityIndex::Load(
   // Eager fallback: recompute the condensation (linear time); only the
   // oracle's index — the expensive part — comes from the snapshot. It was
   // saved over the condensation of the same graph, so the vertex-count
-  // cross-check inside LoadIndex catches a snapshot/graph mismatch.
-  Condensation condensation = CondenseToDag(g);
-  const Status status = oracle->Load(condensation.dag, in);
-  if (stats_out != nullptr) *stats_out = oracle->build_stats();
-  REACH_RETURN_IF_ERROR(status);
-  return ReachabilityIndex(std::move(condensation), std::move(oracle));
-}
-
-StatusOr<ReachabilityIndex> ReachabilityIndex::LoadMapped(
-    const Digraph& g, std::unique_ptr<ReachabilityOracle> oracle,
-    MappedRegion region, BuildStats* stats_out) {
-  if (oracle == nullptr) {
-    return Status::InvalidArgument("oracle must not be null");
-  }
-  if (IdentityLoadApplies(g, PeekMappedVertexCount(region))) {
-    const Status status = oracle->LoadMapped(g, std::move(region));
-    if (stats_out != nullptr) *stats_out = oracle->build_stats();
-    REACH_RETURN_IF_ERROR(status);
-    return ReachabilityIndex(g.num_vertices(), std::move(oracle));
-  }
+  // cross-check inside the load catches a snapshot/graph mismatch.
   Condensation condensation = CondenseToDag(g);
   const Status status = oracle->LoadMapped(condensation.dag, std::move(region));
   if (stats_out != nullptr) *stats_out = oracle->build_stats();

@@ -37,10 +37,13 @@ class ReachabilityIndex {
       const Digraph& g, std::unique_ptr<ReachabilityOracle> oracle,
       const BuildOptions& options = {}, BuildStats* stats_out = nullptr);
 
-  /// As Build, but restores the oracle's index from a snapshot stream
+  /// As Build, but restores the oracle's index from a snapshot
   /// (ReachabilityOracle::SaveIndex of an oracle built on the same graph)
-  /// instead of constructing it. The restart-without-rebuild path of
-  /// reach_serve --load-index.
+  /// instead of constructing it: the oracle serves its sealed index
+  /// straight out of `region`'s bytes (ReachabilityOracle::LoadMapped),
+  /// and the index keeps the backing MappedBlob alive for its own
+  /// lifetime. The restart-without-rebuild path of reach_serve
+  /// --load-index.
   ///
   /// SCC condensation is lazy: when the snapshot's vertex count equals
   /// g.num_vertices(), the labels were keyed by original vertex ids
@@ -51,14 +54,6 @@ class ReachabilityIndex {
   /// — runs. The peeked count is untrusted; the oracle's own validated
   /// load re-checks it against the graph. A count mismatch (every cyclic
   /// graph's snapshot) falls back to the eager condensation.
-  static StatusOr<ReachabilityIndex> Load(
-      const Digraph& g, std::unique_ptr<ReachabilityOracle> oracle,
-      std::istream& in, BuildStats* stats_out = nullptr);
-
-  /// As Load, but zero-copy: the oracle serves its sealed index straight
-  /// out of `region`'s mapped bytes (ReachabilityOracle::LoadMapped), and
-  /// the index keeps the backing MappedBlob alive for its own lifetime.
-  /// Same lazy-condensation contract as Load.
   static StatusOr<ReachabilityIndex> LoadMapped(
       const Digraph& g, std::unique_ptr<ReachabilityOracle> oracle,
       MappedRegion region, BuildStats* stats_out = nullptr);

@@ -85,7 +85,7 @@ Condensation CondenseToDag(const Digraph& g) {
     // Tarjan's completion-order numbering. This keeps label keys in
     // original vertex-id space for DAG inputs, which is what lets a saved
     // index be re-served without recomputing SCCs (the snapshot's vertex
-    // count then matches the raw graph; see ReachabilityIndex::Load).
+    // count then matches the raw graph; see ReachabilityIndex::LoadMapped).
     for (Vertex v = 0; v < g.num_vertices(); ++v) result.component[v] = v;
     result.dag = g;
     return result;

@@ -18,9 +18,9 @@ struct Condensation {
   /// component[v] == v and `dag` is a copy of the input graph, so labels
   /// built on the condensation are keyed by original vertex ids and a
   /// saved index can later be served without recomputing SCCs (see
-  /// ReachabilityIndex::Load). Otherwise SCC ids are dense and in reverse
-  /// topological order of the condensation (Tarjan's property: a component
-  /// is numbered before any component that reaches it).
+  /// ReachabilityIndex::LoadMapped). Otherwise SCC ids are dense and in
+  /// reverse topological order of the condensation (Tarjan's property: a
+  /// component is numbered before any component that reaches it).
   std::vector<Vertex> component;
   /// Number of SCCs.
   size_t num_components = 0;

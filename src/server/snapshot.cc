@@ -5,7 +5,6 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
-#include <istream>
 #include <ostream>
 #include <utility>
 
@@ -137,19 +136,8 @@ StatusOr<ReachabilityIndex> LoadIndexSnapshotFile(
   if (oracle == nullptr) {
     return Status::InvalidArgument("oracle must not be null");
   }
-  if (!oracle->SupportsMappedSnapshot()) {
-    // Classic stream load: the oracle parses into owned vectors.
-    std::ifstream in(path, std::ios::binary);
-    if (!in) {
-      return Status::IOError("cannot open index snapshot " + path);
-    }
-    REACH_RETURN_IF_ERROR(ReadSnapshotHeader(in, method,
-                                             graph.num_vertices(),
-                                             graph.num_edges()));
-    return ReachabilityIndex::Load(graph, std::move(oracle), in, stats_out);
-  }
-  // Zero-copy path (or MappedBlob's aligned-heap read fallback where mmap
-  // is unavailable). The framing is validated through a stream view of the
+  // Zero-copy path (or MappedBlob's whole-file read fallback where the
+  // file cannot be mapped). The framing is validated through a stream view of the
   // blob, which doubles as the "never read past the mapping" guard: a
   // header running off a truncated file fails the stream reads instead of
   // faulting.

@@ -62,7 +62,7 @@ Status WriteSnapshotHeader(std::ostream& out, const std::string& method,
 /// Validates the untrusted snapshot framing against what the caller is
 /// about to serve: same method, same graph shape, all-zero pad. Leaves the
 /// stream positioned at the oracle payload. The oracle blob that follows
-/// revalidates itself (bounds, sortedness, trailing bytes).
+/// revalidates its own structure (bounds, offsets, exact size).
 Status ReadSnapshotHeader(std::istream& in, const std::string& method,
                           uint64_t vertices, uint64_t edges);
 
@@ -79,19 +79,13 @@ Status SaveIndexSnapshot(const std::string& path, const std::string& method,
 
 /// Shared --load-index / RELOAD body: opens the snapshot at `path`,
 /// validates the framing against (method, graph), and returns a ready
-/// index. Serving mode is picked by capability, not configuration:
-///
-///   oracle supports mapped snapshots, mmap available  -> zero-copy mmap
-///   oracle supports mapped snapshots, no mmap         -> aligned heap blob
-///                                                        (MappedBlob's
-///                                                        read fallback;
-///                                                        still zero-parse)
-///   oracle without mapped support                     -> classic stream
-///                                                        load (owned
-///                                                        vectors)
+/// index served straight out of the file's bytes
+/// (ReachabilityIndex::LoadMapped) — an mmap where the platform has one,
+/// else MappedBlob's whole-file read of the same bytes (still zero-parse).
+/// An oracle without snapshot support fails NotSupported.
 ///
 /// `mapped_out`, when non-null, reports whether the served index is backed
-/// by an actual file mapping (false in both fallback rows). The index
+/// by an actual file mapping (false on the read fallback). The index
 /// keeps its backing blob alive until the last reference drops, so a
 /// RELOAD can retire a mapping while in-flight queries finish on it.
 StatusOr<ReachabilityIndex> LoadIndexSnapshotFile(

@@ -17,13 +17,42 @@
 
 namespace reach {
 
-namespace {
-
-// Both backings promise this alignment (mapped_blob.h); formats rely on it
-// for in-place uint64_t section starts.
-constexpr size_t kBlobAlignment = 64;
-
-}  // namespace
+StatusOr<std::shared_ptr<const MappedBlob>> MappedBlob::CreateOwned(
+    size_t size, const std::function<Status(std::span<std::byte>)>& fill,
+    std::string path) {
+  std::byte* data = nullptr;
+  if (size > 0) {
+#if REACH_HAS_MMAP
+    // Fresh anonymous pages rather than the malloc heap, whatever its
+    // dynamic mmap threshold: they are faulted in only as `fill` writes
+    // them and go back to the kernel when the blob dies. A heap blob can
+    // land past freed-but-resident memory (Seal's build vectors) and raise
+    // peak RSS by its whole size.
+    void* addr = ::mmap(nullptr, size, PROT_READ | PROT_WRITE,
+                        MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+    if (addr != MAP_FAILED) data = static_cast<std::byte*>(addr);
+#else
+    // The alignment mapped_blob.h promises; aligned_alloc requires the
+    // size to be a multiple of it.
+    constexpr size_t kAlignment = 64;
+    const size_t padded = (size + kAlignment - 1) / kAlignment * kAlignment;
+    data = static_cast<std::byte*>(std::aligned_alloc(kAlignment, padded));
+#endif
+    if (data == nullptr) {
+      return Status::ResourceExhausted("cannot allocate " +
+                                       std::to_string(size) + " bytes for " +
+                                       (path.empty() ? "a blob" : path));
+    }
+  }
+  // Owned from here on: the destructor frees `data` on every path.
+  std::shared_ptr<MappedBlob> blob(new MappedBlob());
+  blob->data_ = data;
+  blob->size_ = size;
+  blob->mapped_ = false;
+  blob->path_ = std::move(path);
+  REACH_RETURN_IF_ERROR(fill({data, size}));
+  return std::shared_ptr<const MappedBlob>(std::move(blob));
+}
 
 StatusOr<std::shared_ptr<const MappedBlob>> MappedBlob::ReadWholeFile(
     const std::string& path) {
@@ -35,30 +64,18 @@ StatusOr<std::shared_ptr<const MappedBlob>> MappedBlob::ReadWholeFile(
   if (end < 0 || !in) {
     return Status::IOError("cannot determine size of " + path);
   }
-  const size_t size = static_cast<size_t>(end);
-  std::byte* data = nullptr;
-  if (size > 0) {
-    // aligned_alloc requires the size to be a multiple of the alignment.
-    const size_t padded =
-        (size + kBlobAlignment - 1) / kBlobAlignment * kBlobAlignment;
-    data = static_cast<std::byte*>(std::aligned_alloc(kBlobAlignment, padded));
-    if (data == nullptr) {
-      return Status::ResourceExhausted("cannot allocate " +
-                                       std::to_string(size) + " bytes for " +
-                                       path);
-    }
-    in.read(reinterpret_cast<char*>(data), static_cast<std::streamsize>(size));
-    if (!in || in.gcount() != static_cast<std::streamsize>(size)) {
-      std::free(data);
-      return Status::IOError("short read of " + path);
-    }
-  }
-  std::shared_ptr<MappedBlob> blob(new MappedBlob());
-  blob->data_ = data;
-  blob->size_ = size;
-  blob->mapped_ = false;
-  blob->path_ = path;
-  return std::shared_ptr<const MappedBlob>(std::move(blob));
+  return CreateOwned(
+      static_cast<size_t>(end),
+      [&in, &path](std::span<std::byte> bytes) {
+        in.read(reinterpret_cast<char*>(bytes.data()),
+                static_cast<std::streamsize>(bytes.size()));
+        if (!in ||
+            in.gcount() != static_cast<std::streamsize>(bytes.size())) {
+          return Status::IOError("short read of " + path);
+        }
+        return Status::OK();
+      },
+      path);
 }
 
 #if REACH_HAS_MMAP
@@ -129,12 +146,11 @@ bool MappedBlob::PlatformSupportsMmap() { return REACH_HAS_MMAP != 0; }
 MappedBlob::~MappedBlob() {
   if (data_ == nullptr) return;
 #if REACH_HAS_MMAP
-  if (mapped_) {
-    ::munmap(const_cast<std::byte*>(data_), size_);
-    return;
-  }
-#endif
+  // File mappings and owned regions alike (see CreateOwned).
+  ::munmap(const_cast<std::byte*>(data_), size_);
+#else
   std::free(const_cast<std::byte*>(data_));
+#endif
 }
 
 }  // namespace reach

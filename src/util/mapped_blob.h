@@ -3,17 +3,20 @@
 //
 // A MappedBlob owns one contiguous read-only byte region backed either by
 // mmap(2) of a whole file (the fast path: load cost is O(pages touched),
-// not O(file size)) or, on platforms without mmap, by a heap buffer filled
-// with one streaming read — callers never branch on which. The blob is
+// not O(file size)) or by an owned region — filled with one streaming
+// read of the file (OpenOwned, or where the file cannot be mapped), or
+// written in memory by an encoder (LabelStore::Seal builds its sealed
+// labels this way) — callers never branch on which. The blob is
 // handed around as shared_ptr<const MappedBlob>; consumers that point into
-// the region (LabelStore's view mode) retain the shared_ptr, so the
+// the region (LabelStore's sealed labels) retain the shared_ptr, so the
 // mapping stays alive until the last reader drops its reference. That is
 // exactly the lifetime RELOAD needs: IndexSlot::Publish swaps the index
 // while in-flight queries finish on the old one, and the old mapping is
 // unmapped only when the last such query releases its index reference.
 //
-// Alignment: both backings start at a 64-byte-aligned address (mmap is
-// page-aligned; the fallback uses an aligned heap allocation), so any
+// Alignment: both backings start at a 64-byte-aligned address (mmap, of
+// the file or of anonymous memory for an owned region, is page-aligned;
+// without mmap an owned region is an aligned heap allocation), so any
 // format whose sections are 8-byte aligned *relative to the blob start*
 // can be reinterpreted in place as uint64_t/uint32_t arrays.
 //
@@ -27,6 +30,7 @@
 #define REACH_UTIL_MAPPED_BLOB_H_
 
 #include <cstddef>
+#include <functional>
 #include <memory>
 #include <span>
 #include <string>
@@ -42,17 +46,28 @@ class MappedBlob {
  public:
   /// Maps `path` read-only (advising MADV_RANDOM: label lookups touch
   /// pages in query order, not file order). Falls back to reading the
-  /// whole file into an aligned heap buffer when the platform lacks mmap
-  /// or the mapping fails; `mapped()` tells which backing was chosen.
+  /// whole file into an owned region when the platform lacks mmap or the
+  /// mapping fails; `mapped()` tells which backing was chosen.
   /// An empty file yields an empty region (size() == 0), not an error.
   static StatusOr<std::shared_ptr<const MappedBlob>> Open(
       const std::string& path);
 
-  /// As Open, but never mmaps: always the streaming heap read. The
-  /// owned-read arm of the load_quick experiment, and the documented
-  /// escape hatch when a mapping must not outlive fast process exit.
+  /// As Open, but never maps the file: always the streaming read into an
+  /// owned region. The heap-read arm of the load_quick experiment, and
+  /// the documented escape hatch when a file mapping must not outlive fast
+  /// process exit.
   static StatusOr<std::shared_ptr<const MappedBlob>> OpenOwned(
       const std::string& path);
+
+  /// A fresh owned region of `size` bytes (anonymous mmap where the
+  /// platform has it, else an aligned heap allocation), 64-byte aligned
+  /// like every backing. `fill` writes the region once, before the blob is
+  /// published read-only; its error, or ResourceExhausted when the
+  /// allocation fails, is returned instead of the blob. `path` only names
+  /// the blob (empty for an in-memory encoding).
+  static StatusOr<std::shared_ptr<const MappedBlob>> CreateOwned(
+      size_t size, const std::function<Status(std::span<std::byte>)>& fill,
+      std::string path = {});
 
   ~MappedBlob();
 
@@ -64,7 +79,7 @@ class MappedBlob {
   size_t size() const { return size_; }
 
   /// True when the region is an mmap of the file (zero-copy), false when
-  /// it is a heap copy (fallback or OpenOwned).
+  /// it is an owned region (read fallback, OpenOwned or CreateOwned).
   bool mapped() const { return mapped_; }
 
   const std::string& path() const { return path_; }

@@ -1,9 +1,8 @@
 // A std::istream over an in-memory byte span, without copying it — the
-// bridge that lets the hardened stream-based snapshot parsers (which
-// validate before every allocation) run unchanged over a mapped region.
-// The prefilter's aux-table reader uses this: its tables are index-typed
-// and must be deep-validated + copied anyway, so streaming them out of the
-// mapping costs nothing and reuses the exact parser the owned path uses.
+// bridge that lets the stream-based server snapshot framing reader
+// (ReadSnapshotHeader, which validates before every allocation) run over
+// a mapped snapshot. A read past the span fails the stream rather than
+// touching bytes past the mapping.
 //
 // Read-only and seekable (tellg/seekg work; callers use tellg to learn how
 // many bytes a sub-parser consumed). The span must outlive the stream.

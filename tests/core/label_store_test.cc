@@ -1,15 +1,15 @@
 #include "core/label_store.h"
 
-#include <cstdio>
 #include <cstring>
-#include <fstream>
 #include <memory>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "graph/digraph.h"
 #include "gtest/gtest.h"
+#include "tests/test_util.h"
 #include "util/mapped_blob.h"
 #include "util/rng.h"
 
@@ -38,10 +38,10 @@ std::string Serialize(const LabelStore& l) {
   return ss.str();
 }
 
+/// Loads `bytes` through the one load path, over a heap copy of them.
 StatusOr<LabelStore> Deserialize(const std::string& bytes) {
-  std::stringstream ss(bytes,
-                       std::ios::in | std::ios::out | std::ios::binary);
-  return LabelStore::Read(ss);
+  return LabelStore::FromMapped(
+      MappedRegion{testing_util::OwnedBlob(bytes), 0});
 }
 
 void Poke32(std::string* blob, size_t offset, uint32_t value) {
@@ -195,9 +195,11 @@ TEST(LabelStoreTest, RandomizedSealAndRoundTripAgree) {
     LabelStore sealed = l;
     sealed.Seal();
     EXPECT_TRUE(sealed == l);
+    EXPECT_TRUE(sealed.Validate().ok());
     auto back = Deserialize(Serialize(l));
     ASSERT_TRUE(back.ok()) << back.status().ToString();
     EXPECT_TRUE(*back == l);
+    EXPECT_TRUE(back->Validate().ok());
     for (int q = 0; q < 50; ++q) {
       const Vertex u = static_cast<Vertex>(rng.Uniform(n));
       const Vertex v = static_cast<Vertex>(rng.Uniform(n));
@@ -207,8 +209,8 @@ TEST(LabelStoreTest, RandomizedSealAndRoundTripAgree) {
   }
 }
 
-// --- Corrupt-blob regressions. The RLSTORE3 reference blob (SampleStore,
-// n = 3, Lout(0)={1}, Lout(2)={0,2}, Lin(1)={1}, Lin(2)={0}):
+// --- The one load path. The RLSTORE3 reference blob (SampleStore, n = 3,
+// Lout(0)={1}, Lout(2)={0,2}, Lin(1)={1}, Lin(2)={0}):
 //   [0]   magic            u64
 //   [8]   n = 3            u64
 //   [16]  total_out = 3    u64
@@ -219,170 +221,47 @@ TEST(LabelStoreTest, RandomizedSealAndRoundTripAgree) {
 //   [80]  off_in {0,0,1,2}     u64 x 4 at 80/88/96/104
 //   [112] keys_in {1,0}        u32 x 2 at 112/116 (no pad: 2 keys = 8 bytes)
 // total size 120 bytes.
-
-TEST(LabelStoreReadTest, RejectsGarbage) {
-  auto back = Deserialize("not a labeling blob at all");
-  EXPECT_FALSE(back.ok());
-  EXPECT_TRUE(back.status().IsCorruption());
-}
-
-TEST(LabelStoreReadTest, RejectsBadMagic) {
-  std::string blob = Serialize(SampleStore());
-  blob[0] ^= 0x5a;
-  EXPECT_TRUE(Deserialize(blob).status().IsCorruption());
-}
-
-TEST(LabelStoreReadTest, RejectsTruncatedHeader) {
-  const std::string blob = Serialize(SampleStore());
-  EXPECT_TRUE(Deserialize(blob.substr(0, 12)).status().IsCorruption());
-}
-
-TEST(LabelStoreReadTest, RejectsVertexCountBeyondIdSpace) {
-  std::string blob = Serialize(SampleStore());
-  Poke64(&blob, 8, uint64_t{1} << 33);
-  const Status status = Deserialize(blob).status();
-  EXPECT_TRUE(status.IsCorruption());
-  EXPECT_NE(status.message().find("uint32"), std::string::npos);
-  // The boundary case: n == 2^32 is unreachable by a uint32 loop counter
-  // (the reader would spin growing offsets until the stream ran dry), so
-  // it must be rejected up front, not merely n > 2^32.
-  Poke64(&blob, 8, uint64_t{1} << 32);
-  EXPECT_TRUE(Deserialize(blob).status().IsCorruption());
-}
-
-TEST(LabelStoreReadTest, RejectsImpossibleSideTotal) {
-  // n = 3 admits at most 9 strictly-ascending keys < 3 per side; a forged
-  // total must fail before any allocation sized by it.
-  std::string blob = Serialize(SampleStore());
-  Poke64(&blob, 16, 12);
-  const Status status = Deserialize(blob).status();
-  EXPECT_TRUE(status.IsCorruption());
-  EXPECT_NE(status.message().find("impossible"), std::string::npos);
-}
-
-TEST(LabelStoreReadTest, RejectsOffsetExceedingDeclaredTotal) {
-  std::string blob = Serialize(SampleStore());
-  Poke64(&blob, 40, 9);  // off_out[1] = 9; total_out says 3.
-  Status status = Deserialize(blob).status();
-  EXPECT_TRUE(status.IsCorruption());
-  EXPECT_NE(status.message().find("exceeds the declared total"),
-            std::string::npos);
-}
-
-TEST(LabelStoreReadTest, RejectsOffsetsEndingBelowDeclaredTotal) {
-  std::string blob = Serialize(SampleStore());
-  // off_out becomes {0, 1, 1, 1}: monotone, in range, but the rows no
-  // longer sum to the declared total_out = 3.
-  Poke64(&blob, 56, 1);
-  Status status = Deserialize(blob).status();
-  EXPECT_TRUE(status.IsCorruption());
-  EXPECT_NE(status.message().find("header declared"), std::string::npos);
-}
-
-TEST(LabelStoreReadTest, RejectsNonMonotoneOffsets) {
-  std::string nonzero_start = Serialize(SampleStore());
-  Poke64(&nonzero_start, 32, 1);  // off_out[0] must be 0.
-  EXPECT_TRUE(Deserialize(nonzero_start).status().IsCorruption());
-
-  std::string decreasing = Serialize(SampleStore());
-  Poke64(&decreasing, 40, 3);  // off_out becomes {0, 3, 1, 3}.
-  Status status = Deserialize(decreasing).status();
-  EXPECT_TRUE(status.IsCorruption());
-  EXPECT_NE(status.message().find("monotone"), std::string::npos);
-}
-
-TEST(LabelStoreReadTest, RejectsUnsortedAndDuplicateKeys) {
-  std::string duplicate = Serialize(SampleStore());
-  Poke32(&duplicate, 72, 0);  // v2's Lout keys become {0, 0}.
-  Status status = Deserialize(duplicate).status();
-  EXPECT_TRUE(status.IsCorruption());
-  EXPECT_NE(status.message().find("ascending"), std::string::npos);
-}
-
-TEST(LabelStoreReadTest, RejectsKeyOutOfRange) {
-  std::string blob = Serialize(SampleStore());
-  Poke32(&blob, 64, 7);  // Key 7 with n = 3.
-  Status status = Deserialize(blob).status();
-  EXPECT_TRUE(status.IsCorruption());
-  EXPECT_NE(status.message().find("range"), std::string::npos);
-}
-
-TEST(LabelStoreReadTest, RejectsNonzeroPadding) {
-  std::string blob = Serialize(SampleStore());
-  blob[77] = '\x01';  // Inside the Lout keys pad (bytes 76..79).
-  Status status = Deserialize(blob).status();
-  EXPECT_TRUE(status.IsCorruption());
-  EXPECT_NE(status.message().find("padding"), std::string::npos);
-}
-
-TEST(LabelStoreReadTest, RejectsTruncatedKeyData) {
-  const std::string blob = Serialize(SampleStore());
-  ASSERT_EQ(blob.size(), 120u);
-  // One cut inside each section: header, out offsets, out keys, out pad,
-  // in offsets, in keys.
-  for (const size_t cut : {20u, 50u, 66u, 78u, 90u, 114u}) {
-    EXPECT_TRUE(Deserialize(blob.substr(0, cut)).status().IsCorruption())
-        << "cut at " << cut;
-  }
-}
-
-TEST(LabelStoreReadTest, RejectsTrailingBytes) {
-  std::string blob = Serialize(SampleStore());
-  blob.push_back('\0');
-  Status status = Deserialize(blob).status();
-  EXPECT_TRUE(status.IsCorruption());
-  EXPECT_NE(status.message().find("trailing"), std::string::npos);
-}
-
-// --- Mapped (zero-copy) backing. Same reference layout as above; every
-// corrupt variant must be rejected by size arithmetic alone, before any
-// byte past the mapping could be dereferenced (a mapped file's boundary
-// raises SIGBUS, not a graceful error).
-
-/// Writes `bytes` to a fresh file under the gtest temp dir and maps it.
-/// The file is unlinked immediately — the mapping keeps it alive (POSIX),
-/// which doubles as a check that nothing re-opens the path.
-std::shared_ptr<const MappedBlob> MapBytes(const std::string& bytes,
-                                           const std::string& tag) {
-  const std::string path =
-      ::testing::TempDir() + "/label_store_test." + tag + ".blob";
-  {
-    std::ofstream out(path, std::ios::binary | std::ios::trunc);
-    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-    EXPECT_TRUE(out.good()) << path;
-  }
-  auto blob = MappedBlob::Open(path);
-  EXPECT_TRUE(blob.ok()) << blob.status().ToString();
-  std::remove(path.c_str());
-  return blob.ok() ? *blob : nullptr;
-}
+//
+// Every structurally corrupt variant must be rejected by FromMapped from
+// size arithmetic alone, before any byte past the mapping could be
+// dereferenced (a mapped file's boundary raises SIGBUS, not a graceful
+// error). Key values are Validate()'s job (LabelStoreValidateTest).
 
 StatusOr<LabelStore> MapDeserialize(const std::string& bytes,
                                     const std::string& tag) {
-  auto blob = MapBytes(bytes, tag);
+  auto blob = testing_util::MapBytes(bytes, "label_store." + tag);
   if (blob == nullptr) {
     return Status::Internal("test fixture failed to map blob");
   }
   return LabelStore::FromMapped(MappedRegion{std::move(blob), 0});
 }
 
-TEST(LabelStoreMappedTest, AnswersIdenticalToOwnedRead) {
-  const std::string blob = Serialize(SampleStore());
-  auto owned = Deserialize(blob);
+TEST(LabelStoreMappedTest, AnswersIdenticalToSealedStore) {
+  // One sealed representation behind three backings: Seal's owned blob,
+  // a heap read of the written bytes, and an mmap of them.
+  LabelStore sealed = SampleStore();
+  sealed.Seal();
+  const std::string blob = Serialize(sealed);
+  auto heap = Deserialize(blob);
   auto mapped = MapDeserialize(blob, "equiv");
-  ASSERT_TRUE(owned.ok()) << owned.status().ToString();
+  ASSERT_TRUE(heap.ok()) << heap.status().ToString();
   ASSERT_TRUE(mapped.ok()) << mapped.status().ToString();
   EXPECT_TRUE(mapped->sealed());
-  EXPECT_TRUE(mapped->mapped());
-  EXPECT_FALSE(owned->mapped());
-  EXPECT_TRUE(*mapped == *owned);
-  EXPECT_EQ(mapped->TotalEntries(), owned->TotalEntries());
-  EXPECT_EQ(mapped->MemoryBytes(), owned->MemoryBytes());
-  for (Vertex u = 0; u < 3; ++u) {
-    EXPECT_EQ(ToVec(mapped->Out(u)), ToVec(owned->Out(u))) << u;
-    EXPECT_EQ(ToVec(mapped->In(u)), ToVec(owned->In(u))) << u;
-    for (Vertex v = 0; v < 3; ++v) {
-      EXPECT_EQ(mapped->Query(u, v), owned->Query(u, v)) << u << "->" << v;
+  EXPECT_TRUE(heap->sealed());
+  EXPECT_EQ(mapped->mapped(), MappedBlob::PlatformSupportsMmap());
+  EXPECT_FALSE(heap->mapped());
+  EXPECT_FALSE(sealed.mapped());
+  for (const LabelStore* store : {&*heap, &*mapped}) {
+    EXPECT_TRUE(*store == sealed);
+    EXPECT_EQ(store->TotalEntries(), sealed.TotalEntries());
+    EXPECT_EQ(store->MemoryBytes(), sealed.MemoryBytes());
+    EXPECT_EQ(Serialize(*store), blob);  // Write is the blob's bytes.
+    for (Vertex u = 0; u < 3; ++u) {
+      EXPECT_EQ(ToVec(store->Out(u)), ToVec(sealed.Out(u))) << u;
+      EXPECT_EQ(ToVec(store->In(u)), ToVec(sealed.In(u))) << u;
+      for (Vertex v = 0; v < 3; ++v) {
+        EXPECT_EQ(store->Query(u, v), sealed.Query(u, v)) << u << "->" << v;
+      }
     }
   }
 }
@@ -390,7 +269,8 @@ TEST(LabelStoreMappedTest, AnswersIdenticalToOwnedRead) {
 TEST(LabelStoreMappedTest, RetainsBackingAfterCallerDropsBlob) {
   LabelStore store;
   {
-    auto blob = MapBytes(Serialize(SampleStore()), "keepalive");
+    auto blob = testing_util::MapBytes(Serialize(SampleStore()),
+                                       "label_store.keepalive");
     ASSERT_NE(blob, nullptr);
     auto mapped = LabelStore::FromMapped(MappedRegion{blob, 0});
     ASSERT_TRUE(mapped.ok()) << mapped.status().ToString();
@@ -398,12 +278,13 @@ TEST(LabelStoreMappedTest, RetainsBackingAfterCallerDropsBlob) {
   }
   // The caller's shared_ptr is gone; the store's retained reference must
   // keep the mapping alive (the RELOAD lifetime contract in miniature).
-  EXPECT_TRUE(store.mapped());
+  EXPECT_EQ(store.mapped(), MappedBlob::PlatformSupportsMmap());
   EXPECT_TRUE(store == SampleStore());
   EXPECT_TRUE(store.Query(0, 1));
   // Copies share the blob rather than duplicating the arrays.
   LabelStore copy = store;
-  EXPECT_TRUE(copy.mapped());
+  EXPECT_EQ(copy.mapped(), store.mapped());
+  EXPECT_EQ(copy.Out(2).data(), store.Out(2).data());
   EXPECT_TRUE(copy == store);
   EXPECT_TRUE(copy.Query(0, 1));
 }
@@ -421,7 +302,8 @@ TEST(LabelStoreMappedTest, UnsealCopiesOutAndReleasesBlob) {
 }
 
 TEST(LabelStoreMappedTest, RejectsMisalignedRegionOffset) {
-  auto blob = MapBytes(Serialize(SampleStore()), "misaligned");
+  auto blob = testing_util::MapBytes(Serialize(SampleStore()),
+                                       "label_store.misaligned");
   ASSERT_NE(blob, nullptr);
   const Status status =
       LabelStore::FromMapped(MappedRegion{blob, 4}).status();
@@ -429,24 +311,32 @@ TEST(LabelStoreMappedTest, RejectsMisalignedRegionOffset) {
   EXPECT_NE(status.message().find("8-byte aligned"), std::string::npos);
 }
 
-TEST(LabelStoreMappedTest, RejectsForeignEndianBlob) {
-  std::string blob = Serialize(SampleStore());
+TEST(LabelStoreMappedTest, RejectsBadMagic) {
+  std::string swapped = Serialize(SampleStore());
   // Byte-swap the magic: a file written on a foreign-endian machine can
   // never match the local-endian magic, so it dies at the first check.
-  for (size_t i = 0; i < 4; ++i) std::swap(blob[i], blob[7 - i]);
-  const Status status = MapDeserialize(blob, "endian").status();
-  EXPECT_TRUE(status.IsCorruption());
-  EXPECT_NE(status.message().find("magic"), std::string::npos);
+  for (size_t i = 0; i < 4; ++i) std::swap(swapped[i], swapped[7 - i]);
+  std::string flipped = Serialize(SampleStore());
+  flipped[0] ^= 0x5a;
+  const std::string garbage = "not a labeling blob at all, nor a header";
+  size_t tag = 0;
+  for (const std::string& blob : {swapped, flipped, garbage}) {
+    const Status status =
+        MapDeserialize(blob, "magic" + std::to_string(tag++)).status();
+    EXPECT_TRUE(status.IsCorruption()) << tag;
+    EXPECT_NE(status.message().find("magic"), std::string::npos) << tag;
+  }
 }
 
 TEST(LabelStoreMappedTest, RejectsTruncationAtEverySection) {
   const std::string blob = Serialize(SampleStore());
   ASSERT_EQ(blob.size(), 120u);
-  // Same section cuts as the stream test, plus off-by-one at the end.
-  // Every rejection must come from arithmetic on the region size, reached
-  // without dereferencing past the shortened mapping.
+  // Cuts inside the header, out offsets, out keys, out pad, in offsets and
+  // in keys, plus off-by-one at the end. Every rejection must come from
+  // arithmetic on the region size, reached without dereferencing past the
+  // shortened mapping.
   size_t tag = 0;
-  for (const size_t cut : {8u, 20u, 50u, 66u, 78u, 90u, 114u, 119u}) {
+  for (const size_t cut : {8u, 12u, 20u, 50u, 66u, 78u, 90u, 114u, 119u}) {
     const Status status =
         MapDeserialize(blob.substr(0, cut), "cut" + std::to_string(tag++))
             .status();
@@ -455,14 +345,18 @@ TEST(LabelStoreMappedTest, RejectsTruncationAtEverySection) {
 }
 
 TEST(LabelStoreMappedTest, RejectsTrailingBytes) {
-  std::string blob = Serialize(SampleStore());
-  blob.append(8, '\0');
-  const Status status = MapDeserialize(blob, "trailing").status();
-  EXPECT_TRUE(status.IsCorruption());
-  EXPECT_NE(status.message().find("header implies"), std::string::npos);
+  for (const size_t extra : {1u, 8u}) {
+    std::string blob = Serialize(SampleStore());
+    blob.append(extra, '\0');
+    const Status status =
+        MapDeserialize(blob, "trailing" + std::to_string(extra)).status();
+    EXPECT_TRUE(status.IsCorruption()) << extra;
+    EXPECT_NE(status.message().find("header implies"), std::string::npos)
+        << extra;
+  }
 }
 
-TEST(LabelStoreMappedTest, RejectsForgedTotalsBeforeTouchingArrays) {
+TEST(LabelStoreMappedTest, RejectsForgedHeaderBeforeTouchingArrays) {
   // A forged n/total pair that is internally consistent (total <= n^2) but
   // far beyond the file must fail on the region-size bound, not by walking
   // an offsets array that is not there.
@@ -472,36 +366,57 @@ TEST(LabelStoreMappedTest, RejectsForgedTotalsBeforeTouchingArrays) {
   const Status forged = MapDeserialize(blob, "forged_total").status();
   EXPECT_TRUE(forged.IsCorruption());
   EXPECT_NE(forged.message().find("truncated"), std::string::npos);
+  // An impossible total for n = 3 (at most 9 strictly-ascending keys < 3
+  // per side) dies on arithmetic alone.
   blob = Serialize(SampleStore());
-  // And an impossible total for n = 3 dies on arithmetic alone.
   Poke64(&blob, 16, 12);
   const Status status = MapDeserialize(blob, "impossible").status();
   EXPECT_TRUE(status.IsCorruption());
   EXPECT_NE(status.message().find("impossible"), std::string::npos);
+  // A vertex count beyond the uint32 id space, including the boundary
+  // n == 2^32, which no uint32 key could address.
+  for (const uint64_t n : {uint64_t{1} << 33, uint64_t{1} << 32}) {
+    blob = Serialize(SampleStore());
+    Poke64(&blob, 8, n);
+    const Status id_space =
+        MapDeserialize(blob, "id_space" + std::to_string(n)).status();
+    EXPECT_TRUE(id_space.IsCorruption()) << n;
+    EXPECT_NE(id_space.message().find("uint32"), std::string::npos) << n;
+  }
 }
 
 TEST(LabelStoreMappedTest, RejectsBadOffsetsArrays) {
-  std::string nonzero_start = Serialize(SampleStore());
-  Poke64(&nonzero_start, 32, 1);  // off_out[0] must be 0.
-  Status status = MapDeserialize(nonzero_start, "span").status();
-  EXPECT_TRUE(status.IsCorruption());
-  EXPECT_NE(status.message().find("span"), std::string::npos);
-
-  std::string decreasing = Serialize(SampleStore());
-  Poke64(&decreasing, 40, 3);  // off_out becomes {0, 3, 1, 3}.
-  status = MapDeserialize(decreasing, "monotone").status();
-  EXPECT_TRUE(status.IsCorruption());
-  EXPECT_NE(status.message().find("monotone"), std::string::npos);
-
+  struct Case {
+    const char* tag;
+    size_t offset;  // Into the reference blob.
+    uint64_t value;
+    const char* message;
+  };
+  const Case cases[] = {
+      {"nonzero_start", 32, 1, "span"},  // off_out[0] must be 0.
+      // off_out {0, 1, 1, 1}: monotone, but short of total_out = 3.
+      {"short_end", 56, 1, "span"},
+      {"decreasing", 40, 3, "monotone"},  // off_out {0, 3, 1, 3}.
+      {"beyond_total", 40, 9, "monotone"},  // off_out {0, 9, 1, 3}.
+  };
+  for (const Case& c : cases) {
+    std::string blob = Serialize(SampleStore());
+    Poke64(&blob, c.offset, c.value);
+    const Status status = MapDeserialize(blob, c.tag).status();
+    EXPECT_TRUE(status.IsCorruption()) << c.tag;
+    EXPECT_NE(status.message().find(c.message), std::string::npos)
+        << c.tag << ": " << status.ToString();
+  }
   std::string nonzero_pad = Serialize(SampleStore());
-  nonzero_pad[77] = '\x01';
-  status = MapDeserialize(nonzero_pad, "pad").status();
+  nonzero_pad[77] = '\x01';  // Inside the Lout keys pad (bytes 76..79).
+  const Status status = MapDeserialize(nonzero_pad, "pad").status();
   EXPECT_TRUE(status.IsCorruption());
   EXPECT_NE(status.message().find("padding"), std::string::npos);
 }
 
 TEST(LabelStoreMappedTest, MapLabelStoreForCrossChecksVertexCount) {
-  auto blob = MapBytes(Serialize(SampleStore()), "crosscheck");
+  auto blob = testing_util::MapBytes(Serialize(SampleStore()),
+                                       "label_store.crosscheck");
   ASSERT_NE(blob, nullptr);
   const Digraph match = Digraph::FromEdges(3, {{0, 1}});
   auto ok = MapLabelStoreFor(match, MappedRegion{blob, 0}, "test oracle");
@@ -514,6 +429,59 @@ TEST(LabelStoreMappedTest, MapLabelStoreForCrossChecksVertexCount) {
           .status();
   EXPECT_TRUE(status.IsCorruption());
   EXPECT_NE(status.message().find("test oracle"), std::string::npos);
+}
+
+
+// --- Validate(): the explicit full scan of key values FromMapped skips.
+
+TEST(LabelStoreValidateTest, AcceptsWellFormedStoresInEveryPhase) {
+  LabelStore build_phase = SampleStore();
+  LabelStore sealed = SampleStore();
+  sealed.Seal();
+  auto mapped = MapDeserialize(Serialize(sealed), "validate_ok");
+  ASSERT_TRUE(mapped.ok()) << mapped.status().ToString();
+  EXPECT_TRUE(build_phase.Validate().ok());
+  EXPECT_TRUE(sealed.Validate().ok());
+  EXPECT_TRUE(mapped->Validate().ok());
+  EXPECT_TRUE(LabelStore().Validate().ok());
+}
+
+TEST(LabelStoreValidateTest, RejectsKeyValuesThatFromMappedAccepts) {
+  struct Case {
+    const char* tag;
+    std::vector<std::pair<size_t, uint32_t>> pokes;  // (u32 key offset, key)
+    const char* side_and_row;
+    const char* message;
+  };
+  const Case cases[] = {
+      {"duplicate", {{72, 0}}, "Lout row 2", "ascending"},  // {0, 0}.
+      {"unsorted", {{68, 2}, {72, 1}}, "Lout row 2", "ascending"},  // {2, 1}.
+      {"out_of_range", {{64, 7}}, "Lout row 0", "range"},  // Key 7, n = 3.
+      {"lin_out_of_range", {{116, 3}}, "Lin row 2", "range"},
+  };
+  for (const Case& c : cases) {
+    std::string blob = Serialize(SampleStore());
+    for (const auto& [offset, key] : c.pokes) Poke32(&blob, offset, key);
+    auto mapped = MapDeserialize(blob, c.tag);
+    ASSERT_TRUE(mapped.ok()) << c.tag << ": " << mapped.status().ToString();
+    const Status status = mapped->Validate();
+    EXPECT_TRUE(status.IsCorruption()) << c.tag;
+    EXPECT_NE(status.message().find(c.side_and_row), std::string::npos)
+        << c.tag << ": " << status.ToString();
+    EXPECT_NE(status.message().find(c.message), std::string::npos)
+        << c.tag << ": " << status.ToString();
+  }
+}
+
+TEST(LabelStoreValidateTest, RejectsBuildPhaseKeyValues) {
+  LabelStore unsorted = SampleStore();
+  unsorted.MutableIn(1)->assign({2, 1});
+  const Status status = unsorted.Validate();
+  EXPECT_TRUE(status.IsCorruption());
+  EXPECT_NE(status.message().find("Lin row 1"), std::string::npos);
+  LabelStore out_of_range = SampleStore();
+  out_of_range.AppendOut(1, 3);
+  EXPECT_TRUE(out_of_range.Validate().IsCorruption());
 }
 
 }  // namespace

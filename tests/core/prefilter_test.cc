@@ -20,6 +20,7 @@
 #include "core/reachability.h"
 #include "graph/generators.h"
 #include "graph/topology.h"
+#include "tests/test_util.h"
 #include "util/rng.h"
 
 namespace reach {
@@ -220,11 +221,12 @@ TEST(PrefilterSnapshotTest, RoundTripRestoresAuxArraysAndAnswers) {
   const Digraph g = RandomDag(150, 450, 5);
   auto built = BuildPrefilterDL(g);
   ASSERT_TRUE(built->SupportsSnapshot());
-  std::stringstream blob(std::ios::in | std::ios::out | std::ios::binary);
-  ASSERT_TRUE(built->SaveIndex(blob).ok());
+  const std::string original = testing_util::SaveIndexBytes(*built);
 
   PrefilterOracle loaded(std::make_unique<DistributionLabelingOracle>());
-  ASSERT_TRUE(loaded.Load(g, blob).ok());
+  ASSERT_TRUE(
+      loaded.LoadMapped(g, MappedRegion{testing_util::OwnedBlob(original), 0})
+          .ok());
   EXPECT_EQ(loaded.topo_positions(), built->topo_positions());
   EXPECT_EQ(loaded.tree_interval_in(), built->tree_interval_in());
   EXPECT_EQ(loaded.tree_interval_out(), built->tree_interval_out());
@@ -243,12 +245,7 @@ TEST(PrefilterSnapshotTest, RoundTripRestoresAuxArraysAndAnswers) {
     }
   }
   // Save-of-load is byte-identical: the snapshot is a fixed point.
-  std::stringstream resaved(std::ios::in | std::ios::out | std::ios::binary);
-  ASSERT_TRUE(loaded.SaveIndex(resaved).ok());
-  std::stringstream original(std::ios::in | std::ios::out |
-                             std::ios::binary);
-  ASSERT_TRUE(built->SaveIndex(original).ok());
-  EXPECT_EQ(resaved.str(), original.str());
+  EXPECT_EQ(testing_util::SaveIndexBytes(loaded), original);
 }
 
 TEST(PrefilterSnapshotTest, NonSnapshotInnerIsRefused) {
@@ -271,7 +268,8 @@ TEST(PrefilterSnapshotTest, NonSnapshotInnerIsRefused) {
 // Corrupt-blob regressions for the extended snapshot section. Offsets into
 // the aux section are computed from the layout: magic(8) n(8) k(4)
 // supports(4k) then seven uint32[n] arrays then two uint64[n] mask arrays,
-// followed by the inner oracle's own blob.
+// followed by the inner oracle's own blob. Each variant goes through the
+// one load path, LoadMapped over a heap copy of the bytes.
 class PrefilterCorruptBlobTest : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -279,9 +277,7 @@ class PrefilterCorruptBlobTest : public ::testing::Test {
     auto oracle = BuildPrefilterDL(graph_);
     n_ = graph_.num_vertices();
     k_ = oracle->supports().size();
-    std::stringstream blob(std::ios::in | std::ios::out | std::ios::binary);
-    ASSERT_TRUE(oracle->SaveIndex(blob).ok());
-    base_ = blob.str();
+    base_ = testing_util::SaveIndexBytes(*oracle);
   }
 
   size_t SupportsOffset() const { return 8 + 8 + 4; }
@@ -290,10 +286,9 @@ class PrefilterCorruptBlobTest : public ::testing::Test {
   size_t AuxEnd() const { return MasksOffset() + 2 * 8 * n_; }
 
   Status LoadBlob(const std::string& bytes) {
-    std::stringstream in(bytes,
-                         std::ios::in | std::ios::out | std::ios::binary);
     PrefilterOracle oracle(std::make_unique<DistributionLabelingOracle>());
-    return oracle.Load(graph_, in);
+    return oracle.LoadMapped(
+        graph_, MappedRegion{testing_util::OwnedBlob(bytes), 0});
   }
 
   Digraph graph_;

@@ -4,11 +4,11 @@
 // a reproducible (family, seed, pair) triple. This complements the
 // exhaustive small-graph sweep with breadth across the random-seed space.
 
-#include <cstdio>
-#include <fstream>
+#include <algorithm>
+#include <cstring>
 #include <memory>
-#include <sstream>
 #include <string>
+#include <vector>
 
 #include "gtest/gtest.h"
 
@@ -21,6 +21,7 @@
 #include "graph/generators.h"
 #include "graph/topology.h"
 #include "query/workload.h"
+#include "tests/test_util.h"
 #include "util/mapped_blob.h"
 #include "util/rng.h"
 #include "util/simd.h"
@@ -35,6 +36,30 @@ struct FuzzCase {
 };
 
 class DifferentialFuzzTest : public ::testing::TestWithParam<uint64_t> {};
+
+/// The label store behind one of the five labeling oracles.
+const LabelStore& LabelsOf(const ReachabilityOracle& oracle) {
+  if (const auto* dl =
+          dynamic_cast<const DistributionLabelingOracle*>(&oracle)) {
+    return dl->labeling();
+  }
+  if (const auto* hl =
+          dynamic_cast<const HierarchicalLabelingOracle*>(&oracle)) {
+    return hl->labeling();
+  }
+  if (const auto* twohop = dynamic_cast<const TwoHopOracle*>(&oracle)) {
+    return twohop->labeling();
+  }
+  return dynamic_cast<const DynamicDistributionLabeling&>(oracle).labeling();
+}
+
+std::unique_ptr<ReachabilityOracle> MakeLabelingOracle(
+    const std::string& method) {
+  if (method == "DL+dyn") {
+    return std::make_unique<DynamicDistributionLabeling>();
+  }
+  return MakeOracle(method);
+}
 
 TEST_P(DifferentialFuzzTest, OraclesAgreeWithBfs) {
   const uint64_t seed = GetParam();
@@ -72,8 +97,9 @@ TEST_P(DifferentialFuzzTest, OraclesAgreeWithBfs) {
 }
 
 // The sealed CSR layout must be a pure storage change: for every labeling
-// oracle, the sealed store and its unsealed (pre-seal vector-phase) twin
-// answer the FULL query matrix identically, and both agree with BFS truth
+// oracle, the sealed store, its unsealed (pre-seal vector-phase) twin and
+// that twin sealed again answer the FULL query matrix identically and pass
+// LabelStore::Validate(), and the stores agree with BFS truth
 // on sampled pairs — at 1 and 4 construction threads (the determinism
 // contract says the thread count never changes the labeling).
 TEST_P(DifferentialFuzzTest, SealedStoreMatchesPreSealAnswers) {
@@ -113,12 +139,22 @@ TEST_P(DifferentialFuzzTest, SealedStoreMatchesPreSealAnswers) {
         ASSERT_TRUE(oc.oracle->Build(g, options).ok())
             << oc.name << " seed " << seed << " threads " << threads;
         ASSERT_TRUE(oc.labels->sealed()) << oc.name;
+        ASSERT_TRUE(oc.labels->Validate().ok()) << oc.name;
         LabelStore preseal = *oc.labels;
         preseal.Unseal();
+        ASSERT_TRUE(preseal.Validate().ok()) << oc.name;
+        LabelStore resealed = preseal;
+        resealed.Seal();
+        ASSERT_TRUE(resealed.Validate().ok()) << oc.name;
         for (Vertex u = 0; u < n; ++u) {
           for (Vertex v = 0; v < n; ++v) {
-            ASSERT_EQ(oc.labels->Query(u, v), preseal.Query(u, v))
+            const bool sealed = oc.labels->Query(u, v);
+            ASSERT_EQ(sealed, preseal.Query(u, v))
                 << oc.name << " family " << GraphFamilyName(c.family)
+                << " seed " << seed << " threads " << threads << " pair ("
+                << u << "," << v << ")";
+            ASSERT_EQ(sealed, resealed.Query(u, v))
+                << oc.name << "/resealed family " << GraphFamilyName(c.family)
                 << " seed " << seed << " threads " << threads << " pair ("
                 << u << "," << v << ")";
           }
@@ -261,12 +297,11 @@ TEST_P(DifferentialFuzzTest, PrefilterWrappedMatchesBareOracle) {
   }
 }
 
-// The mapped (zero-copy) snapshot backing must be a pure storage change:
-// for every snapshot-capable oracle, the index loaded through LoadMapped
-// (labels served straight out of the mapped file bytes) answers the FULL
-// query matrix identically to both the freshly built oracle and its
-// owned-storage Load twin. This is the answer-identity leg of the mmap
-// load path; label_store_test pins the byte-level validation.
+// Loading must be a pure storage change: for every snapshot-capable
+// oracle, the index served out of the snapshot bytes — read onto the heap
+// (MappedBlob::OpenOwned) or mmapped — answers the FULL query matrix
+// identically to the freshly built oracle, and both loaded label stores
+// pass Validate(). label_store_test pins the byte-level validation.
 TEST_P(DifferentialFuzzTest, MappedSnapshotMatchesOwnedAndBuiltAnswers) {
   const uint64_t seed = GetParam();
   const FuzzCase cases[] = {
@@ -274,47 +309,35 @@ TEST_P(DifferentialFuzzTest, MappedSnapshotMatchesOwnedAndBuiltAnswers) {
       {GraphFamily::kStarForest, 90, 90},
       {GraphFamily::kDenseLayers, 60, 360},
   };
-  const auto make = [](const std::string& method)
-      -> std::unique_ptr<ReachabilityOracle> {
-    if (method == "DL+dyn") {
-      return std::make_unique<DynamicDistributionLabeling>();
-    }
-    return MakeOracle(method);
-  };
   const char* methods[] = {"DL", "HL", "TF", "2HOP", "DL+dyn"};
   for (const FuzzCase& c : cases) {
     Digraph g = GenerateFamily(c.family, c.vertices, c.edges, seed * 911);
     ASSERT_TRUE(IsDag(g)) << GraphFamilyName(c.family);
     const size_t n = g.num_vertices();
     for (const char* method : methods) {
-      std::unique_ptr<ReachabilityOracle> built = make(method);
+      std::unique_ptr<ReachabilityOracle> built = MakeLabelingOracle(method);
       ASSERT_NE(built, nullptr) << method;
       ASSERT_TRUE(built->Build(g).ok()) << method << " seed " << seed;
-      ASSERT_TRUE(built->SupportsMappedSnapshot()) << method;
-      std::stringstream snapshot(std::ios::in | std::ios::out |
-                                 std::ios::binary);
-      ASSERT_TRUE(built->SaveIndex(snapshot).ok()) << method;
-      const std::string bytes = snapshot.str();
+      ASSERT_TRUE(built->SupportsSnapshot()) << method;
+      const std::string bytes = testing_util::SaveIndexBytes(*built);
+      const std::string tag = "diff_fuzz." + std::string(method) + "." +
+                              std::to_string(seed) + "." +
+                              GraphFamilyName(c.family);
 
-      std::unique_ptr<ReachabilityOracle> owned = make(method);
-      std::istringstream owned_in(bytes);
-      ASSERT_TRUE(owned->Load(g, owned_in).ok()) << method << " seed "
-                                                 << seed;
-
-      const std::string path = ::testing::TempDir() + "/diff_fuzz." + method +
-                               "." + std::to_string(seed) + "." +
-                               GraphFamilyName(c.family) + ".snap";
-      {
-        std::ofstream out(path, std::ios::binary | std::ios::trunc);
-        out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-        ASSERT_TRUE(out.good()) << path;
-      }
-      auto blob = MappedBlob::Open(path);
-      ASSERT_TRUE(blob.ok()) << blob.status().ToString();
-      std::remove(path.c_str());
-      std::unique_ptr<ReachabilityOracle> mapped = make(method);
-      ASSERT_TRUE(mapped->LoadMapped(g, MappedRegion{*blob, 0}).ok())
+      std::unique_ptr<ReachabilityOracle> owned = MakeLabelingOracle(method);
+      const MappedRegion owned_region{
+          testing_util::MapBytes(bytes, tag, /*owned=*/true), 0};
+      ASSERT_TRUE(owned->LoadMapped(g, owned_region).ok())
           << method << " seed " << seed;
+      std::unique_ptr<ReachabilityOracle> mapped = MakeLabelingOracle(method);
+      const MappedRegion mapped_region{testing_util::MapBytes(bytes, tag), 0};
+      ASSERT_TRUE(mapped->LoadMapped(g, mapped_region).ok())
+          << method << " seed " << seed;
+      EXPECT_FALSE(LabelsOf(*owned).mapped()) << method;
+      EXPECT_EQ(LabelsOf(*mapped).mapped(), MappedBlob::PlatformSupportsMmap())
+          << method;
+      ASSERT_TRUE(LabelsOf(*owned).Validate().ok()) << method;
+      ASSERT_TRUE(LabelsOf(*mapped).Validate().ok()) << method;
 
       for (Vertex u = 0; u < n; ++u) {
         for (Vertex v = 0; v < n; ++v) {
@@ -328,6 +351,57 @@ TEST_P(DifferentialFuzzTest, MappedSnapshotMatchesOwnedAndBuiltAnswers) {
         }
       }
     }
+  }
+}
+
+// Detection half of snapshot integrity: flipping the high byte of one
+// label key in a snapshot leaves every structural check intact, so
+// LoadMapped accepts the file — but the key now exceeds the vertex count,
+// and LabelStore::Validate() must reject it, naming the side and the row
+// the key sits in.
+TEST_P(DifferentialFuzzTest, FlippedKeyByteIsCaughtByValidate) {
+  const uint64_t seed = GetParam();
+  Digraph g = GenerateFamily(GraphFamily::kSparseRandom, 120, 300, seed * 61);
+  Rng rng(seed * 67);
+  for (const char* method : {"DL", "HL", "TF", "2HOP", "DL+dyn"}) {
+    std::unique_ptr<ReachabilityOracle> built = MakeLabelingOracle(method);
+    ASSERT_TRUE(built->Build(g).ok()) << method << " seed " << seed;
+    std::string bytes = testing_util::SaveIndexBytes(*built);
+
+    // RLSTORE3 layout (core/label_store.h): a 32-byte header [magic, n,
+    // total_out, total_in], then per side (n + 1) u64 offsets and the u32
+    // keys, zero-padded to 8.
+    uint64_t header[4];
+    std::memcpy(header, bytes.data(), sizeof(header));
+    const uint64_t vertices = header[1];
+    const bool out_side = rng.Bernoulli(0.5);
+    const uint64_t total = out_side ? header[2] : header[3];
+    ASSERT_GT(total, 0u) << method;
+    const uint64_t offsets_bytes = (vertices + 1) * sizeof(uint64_t);
+    const uint64_t off_at =
+        out_side ? 32 : 32 + offsets_bytes + header[2] * 4 + header[2] % 2 * 4;
+    const uint64_t key_at = off_at + offsets_bytes;
+    const uint64_t entry = rng.Uniform(total);
+    std::vector<uint64_t> offsets(vertices + 1);
+    std::memcpy(offsets.data(), bytes.data() + off_at, offsets_bytes);
+    const uint64_t row = static_cast<uint64_t>(
+        std::upper_bound(offsets.begin(), offsets.end(), entry) -
+        offsets.begin() - 1);
+    // Keys are < n < 2^24 here, so the flipped high byte puts it past n.
+    bytes[key_at + entry * 4 + 3] ^= static_cast<char>(0x80);
+
+    const std::string tag = "diff_fuzz." + std::string(method) + ".flip." +
+                            std::to_string(seed);
+    std::unique_ptr<ReachabilityOracle> loaded = MakeLabelingOracle(method);
+    const MappedRegion region{testing_util::MapBytes(bytes, tag), 0};
+    ASSERT_TRUE(loaded->LoadMapped(g, region).ok())
+        << method << " seed " << seed;
+    const Status status = LabelsOf(*loaded).Validate();
+    EXPECT_TRUE(status.IsCorruption()) << method << " seed " << seed;
+    const std::string where = std::string(out_side ? "Lout" : "Lin") +
+                              " row " + std::to_string(row) + " ";
+    EXPECT_NE(status.message().find(where), std::string::npos)
+        << method << " seed " << seed << ": " << status.ToString();
   }
 }
 

@@ -14,6 +14,7 @@
 #include "graph/generators.h"
 #include "graph/topology.h"
 #include "query/workload.h"
+#include "tests/test_util.h"
 #include "util/rng.h"
 
 namespace reach {
@@ -114,8 +115,10 @@ TEST(IntegrationTest, LabelingSerializationSurvivesReload) {
 
   std::stringstream ss(std::ios::in | std::ios::out | std::ios::binary);
   ASSERT_TRUE(oracle.labeling().Write(ss).ok());
-  auto reloaded = LabelStore::Read(ss);
+  auto reloaded = LabelStore::FromMapped(
+      MappedRegion{testing_util::OwnedBlob(ss.str()), 0});
   ASSERT_TRUE(reloaded.ok());
+  ASSERT_TRUE(reloaded->Validate().ok());
 
   Rng rng(89);
   for (int i = 0; i < 2000; ++i) {
@@ -126,9 +129,9 @@ TEST(IntegrationTest, LabelingSerializationSurvivesReload) {
 }
 
 TEST(IntegrationTest, IndexSnapshotRoundTripsAcrossOracles) {
-  // Acceptance gate for the sealed snapshot: Save -> fresh oracle -> Load
-  // answers the full query matrix identically, for every snapshot-capable
-  // labeling method.
+  // Acceptance gate for the sealed snapshot: Save -> fresh oracle ->
+  // LoadMapped answers the full query matrix identically, for every
+  // snapshot-capable labeling method.
   Digraph g = RandomDag(260, 700, 90);
   for (const std::string name : {"DL", "HL", "TF", "2HOP"}) {
     auto built = MakeOracle(name);
@@ -136,11 +139,13 @@ TEST(IntegrationTest, IndexSnapshotRoundTripsAcrossOracles) {
     ASSERT_TRUE(built->Build(g).ok()) << name;
     ASSERT_TRUE(built->SupportsSnapshot()) << name;
 
-    std::stringstream ss(std::ios::in | std::ios::out | std::ios::binary);
-    ASSERT_TRUE(built->SaveIndex(ss).ok()) << name;
+    const std::string bytes = testing_util::SaveIndexBytes(*built);
 
     auto loaded = MakeOracle(name);
-    ASSERT_TRUE(loaded->Load(g, ss).ok()) << name;
+    ASSERT_TRUE(
+        loaded->LoadMapped(g, MappedRegion{testing_util::OwnedBlob(bytes), 0})
+            .ok())
+        << name;
     EXPECT_TRUE(loaded->build_stats().ok) << name;
     EXPECT_EQ(loaded->IndexSizeIntegers(), built->IndexSizeIntegers())
         << name;
@@ -173,8 +178,9 @@ TEST(IntegrationTest, DynamicOracleSnapshotAcceptsInsertsAfterLoad) {
     }
   }
   ASSERT_NE(patched_to, 0u) << "graph unexpectedly strongly connected";
-  std::stringstream ss(std::ios::in | std::ios::out | std::ios::binary);
-  ASSERT_TRUE(built.SaveIndex(ss).ok());
+  // Saved unsealed: the first InsertEdge unsealed the labeling.
+  ASSERT_FALSE(built.labeling().sealed());
+  const std::string bytes = testing_util::SaveIndexBytes(built);
 
   // The accumulated graph the snapshot pairs with.
   std::vector<Edge> edges = g.CollectEdges();
@@ -183,7 +189,11 @@ TEST(IntegrationTest, DynamicOracleSnapshotAcceptsInsertsAfterLoad) {
       Digraph::FromEdges(g.num_vertices(), std::move(edges));
 
   DynamicDistributionLabeling loaded;
-  ASSERT_TRUE(loaded.Load(accumulated, ss).ok());
+  ASSERT_TRUE(loaded
+                  .LoadMapped(accumulated,
+                              MappedRegion{testing_util::OwnedBlob(bytes), 0})
+                  .ok());
+  ASSERT_TRUE(loaded.labeling().Validate().ok());
   for (Vertex u = 0; u < g.num_vertices(); ++u) {
     for (Vertex v = 0; v < g.num_vertices(); ++v) {
       ASSERT_EQ(loaded.Reachable(u, v), built.Reachable(u, v))
@@ -209,12 +219,12 @@ TEST(IntegrationTest, SnapshotLoadRejectsMismatchedGraph) {
   Digraph g = RandomDag(100, 250, 91);
   DistributionLabelingOracle built;
   ASSERT_TRUE(built.Build(g).ok());
-  std::stringstream ss(std::ios::in | std::ios::out | std::ios::binary);
-  ASSERT_TRUE(built.SaveIndex(ss).ok());
+  const std::string bytes = testing_util::SaveIndexBytes(built);
 
   Digraph other = RandomDag(101, 250, 92);
   DistributionLabelingOracle loaded;
-  const Status status = loaded.Load(other, ss);
+  const Status status =
+      loaded.LoadMapped(other, MappedRegion{testing_util::OwnedBlob(bytes), 0});
   EXPECT_TRUE(status.IsCorruption()) << status.ToString();
   EXPECT_FALSE(loaded.build_stats().ok);
 }
@@ -229,19 +239,19 @@ TEST(IntegrationTest, SnapshotNotSupportedOracleSaysSo) {
 }
 
 TEST(IntegrationTest, FacadeLoadRestoresCyclicGraphIndex) {
-  // The server's restart path: ReachabilityIndex::Load recomputes only the
-  // condensation and restores the oracle from the snapshot stream.
+  // The server's restart path: ReachabilityIndex::LoadMapped recomputes
+  // only the condensation and serves the oracle from the snapshot bytes.
   Digraph g = RandomDigraphWithCycles(600, 1500, 250, 557);
   BuildStats build_stats;
   auto built = ReachabilityIndex::Build(g, MakeOracle("DL"), BuildOptions(),
                                         &build_stats);
   ASSERT_TRUE(built.ok());
-  std::stringstream ss(std::ios::in | std::ios::out | std::ios::binary);
-  ASSERT_TRUE(built->oracle().SaveIndex(ss).ok());
+  const std::string bytes = testing_util::SaveIndexBytes(built->oracle());
 
   BuildStats load_stats;
-  auto loaded = ReachabilityIndex::Load(g, MakeOracle("DL"), ss,
-                                        &load_stats);
+  auto loaded = ReachabilityIndex::LoadMapped(
+      g, MakeOracle("DL"), MappedRegion{testing_util::OwnedBlob(bytes), 0},
+      &load_stats);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
   EXPECT_TRUE(load_stats.ok);
   EXPECT_EQ(load_stats.index_integers, build_stats.index_integers);

@@ -123,12 +123,16 @@ TEST_F(SaveIndexSnapshotTest, PublishesALoadableSnapshotWithNoTmpLeftover) {
   ASSERT_TRUE(FileExists(path_));
   EXPECT_FALSE(FileExists(path_ + ".tmp"));
 
-  // The published file is a complete, loadable snapshot.
+  // The published file is a complete, loadable snapshot, here read onto
+  // the heap (MappedLoadServesByteIdenticalAnswers covers the mmap).
   std::ifstream in(path_, std::ios::binary);
   ASSERT_TRUE(ReadSnapshotHeader(in, "DL", graph_.num_vertices(),
                                  graph_.num_edges())
                   .ok());
-  auto restored = ReachabilityIndex::Load(graph_, MakeOracle("DL"), in);
+  auto blob = MappedBlob::OpenOwned(path_);
+  ASSERT_TRUE(blob.ok()) << blob.status().ToString();
+  auto restored = ReachabilityIndex::LoadMapped(
+      graph_, MakeOracle("DL"), MappedRegion{*blob, SnapshotHeaderBytes(2)});
   ASSERT_TRUE(restored.ok()) << restored.status().ToString();
   for (Vertex u = 0; u < 60; ++u) {
     for (Vertex v = 0; v < 60; v += 7) {
@@ -191,8 +195,8 @@ TEST_F(SaveIndexSnapshotTest, MappedLoadServesByteIdenticalAnswers) {
   auto loaded = LoadIndexSnapshotFile(path_, "DL", graph_, MakeOracle("DL"),
                                       nullptr, &mapped);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  // DL is mapped-capable, so the capability matrix picks the zero-copy
-  // mapping whenever the platform has mmap at all.
+  // Every load is served in place: a mapping whenever the platform has
+  // mmap at all, else the heap read of the same bytes.
   EXPECT_EQ(mapped, MappedBlob::PlatformSupportsMmap());
   // RandomDag is a DAG: the lazy identity load must skip condensation.
   EXPECT_TRUE(loaded->identity_condensation());

@@ -1,5 +1,8 @@
 #include "tests/test_util.h"
 
+#include <cstdio>
+#include <cstring>
+#include <fstream>
 #include <sstream>
 
 #include "graph/topology.h"
@@ -7,6 +10,39 @@
 
 namespace reach {
 namespace testing_util {
+
+std::shared_ptr<const MappedBlob> OwnedBlob(const std::string& bytes) {
+  auto blob = MappedBlob::CreateOwned(
+      bytes.size(), [&bytes](std::span<std::byte> out) {
+        if (!bytes.empty()) std::memcpy(out.data(), bytes.data(), bytes.size());
+        return Status::OK();
+      });
+  EXPECT_TRUE(blob.ok()) << blob.status().ToString();
+  return blob.ok() ? *blob : nullptr;
+}
+
+std::shared_ptr<const MappedBlob> MapBytes(const std::string& bytes,
+                                           const std::string& tag,
+                                           bool owned) {
+  const std::string path = ::testing::TempDir() + "/reach_test." + tag +
+                           (owned ? ".owned" : ".mmap") + ".blob";
+  {
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+    EXPECT_TRUE(out.good()) << path;
+  }
+  auto blob = owned ? MappedBlob::OpenOwned(path) : MappedBlob::Open(path);
+  EXPECT_TRUE(blob.ok()) << blob.status().ToString();
+  std::remove(path.c_str());
+  return blob.ok() ? *blob : nullptr;
+}
+
+std::string SaveIndexBytes(const ReachabilityOracle& oracle) {
+  std::ostringstream out(std::ios::binary);
+  const Status status = oracle.SaveIndex(out);
+  EXPECT_TRUE(status.ok()) << oracle.name() << ": " << status.ToString();
+  return out.str();
+}
 
 ::testing::AssertionResult OracleMatchesClosure(
     const ReachabilityOracle& oracle, const Digraph& dag) {

@@ -5,6 +5,7 @@
 #ifndef REACH_TESTS_TEST_UTIL_H_
 #define REACH_TESTS_TEST_UTIL_H_
 
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -15,6 +16,7 @@
 #include "graph/digraph.h"
 #include "graph/generators.h"
 #include "graph/transitive_closure.h"
+#include "util/mapped_blob.h"
 
 namespace reach {
 namespace testing_util {
@@ -51,6 +53,26 @@ inline Digraph TwoChains() {
 ::testing::AssertionResult OracleMatchesSampled(const ReachabilityOracle& oracle,
                                                 const Digraph& dag,
                                                 size_t samples, uint64_t seed);
+
+/// `bytes` copied into an owned, 64-byte-aligned MappedBlob: the heap twin
+/// of mapping a file that holds them. Fails the current test (and returns
+/// null) when the blob cannot be allocated.
+std::shared_ptr<const MappedBlob> OwnedBlob(const std::string& bytes);
+
+/// Writes `bytes` to a fresh file under the gtest temp dir and opens it as
+/// a MappedBlob: an mmap, or with `owned` the whole-file read
+/// (MappedBlob::OpenOwned). The file is unlinked before returning — a
+/// mapping keeps it alive (POSIX), which doubles as a check that nothing
+/// re-opens the path. `tag` names the file and must be unique among
+/// concurrently running tests. Fails the current test (and returns null)
+/// on any error.
+std::shared_ptr<const MappedBlob> MapBytes(const std::string& bytes,
+                                           const std::string& tag,
+                                           bool owned = false);
+
+/// The snapshot bytes `oracle.SaveIndex` writes; fails the current test
+/// when the save fails.
+std::string SaveIndexBytes(const ReachabilityOracle& oracle);
 
 /// Graph configurations for the property sweeps.
 struct GraphCase {
