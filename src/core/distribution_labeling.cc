@@ -2,15 +2,162 @@
 
 #include <algorithm>
 #include <cassert>
+#include <new>
+#include <span>
+#include <utility>
 
 #include "core/backbone.h"
-#include "graph/level_bfs.h"
 #include "graph/topology.h"
+#include "util/mapped_blob.h"
 #include "util/rng.h"
+#include "util/sorted_ops.h"
 #include "util/thread_pool.h"
 #include "util/timer.h"
 
 namespace reach {
+
+namespace {
+
+/// Largest hop batch. Batch sizes ramp 1, 2, 4, ... up to this cap: the
+/// first hops (the hubs) have the longest candidate lists and the most
+/// in-batch overlap, so their batches stay small, while the long tail of
+/// tiny searches needs wide batches to keep every worker busy. A wider cap
+/// holds more candidates at once; on the arxiv stand-in at 4 threads, 256
+/// labels within the noise of 1024 and a little faster than 64.
+constexpr size_t kMaxHopBatch = 256;
+
+constexpr uint32_t kNotInBatch = UINT32_MAX;
+
+/// Allocator of the per-worker scratch. Candidate buffers grow to
+/// megabytes on whichever thread runs a hop and die when the distribution
+/// ends; on the malloc heap that churn stays resident (per-thread arenas, a
+/// raised mmap threshold) and, on the arxiv stand-in at 4 threads, grew
+/// peak RSS by a seventh over five back-to-back builds. Fresh pages go back
+/// to the kernel when freed.
+template <typename T>
+struct PageAllocator {
+  using value_type = T;
+  PageAllocator() = default;
+  template <typename U>
+  explicit PageAllocator(const PageAllocator<U>&) {}
+  T* allocate(size_t count) {
+    std::byte* data = AllocatePages(count * sizeof(T));
+    if (data == nullptr) throw std::bad_alloc();
+    return reinterpret_cast<T*>(data);
+  }
+  void deallocate(T* data, size_t count) {
+    FreePages(reinterpret_cast<std::byte*>(data), count * sizeof(T));
+  }
+  bool operator==(const PageAllocator&) const { return true; }
+};
+
+template <typename T>
+using PageVector = std::vector<T, PageAllocator<T>>;
+using CandidateBuffer = PageVector<Vertex>;
+
+/// A candidate list: [begin, end) of a worker-owned buffer. Offsets, not
+/// pointers, because the buffer may still grow while the list is recorded.
+struct ListRef {
+  const CandidateBuffer* buffer = nullptr;
+  size_t begin = 0;
+  size_t end = 0;
+
+  std::span<const Vertex> view() const {
+    return {buffer->data() + begin, end - begin};
+  }
+};
+
+/// One hop of the current batch. Neighbouring hops are written by
+/// different workers, hence the cache-line alignment.
+struct alignas(64) BatchHop {
+  // Search output: Lout candidates (reverse BFS) and Lin candidates
+  // (forward BFS), each starting with the hop itself.
+  ListRef rev;
+  ListRef fwd;
+  // Cleanup output: the entries that survive, appended to the labels.
+  ListRef out;
+  ListRef in;
+  // Batch positions k < j (j = this hop) whose forward list holds this hop
+  // (they may make Lout entries redundant) and whose reverse list holds it
+  // (Lin entries).
+  std::vector<uint32_t> out_witnesses;
+  std::vector<uint32_t> in_witnesses;
+};
+
+/// Scratch owned by one ParallelChunks participant, padded so that two
+/// workers never write the same cache line (vector headers included).
+struct alignas(64) HopWorker {
+  PageVector<uint32_t> mark;  // Epoch marks over all n vertices.
+  uint32_t epoch = 0;
+  CandidateBuffer found;  // Search output; each list is its BFS queue.
+  CandidateBuffer kept;   // Cleanup output of lists that lost entries.
+  // (later batch position, searching batch position) of every batch hop a
+  // search admitted, per direction.
+  std::vector<std::pair<uint32_t, uint32_t>> fwd_hits;
+  std::vector<std::pair<uint32_t, uint32_t>> rev_hits;
+
+  uint32_t NextEpoch(size_t n) {
+    if (mark.empty()) mark.assign(n, 0);
+    if (++epoch == 0) {  // Wrapped: stale marks could alias. Start over.
+      std::fill(mark.begin(), mark.end(), 0);
+      epoch = 1;
+    }
+    return epoch;
+  }
+};
+
+/// Pruned BFS from `hop` (reverse: Lout candidates, forward: Lin
+/// candidates) against the labels as they stood when the batch began.
+/// A vertex is pruned, and not expanded, when the labels already certify
+/// it reaches `hop` (reverse) or is reached from it (forward) through an
+/// earlier batch's hop (Algorithm 2, Lines 4 and 10). The hop itself is
+/// admitted unpruned: in a DAG its own Lout and Lin cannot intersect.
+ListRef SearchHop(const Digraph& g, const LabelStore& labels, Vertex hop,
+                  bool forward, HopWorker* worker) {
+  CandidateBuffer& found = worker->found;
+  PageVector<uint32_t>& mark = worker->mark;
+  const uint32_t epoch = worker->NextEpoch(g.num_vertices());
+  const std::span<const uint32_t> hop_side =
+      forward ? labels.Out(hop) : labels.In(hop);
+  const size_t begin = found.size();
+  mark[hop] = epoch;
+  found.push_back(hop);
+  for (size_t head = begin; head < found.size(); ++head) {
+    const Vertex v = found[head];
+    for (const Vertex u : forward ? g.OutNeighbors(v) : g.InNeighbors(v)) {
+      if (mark[u] == epoch) continue;
+      mark[u] = epoch;
+      if (SortedIntersects(forward ? labels.In(u) : labels.Out(u), hop_side)) {
+        continue;
+      }
+      found.push_back(u);
+    }
+  }
+  return {&found, begin, found.size()};
+}
+
+/// `list` minus every vertex of the `witness_side` lists of `witnesses`.
+/// Returns `list` itself when nothing can be dropped.
+ListRef DropWitnessed(const std::vector<BatchHop>& batch, ListRef list,
+                      const std::vector<uint32_t>& witnesses,
+                      ListRef BatchHop::*witness_side, size_t n,
+                      HopWorker* worker) {
+  if (witnesses.empty()) return list;
+  const uint32_t epoch = worker->NextEpoch(n);
+  for (const uint32_t k : witnesses) {
+    for (const Vertex v : (batch[k].*witness_side).view()) {
+      worker->mark[v] = epoch;
+    }
+  }
+  CandidateBuffer& kept = worker->kept;
+  const size_t begin = kept.size();
+  for (const Vertex v : list.view()) {
+    if (worker->mark[v] != epoch) kept.push_back(v);
+  }
+  return {&kept, begin, kept.size()};
+}
+
+}  // namespace
 
 std::string DistributionOrderName(DistributionOrder order) {
   switch (order) {
@@ -72,37 +219,93 @@ void DistributeLabels(const Digraph& g, const std::vector<Vertex>& order,
                       const std::vector<uint32_t>& key_of,
                       LabelStore* labeling, int threads) {
   const size_t n = g.num_vertices();
-  std::vector<uint32_t> mark(n, 0);
-  uint32_t epoch = 0;
-  LevelBfsScratch scratch;
+  const int resolved = threads > 0 ? threads : DefaultBuildThreads();
+  std::vector<HopWorker> workers(
+      std::min<size_t>(static_cast<size_t>(resolved), kMaxHopBatch));
+  std::vector<BatchHop> batch(std::min(order.size(), kMaxHopBatch));
+  std::vector<uint32_t> batch_pos(n, kNotInBatch);
 
-  // The outer hop loop is inherently sequential (each hop's pruning depends
-  // on all earlier hops' labels); parallelism lives inside each traversal,
-  // where the level-synchronous BFS evaluates the pruning intersections of
-  // one frontier concurrently and merges deterministically (level_bfs.h).
-  for (const Vertex hop : order) {
-    const uint32_t key = key_of[hop];
-    // --- Reverse BFS: add `hop` to Lout of TC^-1(hop) \ TC^-1(X). ---
-    // A visited u is pruned when Lout(u) already intersects Lin(hop): some
-    // higher-order hop certifies u -> hop, so u (and everything above it)
-    // is already covered (Algorithm 2, Lines 4-5). The source is admitted
-    // unpruned: in a DAG Lout(hop) and Lin(hop) cannot intersect yet (that
-    // would certify a cycle through a higher-order hop).
-    ++epoch;
-    RunPrunedLevelBfs(
-        g, hop, /*forward=*/false, threads, &mark, epoch,
-        [&](Vertex u, uint32_t) {
-          return SortedIntersects(labeling->Out(u), labeling->In(hop));
-        },
-        [&](Vertex u, uint32_t) { labeling->InsertOut(u, key); }, &scratch);
-    // --- Forward BFS: add `hop` to Lin of TC(hop) \ TC(Y). ---
-    ++epoch;
-    RunPrunedLevelBfs(
-        g, hop, /*forward=*/true, threads, &mark, epoch,
-        [&](Vertex w, uint32_t) {
-          return SortedIntersects(labeling->In(w), labeling->Out(hop));
-        },
-        [&](Vertex w, uint32_t) { labeling->InsertIn(w, key); }, &scratch);
+  // Algorithm 2's hop loop, a batch of consecutive hops at a time. Each
+  // batch runs three phases:
+  //   1. Search (parallel): every hop's pruned BFS runs against the labels
+  //      as they stood when the batch began, so hops of one batch do not
+  //      prune each other and their lists may hold redundant entries.
+  //   2. Cleanup (parallel, read-only on the search output): drop Lout
+  //      entry (hop j, u) iff an earlier hop k of the batch has hop j in
+  //      its forward list and u in its reverse list; Lin entries
+  //      symmetrically.
+  //   3. Append (sequential): the kept entries, in batch order.
+  // Why this is exact: the sequential loop computes the canonical labeling,
+  // where h is in Lout(u) iff u reaches h and no earlier hop w has
+  // u -> w -> h (Lin symmetrically). Search candidates are the pairs no
+  // earlier *batch* covers. If candidate (hop j, u) is redundant, let k be
+  // the earliest hop on any u -> j path: it lies in the batch, and no
+  // pre-batch hop lies on u -> k or k -> j, so u is in k's reverse list and
+  // j in k's forward list, and the cleanup drops the entry. Every witness
+  // the cleanup uses is a real path u -> k -> j through an earlier hop.
+  // So the kept entries are the sequential labeling byte for byte, for any
+  // batch schedule and thread count.
+  size_t size = 1;
+  for (size_t start = 0; start < order.size();
+       start += size, size = std::min(2 * size, kMaxHopBatch)) {
+    const size_t count = std::min(size, order.size() - start);
+    for (size_t j = 0; j < count; ++j) {
+      batch_pos[order[start + j]] = static_cast<uint32_t>(j);
+    }
+
+    ParallelChunks(0, count, 1, resolved, [&](const ChunkInfo& chunk) {
+      HopWorker& worker = workers[chunk.worker];
+      const uint32_t j = static_cast<uint32_t>(chunk.begin);
+      const Vertex hop = order[start + j];
+      BatchHop& slot = batch[j];
+      slot.rev = SearchHop(g, *labeling, hop, /*forward=*/false, &worker);
+      slot.fwd = SearchHop(g, *labeling, hop, /*forward=*/true, &worker);
+      auto record_later_hops = [&](ListRef list, auto* hits) {
+        for (const Vertex v : list.view()) {
+          if (batch_pos[v] != kNotInBatch && batch_pos[v] > j) {
+            hits->emplace_back(batch_pos[v], j);
+          }
+        }
+      };
+      record_later_hops(slot.rev, &worker.rev_hits);
+      record_later_hops(slot.fwd, &worker.fwd_hits);
+    });
+
+    for (size_t j = 0; j < count; ++j) {
+      batch[j].out_witnesses.clear();
+      batch[j].in_witnesses.clear();
+    }
+    for (HopWorker& worker : workers) {
+      for (const auto& [j, k] : worker.fwd_hits) {
+        batch[j].out_witnesses.push_back(k);
+      }
+      for (const auto& [j, k] : worker.rev_hits) {
+        batch[j].in_witnesses.push_back(k);
+      }
+      worker.fwd_hits.clear();
+      worker.rev_hits.clear();
+    }
+
+    ParallelChunks(0, count, 1, resolved, [&](const ChunkInfo& chunk) {
+      HopWorker& worker = workers[chunk.worker];
+      BatchHop& slot = batch[chunk.begin];
+      slot.out = DropWitnessed(batch, slot.rev, slot.out_witnesses,
+                               &BatchHop::rev, n, &worker);
+      slot.in = DropWitnessed(batch, slot.fwd, slot.in_witnesses,
+                              &BatchHop::fwd, n, &worker);
+    });
+
+    for (size_t j = 0; j < count; ++j) {
+      const Vertex hop = order[start + j];
+      const uint32_t key = key_of[hop];
+      for (const Vertex u : batch[j].out.view()) labeling->InsertOut(u, key);
+      for (const Vertex w : batch[j].in.view()) labeling->InsertIn(w, key);
+      batch_pos[hop] = kNotInBatch;
+    }
+    for (HopWorker& worker : workers) {
+      worker.found.clear();
+      worker.kept.clear();
+    }
   }
 }
 
@@ -111,6 +314,7 @@ Status DistributionLabelingOracle::BuildIndex(const Digraph& dag) {
     return Status::InvalidArgument("DistributionLabeling requires a DAG");
   }
   Timer timer;
+  Timer phase;
   const size_t n = dag.num_vertices();
   std::vector<Vertex> members(n);
   for (Vertex v = 0; v < n; ++v) members[v] = v;
@@ -120,11 +324,16 @@ Status DistributionLabelingOracle::BuildIndex(const Digraph& dag) {
   // naturally ascending, and label vectors stay sorted with O(1) inserts.
   std::vector<uint32_t> key_of(n, 0);
   for (uint32_t i = 0; i < order_.size(); ++i) key_of[order_[i]] = i;
+  build_stats_.order_millis = phase.ElapsedMillis();
 
+  phase.Reset();
   labeling_.Init(n);
   DistributeLabels(dag, order_, key_of, &labeling_, build_threads());
+  build_stats_.label_millis = phase.ElapsedMillis();
   // Construction is done mutating: compact to the flat query layout.
+  phase.Reset();
   labeling_.Seal();
+  build_stats_.seal_millis = phase.ElapsedMillis();
 
   if (budget_.max_seconds > 0 && timer.ElapsedSeconds() > budget_.max_seconds) {
     return Status::ResourceExhausted("DL construction exceeded time budget");

@@ -48,9 +48,12 @@ struct DistributionOptions {
 /// insertion. Traversals never leave the `order` vertex set, because `g` is
 /// required to have edges only among those vertices.
 ///
-/// `threads` bounds the workers of the per-hop level-synchronous BFS
-/// (graph/level_bfs.h); the produced labeling is byte-identical for every
-/// thread count.
+/// `threads` bounds the workers that search a batch of consecutive hops
+/// concurrently (against the labels of earlier batches) and then drop the
+/// entries an earlier hop of the same batch covers. The result is the
+/// sequential loop's canonical labeling, byte-identical for every thread
+/// count (see the .cc for the argument). `threads` <= 0 means
+/// DefaultBuildThreads().
 void DistributeLabels(const Digraph& g, const std::vector<Vertex>& order,
                       const std::vector<uint32_t>& key_of,
                       LabelStore* labeling, int threads = 1);

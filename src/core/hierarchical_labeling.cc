@@ -111,10 +111,13 @@ bool CoreDiameterWithin(const Digraph& core,
 
 Status HierarchicalLabelingOracle::BuildIndex(const Digraph& dag) {
   Timer timer;
+  Timer phase;
   const int threads = build_threads();
   auto hierarchy = Hierarchy::Build(dag, options_.hierarchy);
   if (!hierarchy.ok()) return hierarchy.status();
   hierarchy_ = std::make_unique<Hierarchy>(std::move(hierarchy.value()));
+  build_stats_.order_millis = phase.ElapsedMillis();
+  phase.Reset();
 
   const size_t n = dag.num_vertices();
   const int eps = hierarchy_->epsilon();
@@ -220,11 +223,14 @@ Status HierarchicalLabelingOracle::BuildIndex(const Digraph& dag) {
         });
   }
 
+  build_stats_.label_millis = phase.ElapsedMillis();
   if (budget_.max_index_integers > 0 &&
       labeling_.TotalEntries() > budget_.max_index_integers) {
     return Status::ResourceExhausted("HL index exceeded size budget");
   }
+  phase.Reset();
   labeling_.Seal();
+  build_stats_.seal_millis = phase.ElapsedMillis();
   return Status::OK();
 }
 

@@ -10,9 +10,10 @@ Status ReachabilityOracle::Build(const Digraph& dag,
                                  const BuildOptions& options) {
   build_threads_ =
       options.threads > 0 ? options.threads : DefaultBuildThreads();
+  // Reset before BuildIndex, which records its phase timers here.
+  build_stats_ = BuildStats();
   Timer timer;
   const Status status = BuildIndex(dag);
-  build_stats_ = BuildStats();
   build_stats_.build_millis = timer.ElapsedMillis();
   build_stats_.threads = build_threads_;
   build_stats_.ok = status.ok();

@@ -70,6 +70,12 @@ struct BuildStats {
   uint64_t index_integers = 0;  // Valid only after an OK build.
   uint64_t index_bytes = 0;     // Valid only after an OK build.
   int threads = 0;              // Resolved worker count used by the build.
+  /// Construction phases of DL and HL (zero for other methods and after a
+  /// snapshot load): vertex ordering (HL: building the hierarchy), label
+  /// construction, and Seal() into the query layout.
+  double order_millis = 0;
+  double label_millis = 0;
+  double seal_millis = 0;
   bool ok = false;
   bool budget_exceeded = false;  // Build returned ResourceExhausted.
   std::string failure_reason;    // Status message when !ok, else empty.

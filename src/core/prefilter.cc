@@ -134,6 +134,11 @@ void PrefilterOracle::ResetCounters() {
 }
 
 void PrefilterOracle::AnnotateBuildStats(BuildStats& stats) const {
+  // The wrapped oracle's phases are the build's phases.
+  const BuildStats& inner = inner_->build_stats();
+  stats.order_millis = inner.order_millis;
+  stats.label_millis = inner.label_millis;
+  stats.seal_millis = inner.seal_millis;
   stats.prefilter_active = true;
   stats.prefilter = counters();
 }

@@ -1,6 +1,7 @@
 // Level-synchronous pruned BFS with a deterministic merge and
-// direction-optimizing expansion — the fork-join traversal pattern used by
-// the hop-distribution loops of Distribution Labeling and Pruned Landmark.
+// direction-optimizing expansion — the fork-join traversal of Pruned
+// Landmark's landmark loop. (Distribution Labeling parallelizes across hops
+// instead: core/distribution_labeling.cc.)
 //
 // A classic pruned BFS interleaves three effects while scanning its queue:
 // it *marks* newly discovered vertices, *prunes* the ones the current labels
@@ -37,16 +38,15 @@
 //   * Within a depth, admission ORDER depends on the direction: top-down
 //     admits in classic discovery order, bottom-up in ascending vertex id
 //     (chunks merge in chunk order). Call sites must therefore make
-//     admission payloads within-depth order-invariant. Both users qualify:
-//     an admission appends one level-invariant value (DL: the hop key; PL:
-//     (key, depth)) to the admitted vertex's *own* label, so label bytes
-//     cannot see the order in which same-depth vertices were admitted.
+//     admission payloads within-depth order-invariant. PL qualifies: an
+//     admission appends one level-invariant (key, depth) entry to the
+//     admitted vertex's *own* label, so label bytes cannot see the order
+//     in which same-depth vertices were admitted.
 //
 // The prune predicate may run concurrently and must be read-only with
-// respect to same-depth admissions for *other* vertices (both call sites
-// qualify: DL's prune reads Lout(u)/Lin(hop), PL's reads Lout(hop)/Lin(u);
-// an admission at the same depth only touches the admitted vertex's own
-// label).
+// respect to same-depth admissions for *other* vertices (PL qualifies: its
+// prune reads Lout(hop)/Lin(u), and an admission at the same depth only
+// touches the admitted vertex's own label).
 
 #ifndef REACH_GRAPH_LEVEL_BFS_H_
 #define REACH_GRAPH_LEVEL_BFS_H_

@@ -17,27 +17,41 @@
 
 namespace reach {
 
+std::byte* AllocatePages(size_t bytes) {
+#if REACH_HAS_MMAP
+  // Fresh anonymous pages rather than the malloc heap, whatever its
+  // dynamic mmap threshold: they are faulted in only as they are written
+  // and go back to the kernel on FreePages. A heap region can land past
+  // freed-but-resident memory (Seal's build vectors) and raise peak RSS by
+  // its whole size.
+  void* addr = ::mmap(nullptr, bytes, PROT_READ | PROT_WRITE,
+                      MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+  return addr == MAP_FAILED ? nullptr : static_cast<std::byte*>(addr);
+#else
+  // The alignment mapped_blob.h promises; aligned_alloc requires the size
+  // to be a multiple of it.
+  constexpr size_t kAlignment = 64;
+  const size_t padded = (bytes + kAlignment - 1) / kAlignment * kAlignment;
+  return static_cast<std::byte*>(std::aligned_alloc(kAlignment, padded));
+#endif
+}
+
+void FreePages(std::byte* data, size_t bytes) {
+  if (data == nullptr) return;
+#if REACH_HAS_MMAP
+  ::munmap(data, bytes);
+#else
+  (void)bytes;
+  std::free(data);
+#endif
+}
+
 StatusOr<std::shared_ptr<const MappedBlob>> MappedBlob::CreateOwned(
     size_t size, const std::function<Status(std::span<std::byte>)>& fill,
     std::string path) {
   std::byte* data = nullptr;
   if (size > 0) {
-#if REACH_HAS_MMAP
-    // Fresh anonymous pages rather than the malloc heap, whatever its
-    // dynamic mmap threshold: they are faulted in only as `fill` writes
-    // them and go back to the kernel when the blob dies. A heap blob can
-    // land past freed-but-resident memory (Seal's build vectors) and raise
-    // peak RSS by its whole size.
-    void* addr = ::mmap(nullptr, size, PROT_READ | PROT_WRITE,
-                        MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
-    if (addr != MAP_FAILED) data = static_cast<std::byte*>(addr);
-#else
-    // The alignment mapped_blob.h promises; aligned_alloc requires the
-    // size to be a multiple of it.
-    constexpr size_t kAlignment = 64;
-    const size_t padded = (size + kAlignment - 1) / kAlignment * kAlignment;
-    data = static_cast<std::byte*>(std::aligned_alloc(kAlignment, padded));
-#endif
+    data = AllocatePages(size);
     if (data == nullptr) {
       return Status::ResourceExhausted("cannot allocate " +
                                        std::to_string(size) + " bytes for " +
@@ -144,13 +158,9 @@ StatusOr<std::shared_ptr<const MappedBlob>> MappedBlob::OpenOwned(
 bool MappedBlob::PlatformSupportsMmap() { return REACH_HAS_MMAP != 0; }
 
 MappedBlob::~MappedBlob() {
-  if (data_ == nullptr) return;
-#if REACH_HAS_MMAP
-  // File mappings and owned regions alike (see CreateOwned).
-  ::munmap(const_cast<std::byte*>(data_), size_);
-#else
-  std::free(const_cast<std::byte*>(data_));
-#endif
+  // File mappings and owned regions alike: without mmap there are no file
+  // mappings, and with it both are unmapped.
+  FreePages(const_cast<std::byte*>(data_), size_);
 }
 
 }  // namespace reach

@@ -40,6 +40,17 @@
 
 namespace reach {
 
+/// `bytes` of fresh anonymous pages (mmap where the platform has it, else
+/// a 64-byte-aligned heap allocation), or nullptr when the allocation
+/// fails. Mapped pages bypass the malloc heap, so FreePages returns them to
+/// the kernel instead of leaving them resident in a heap or a per-thread
+/// arena.
+std::byte* AllocatePages(size_t bytes);
+
+/// Releases a region from AllocatePages (`bytes` as allocated). Null is a
+/// no-op.
+void FreePages(std::byte* data, size_t bytes);
+
 /// One read-only byte region tied to a file; see header comment for the
 /// ownership and alignment contract.
 class MappedBlob {

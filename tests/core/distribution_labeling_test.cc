@@ -170,5 +170,18 @@ TEST(DistributionLabelingTest, OrderNamesAreStable) {
       "reverse_degree_product");
 }
 
+// BuildStats splits the build into ordering, labeling and sealing; the
+// three phases are disjoint slices of the build wall time.
+TEST(DistributionLabelingTest, BuildStatsRecordsPhaseTimers) {
+  DistributionLabelingOracle oracle;
+  ASSERT_TRUE(oracle.Build(RandomDag(2000, 8000, 48)).ok());
+  const BuildStats& stats = oracle.build_stats();
+  EXPECT_GT(stats.label_millis, 0);
+  EXPECT_GT(stats.seal_millis, 0);
+  EXPECT_GE(stats.order_millis, 0);
+  EXPECT_LE(stats.order_millis + stats.label_millis + stats.seal_millis,
+            stats.build_millis);
+}
+
 }  // namespace
 }  // namespace reach

@@ -7,6 +7,7 @@
 #include "server/server.h"
 
 #include <atomic>
+#include <chrono>
 #include <cstdio>
 #include <fstream>
 #include <memory>
@@ -352,7 +353,7 @@ TEST(ReachServerTest, ReloadUnderConcurrentBatchLoad) {
   ASSERT_TRUE(reach_server.Start(graph, options).ok());
 
   constexpr int kClients = 2;
-  constexpr int kRounds = 20;
+  constexpr int kMinRounds = 20;
   constexpr size_t kQueriesEach = 300;
   std::vector<std::vector<std::pair<Vertex, Vertex>>> queries(kClients);
   std::vector<std::vector<std::string>> expected(kClients);
@@ -361,18 +362,29 @@ TEST(ReachServerTest, ReloadUnderConcurrentBatchLoad) {
         MakeExpected(reach_server, kQueriesEach, 200, 4000 + c);
   }
 
+  // Clients keep streaming rounds until they have run kMinRounds AND a
+  // RELOAD has answered OK, so the overlap does not depend on how the
+  // threads get scheduled. The deadline only bounds a broken server.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(60);
   std::atomic<bool> queries_done{false};
   std::atomic<int> reloads_ok{0};
   std::atomic<int> reloads_bad{0};
   std::vector<int> ok(kClients, 0);
+  std::vector<uint64_t> rounds(kClients, 0);
   std::vector<std::thread> threads;
   for (int c = 0; c < kClients; ++c) {
     threads.emplace_back([&, c] {
       Client client;
       if (!client.Connect("127.0.0.1", reach_server.port()).ok()) return;
-      for (int round = 0; round < kRounds; ++round) {
+      while (rounds[c] < kMinRounds || reloads_ok.load() == 0) {
+        if (reloads_bad.load() != 0 ||
+            std::chrono::steady_clock::now() > deadline) {
+          return;
+        }
         const auto answers = client.Batch(queries[c]);
         if (!answers.ok() || *answers != expected[c]) return;
+        ++rounds[c];
       }
       ok[c] = 1;
     });
@@ -397,8 +409,12 @@ TEST(ReachServerTest, ReloadUnderConcurrentBatchLoad) {
   queries_done.store(true);
   reloader.join();
 
+  uint64_t total_rounds = 0;
   for (int c = 0; c < kClients; ++c) {
-    EXPECT_TRUE(ok[c]) << "client " << c << " saw a wrong or failed batch";
+    EXPECT_TRUE(ok[c]) << "client " << c
+                       << " saw a wrong or failed batch, or no RELOAD "
+                          "succeeded before the deadline";
+    total_rounds += rounds[c];
   }
   EXPECT_GE(reloads_ok.load(), 1);
   EXPECT_EQ(reloads_bad.load(), 0);
@@ -406,7 +422,7 @@ TEST(ReachServerTest, ReloadUnderConcurrentBatchLoad) {
             static_cast<uint64_t>(reloads_ok.load()));
   EXPECT_EQ(reach_server.stats().malformed.load(), 0u);
   EXPECT_EQ(reach_server.stats().queries.load(),
-            uint64_t{kClients} * kRounds * kQueriesEach);
+            total_rounds * kQueriesEach);
   reach_server.Stop();
 }
 

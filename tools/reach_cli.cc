@@ -156,6 +156,10 @@ int main(int argc, char** argv) {
                  static_cast<unsigned long long>(build_stats.index_bytes),
                  build_stats.build_millis, build_timer.ElapsedMillis(),
                  build_stats.threads, build_stats.threads == 1 ? "" : "s");
+    std::fprintf(stderr,
+                 "phases: order %.1f ms, label %.1f ms, seal %.1f ms\n",
+                 build_stats.order_millis, build_stats.label_millis,
+                 build_stats.seal_millis);
   }
 
   auto answer = [&](Vertex u, Vertex v) {

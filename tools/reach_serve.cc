@@ -218,6 +218,11 @@ int main(int argc, char** argv) {
                  static_cast<unsigned long long>(build.index_integers),
                  build.build_millis, build.threads,
                  build.threads == 1 ? "" : "s");
+    std::fprintf(stderr,
+                 "event=index_built threads=%d order_ms=%.1f label_ms=%.1f "
+                 "seal_ms=%.1f build_ms=%.1f\n",
+                 build.threads, build.order_millis, build.label_millis,
+                 build.seal_millis, build.build_millis);
     if (!options.save_index_path.empty()) {
       std::fprintf(stderr, "index snapshot saved to %s\n",
                    options.save_index_path.c_str());
