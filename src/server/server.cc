@@ -382,9 +382,15 @@ Status ReachServer::ReloadFromSnapshot(const std::string& path) {
   if (!next.ok()) return next.status();
   // Atomic publish: new queries acquire the new index; in-flight queries
   // finish on the old one, which dies with its last reference — and with
-  // it the old mapping, which MappedBlob unmaps only then.
+  // it the old mapping, which MappedBlob unmaps only then. An old index
+  // served from a mapping (the live one's load_mmap) that no query holds
+  // is unmapped before any query can touch the new mapping.
+  const bool old_mapped =
+      stats_.load_mmap.load(std::memory_order_relaxed) != 0;
   index_slot_.Publish(
-      std::make_shared<const ReachabilityIndex>(std::move(*next)));
+      std::make_shared<const ReachabilityIndex>(std::move(*next)),
+      old_mapped ? IndexSlot::Retire::kBeforeReaders
+                 : IndexSlot::Retire::kAfterUnlock);
   RecordPublish("reloaded " + path, load_timer.ElapsedMillis(), mapped);
   return Status::OK();
 }

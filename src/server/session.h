@@ -63,14 +63,29 @@ class IndexSlot {
     return index_;
   }
 
-  /// Installs `next` as the live index. The previous index is released
-  /// outside the lock so a destructor freeing a multi-GB label store never
-  /// blocks readers.
-  void Publish(std::shared_ptr<const ReachabilityIndex> next) EXCLUDES(mu_) {
+  /// Where Publish() destroys the index it replaces when no reader still
+  /// holds it. A reader that does hold it drops the last reference itself
+  /// when its query or frame ends, before it acquires `next`.
+  enum class Retire {
+    /// After the lock drops, so a destructor freeing a multi-GB heap label
+    /// store never blocks readers.
+    kAfterUnlock,
+    /// Under the lock, before any reader can acquire `next`. Meant for a
+    /// file-mapped index, whose unmapping is cheap: otherwise readers
+    /// fault in `next`'s pages (whole large page-cache folios at a time)
+    /// while the old mapping is still resident, and the peak RSS of a hot
+    /// swap depends on thread timing.
+    kBeforeReaders,
+  };
+
+  /// Installs `next` as the live index.
+  void Publish(std::shared_ptr<const ReachabilityIndex> next,
+               Retire retire = Retire::kAfterUnlock) EXCLUDES(mu_) {
     std::shared_ptr<const ReachabilityIndex> old;
     {
       MutexLock lock(mu_);
       old = std::exchange(index_, std::move(next));
+      if (retire == Retire::kBeforeReaders) old.reset();
     }
   }
 

@@ -179,15 +179,21 @@ TEST(ParseQueryLineTest, StrictPairGrammar) {
 
 class SessionTest : public ::testing::Test {
  protected:
-  void SetUp() override {
-    // 0 -> 1 -> 2 -> 3, plus isolated 4.
+  /// A DL index over 0 -> 1 -> 2 -> 3, plus isolated 4.
+  static std::shared_ptr<const ReachabilityIndex> MakeIndex() {
     Digraph graph = Digraph::FromEdges(
         5, {{0, 1}, {1, 2}, {2, 3}});
     auto index = ReachabilityIndex::Build(
         graph, std::make_unique<DistributionLabelingOracle>());
-    ASSERT_TRUE(index.ok());
-    slot_.Publish(
-        std::make_shared<const ReachabilityIndex>(std::move(*index)));
+    if (!index.ok()) {
+      ADD_FAILURE() << index.status().ToString();
+      return nullptr;
+    }
+    return std::make_shared<const ReachabilityIndex>(std::move(*index));
+  }
+
+  void SetUp() override {
+    slot_.Publish(MakeIndex());
     context_.index = &slot_;
     context_.method = "DL";
     context_.graph_vertices = 5;
@@ -381,6 +387,27 @@ TEST_F(SessionTest, StatsBlockHasTheContractedKeys) {
         "index_integers ", "index_bytes ", "threads ", "connections 0",
         "queries 2", "batches 1", "reloads 0", "saves 0", "malformed 0"}) {
     EXPECT_NE(response.find(key), std::string::npos) << key;
+  }
+}
+
+TEST_F(SessionTest, PublishRetiresAnIndexOnlyAfterItsLastReader) {
+  Session session(&context_);
+  for (const IndexSlot::Retire retire :
+       {IndexSlot::Retire::kAfterUnlock, IndexSlot::Retire::kBeforeReaders}) {
+    // A reader's reference keeps the replaced index alive...
+    std::shared_ptr<const ReachabilityIndex> held = slot_.Acquire();
+    const std::weak_ptr<const ReachabilityIndex> watched = held;
+    slot_.Publish(MakeIndex(), retire);
+    EXPECT_NE(slot_.Acquire(), held);
+    EXPECT_FALSE(watched.expired());
+    held.reset();
+    EXPECT_TRUE(watched.expired());
+
+    // ...and an index no reader holds is gone when Publish returns.
+    const std::weak_ptr<const ReachabilityIndex> unheld = slot_.Acquire();
+    slot_.Publish(MakeIndex(), retire);
+    EXPECT_TRUE(unheld.expired());
+    EXPECT_EQ(Run(&session, "Q 0 3\nQ 3 0\n"), "1\n0\n");
   }
 }
 
