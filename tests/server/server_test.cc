@@ -478,7 +478,7 @@ TEST(ReachServerTest, MmapLoadedServerServesAndSurvivesReloadRace) {
   }
 
   constexpr int kClients = 2;
-  constexpr int kRounds = 15;
+  constexpr int kMinRounds = 15;
   constexpr size_t kQueriesEach = 300;
   std::vector<std::vector<std::pair<Vertex, Vertex>>> queries(kClients);
   std::vector<std::vector<std::string>> expected(kClients);
@@ -486,6 +486,11 @@ TEST(ReachServerTest, MmapLoadedServerServesAndSurvivesReloadRace) {
     std::tie(queries[c], expected[c]) =
         MakeExpected(reach_server, kQueriesEach, 200, 8000 + c);
   }
+  // As in ReloadUnderConcurrentBatchLoad: clients stream until they have
+  // run kMinRounds AND a RELOAD has answered OK, so the race does not
+  // depend on thread scheduling. The deadline only bounds a broken server.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(60);
   std::atomic<bool> queries_done{false};
   std::atomic<int> reloads_ok{0};
   std::atomic<int> reloads_bad{0};
@@ -495,7 +500,12 @@ TEST(ReachServerTest, MmapLoadedServerServesAndSurvivesReloadRace) {
     threads.emplace_back([&, c] {
       Client client;
       if (!client.Connect("127.0.0.1", reach_server.port()).ok()) return;
-      for (int round = 0; round < kRounds; ++round) {
+      for (int round = 0; round < kMinRounds || reloads_ok.load() == 0;
+           ++round) {
+        if (reloads_bad.load() != 0 ||
+            std::chrono::steady_clock::now() > deadline) {
+          return;
+        }
         const auto answers = client.Batch(queries[c]);
         if (!answers.ok() || *answers != expected[c]) return;
       }
@@ -525,7 +535,9 @@ TEST(ReachServerTest, MmapLoadedServerServesAndSurvivesReloadRace) {
   reloader.join();
 
   for (int c = 0; c < kClients; ++c) {
-    EXPECT_TRUE(ok[c]) << "client " << c << " saw a wrong or failed batch";
+    EXPECT_TRUE(ok[c]) << "client " << c
+                       << " saw a wrong or failed batch, or no RELOAD "
+                          "succeeded before the deadline";
   }
   EXPECT_GE(reloads_ok.load(), 1);
   EXPECT_EQ(reloads_bad.load(), 0);
