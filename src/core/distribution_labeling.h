@@ -44,13 +44,16 @@ struct DistributionOptions {
 /// core-graph labeler: runs Algorithm 2 on `g` over exactly the vertices in
 /// `order` (processed front to back), writing hop keys `key_of[v]` into
 /// `labeling` (which must be Init'ed and empty for all touched vertices).
-/// Keys must be injective over `order`; labels stay sorted via ordered
-/// insertion. Traversals never leave the `order` vertex set, because `g` is
-/// required to have edges only among those vertices.
+/// Keys must be injective over `order`; each row is kept sorted by
+/// SortedInsert, which appends in O(1) when keys arrive ascending (order
+/// positions). Traversals never leave the `order` vertex set, because `g`
+/// is required to have edges only among those vertices.
 ///
 /// `threads` bounds the workers that search a batch of consecutive hops
-/// concurrently (against the labels of earlier batches) and then drop the
-/// entries an earlier hop of the same batch covers. The result is the
+/// concurrently (against the labels of earlier batches), drop the entries
+/// an earlier hop of the same batch covers, and append the rest: one task
+/// per row partition (one per worker; rows are dealt round-robin in blocks)
+/// appends its own rows' entries in batch order. The result is the
 /// sequential loop's canonical labeling, byte-identical for every thread
 /// count (see the .cc for the argument). `threads` <= 0 means
 /// DefaultBuildThreads().

@@ -90,18 +90,8 @@ class LabelStore {
     return &build_in_[v];
   }
 
-  /// Appends a key that is known to be greater than every key already in
-  /// the label (Distribution Labeling's append pattern).
-  void AppendOut(Vertex v, uint32_t key) {
-    assert(!sealed_);
-    build_out_[v].push_back(key);
-  }
-  void AppendIn(Vertex v, uint32_t key) {
-    assert(!sealed_);
-    build_in_[v].push_back(key);
-  }
-
-  /// Inserts a key keeping the label sorted (used with vertex-id keys).
+  /// Inserts a key keeping the label sorted; a key above the row's back is
+  /// an O(1) append (SortedInsert).
   void InsertOut(Vertex v, uint32_t key) {
     assert(!sealed_);
     SortedInsert(&build_out_[v], key);

@@ -6,6 +6,7 @@
 #include <fstream>
 #include <istream>
 #include <memory>
+#include <new>
 #include <ostream>
 #include <string>
 #include <string_view>
@@ -159,9 +160,12 @@ Status ParseEdgeListLine(std::string_view line, size_t line_no, uint64_t* u,
                               ": trailing '" + std::string(extra) +
                               "' after 'u v' in '" + std::string(line) + "'");
   }
-  if (*u > UINT32_MAX || *v > UINT32_MAX) {
-    return Status::InvalidArgument("vertex id exceeds uint32 at line " +
-                                   std::to_string(line_no));
+  // Ids run below UINT32_MAX, so the vertex count (largest id + 1) fits
+  // the uint32 Vertex type.
+  if (*u >= UINT32_MAX || *v >= UINT32_MAX) {
+    return Status::InvalidArgument(
+        "vertex id " + std::to_string(std::max(*u, *v)) +
+        " leaves no uint32 vertex count at line " + std::to_string(line_no));
   }
   return Status::OK();
 }
@@ -185,6 +189,13 @@ Status ForEachEdge(std::istream& in, const OnEdge& on_edge) {
   return lines.status();
 }
 
+/// The status of an edge list whose vertex count (largest id + 1) is too
+/// large to allocate a CSR for.
+Status CsrTooLarge(const std::string& source, size_t n) {
+  return Status::ResourceExhausted(source + " implies " + std::to_string(n) +
+                                   " vertices: cannot allocate its CSR");
+}
+
 /// The two-pass edge-list reader behind ReadEdgeListFile; `in` must be
 /// seekable, and `path` names it in errors.
 StatusOr<Digraph> ReadEdgeListTwoPass(std::istream& in,
@@ -197,22 +208,30 @@ StatusOr<Digraph> ReadEdgeListTwoPass(std::istream& in,
   // are then canonicalized (sorted, deduped, self-loops dropped) in place,
   // so the result is byte-identical to ReadEdgeList on the same bytes.
   std::vector<uint64_t> degree;  // degree[u+1] = raw out-degree of u.
+  std::vector<uint64_t> offsets;
+  std::vector<Vertex> heads;
   size_t n = 0;
   uint64_t raw_edges = 0;
-  REACH_RETURN_IF_ERROR(ForEachEdge(in, [&](uint64_t u, uint64_t v) {
-    // A self-loop line still grows the vertex space (GraphBuilder
-    // semantics) but contributes no edge.
-    n = std::max(n, static_cast<size_t>(std::max(u, v)) + 1);
-    if (u == v) return Status::OK();
-    if (degree.size() < u + 2) degree.resize(u + 2, 0);
-    ++degree[u + 1];
-    ++raw_edges;
-    return Status::OK();
-  }));
-  degree.resize(n + 1, 0);
-  for (size_t v = 0; v < n; ++v) degree[v + 1] += degree[v];
-  std::vector<uint64_t> offsets = degree;  // Prefix sums = row starts.
-  std::vector<Vertex> heads(raw_edges);
+  // The vertex count comes from the largest id, so one line can imply a
+  // CSR far larger than the file: a failed sizing is reported, not thrown.
+  try {
+    REACH_RETURN_IF_ERROR(ForEachEdge(in, [&](uint64_t u, uint64_t v) {
+      // A self-loop line still grows the vertex space (GraphBuilder
+      // semantics) but contributes no edge.
+      n = std::max(n, static_cast<size_t>(std::max(u, v)) + 1);
+      if (u == v) return Status::OK();
+      if (degree.size() < u + 2) degree.resize(u + 2, 0);
+      ++degree[u + 1];
+      ++raw_edges;
+      return Status::OK();
+    }));
+    degree.resize(n + 1, 0);
+    for (size_t v = 0; v < n; ++v) degree[v + 1] += degree[v];
+    offsets = degree;  // Prefix sums = row starts.
+    heads.resize(raw_edges);
+  } catch (const std::bad_alloc&) {
+    return CsrTooLarge(path, n);
+  }
 
   in.clear();
   in.seekg(0);
@@ -273,7 +292,12 @@ StatusOr<Digraph> ReadEdgeList(std::istream& in) {
     builder.AddEdge(static_cast<Vertex>(u), static_cast<Vertex>(v));
     return Status::OK();
   }));
-  return builder.Build();
+  const size_t n = builder.num_vertices();
+  try {
+    return builder.Build();
+  } catch (const std::bad_alloc&) {
+    return CsrTooLarge("edge list", n);
+  }
 }
 
 StatusOr<Digraph> ReadEdgeListFile(const std::string& path) {

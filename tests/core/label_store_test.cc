@@ -80,9 +80,10 @@ TEST(LabelStoreTest, InsertKeepsSorted) {
 
 TEST(LabelStoreTest, AppendPattern) {
   LabelStore l(2);
-  l.AppendOut(0, 1);
-  l.AppendOut(0, 5);
-  l.AppendIn(1, 5);
+  l.InsertOut(0, 1);
+  l.InsertOut(0, 5);
+  l.InsertIn(1, 5);
+  EXPECT_EQ(ToVec(l.Out(0)), (std::vector<uint32_t>{1, 5}));
   EXPECT_TRUE(l.Query(0, 1));
 }
 
@@ -480,7 +481,7 @@ TEST(LabelStoreValidateTest, RejectsBuildPhaseKeyValues) {
   EXPECT_TRUE(status.IsCorruption());
   EXPECT_NE(status.message().find("Lin row 1"), std::string::npos);
   LabelStore out_of_range = SampleStore();
-  out_of_range.AppendOut(1, 3);
+  out_of_range.InsertOut(1, 3);
   EXPECT_TRUE(out_of_range.Validate().IsCorruption());
 }
 

@@ -553,6 +553,20 @@ TEST(GraphIoTest, ScannerCountsLinesPastTheFirstChunk) {
       << big.status().ToString();
 }
 
+// An id of UINT32_MAX implies 2^32 vertices, one more than Vertex can
+// count. Both readers used to size a 2^32-row CSR from it and abort on
+// std::bad_alloc; the line is now rejected before anything is sized.
+TEST(GraphIoTest, EdgeListRejectsIdWithNoRoomForTheVertexCount) {
+  for (const char* line : {"4294967295 0\n", "0 4294967295\n"}) {
+    auto g = ReadBothWays(line, "max_id");
+    ASSERT_FALSE(g.ok()) << line;
+    EXPECT_TRUE(g.status().IsInvalidArgument()) << g.status().ToString();
+    EXPECT_NE(g.status().message().find("vertex id 4294967295"),
+              std::string::npos)
+        << g.status().ToString();
+  }
+}
+
 // Differential round trip: generated graphs written as edge lists read back
 // byte-identical through both readers.
 TEST(GraphIoTest, EdgeListRoundTripIsByteIdenticalOnBothReaders) {
