@@ -220,22 +220,10 @@ void RunTable(const ExperimentSpec& spec, const BenchConfig& config,
           spec.metric == Metric::kQueryNanos
               ? (999999 / workload.queries.size()) + 1
               : 1;
-      // Grouped specs sort a copy outside the timed window: the measured
-      // delta is then purely the cache effect of same-source adjacency,
-      // not the sort itself (a server amortizes that sort per frame).
-      std::vector<Query> grouped;
-      const std::vector<Query>* run_queries = &workload.queries;
-      if (spec.group_queries_by_source) {
-        grouped = workload.queries;
-        std::stable_sort(
-            grouped.begin(), grouped.end(),
-            [](const Query& a, const Query& b) { return a.from < b.from; });
-        run_queries = &grouped;
-      }
       Timer query_timer;
       size_t hits = 0;
       for (size_t pass = 0; pass < passes; ++pass) {
-        for (const Query& q : *run_queries) {
+        for (const Query& q : workload.queries) {
           hits += oracle->Reachable(q.from, q.to);
         }
       }
@@ -925,22 +913,6 @@ const std::vector<ExperimentSpec>& ExperimentRegistry() {
     query_quick.dataset_subset = {"arxiv", "human", "p2p"};
     query_quick.default_methods = {"DL", "HL", "TF", "PL"};
     specs.push_back(query_quick);
-
-    // The same cell with the workload stable-sorted by source vertex
-    // before the timed loop — the in-process analogue of the server's
-    // source-grouped BATCH execution. Compare against query_quick to see
-    // what same-source adjacency is worth per method.
-    ExperimentSpec query_grouped;
-    query_grouped = query_quick;
-    query_grouped.id = "query_grouped_quick";
-    query_grouped.title =
-        "Query: ns/query, workload grouped by source vertex";
-    query_grouped.shape_note =
-        "consecutive same-source queries reuse the cached Lout(u) span and "
-        "its adaptive-dispatch branch history; the win concentrates in "
-        "label-scan methods (DL/HL) and grows with label size";
-    query_grouped.group_queries_by_source = true;
-    specs.push_back(query_grouped);
 
     // Beyond the paper: the O'Reach-style O(1) pre-filter tier
     // (core/prefilter.h) across negative-heavy / mixed / positive-heavy

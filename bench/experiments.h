@@ -106,11 +106,6 @@ struct ExperimentSpec {
   // Non-empty: default method columns when --methods is not given
   // (otherwise the paper columns).
   std::vector<std::string> default_methods;
-  // True: stable-sort the workload by source vertex before the timed loop —
-  // the in-process analogue of the server's source-grouped BATCH execution
-  // (consecutive same-source queries keep Lout(u) hot). query_grouped_quick
-  // pairs with query_quick to put a number on the effect.
-  bool group_queries_by_source = false;
 };
 
 /// All experiments, in paper order: table1..table7, fig3, fig4, then the

@@ -89,6 +89,9 @@ grep -q '^method DL$' "$workdir/client.out" || fail "STATS missing method"
 # only as malformed, never as both.
 grep -q '^queries 6$' "$workdir/client.out" || fail "STATS missing queries"
 grep -q '^malformed 1$' "$workdir/client.out" || fail "STATS missing malformed"
+# The ERR is a range error, not a parse error: malformed is split by kind.
+grep -q '^err_range 1$' "$workdir/client.out" || fail "STATS missing err_range"
+grep -q '^err_parse 0$' "$workdir/client.out" || fail "STATS missing err_parse"
 grep -q '^batches 1$' "$workdir/client.out" || fail "STATS missing batches"
 # Without --prefilter the tier is off and no pf_ counters are exported.
 grep -q '^prefilter 0$' "$workdir/client.out" \

@@ -6,7 +6,9 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
+#include <charconv>
 #include <cstring>
 
 namespace reach {
@@ -66,8 +68,8 @@ Status Client::SendRaw(std::string_view bytes) {
 StatusOr<std::string> Client::ReadLine() {
   if (fd_ < 0) return Status::InvalidArgument("client not connected");
   while (true) {
-    std::optional<std::string> line = lines_.NextLine();
-    if (line.has_value()) return *line;
+    const std::optional<std::string_view> line = lines_.NextLine();
+    if (line.has_value()) return std::string(*line);
     if (lines_.overflowed()) {
       return Status::Corruption("server response line too long");
     }
@@ -93,13 +95,23 @@ StatusOr<std::string> Client::Query(Vertex u, Vertex v) {
 StatusOr<std::vector<std::string>> Client::Batch(
     const std::vector<std::pair<Vertex, Vertex>>& queries) {
   if (fd_ < 0) return Status::InvalidArgument("client not connected");
-  std::string request = "BATCH " + std::to_string(queries.size()) + "\n";
+  // Encode the whole frame into one buffer sized for the longest ids: a
+  // header of at most 6 + 20 + 1 bytes, then at most 10 + 1 + 10 + 1 bytes
+  // per pair.
+  constexpr size_t kHeaderBytes = 27;
+  constexpr size_t kPairBytes = 22;
+  std::string request(kHeaderBytes + kPairBytes * queries.size(), '\0');
+  char* const end = request.data() + request.size();
+  char* p = std::copy_n("BATCH ", 6, request.data());
+  p = std::to_chars(p, end, queries.size()).ptr;
+  *p++ = '\n';
   for (const auto& [u, v] : queries) {
-    request += std::to_string(u);
-    request += ' ';
-    request += std::to_string(v);
-    request += '\n';
+    p = std::to_chars(p, end, u).ptr;
+    *p++ = ' ';
+    p = std::to_chars(p, end, v).ptr;
+    *p++ = '\n';
   }
+  request.resize(static_cast<size_t>(p - request.data()));
   std::vector<std::string> answers;
   answers.reserve(queries.size());
 
@@ -124,9 +136,9 @@ StatusOr<std::vector<std::string>> Client::Batch(
       if (n > 0) {
         lines_.Append(std::string_view(buffer, static_cast<size_t>(n)));
         while (answers.size() < queries.size()) {
-          std::optional<std::string> line = lines_.NextLine();
+          const std::optional<std::string_view> line = lines_.NextLine();
           if (!line.has_value()) break;
-          answers.push_back(std::move(*line));
+          answers.emplace_back(*line);
         }
         if (lines_.overflowed()) {
           return Status::Corruption("server response line too long");

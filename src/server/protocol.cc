@@ -1,6 +1,8 @@
 #include "server/protocol.h"
 
+#include <charconv>
 #include <limits>
+#include <system_error>
 
 #include "util/strict_parse.h"
 
@@ -10,6 +12,11 @@ namespace server {
 namespace {
 
 bool IsBlank(char c) { return c == ' ' || c == '\t'; }
+
+const char* SkipBlanks(const char* p, const char* end) {
+  while (p != end && IsBlank(*p)) ++p;
+  return p;
+}
 
 /// Splits `line` into blank-separated tokens; returns false when there are
 /// more than `max_tokens` (the caller rejects trailing garbage explicitly,
@@ -49,10 +56,15 @@ bool ParseVertexToken(std::string_view token, Vertex* out) {
 }
 
 bool ParseQueryLine(std::string_view line, Vertex* u, Vertex* v) {
-  std::string_view tokens[2];
-  size_t count = 0;
-  if (!Tokenize(line, tokens, 2, &count) || count != 2) return false;
-  return ParseVertexToken(tokens[0], u) && ParseVertexToken(tokens[1], v);
+  // blank* digits blank+ digits blank*. std::from_chars into Vertex takes
+  // no sign, blank or base prefix and rejects ids above the Vertex range
+  // (2^64 overflow included). It also consumes every digit, so the second
+  // call can only succeed after at least one blank.
+  const char* const end = line.data() + line.size();
+  const auto first = std::from_chars(SkipBlanks(line.data(), end), end, *u);
+  if (first.ec != std::errc()) return false;
+  const auto second = std::from_chars(SkipBlanks(first.ptr, end), end, *v);
+  return second.ec == std::errc() && SkipBlanks(second.ptr, end) == end;
 }
 
 Command ParseCommandLine(std::string_view line,
@@ -113,7 +125,7 @@ Command ParseCommandLine(std::string_view line,
                    "SHUTDOWN");
 }
 
-std::optional<std::string> LineBuffer::NextLine() {
+std::optional<std::string_view> LineBuffer::NextLine() {
   if (overflowed_) return std::nullopt;
   const size_t newline = buffer_.find('\n', consumed_);
   if (newline == std::string::npos) {
@@ -132,7 +144,7 @@ std::optional<std::string> LineBuffer::NextLine() {
   }
   size_t end = newline;
   if (end > consumed_ && buffer_[end - 1] == '\r') --end;
-  std::string line = buffer_.substr(consumed_, end - consumed_);
+  const std::string_view line(buffer_.data() + consumed_, end - consumed_);
   consumed_ = newline + 1;
   return line;
 }

@@ -65,9 +65,11 @@ struct Command {
 /// Parses one complete request line (terminator already stripped).
 Command ParseCommandLine(std::string_view line, const ProtocolLimits& limits);
 
-/// Parses a "u v" batch body line. Returns false on any deviation from two
-/// strict decimal tokens separated by blanks (the caller answers ERR for
-/// that slot but keeps the batch frame aligned).
+/// Parses a "u v" batch body line in one pass: blanks, a strict decimal
+/// vertex id, at least one blank, a second id, blanks. Returns false on any
+/// deviation, including an id above the Vertex range (the caller answers
+/// ERR for that slot but keeps the batch frame aligned). Accepts exactly
+/// the lines that two ParseVertexToken tokens would.
 bool ParseQueryLine(std::string_view line, Vertex* u, Vertex* v);
 
 /// Parses one vertex-id token under the wire grammar: strict decimal
@@ -77,7 +79,8 @@ bool ParseVertexToken(std::string_view token, Vertex* out);
 
 /// Incremental LF splitter with a line-length cap, shared by the server
 /// session and the client. Append raw bytes as they arrive; NextLine()
-/// hands back complete lines (CR/LF stripped) in order.
+/// hands back complete lines (CR/LF stripped) in order, as views into the
+/// buffer rather than copies.
 class LineBuffer {
  public:
   explicit LineBuffer(size_t max_line_bytes)
@@ -85,10 +88,12 @@ class LineBuffer {
 
   void Append(std::string_view bytes) { buffer_.append(bytes); }
 
-  /// Next complete line, or nullopt when none is buffered. Once a partial
-  /// line exceeds the cap, overflowed() latches true and no further lines
-  /// are produced — the stream's framing can no longer be trusted.
-  std::optional<std::string> NextLine();
+  /// Next complete line, or nullopt when none is buffered. The view points
+  /// into the buffer and stays valid until the next Append() or NextLine()
+  /// call. Once a partial line exceeds the cap, overflowed() latches true
+  /// and no further lines are produced — the stream's framing can no
+  /// longer be trusted.
+  std::optional<std::string_view> NextLine();
 
   bool overflowed() const { return overflowed_; }
 

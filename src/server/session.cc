@@ -1,6 +1,5 @@
 #include "server/session.h"
 
-#include <algorithm>
 #include <cstdio>
 
 #include "core/prefilter.h"
@@ -23,14 +22,14 @@ Session::State Session::Feed(std::string_view bytes, std::string* out) {
   if (state_ != State::kOpen) return state_;
   lines_.Append(bytes);
   while (state_ == State::kOpen) {
-    std::optional<std::string> line = lines_.NextLine();
+    const std::optional<std::string_view> line = lines_.NextLine();
     if (!line.has_value()) break;
     HandleLine(*line, out);
   }
   if (state_ == State::kOpen && lines_.overflowed()) {
     // Framing is lost: no newline within the cap. Tell the client why,
     // then drop the connection (continuing would misparse the stream).
-    context_->stats->malformed.fetch_add(1, std::memory_order_relaxed);
+    CountErrors(context_->stats->err_line_overflow, 1);
     *out += "ERR line exceeds " +
             std::to_string(context_->limits.max_line_bytes) +
             " bytes; closing\n";
@@ -41,19 +40,24 @@ Session::State Session::Feed(std::string_view bytes, std::string* out) {
 
 void Session::HandleLine(std::string_view line, std::string* out) {
   if (batch_remaining_ > 0) {
-    HandleBatchLine(line, out);
+    // Inside a BATCH frame every line is a query slot, parsed now and
+    // executed when the frame is complete: the index is acquired once per
+    // frame, never held across recv() calls.
+    Slot& slot = slots_.emplace_back();
+    slot.parsed = ParseQueryLine(line, &slot.u, &slot.v);
+    if (--batch_remaining_ == 0) ExecuteSlots(out);
     return;
   }
 
   const Command command = ParseCommandLine(line, context_->limits);
   switch (command.type) {
     case CommandType::kQuery:
-      AnswerQuery(command.u, command.v, out);
+      slots_.push_back({command.u, command.v, true});
+      ExecuteSlots(out);
       return;
     case CommandType::kBatch:
       context_->stats->batches.fetch_add(1, std::memory_order_relaxed);
       batch_remaining_ = command.batch_count;
-      batch_slots_.clear();
       return;
     case CommandType::kStats:
       AppendStats(out);
@@ -72,56 +76,34 @@ void Session::HandleLine(std::string_view line, std::string* out) {
       state_ = State::kShutdownRequested;
       return;
     case CommandType::kMalformed:
-      context_->stats->malformed.fetch_add(1, std::memory_order_relaxed);
+      CountErrors(context_->stats->err_parse, 1);
       *out += "ERR " + command.error + "\n";
       return;
   }
 }
 
-void Session::HandleBatchLine(std::string_view line, std::string* out) {
-  // Inside a BATCH frame every line is a query slot; malformed or
-  // out-of-range slots answer ERR in place so the response stays n lines
-  // for n queries. Slots are buffered and executed together when the frame
-  // completes (FlushBatch), which lets execution group them by source.
-  --batch_remaining_;
-  BatchSlot slot;
-  if (!ParseQueryLine(line, &slot.u, &slot.v)) {
-    context_->stats->malformed.fetch_add(1, std::memory_order_relaxed);
-    slot.kind = BatchSlot::Kind::kParseError;
-  } else if (slot.u >= context_->graph_vertices ||
-             slot.v >= context_->graph_vertices) {
-    context_->stats->malformed.fetch_add(1, std::memory_order_relaxed);
-    slot.kind = BatchSlot::Kind::kRangeError;
-  }
-  batch_slots_.push_back(slot);
-  if (batch_remaining_ == 0) FlushBatch(out);
-}
-
-void Session::FlushBatch(std::string* out) {
-  // Execute the frame's valid slots grouped by source vertex: consecutive
-  // queries from the same u walk the same sealed Lout(u) span, so its cache
-  // lines (and the label-size-driven branch pattern inside the adaptive
-  // intersection) stay hot instead of being evicted between repeats. The
-  // stable sort keeps same-source slots in arrival order, and answers are
-  // emitted by arrival slot regardless of execution order.
-  batch_order_.clear();
-  for (uint32_t i = 0; i < batch_slots_.size(); ++i) {
-    if (batch_slots_[i].kind == BatchSlot::Kind::kQuery) {
-      batch_order_.push_back(i);
-    }
-  }
-  std::stable_sort(batch_order_.begin(), batch_order_.end(),
-                   [this](uint32_t a, uint32_t b) {
-                     return batch_slots_[a].u < batch_slots_[b].u;
-                   });
+void Session::ExecuteSlots(std::string* out) {
   // One pinned index reference for the whole frame (not per slot): a RELOAD
   // published mid-frame takes effect on the next frame, and every slot of
-  // one frame is answered against one coherent index.
+  // one frame is answered against one coherent index. Slots run in arrival
+  // order; grouping them by source vertex was measured to buy nothing.
   const std::shared_ptr<const ReachabilityIndex> index =
       context_->index->Acquire();
-  batch_answers_.assign(batch_slots_.size(), '0');
-  for (const uint32_t i : batch_order_) {
-    const BatchSlot& slot = batch_slots_[i];
+  const size_t vertices = context_->graph_vertices;
+  uint64_t answered = 0;
+  uint64_t parse_errors = 0;
+  uint64_t range_errors = 0;
+  for (const Slot& slot : slots_) {
+    if (!slot.parsed) {
+      ++parse_errors;
+      *out += "ERR batch line: expected 'u v'\n";
+      continue;
+    }
+    if (slot.u >= vertices || slot.v >= vertices) {
+      ++range_errors;
+      *out += "ERR vertex out of range\n";
+      continue;
+    }
     bool reachable;
     if (context_->query_mutex != nullptr) {
       MutexLock lock(*context_->query_mutex);
@@ -129,53 +111,19 @@ void Session::FlushBatch(std::string* out) {
     } else {
       reachable = index->Reachable(slot.u, slot.v);
     }
-    context_->stats->queries.fetch_add(1, std::memory_order_relaxed);
-    batch_answers_[i] = reachable ? '1' : '0';
+    ++answered;
+    out->append(reachable ? "1\n" : "0\n", 2);
   }
-  for (uint32_t i = 0; i < batch_slots_.size(); ++i) {
-    switch (batch_slots_[i].kind) {
-      case BatchSlot::Kind::kQuery:
-        *out += batch_answers_[i];
-        *out += '\n';
-        break;
-      case BatchSlot::Kind::kParseError:
-        *out += "ERR batch line: expected 'u v'\n";
-        break;
-      case BatchSlot::Kind::kRangeError:
-        *out += "ERR vertex out of range\n";
-        break;
-    }
-  }
-  batch_slots_.clear();
-}
-
-void Session::AnswerQuery(Vertex u, Vertex v, std::string* out) {
-  if (u >= context_->graph_vertices || v >= context_->graph_vertices) {
-    // A reject is counted under `malformed` only; `queries` counts answered
-    // queries, so the two stay disjoint (one request line, one counter).
-    context_->stats->malformed.fetch_add(1, std::memory_order_relaxed);
-    *out += "ERR vertex out of range\n";
-    return;
-  }
-  // The local reference pins the index for exactly this query: a RELOAD
-  // published between two queries retires the old index only after the
-  // last in-flight reference (like this one) drops.
-  const std::shared_ptr<const ReachabilityIndex> index =
-      context_->index->Acquire();
-  bool reachable;
-  if (context_->query_mutex != nullptr) {
-    MutexLock lock(*context_->query_mutex);
-    reachable = index->Reachable(u, v);
-  } else {
-    reachable = index->Reachable(u, v);
-  }
-  context_->stats->queries.fetch_add(1, std::memory_order_relaxed);
-  *out += reachable ? "1\n" : "0\n";
+  slots_.clear();
+  ServerStats& stats = *context_->stats;
+  stats.queries.fetch_add(answered, std::memory_order_relaxed);
+  if (parse_errors > 0) CountErrors(stats.err_parse, parse_errors);
+  if (range_errors > 0) CountErrors(stats.err_range, range_errors);
 }
 
 void Session::HandleReload(const std::string& path, std::string* out) {
   if (context_->reload == nullptr) {
-    context_->stats->malformed.fetch_add(1, std::memory_order_relaxed);
+    CountErrors(context_->stats->err_reload, 1);
     *out += "ERR RELOAD is not available on this server\n";
     return;
   }
@@ -183,7 +131,7 @@ void Session::HandleReload(const std::string& path, std::string* out) {
   if (!status.ok()) {
     // A failed reload leaves the live index untouched (the hook's
     // contract); the client learns why and the connection stays usable.
-    context_->stats->malformed.fetch_add(1, std::memory_order_relaxed);
+    CountErrors(context_->stats->err_reload, 1);
     *out += "ERR " + status.message() + "\n";
     return;
   }
@@ -193,18 +141,23 @@ void Session::HandleReload(const std::string& path, std::string* out) {
 
 void Session::HandleSave(const std::string& path, std::string* out) {
   if (context_->save == nullptr) {
-    context_->stats->malformed.fetch_add(1, std::memory_order_relaxed);
+    CountErrors(context_->stats->err_save, 1);
     *out += "ERR SAVE is not available on this server\n";
     return;
   }
   const Status status = context_->save(path);
   if (!status.ok()) {
-    context_->stats->malformed.fetch_add(1, std::memory_order_relaxed);
+    CountErrors(context_->stats->err_save, 1);
     *out += "ERR " + status.message() + "\n";
     return;
   }
   context_->stats->saves.fetch_add(1, std::memory_order_relaxed);
   *out += "OK\n";
+}
+
+void Session::CountErrors(std::atomic<uint64_t>& kind, uint64_t n) const {
+  kind.fetch_add(n, std::memory_order_relaxed);
+  context_->stats->malformed.fetch_add(n, std::memory_order_relaxed);
 }
 
 void Session::AppendStats(std::string* out) const {
@@ -271,6 +224,16 @@ void Session::AppendStats(std::string* out) const {
                  stats.saves.load(std::memory_order_relaxed));
   AppendKeyValue(out, "malformed",
                  stats.malformed.load(std::memory_order_relaxed));
+  AppendKeyValue(out, "err_parse",
+                 stats.err_parse.load(std::memory_order_relaxed));
+  AppendKeyValue(out, "err_range",
+                 stats.err_range.load(std::memory_order_relaxed));
+  AppendKeyValue(out, "err_line_overflow",
+                 stats.err_line_overflow.load(std::memory_order_relaxed));
+  AppendKeyValue(out, "err_reload",
+                 stats.err_reload.load(std::memory_order_relaxed));
+  AppendKeyValue(out, "err_save",
+                 stats.err_save.load(std::memory_order_relaxed));
   *out += "END\n";
 }
 

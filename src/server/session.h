@@ -28,13 +28,20 @@ namespace server {
 /// The counters are disjoint by contract: a request line bumps `queries`
 /// (it was answered "1"/"0") or `malformed` (it was answered "ERR"), never
 /// both — so `queries` always means "reachability answers served".
+/// `malformed` is the sum of the five err_* kinds; every ERR bumps exactly
+/// one kind and `malformed` together.
 struct ServerStats {
   std::atomic<uint64_t> connections{0};  // Accepted since start.
   std::atomic<uint64_t> queries{0};      // Answered queries ("1"/"0" sent).
   std::atomic<uint64_t> batches{0};      // BATCH frames started.
   std::atomic<uint64_t> reloads{0};      // Successful RELOAD index swaps.
   std::atomic<uint64_t> saves{0};        // Successful SAVE snapshots.
-  std::atomic<uint64_t> malformed{0};    // ERR responses sent.
+  std::atomic<uint64_t> malformed{0};    // ERR responses sent (all kinds).
+  std::atomic<uint64_t> err_parse{0};    // Unparseable command or slot.
+  std::atomic<uint64_t> err_range{0};    // Vertex id >= vertex count.
+  std::atomic<uint64_t> err_line_overflow{0};  // Over-cap line; closes.
+  std::atomic<uint64_t> err_reload{0};   // Refused RELOAD.
+  std::atomic<uint64_t> err_save{0};     // Refused SAVE.
   // Load diagnostics of the most recent index publish (Start's build or
   // load, then refreshed by every successful RELOAD). STATS exports them
   // as load_ms / rss_kb / mmap so a client can watch a hot swap's cost
@@ -125,6 +132,12 @@ struct SessionContext {
 
 /// One connection's protocol state. Not thread-safe: the server runs each
 /// session on exactly one worker at a time.
+///
+/// Every query runs through one slot executor (ExecuteSlots): a BATCH frame
+/// buffers its n parsed slots until the frame is complete, and `Q u v` is a
+/// frame of one slot. The executor acquires the live index once, answers
+/// the slots in arrival order straight into the response, and adds each
+/// counter (`queries`, err_parse, err_range) once per frame.
 class Session {
  public:
   enum class State {
@@ -144,35 +157,28 @@ class Session {
   State state() const { return state_; }
 
  private:
-  /// One buffered BATCH body line, classified at parse time. Rejected slots
-  /// keep their arrival position so the response stays n lines for n
-  /// queries; valid slots are executed grouped by source vertex.
-  struct BatchSlot {
-    enum class Kind : uint8_t {
-      kQuery,       // Valid pair; answer "1"/"0".
-      kParseError,  // Not "u v"; answer ERR in place.
-      kRangeError,  // Vertex id out of range; answer ERR in place.
-    };
+  /// One query slot of the pending frame. A slot that did not parse keeps
+  /// its arrival position and answers ERR in place, so the response stays
+  /// n lines for n queries; the range check runs in the executor.
+  struct Slot {
     Vertex u = 0;
     Vertex v = 0;
-    Kind kind = Kind::kQuery;
+    bool parsed = false;
   };
 
   void HandleLine(std::string_view line, std::string* out);
-  void HandleBatchLine(std::string_view line, std::string* out);
-  void FlushBatch(std::string* out);
-  void AnswerQuery(Vertex u, Vertex v, std::string* out);
+  void ExecuteSlots(std::string* out);
   void HandleReload(const std::string& path, std::string* out);
   void HandleSave(const std::string& path, std::string* out);
   void AppendStats(std::string* out) const;
+  /// Adds `n` ERR responses of one kind: to `kind` and to `malformed`.
+  void CountErrors(std::atomic<uint64_t>& kind, uint64_t n) const;
 
   const SessionContext* context_;
   LineBuffer lines_;
   State state_ = State::kOpen;
-  uint64_t batch_remaining_ = 0;       // Body lines still expected.
-  std::vector<BatchSlot> batch_slots_;  // Buffered frame, arrival order.
-  std::vector<uint32_t> batch_order_;  // Valid slot indices, source-grouped.
-  std::vector<char> batch_answers_;    // Per-slot '0'/'1', arrival-indexed.
+  uint64_t batch_remaining_ = 0;  // Body lines still expected.
+  std::vector<Slot> slots_;       // Pending frame, arrival order.
 };
 
 }  // namespace server

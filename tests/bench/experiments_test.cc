@@ -21,9 +21,8 @@ TEST(ExperimentRegistryTest, EveryPaperTablePresentExactlyOnce) {
   const char* expected[] = {"table1", "table2", "table3", "table4",
                             "table5", "table6", "table7", "fig3",
                             "fig4",   "serve_quick", "query_quick",
-                            "query_grouped_quick", "prefilter_quick",
-                            "load_quick"};
-  EXPECT_EQ(counts.size(), 14u);
+                            "prefilter_quick", "load_quick"};
+  EXPECT_EQ(counts.size(), 13u);
   for (const char* id : expected) {
     EXPECT_EQ(counts[id], 1) << id;
   }
@@ -34,7 +33,6 @@ TEST(ExperimentRegistryTest, IdsInPaperOrder) {
             (std::vector<std::string>{"table1", "table2", "table3", "table4",
                                       "table5", "table6", "table7", "fig3",
                                       "fig4", "serve_quick", "query_quick",
-                                      "query_grouped_quick",
                                       "prefilter_quick", "load_quick"}));
 }
 
@@ -86,8 +84,8 @@ TEST(ExperimentRegistryTest, SmallAndLargeTiersBothCovered) {
     if (spec.kind != ExperimentKind::kTable) continue;
     (spec.large ? large : small) += 1;
   }
-  // table2, table3, table4, fig3, query_quick, query_grouped_quick.
-  EXPECT_EQ(small, 6u);
+  // table2, table3, table4, fig3, query_quick.
+  EXPECT_EQ(small, 5u);
   EXPECT_EQ(large, 4u);  // table5, table6, table7, fig4.
 }
 
@@ -173,9 +171,6 @@ TEST(ExperimentRegistryTest, QueryQuickShape) {
   const std::vector<DatasetSpec> rows = DatasetsFor(*spec);
   ASSERT_EQ(rows.size(), 3u);
   EXPECT_FALSE(ExperimentCoversDataset(*spec, "nasa"));
-  // The ungrouped cell must really be ungrouped — the grouped variant is a
-  // separate id so the baseline JSON keeps both numbers.
-  EXPECT_FALSE(spec->group_queries_by_source);
 }
 
 TEST(ExperimentRegistryTest, PrefilterQuickShape) {
@@ -214,20 +209,6 @@ TEST(ExperimentRegistryTest, LoadQuickShape) {
   EXPECT_EQ(spec->default_methods, (std::vector<std::string>{"DL"}));
   // Builds on the 16M-vertex instance need more than the tier's 25 s.
   EXPECT_DOUBLE_EQ(DefaultConfigFor(*spec).build_time_budget_seconds, 120);
-}
-
-TEST(ExperimentRegistryTest, QueryGroupedQuickMirrorsQueryQuick) {
-  const auto grouped = FindExperiment("query_grouped_quick");
-  const auto plain = FindExperiment("query_quick");
-  ASSERT_TRUE(grouped.ok());
-  ASSERT_TRUE(plain.ok());
-  EXPECT_TRUE(grouped->group_queries_by_source);
-  // Same rows, columns, metric, and workload: the only variable between
-  // the two cells is the source-grouped execution order.
-  EXPECT_EQ(grouped->metric, plain->metric);
-  EXPECT_EQ(grouped->workload, plain->workload);
-  EXPECT_EQ(grouped->dataset_subset, plain->dataset_subset);
-  EXPECT_EQ(grouped->default_methods, plain->default_methods);
 }
 
 }  // namespace

@@ -6,7 +6,9 @@
 #include "server/protocol.h"
 
 #include <memory>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/distribution_labeling.h"
@@ -14,6 +16,7 @@
 #include "graph/digraph.h"
 #include "gtest/gtest.h"
 #include "server/session.h"
+#include "util/rng.h"
 
 namespace reach {
 namespace server {
@@ -44,12 +47,32 @@ TEST(LineBufferTest, ReassemblesArbitrarySplits) {
     std::vector<std::string> lines;
     for (size_t i = 0; i < stream.size(); i += chunk) {
       buffer.Append(stream.substr(i, chunk));
-      while (auto line = buffer.NextLine()) lines.push_back(*line);
+      while (auto line = buffer.NextLine()) lines.emplace_back(*line);
     }
     EXPECT_EQ(lines,
               (std::vector<std::string>{"Q 1 2", "BATCH 3", "0 1"}))
         << "chunk " << chunk;
   }
+}
+
+TEST(LineBufferTest, PartialLineSurvivesPrefixCompaction) {
+  // NextLine() erases the consumed prefix when no complete line is left;
+  // the partial line moves to the front of the buffer, and the view handed
+  // out once it completes must point at the moved bytes.
+  LineBuffer buffer(64);
+  buffer.Append("first\nsec");
+  const std::optional<std::string_view> first = buffer.NextLine();
+  ASSERT_TRUE(first.has_value());
+  EXPECT_EQ(*first, "first");
+  EXPECT_EQ(buffer.NextLine(), std::nullopt);  // Compacts "first\n" away.
+  EXPECT_EQ(buffer.pending_bytes(), 3u);
+  buffer.Append("ond\nthird\n");
+  const std::optional<std::string_view> second = buffer.NextLine();
+  ASSERT_TRUE(second.has_value());
+  EXPECT_EQ(*second, "second");
+  EXPECT_EQ(buffer.NextLine(), "third");
+  EXPECT_EQ(buffer.NextLine(), std::nullopt);
+  EXPECT_EQ(buffer.pending_bytes(), 0u);
 }
 
 TEST(LineBufferTest, StripsCarriageReturn) {
@@ -171,6 +194,104 @@ TEST(ParseQueryLineTest, StrictPairGrammar) {
   EXPECT_FALSE(ParseQueryLine("4 7 9", &u, &v));
   EXPECT_FALSE(ParseQueryLine("4 x", &u, &v));
   EXPECT_FALSE(ParseQueryLine("-4 7", &u, &v));
+  EXPECT_FALSE(ParseQueryLine("+4 7", &u, &v));
+  EXPECT_FALSE(ParseQueryLine("4\r 7", &u, &v));
+  EXPECT_FALSE(ParseQueryLine(std::string_view("4 7\0", 4), &u, &v));
+  // The Vertex range ends at 2^32 - 1; leading zeros do not count.
+  EXPECT_TRUE(ParseQueryLine("4294967295 0004294967295", &u, &v));
+  EXPECT_EQ(u, 4294967295u);
+  EXPECT_EQ(v, 4294967295u);
+  EXPECT_FALSE(ParseQueryLine("4294967296 0", &u, &v));
+  EXPECT_FALSE(ParseQueryLine("0 18446744073709551616", &u, &v));
+}
+
+// The two-pass pair grammar ParseQueryLine replaced: split on blanks, then
+// parse each token with ParseVertexToken. Kept here as the reference the
+// one-pass parser must agree with, verdict and values.
+bool ReferenceParseQueryLine(std::string_view line, Vertex* u, Vertex* v) {
+  const auto is_blank = [](char c) { return c == ' ' || c == '\t'; };
+  std::string_view tokens[2];
+  size_t count = 0;
+  size_t i = 0;
+  while (i < line.size()) {
+    while (i < line.size() && is_blank(line[i])) ++i;
+    if (i >= line.size()) break;
+    const size_t start = i;
+    while (i < line.size() && !is_blank(line[i])) ++i;
+    if (count == 2) return false;
+    tokens[count++] = line.substr(start, i - start);
+  }
+  return count == 2 && ParseVertexToken(tokens[0], u) &&
+         ParseVertexToken(tokens[1], v);
+}
+
+TEST(ParseQueryLineTest, AgreesWithTokenizeReferenceOnMutatedCorpus) {
+  // Seeded corpus: lines assembled from edge-case tokens and separators,
+  // then mutated byte by byte. Fixed seed, so every run checks the same
+  // lines.
+  const std::vector<std::string> ids = {"0",     "7",          "42",
+                                        "00042", "0000",       "4294967295",
+                                        "04294967295"};
+  const std::vector<std::string> bad_ids = {
+      "4294967296", "18446744073709551615", "18446744073709551616",
+      "99999999999999999999999", "+5", "-5", "-0", "+", "-", "1a", "0x1f",
+      std::string("3\0", 2), std::string("\0", 1), "", "x", "1.5"};
+  const std::vector<std::string> blanks = {"", " ", "\t", "  ", " \t \t",
+                                           "\t\t"};
+  const std::string alphabet("0123456789 \t+-x\r\0", 17);
+  Rng rng(20260417);
+  const auto pick = [&](const std::vector<std::string>& from) {
+    return from[rng.Uniform(from.size())];
+  };
+  // Mostly valid ids, so a good share of lines survives to be accepted.
+  const auto pick_token = [&] {
+    return pick(rng.Bernoulli(0.8) ? ids : bad_ids);
+  };
+  size_t accepted = 0;
+  size_t rejected = 0;
+  for (int i = 0; i < 40000; ++i) {
+    std::string line = pick(blanks) + pick_token();
+    // Mostly two ids; sometimes one or three.
+    const size_t extra_tokens = rng.Bernoulli(0.7) ? 1 : rng.Uniform(3);
+    for (size_t t = 0; t < extra_tokens; ++t) {
+      line += pick(blanks) + pick_token();
+    }
+    line += pick(blanks);
+    const size_t mutations = rng.Bernoulli(0.5) ? 0 : 1 + rng.Uniform(2);
+    for (size_t m = 0; m < mutations; ++m) {
+      const size_t at = rng.Uniform(line.size() + 1);
+      const char c = alphabet[rng.Uniform(alphabet.size())];
+      switch (rng.Uniform(3)) {
+        case 0:
+          line.insert(line.begin() + at, c);
+          break;
+        case 1:
+          if (at < line.size()) line.erase(at, 1);
+          break;
+        default:
+          if (at < line.size()) line[at] = c;
+          break;
+      }
+    }
+    Vertex u = 0;
+    Vertex v = 0;
+    Vertex ref_u = 0;
+    Vertex ref_v = 0;
+    const bool got = ParseQueryLine(line, &u, &v);
+    const bool want = ReferenceParseQueryLine(line, &ref_u, &ref_v);
+    ASSERT_EQ(got, want) << "line '" << line << "' (" << line.size()
+                         << " bytes)";
+    if (want) {
+      ASSERT_EQ(u, ref_u) << "line '" << line << "'";
+      ASSERT_EQ(v, ref_v) << "line '" << line << "'";
+      ++accepted;
+    } else {
+      ++rejected;
+    }
+  }
+  // Both verdicts must be well represented, or the corpus proves little.
+  EXPECT_GT(accepted, 4000u);
+  EXPECT_GT(rejected, 4000u);
 }
 
 // ---------------------------------------------------------------------------
@@ -211,6 +332,13 @@ class SessionTest : public ::testing::Test {
       if (session->state() != Session::State::kOpen) break;
     }
     return response;
+  }
+
+  /// err_parse, err_range, err_line_overflow, err_reload, err_save.
+  std::vector<uint64_t> ErrorKinds() const {
+    return {stats_.err_parse.load(), stats_.err_range.load(),
+            stats_.err_line_overflow.load(), stats_.err_reload.load(),
+            stats_.err_save.load()};
   }
 
   IndexSlot slot_;
@@ -310,12 +438,11 @@ TEST_F(SessionTest, ReloadAndSaveWithoutHooksAnswerErr) {
   EXPECT_EQ(stats_.saves.load(), 0u);
 }
 
-TEST_F(SessionTest, BatchAnswersStayInArrivalOrderUnderGrouping) {
-  // Execution groups the frame's slots by source vertex (FlushBatch), but
-  // the wire response must stay indexed by arrival slot. Sources arrive
-  // deliberately interleaved (3, 0, 3, 1, 0) so grouped execution order
-  // differs from arrival order, and answers alternate so any permutation
-  // of the emitted lines would be visible.
+TEST_F(SessionTest, BatchAnswersFollowArrivalOrder) {
+  // The executor answers a frame's slots in arrival order, and the wire
+  // response is indexed by arrival slot. Sources arrive interleaved
+  // (3, 0, 3, 1, 0) and answers alternate, so any reordering of execution
+  // or of the emitted lines would be visible.
   Session session(&context_);
   EXPECT_EQ(Run(&session, "BATCH 5\n3 0\n0 3\n3 2\n1 3\n0 4\n"),
             "0\n1\n0\n1\n0\n");
@@ -323,10 +450,91 @@ TEST_F(SessionTest, BatchAnswersStayInArrivalOrderUnderGrouping) {
   EXPECT_EQ(stats_.malformed.load(), 0u);
   // Frames buffer until complete: feeding a frame split anywhere still
   // produces the same bytes (covered broadly by ResponseIndependentOfRecvSplits,
-  // pinned here for the grouped path with errors in the mix).
+  // pinned here for a frame with errors in the mix).
   Session split_session(&context_);
   EXPECT_EQ(Run(&split_session, "BATCH 4\n2 3\nbogus\n2 0\n0 1\n", 3),
             "1\nERR batch line: expected 'u v'\n0\n1\n");
+}
+
+// One test per ERR kind: each asserts that only its own err_* counter
+// moves, and that `malformed` stays the sum of the kinds.
+
+TEST_F(SessionTest, ParseErrorsCountOnlyUnderErrParse) {
+  Session session(&context_);
+  EXPECT_EQ(Run(&session, "HELO\nQ 1\nBATCH 3\n1 2\nnot a pair\n1\n"),
+            "ERR unknown command 'HELO'; expected Q, BATCH, STATS, PING, "
+            "RELOAD, SAVE, or SHUTDOWN\n"
+            "ERR Q expects two decimal vertex ids: 'Q u v'\n"
+            "1\nERR batch line: expected 'u v'\n"
+            "ERR batch line: expected 'u v'\n");
+  EXPECT_EQ(ErrorKinds(), (std::vector<uint64_t>{4, 0, 0, 0, 0}));
+  EXPECT_EQ(stats_.malformed.load(), 4u);
+  EXPECT_EQ(stats_.queries.load(), 1u);
+}
+
+TEST_F(SessionTest, RangeErrorsCountOnlyUnderErrRange) {
+  Session session(&context_);
+  EXPECT_EQ(Run(&session, "Q 5 0\nBATCH 3\n0 5\n0 1\n99 99\n"),
+            "ERR vertex out of range\nERR vertex out of range\n1\n"
+            "ERR vertex out of range\n");
+  EXPECT_EQ(ErrorKinds(), (std::vector<uint64_t>{0, 3, 0, 0, 0}));
+  EXPECT_EQ(stats_.malformed.load(), 3u);
+  EXPECT_EQ(stats_.queries.load(), 1u);
+}
+
+TEST_F(SessionTest, LineOverflowCountsOnlyUnderErrLineOverflow) {
+  context_.limits.max_line_bytes = 16;
+  Session session(&context_);
+  std::string response;
+  EXPECT_EQ(session.Feed("Q 0 1\n" + std::string(64, 'x'), &response),
+            Session::State::kClosed);
+  EXPECT_EQ(response, "1\nERR line exceeds 16 bytes; closing\n");
+  EXPECT_EQ(ErrorKinds(), (std::vector<uint64_t>{0, 0, 1, 0, 0}));
+  EXPECT_EQ(stats_.malformed.load(), 1u);
+}
+
+TEST_F(SessionTest, RefusedReloadsCountOnlyUnderErrReload) {
+  Session session(&context_);
+  // No hook, then a hook that refuses: both are reload errors.
+  EXPECT_EQ(Run(&session, "RELOAD /a.snap\n"),
+            "ERR RELOAD is not available on this server\n");
+  context_.reload = [](const std::string&) {
+    return Status::Corruption("bad magic");
+  };
+  EXPECT_EQ(Run(&session, "RELOAD /b.snap\n"), "ERR bad magic\n");
+  EXPECT_EQ(ErrorKinds(), (std::vector<uint64_t>{0, 0, 0, 2, 0}));
+  EXPECT_EQ(stats_.malformed.load(), 2u);
+  EXPECT_EQ(stats_.reloads.load(), 0u);
+}
+
+TEST_F(SessionTest, RefusedSavesCountOnlyUnderErrSave) {
+  Session session(&context_);
+  EXPECT_EQ(Run(&session, "SAVE /a.snap\n"),
+            "ERR SAVE is not available on this server\n");
+  context_.save = [](const std::string&) {
+    return Status::IOError("disk full");
+  };
+  EXPECT_EQ(Run(&session, "SAVE /b.snap\n"), "ERR disk full\n");
+  EXPECT_EQ(ErrorKinds(), (std::vector<uint64_t>{0, 0, 0, 0, 2}));
+  EXPECT_EQ(stats_.malformed.load(), 2u);
+  EXPECT_EQ(stats_.saves.load(), 0u);
+}
+
+TEST_F(SessionTest, BatchCountersMoveWhenTheFrameCompletes) {
+  // Slots are parsed on arrival but executed, and counted, once the frame
+  // is complete.
+  Session session(&context_);
+  std::string response;
+  session.Feed("BATCH 3\n0 1\nbogus\n", &response);
+  EXPECT_EQ(response, "");
+  EXPECT_EQ(stats_.queries.load(), 0u);
+  EXPECT_EQ(stats_.malformed.load(), 0u);
+  session.Feed("0 9\n", &response);
+  EXPECT_EQ(response,
+            "1\nERR batch line: expected 'u v'\nERR vertex out of range\n");
+  EXPECT_EQ(stats_.queries.load(), 1u);
+  EXPECT_EQ(ErrorKinds(), (std::vector<uint64_t>{1, 1, 0, 0, 0}));
+  EXPECT_EQ(stats_.malformed.load(), 2u);
 }
 
 TEST_F(SessionTest, ZeroBatchIsLegal) {
@@ -385,7 +593,9 @@ TEST_F(SessionTest, StatsBlockHasTheContractedKeys) {
   for (const char* key :
        {"method DL", "vertices 5", "edges 3", "components 5", "build_ms ",
         "index_integers ", "index_bytes ", "threads ", "connections 0",
-        "queries 2", "batches 1", "reloads 0", "saves 0", "malformed 0"}) {
+        "queries 2", "batches 1", "reloads 0", "saves 0", "malformed 0",
+        "err_parse 0", "err_range 0", "err_line_overflow 0", "err_reload 0",
+        "err_save 0"}) {
     EXPECT_NE(response.find(key), std::string::npos) << key;
   }
 }
