@@ -56,7 +56,7 @@ bool NextToken(std::string_view* rest, std::string_view* token) {
 
 /// Pops the next whitespace-separated token off the front of `*rest` and
 /// parses it as a strict decimal: the same accept set as NextToken plus
-/// ParseDecimalUint64, in one pass over the bytes (the edge-list hot path).
+/// ParseDecimalUint64, in one pass over the bytes.
 bool NextNumber(std::string_view* rest, uint64_t* value) {
   size_t begin = 0;
   while (begin < rest->size() && IsSpace((*rest)[begin])) ++begin;
@@ -78,40 +78,56 @@ bool ParseSoleToken(std::string_view text, uint64_t* out) {
 
 /// Splits a stream into lines without a string per line: '\n' ends a line
 /// and is dropped, an unterminated last line still counts, and a final
-/// '\n' adds no empty line (the line-by-line istream semantics). A line is a view
-/// into the chunk, or into the carry buffer when it crosses a chunk
-/// boundary; the carry only ever holds one line.
+/// '\n' adds no empty line (the line-by-line istream semantics). Lines()
+/// hands out every whole line buffered in the chunk as one view, for a
+/// caller that parses them in place; Next() hands out one line at a time.
+/// A partial line at the chunk's end moves to the chunk front before the
+/// next read, so only a line longer than the chunk is copied, into a carry
+/// buffer that holds that one line.
 class LineScanner {
  public:
   explicit LineScanner(std::istream& in)
       : in_(in), chunk_(std::make_unique<char[]>(kScanChunkBytes)) {}
 
+  /// The whole lines buffered at the cursor, each with its '\n', reading
+  /// more input when none is buffered. Empty at end of input and when the
+  /// next line is longer than the chunk or unterminated; Next() returns
+  /// those. Valid until the scanner next moves.
+  std::string_view Lines() {
+    if (pos_ == lines_end_) Refill();
+    return std::string_view(chunk_.get() + pos_, lines_end_ - pos_);
+  }
+
+  /// Moves the cursor past the first `bytes` of Lines(), which hold
+  /// `count` lines.
+  void Skip(size_t bytes, size_t count) {
+    pos_ += bytes;
+    line_no_ += count;
+  }
+
   /// Advances to the next line; false at end of input. `*line` stays valid
-  /// until the next call.
+  /// until the scanner next moves.
   bool Next(std::string_view* line) {
     carry_.clear();
     for (;;) {
-      const char* const begin = chunk_.get() + pos_;
-      const size_t avail = end_ - pos_;
-      const char* const newline =
-          static_cast<const char*>(std::memchr(begin, '\n', avail));
-      if (newline != nullptr) {
-        const size_t len = static_cast<size_t>(newline - begin);
-        pos_ += len + 1;
-        ++line_no_;
+      const std::string_view lines = Lines();
+      if (!lines.empty()) {
+        const size_t len = lines.find('\n');
+        Skip(len + 1, 1);
         if (carry_.empty()) {
-          *line = std::string_view(begin, len);
+          *line = lines.substr(0, len);
         } else {
-          carry_.append(begin, len);
+          carry_.append(lines.data(), len);
           *line = carry_;
         }
         return true;
       }
-      carry_.append(begin, avail);
-      in_.read(chunk_.get(), static_cast<std::streamsize>(kScanChunkBytes));
-      pos_ = 0;
-      end_ = static_cast<size_t>(in_.gcount());
-      if (end_ == 0) {
+      // No whole line is buffered, so the chunk holds either a full-chunk
+      // piece of a longer line or the input's unterminated rest.
+      const bool piece = end_ == kScanChunkBytes;
+      carry_.append(chunk_.get(), end_);
+      end_ = 0;
+      if (!piece) {
         if (carry_.empty()) return false;
         ++line_no_;
         *line = carry_;
@@ -120,7 +136,8 @@ class LineScanner {
     }
   }
 
-  /// 1-based number of the line Next last returned.
+  /// 1-based number of the line Next last returned; after Skip, the number
+  /// of lines consumed.
   size_t line_no() const { return line_no_; }
 
   /// IOError if the stream failed underneath (rather than ending).
@@ -129,10 +146,33 @@ class LineScanner {
   }
 
  private:
+  /// Moves the partial line at the cursor to the chunk front, reads behind
+  /// it up to a full chunk, and ends the whole lines at the last '\n'. A
+  /// full chunk with no '\n' is left for Next() to carry.
+  void Refill() {
+    const size_t tail = end_ - pos_;
+    std::memmove(chunk_.get(), chunk_.get() + pos_, tail);
+    pos_ = 0;
+    end_ = tail;
+    lines_end_ = 0;
+    if (tail == kScanChunkBytes) return;
+    in_.read(chunk_.get() + tail,
+             static_cast<std::streamsize>(kScanChunkBytes - tail));
+    end_ += static_cast<size_t>(in_.gcount());
+    // The tail holds no '\n', so only the new bytes are searched.
+    for (size_t i = end_; i > tail; --i) {
+      if (chunk_[i - 1] == '\n') {
+        lines_end_ = i;
+        break;
+      }
+    }
+  }
+
   std::istream& in_;
   std::unique_ptr<char[]> chunk_;
-  size_t pos_ = 0;
-  size_t end_ = 0;
+  size_t pos_ = 0;        // Cursor.
+  size_t lines_end_ = 0;  // Just past the chunk's last '\n', or pos_.
+  size_t end_ = 0;        // End of the bytes read.
   size_t line_no_ = 0;
   std::string carry_;
 };
@@ -170,21 +210,83 @@ Status ParseEdgeListLine(std::string_view line, size_t line_no, uint64_t* u,
   return Status::OK();
 }
 
+// 19 decimal digits cannot overflow uint64.
+constexpr size_t kInPlaceIdDigits = 19;
+
+/// Parses the id at `p` in place: 1 to kInPlaceIdDigits digits with a
+/// value below UINT32_MAX, else nullptr. Stops at the first non-digit, so
+/// a '\n' ahead bounds the loop.
+const char* ParseIdInPlace(const char* p, uint64_t* id) {
+  uint64_t value = 0;
+  size_t digits = 0;
+  for (;; ++digits) {
+    const unsigned digit =
+        static_cast<unsigned char>(p[digits]) - unsigned{'0'};
+    if (digit >= 10) break;
+    if (digits == kInPlaceIdDigits) return nullptr;
+    value = value * 10 + digit;
+  }
+  if (digits == 0 || value >= UINT32_MAX) return nullptr;
+  *id = value;
+  return p + digits;
+}
+
+/// Parses the line at `p` in place when it has the common shape
+/// `digits [ \t]+ digits [ \t\r]* \n` and returns the byte after its
+/// '\n'; nullptr for any other line, which ParseEdgeListLine then judges.
+/// Every byte loop stops at a '\n', so a '\n' ahead is the only bound.
+const char* ParseEdgeLineInPlace(const char* p, uint64_t* u, uint64_t* v) {
+  p = ParseIdInPlace(p, u);
+  if (p == nullptr || (*p != ' ' && *p != '\t')) return nullptr;
+  while (*p == ' ' || *p == '\t') ++p;
+  p = ParseIdInPlace(p, v);
+  if (p == nullptr) return nullptr;
+  while (*p == ' ' || *p == '\t' || *p == '\r') ++p;
+  return *p == '\n' ? p + 1 : nullptr;
+}
+
 /// Calls on_edge(u, v) for each edge line of `in`, in order, stopping at
 /// the first malformed line or on_edge error. The one-pass stream reader
 /// and both passes of the file reader all read through it, so every path
 /// accepts and rejects the same bytes with the same errors.
 template <typename OnEdge>
 Status ForEachEdge(std::istream& in, const OnEdge& on_edge) {
-  LineScanner lines(in);
-  std::string_view line;
-  while (lines.Next(&line)) {
+  // A line the in-place parse does not take goes whole to the strict
+  // tokenizer, so the verdict and error text are always the tokenizer's.
+  const auto parse_line = [&](std::string_view line, size_t line_no) {
     uint64_t u = 0;
     uint64_t v = 0;
     bool skip = false;
-    REACH_RETURN_IF_ERROR(
-        ParseEdgeListLine(line, lines.line_no(), &u, &v, &skip));
-    if (!skip) REACH_RETURN_IF_ERROR(on_edge(u, v));
+    REACH_RETURN_IF_ERROR(ParseEdgeListLine(line, line_no, &u, &v, &skip));
+    return skip ? Status::OK() : on_edge(u, v);
+  };
+  LineScanner lines(in);
+  for (;;) {
+    const std::string_view run = lines.Lines();
+    if (run.empty()) {
+      // A line longer than the chunk, an unterminated last line, or the end.
+      std::string_view line;
+      if (!lines.Next(&line)) break;
+      REACH_RETURN_IF_ERROR(parse_line(line, lines.line_no()));
+      continue;
+    }
+    // The run ends in '\n', which bounds every in-place byte loop.
+    size_t count = 0;
+    for (size_t at = 0; at != run.size(); ++count) {
+      uint64_t u = 0;
+      uint64_t v = 0;
+      const char* const next = ParseEdgeLineInPlace(run.data() + at, &u, &v);
+      if (next != nullptr) {
+        REACH_RETURN_IF_ERROR(on_edge(u, v));
+        at = static_cast<size_t>(next - run.data());
+      } else {
+        const size_t len = run.find('\n', at) - at;
+        REACH_RETURN_IF_ERROR(
+            parse_line(run.substr(at, len), lines.line_no() + count + 1));
+        at += len + 1;
+      }
+    }
+    lines.Skip(run.size(), count);
   }
   return lines.status();
 }
@@ -194,6 +296,15 @@ Status ForEachEdge(std::istream& in, const OnEdge& on_edge) {
 Status CsrTooLarge(const std::string& source, size_t n) {
   return Status::ResourceExhausted(source + " implies " + std::to_string(n) +
                                    " vertices: cannot allocate its CSR");
+}
+
+/// The stream readers report a failed read without a name (a directory
+/// opens, then fails its first read); a file reader names the file.
+StatusOr<Digraph> NameReadFailure(StatusOr<Digraph> graph,
+                                  const std::istream& in,
+                                  const std::string& path) {
+  if (!in.bad()) return graph;
+  return Status::IOError("cannot read " + path);
 }
 
 /// The two-pass edge-list reader behind ReadEdgeListFile; `in` must be
@@ -303,7 +414,7 @@ StatusOr<Digraph> ReadEdgeList(std::istream& in) {
 StatusOr<Digraph> ReadEdgeListFile(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
   if (!in) return Status::IOError("cannot open " + path);
-  return ReadEdgeListTwoPass(in, path);
+  return NameReadFailure(ReadEdgeListTwoPass(in, path), in, path);
 }
 
 Status WriteEdgeList(const Digraph& g, std::ostream& out) {
@@ -538,14 +649,17 @@ StatusOr<Digraph> ReadBinary(std::istream& in) {
 StatusOr<Digraph> ReadGraphFile(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
   if (!in) return Status::IOError("cannot open " + path);
-  if (HasSuffix(path, ".gra")) return ReadGra(in);
-  if (HasSuffix(path, ".bin")) return ReadBinary(in);
-  // Edge lists take the bounded-memory two-pass reader; a pipe cannot be
-  // rewound for the second pass, so it is read in one.
-  if (in.rdbuf()->pubseekoff(0, std::ios::cur) == std::streampos(-1)) {
-    return ReadEdgeList(in);
-  }
-  return ReadEdgeListTwoPass(in, path);
+  const auto read = [&] {
+    if (HasSuffix(path, ".gra")) return ReadGra(in);
+    if (HasSuffix(path, ".bin")) return ReadBinary(in);
+    // Edge lists take the bounded-memory two-pass reader; a pipe cannot be
+    // rewound for the second pass, so it is read in one.
+    if (in.rdbuf()->pubseekoff(0, std::ios::cur) == std::streampos(-1)) {
+      return ReadEdgeList(in);
+    }
+    return ReadEdgeListTwoPass(in, path);
+  };
+  return NameReadFailure(read(), in, path);
 }
 
 Status WriteGraphFile(const Digraph& g, const std::string& path) {

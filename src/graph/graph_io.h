@@ -24,15 +24,19 @@
 namespace reach {
 
 /// Parses a SNAP-style edge list from a stream in one pass, for streams
-/// that cannot be rewound. Input is read in bounded chunks, but the edges
-/// are buffered in an edge vector, so peak memory is ~3x the final CSR;
-/// files should go through ReadEdgeListFile.
+/// that cannot be rewound. Input is read in 64 KiB chunks, and a plain
+/// "u v" line is parsed in place in its chunk; any other line goes whole
+/// to the strict tokenizer, which alone decides its verdict and error.
+/// The edges are buffered in an edge vector, so peak memory is ~3x the
+/// final CSR; files should go through ReadEdgeListFile.
 StatusOr<Digraph> ReadEdgeList(std::istream& in);
 /// Parses a SNAP-style edge list from a file in two streaming passes
-/// (degree count, then CSR fill): no intermediate edge vector, so peak
-/// memory stays at the final CSR plus the offsets and one 64 KiB read
-/// chunk — the large-graph load path. Needs a seekable file. Accepts,
-/// rejects, and produces exactly what ReadEdgeList does on the same bytes.
+/// (degree count, then CSR fill) over the same line parse: no
+/// intermediate edge vector, so peak memory stays at the final CSR plus
+/// the offsets, one 64 KiB read chunk and one line longer than it — the
+/// large-graph load path. Needs a seekable file. Accepts, rejects, and
+/// produces exactly what ReadEdgeList does on the same bytes. A failed
+/// read is an IOError naming `path`.
 StatusOr<Digraph> ReadEdgeListFile(const std::string& path);
 /// Writes a SNAP-style edge list ("u v" per line, with a header comment).
 Status WriteEdgeList(const Digraph& g, std::ostream& out);
@@ -56,7 +60,8 @@ StatusOr<Digraph> ReadBinary(std::istream& in);
 /// File-path conveniences that dispatch on extension:
 /// ".gra" -> gra, ".bin" -> binary, anything else -> edge list. Edge lists
 /// are read in two streamed passes, as ReadEdgeListFile does; a pipe, which
-/// cannot be rewound, goes through the one-pass ReadEdgeList instead.
+/// cannot be rewound, goes through the one-pass ReadEdgeList instead. A
+/// failed read is an IOError naming `path`.
 StatusOr<Digraph> ReadGraphFile(const std::string& path);
 Status WriteGraphFile(const Digraph& g, const std::string& path);
 

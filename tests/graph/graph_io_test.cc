@@ -1,10 +1,14 @@
 #include "graph/graph_io.h"
 
 #include <algorithm>
+#include <cctype>
+#include <cstdint>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -13,6 +17,7 @@
 
 #include "gtest/gtest.h"
 #include "graph/generators.h"
+#include "util/rng.h"
 
 namespace reach {
 namespace {
@@ -625,6 +630,224 @@ TEST(GraphIoTest, ReadGraphFileReadsAPipeInOnePass) {
   auto want = ReadEdgeList(in);
   ASSERT_TRUE(want.ok());
   ExpectSameCsr(*piped, *want, "pipe");
+}
+
+namespace {
+
+/// What an edge list should read as, by a tokenizer that shares no code
+/// with graph_io.cc: '\n' ends a line (an unterminated last line counts),
+/// empty and '#'/'%' lines are skipped, and every other line must split on
+/// the C-locale isspace set into exactly two all-digit tokens that fit
+/// uint64, both below UINT32_MAX.
+struct ReferenceRead {
+  bool ok = true;
+  bool range_error = false;  // InvalidArgument rather than Corruption.
+  size_t line = 0;           // 1-based number of the rejected line.
+  size_t num_vertices = 0;
+  std::vector<Edge> edges;
+};
+
+bool ReferenceNumber(std::string_view token, uint64_t* value) {
+  uint64_t result = 0;
+  for (const char c : token) {
+    if (c < '0' || c > '9') return false;
+    const uint64_t digit = static_cast<uint64_t>(c - '0');
+    if (result > (UINT64_MAX - digit) / 10) return false;
+    result = result * 10 + digit;
+  }
+  *value = result;
+  return !token.empty();
+}
+
+bool ReferenceIsSpace(char c) {
+  return std::isspace(static_cast<unsigned char>(c)) != 0;
+}
+
+ReferenceRead ReferenceParse(std::string_view content) {
+  ReferenceRead ref;
+  size_t line_no = 0;
+  std::vector<std::string_view> tokens;
+  for (size_t begin = 0; begin < content.size();) {
+    const size_t newline = std::min(content.find('\n', begin), content.size());
+    const std::string_view line = content.substr(begin, newline - begin);
+    begin = newline + 1;
+    ++line_no;
+    if (line.empty() || line[0] == '#' || line[0] == '%') continue;
+    tokens.clear();
+    for (size_t i = 0; i < line.size();) {
+      size_t end = i;
+      while (end < line.size() && !ReferenceIsSpace(line[end])) ++end;
+      if (end > i) tokens.push_back(line.substr(i, end - i));
+      i = end + 1;
+    }
+    uint64_t u = 0;
+    uint64_t v = 0;
+    ref.line = line_no;
+    if (tokens.size() != 2 || !ReferenceNumber(tokens[0], &u) ||
+        !ReferenceNumber(tokens[1], &v)) {
+      ref.ok = false;
+      return ref;
+    }
+    if (u >= UINT32_MAX || v >= UINT32_MAX) {
+      ref.ok = false;
+      ref.range_error = true;
+      return ref;
+    }
+    ref.num_vertices = std::max<size_t>(ref.num_vertices, std::max(u, v) + 1);
+    ref.edges.push_back({static_cast<Vertex>(u), static_cast<Vertex>(v)});
+  }
+  return ref;
+}
+
+/// True when `message` names "line <line_no>" and not a longer number.
+bool NamesLine(const std::string& message, size_t line_no) {
+  const std::string needle = "line " + std::to_string(line_no);
+  for (size_t at = message.find(needle); at != std::string::npos;
+       at = message.find(needle, at + 1)) {
+    const size_t after = at + needle.size();
+    if (after == message.size() ||
+        std::isdigit(static_cast<unsigned char>(message[after])) == 0) {
+      return true;
+    }
+  }
+  return false;
+}
+
+// Near misses of the in-place line shape `digits [ \t]+ digits [ \t\r]* \n`,
+// and lines of that shape, one line each without its '\n'.
+const std::vector<std::string>& CorpusShapes() {
+  static const std::vector<std::string> shapes = {
+      "12 34", "12\t34", "12   34", "12 \t 34", "12 34 \t", "12 34\r",
+      "12 34 \r", "12 34\r\r", "12 34\v", "12 34\f", "12\v34", "12\f34",
+      "12\r34", " 12 34", "\t12 34",
+      "0000000000000000012 34",   // 19 digits: the in-place limit.
+      "12 00000000000000000034",  // 20 digits, small value.
+      "1234567890123456789 1",    // 19 digits, past UINT32_MAX.
+      "18446744073709551615 1",   // UINT64_MAX.
+      "18446744073709551616 1",   // Overflows uint64...
+      "18446744073709551617 1",   // ...and wraps to 1 in 64 bits.
+      "1 18446744073709551629",   // Wraps to 13.
+      "1 4294967294", "4294967295 1", "1 4294967295", "4294967296 1",
+      "+1 2", "1 +2", "-1 2", "1 -2", "0x1 2", "1 0x2", "1e3 2", "1 2x",
+      std::string("1\0 2", 4), std::string("1 2\0", 4), std::string(1, '\0'),
+      "1 2 3", "1\t2\t3", "1 2 x", "1 2 #", "1 2 3\r",
+      "# comment", "% comment", "#", "%", " # indented", "", " ", "   ",
+      "\t", "\r", "\v", "\f", "1", "1 ", "x y"};
+  return shapes;
+}
+
+// Beyond any corpus filler id; an accepted id past it sizes a vast CSR.
+constexpr size_t kCorpusMaxVertices = size_t{1} << 20;
+
+/// One well-formed edge line with a random separator and line ending.
+std::string CorpusEdgeLine(Rng* rng) {
+  static const char* const kSeparators[] = {" ", "\t", "  ", " \t"};
+  static const char* const kEndings[] = {"", "", "", " ", "\t", "\r"};
+  if (rng->Uniform(50) == 0) return "# filler\n";
+  return std::to_string(rng->Uniform(1000)) + kSeparators[rng->Uniform(4)] +
+         std::to_string(rng->Uniform(1000)) + kEndings[rng->Uniform(6)] + "\n";
+}
+
+/// Random edge lines filling exactly `bytes` (at least 10).
+std::string CorpusFillerBytes(Rng* rng, size_t bytes) {
+  std::string out;
+  while (bytes - out.size() > 20) out += CorpusEdgeLine(rng);
+  return out + "0 1" + std::string(bytes - out.size() - 4, ' ') + "\n";
+}
+
+std::string CorpusFillerLines(Rng* rng, size_t lines) {
+  std::string out;
+  for (size_t i = 0; i < lines; ++i) out += CorpusEdgeLine(rng);
+  return out;
+}
+
+/// Reads `content` through both edge-list readers and requires each to
+/// match the reference: the same CSR on accept, the same status code and
+/// `line N` on reject.
+void ExpectReadersMatchReference(std::string content, const std::string& tag) {
+  ReferenceRead want = ReferenceParse(content);
+  // An accepted id just below UINT32_MAX implies a 2^32-vertex CSR; a
+  // rejected last line stops both readers before they size one.
+  if (want.ok && want.num_vertices > kCorpusMaxVertices) {
+    ASSERT_EQ(content.back(), '\n') << tag;
+    content += "end\n";
+    want = ReferenceParse(content);
+    ASSERT_FALSE(want.ok) << tag;
+  }
+  const StatusOr<Digraph> got = ReadBothWays(content, tag);
+  ASSERT_EQ(got.ok(), want.ok) << tag << ": " << got.status().ToString();
+  if (want.ok) {
+    ExpectSameCsr(*got, Digraph::FromEdges(want.num_vertices, want.edges),
+                  tag);
+    return;
+  }
+  EXPECT_EQ(got.status().IsInvalidArgument(), want.range_error)
+      << tag << ": " << got.status().ToString();
+  EXPECT_EQ(got.status().IsCorruption(), !want.range_error)
+      << tag << ": " << got.status().ToString();
+  EXPECT_TRUE(NamesLine(got.status().message(), want.line))
+      << tag << ": want line " << want.line << ", got "
+      << got.status().ToString();
+}
+
+}  // namespace
+
+// The readers against an independent tokenizer: seeded well-formed lines
+// around one near miss, placed mid-chunk, across the first chunk boundary
+// at several offsets, inside a line longer than a chunk, and as an
+// unterminated last line. Both readers share the in-place line parse, so
+// comparing them with each other alone could not catch a bug in it.
+TEST(GraphIoTest, EdgeListReadersMatchIndependentTokenizer) {
+  Rng rng(20240611);
+  const std::vector<std::string>& shapes = CorpusShapes();
+  for (size_t i = 0; i < shapes.size(); ++i) {
+    const std::string& shape = shapes[i];
+    const std::string tag = "shape " + std::to_string(i);
+    ExpectReadersMatchReference(CorpusFillerLines(&rng, 200) + shape + "\n" +
+                                    CorpusFillerLines(&rng, 200),
+                                tag + " mid-chunk");
+    // The shape starts `before` bytes ahead of the boundary: the boundary
+    // falls at its start, inside it, before its '\n', or after its '\n'.
+    for (const size_t before : {size_t{0}, size_t{1}, shape.size() / 2,
+                                shape.size(), shape.size() + 1}) {
+      ExpectReadersMatchReference(
+          CorpusFillerBytes(&rng, kChunk - before) + shape + "\n" +
+              CorpusFillerLines(&rng, 50),
+          tag + " straddling at " + std::to_string(before));
+    }
+    ExpectReadersMatchReference(CorpusFillerLines(&rng, 50) + shape +
+                                    std::string(kChunk + 3, ' ') + "\n" +
+                                    CorpusFillerLines(&rng, 50),
+                                tag + " in a long line");
+    // An accepted id near UINT32_MAX needs a rejected line after it (see
+    // ExpectReadersMatchReference), which a last line cannot have.
+    const ReferenceRead alone = ReferenceParse(shape);
+    if (alone.ok && alone.num_vertices > kCorpusMaxVertices) continue;
+    ExpectReadersMatchReference(CorpusFillerLines(&rng, 200) + shape,
+                                tag + " unterminated");
+  }
+}
+
+// A directory opens as a stream but fails its first read; the error must
+// say which path could not be read.
+TEST(GraphIoTest, ReadFailureNamesThePath) {
+  const std::string dir = ::testing::TempDir() + "/graph_io_test.dir";
+  for (const std::string& path : {dir, dir + ".gra", dir + ".bin"}) {
+    std::filesystem::create_directories(path);
+    StatusOr<Digraph> via_dispatch = ReadGraphFile(path);
+    EXPECT_TRUE(via_dispatch.status().IsIOError())
+        << via_dispatch.status().ToString();
+    EXPECT_NE(via_dispatch.status().message().find(path), std::string::npos)
+        << via_dispatch.status().ToString();
+    if (path == dir) {
+      StatusOr<Digraph> streamed = ReadEdgeListFile(path);
+      EXPECT_TRUE(streamed.status().IsIOError())
+          << streamed.status().ToString();
+      EXPECT_NE(streamed.status().message().find(path), std::string::npos)
+          << streamed.status().ToString();
+    }
+    std::filesystem::remove(path);
+  }
 }
 
 // .gra hardening: ids and the count are strict decimal tokens, and a count

@@ -39,7 +39,7 @@ void Usage(std::FILE* out) {
                "REACH_THREADS env,\n"
                "                 else hardware concurrency; never changes "
                "the index)\n"
-               "  --stats        print graph/index statistics\n"
+               "  --stats        print graph read time and index statistics\n"
                "  u v            query pairs; if none given, pairs are read "
                "from stdin\n");
 }
@@ -121,7 +121,9 @@ int main(int argc, char** argv) {
     pairs.emplace_back(positional[i], positional[i + 1]);
   }
 
+  const Timer read_timer;
   auto graph = ReadGraphFile(graph_path);
+  const double read_ms = read_timer.ElapsedMillis();
   if (!graph.ok()) {
     std::fprintf(stderr, "error reading %s: %s\n", graph_path.c_str(),
                  graph.status().ToString().c_str());
@@ -147,11 +149,12 @@ int main(int argc, char** argv) {
     // only adds the SCC-condensation overhead on top of the oracle build.
     const BuildStats& build_stats = index->oracle().build_stats();
     std::fprintf(stderr,
-                 "graph: %zu vertices, %zu edges, %zu SCCs\n"
+                 "graph: %zu vertices, %zu edges, %zu SCCs, read_ms=%.1f\n"
                  "index: %s, %llu integers, %llu bytes, built in %.1f ms "
                  "(%.1f ms incl. condensation) with %d thread%s\n",
                  graph->num_vertices(), graph->num_edges(),
-                 index->num_components(), index->oracle().name().c_str(),
+                 index->num_components(), read_ms,
+                 index->oracle().name().c_str(),
                  static_cast<unsigned long long>(build_stats.index_integers),
                  static_cast<unsigned long long>(build_stats.index_bytes),
                  build_stats.build_millis, build_timer.ElapsedMillis(),
