@@ -89,6 +89,10 @@ port=$(wait_for_port "$workdir/build.out")
 # The graph read is logged as one key=value line before LISTENING.
 grep -q '^event=graph_read .*vertices=1001000 edges=1000000 read_ms=' \
   "$workdir/build.err" || fail "build server did not log event=graph_read"
+# The build names the hop order that ranked DL's vertices. The graph's
+# closure is sparse, so the default cover-per-cost rank applies.
+grep -q '^event=index_built .*order=cover_per_cost ' "$workdir/build.err" \
+  || fail "build server did not log order=cover_per_cost on event=index_built"
 "$CLIENT" --port="$port" < "$workdir/queries.txt" \
   > "$workdir/built_answers.out" || fail "build-leg client exited non-zero"
 built_count=$(wc -l < "$workdir/built_answers.out")

@@ -84,7 +84,7 @@ Status PrunedLandmarkOracle::BuildIndex(const Digraph& dag) {
     return Status::OK();
   }
 
-  // Landmark order: the same degree-product rank the core algorithms use.
+  // Landmark order: the paper's degree-product rank (DL's kDegreeProduct).
   const int threads = build_threads();
   std::vector<uint64_t> rank(n);
   std::vector<Vertex> order(n);

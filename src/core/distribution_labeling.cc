@@ -1,10 +1,17 @@
 #include "core/distribution_labeling.h"
 
 #include <algorithm>
-#include <cassert>
+#include <array>
+#include <bit>
+#include <cmath>
 #include <new>
+#include <optional>
 #include <span>
 #include <utility>
+
+#if defined(__SSE2__)
+#include <emmintrin.h>
+#endif
 
 #include "core/backbone.h"
 #include "graph/topology.h"
@@ -35,6 +42,11 @@ constexpr uint32_t kNotInBatch = UINT32_MAX;
 /// threads (4-vCPU x86-64 VM) that made the append about a tenth slower,
 /// in 9 of 12 paired runs.
 constexpr size_t kAppendRowBlock = 64;
+
+/// The rank sort places members by a counting sort over their degree
+/// product clamped to [1, kRankGroups - 1] (within an octave); only ranks
+/// from kRankGroups - 1 up share a group and need comparisons.
+constexpr uint64_t kRankGroups = 64;
 
 /// Allocator of the per-worker scratch. Candidate buffers grow to
 /// megabytes on whichever thread runs a hop and die when the distribution
@@ -165,6 +177,159 @@ ListRef DropWitnessed(const std::vector<BatchHop>& batch, ListRef list,
   return {&kept, begin, kept.size()};
 }
 
+/// HyperLogLog registers per vertex behind kCoverPerCost, one byte each.
+/// Measured at 16, 32 and 64 (docs/ARCHITECTURE.md): over 16, 32 and 64
+/// cut the cit-Patents stand-in's DL labels by a further 9% and 12% but
+/// grew its HL index by 4% and 6%, and took 1.3x and 2x the order time on
+/// the large_smoke graph.
+constexpr size_t kSketchRegisters = 16;
+constexpr int kSketchIndexBits = std::countr_zero(kSketchRegisters);
+static_assert(kSketchRegisters == 16 || kSketchRegisters == 32 ||
+              kSketchRegisters == 64);
+
+using Sketch = std::array<uint8_t, kSketchRegisters>;
+
+/// splitmix64's finalizer: a fixed bijective mix of the vertex id, so the
+/// sketches (and the order) need no seed.
+uint64_t MixVertex(Vertex v) {
+  uint64_t x = v + 0x9e3779b97f4a7c15ULL;
+  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
+  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
+  return x ^ (x >> 31);
+}
+
+/// The sketch of {v}: the top bits of the hash pick the register, the
+/// position of the first set bit below them is its value.
+Sketch SingletonSketch(Vertex v) {
+  const uint64_t h = MixVertex(v);
+  const uint64_t rest = h << kSketchIndexBits;
+  Sketch sketch{};
+  sketch[h >> (64 - kSketchIndexBits)] = static_cast<uint8_t>(
+      std::min(std::countl_zero(rest), 64 - kSketchIndexBits) + 1);
+  return sketch;
+}
+
+/// acc = max(acc, other), register by register: the sketch of the union.
+void MergeSketch(Sketch* acc, const Sketch& other) {
+#if defined(__SSE2__)
+  for (size_t j = 0; j < kSketchRegisters; j += 16) {
+    auto* lane = reinterpret_cast<__m128i*>(acc->data() + j);
+    _mm_storeu_si128(
+        lane, _mm_max_epu8(_mm_loadu_si128(lane),
+                           _mm_loadu_si128(reinterpret_cast<const __m128i*>(
+                               other.data() + j))));
+  }
+#else
+  for (size_t j = 0; j < kSketchRegisters; ++j) {
+    (*acc)[j] = std::max((*acc)[j], other[j]);
+  }
+#endif
+}
+
+/// HyperLogLog sums 2^-r over the registers. The sum is kept as the
+/// integer sum of kTerm[r] = 2^(kSumBits - r), which fits 64 bits for m
+/// registers; a register above kSumBits (probability 2^-kSumBits per
+/// vertex) adds nothing.
+constexpr int kSumBits = 63 - kSketchIndexBits;
+constexpr std::array<uint64_t, 256> kTerm = [] {
+  std::array<uint64_t, 256> term{};
+  for (int r = 0; r <= kSumBits; ++r) term[r] = uint64_t{1} << (kSumBits - r);
+  return term;
+}();
+
+/// Linear counting's m * ln(m / zeros), by the count of zero registers.
+const std::array<float, kSketchRegisters + 1> kLinearCounting = [] {
+  std::array<float, kSketchRegisters + 1> table{};
+  for (size_t zeros = 1; zeros <= kSketchRegisters; ++zeros) {
+    table[zeros] = static_cast<float>(
+        kSketchRegisters * std::log(static_cast<double>(kSketchRegisters) /
+                                    static_cast<double>(zeros)));
+  }
+  return table;
+}();
+
+/// HyperLogLog's estimate, with linear counting for small sets (Flajolet
+/// et al. 2007). A 64-bit hash needs no large-range correction.
+float EstimateSketch(const Sketch& sketch) {
+  constexpr double m = kSketchRegisters;
+  constexpr double alpha = kSketchRegisters == 16   ? 0.673
+                           : kSketchRegisters == 32 ? 0.697
+                                                    : 0.709;
+  constexpr double kScale =
+      alpha * m * m * static_cast<double>(uint64_t{1} << kSumBits);
+  int zeros = 0;
+  for (const uint8_t r : sketch) zeros += r == 0;
+  // Each zero register adds 1 to the sum, so from this many zeros on the
+  // raw estimate is at most 2.5m and linear counting applies unsummed.
+  if (zeros >= alpha * m / 2.5) return kLinearCounting[zeros];
+  uint64_t sum = 0;
+  for (const uint8_t r : sketch) sum += kTerm[r];
+  const double estimate = kScale / static_cast<double>(sum);
+  if (estimate <= 2.5 * m && zeros > 0) return kLinearCounting[zeros];
+  return static_cast<float>(estimate);
+}
+
+/// Estimates |desc(v)| (`descendants`) or |anc(v)| of every vertex of g,
+/// counting v itself. One pass in (reverse) topological order `topo`
+/// merges each vertex's children's (parents') sketches into its own:
+/// O(m * |E|) register work. `sketches` is scratch, one per vertex.
+std::vector<float> EstimateClosureSizes(const Digraph& g,
+                                        const std::vector<Vertex>& topo,
+                                        bool descendants, int threads,
+                                        PageVector<Sketch>* sketches) {
+  const size_t n = topo.size();
+  for (size_t k = 0; k < n; ++k) {
+    const Vertex v = topo[descendants ? n - 1 - k : k];
+    Sketch acc = SingletonSketch(v);
+    for (const Vertex w :
+         descendants ? g.OutNeighbors(v) : g.InNeighbors(v)) {
+      MergeSketch(&acc, (*sketches)[w]);
+    }
+    (*sketches)[v] = acc;
+  }
+  std::vector<float> estimate(n);
+  ParallelFor(0, n, 4096, threads, [&](size_t v) {
+    estimate[v] = EstimateSketch((*sketches)[v]);
+  });
+  return estimate;
+}
+
+/// kCoverPerCost's primary key of every member (indexed like `members`):
+/// floor(log2(a*d / (a+d))). Empty when the closure is dense: when almost
+/// every pair is comparable, a*d / (a+d) sits in the same few octaves for
+/// most hops and ranks them worse than the degree product. The go_uniprot
+/// stand-in's sketched mean is 0.77, and octaves there made DL's labels
+/// 2.1x larger; no other registry stand-in's graph or HL core is above
+/// 0.08.
+std::vector<int8_t> CoverPerCostOctaves(const Digraph& g,
+                                        const std::vector<Vertex>& members,
+                                        const std::vector<Vertex>& topo,
+                                        int threads) {
+  // One direction at a time through one register array: m bytes per
+  // vertex. Fresh pages, returned to the kernel before the labels grow.
+  PageVector<Sketch> sketches(g.num_vertices());
+  const std::vector<float> anc = EstimateClosureSizes(
+      g, topo, /*descendants=*/false, threads, &sketches);
+  const std::vector<float> desc = EstimateClosureSizes(
+      g, topo, /*descendants=*/true, threads, &sketches);
+  PageVector<Sketch>().swap(sketches);
+
+  double share = 0;
+  for (const Vertex v : members) share += anc[v] + desc[v];
+  const double size = static_cast<double>(members.size());
+  if (share > 0.5 * size * size) return {};
+
+  std::vector<int8_t> octave(members.size());
+  ParallelFor(0, members.size(), 4096, threads, [&](size_t i) {
+    const Vertex v = members[i];
+    // At least 1/2, so a normal float: floor(log2) is its exponent.
+    const float price = anc[v] * desc[v] / (anc[v] + desc[v]);
+    octave[i] = static_cast<int8_t>(
+        static_cast<int>(std::bit_cast<uint32_t>(price) >> 23) - 127);
+  });
+  return octave;
+}
+
 }  // namespace
 
 std::string DistributionOrderName(DistributionOrder order) {
@@ -177,45 +342,99 @@ std::string DistributionOrderName(DistributionOrder order) {
       return "topological";
     case DistributionOrder::kReverseDegreeProduct:
       return "reverse_degree_product";
+    case DistributionOrder::kCoverPerCost:
+      return "cover_per_cost";
   }
   return "unknown";
 }
 
 std::vector<Vertex> ComputeDistributionOrder(
     const Digraph& g, const std::vector<Vertex>& members,
-    const DistributionOptions& options, int threads) {
+    const DistributionOptions& options, int threads,
+    DistributionOrder* applied, const std::vector<Vertex>* topo) {
+  DistributionOrder policy = options.order;
   std::vector<Vertex> order = members;
-  switch (options.order) {
-    case DistributionOrder::kDegreeProduct:
-    case DistributionOrder::kReverseDegreeProduct: {
-      std::vector<uint64_t> rank(g.num_vertices(), 0);
-      ParallelFor(0, members.size(), 4096, threads, [&](size_t i) {
-        rank[members[i]] = DegreeProductRank(g, members[i]);
-      });
-      const bool descending =
-          options.order == DistributionOrder::kDegreeProduct;
-      std::sort(order.begin(), order.end(),
-                [&rank, descending](Vertex a, Vertex b) {
-                  if (rank[a] != rank[b]) {
-                    return descending ? rank[a] > rank[b] : rank[a] < rank[b];
-                  }
-                  return a < b;
-                });
-      break;
+  std::vector<int8_t> octave;  // Empty: every member in octave 0.
+  if (policy == DistributionOrder::kTopological ||
+      policy == DistributionOrder::kCoverPerCost) {
+    std::optional<std::vector<Vertex>> computed;
+    if (topo == nullptr) {
+      computed = TopologicalOrder(g);
+      if (computed) topo = &*computed;
     }
-    case DistributionOrder::kRandom: {
-      Rng rng(options.seed);
-      Shuffle(&order, &rng);
-      break;
-    }
-    case DistributionOrder::kTopological: {
-      auto topo = TopologicalOrder(g);
-      assert(topo.has_value());
+    if (topo == nullptr) {
+      policy = DistributionOrder::kDegreeProduct;
+    } else if (policy == DistributionOrder::kTopological) {
       std::vector<bool> is_member(g.num_vertices(), false);
       for (Vertex v : members) is_member[v] = true;
       order.clear();
       for (Vertex v : *topo) {
         if (is_member[v]) order.push_back(v);
+      }
+    } else {
+      octave = CoverPerCostOctaves(g, members, *topo, threads);
+      if (octave.empty()) policy = DistributionOrder::kDegreeProduct;
+    }
+  }
+  if (applied != nullptr) *applied = policy;
+
+  switch (policy) {
+    case DistributionOrder::kRandom: {
+      Rng rng(options.seed);
+      Shuffle(&order, &rng);
+      break;
+    }
+    case DistributionOrder::kTopological:
+      break;
+    case DistributionOrder::kDegreeProduct:
+    case DistributionOrder::kReverseDegreeProduct:
+    case DistributionOrder::kCoverPerCost: {
+      std::vector<uint64_t> rank(g.num_vertices(), 0);
+      ParallelFor(0, members.size(), 4096, threads, [&](size_t i) {
+        rank[members[i]] = DegreeProductRank(g, members[i]);
+      });
+      const bool descending =
+          policy != DistributionOrder::kReverseDegreeProduct;
+      auto by_rank = [&rank, descending](Vertex a, Vertex b) {
+        if (rank[a] != rank[b]) {
+          return descending ? rank[a] > rank[b] : rank[a] < rank[b];
+        }
+        return a < b;
+      };
+      // Counting sort by (octave, rank clamped below kRankGroups) places
+      // most members in one linear pass. It keeps member order within a
+      // group, so a group of equal ranks is sorted already when `members`
+      // ascend; only the groups that are not get a comparison sort.
+      int top = 0;
+      int bottom = 0;
+      if (!octave.empty()) {
+        const auto [low, high] =
+            std::minmax_element(octave.begin(), octave.end());
+        top = *high;
+        bottom = *low;
+      }
+      auto group_of = [&](size_t i) {
+        const uint64_t clamped =
+            std::min<uint64_t>(rank[members[i]], kRankGroups - 1);
+        const size_t o =
+            octave.empty() ? 0 : static_cast<size_t>(top - octave[i]);
+        return o * kRankGroups +
+               (descending ? kRankGroups - 1 - clamped : clamped);
+      };
+      std::vector<size_t> begin(
+          static_cast<size_t>(top - bottom + 1) * kRankGroups + 1, 0);
+      for (size_t i = 0; i < members.size(); ++i) ++begin[group_of(i) + 1];
+      for (size_t b = 1; b < begin.size(); ++b) begin[b] += begin[b - 1];
+      std::vector<size_t> next(begin.begin(), begin.end() - 1);
+      for (size_t i = 0; i < members.size(); ++i) {
+        order[next[group_of(i)]++] = members[i];
+      }
+      for (size_t b = 0; b + 1 < begin.size(); ++b) {
+        const auto first = order.begin() + static_cast<ptrdiff_t>(begin[b]);
+        const auto last = order.begin() + static_cast<ptrdiff_t>(begin[b + 1]);
+        if (!std::is_sorted(first, last, by_rank)) {
+          std::sort(first, last, by_rank);
+        }
       }
       break;
     }
@@ -332,7 +551,8 @@ void DistributeLabels(const Digraph& g, const std::vector<Vertex>& order,
 }
 
 Status DistributionLabelingOracle::BuildIndex(const Digraph& dag) {
-  if (!IsDag(dag)) {
+  std::optional<std::vector<Vertex>> topo = TopologicalOrder(dag);
+  if (!topo) {
     return Status::InvalidArgument("DistributionLabeling requires a DAG");
   }
   Timer timer;
@@ -340,7 +560,11 @@ Status DistributionLabelingOracle::BuildIndex(const Digraph& dag) {
   const size_t n = dag.num_vertices();
   std::vector<Vertex> members(n);
   for (Vertex v = 0; v < n; ++v) members[v] = v;
-  order_ = ComputeDistributionOrder(dag, members, options_, build_threads());
+  DistributionOrder applied = options_.order;
+  order_ = ComputeDistributionOrder(dag, members, options_, build_threads(),
+                                    &applied, &*topo);
+  topo.reset();  // Freed before the labels grow.
+  build_stats_.order = DistributionOrderName(applied);
 
   // Hop keys are order positions, so each row receives its keys in
   // ascending order and every insert is SortedInsert's push_back path.

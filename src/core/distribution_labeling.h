@@ -1,5 +1,6 @@
 // Distribution Labeling (paper Section 5, Algorithm 2). Vertices are ranked
-// into a total order (default: the paper's (|Nout|+1)*(|Nin|+1) score);
+// into a total order (default: a sketched cover-per-cost score, with the
+// paper's (|Nout|+1)*(|Nin|+1) score as tie-break; see DistributionOrder);
 // each vertex vi is then "distributed" as a hop: a reverse BFS adds vi to
 // Lout(u) of every u in TC^-1(vi) \ TC^-1(X), a forward BFS adds vi to
 // Lin(w) of every w in TC(vi) \ TC(Y), both implemented by pruning the
@@ -22,7 +23,8 @@ namespace reach {
 
 /// Processing order of Algorithm 2's outer loop ("Vertex Order", Section 5.2).
 enum class DistributionOrder {
-  /// The paper's rank (|Nout(v)|+1) * (|Nin(v)|+1), descending. Default.
+  /// The paper's rank (|Nout(v)|+1) * (|Nin(v)|+1), descending, ties by
+  /// ascending id. Kept for reproducing the paper's figures.
   kDegreeProduct,
   /// Uniform random order (ablation: shows the rank function matters).
   kRandom,
@@ -30,12 +32,19 @@ enum class DistributionOrder {
   kTopological,
   /// Ascending degree product (ablation: adversarially bad order).
   kReverseDegreeProduct,
+  /// Default. The set-cover price of v as a center: the pairs it covers per
+  /// label entry, a*d / (a+d), where a = |anc(v)| and d = |desc(v)| (both
+  /// counting v) are HyperLogLog estimates. Ranked by floor(log2) of that
+  /// price, descending, then by the paper's rank, then by ascending id.
+  /// When the closure is dense (the mean (a+d) / |members| is above 1/2) the
+  /// octaves stop separating hops and the order is kDegreeProduct's.
+  kCoverPerCost,
 };
 
 std::string DistributionOrderName(DistributionOrder order);
 
 struct DistributionOptions {
-  DistributionOrder order = DistributionOrder::kDegreeProduct;
+  DistributionOrder order = DistributionOrder::kCoverPerCost;
   /// Seed for kRandom.
   uint64_t seed = 42;
 };
@@ -62,10 +71,19 @@ void DistributeLabels(const Digraph& g, const std::vector<Vertex>& order,
                       LabelStore* labeling, int threads = 1);
 
 /// Computes the processing order of `members` under the given policy.
-/// Deterministic for any `threads` (only the rank sweep is parallel).
+/// Deterministic for any `threads` (only per-vertex sweeps are parallel).
+/// kCoverPerCost estimates closure sizes in all of `g`, so `g` should have
+/// edges only among `members` (as DistributeLabels requires anyway). On a
+/// cyclic `g`, kTopological and kCoverPerCost fall back to kDegreeProduct.
+/// `applied`, when given, receives the policy that actually ranked the
+/// members (kDegreeProduct after either fallback). `topo`, when given, is a
+/// topological order of `g` the caller already holds; otherwise the orders
+/// that need one compute it.
 std::vector<Vertex> ComputeDistributionOrder(
     const Digraph& g, const std::vector<Vertex>& members,
-    const DistributionOptions& options, int threads = 1);
+    const DistributionOptions& options, int threads = 1,
+    DistributionOrder* applied = nullptr,
+    const std::vector<Vertex>* topo = nullptr);
 
 /// The DL reachability oracle.
 class DistributionLabelingOracle : public ReachabilityOracle {

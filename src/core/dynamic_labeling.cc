@@ -7,7 +7,8 @@
 namespace reach {
 
 Status DynamicDistributionLabeling::BuildIndex(const Digraph& dag) {
-  if (!IsDag(dag)) {
+  std::optional<std::vector<Vertex>> topo = TopologicalOrder(dag);
+  if (!topo) {
     return Status::InvalidArgument("DynamicDistributionLabeling needs a DAG");
   }
   base_ = dag;
@@ -20,7 +21,11 @@ Status DynamicDistributionLabeling::BuildIndex(const Digraph& dag) {
   const size_t n = dag.num_vertices();
   std::vector<Vertex> members(n);
   for (Vertex v = 0; v < n; ++v) members[v] = v;
-  order_ = ComputeDistributionOrder(dag, members, options_, build_threads());
+  DistributionOrder applied = options_.order;
+  order_ = ComputeDistributionOrder(dag, members, options_, build_threads(),
+                                    &applied, &*topo);
+  topo.reset();
+  build_stats_.order = DistributionOrderName(applied);
   key_of_.assign(n, 0);
   for (uint32_t i = 0; i < order_.size(); ++i) key_of_[order_[i]] = i;
   labeling_.Init(n);

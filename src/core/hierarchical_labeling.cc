@@ -141,9 +141,10 @@ Status HierarchicalLabelingOracle::BuildIndex(const Digraph& dag) {
     // Distribution Labeling restricted to the core, with vertex-id keys so
     // that core labels compose with the level labels below.
     DistributionOptions dl_options;
-    std::vector<Vertex> order =
-        ComputeDistributionOrder(core_graph, core_members, dl_options,
-                                 threads);
+    DistributionOrder applied = dl_options.order;
+    std::vector<Vertex> order = ComputeDistributionOrder(
+        core_graph, core_members, dl_options, threads, &applied);
+    build_stats_.order = DistributionOrderName(applied);
     std::vector<uint32_t> key_of(n);
     for (Vertex v = 0; v < n; ++v) key_of[v] = v;
     DistributeLabels(core_graph, order, key_of, &labeling_, threads);

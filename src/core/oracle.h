@@ -76,6 +76,10 @@ struct BuildStats {
   double order_millis = 0;
   double label_millis = 0;
   double seal_millis = 0;
+  /// DistributionOrderName of the hop order that ranked DL's vertices or
+  /// HL's core. Empty for other methods, HL's neighborhood core labeler and
+  /// after a snapshot load.
+  std::string order;
   bool ok = false;
   bool budget_exceeded = false;  // Build returned ResourceExhausted.
   std::string failure_reason;    // Status message when !ok, else empty.

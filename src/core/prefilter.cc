@@ -139,6 +139,7 @@ void PrefilterOracle::AnnotateBuildStats(BuildStats& stats) const {
   stats.order_millis = inner.order_millis;
   stats.label_millis = inner.label_millis;
   stats.seal_millis = inner.seal_millis;
+  stats.order = inner.order;
   stats.prefilter_active = true;
   stats.prefilter = counters();
 }

@@ -1,7 +1,11 @@
 #include "core/distribution_labeling.h"
 
+#include <algorithm>
+
 #include "gtest/gtest.h"
+#include "datasets/registry.h"
 #include "graph/generators.h"
+#include "graph/scc.h"
 #include "graph/transitive_closure.h"
 #include "tests/test_util.h"
 
@@ -116,7 +120,8 @@ TEST(DistributionLabelingTest, AllOrdersProduceCompleteLabelings) {
   for (DistributionOrder order :
        {DistributionOrder::kDegreeProduct, DistributionOrder::kRandom,
         DistributionOrder::kTopological,
-        DistributionOrder::kReverseDegreeProduct}) {
+        DistributionOrder::kReverseDegreeProduct,
+        DistributionOrder::kCoverPerCost}) {
     DistributionOptions options;
     options.order = order;
     DistributionLabelingOracle oracle(options);
@@ -168,6 +173,101 @@ TEST(DistributionLabelingTest, OrderNamesAreStable) {
   EXPECT_EQ(
       DistributionOrderName(DistributionOrder::kReverseDegreeProduct),
       "reverse_degree_product");
+  EXPECT_EQ(DistributionOrderName(DistributionOrder::kCoverPerCost),
+            "cover_per_cost");
+}
+
+// The sketched cover-per-cost rank is the default, and the build names it.
+TEST(DistributionLabelingTest, CoverPerCostIsTheDefault) {
+  EXPECT_EQ(DistributionOptions().order, DistributionOrder::kCoverPerCost);
+  DistributionLabelingOracle oracle;
+  ASSERT_TRUE(oracle.Build(CitationDag(500, 3.0, 49)).ok());
+  EXPECT_EQ(oracle.build_stats().order, "cover_per_cost");
+}
+
+// On every small registry stand-in the default order labels with at most
+// as many integers as the paper's rank.
+TEST(DistributionLabelingTest, CoverPerCostNeverLargerThanDegreeProduct) {
+  DistributionOptions paper;
+  paper.order = DistributionOrder::kDegreeProduct;
+  for (const DatasetSpec& spec : SmallDatasets()) {
+    const Digraph g = CondenseToDag(MakeDataset(spec)).dag;
+    DistributionLabelingOracle cover;
+    DistributionLabelingOracle degree(paper);
+    ASSERT_TRUE(cover.Build(g).ok()) << spec.name;
+    ASSERT_TRUE(degree.Build(g).ok()) << spec.name;
+    EXPECT_LE(cover.IndexSizeIntegers(), degree.IndexSizeIntegers())
+        << spec.name;
+  }
+}
+
+// Complete bipartite edges between consecutive layers make nearly every
+// pair comparable: the mean (a+d) / n is far above 1/2, so the default
+// falls back to the paper's rank and says so.
+TEST(DistributionLabelingTest, DenseClosureFallsBackToDegreeProduct) {
+  constexpr Vertex kLayers = 6;
+  constexpr Vertex kWidth = 40;
+  std::vector<Edge> edges;
+  for (Vertex layer = 0; layer + 1 < kLayers; ++layer) {
+    for (Vertex a = 0; a < kWidth; ++a) {
+      for (Vertex b = 0; b < kWidth; ++b) {
+        edges.push_back({layer * kWidth + a, (layer + 1) * kWidth + b});
+      }
+    }
+  }
+  const Digraph g = Digraph::FromEdges(kLayers * kWidth, edges);
+  DistributionOptions paper;
+  paper.order = DistributionOrder::kDegreeProduct;
+  DistributionLabelingOracle cover;
+  DistributionLabelingOracle degree(paper);
+  ASSERT_TRUE(cover.Build(g).ok());
+  ASSERT_TRUE(degree.Build(g).ok());
+  EXPECT_EQ(cover.order(), degree.order());
+  EXPECT_EQ(cover.build_stats().order, "degree_product");
+}
+
+TEST(DistributionLabelingTest, OrderIsThreadCountInvariant) {
+  // Wide enough that every parallel sweep splits into several chunks.
+  const Digraph g = CitationDag(20000, 3.0, 50);
+  std::vector<Vertex> members(g.num_vertices());
+  for (Vertex v = 0; v < g.num_vertices(); ++v) members[v] = v;
+  const std::vector<Vertex> reference =
+      ComputeDistributionOrder(g, members, DistributionOptions(), 1);
+  for (const int threads : {2, 4, 8}) {
+    EXPECT_EQ(ComputeDistributionOrder(g, members, DistributionOptions(),
+                                       threads),
+              reference)
+        << threads << " threads";
+  }
+}
+
+// The function is public, so a cyclic graph must not reach the topological
+// sort's missing result: the orders that need one fall back to the paper's
+// rank, and every order is a permutation of the members.
+TEST(DistributionLabelingTest, CyclicGraphGetsAPermutation) {
+  const Digraph g = Digraph::FromEdges(3, {{0, 1}, {1, 2}, {2, 0}});
+  const std::vector<Vertex> members = {2, 0, 1};
+  for (DistributionOrder order :
+       {DistributionOrder::kDegreeProduct, DistributionOrder::kRandom,
+        DistributionOrder::kTopological,
+        DistributionOrder::kReverseDegreeProduct,
+        DistributionOrder::kCoverPerCost}) {
+    DistributionOptions options;
+    options.order = order;
+    DistributionOrder applied = order;
+    std::vector<Vertex> result =
+        ComputeDistributionOrder(g, members, options, 1, &applied);
+    std::sort(result.begin(), result.end());
+    EXPECT_EQ(result, (std::vector<Vertex>{0, 1, 2}))
+        << DistributionOrderName(order);
+    if (order == DistributionOrder::kTopological ||
+        order == DistributionOrder::kCoverPerCost) {
+      EXPECT_EQ(applied, DistributionOrder::kDegreeProduct)
+          << DistributionOrderName(order);
+    } else {
+      EXPECT_EQ(applied, order) << DistributionOrderName(order);
+    }
+  }
 }
 
 // BuildStats splits the build into ordering, labeling and sealing; the

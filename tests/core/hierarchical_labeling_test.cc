@@ -136,5 +136,12 @@ TEST(HierarchicalLabelingTest, BuildStatsRecordsPhaseTimers) {
             stats.build_millis);
 }
 
+// The core is labeled by DL, so the build names DL's hop order.
+TEST(HierarchicalLabelingTest, BuildStatsNamesTheCoreOrder) {
+  HierarchicalLabelingOracle oracle;
+  ASSERT_TRUE(oracle.Build(RandomDag(2000, 8000, 48)).ok());
+  EXPECT_EQ(oracle.build_stats().order, "cover_per_cost");
+}
+
 }  // namespace
 }  // namespace reach

@@ -160,7 +160,10 @@ int main(int argc, char** argv) {
                  build_stats.build_millis, build_timer.ElapsedMillis(),
                  build_stats.threads, build_stats.threads == 1 ? "" : "s");
     std::fprintf(stderr,
-                 "phases: order %.1f ms, label %.1f ms, seal %.1f ms\n",
+                 "phases: order=%s, order %.1f ms, label %.1f ms, "
+                 "seal %.1f ms\n",
+                 build_stats.order.empty() ? "none"
+                                           : build_stats.order.c_str(),
                  build_stats.order_millis, build_stats.label_millis,
                  build_stats.seal_millis);
   }

@@ -219,10 +219,12 @@ int main(int argc, char** argv) {
                  build.build_millis, build.threads,
                  build.threads == 1 ? "" : "s");
     std::fprintf(stderr,
-                 "event=index_built threads=%d order_ms=%.1f label_ms=%.1f "
-                 "seal_ms=%.1f build_ms=%.1f\n",
-                 build.threads, build.order_millis, build.label_millis,
-                 build.seal_millis, build.build_millis);
+                 "event=index_built threads=%d order=%s order_ms=%.1f "
+                 "label_ms=%.1f seal_ms=%.1f build_ms=%.1f\n",
+                 build.threads,
+                 build.order.empty() ? "none" : build.order.c_str(),
+                 build.order_millis, build.label_millis, build.seal_millis,
+                 build.build_millis);
     if (!options.save_index_path.empty()) {
       std::fprintf(stderr, "index snapshot saved to %s\n",
                    options.save_index_path.c_str());
