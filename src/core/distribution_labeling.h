@@ -76,14 +76,11 @@ void DistributeLabels(const Digraph& g, const std::vector<Vertex>& order,
 /// edges only among `members` (as DistributeLabels requires anyway). On a
 /// cyclic `g`, kTopological and kCoverPerCost fall back to kDegreeProduct.
 /// `applied`, when given, receives the policy that actually ranked the
-/// members (kDegreeProduct after either fallback). `topo`, when given, is a
-/// topological order of `g` the caller already holds; otherwise the orders
-/// that need one compute it.
+/// members (kDegreeProduct after either fallback).
 std::vector<Vertex> ComputeDistributionOrder(
     const Digraph& g, const std::vector<Vertex>& members,
     const DistributionOptions& options, int threads = 1,
-    DistributionOrder* applied = nullptr,
-    const std::vector<Vertex>* topo = nullptr);
+    DistributionOrder* applied = nullptr);
 
 /// The DL reachability oracle.
 class DistributionLabelingOracle : public ReachabilityOracle {

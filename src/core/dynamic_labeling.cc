@@ -7,8 +7,7 @@
 namespace reach {
 
 Status DynamicDistributionLabeling::BuildIndex(const Digraph& dag) {
-  std::optional<std::vector<Vertex>> topo = TopologicalOrder(dag);
-  if (!topo) {
+  if (!IsDag(dag)) {
     return Status::InvalidArgument("DynamicDistributionLabeling needs a DAG");
   }
   base_ = dag;
@@ -23,8 +22,7 @@ Status DynamicDistributionLabeling::BuildIndex(const Digraph& dag) {
   for (Vertex v = 0; v < n; ++v) members[v] = v;
   DistributionOrder applied = options_.order;
   order_ = ComputeDistributionOrder(dag, members, options_, build_threads(),
-                                    &applied, &*topo);
-  topo.reset();
+                                    &applied);
   build_stats_.order = DistributionOrderName(applied);
   key_of_.assign(n, 0);
   for (uint32_t i = 0; i < order_.size(); ++i) key_of_[order_[i]] = i;
