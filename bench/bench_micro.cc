@@ -5,11 +5,14 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
-#include <iterator>
+#include <random>
+#include <sstream>
 #include <string>
+#include <vector>
 
 #include "baselines/grail.h"
 #include "baselines/pwah.h"
@@ -356,19 +359,40 @@ void BM_QueryDL(benchmark::State& state) {
 }
 BENCHMARK(BM_QueryDL);
 
-/// The cit-Patents stand-in written once as an edge list, removed at exit.
+/// How the edge lines of a benchmark edge list are ordered.
+enum class LineOrder {
+  kSource,           // As WriteEdgeList writes them: nondecreasing sources.
+  kShuffled,         // Shuffled by a fixed seed.
+  kLastLineDescent,  // The first edge line moved to the end.
+};
+
+/// The cit-Patents stand-in written once as an edge list in `order`,
+/// removed at exit. Every order holds the same lines, so the same graph.
 struct EdgeListFile {
-  EdgeListFile() {
+  explicit EdgeListFile(LineOrder order) {
     path = (std::filesystem::temp_directory_path() /
-            "bench_micro_cit_patents.txt")
+            ("bench_micro_cit_patents_" +
+             std::to_string(static_cast<int>(order)) + ".txt"))
                .string();
     const StatusOr<DatasetSpec> spec = FindDataset("cit-Patents");
-    if (!spec.ok() || !WriteGraphFile(MakeDataset(*spec), path).ok()) return;
-    std::ifstream in(path, std::ios::binary);
-    for (std::istreambuf_iterator<char> it(in), end; it != end; ++it) {
-      ++bytes;
-      lines += *it == '\n';
+    std::ostringstream text;
+    if (!spec.ok() || !WriteEdgeList(MakeDataset(*spec), text).ok()) return;
+    std::istringstream in(text.str());
+    std::string header;
+    std::getline(in, header);
+    std::vector<std::string> edges;
+    for (std::string line; std::getline(in, line);) edges.push_back(line);
+    if (order == LineOrder::kShuffled) {
+      std::shuffle(edges.begin(), edges.end(), std::mt19937_64(20261017));
+    } else if (order == LineOrder::kLastLineDescent) {
+      std::rotate(edges.begin(), edges.begin() + 1, edges.end());
     }
+    std::ofstream out(path, std::ios::binary);
+    out << header << '\n';
+    for (const std::string& line : edges) out << line << '\n';
+    if (!out.flush()) return;
+    bytes = static_cast<int64_t>(out.tellp());
+    lines = static_cast<int64_t>(edges.size()) + 1;
   }
   ~EdgeListFile() { std::remove(path.c_str()); }
 
@@ -377,16 +401,17 @@ struct EdgeListFile {
   int64_t lines = 0;
 };
 
-// The ingest layer on its own: ReadEdgeListFile's two streamed passes,
-// canonicalization and CSR build, from the page cache.
-void BM_ReadEdgeListFile(benchmark::State& state) {
-  static const EdgeListFile file;
+/// The ingest layer on its own: ReadEdgeListFile's streamed passes,
+/// canonicalization and CSR build, from the page cache. `passes` reports
+/// how many passes the reader made over the file.
+void ReadEdgeListFileLoop(benchmark::State& state, const EdgeListFile& file) {
   if (file.bytes == 0) {
     state.SkipWithError("cannot write the cit-Patents edge list");
     return;
   }
+  GraphReadStats stats;
   for (auto _ : state) {
-    StatusOr<Digraph> g = ReadEdgeListFile(file.path);
+    StatusOr<Digraph> g = ReadEdgeListFile(file.path, &stats);
     if (!g.ok()) {
       state.SkipWithError(g.status().ToString().c_str());
       return;
@@ -397,8 +422,29 @@ void BM_ReadEdgeListFile(benchmark::State& state) {
   state.counters["lines/s"] = benchmark::Counter(
       static_cast<double>(state.iterations() * file.lines),
       benchmark::Counter::kIsRate);
+  state.counters["passes"] = stats.passes;
+}
+
+void BM_ReadEdgeListFile(benchmark::State& state) {
+  static const EdgeListFile file(LineOrder::kSource);
+  ReadEdgeListFileLoop(state, file);
 }
 BENCHMARK(BM_ReadEdgeListFile)->Unit(benchmark::kMillisecond);
+
+// The two-pass fallback on the same lines.
+void BM_ReadEdgeListFileShuffled(benchmark::State& state) {
+  static const EdgeListFile file(LineOrder::kShuffled);
+  ReadEdgeListFileLoop(state, file);
+}
+BENCHMARK(BM_ReadEdgeListFileShuffled)->Unit(benchmark::kMillisecond);
+
+// The fallback's worst case: the reader stages every head before the last
+// line's descent drops them, then reads the file again.
+void BM_ReadEdgeListFileLastLineDescent(benchmark::State& state) {
+  static const EdgeListFile file(LineOrder::kLastLineDescent);
+  ReadEdgeListFileLoop(state, file);
+}
+BENCHMARK(BM_ReadEdgeListFileLastLineDescent)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

@@ -1,10 +1,10 @@
 #!/usr/bin/env bash
 # Large-tier end-to-end smoke, run by CTest under the integration label
 # (so the gcc and ASan/UBSan CI jobs both execute it): generate a
-# 10^6-edge DAG, stream it through the two-pass edge-list file reader
-# (reach_serve loads it with ReadGraphFile, which dispatches edge lists
-# there; the event=graph_read log line is asserted), build + save a DL
-# snapshot, restart with --load-index (zero-copy mmap path), and require
+# 10^6-edge DAG, stream it through the edge-list file reader (reach_serve
+# loads it with ReadGraphFile, which dispatches edge lists there; the
+# event=graph_read log line and its one-pass read are asserted), build +
+# save a DL snapshot, restart with --load-index (zero-copy mmap path), and require
 # 10k batched query answers byte-identical between the freshly built
 # server and the mmap-loaded one. The load leg must also
 # report the lazy identity condensation (identity_scc 1): the snapshot was
@@ -89,6 +89,10 @@ port=$(wait_for_port "$workdir/build.out")
 # The graph read is logged as one key=value line before LISTENING.
 grep -q '^event=graph_read .*vertices=1001000 edges=1000000 read_ms=' \
   "$workdir/build.err" || fail "build server did not log event=graph_read"
+# The generated edge list is in source order, so the reader must finish it
+# in one pass; a silent fallback to the second pass fails here.
+grep -q '^event=graph_read .* passes=1 ' "$workdir/build.err" \
+  || fail "build server did not read the source-ordered graph in one pass"
 # The build names the hop order that ranked DL's vertices. The graph's
 # closure is sparse, so the default cover-per-cost rank applies.
 grep -q '^event=index_built .*order=cover_per_cost ' "$workdir/build.err" \

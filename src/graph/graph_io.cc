@@ -11,7 +11,9 @@
 #include <string>
 #include <string_view>
 
+#include "util/mapped_blob.h"
 #include "util/strict_parse.h"
+#include "util/timer.h"
 
 namespace reach {
 
@@ -307,22 +309,89 @@ StatusOr<Digraph> NameReadFailure(StatusOr<Digraph> graph,
   return Status::IOError("cannot read " + path);
 }
 
-/// The two-pass edge-list reader behind ReadEdgeListFile; `in` must be
-/// seekable, and `path` names it in errors.
-StatusOr<Digraph> ReadEdgeListTwoPass(std::istream& in,
-                                      const std::string& path) {
-  // Two passes over the file, straight into CSR: pass 1 counts per-source
-  // degrees (and learns the vertex count), pass 2 fills the neighbor array
-  // in place. Nothing edge-sized is materialized besides the CSR itself —
-  // the one-pass stream reader's Edge vector plus FromEdges' sort peak at
-  // ~3x the final footprint, which is what caps loadable graph size. Rows
-  // are then canonicalized (sorted, deduped, self-loops dropped) in place,
-  // so the result is byte-identical to ReadEdgeList on the same bytes.
+/// Page-backed room for the heads pass 1 stages (see ReadEdgeListStreamed).
+/// Fresh pages become resident only as heads are written and go back to
+/// the kernel on Release, so an area sized from the file's bound costs only
+/// the heads it holds. Inactive when it cannot be allocated.
+class HeadStaging {
+ public:
+  explicit HeadStaging(size_t capacity)
+      : data_(reinterpret_cast<Vertex*>(
+            AllocatePages(capacity * sizeof(Vertex)))),
+        capacity_(data_ == nullptr ? 0 : capacity) {}
+  ~HeadStaging() { Release(); }
+  HeadStaging(const HeadStaging&) = delete;
+  HeadStaging& operator=(const HeadStaging&) = delete;
+
+  bool active() const { return data_ != nullptr; }
+  Vertex* data() const { return data_; }
+  size_t capacity() const { return capacity_; }
+
+  void Release() {
+    FreePages(reinterpret_cast<std::byte*>(data_), capacity_ * sizeof(Vertex));
+    data_ = nullptr;
+    capacity_ = 0;
+  }
+
+ private:
+  Vertex* data_;
+  size_t capacity_;
+};
+
+/// Sorts and dedups each row of the CSR `offsets` over `heads` in place,
+/// compacting leftwards (the write cursor never passes a row's read
+/// start), and returns the edge count left.
+uint64_t CanonicalizeRows(size_t n, uint64_t* offsets, Vertex* heads) {
+  uint64_t write = 0;
+  uint64_t prev_end = 0;
+  for (size_t v = 0; v < n; ++v) {
+    const uint64_t begin = prev_end;
+    const uint64_t end = offsets[v + 1];
+    prev_end = end;
+    std::sort(heads + begin, heads + end);
+    for (uint64_t i = begin; i < end; ++i) {
+      if (i > begin && heads[i] == heads[i - 1]) continue;
+      heads[write++] = heads[i];
+    }
+    offsets[v + 1] = write;
+  }
+  offsets[0] = 0;
+  return write;
+}
+
+/// The streamed edge-list reader behind ReadEdgeListFile; `path` names
+/// `in` in errors.
+StatusOr<Digraph> ReadEdgeListStreamed(std::istream& in,
+                                       const std::string& path,
+                                       GraphReadStats* stats) {
+  // Straight into CSR, with nothing edge-sized materialized besides the CSR
+  // itself: the one-pass stream reader's Edge vector plus FromEdges' sort
+  // peak at ~3x the final footprint, which is what caps loadable graph
+  // size. Pass 1 counts per-source degrees (and learns the vertex count).
+  // While every edge line's source is at least the previous one's, it also
+  // stages each head: if the whole file keeps that order, the staged heads
+  // are already the CSR's row array and no second pass runs. Otherwise the
+  // staging is dropped at the first descent, and pass 2 re-reads the file
+  // to fill each row in place. Rows are then canonicalized (sorted, deduped,
+  // self-loops dropped) in place, so either way the result is
+  // byte-identical to ReadEdgeList on the same bytes.
+  const Timer timer;
+  // Every edge line takes at least 4 bytes ("0 1\n", or 3 unterminated at
+  // the end), so the file size bounds the heads there are to stage. A
+  // stream without a size (a pipe) stages nothing.
+  std::streambuf& file = *in.rdbuf();
+  const std::streampos size = file.pubseekoff(0, std::ios::end);
+  if (size != std::streampos(-1) && file.pubseekpos(0) != std::streampos(0)) {
+    return Status::IOError("cannot rewind " + path);
+  }
+  HeadStaging staged(
+      size == std::streampos(-1) ? 0 : static_cast<size_t>(size) / 4 + 1);
   std::vector<uint64_t> degree;  // degree[u+1] = raw out-degree of u.
   std::vector<uint64_t> offsets;
   std::vector<Vertex> heads;
   size_t n = 0;
   uint64_t raw_edges = 0;
+  uint64_t last_source = 0;
   // The vertex count comes from the largest id, so one line can imply a
   // CSR far larger than the file: a failed sizing is reported, not thrown.
   try {
@@ -330,6 +399,16 @@ StatusOr<Digraph> ReadEdgeListTwoPass(std::istream& in,
       // A self-loop line still grows the vertex space (GraphBuilder
       // semantics) but contributes no edge.
       n = std::max(n, static_cast<size_t>(std::max(u, v)) + 1);
+      if (staged.active()) {
+        // A descent, or a file that grew past its size bound, ends the
+        // staging; pass 2 fills the rows instead.
+        if (u < last_source || raw_edges == staged.capacity()) {
+          staged.Release();
+        } else if (u != v) {
+          staged.data()[raw_edges] = static_cast<Vertex>(v);
+        }
+        last_source = u;
+      }
       if (u == v) return Status::OK();
       if (degree.size() < u + 2) degree.resize(u + 2, 0);
       ++degree[u + 1];
@@ -338,61 +417,75 @@ StatusOr<Digraph> ReadEdgeListTwoPass(std::istream& in,
     }));
     degree.resize(n + 1, 0);
     for (size_t v = 0; v < n; ++v) degree[v + 1] += degree[v];
-    offsets = degree;  // Prefix sums = row starts.
-    heads.resize(raw_edges);
+    if (staged.active()) {
+      offsets = std::move(degree);  // Prefix sums = row starts.
+    } else {
+      offsets = degree;  // degree[] turns into pass 2's row cursors.
+      heads.resize(raw_edges);
+    }
   } catch (const std::bad_alloc&) {
     return CsrTooLarge(path, n);
   }
 
-  in.clear();
-  in.seekg(0);
-  if (!in) return Status::IOError("cannot rewind " + path);
-  // Pass 1 accepted every line and sized every row, so a bad line, an id
-  // beyond the vertex count, or a row overrunning its size here means the
-  // file changed between passes.
-  Status fill = ForEachEdge(in, [&](uint64_t u, uint64_t v) {
-    if (u >= n || v >= n) {
-      return Status::Corruption("vertex id " + std::to_string(std::max(u, v)) +
-                                " appeared");
+  if (!staged.active()) {
+    in.clear();
+    in.seekg(0);
+    if (!in) return Status::IOError("cannot rewind " + path);
+    // Pass 1 accepted every line and sized every row, so a bad line, an id
+    // beyond the vertex count, or a row overrunning its size here means
+    // the file changed between passes.
+    Status fill = ForEachEdge(in, [&](uint64_t u, uint64_t v) {
+      if (u >= n || v >= n) {
+        return Status::Corruption("vertex id " +
+                                  std::to_string(std::max(u, v)) +
+                                  " appeared");
+      }
+      if (u == v) return Status::OK();
+      if (degree[u] >= offsets[u + 1]) {
+        return Status::Corruption("row " + std::to_string(u) + " grew");
+      }
+      heads[degree[u]++] = static_cast<Vertex>(v);
+      return Status::OK();
+    });
+    for (size_t v = 0; v < n && fill.ok(); ++v) {
+      if (degree[v] != offsets[v + 1]) {
+        fill = Status::Corruption("row " + std::to_string(v) + " shrank");
+      }
     }
-    if (u == v) return Status::OK();
-    if (degree[u] >= offsets[u + 1]) {
-      return Status::Corruption("row " + std::to_string(u) + " grew");
+    if (fill.IsIOError()) return fill;
+    if (!fill.ok()) {
+      return Status::Corruption(path + " changed while being read: " +
+                                fill.message());
     }
-    heads[degree[u]++] = static_cast<Vertex>(v);  // degree[] is now cursors.
-    return Status::OK();
-  });
-  for (size_t v = 0; v < n && fill.ok(); ++v) {
-    if (degree[v] != offsets[v + 1]) {
-      fill = Status::Corruption("row " + std::to_string(v) + " shrank");
-    }
+    degree = {};  // Freed ahead of FromCsr, which sets the reader's peak.
   }
-  if (fill.IsIOError()) return fill;
-  if (!fill.ok()) {
-    return Status::Corruption(path + " changed while being read: " +
-                              fill.message());
-  }
+  const double parsed_ms = timer.ElapsedMillis();
 
-  // Canonicalize each row in place: sort + dedup, compacting leftwards
-  // (the write cursor never passes a row's read start).
-  uint64_t write = 0;
-  uint64_t prev_end = 0;
-  for (size_t v = 0; v < n; ++v) {
-    const uint64_t begin = prev_end;
-    const uint64_t end = offsets[v + 1];
-    prev_end = end;
-    std::sort(heads.begin() + static_cast<ptrdiff_t>(begin),
-              heads.begin() + static_cast<ptrdiff_t>(end));
-    for (uint64_t i = begin; i < end; ++i) {
-      if (i > begin && heads[i] == heads[i - 1]) continue;
-      heads[write++] = heads[i];
+  const bool one_pass = staged.active();
+  if (one_pass) {
+    const uint64_t edges = CanonicalizeRows(n, offsets.data(), staged.data());
+    // The exact-size copy is no larger than pass 2's heads would be, and
+    // the staging pages go back before FromCsr sets the reader's peak.
+    try {
+      heads.assign(staged.data(), staged.data() + edges);
+    } catch (const std::bad_alloc&) {
+      return CsrTooLarge(path, n);
     }
-    offsets[v + 1] = write;
+    staged.Release();
+  } else {
+    heads.resize(CanonicalizeRows(n, offsets.data(), heads.data()));
+    heads.shrink_to_fit();
   }
-  offsets[0] = 0;
-  heads.resize(write);
-  heads.shrink_to_fit();
-  return Digraph::FromCsr(n, std::move(offsets), std::move(heads));
+  const double canonical_ms = timer.ElapsedMillis();
+
+  Digraph graph = Digraph::FromCsr(n, std::move(offsets), std::move(heads));
+  if (stats != nullptr) {
+    stats->passes = one_pass ? 1 : 2;
+    stats->parse_ms = parsed_ms;
+    stats->canonicalize_ms = canonical_ms - parsed_ms;
+    stats->reverse_csr_ms = timer.ElapsedMillis() - canonical_ms;
+  }
+  return graph;
 }
 
 }  // namespace
@@ -411,10 +504,11 @@ StatusOr<Digraph> ReadEdgeList(std::istream& in) {
   }
 }
 
-StatusOr<Digraph> ReadEdgeListFile(const std::string& path) {
+StatusOr<Digraph> ReadEdgeListFile(const std::string& path,
+                                   GraphReadStats* stats) {
   std::ifstream in(path, std::ios::binary);
   if (!in) return Status::IOError("cannot open " + path);
-  return NameReadFailure(ReadEdgeListTwoPass(in, path), in, path);
+  return NameReadFailure(ReadEdgeListStreamed(in, path, stats), in, path);
 }
 
 Status WriteEdgeList(const Digraph& g, std::ostream& out) {
@@ -646,18 +740,19 @@ StatusOr<Digraph> ReadBinary(std::istream& in) {
                           std::move(heads));
 }
 
-StatusOr<Digraph> ReadGraphFile(const std::string& path) {
+StatusOr<Digraph> ReadGraphFile(const std::string& path,
+                                GraphReadStats* stats) {
   std::ifstream in(path, std::ios::binary);
   if (!in) return Status::IOError("cannot open " + path);
   const auto read = [&] {
     if (HasSuffix(path, ".gra")) return ReadGra(in);
     if (HasSuffix(path, ".bin")) return ReadBinary(in);
-    // Edge lists take the bounded-memory two-pass reader; a pipe cannot be
-    // rewound for the second pass, so it is read in one.
+    // Edge lists take the bounded-memory streamed reader; a pipe cannot be
+    // rewound for a second pass, so it goes to the one-pass stream reader.
     if (in.rdbuf()->pubseekoff(0, std::ios::cur) == std::streampos(-1)) {
       return ReadEdgeList(in);
     }
-    return ReadEdgeListTwoPass(in, path);
+    return ReadEdgeListStreamed(in, path, stats);
   };
   return NameReadFailure(read(), in, path);
 }

@@ -30,14 +30,32 @@ namespace reach {
 /// The edges are buffered in an edge vector, so peak memory is ~3x the
 /// final CSR; files should go through ReadEdgeListFile.
 StatusOr<Digraph> ReadEdgeList(std::istream& in);
-/// Parses a SNAP-style edge list from a file in two streaming passes
-/// (degree count, then CSR fill) over the same line parse: no
-/// intermediate edge vector, so peak memory stays at the final CSR plus
-/// the offsets, one 64 KiB read chunk and one line longer than it — the
-/// large-graph load path. Needs a seekable file. Accepts, rejects, and
-/// produces exactly what ReadEdgeList does on the same bytes. A failed
-/// read is an IOError naming `path`.
-StatusOr<Digraph> ReadEdgeListFile(const std::string& path);
+
+/// What a streamed edge-list file read did: how many passes it made over
+/// the file and where its time went.
+struct GraphReadStats {
+  int passes = 0;              // 1 if the sources were in order, else 2.
+  double parse_ms = 0;         // Line parsing, over every pass.
+  double canonicalize_ms = 0;  // Sorting and deduplicating each row.
+  double reverse_csr_ms = 0;   // Digraph::FromCsr's in-edge CSR.
+};
+
+/// Parses a SNAP-style edge list from a file straight into CSR, with no
+/// intermediate edge vector — the large-graph load path. The first pass
+/// counts degrees; while the edge lines' sources are nondecreasing (as
+/// WriteEdgeList writes them) it also stages their heads, which are then
+/// the CSR's row array, and the read ends there. At the first descending
+/// source the staging is dropped and a second pass fills each row in
+/// place. The staging sits on fresh pages sized from the file, which
+/// become resident only as heads are written, and are freed before the
+/// reverse CSR is built. Peak memory therefore stays at what FromCsr needs
+/// for the final CSR, plus one 64 KiB read chunk and one line longer than
+/// it. Only the second pass needs a seekable
+/// file. Accepts, rejects, and produces exactly what ReadEdgeList does on
+/// the same bytes. A failed read is an IOError naming `path`. `stats`, if
+/// given, is filled when the read succeeds.
+StatusOr<Digraph> ReadEdgeListFile(const std::string& path,
+                                   GraphReadStats* stats = nullptr);
 /// Writes a SNAP-style edge list ("u v" per line, with a header comment).
 Status WriteEdgeList(const Digraph& g, std::ostream& out);
 
@@ -59,10 +77,13 @@ StatusOr<Digraph> ReadBinary(std::istream& in);
 
 /// File-path conveniences that dispatch on extension:
 /// ".gra" -> gra, ".bin" -> binary, anything else -> edge list. Edge lists
-/// are read in two streamed passes, as ReadEdgeListFile does; a pipe, which
-/// cannot be rewound, goes through the one-pass ReadEdgeList instead. A
-/// failed read is an IOError naming `path`.
-StatusOr<Digraph> ReadGraphFile(const std::string& path);
+/// are read as ReadEdgeListFile reads them: one pass when the sources are
+/// nondecreasing, two otherwise. A pipe, which cannot be rewound, goes
+/// through ReadEdgeList instead. `stats` is filled only by the
+/// ReadEdgeListFile path; the others leave it as it was. A failed read is
+/// an IOError naming `path`.
+StatusOr<Digraph> ReadGraphFile(const std::string& path,
+                                GraphReadStats* stats = nullptr);
 Status WriteGraphFile(const Digraph& g, const std::string& path);
 
 }  // namespace reach

@@ -331,10 +331,11 @@ TEST(GraphIoTest, MissingFileIsIOError) {
 
 namespace {
 
-/// Writes `content` to a temp file, reads it through the two-pass streamed
+/// Writes `content` to a temp file, reads it through the streamed file
 /// reader, and removes the file.
 StatusOr<Digraph> ReadEdgeListFileFromString(const std::string& content,
-                                             const std::string& tag) {
+                                             const std::string& tag,
+                                             GraphReadStats* stats = nullptr) {
   const std::string path =
       ::testing::TempDir() + "/graph_io_test." + tag + ".txt";
   {
@@ -342,14 +343,14 @@ StatusOr<Digraph> ReadEdgeListFileFromString(const std::string& content,
     out << content;
     EXPECT_TRUE(out.good()) << path;
   }
-  auto g = ReadEdgeListFile(path);
+  auto g = ReadEdgeListFile(path, stats);
   std::remove(path.c_str());
   return g;
 }
 
 }  // namespace
 
-// The two-pass streamed file reader must produce exactly the graph the
+// The streamed file reader must produce exactly the graph the
 // one-pass stream reader does — including on the awkward inputs: comments,
 // blank lines, duplicate edges, self-loops (dropped, but they still grow
 // the vertex space), unsorted rows, and vertex-id gaps.
@@ -383,7 +384,7 @@ TEST(GraphIoTest, EdgeListFileStreamedRejectsSameErrorsAsOnePass) {
 }
 
 TEST(GraphIoTest, EdgeListFileStreamedLargeGraphRoundTrip) {
-  // Large enough that the streamed reader's two passes and in-place
+  // Large enough that the streamed reader's staging and in-place
   // canonicalization all do real work across many rows.
   Digraph g = RandomDag(20000, 60000, 9);
   std::stringstream ss;
@@ -438,14 +439,16 @@ void ExpectSameCsr(const Digraph& got, const Digraph& want,
   }
 }
 
-/// Reads `content` through the one-pass stream reader and the two-pass
+/// Reads `content` through the one-pass stream reader and the streamed
 /// file reader and requires the same graph or the same error from both.
 /// Returns the one-pass result for case-specific checks.
 StatusOr<Digraph> ReadBothWays(const std::string& content,
-                               const std::string& tag) {
+                               const std::string& tag,
+                               GraphReadStats* stats = nullptr) {
   std::istringstream in(content);
   StatusOr<Digraph> one_pass = ReadEdgeList(in);
-  const StatusOr<Digraph> two_pass = ReadEdgeListFileFromString(content, tag);
+  const StatusOr<Digraph> two_pass =
+      ReadEdgeListFileFromString(content, tag, stats);
   EXPECT_EQ(one_pass.ok(), two_pass.ok()) << tag;
   if (one_pass.ok() && two_pass.ok()) {
     ExpectSameCsr(*two_pass, *one_pass, tag);
@@ -603,12 +606,15 @@ TEST(GraphIoTest, ReadGraphFileMatchesStreamedEdgeListReader) {
   const Digraph g = RandomDigraphWithCycles(3000, 9000, 500, 31);
   const std::string path = ::testing::TempDir() + "/graph_io_test.dispatch.txt";
   ASSERT_TRUE(WriteGraphFile(g, path).ok());
-  auto via_dispatch = ReadGraphFile(path);
+  GraphReadStats stats;
+  auto via_dispatch = ReadGraphFile(path, &stats);
   auto streamed = ReadEdgeListFile(path);
   std::remove(path.c_str());
   ASSERT_TRUE(via_dispatch.ok()) << via_dispatch.status().ToString();
   ASSERT_TRUE(streamed.ok()) << streamed.status().ToString();
   ExpectSameCsr(*via_dispatch, *streamed, "dispatch");
+  // WriteGraphFile lists the edges in source order.
+  EXPECT_EQ(stats.passes, 1);
 }
 
 // A pipe cannot be rewound for the second pass, so ReadGraphFile reads it
@@ -622,10 +628,12 @@ TEST(GraphIoTest, ReadGraphFileReadsAPipeInOnePass) {
     std::ofstream out(fifo, std::ios::binary);
     out << content;
   });
-  auto piped = ReadGraphFile(fifo);
+  GraphReadStats stats;
+  auto piped = ReadGraphFile(fifo, &stats);
   writer.join();
   std::remove(fifo.c_str());
   ASSERT_TRUE(piped.ok()) << piped.status().ToString();
+  EXPECT_EQ(stats.passes, 0);  // The stream reader leaves stats alone.
   std::istringstream in(content);
   auto want = ReadEdgeList(in);
   ASSERT_TRUE(want.ok());
@@ -644,8 +652,15 @@ struct ReferenceRead {
   bool range_error = false;  // InvalidArgument rather than Corruption.
   size_t line = 0;           // 1-based number of the rejected line.
   size_t num_vertices = 0;
-  std::vector<Edge> edges;
+  std::vector<Edge> edges;   // Self-loop lines included, in file order.
 };
+
+/// True when no edge line's source is below the previous one's.
+bool SourcesNondecreasing(const std::vector<Edge>& edges) {
+  return std::is_sorted(
+      edges.begin(), edges.end(),
+      [](const Edge& a, const Edge& b) { return a.from < b.from; });
+}
 
 bool ReferenceNumber(std::string_view token, uint64_t* value) {
   uint64_t result = 0;
@@ -739,32 +754,49 @@ const std::vector<std::string>& CorpusShapes() {
 // Beyond any corpus filler id; an accepted id past it sizes a vast CSR.
 constexpr size_t kCorpusMaxVertices = size_t{1} << 20;
 
-/// One well-formed edge line with a random separator and line ending.
-std::string CorpusEdgeLine(Rng* rng) {
+/// The sources of filler lines: a walk from `next` that rises by 0 or 1 a
+/// line and stops rising at `cap`, so filler keeps a file in source order.
+struct SourceWalk {
+  uint64_t next = 0;
+  uint64_t cap = kCorpusMaxVertices - 1;
+
+  uint64_t Take(Rng* rng) {
+    const uint64_t source = next;
+    next = std::min(cap, next + rng->Uniform(2));
+    return source;
+  }
+};
+
+/// One well-formed edge line with a random head, separator and line ending.
+std::string CorpusEdgeLine(Rng* rng, SourceWalk* sources) {
   static const char* const kSeparators[] = {" ", "\t", "  ", " \t"};
   static const char* const kEndings[] = {"", "", "", " ", "\t", "\r"};
   if (rng->Uniform(50) == 0) return "# filler\n";
-  return std::to_string(rng->Uniform(1000)) + kSeparators[rng->Uniform(4)] +
+  return std::to_string(sources->Take(rng)) + kSeparators[rng->Uniform(4)] +
          std::to_string(rng->Uniform(1000)) + kEndings[rng->Uniform(6)] + "\n";
 }
 
-/// Random edge lines filling exactly `bytes` (at least 10).
-std::string CorpusFillerBytes(Rng* rng, size_t bytes) {
+/// Edge lines filling exactly `bytes` (at least 24).
+std::string CorpusFillerBytes(Rng* rng, SourceWalk* sources, size_t bytes) {
   std::string out;
-  while (bytes - out.size() > 20) out += CorpusEdgeLine(rng);
-  return out + "0 1" + std::string(bytes - out.size() - 4, ' ') + "\n";
+  while (bytes - out.size() > 24) out += CorpusEdgeLine(rng, sources);
+  out += std::to_string(sources->Take(rng)) + " 1";
+  return out + std::string(bytes - out.size() - 1, ' ') + "\n";
 }
 
-std::string CorpusFillerLines(Rng* rng, size_t lines) {
+std::string CorpusFillerLines(Rng* rng, SourceWalk* sources, size_t lines) {
   std::string out;
-  for (size_t i = 0; i < lines; ++i) out += CorpusEdgeLine(rng);
+  for (size_t i = 0; i < lines; ++i) out += CorpusEdgeLine(rng, sources);
   return out;
 }
 
 /// Reads `content` through both edge-list readers and requires each to
 /// match the reference: the same CSR on accept, the same status code and
-/// `line N` on reject.
-void ExpectReadersMatchReference(std::string content, const std::string& tag) {
+/// `line N` on reject. An accepted file must also have been built with
+/// its sources in order exactly when `want_passes` is 1, and the file
+/// reader must have made `want_passes` passes over it.
+void ExpectReadersMatchReference(std::string content, const std::string& tag,
+                                 int want_passes) {
   ReferenceRead want = ReferenceParse(content);
   // An accepted id just below UINT32_MAX implies a 2^32-vertex CSR; a
   // rejected last line stops both readers before they size one.
@@ -774,11 +806,14 @@ void ExpectReadersMatchReference(std::string content, const std::string& tag) {
     want = ReferenceParse(content);
     ASSERT_FALSE(want.ok) << tag;
   }
-  const StatusOr<Digraph> got = ReadBothWays(content, tag);
+  GraphReadStats stats;
+  const StatusOr<Digraph> got = ReadBothWays(content, tag, &stats);
   ASSERT_EQ(got.ok(), want.ok) << tag << ": " << got.status().ToString();
   if (want.ok) {
     ExpectSameCsr(*got, Digraph::FromEdges(want.num_vertices, want.edges),
                   tag);
+    EXPECT_EQ(SourcesNondecreasing(want.edges), want_passes == 1) << tag;
+    EXPECT_EQ(stats.passes, want_passes) << tag;
     return;
   }
   EXPECT_EQ(got.status().IsInvalidArgument(), want.range_error)
@@ -793,39 +828,102 @@ void ExpectReadersMatchReference(std::string content, const std::string& tag) {
 }  // namespace
 
 // The readers against an independent tokenizer: seeded well-formed lines
-// around one near miss, placed mid-chunk, across the first chunk boundary
-// at several offsets, inside a line longer than a chunk, and as an
-// unterminated last line. Both readers share the in-place line parse, so
-// comparing them with each other alone could not catch a bug in it.
+// around one near miss. Each near miss sits in a file whose sources are in
+// order (the file reader's one-pass path): mid-chunk, across the first
+// chunk boundary at several offsets, inside a line longer than a chunk,
+// and as an unterminated last line. It also sits in files whose sources
+// descend once (the two-pass path): at the second edge line, the earliest
+// a descent can come; mid-chunk; on the line across the chunk boundary;
+// right after a self-loop line; and on the last line. Both readers share
+// the in-place line parse, so comparing them with each other alone could
+// not catch a bug in it.
 TEST(GraphIoTest, EdgeListReadersMatchIndependentTokenizer) {
   Rng rng(20240611);
   const std::vector<std::string>& shapes = CorpusShapes();
   for (size_t i = 0; i < shapes.size(); ++i) {
     const std::string& shape = shapes[i];
     const std::string tag = "shape " + std::to_string(i);
-    ExpectReadersMatchReference(CorpusFillerLines(&rng, 200) + shape + "\n" +
-                                    CorpusFillerLines(&rng, 200),
-                                tag + " mid-chunk");
+    const ReferenceRead alone = ReferenceParse(shape);
+    // Filler ahead of the near miss stays at or below its source, and
+    // filler behind it starts there.
+    const uint64_t source =
+        alone.ok && !alone.edges.empty() ? alone.edges[0].from : 0;
+    const auto up_to = [&] { return SourceWalk{0, source}; };
+    const auto from = [&] { return SourceWalk{source}; };
+    const auto lines = [&](SourceWalk walk, size_t count) {
+      return CorpusFillerLines(&rng, &walk, count);
+    };
+    ExpectReadersMatchReference(
+        lines(up_to(), 200) + shape + "\n" + lines(from(), 200),
+        tag + " mid-chunk", 1);
     // The shape starts `before` bytes ahead of the boundary: the boundary
     // falls at its start, inside it, before its '\n', or after its '\n'.
     for (const size_t before : {size_t{0}, size_t{1}, shape.size() / 2,
                                 shape.size(), shape.size() + 1}) {
+      SourceWalk walk = up_to();
       ExpectReadersMatchReference(
-          CorpusFillerBytes(&rng, kChunk - before) + shape + "\n" +
-              CorpusFillerLines(&rng, 50),
-          tag + " straddling at " + std::to_string(before));
+          CorpusFillerBytes(&rng, &walk, kChunk - before) + shape + "\n" +
+              lines(from(), 50),
+          tag + " straddling at " + std::to_string(before), 1);
     }
-    ExpectReadersMatchReference(CorpusFillerLines(&rng, 50) + shape +
+    ExpectReadersMatchReference(lines(up_to(), 50) + shape +
                                     std::string(kChunk + 3, ' ') + "\n" +
-                                    CorpusFillerLines(&rng, 50),
-                                tag + " in a long line");
+                                    lines(from(), 50),
+                                tag + " in a long line", 1);
+
+    // The descending line "0 7" follows sources of at least 1; the shape
+    // and its filler follow it in order, or precede it when it is last.
+    const std::string descent = "0 7\n";
+    const std::string in_order =
+        lines(up_to(), 100) + shape + "\n" + lines(from(), 100);
+    SourceWalk above{1};
+    ExpectReadersMatchReference("3 4\n" + descent + in_order,
+                                tag + " descent at the second edge line", 2);
+    ExpectReadersMatchReference(
+        lines(above, 200) + descent + in_order, tag + " descent mid-chunk", 2);
+    SourceWalk to_boundary = above;
+    ExpectReadersMatchReference(
+        CorpusFillerBytes(&rng, &to_boundary, kChunk - 2) + descent + in_order,
+        tag + " descent across the boundary", 2);
+    SourceWalk to_loop = above;
+    const std::string ahead = CorpusFillerLines(&rng, &to_loop, 200);
+    const std::string loop = std::to_string(to_loop.next);
+    ExpectReadersMatchReference(
+        ahead + loop + " " + loop + "\n" + descent + in_order,
+        tag + " descent after a self-loop", 2);
+    ExpectReadersMatchReference(in_order + descent,
+                                tag + " descent on the last line", 2);
+
     // An accepted id near UINT32_MAX needs a rejected line after it (see
     // ExpectReadersMatchReference), which a last line cannot have.
-    const ReferenceRead alone = ReferenceParse(shape);
     if (alone.ok && alone.num_vertices > kCorpusMaxVertices) continue;
-    ExpectReadersMatchReference(CorpusFillerLines(&rng, 200) + shape,
-                                tag + " unterminated");
+    ExpectReadersMatchReference(lines(up_to(), 200) + shape,
+                                tag + " unterminated", 1);
   }
+}
+
+// A source-ordered file goes through one pass, yet its rows still come out
+// sorted and deduplicated, self-loops dropped. A self-loop line's source
+// counts toward the order like any other edge line's.
+TEST(GraphIoTest, SourceOrderedFileIsCanonicalizedInOnePass) {
+  const std::string ordered =
+      "# rows out of order and with duplicates\n"
+      "0 9\n0 3\n0 9\n0 1\n0 3\n"
+      "2 2\n2 8\n2 4\n2 8\n"
+      "5 0\n5 0\n";
+  GraphReadStats stats;
+  auto g = ReadBothWays(ordered, "ordered_rows", &stats);
+  ASSERT_TRUE(g.ok()) << g.status().ToString();
+  EXPECT_EQ(stats.passes, 1);
+  EXPECT_EQ(g->num_vertices(), 10u);
+  const std::vector<Edge> want = {{0, 1}, {0, 3}, {0, 9},
+                                  {2, 4}, {2, 8}, {5, 0}};
+  EXPECT_EQ(g->CollectEdges(), want);
+
+  stats = GraphReadStats{};
+  auto after_loop = ReadBothWays("0 1\n5 5\n3 4\n", "loop_descent", &stats);
+  ASSERT_TRUE(after_loop.ok()) << after_loop.status().ToString();
+  EXPECT_EQ(stats.passes, 2);
 }
 
 // A directory opens as a stream but fails its first read; the error must

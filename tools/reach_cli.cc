@@ -122,7 +122,8 @@ int main(int argc, char** argv) {
   }
 
   const Timer read_timer;
-  auto graph = ReadGraphFile(graph_path);
+  GraphReadStats read_stats;
+  auto graph = ReadGraphFile(graph_path, &read_stats);
   const double read_ms = read_timer.ElapsedMillis();
   if (!graph.ok()) {
     std::fprintf(stderr, "error reading %s: %s\n", graph_path.c_str(),
@@ -149,11 +150,15 @@ int main(int argc, char** argv) {
     // only adds the SCC-condensation overhead on top of the oracle build.
     const BuildStats& build_stats = index->oracle().build_stats();
     std::fprintf(stderr,
-                 "graph: %zu vertices, %zu edges, %zu SCCs, read_ms=%.1f\n"
+                 "graph: %zu vertices, %zu edges, %zu SCCs, read_ms=%.1f "
+                 "passes=%d parse_ms=%.1f canonicalize_ms=%.1f "
+                 "reverse_csr_ms=%.1f\n"
                  "index: %s, %llu integers, %llu bytes, built in %.1f ms "
                  "(%.1f ms incl. condensation) with %d thread%s\n",
                  graph->num_vertices(), graph->num_edges(),
-                 index->num_components(), read_ms,
+                 index->num_components(), read_ms, read_stats.passes,
+                 read_stats.parse_ms, read_stats.canonicalize_ms,
+                 read_stats.reverse_csr_ms,
                  index->oracle().name().c_str(),
                  static_cast<unsigned long long>(build_stats.index_integers),
                  static_cast<unsigned long long>(build_stats.index_bytes),

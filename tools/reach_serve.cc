@@ -169,7 +169,8 @@ int main(int argc, char** argv) {
   }
 
   const Timer read_timer;
-  auto graph = ReadGraphFile(graph_path);
+  GraphReadStats read_stats;
+  auto graph = ReadGraphFile(graph_path, &read_stats);
   if (!graph.ok()) {
     std::fprintf(stderr, "error reading %s: %s\n", graph_path.c_str(),
                  graph.status().ToString().c_str());
@@ -178,9 +179,12 @@ int main(int argc, char** argv) {
   // One key=value line per load phase, ahead of the readiness line.
   std::fprintf(stderr,
                "event=graph_read path=%s vertices=%zu edges=%zu "
-               "read_ms=%.1f\n",
+               "read_ms=%.1f passes=%d parse_ms=%.1f canonicalize_ms=%.1f "
+               "reverse_csr_ms=%.1f\n",
                graph_path.c_str(), graph->num_vertices(), graph->num_edges(),
-               read_timer.ElapsedMillis());
+               read_timer.ElapsedMillis(), read_stats.passes,
+               read_stats.parse_ms, read_stats.canonicalize_ms,
+               read_stats.reverse_csr_ms);
 
   server::ReachServer reach_server;
   // One line per index publish (startup and every RELOAD): load wall time,
