@@ -1,35 +1,19 @@
 #include "bench/experiments.h"
 
 #include <algorithm>
-#include <cstdio>
-#include <cstdlib>
 #include <memory>
 #include <utility>
 
 #include "baselines/factory.h"
 #include "bench/reporter.h"
 #include "core/distribution_labeling.h"
-#include "core/prefilter.h"
-#include "core/reachability.h"
 #include "query/workload.h"
-#include "server/client.h"
-#include "server/server.h"
-#include "server/snapshot.h"
-#include "util/mapped_blob.h"
-#include "util/resource.h"
-#include "util/span_stream.h"
 #include "util/timer.h"
 
 namespace reach {
 namespace bench {
 
 namespace {
-
-/// Metrics measured by timing Reachable() over a workload in-process (the
-/// serve metric also runs a workload, but through the wire).
-bool IsQueryMetric(Metric metric) {
-  return metric == Metric::kQueryMillis || metric == Metric::kQueryNanos;
-}
 
 std::vector<DatasetSpec> FilterDatasets(const std::vector<DatasetSpec>& all,
                                         const BenchConfig& config) {
@@ -48,12 +32,8 @@ std::vector<DatasetSpec> FilterDatasets(const std::vector<DatasetSpec>& all,
   return out;
 }
 
-std::vector<std::string> MethodsFor(const ExperimentSpec& spec,
-                                    const BenchConfig& config) {
-  if (config.methods.empty()) {
-    return spec.default_methods.empty() ? PaperOracleNames()
-                                        : spec.default_methods;
-  }
+std::vector<std::string> MethodsFor(const BenchConfig& config) {
+  if (config.methods.empty()) return PaperOracleNames();
   // A filter is a set here too: a method repeated in --methods must not
   // run (and report) the same cell twice.
   std::vector<std::string> methods;
@@ -124,7 +104,10 @@ void RunTable(const ExperimentSpec& spec, const BenchConfig& config,
               Reporter* reporter, RunCache* cache) {
   const std::vector<DatasetSpec> datasets =
       FilterDatasets(DatasetsFor(spec), config);
-  const std::vector<std::string> methods = MethodsFor(spec, config);
+  const std::vector<std::string> methods = MethodsFor(config);
+  // Query tables time Reachable() over a workload; the others only need
+  // the build stats.
+  const bool timed_queries = spec.metric == Metric::kQueryMillis;
 
   reporter->BeginExperiment(spec, methods, config);
   // A requested dataset from the other tier passed global validation but
@@ -152,7 +135,7 @@ void RunTable(const ExperimentSpec& spec, const BenchConfig& config,
     // Workload (query tables only): ground truth via DL, whose correctness
     // the test suite establishes independently of any method under test.
     Workload workload;
-    if (IsQueryMetric(spec.metric)) {
+    if (timed_queries) {
       DistributionLabelingOracle local_truth;
       const ReachabilityOracle* truth = nullptr;
       if (cache != nullptr) {
@@ -184,7 +167,7 @@ void RunTable(const ExperimentSpec& spec, const BenchConfig& config,
       const BuildStats* cached =
           cache == nullptr ? nullptr
                            : cache->FindBuild(dataset.name, method, budget);
-      if (cached != nullptr && (!cached->ok || !IsQueryMetric(spec.metric))) {
+      if (cached != nullptr && (!cached->ok || !timed_queries)) {
         reporter->AddRecord(StatsRecord(spec, dataset.name, method, *cached));
         continue;
       }
@@ -206,561 +189,22 @@ void RunTable(const ExperimentSpec& spec, const BenchConfig& config,
       if (cache != nullptr) {
         cache->InsertBuild(dataset.name, method, budget, stats);
       }
-      if (!status.ok() || !IsQueryMetric(spec.metric)) {
+      if (!status.ok() || !timed_queries) {
         reporter->AddRecord(StatsRecord(spec, dataset.name, method, stats));
         continue;
       }
 
       RunRecord record = StatsRecord(spec, dataset.name, method, stats);
-      // The ns/query metric repeats the workload until ~1M queries total,
-      // so the per-query number is averaged over a stable window even
-      // under --quick's small workloads; ms/100k keeps the paper tables'
-      // single-pass semantics.
-      const size_t passes =
-          spec.metric == Metric::kQueryNanos
-              ? (999999 / workload.queries.size()) + 1
-              : 1;
       Timer query_timer;
       size_t hits = 0;
-      for (size_t pass = 0; pass < passes; ++pass) {
-        for (const Query& q : workload.queries) {
-          hits += oracle->Reachable(q.from, q.to);
-        }
+      for (const Query& q : workload.queries) {
+        hits += oracle->Reachable(q.from, q.to);
       }
-      const double elapsed_ms = query_timer.ElapsedMillis();
-      const double total_queries =
-          static_cast<double>(passes) *
-          static_cast<double>(workload.queries.size());
-      record.value = spec.metric == Metric::kQueryNanos
-                         ? elapsed_ms * 1e6 / total_queries
-                         : elapsed_ms * 100000.0 / total_queries;
+      record.value = query_timer.ElapsedMillis() * 100000.0 /
+                     static_cast<double>(workload.queries.size());
       // Guard against dead-code elimination of the query loop.
       if (hits == SIZE_MAX) record.note.push_back('!');
       reporter->AddRecord(record);
-    }
-  }
-  reporter->EndExperiment();
-}
-
-/// Serving-layer throughput: per (dataset, method) cell, build the oracle
-/// inside a ReachServer on an ephemeral loopback port, send the whole
-/// workload as one BATCH frame, and report end-to-end queries/second.
-/// Every answer is cross-checked against the server's own in-process index
-/// — a divergence is a correctness failure, not a slow cell.
-void RunServe(const ExperimentSpec& spec, const BenchConfig& config,
-              Reporter* reporter, RunCache* cache) {
-  const std::vector<DatasetSpec> datasets =
-      FilterDatasets(DatasetsFor(spec), config);
-  const std::vector<std::string> methods = MethodsFor(spec, config);
-
-  reporter->BeginExperiment(spec, methods, config);
-  for (const std::string& wanted : config.datasets) {
-    bool present = false;
-    for (const DatasetSpec& dataset : datasets) {
-      present |= dataset.name == wanted;
-    }
-    if (!present) {
-      reporter->DatasetError(wanted,
-                             "not part of this experiment's dataset rows");
-    }
-  }
-
-  BuildBudget budget;
-  budget.max_seconds = config.build_time_budget_seconds;
-  budget.max_index_integers = config.build_index_budget_integers;
-
-  for (const DatasetSpec& dataset : datasets) {
-    Digraph local_graph;
-    const Digraph& graph =
-        cache != nullptr
-            ? cache->Graph(dataset)
-            : (local_graph = MakeDataset(dataset), local_graph);
-
-    // The workload ground truth mirrors the query tables (DL).
-    DistributionLabelingOracle local_truth;
-    const ReachabilityOracle* truth = nullptr;
-    BuildOptions build_options;
-    build_options.threads = config.threads;
-    if (cache != nullptr) {
-      truth = cache->TruthOracle(dataset.name, graph, config.threads);
-    } else if (local_truth.Build(graph, build_options).ok()) {
-      truth = &local_truth;
-    }
-    if (truth == nullptr) {
-      reporter->DatasetError(dataset.name, "workload truth build failed");
-      continue;
-    }
-    WorkloadOptions workload_options;
-    workload_options.num_queries = config.num_queries;
-    workload_options.seed = 7 + dataset.seed;
-    const Workload workload =
-        MakeEqualWorkload(graph, *truth, workload_options);
-    std::vector<std::pair<Vertex, Vertex>> queries;
-    queries.reserve(workload.queries.size());
-    for (const Query& q : workload.queries) {
-      queries.emplace_back(q.from, q.to);
-    }
-
-    for (const std::string& method : methods) {
-      // Serve builds run on the SCC condensation (vertex ids relabeled),
-      // so their stats are NOT interchangeable with RunTable's raw-graph
-      // builds — the cache key is namespaced to keep the table/figure
-      // cells order-independent. A cached serve failure is still final
-      // for this budget: skip the doomed server start.
-      const std::string cache_method = method + "@serve";
-      const BuildStats* cached =
-          cache == nullptr
-              ? nullptr
-              : cache->FindBuild(dataset.name, cache_method, budget);
-      if (cached != nullptr && !cached->ok) {
-        reporter->AddRecord(StatsRecord(spec, dataset.name, method, *cached));
-        continue;
-      }
-
-      server::ReachServer reach_server;
-      server::ServerOptions server_options;
-      server_options.method = method;
-      server_options.build_threads = config.threads;
-      server_options.budget = budget;
-      server_options.workers = 2;
-      // One BATCH frame carries the whole workload.
-      server_options.limits.max_batch =
-          std::max<uint64_t>(server_options.limits.max_batch,
-                             queries.size());
-      const Status started = reach_server.Start(graph, server_options);
-      const BuildStats& stats = reach_server.build_stats();
-      if (cache != nullptr) {
-        cache->InsertBuild(dataset.name, cache_method, budget, stats);
-      }
-      RunRecord record = StatsRecord(spec, dataset.name, method, stats);
-      if (!started.ok()) {
-        if (record.note.empty()) record.note = started.ToString();
-        record.ok = false;
-        reporter->AddRecord(record);
-        continue;
-      }
-
-      // Expected bytes from the in-process index, computed outside the
-      // timed window.
-      const std::shared_ptr<const ReachabilityIndex> index =
-          reach_server.index();
-      std::vector<std::string> expected;
-      expected.reserve(queries.size());
-      for (const auto& [u, v] : queries) {
-        expected.push_back(index->Reachable(u, v) ? "1" : "0");
-      }
-
-      server::Client client;
-      Status client_status =
-          client.Connect("127.0.0.1", reach_server.port());
-      if (client_status.ok()) {
-        Timer timer;
-        const StatusOr<std::vector<std::string>> answers =
-            client.Batch(queries);
-        const double elapsed_ms = timer.ElapsedMillis();
-        if (!answers.ok()) {
-          client_status = answers.status();
-        } else if (*answers != expected) {
-          record.ok = false;
-          record.note = "server answers diverged from in-process oracle";
-        } else {
-          record.value = elapsed_ms > 0
-                             ? static_cast<double>(queries.size()) * 1000.0 /
-                                   elapsed_ms
-                             : 0;
-        }
-      }
-      if (!client_status.ok()) {
-        record.ok = false;
-        record.note = client_status.ToString();
-      }
-      client.Close();
-      reach_server.Stop();
-      reporter->AddRecord(record);
-    }
-  }
-  reporter->EndExperiment();
-}
-
-/// Pre-filter tier: every row is one (dataset, query mix) pair and every
-/// method contributes two columns — bare and wrapped in PrefilterOracle —
-/// so the ns/query delta and the per-mix hit rate land side by side.
-/// Before the timed loops the wrapped oracle's answers are cross-checked
-/// against the bare oracle AND the workload's ground-truth labels over the
-/// whole workload: a pre-filter that changes even one answer reports a
-/// failed cell, not a fast one. The wrapped cell's note records the
-/// fraction of queries the O(1) stages resolved ("hit_rate=NN.N%").
-void RunPrefilter(const ExperimentSpec& spec, const BenchConfig& config,
-                  Reporter* reporter, RunCache* cache) {
-  const std::vector<DatasetSpec> datasets =
-      FilterDatasets(DatasetsFor(spec), config);
-  const std::vector<std::string> methods = MethodsFor(spec, config);
-  std::vector<std::string> columns;
-  for (const std::string& method : methods) {
-    columns.push_back(method);
-    columns.push_back(method + "+pf");
-  }
-
-  reporter->BeginExperiment(spec, columns, config);
-  for (const std::string& wanted : config.datasets) {
-    bool present = false;
-    for (const DatasetSpec& dataset : datasets) {
-      present |= dataset.name == wanted;
-    }
-    if (!present) {
-      reporter->DatasetError(wanted,
-                             "not part of this experiment's dataset rows");
-    }
-  }
-
-  BuildBudget budget;
-  budget.max_seconds = config.build_time_budget_seconds;
-  budget.max_index_integers = config.build_index_budget_integers;
-  constexpr QueryMix kMixes[] = {QueryMix::kNegativeHeavy, QueryMix::kMixed,
-                                 QueryMix::kPositiveHeavy};
-
-  for (const DatasetSpec& dataset : datasets) {
-    Digraph local_graph;
-    const Digraph& graph =
-        cache != nullptr
-            ? cache->Graph(dataset)
-            : (local_graph = MakeDataset(dataset), local_graph);
-
-    DistributionLabelingOracle local_truth;
-    const ReachabilityOracle* truth = nullptr;
-    BuildOptions build_options;
-    build_options.threads = config.threads;
-    if (cache != nullptr) {
-      truth = cache->TruthOracle(dataset.name, graph, config.threads);
-    } else if (local_truth.Build(graph, build_options).ok()) {
-      truth = &local_truth;
-    }
-    if (truth == nullptr) {
-      reporter->DatasetError(dataset.name, "workload truth build failed");
-      continue;
-    }
-
-    for (const QueryMix mix : kMixes) {
-      const std::string row =
-          dataset.name + "/" + QueryMixName(mix);
-      WorkloadOptions workload_options;
-      workload_options.num_queries = config.num_queries;
-      workload_options.seed =
-          101 + dataset.seed * 4 + static_cast<uint64_t>(mix);
-      const Workload workload =
-          MakeMixWorkload(graph, *truth, workload_options, mix);
-      if (workload.queries.empty()) {
-        reporter->DatasetError(row, "empty workload");
-        continue;
-      }
-      // The ns/query loops repeat the workload to ~1M queries total, same
-      // averaging window as the query_quick experiment.
-      const size_t passes = (999999 / workload.queries.size()) + 1;
-
-      for (const std::string& method : methods) {
-        std::unique_ptr<ReachabilityOracle> bare = MakeOracle(method);
-        std::unique_ptr<ReachabilityOracle> inner = MakeOracle(method);
-        if (bare == nullptr || inner == nullptr) {
-          for (const char* suffix : {"", "+pf"}) {
-            RunRecord record;
-            record.dataset = row;
-            record.method = method + suffix;
-            record.metric = MetricName(spec.metric);
-            record.note = "unknown method";
-            reporter->AddRecord(record);
-          }
-          continue;
-        }
-        PrefilterOracle wrapped(std::move(inner));
-        bare->set_budget(budget);
-        wrapped.set_budget(budget);
-        const Status bare_status = bare->Build(graph, build_options);
-        const Status wrapped_status = wrapped.Build(graph, build_options);
-        RunRecord bare_record =
-            StatsRecord(spec, row, method, bare->build_stats());
-        RunRecord wrapped_record =
-            StatsRecord(spec, row, method + "+pf", wrapped.build_stats());
-        if (!bare_status.ok() || !wrapped_status.ok()) {
-          reporter->AddRecord(bare_record);
-          reporter->AddRecord(wrapped_record);
-          continue;
-        }
-
-        // Soundness gate before any timing: wrapped and bare must answer
-        // the whole workload identically, and both must match the
-        // truth-derived labels.
-        bool sound = true;
-        for (const Query& q : workload.queries) {
-          const bool bare_answer = bare->Reachable(q.from, q.to);
-          if (bare_answer != wrapped.Reachable(q.from, q.to) ||
-              bare_answer != q.reachable) {
-            sound = false;
-            break;
-          }
-        }
-        if (!sound) {
-          bare_record.ok = false;
-          wrapped_record.ok = false;
-          wrapped_record.note = "prefilter answers diverged";
-          reporter->AddRecord(bare_record);
-          reporter->AddRecord(wrapped_record);
-          continue;
-        }
-
-        // Hit rates come from one untimed counted pass; the timed loops
-        // below run with counting off so neither side pays for the
-        // instrumentation (the locked add is measurable at this scale).
-        wrapped.ResetCounters();
-        for (const Query& q : workload.queries) {
-          wrapped.Reachable(q.from, q.to);
-        }
-        const PrefilterStageCounters counters = wrapped.counters();
-
-        size_t hits = 0;
-        Timer bare_timer;
-        for (size_t pass = 0; pass < passes; ++pass) {
-          for (const Query& q : workload.queries) {
-            hits += bare->Reachable(q.from, q.to);
-          }
-        }
-        const double bare_ms = bare_timer.ElapsedMillis();
-
-        wrapped.set_counting_enabled(false);
-        Timer wrapped_timer;
-        for (size_t pass = 0; pass < passes; ++pass) {
-          for (const Query& q : workload.queries) {
-            hits += wrapped.Reachable(q.from, q.to);
-          }
-        }
-        const double wrapped_ms = wrapped_timer.ElapsedMillis();
-        wrapped.set_counting_enabled(true);
-        const double total_queries =
-            static_cast<double>(passes) *
-            static_cast<double>(workload.queries.size());
-        bare_record.value = bare_ms * 1e6 / total_queries;
-        wrapped_record.value = wrapped_ms * 1e6 / total_queries;
-        char note[32];
-        std::snprintf(note, sizeof(note), "hit_rate=%.1f%%",
-                      counters.Total() == 0
-                          ? 0.0
-                          : 100.0 * static_cast<double>(counters.Hits()) /
-                                static_cast<double>(counters.Total()));
-        wrapped_record.note = note;
-        // Guard against dead-code elimination of the query loops.
-        if (hits == SIZE_MAX) wrapped_record.note.push_back('!');
-        reporter->AddRecord(bare_record);
-        reporter->AddRecord(wrapped_record);
-      }
-    }
-  }
-  reporter->EndExperiment();
-}
-
-/// Cold-load path (load_quick): per (dataset, method) cell the oracle is
-/// built once in-process, saved as a server snapshot to a scratch file,
-/// and that file is then loaded twice into fresh indexes through the one
-/// load path (ReachabilityIndex::LoadMapped, no parse on either side):
-/// once over a read of the whole file into memory (MappedBlob::OpenOwned,
-/// the /owned column) and once over the capability-picked mapping
-/// (LoadIndexSnapshotFile; mmap where available). Each arm reports its
-/// load wall-ms as the cell value and the load's resident-set growth as
-/// "rss_kb=" in the note — the mapped arm's near-zero pair is the point:
-/// load cost drops to O(index pages touched), while the owned arm pays
-/// O(file size) to read every byte. Before either arm is reported, the
-/// built, owned, and mapped indexes must answer a seeded query sample
-/// identically; one divergence fails both cells.
-///
-/// The xl graphs deliberately bypass RunCache: pinning a 10^7-edge graph
-/// for the rest of a bench_all run would dwarf the cache's laptop-scale
-/// working set, and no other experiment revisits the tier.
-
-void RunLoad(const ExperimentSpec& spec, const BenchConfig& config,
-             Reporter* reporter, RunCache* /*cache*/) {
-  const std::vector<DatasetSpec> datasets =
-      FilterDatasets(DatasetsFor(spec), config);
-  const std::vector<std::string> methods = MethodsFor(spec, config);
-  std::vector<std::string> columns;
-  for (const std::string& method : methods) {
-    columns.push_back(method + "/owned");
-    columns.push_back(method + "/mmap");
-  }
-
-  reporter->BeginExperiment(spec, columns, config);
-  for (const std::string& wanted : config.datasets) {
-    bool present = false;
-    for (const DatasetSpec& dataset : datasets) {
-      present |= dataset.name == wanted;
-    }
-    if (!present) {
-      reporter->DatasetError(wanted,
-                             "not part of this experiment's dataset rows");
-    }
-  }
-
-  BuildBudget budget;
-  budget.max_seconds = config.build_time_budget_seconds;
-  budget.max_index_integers = config.build_index_budget_integers;
-  BuildOptions build_options;
-  build_options.threads = config.threads;
-  const char* tmpdir = std::getenv("TMPDIR");
-  const std::string scratch_dir =
-      tmpdir != nullptr && *tmpdir != '\0' ? tmpdir : "/tmp";
-
-  for (const DatasetSpec& dataset : datasets) {
-    const Digraph graph = MakeDataset(dataset);
-
-    // Seeded query sample for the three-way identity gate. No ground
-    // truth is needed — the gate checks that both load paths reproduce
-    // the built index bit for bit, not that the index is correct (the
-    // test suite owns that).
-    std::vector<std::pair<Vertex, Vertex>> sample;
-    sample.reserve(config.num_queries);
-    uint64_t state = 0x9e3779b97f4a7c15ULL ^
-                     (dataset.seed * 0xbf58476d1ce4e5b9ULL);
-    const auto next_u64 = [&state]() {
-      uint64_t z = (state += 0x9e3779b97f4a7c15ULL);
-      z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-      z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-      return z ^ (z >> 31);
-    };
-    const uint64_t n = graph.num_vertices();
-    for (size_t i = 0; i < config.num_queries; ++i) {
-      sample.emplace_back(static_cast<Vertex>(next_u64() % n),
-                          static_cast<Vertex>(next_u64() % n));
-    }
-    const auto answers_of = [&sample](const ReachabilityIndex& index) {
-      std::vector<char> answers;
-      answers.reserve(sample.size());
-      for (const auto& [u, v] : sample) {
-        answers.push_back(index.Reachable(u, v) ? 1 : 0);
-      }
-      return answers;
-    };
-
-    for (const std::string& method : methods) {
-      RunRecord owned_record;
-      RunRecord mmap_record;
-      const auto report_both = [&] {
-        reporter->AddRecord(owned_record);
-        reporter->AddRecord(mmap_record);
-      };
-
-      std::unique_ptr<ReachabilityOracle> oracle = MakeOracle(method);
-      if (oracle == nullptr) {
-        for (RunRecord* record : {&owned_record, &mmap_record}) {
-          record->dataset = dataset.name;
-          record->metric = MetricName(spec.metric);
-          record->note = "unknown method";
-        }
-        owned_record.method = method + "/owned";
-        mmap_record.method = method + "/mmap";
-        report_both();
-        continue;
-      }
-      oracle->set_budget(budget);
-      BuildStats build_stats;
-      const StatusOr<ReachabilityIndex> built = ReachabilityIndex::Build(
-          graph, std::move(oracle), build_options, &build_stats);
-      owned_record =
-          StatsRecord(spec, dataset.name, method + "/owned", build_stats);
-      mmap_record =
-          StatsRecord(spec, dataset.name, method + "/mmap", build_stats);
-      if (!built.ok()) {
-        report_both();
-        continue;
-      }
-
-      const std::string path = scratch_dir + "/reach_load_quick." +
-                               dataset.name + "." + method + ".snapshot";
-      const Status saved = server::SaveIndexSnapshot(
-          path, method, graph.num_vertices(), graph.num_edges(),
-          built->oracle());
-      if (!saved.ok()) {
-        for (RunRecord* record : {&owned_record, &mmap_record}) {
-          record->ok = false;
-          record->note = saved.ToString();
-        }
-        report_both();
-        continue;
-      }
-      const std::vector<char> expected = answers_of(*built);
-
-      // Owned arm in its own scope so its blob is released (and its RSS
-      // returned) before the mapped arm measures its growth.
-      double owned_ms = 0;
-      uint64_t owned_rss_kb = 0;
-      Status owned_status = Status::OK();
-      std::vector<char> owned_answers;
-      {
-        const uint64_t rss_before = CurrentRssKb();
-        Timer timer;
-        const auto owned_load = [&]() -> StatusOr<ReachabilityIndex> {
-          StatusOr<std::shared_ptr<const MappedBlob>> blob =
-              MappedBlob::OpenOwned(path);
-          if (!blob.ok()) return blob.status();
-          SpanIStream header((*blob)->bytes());
-          REACH_RETURN_IF_ERROR(server::ReadSnapshotHeader(
-              header, method, graph.num_vertices(), graph.num_edges()));
-          return ReachabilityIndex::LoadMapped(
-              graph, MakeOracle(method),
-              MappedRegion{*blob, server::SnapshotHeaderBytes(method.size())});
-        };
-        const StatusOr<ReachabilityIndex> owned = owned_load();
-        owned_ms = timer.ElapsedMillis();
-        const uint64_t rss_after = CurrentRssKb();
-        owned_rss_kb = rss_after > rss_before ? rss_after - rss_before : 0;
-        if (owned.ok()) {
-          owned_answers = answers_of(*owned);
-        } else {
-          owned_status = owned.status();
-        }
-      }
-
-      bool mapped = false;
-      const uint64_t rss_before = CurrentRssKb();
-      Timer timer;
-      const StatusOr<ReachabilityIndex> mapped_index =
-          server::LoadIndexSnapshotFile(path, method, graph,
-                                        MakeOracle(method),
-                                        /*stats_out=*/nullptr, &mapped);
-      const double mmap_ms = timer.ElapsedMillis();
-      const uint64_t rss_after = CurrentRssKb();
-      const uint64_t mmap_rss_kb =
-          rss_after > rss_before ? rss_after - rss_before : 0;
-      std::remove(path.c_str());
-
-      if (!owned_status.ok() || !mapped_index.ok()) {
-        owned_record.ok = owned_status.ok();
-        owned_record.note =
-            owned_status.ok() ? owned_record.note : owned_status.ToString();
-        mmap_record.ok = mapped_index.ok();
-        if (!mapped_index.ok()) {
-          mmap_record.note = mapped_index.status().ToString();
-        }
-        report_both();
-        continue;
-      }
-      if (owned_answers != expected ||
-          answers_of(*mapped_index) != expected) {
-        for (RunRecord* record : {&owned_record, &mmap_record}) {
-          record->ok = false;
-          record->note = "owned/mapped answers diverged from built index";
-        }
-        report_both();
-        continue;
-      }
-
-      char note[64];
-      owned_record.value = owned_ms;
-      std::snprintf(note, sizeof(note), "rss_kb=%llu",
-                    static_cast<unsigned long long>(owned_rss_kb));
-      owned_record.note = note;
-      mmap_record.value = mmap_ms;
-      std::snprintf(note, sizeof(note), "rss_kb=%llu%s",
-                    static_cast<unsigned long long>(mmap_rss_kb),
-                    mapped ? "" : " (no mmap; heap fallback)");
-      mmap_record.note = note;
-      report_both();
     }
   }
   reporter->EndExperiment();
@@ -873,93 +317,6 @@ const std::vector<ExperimentSpec>& ExperimentRegistry() {
     fig4.large = true;
     specs.push_back(fig4);
 
-    // Beyond the paper: serving-layer throughput. The oracle is built once
-    // inside reach_serve's server and the whole workload travels as one
-    // BATCH frame, so the cell measures the amortized-serving regime the
-    // ROADMAP targets rather than in-process query latency.
-    ExperimentSpec serve;
-    serve.id = "serve_quick";
-    serve.title =
-        "Serve: batched loopback throughput (queries/s), small graphs";
-    serve.shape_note =
-        "one build amortizes across the batch and the server executes each "
-        "frame grouped by source vertex (answers stay in arrival order); "
-        "label-scan methods (DL/HL) sustain the highest QPS, index-free "
-        "BFS pays per-query traversal and serializes behind the "
-        "online-search query lock";
-    serve.kind = ExperimentKind::kServe;
-    serve.metric = Metric::kServeQps;
-    serve.workload = WorkloadKind::kEqual;
-    serve.num_queries_override = 10000;
-    serve.dataset_subset = {"arxiv", "amaze", "kegg"};
-    serve.default_methods = {"DL", "HL", "INT", "BFS"};
-    specs.push_back(serve);
-
-    // Beyond the paper: the in-process query hot path in ns/query, on the
-    // three biggest small-tier graphs. This is the cell the sealed-CSR
-    // label layout and the adaptive intersection kernel move; the quick
-    // baseline archives it so a PR that regresses the hot path shows up
-    // in the JSON diff.
-    ExperimentSpec query_quick;
-    query_quick.id = "query_quick";
-    query_quick.title =
-        "Query: ns/query, sealed labels, largest small graphs";
-    query_quick.shape_note =
-        "flat CSR labels + adaptive intersection: DL fastest (total-order "
-        "keys make the O(1) range rejection fire on most negatives); HL/TF "
-        "close behind; PL pays the full distance merge";
-    query_quick.metric = Metric::kQueryNanos;
-    query_quick.workload = WorkloadKind::kEqual;
-    query_quick.dataset_subset = {"arxiv", "human", "p2p"};
-    query_quick.default_methods = {"DL", "HL", "TF", "PL"};
-    specs.push_back(query_quick);
-
-    // Beyond the paper: the O'Reach-style O(1) pre-filter tier
-    // (core/prefilter.h) across negative-heavy / mixed / positive-heavy
-    // query mixes. Each method appears bare and wrapped; the wrapped
-    // column's note carries the per-mix prefilter hit rate.
-    ExperimentSpec prefilter;
-    prefilter.id = "prefilter_quick";
-    prefilter.title =
-        "Prefilter: ns/query, bare vs wrapped oracle, per query mix";
-    prefilter.shape_note =
-        "on the negative-heavy mix the O(1) stages resolve >=80% of "
-        "queries before the labels are touched and wrapped DL beats bare "
-        "DL; the edge narrows as the positive fraction grows (positives "
-        "fall through to the support stage and the fallback more often)";
-    prefilter.kind = ExperimentKind::kPrefilter;
-    prefilter.metric = Metric::kQueryNanos;
-    prefilter.dataset_subset = {"arxiv", "human", "p2p"};
-    prefilter.default_methods = {"DL", "HL"};
-    specs.push_back(prefilter);
-
-    // Beyond the paper: the cold-load path at the paper's original sizes
-    // (the xl tier, 1.6M-16.1M edges). This is the cell the mmap-backed
-    // zero-copy load path moves; the quick baseline archives it so a PR
-    // that regresses the load path shows up in the JSON diff. Note the
-    // quick budgets (5 s / 20M integers) cannot build the 10^7-edge
-    // instances — those rows record honest DNFs under --quick, and the
-    // full-budget run shows the headline gap on uniprotenc_100m_full.
-    ExperimentSpec load;
-    load.id = "load_quick";
-    load.title =
-        "Load: cold snapshot load (ms), file read vs mmap, xl tier";
-    load.shape_note =
-        "both arms serve the snapshot bytes in place and validate only "
-        "the offsets; the owned arm first reads the whole file into "
-        "memory, so it scales with index bytes, while the mapped arm "
-        "touches nothing else, staying O(index pages touched) with ~0 "
-        "rss_kb growth";
-    load.kind = ExperimentKind::kLoad;
-    load.metric = Metric::kLoadMillis;
-    load.large = true;
-    // DL on the 16M-vertex star forest needs more than the large tier's
-    // default 25 s; the load arms themselves are sub-second.
-    load.budget_seconds_override = 120;
-    load.num_queries_override = 10000;
-    load.default_methods = {"DL"};
-    specs.push_back(load);
-
     return specs;
   }();
   return kRegistry;
@@ -987,26 +344,11 @@ BenchConfig DefaultConfigFor(const ExperimentSpec& spec) {
   if (spec.budget_seconds_override > 0) {
     config.build_time_budget_seconds = spec.budget_seconds_override;
   }
-  if (spec.num_queries_override > 0) {
-    config.num_queries = spec.num_queries_override;
-  }
   return config;
 }
 
 std::vector<DatasetSpec> DatasetsFor(const ExperimentSpec& spec) {
-  const std::vector<DatasetSpec>& tier =
-      spec.kind == ExperimentKind::kLoad
-          ? XlDatasets()
-          : (spec.large ? LargeDatasets() : SmallDatasets());
-  if (spec.dataset_subset.empty()) return tier;
-  std::vector<DatasetSpec> subset;
-  for (const DatasetSpec& candidate : tier) {
-    if (std::find(spec.dataset_subset.begin(), spec.dataset_subset.end(),
-                  candidate.name) != spec.dataset_subset.end()) {
-      subset.push_back(candidate);
-    }
-  }
-  return subset;
+  return spec.large ? LargeDatasets() : SmallDatasets();
 }
 
 bool ExperimentCoversDataset(const ExperimentSpec& spec,
@@ -1069,15 +411,6 @@ void RunExperiment(const ExperimentSpec& spec, const BenchConfig& config,
   switch (spec.kind) {
     case ExperimentKind::kInventory:
       RunInventory(spec, config, reporter, cache);
-      return;
-    case ExperimentKind::kServe:
-      RunServe(spec, config, reporter, cache);
-      return;
-    case ExperimentKind::kPrefilter:
-      RunPrefilter(spec, config, reporter, cache);
-      return;
-    case ExperimentKind::kLoad:
-      RunLoad(spec, config, reporter, cache);
       return;
     case ExperimentKind::kTable:
       RunTable(spec, config, reporter, cache);

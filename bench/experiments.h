@@ -1,7 +1,7 @@
 // Declarative experiment registry: every table and figure of the paper's
-// Section 6 evaluation is one ExperimentSpec in a single table-of-tables.
-// The legacy per-table binaries and the bench_all driver are both thin
-// lookups into this registry, so an experiment is defined exactly once.
+// Section 6 evaluation is one ExperimentSpec in a single table-of-tables,
+// and the registry holds nothing else. The bench_all driver is a thin
+// lookup into it, so an experiment is defined exactly once.
 
 #ifndef REACH_BENCH_EXPERIMENTS_H_
 #define REACH_BENCH_EXPERIMENTS_H_
@@ -77,12 +77,6 @@ class RunCache {
 enum class ExperimentKind {
   kInventory,  // Table 1: the dataset listing (no methods, no metric).
   kTable,      // datasets x methods under one metric.
-  kServe,      // datasets x methods measured through a loopback server.
-  kPrefilter,  // (dataset x query mix) rows; every method bare vs wrapped
-               // in the O(1) pre-filter tier, with per-mix hit rates.
-  kLoad,       // Cold snapshot-load wall time on the xl tier: per method,
-               // an owned-read column vs an mmap column, with the load's
-               // resident-set growth in the note.
 };
 
 /// One paper table/figure: what it runs and what the paper says it shows.
@@ -97,19 +91,9 @@ struct ExperimentSpec {
   // > 0: replaces the tier's default build budget (Table 4 needs 200 s for
   // 2HOP on arxiv, mirroring the paper's own 131.9 s entry).
   double budget_seconds_override = 0;
-  // > 0: replaces the tier's default query count (serve_quick ships a
-  // fixed 10k-query batch by default).
-  size_t num_queries_override = 0;
-  // Non-empty: the experiment's rows are this subset of its tier instead
-  // of the whole tier (keeps the serve throughput experiment cheap).
-  std::vector<std::string> dataset_subset;
-  // Non-empty: default method columns when --methods is not given
-  // (otherwise the paper columns).
-  std::vector<std::string> default_methods;
 };
 
-/// All experiments, in paper order: table1..table7, fig3, fig4, then the
-/// serving-layer experiments (serve_quick).
+/// All experiments, in paper order: table1..table7, fig3, fig4.
 const std::vector<ExperimentSpec>& ExperimentRegistry();
 
 /// The registry ids, in registry order.
@@ -118,12 +102,11 @@ std::vector<std::string> ExperimentIds();
 /// Lookup by id; NotFound (listing the known ids) for unknown names.
 StatusOr<ExperimentSpec> FindExperiment(const std::string& id);
 
-/// Tier defaults plus the spec's overrides (e.g. Table 4's budget).
+/// Tier defaults plus the spec's budget override (Table 4).
 BenchConfig DefaultConfigFor(const ExperimentSpec& spec);
 
 /// The dataset rows of the experiment (before --datasets filtering): the
-/// spec's tier (kLoad experiments draw from the xl tier), narrowed to
-/// dataset_subset when the spec names one.
+/// spec's tier.
 std::vector<DatasetSpec> DatasetsFor(const ExperimentSpec& spec);
 
 /// True when the experiment has a row for `dataset` (the inventory spans

@@ -35,7 +35,6 @@ std::vector<std::string> KnownDatasetNames() {
   std::vector<std::string> names;
   for (const DatasetSpec& spec : SmallDatasets()) names.push_back(spec.name);
   for (const DatasetSpec& spec : LargeDatasets()) names.push_back(spec.name);
-  for (const DatasetSpec& spec : XlDatasets()) names.push_back(spec.name);
   return names;
 }
 
@@ -99,16 +98,10 @@ std::string MetricName(Metric metric) {
   switch (metric) {
     case Metric::kQueryMillis:
       return "query_ms_per_100k";
-    case Metric::kQueryNanos:
-      return "query_ns";
     case Metric::kConstructionMillis:
       return "construction_ms";
     case Metric::kIndexIntegers:
       return "index_integers";
-    case Metric::kServeQps:
-      return "serve_qps";
-    case Metric::kLoadMillis:
-      return "load_ms";
   }
   return "unknown";
 }

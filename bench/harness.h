@@ -21,13 +21,8 @@ namespace bench {
 /// What a table cell measures.
 enum class Metric {
   kQueryMillis,         // Total ms normalized to 100,000 queries.
-  kQueryNanos,          // ns per query over repeated workload passes
-                        // (query_quick; the sealed-label hot path).
   kConstructionMillis,  // Index build wall time.
   kIndexIntegers,       // Stored integers (Figures 3/4).
-  kServeQps,            // Batched loopback queries/second (serve_quick).
-  kLoadMillis,          // Cold snapshot-load wall time (load_quick; the
-                        // owned-read vs mmap arms of the load path).
 };
 
 /// Which workload drives kQueryMillis.

@@ -42,18 +42,8 @@ void TextTableReporter::BeginExperiment(const ExperimentSpec& spec,
     std::fprintf(out_,
                  "metric: total ms per 100,000 queries (measured with %zu)\n",
                  config.num_queries);
-  } else if (spec.metric == Metric::kQueryNanos) {
-    std::fprintf(out_,
-                 "metric: ns per query (repeated passes over a %zu-query "
-                 "workload)\n",
-                 config.num_queries);
   } else if (spec.metric == Metric::kConstructionMillis) {
     std::fprintf(out_, "metric: index construction ms\n");
-  } else if (spec.metric == Metric::kServeQps) {
-    std::fprintf(out_,
-                 "metric: loopback queries/second, one %zu-query BATCH "
-                 "frame\n",
-                 config.num_queries);
   } else {
     std::fprintf(out_, "metric: index size in number of stored integers\n");
   }
@@ -86,12 +76,7 @@ void TextTableReporter::AddRecord(const RunRecord& record) {
     switch (metric_) {
       case Metric::kConstructionMillis:
       case Metric::kQueryMillis:
-      case Metric::kQueryNanos:
-      case Metric::kLoadMillis:
         std::fprintf(out_, "%12.1f", record.value);
-        break;
-      case Metric::kServeQps:
-        std::fprintf(out_, "%12.0f", record.value);
         break;
       case Metric::kIndexIntegers:
         std::fprintf(out_, "%12" PRIu64,
@@ -271,17 +256,13 @@ void JsonReporter::EndExperiment() {
   writer_.BeginObject();
   writer_.KeyString("id", spec_.id);
   writer_.KeyString("title", spec_.title);
-  writer_.KeyString("kind",
-                    spec_.kind == ExperimentKind::kInventory   ? "inventory"
-                    : spec_.kind == ExperimentKind::kServe     ? "serve"
-                    : spec_.kind == ExperimentKind::kPrefilter ? "prefilter"
-                                                               : "table");
+  writer_.KeyString("kind", spec_.kind == ExperimentKind::kInventory
+                                ? "inventory"
+                                : "table");
   if (spec_.kind != ExperimentKind::kInventory) {
     writer_.KeyString("metric", MetricName(spec_.metric));
     writer_.KeyString("workload", WorkloadName(spec_.workload));
-    if (spec_.metric == Metric::kQueryMillis ||
-        spec_.metric == Metric::kQueryNanos ||
-        spec_.metric == Metric::kServeQps) {
+    if (spec_.metric == Metric::kQueryMillis) {
       writer_.KeyUint("num_queries", config_.num_queries);
     }
     writer_.KeyDouble("budget_seconds", config_.build_time_budget_seconds);

@@ -51,29 +51,9 @@ const std::vector<DatasetSpec>& LargeDatasets() {
   return kSpecs;
 }
 
-const std::vector<DatasetSpec>& XlDatasets() {
-  // Paper-original sizes, restricted to families whose generators and
-  // whose DL labelings stay linear-ish at this scale (star forests and
-  // tree-like forests; citation/layered preferential attachment would
-  // dominate the load measurement with build time). uniprotenc_22m_full
-  // is the deterministic ~1.6M-edge instance the large_smoke CI test
-  // streams, saves, and mmap-loads; uniprotenc_100m_full (16.1M edges) is
-  // the largest registered instance, where the owned-read vs mmap gap in
-  // load_quick is widest.
-  static const std::vector<DatasetSpec> kSpecs = {
-      {"uniprotenc_22m_full", true, 1595444, 1595442,
-       GraphFamily::kStarForest, 1.0, 301},
-      {"mapped_1M_full", true, 9387448, 9440404, GraphFamily::kTreeLike, 1.0,
-       302},
-      {"uniprotenc_100m_full", true, 16087295, 16087293,
-       GraphFamily::kStarForest, 1.0, 303},
-  };
-  return kSpecs;
-}
-
 StatusOr<DatasetSpec> FindDataset(const std::string& name) {
   for (const std::vector<DatasetSpec>* tier :
-       {&SmallDatasets(), &LargeDatasets(), &XlDatasets()}) {
+       {&SmallDatasets(), &LargeDatasets()}) {
     for (const DatasetSpec& spec : *tier) {
       if (spec.name == name) return spec;
     }

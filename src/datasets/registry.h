@@ -4,12 +4,6 @@
 // Small graphs are generated at the paper's original |V|/|E|; large graphs
 // are scaled down by a per-dataset factor so the full table suite runs on a
 // laptop, with the paper's original sizes retained for reporting.
-//
-// A third "xl" tier regenerates selected large datasets at the paper's
-// ORIGINAL sizes (scale 1.0, 10^6-10^7+ edges) for the load-path work:
-// the load_quick experiment and the large_smoke CI test. These exercise
-// the streamed readers and the mmap serving path at the scalability regime
-// the paper claims; the per-table suite never iterates them.
 
 #ifndef REACH_DATASETS_REGISTRY_H_
 #define REACH_DATASETS_REGISTRY_H_
@@ -48,12 +42,7 @@ const std::vector<DatasetSpec>& SmallDatasets();
 /// The 13 large datasets (scaled; see DatasetSpec::scale).
 const std::vector<DatasetSpec>& LargeDatasets();
 
-/// The xl tier: paper-original sizes (scale 1.0), linear-cost families
-/// only, ordered smallest to largest. `*_full` names tie each instance to
-/// the Table 1 row it regenerates at full scale.
-const std::vector<DatasetSpec>& XlDatasets();
-
-/// Lookup by name across all three lists.
+/// Lookup by name across both lists.
 StatusOr<DatasetSpec> FindDataset(const std::string& name);
 
 /// Instantiates the synthetic graph for a spec (deterministic).

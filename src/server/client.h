@@ -1,5 +1,5 @@
 // Minimal blocking client for the reach_serve wire protocol, used by the
-// loopback tests, the serve_quick benchmark, and tools/reach_client. One
+// loopback tests, the perfbench workload driver, and tools/reach_client. One
 // Client is one TCP connection; it is not thread-safe (one request/response
 // exchange at a time), but any number of Clients may talk to one server
 // concurrently.

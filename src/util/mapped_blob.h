@@ -64,7 +64,7 @@ class MappedBlob {
       const std::string& path);
 
   /// As Open, but never maps the file: always the streaming read into an
-  /// owned region. The heap-read arm of the load_quick experiment, and
+  /// owned region. The heap-read side of the owned/mapped load tests, and
   /// the documented escape hatch when a file mapping must not outlive fast
   /// process exit.
   static StatusOr<std::shared_ptr<const MappedBlob>> OpenOwned(

@@ -1,6 +1,6 @@
 // Process resource sampling for load diagnostics: reach_serve logs (and
-// STATS exports) peak RSS next to index-load wall time, and the load_quick
-// experiment records the RSS delta of owned-read vs mapped loads.
+// STATS exports) peak RSS next to index-load wall time, and perfbench
+// records the RSS growth of a snapshot load (snapshot.load_rss_mb).
 
 #ifndef REACH_UTIL_RESOURCE_H_
 #define REACH_UTIL_RESOURCE_H_

@@ -18,11 +18,9 @@ TEST(ExperimentRegistryTest, EveryPaperTablePresentExactlyOnce) {
   for (const ExperimentSpec& spec : ExperimentRegistry()) {
     ++counts[spec.id];
   }
-  const char* expected[] = {"table1", "table2", "table3", "table4",
-                            "table5", "table6", "table7", "fig3",
-                            "fig4",   "serve_quick", "query_quick",
-                            "prefilter_quick", "load_quick"};
-  EXPECT_EQ(counts.size(), 13u);
+  const char* expected[] = {"table1", "table2", "table3", "table4", "table5",
+                            "table6", "table7", "fig3",   "fig4"};
+  EXPECT_EQ(counts.size(), 9u);
   for (const char* id : expected) {
     EXPECT_EQ(counts[id], 1) << id;
   }
@@ -32,8 +30,7 @@ TEST(ExperimentRegistryTest, IdsInPaperOrder) {
   EXPECT_EQ(ExperimentIds(),
             (std::vector<std::string>{"table1", "table2", "table3", "table4",
                                       "table5", "table6", "table7", "fig3",
-                                      "fig4", "serve_quick", "query_quick",
-                                      "prefilter_quick", "load_quick"}));
+                                      "fig4"}));
 }
 
 TEST(ExperimentRegistryTest, FindResolvesAndRejects) {
@@ -57,18 +54,9 @@ TEST(ExperimentRegistryTest, SpecShapesAreConsistent) {
     if (spec.kind == ExperimentKind::kInventory) {
       continue;
     }
-    if (spec.kind == ExperimentKind::kPrefilter) {
-      // The prefilter experiment generates its own per-mix workloads, so
-      // the spec carries no WorkloadKind despite its query metric.
-      EXPECT_EQ(spec.workload, WorkloadKind::kNone) << spec.id;
-      EXPECT_FALSE(DatasetsFor(spec).empty()) << spec.id;
-      continue;
-    }
     // Query-driven experiments need a workload; the others must not have
     // one.
-    if (spec.metric == Metric::kQueryMillis ||
-        spec.metric == Metric::kQueryNanos ||
-        spec.metric == Metric::kServeQps) {
+    if (spec.metric == Metric::kQueryMillis) {
       EXPECT_NE(spec.workload, WorkloadKind::kNone) << spec.id;
     } else {
       EXPECT_EQ(spec.workload, WorkloadKind::kNone) << spec.id;
@@ -84,8 +72,7 @@ TEST(ExperimentRegistryTest, SmallAndLargeTiersBothCovered) {
     if (spec.kind != ExperimentKind::kTable) continue;
     (spec.large ? large : small) += 1;
   }
-  // table2, table3, table4, fig3, query_quick.
-  EXPECT_EQ(small, 5u);
+  EXPECT_EQ(small, 4u);  // table2, table3, table4, fig3.
   EXPECT_EQ(large, 4u);  // table5, table6, table7, fig4.
 }
 
@@ -132,83 +119,6 @@ TEST(DefaultConfigTest, DatasetsMatchTier) {
       EXPECT_EQ(dataset.large, spec.large) << spec.id << "/" << dataset.name;
     }
   }
-}
-
-TEST(ExperimentRegistryTest, ServeQuickShape) {
-  const auto spec = FindExperiment("serve_quick");
-  ASSERT_TRUE(spec.ok());
-  EXPECT_EQ(spec->kind, ExperimentKind::kServe);
-  EXPECT_EQ(spec->metric, Metric::kServeQps);
-  EXPECT_EQ(spec->workload, WorkloadKind::kEqual);
-  EXPECT_FALSE(spec->large);
-  // A fixed 10k-query batch by default (the --quick smoke shrinks it).
-  EXPECT_EQ(DefaultConfigFor(*spec).num_queries, 10000u);
-  // The rows are the declared small-tier subset, resolved in tier order.
-  const std::vector<DatasetSpec> rows = DatasetsFor(*spec);
-  ASSERT_EQ(rows.size(), spec->dataset_subset.size());
-  for (const DatasetSpec& row : rows) {
-    EXPECT_TRUE(ExperimentCoversDataset(*spec, row.name)) << row.name;
-  }
-  // Full-tier experiments must not cover datasets outside the subset.
-  EXPECT_FALSE(ExperimentCoversDataset(*spec, "nasa"));
-  EXPECT_FALSE(spec->default_methods.empty());
-}
-
-TEST(ExperimentRegistryTest, QueryQuickShape) {
-  const auto spec = FindExperiment("query_quick");
-  ASSERT_TRUE(spec.ok());
-  EXPECT_EQ(spec->kind, ExperimentKind::kTable);
-  EXPECT_EQ(spec->metric, Metric::kQueryNanos);
-  EXPECT_EQ(spec->workload, WorkloadKind::kEqual);
-  EXPECT_FALSE(spec->large);
-  // The rows are the three biggest small-tier graphs, where the hot-path
-  // win is measurable; the column set is the labeling oracles the sealed
-  // layout moves.
-  EXPECT_EQ(spec->dataset_subset,
-            (std::vector<std::string>{"arxiv", "human", "p2p"}));
-  EXPECT_EQ(spec->default_methods,
-            (std::vector<std::string>{"DL", "HL", "TF", "PL"}));
-  const std::vector<DatasetSpec> rows = DatasetsFor(*spec);
-  ASSERT_EQ(rows.size(), 3u);
-  EXPECT_FALSE(ExperimentCoversDataset(*spec, "nasa"));
-}
-
-TEST(ExperimentRegistryTest, PrefilterQuickShape) {
-  const auto spec = FindExperiment("prefilter_quick");
-  ASSERT_TRUE(spec.ok());
-  EXPECT_EQ(spec->kind, ExperimentKind::kPrefilter);
-  EXPECT_EQ(spec->metric, Metric::kQueryNanos);
-  EXPECT_FALSE(spec->large);
-  // Same rows as query_quick: the three biggest small-tier graphs, where
-  // per-query deltas are measurable. Columns are the two paper labelings;
-  // the runner adds a "+pf" column per method.
-  EXPECT_EQ(spec->dataset_subset,
-            (std::vector<std::string>{"arxiv", "human", "p2p"}));
-  EXPECT_EQ(spec->default_methods, (std::vector<std::string>{"DL", "HL"}));
-  ASSERT_EQ(DatasetsFor(*spec).size(), 3u);
-  EXPECT_FALSE(ExperimentCoversDataset(*spec, "nasa"));
-}
-
-TEST(ExperimentRegistryTest, LoadQuickShape) {
-  const auto spec = FindExperiment("load_quick");
-  ASSERT_TRUE(spec.ok());
-  EXPECT_EQ(spec->kind, ExperimentKind::kLoad);
-  EXPECT_EQ(spec->metric, Metric::kLoadMillis);
-  EXPECT_EQ(spec->workload, WorkloadKind::kNone);
-  // The rows are the xl tier — paper-original sizes — not the scaled
-  // large tier, even though the spec reports large-tier defaults.
-  EXPECT_TRUE(spec->large);
-  const std::vector<DatasetSpec> rows = DatasetsFor(*spec);
-  ASSERT_EQ(rows.size(), XlDatasets().size());
-  for (const DatasetSpec& row : rows) {
-    EXPECT_DOUBLE_EQ(row.scale, 1.0) << row.name;
-    EXPECT_TRUE(ExperimentCoversDataset(*spec, row.name)) << row.name;
-  }
-  // Scaled large-tier rows are not part of the load experiment.
-  EXPECT_FALSE(ExperimentCoversDataset(*spec, "wiki"));
-  EXPECT_EQ(spec->default_methods, (std::vector<std::string>{"DL"}));
-  // Builds on the 16M-vertex instance need more than the tier's 25 s.
-  EXPECT_DOUBLE_EQ(DefaultConfigFor(*spec).build_time_budget_seconds, 120);
 }
 
 }  // namespace

@@ -39,6 +39,8 @@ TEST(DatasetRegistryTest, FindByName) {
   ASSERT_TRUE(found.ok());
   EXPECT_EQ(found->paper_vertices, 21608u);
   EXPECT_TRUE(FindDataset("no_such_graph").status().IsNotFound());
+  // Lookups span the small and large tiers only.
+  EXPECT_TRUE(FindDataset("mapped_1M_full").status().IsNotFound());
 }
 
 TEST(DatasetRegistryTest, SmallDatasetsMatchPaperScaleRoughly) {
