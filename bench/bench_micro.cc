@@ -316,14 +316,30 @@ void BM_TransitiveClosure(benchmark::State& state) {
 }
 BENCHMARK(BM_TransitiveClosure)->Arg(500)->Arg(2000);
 
+// Args: vertices, build threads. The label phase's split (search, cleanup,
+// append) is reported per build, so 1 against 4 threads shows which phase
+// scales.
 void BM_BuildDL(benchmark::State& state) {
   Digraph g = CitationDag(static_cast<size_t>(state.range(0)), 3.0, 7);
+  BuildOptions options;
+  options.threads = static_cast<int>(state.range(1));
+  BuildStats phases;
   for (auto _ : state) {
     DistributionLabelingOracle oracle;
-    benchmark::DoNotOptimize(oracle.Build(g));
+    benchmark::DoNotOptimize(oracle.Build(g, options));
+    const BuildStats& stats = oracle.build_stats();
+    phases.search_millis += stats.search_millis;
+    phases.cleanup_millis += stats.cleanup_millis;
+    phases.append_millis += stats.append_millis;
   }
+  const double builds = static_cast<double>(state.iterations());
+  state.counters["search_ms"] = phases.search_millis / builds;
+  state.counters["cleanup_ms"] = phases.cleanup_millis / builds;
+  state.counters["append_ms"] = phases.append_millis / builds;
 }
-BENCHMARK(BM_BuildDL)->Arg(1000)->Arg(10000)->Arg(50000);
+BENCHMARK(BM_BuildDL)
+    ->ArgsProduct({{1000, 10000, 50000}, {1, 4}})
+    ->Unit(benchmark::kMillisecond);
 
 void BM_BuildHL(benchmark::State& state) {
   Digraph g = CitationDag(static_cast<size_t>(state.range(0)), 3.0, 7);

@@ -63,7 +63,7 @@ for _ in $(seq 1 100); do
 done
 [ -n "$port" ] || fail "no LISTENING line within 10s"
 # The build logs its phase timers in one key=value line before LISTENING.
-grep -Eq '^event=index_built threads=2 order=[a-z_]+ order_ms=[0-9.]+ label_ms=[0-9.]+ seal_ms=[0-9.]+ build_ms=[0-9.]+$' \
+grep -Eq '^event=index_built threads=2 order=[a-z_]+ order_ms=[0-9.]+ label_ms=[0-9.]+ search_ms=[0-9.]+ cleanup_ms=[0-9.]+ append_ms=[0-9.]+ batches=[1-9][0-9]* seal_ms=[0-9.]+ build_ms=[0-9.]+$' \
   "$workdir/server.err" || fail "server did not log event=index_built"
 
 # Scripted batch: six queries whose answers are known by construction,

@@ -89,13 +89,11 @@ struct ListRef {
 /// One hop of the current batch. Neighbouring hops are written by
 /// different workers, hence the cache-line alignment.
 struct alignas(64) BatchHop {
-  // Search output: Lout candidates (reverse BFS) and Lin candidates
-  // (forward BFS), each starting with the hop itself.
-  ListRef rev;
-  ListRef fwd;
-  // Cleanup output: the entries that survive, appended to the labels.
-  ListRef out;
-  ListRef in;
+  // Search output, routed by append partition: rev[p] holds the Lout
+  // candidates (reverse BFS) and fwd[p] the Lin candidates (forward BFS)
+  // whose rows partition p owns, in BFS order.
+  std::vector<ListRef> rev;
+  std::vector<ListRef> fwd;
   // Batch positions k < j (j = this hop) whose forward list holds this hop
   // (they may make Lout entries redundant) and whose reverse list holds it
   // (Lin entries).
@@ -106,19 +104,26 @@ struct alignas(64) BatchHop {
 /// Scratch owned by one ParallelChunks participant, padded so that two
 /// workers never write the same cache line (vector headers included).
 struct alignas(64) HopWorker {
-  PageVector<uint32_t> mark;  // Epoch marks over all n vertices.
+  // Epoch marks over all n vertices (BFS visits, witnessed rows) and over
+  // all n keys (the hop's own label side, for MarkedIntersects).
+  PageVector<uint32_t> mark;
+  PageVector<uint32_t> key_mark;
   uint32_t epoch = 0;
-  CandidateBuffer found;  // Search output; each list is its BFS queue.
-  CandidateBuffer kept;   // Cleanup output of lists that lost entries.
+  CandidateBuffer queue;                // The BFS queue of the current search.
+  std::vector<CandidateBuffer> routed;  // Search output, one per partition.
   // (later batch position, searching batch position) of every batch hop a
   // search admitted, per direction.
   std::vector<std::pair<uint32_t, uint32_t>> fwd_hits;
   std::vector<std::pair<uint32_t, uint32_t>> rev_hits;
 
   uint32_t NextEpoch(size_t n) {
-    if (mark.empty()) mark.assign(n, 0);
+    if (mark.empty()) {
+      mark.assign(n, 0);
+      key_mark.assign(n, 0);
+    }
     if (++epoch == 0) {  // Wrapped: stale marks could alias. Start over.
       std::fill(mark.begin(), mark.end(), 0);
+      std::fill(key_mark.begin(), key_mark.end(), 0);
       epoch = 1;
     }
     return epoch;
@@ -129,51 +134,61 @@ struct alignas(64) HopWorker {
 /// candidates) against the labels as they stood when the batch began.
 /// A vertex is pruned, and not expanded, when the labels already certify
 /// it reaches `hop` (reverse) or is reached from it (forward) through an
-/// earlier batch's hop (Algorithm 2, Lines 4 and 10). The hop itself is
-/// admitted unpruned: in a DAG its own Lout and Lin cannot intersect.
-ListRef SearchHop(const Digraph& g, const LabelStore& labels, Vertex hop,
-                  bool forward, HopWorker* worker) {
-  CandidateBuffer& found = worker->found;
+/// earlier batch's hop (Algorithm 2, Lines 4 and 10). The probe marks the
+/// hop's own side once and scans each candidate's row against the marks
+/// (MarkedIntersects). The hop itself is admitted unpruned: in a DAG its
+/// own Lout and Lin cannot intersect. Returns the admitted vertices, in
+/// BFS order, as the worker's queue.
+std::span<const Vertex> SearchHop(const Digraph& g, const LabelStore& labels,
+                                  Vertex hop, bool forward,
+                                  HopWorker* worker) {
+  CandidateBuffer& queue = worker->queue;
   PageVector<uint32_t>& mark = worker->mark;
   const uint32_t epoch = worker->NextEpoch(g.num_vertices());
   const std::span<const uint32_t> hop_side =
       forward ? labels.Out(hop) : labels.In(hop);
-  const size_t begin = found.size();
+  for (const uint32_t key : hop_side) worker->key_mark[key] = epoch;
+  queue.clear();
   mark[hop] = epoch;
-  found.push_back(hop);
-  for (size_t head = begin; head < found.size(); ++head) {
-    const Vertex v = found[head];
+  queue.push_back(hop);
+  for (size_t head = 0; head < queue.size(); ++head) {
+    const Vertex v = queue[head];
     for (const Vertex u : forward ? g.OutNeighbors(v) : g.InNeighbors(v)) {
       if (mark[u] == epoch) continue;
       mark[u] = epoch;
-      if (SortedIntersects(forward ? labels.In(u) : labels.Out(u), hop_side)) {
+      if (MarkedIntersects(forward ? labels.In(u) : labels.Out(u), hop_side,
+                           worker->key_mark.data(), epoch)) {
         continue;
       }
-      found.push_back(u);
+      queue.push_back(u);
     }
   }
-  return {&found, begin, found.size()};
+  return queue;
 }
 
-/// `list` minus every vertex of the `witness_side` lists of `witnesses`.
-/// Returns `list` itself when nothing can be dropped.
-ListRef DropWitnessed(const std::vector<BatchHop>& batch, ListRef list,
-                      const std::vector<uint32_t>& witnesses,
-                      ListRef BatchHop::*witness_side, size_t n,
-                      HopWorker* worker) {
-  if (witnesses.empty()) return list;
+/// Appends `key` through `insert` to every row of `part` in hop j's
+/// `side` lists, except the rows that a witness of j holds in the same
+/// side: those entries are redundant (the cleanup). A row's witnesses are
+/// in its own partition's lists, so the partition reads nothing else.
+template <typename Insert>
+void AppendUnwitnessed(const std::vector<BatchHop>& batch, size_t j,
+                       std::vector<ListRef> BatchHop::*side,
+                       const std::vector<uint32_t>& witnesses, size_t part,
+                       size_t n, HopWorker* worker, Insert insert) {
+  const std::span<const Vertex> list = (batch[j].*side)[part].view();
+  if (witnesses.empty()) {
+    for (const Vertex v : list) insert(v);
+    return;
+  }
   const uint32_t epoch = worker->NextEpoch(n);
   for (const uint32_t k : witnesses) {
-    for (const Vertex v : (batch[k].*witness_side).view()) {
+    for (const Vertex v : (batch[k].*side)[part].view()) {
       worker->mark[v] = epoch;
     }
   }
-  CandidateBuffer& kept = worker->kept;
-  const size_t begin = kept.size();
-  for (const Vertex v : list.view()) {
-    if (worker->mark[v] != epoch) kept.push_back(v);
+  for (const Vertex v : list) {
+    if (worker->mark[v] != epoch) insert(v);
   }
-  return {&kept, begin, kept.size()};
 }
 
 /// HyperLogLog registers per vertex behind kCoverPerCost, one byte each.
@@ -417,30 +432,52 @@ std::vector<Vertex> ComputeDistributionOrder(
 
 void DistributeLabels(const Digraph& g, const std::vector<Vertex>& order,
                       const std::vector<uint32_t>& key_of,
-                      LabelStore* labeling, int threads) {
+                      LabelStore* labeling, int threads, BuildStats* stats) {
   const size_t n = g.num_vertices();
   const int resolved = threads > 0 ? threads : DefaultBuildThreads();
-  std::vector<HopWorker> workers(
-      std::min<size_t>(static_cast<size_t>(resolved), kMaxHopBatch));
+  // One append partition per thread. No batch has more hops than
+  // kMaxHopBatch, so no dispatch engages more workers than that.
+  const size_t parts =
+      std::min(static_cast<size_t>(resolved), kMaxHopBatch);
+  std::vector<HopWorker> workers(parts);
+  // Reserved up front: a BFS queue never holds more than n vertices, and a
+  // partition's share of one batch's lists is about n / parts. These are
+  // fresh pages, resident only once written. Growing them mid-build (a
+  // new mapping and a copy per doubling) cost the search about 2 ms, a
+  // tenth, on the arxiv stand-in at 4 threads.
+  for (HopWorker& worker : workers) {
+    worker.queue.reserve(n);
+    worker.routed.resize(parts);
+    for (CandidateBuffer& routed : worker.routed) {
+      routed.reserve(n / parts + 1);
+    }
+  }
   std::vector<BatchHop> batch(std::min(order.size(), kMaxHopBatch));
+  for (BatchHop& slot : batch) {
+    slot.rev.resize(parts);
+    slot.fwd.resize(parts);
+  }
   std::vector<uint32_t> batch_pos(n, kNotInBatch);
-  const size_t parts = static_cast<size_t>(resolved);
   auto part_of = [parts](Vertex v) { return v / kAppendRowBlock % parts; };
 
   // Algorithm 2's hop loop, a batch of consecutive hops at a time. Each
-  // batch runs three phases:
-  //   1. Search (parallel): every hop's pruned BFS runs against the labels
-  //      as they stood when the batch began, so hops of one batch do not
-  //      prune each other and their lists may hold redundant entries.
-  //   2. Cleanup (parallel, read-only on the search output): drop Lout
-  //      entry (hop j, u) iff an earlier hop k of the batch has hop j in
-  //      its forward list and u in its reverse list; Lin entries
-  //      symmetrically.
-  //   3. Append (parallel, owner-computes): partition p's task walks the
-  //      kept lists in batch order and appends only the entries of its own
-  //      rows (kAppendRowBlock). Each row has one writer and receives its
-  //      keys in batch order, so the rows equal a sequential append's for
-  //      any partition count.
+  // batch runs two parallel phases with a short serial step between:
+  //   1. Search (parallel over hops): every hop's pruned BFS runs against
+  //      the labels as they stood when the batch began, so hops of one
+  //      batch do not prune each other and their lists may hold redundant
+  //      entries. Each list is routed once, by row partition
+  //      (kAppendRowBlock), into the worker's buffers.
+  //   2. Cleanup, serial part: hop j's witnesses are the earlier hops k of
+  //      the batch whose forward list holds hop j (they may make its Lout
+  //      entries redundant) or whose reverse list does (Lin entries).
+  //   3. Cleanup and append (parallel, owner-computes): partition p's task
+  //      walks the batch in order and appends each hop's entries of its own
+  //      routed lists, dropping Lout entry (hop j, u) iff a witness k of j
+  //      has u in its reverse list (Lin entries symmetrically). u's entries
+  //      are all in u's partition, so the drop reads no other partition's
+  //      lists, and no worker re-reads lists another one already scanned.
+  //      Each row has one writer and receives its keys in batch order, so
+  //      the rows equal a sequential append's for any partition count.
   // Why this is exact: the sequential loop computes the canonical labeling,
   // where h is in Lout(u) iff u reaches h and no earlier hop w has
   // u -> w -> h (Lin symmetrically). Search candidates are the pairs no
@@ -451,6 +488,7 @@ void DistributeLabels(const Digraph& g, const std::vector<Vertex>& order,
   // the cleanup uses is a real path u -> k -> j through an earlier hop.
   // So the kept entries are the sequential labeling byte for byte, for any
   // batch schedule and thread count.
+  Timer phase;
   size_t size = 1;
   for (size_t start = 0; start < order.size();
        start += size, size = std::min(2 * size, kMaxHopBatch)) {
@@ -459,24 +497,34 @@ void DistributeLabels(const Digraph& g, const std::vector<Vertex>& order,
       batch_pos[order[start + j]] = static_cast<uint32_t>(j);
     }
 
-    ParallelChunks(0, count, 1, resolved, [&](const ChunkInfo& chunk) {
+    phase.Reset();
+    ParallelChunks(0, count, 1, static_cast<int>(parts),
+                   [&](const ChunkInfo& chunk) {
       HopWorker& worker = workers[chunk.worker];
       const uint32_t j = static_cast<uint32_t>(chunk.begin);
       const Vertex hop = order[start + j];
-      BatchHop& slot = batch[j];
-      slot.rev = SearchHop(g, *labeling, hop, /*forward=*/false, &worker);
-      slot.fwd = SearchHop(g, *labeling, hop, /*forward=*/true, &worker);
-      auto record_later_hops = [&](ListRef list, auto* hits) {
-        for (const Vertex v : list.view()) {
+      auto search = [&](bool forward, std::vector<ListRef>* lists,
+                        std::vector<std::pair<uint32_t, uint32_t>>* hits) {
+        for (size_t p = 0; p < parts; ++p) {
+          (*lists)[p] = {&worker.routed[p], worker.routed[p].size(), 0};
+        }
+        for (const Vertex v :
+             SearchHop(g, *labeling, hop, forward, &worker)) {
           if (batch_pos[v] != kNotInBatch && batch_pos[v] > j) {
             hits->emplace_back(batch_pos[v], j);
           }
+          worker.routed[part_of(v)].push_back(v);
+        }
+        for (size_t p = 0; p < parts; ++p) {
+          (*lists)[p].end = worker.routed[p].size();
         }
       };
-      record_later_hops(slot.rev, &worker.rev_hits);
-      record_later_hops(slot.fwd, &worker.fwd_hits);
+      search(/*forward=*/false, &batch[j].rev, &worker.rev_hits);
+      search(/*forward=*/true, &batch[j].fwd, &worker.fwd_hits);
     });
+    if (stats != nullptr) stats->search_millis += phase.ElapsedMillis();
 
+    phase.Reset();
     for (size_t j = 0; j < count; ++j) {
       batch[j].out_witnesses.clear();
       batch[j].in_witnesses.clear();
@@ -491,34 +539,32 @@ void DistributeLabels(const Digraph& g, const std::vector<Vertex>& order,
       worker.fwd_hits.clear();
       worker.rev_hits.clear();
     }
+    if (stats != nullptr) stats->cleanup_millis += phase.ElapsedMillis();
 
-    ParallelChunks(0, count, 1, resolved, [&](const ChunkInfo& chunk) {
+    phase.Reset();
+    ParallelChunks(0, parts, 1, static_cast<int>(parts),
+                   [&](const ChunkInfo& chunk) {
       HopWorker& worker = workers[chunk.worker];
-      BatchHop& slot = batch[chunk.begin];
-      slot.out = DropWitnessed(batch, slot.rev, slot.out_witnesses,
-                               &BatchHop::rev, n, &worker);
-      slot.in = DropWitnessed(batch, slot.fwd, slot.in_witnesses,
-                              &BatchHop::fwd, n, &worker);
-    });
-
-    ParallelChunks(0, parts, 1, resolved, [&](const ChunkInfo& chunk) {
       const size_t part = chunk.begin;
       for (size_t j = 0; j < count; ++j) {
         const uint32_t key = key_of[order[start + j]];
-        for (const Vertex u : batch[j].out.view()) {
-          if (part_of(u) == part) labeling->InsertOut(u, key);
-        }
-        for (const Vertex w : batch[j].in.view()) {
-          if (part_of(w) == part) labeling->InsertIn(w, key);
-        }
+        AppendUnwitnessed(batch, j, &BatchHop::rev, batch[j].out_witnesses,
+                          part, n, &worker,
+                          [&](Vertex u) { labeling->InsertOut(u, key); });
+        AppendUnwitnessed(batch, j, &BatchHop::fwd, batch[j].in_witnesses,
+                          part, n, &worker,
+                          [&](Vertex w) { labeling->InsertIn(w, key); });
       }
     });
+    if (stats != nullptr) {
+      stats->append_millis += phase.ElapsedMillis();
+      ++stats->batches;
+    }
     for (size_t j = 0; j < count; ++j) {
       batch_pos[order[start + j]] = kNotInBatch;
     }
     for (HopWorker& worker : workers) {
-      worker.found.clear();
-      worker.kept.clear();
+      for (CandidateBuffer& routed : worker.routed) routed.clear();
     }
   }
 }
@@ -545,11 +591,12 @@ Status DistributionLabelingOracle::BuildIndex(const Digraph& dag) {
 
   phase.Reset();
   labeling_.Init(n);
-  DistributeLabels(dag, order_, key_of, &labeling_, build_threads());
+  DistributeLabels(dag, order_, key_of, &labeling_, build_threads(),
+                   &build_stats_);
   build_stats_.label_millis = phase.ElapsedMillis();
   // Construction is done mutating: compact to the flat query layout.
   phase.Reset();
-  labeling_.Seal();
+  labeling_.Seal(build_threads());
   build_stats_.seal_millis = phase.ElapsedMillis();
 
   if (budget_.max_seconds > 0 && timer.ElapsedSeconds() > budget_.max_seconds) {

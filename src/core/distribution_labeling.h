@@ -59,16 +59,21 @@ struct DistributionOptions {
 /// is required to have edges only among those vertices.
 ///
 /// `threads` bounds the workers that search a batch of consecutive hops
-/// concurrently (against the labels of earlier batches), drop the entries
-/// an earlier hop of the same batch covers, and append the rest: one task
-/// per row partition (one per worker; rows are dealt round-robin in blocks)
+/// concurrently (against the labels of earlier batches) and then append
+/// the entries no earlier hop of the same batch covers: one task per row
+/// partition (one per worker; rows are dealt round-robin in blocks)
 /// appends its own rows' entries in batch order. The result is the
 /// sequential loop's canonical labeling, byte-identical for every thread
 /// count (see the .cc for the argument). `threads` <= 0 means
-/// DefaultBuildThreads().
+/// DefaultBuildThreads(). Vertex ids and keys are both below
+/// g.num_vertices(): the search marks each hop's label side by key.
+///
+/// `stats`, when given, accumulates the wall time of the phases into
+/// search_millis, cleanup_millis and append_millis, and counts batches.
 void DistributeLabels(const Digraph& g, const std::vector<Vertex>& order,
                       const std::vector<uint32_t>& key_of,
-                      LabelStore* labeling, int threads = 1);
+                      LabelStore* labeling, int threads = 1,
+                      BuildStats* stats = nullptr);
 
 /// Computes the processing order of `members` under the given policy.
 /// Deterministic for any `threads` (only per-vertex sweeps are parallel).

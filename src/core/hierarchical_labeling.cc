@@ -147,7 +147,8 @@ Status HierarchicalLabelingOracle::BuildIndex(const Digraph& dag) {
     build_stats_.order = DistributionOrderName(applied);
     std::vector<uint32_t> key_of(n);
     for (Vertex v = 0; v < n; ++v) key_of[v] = v;
-    DistributeLabels(core_graph, order, key_of, &labeling_, threads);
+    DistributeLabels(core_graph, order, key_of, &labeling_, threads,
+                     &build_stats_);
   }
 
   // --- Step 2: label levels h-1 .. 0 (Algorithm 1, Lines 4-10). ---
@@ -230,7 +231,7 @@ Status HierarchicalLabelingOracle::BuildIndex(const Digraph& dag) {
     return Status::ResourceExhausted("HL index exceeded size budget");
   }
   phase.Reset();
-  labeling_.Seal();
+  labeling_.Seal(threads);
   build_stats_.seal_millis = phase.ElapsedMillis();
   return Status::OK();
 }

@@ -7,6 +7,8 @@
 #include <ostream>
 #include <string>
 
+#include "util/thread_pool.h"
+
 namespace reach {
 
 namespace {
@@ -21,6 +23,9 @@ constexpr uint64_t kMagic = 0x524c53544f524533ULL;
 
 // Fixed header: magic, n, total_out, total_in.
 constexpr size_t kHeaderBytes = 4 * sizeof(uint64_t);
+
+// Rows per task of the encoder's parallel copy.
+constexpr size_t kSealRowGrain = 4096;
 
 using BuildSide = std::vector<std::vector<uint32_t>>;
 
@@ -80,11 +85,13 @@ Status CheckPad(const std::byte* pad, uint64_t total, const char* side) {
 }
 
 // The one RLSTORE3 encoder: writes the header and both sides of the
-// build-phase labels into a fresh owned blob. `after_out`, when set, runs
+// build-phase labels into a fresh owned blob. Each side's offsets are one
+// serial prefix sum; its rows are then copied by up to `threads` workers,
+// every row to the place its offset names. `after_out`, when set, runs
 // once the Lout section is written — Seal frees the Lout build vectors
 // there, so they never coexist with the Lin section's pages.
 StatusOr<std::shared_ptr<const MappedBlob>> EncodeBlob(
-    const BuildSide& out, const BuildSide& in,
+    const BuildSide& out, const BuildSide& in, int threads,
     const std::function<void()>& after_out) {
   const uint64_t n = out.size();
   const uint64_t total_out = SideTotal(out);
@@ -95,18 +102,22 @@ StatusOr<std::shared_ptr<const MappedBlob>> EncodeBlob(
         std::byte* base = bytes.data();
         const uint64_t header[4] = {kMagic, n, total_out, total_in};
         std::memcpy(base, header, sizeof(header));
-        const auto encode_side = [base](const BuildSide& labels,
-                                        uint64_t off_at, uint64_t key_at) {
+        const auto encode_side = [base, threads](const BuildSide& labels,
+                                                 uint64_t off_at,
+                                                 uint64_t key_at) {
           uint64_t* offsets = reinterpret_cast<uint64_t*>(base + off_at);
           uint32_t* keys = reinterpret_cast<uint32_t*>(base + key_at);
-          uint64_t at = 0;
           offsets[0] = 0;
           for (size_t v = 0; v < labels.size(); ++v) {
-            std::copy(labels[v].begin(), labels[v].end(), keys + at);
-            at += labels[v].size();
-            offsets[v + 1] = at;
+            offsets[v + 1] = offsets[v] + labels[v].size();
           }
-          std::memset(keys + at, 0, KeysPadBytes(at));
+          ParallelFor(0, labels.size(), kSealRowGrain, threads,
+                      [&](size_t v) {
+                        std::copy(labels[v].begin(), labels[v].end(),
+                                  keys + offsets[v]);
+                      });
+          const uint64_t total = offsets[labels.size()];
+          std::memset(keys + total, 0, KeysPadBytes(total));
         };
         encode_side(out, layout.off_out, layout.key_out);
         if (after_out) after_out();
@@ -144,10 +155,10 @@ void LabelStore::Attach(MappedRegion region) {
   sealed_ = true;
 }
 
-void LabelStore::Seal() {
+void LabelStore::Seal(int threads) {
   if (sealed_) return;
   StatusOr<std::shared_ptr<const MappedBlob>> blob =
-      EncodeBlob(build_out_, build_in_, [this] {
+      EncodeBlob(build_out_, build_in_, threads, [this] {
         build_out_.clear();
         build_out_.shrink_to_fit();
       });
@@ -211,7 +222,7 @@ Status LabelStore::Write(std::ostream& out) const {
   MappedRegion encoded = region_;
   if (!sealed_) {
     StatusOr<std::shared_ptr<const MappedBlob>> blob =
-        EncodeBlob(build_out_, build_in_, nullptr);
+        EncodeBlob(build_out_, build_in_, /*threads=*/1, nullptr);
     if (!blob.ok()) return blob.status();
     encoded = MappedRegion{std::move(*blob), 0};
   }

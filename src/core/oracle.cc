@@ -13,8 +13,17 @@ Status ReachabilityOracle::Build(const Digraph& dag,
   // Reset before BuildIndex, which records its phase timers here.
   build_stats_ = BuildStats();
   Timer timer;
-  const Status status = BuildIndex(dag);
+  Status status = BuildIndex(dag);
   build_stats_.build_millis = timer.ElapsedMillis();
+  // The oracles poll the time budget only at their checkpoints, so work
+  // after the last one escapes it. An index-free oracle (the online
+  // searchers) built nothing the budget governs.
+  if (status.ok() && budget_.max_seconds > 0 &&
+      build_stats_.build_millis > budget_.max_seconds * 1e3 &&
+      IndexSizeIntegers() > 0) {
+    status = Status::ResourceExhausted(name() +
+                                       " construction exceeded time budget");
+  }
   build_stats_.threads = build_threads_;
   build_stats_.ok = status.ok();
   if (status.ok()) {

@@ -19,7 +19,10 @@ namespace reach {
 /// Limits applied during index construction. Zero means unlimited.
 /// Oracles check the limits at coarse-grained checkpoints and abort with
 /// ResourceExhausted, mirroring the paper's 24-hour / 32 GB budget that
-/// produced the "--" entries in Tables 5-7.
+/// produced the "--" entries in Tables 5-7. Build() holds every index
+/// oracle to max_seconds once more at the end, so a build that finishes
+/// past its budget between two checkpoints (or in an oracle that has
+/// none) is not reported as finished.
 struct BuildBudget {
   double max_seconds = 0;
   uint64_t max_index_integers = 0;
@@ -76,6 +79,15 @@ struct BuildStats {
   double order_millis = 0;
   double label_millis = 0;
   double seal_millis = 0;
+  /// The label phase of DL and of HL's DL-built core (DistributeLabels),
+  /// split by step and summed over its hop batches: the parallel pruned
+  /// searches, the serial collection of in-batch witnesses between them
+  /// and the append, and the parallel append that drops the witnessed
+  /// entries. Zero elsewhere, including HL's neighborhood core labeler.
+  double search_millis = 0;
+  double cleanup_millis = 0;
+  double append_millis = 0;
+  uint64_t batches = 0;
   /// DistributionOrderName of the hop order that ranked DL's vertices or
   /// HL's core. Empty for other methods, HL's neighborhood core labeler and
   /// after a snapshot load.
@@ -115,7 +127,9 @@ class ReachabilityOracle {
 
   /// Builds the index for `dag`, which must be acyclic. Returns
   /// InvalidArgument on cyclic input and ResourceExhausted when the
-  /// budget is exceeded. An oracle must be built exactly once.
+  /// budget is exceeded, including an index that took longer than
+  /// budget().max_seconds in all (the online searchers, which store no
+  /// index, are exempt). An oracle must be built exactly once.
   /// Non-virtual: times the method-specific BuildIndex() and records
   /// build_stats().
   Status Build(const Digraph& dag) { return Build(dag, BuildOptions()); }

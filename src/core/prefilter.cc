@@ -139,6 +139,10 @@ void PrefilterOracle::AnnotateBuildStats(BuildStats& stats) const {
   stats.order_millis = inner.order_millis;
   stats.label_millis = inner.label_millis;
   stats.seal_millis = inner.seal_millis;
+  stats.search_millis = inner.search_millis;
+  stats.cleanup_millis = inner.cleanup_millis;
+  stats.append_millis = inner.append_millis;
+  stats.batches = inner.batches;
   stats.order = inner.order;
   stats.prefilter_active = true;
   stats.prefilter = counters();

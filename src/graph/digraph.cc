@@ -55,22 +55,24 @@ Digraph Digraph::FromCsr(size_t num_vertices,
   g.out_offsets_ = std::move(out_offsets);
   g.heads_ = std::move(heads);
 
-  // Derive the reverse CSR: count in-degrees, prefix-sum, fill. Walking
-  // sources ascending fills each reverse bucket already sorted.
+  // Derive the reverse CSR in place, with no cursor array: count each
+  // in-degree at its own index, take inclusive prefix sums (in_offsets_[w]
+  // is then the end of w's bucket), and fill every bucket from its end
+  // while walking sources descending. Each slot steps back to its bucket's
+  // start, and every bucket ends up sorted ascending.
   g.in_offsets_.assign(num_vertices + 1, 0);
   for (const Vertex w : g.heads_) {
     assert(w < num_vertices);
-    ++g.in_offsets_[w + 1];
+    ++g.in_offsets_[w];
   }
-  for (size_t v = 0; v < num_vertices; ++v) {
-    g.in_offsets_[v + 1] += g.in_offsets_[v];
+  for (size_t v = 1; v < num_vertices; ++v) {
+    g.in_offsets_[v] += g.in_offsets_[v - 1];
   }
+  g.in_offsets_[num_vertices] = g.heads_.size();
   g.tails_.resize(g.heads_.size());
-  std::vector<uint64_t> in_cursor(g.in_offsets_.begin(),
-                                  g.in_offsets_.end() - 1);
-  for (Vertex v = 0; v < num_vertices; ++v) {
-    for (const Vertex w : g.OutNeighbors(v)) {
-      g.tails_[in_cursor[w]++] = v;
+  for (size_t v = num_vertices; v-- > 0;) {
+    for (const Vertex w : g.OutNeighbors(static_cast<Vertex>(v))) {
+      g.tails_[--g.in_offsets_[w]] = static_cast<Vertex>(v);
     }
   }
   return g;

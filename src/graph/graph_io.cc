@@ -348,7 +348,10 @@ uint64_t CanonicalizeRows(size_t n, uint64_t* offsets, Vertex* heads) {
     const uint64_t begin = prev_end;
     const uint64_t end = offsets[v + 1];
     prev_end = end;
-    std::sort(heads + begin, heads + end);
+    // WriteEdgeList's rows arrive sorted already.
+    if (!std::is_sorted(heads + begin, heads + end)) {
+      std::sort(heads + begin, heads + end);
+    }
     for (uint64_t i = begin; i < end; ++i) {
       if (i > begin && heads[i] == heads[i - 1]) continue;
       heads[write++] = heads[i];

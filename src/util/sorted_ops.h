@@ -143,6 +143,26 @@ inline bool SortedIntersects(std::span<const uint32_t> a,
   return MergeIntersects(a, b);
 }
 
+/// The build-phase probe of Distribution Labeling (Pruned Landmark
+/// Labeling's marked root, Akiba et al. 2013): true iff sorted `row` shares
+/// a key with sorted `marked`, whose keys are exactly those set to `epoch`
+/// in `marks` (indexed by key, so every key is below its size). One side is
+/// marked once and probed by many rows; each probe is the window reject
+/// plus a scan of `row` that stops past `marked.back()`. Marks left from an
+/// older epoch never equal `epoch`, so the array is never cleared between
+/// marked sets.
+inline bool MarkedIntersects(std::span<const uint32_t> row,
+                             std::span<const uint32_t> marked,
+                             const uint32_t* marks, uint32_t epoch) {
+  if (!SortedRangesOverlap(row, marked)) return false;
+  const uint32_t last = marked.back();
+  for (const uint32_t key : row) {
+    if (key > last) return false;
+    if (marks[key] == epoch) return true;
+  }
+  return false;
+}
+
 /// Binary search membership test.
 inline bool SortedContains(std::span<const uint32_t> v, uint32_t x) {
   return std::binary_search(v.begin(), v.end(), x);

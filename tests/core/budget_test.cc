@@ -72,6 +72,38 @@ TEST(BuildBudgetTest, TinyTimeBudgetReturnsResourceExhausted) {
   }
 }
 
+// GRAIL polls no budget while it builds. Build() still holds its finished
+// index to max_seconds, so the verdict agrees with build_millis.
+TEST(BuildBudgetTest, FinishedBuildPastTimeBudgetIsExceeded) {
+  const Digraph g = RandomDag(5000, 20000, /*seed=*/23);
+  std::unique_ptr<ReachabilityOracle> oracle = MakeOracle("GL");
+  ASSERT_NE(oracle, nullptr);
+  BuildBudget budget;
+  budget.max_seconds = 1e-12;
+  oracle->set_budget(budget);
+  const Status st = oracle->Build(g);
+  EXPECT_TRUE(st.IsResourceExhausted()) << st.ToString();
+  const BuildStats& stats = oracle->build_stats();
+  EXPECT_FALSE(stats.ok);
+  EXPECT_TRUE(stats.budget_exceeded);
+  EXPECT_GT(stats.build_millis, budget.max_seconds * 1e3);
+}
+
+// The online searchers store no index, so no time budget applies to them.
+TEST(BuildBudgetTest, OnlineSearchersAreExempt) {
+  const Digraph g = RandomDag(500, 1500, /*seed=*/29);
+  for (const char* name : {"BFS", "BiBFS"}) {
+    std::unique_ptr<ReachabilityOracle> oracle = MakeOracle(name);
+    ASSERT_NE(oracle, nullptr) << name;
+    BuildBudget budget;
+    budget.max_seconds = 1e-12;
+    oracle->set_budget(budget);
+    const Status st = oracle->Build(g);
+    EXPECT_TRUE(st.ok()) << name << ": " << st.ToString();
+    EXPECT_FALSE(oracle->build_stats().budget_exceeded) << name;
+  }
+}
+
 TEST(BuildBudgetTest, ScarabWrapperForwardsBudget) {
   const Digraph g = RandomDag(2000, 8000, /*seed=*/19);
   for (const char* name : {"PT*"}) {

@@ -210,6 +210,30 @@ TEST(LabelStoreTest, RandomizedSealAndRoundTripAgree) {
   }
 }
 
+// A parallel seal copies blocks of rows from precomputed offsets; the blob
+// must not depend on how many workers copied. 20,000 rows span several
+// blocks, and the sides get odd and even totals (padding on one side).
+TEST(LabelStoreTest, SealBlobIsIdenticalAtAnyThreadCount) {
+  constexpr size_t kRows = 20000;
+  Rng rng(2602);
+  LabelStore labels(kRows);
+  for (size_t i = 0; i < 3 * kRows + 1; ++i) {
+    labels.InsertOut(static_cast<Vertex>(rng.Uniform(kRows)),
+                     static_cast<uint32_t>(rng.Uniform(kRows)));
+  }
+  for (size_t i = 0; i < 2 * kRows; ++i) {
+    labels.InsertIn(static_cast<Vertex>(rng.Uniform(kRows)),
+                    static_cast<uint32_t>(rng.Uniform(kRows)));
+  }
+  const std::string expected = Serialize(labels);
+  for (const int threads : {1, 3, 8}) {
+    LabelStore sealed = labels;
+    sealed.Seal(threads);
+    EXPECT_EQ(Serialize(sealed), expected) << threads << " threads";
+    EXPECT_TRUE(sealed == labels) << threads << " threads";
+  }
+}
+
 // --- The one load path. The RLSTORE3 reference blob (SampleStore, n = 3,
 // Lout(0)={1}, Lout(2)={0,2}, Lin(1)={1}, Lin(2)={0}):
 //   [0]   magic            u64

@@ -184,5 +184,52 @@ TEST(SortedOpsTest, RandomizedIntersectsAgainstStdSet) {
   }
 }
 
+// MarkedIntersects against SortedIntersects. One marks array serves every
+// round, each under a fresh epoch, so the marks of the older rounds stay
+// behind as stale values that must never count as hits.
+TEST(SortedOpsTest, MarkedIntersectsMatchesSortedIntersects) {
+  constexpr uint32_t kKeys = 64;
+  std::vector<uint32_t> marks(kKeys, 0);
+  uint32_t epoch = 0;
+  auto check = [&](const std::vector<uint32_t>& row,
+                   const std::vector<uint32_t>& marked) {
+    ++epoch;
+    for (const uint32_t key : marked) marks[key] = epoch;
+    EXPECT_EQ(MarkedIntersects(row, marked, marks.data(), epoch),
+              SortedIntersects(row, marked))
+        << "row of " << row.size() << ", marked " << marked.size();
+  };
+  const std::vector<uint32_t> some = V({3, 9, 17, 40});
+  check(V({}), V({}));
+  check(V({}), some);
+  check(some, V({}));
+  check(V({41, 50, 63}), some);  // Disjoint windows, either order.
+  check(V({0, 1, 2}), some);
+  check(V({3, 5, 6}), some);     // Hit at the row's first key.
+  check(V({0, 2, 40}), some);    // Hit at the row's last key.
+  check(V({1, 2, 3}), some);     // Hit at the marked side's first key.
+  check(V({10, 20, 40}), some);  // Hit at the marked side's last key.
+  // 9 and 17 were marked in earlier epochs and the windows overlap: a
+  // stale mark is not a hit.
+  ++epoch;
+  for (const uint32_t key : V({10, 20, 30})) marks[key] = epoch;
+  EXPECT_FALSE(MarkedIntersects(V({9, 17, 25}), V({10, 20, 30}),
+                                marks.data(), epoch));
+
+  Rng rng(2601);
+  for (int round = 0; round < 2000; ++round) {
+    std::set<uint32_t> row_set;
+    std::set<uint32_t> marked_set;
+    const size_t row_size = rng.Uniform(12);
+    const size_t marked_size = rng.Uniform(12);
+    for (size_t i = 0; i < row_size; ++i) row_set.insert(rng.Uniform(kKeys));
+    for (size_t i = 0; i < marked_size; ++i) {
+      marked_set.insert(rng.Uniform(kKeys));
+    }
+    check({row_set.begin(), row_set.end()},
+          {marked_set.begin(), marked_set.end()});
+  }
+}
+
 }  // namespace
 }  // namespace reach

@@ -165,11 +165,15 @@ int main(int argc, char** argv) {
                  build_stats.build_millis, build_timer.ElapsedMillis(),
                  build_stats.threads, build_stats.threads == 1 ? "" : "s");
     std::fprintf(stderr,
-                 "phases: order=%s, order %.1f ms, label %.1f ms, "
+                 "phases: order=%s, order %.1f ms, label %.1f ms (search "
+                 "%.1f ms, cleanup %.1f ms, append %.1f ms, %llu batches), "
                  "seal %.1f ms\n",
                  build_stats.order.empty() ? "none"
                                            : build_stats.order.c_str(),
                  build_stats.order_millis, build_stats.label_millis,
+                 build_stats.search_millis, build_stats.cleanup_millis,
+                 build_stats.append_millis,
+                 static_cast<unsigned long long>(build_stats.batches),
                  build_stats.seal_millis);
   }
 

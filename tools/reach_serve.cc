@@ -224,11 +224,14 @@ int main(int argc, char** argv) {
                  build.threads == 1 ? "" : "s");
     std::fprintf(stderr,
                  "event=index_built threads=%d order=%s order_ms=%.1f "
-                 "label_ms=%.1f seal_ms=%.1f build_ms=%.1f\n",
+                 "label_ms=%.1f search_ms=%.1f cleanup_ms=%.1f "
+                 "append_ms=%.1f batches=%llu seal_ms=%.1f build_ms=%.1f\n",
                  build.threads,
                  build.order.empty() ? "none" : build.order.c_str(),
-                 build.order_millis, build.label_millis, build.seal_millis,
-                 build.build_millis);
+                 build.order_millis, build.label_millis, build.search_millis,
+                 build.cleanup_millis, build.append_millis,
+                 static_cast<unsigned long long>(build.batches),
+                 build.seal_millis, build.build_millis);
     if (!options.save_index_path.empty()) {
       std::fprintf(stderr, "index snapshot saved to %s\n",
                    options.save_index_path.c_str());
