@@ -10,9 +10,11 @@
 namespace reach {
 
 uint32_t PrunedLandmarkOracle::Distance(Vertex u, Vertex v) const {
-  if (u == v) return 0;
-  const std::span<const Entry> a = OutLabel(u);
-  const std::span<const Entry> b = InLabel(v);
+  return u == v ? 0 : MergeDistance(OutLabel(u), InLabel(v));
+}
+
+uint32_t PrunedLandmarkOracle::MergeDistance(std::span<const Entry> a,
+                                             std::span<const Entry> b) {
   // O(1) key-window rejection before any scan: entries are sorted by
   // landmark key, so disjoint [front, back] key windows share no landmark.
   if (a.empty() || b.empty() || a.back().key < b.front().key ||
@@ -37,27 +39,24 @@ uint32_t PrunedLandmarkOracle::Distance(Vertex u, Vertex v) const {
   return best;
 }
 
-void PrunedLandmarkOracle::Seal() {
-  const auto seal_side = [](std::vector<std::vector<Entry>>* build,
-                            std::vector<uint64_t>* offsets,
+void PrunedLandmarkOracle::Seal(Rows* out, Rows* in) {
+  const auto seal_side = [](Rows* build, std::vector<uint64_t>* offsets,
                             std::vector<Entry>* entries) {
     uint64_t total = 0;
     for (const auto& label : *build) total += label.size();
-    offsets->clear();
+    *offsets = {};
     offsets->reserve(build->size() + 1);
-    entries->clear();
+    *entries = {};
     entries->reserve(static_cast<size_t>(total));
     offsets->push_back(0);
     for (const auto& label : *build) {
       entries->insert(entries->end(), label.begin(), label.end());
       offsets->push_back(entries->size());
     }
-    build->clear();
-    build->shrink_to_fit();
+    Rows().swap(*build);
   };
-  seal_side(&build_out_, &out_offsets_, &out_entries_);
-  seal_side(&build_in_, &in_offsets_, &in_entries_);
-  sealed_ = true;
+  seal_side(out, &out_offsets_, &out_entries_);
+  seal_side(in, &in_offsets_, &in_entries_);
 }
 
 Status PrunedLandmarkOracle::BuildIndex(const Digraph& dag) {
@@ -65,22 +64,16 @@ Status PrunedLandmarkOracle::BuildIndex(const Digraph& dag) {
       internal::ValidateDagInput(dag, "PrunedLandmarkOracle"));
   Timer timer;
   const size_t n = dag.num_vertices();
-  // Back to the build phase before anything queries: a rebuild (the
-  // dynamic oracle pattern) must not leave Distance() reading a previous
-  // build's sealed arrays while the new labels fill.
-  sealed_ = false;
-  out_offsets_.clear();
-  out_offsets_.shrink_to_fit();
-  in_offsets_.clear();
-  in_offsets_.shrink_to_fit();
-  out_entries_.clear();
-  out_entries_.shrink_to_fit();
-  in_entries_.clear();
-  in_entries_.shrink_to_fit();
-  build_out_.assign(n, {});
-  build_in_.assign(n, {});
+  // Build phase: the pruned BFS prune predicate asks for distances while
+  // the labels are still growing, so it merges the growing rows. Nothing
+  // reads the sealed arrays (or a previous build's) until Seal.
+  Rows build_out(n);
+  Rows build_in(n);
+  const auto build_distance = [&build_out, &build_in](Vertex u, Vertex v) {
+    return u == v ? 0 : MergeDistance(build_out[u], build_in[v]);
+  };
   if (n == 0) {
-    Seal();
+    Seal(&build_out, &build_in);
     return Status::OK();
   }
 
@@ -114,47 +107,34 @@ Status PrunedLandmarkOracle::BuildIndex(const Digraph& dag) {
     ++epoch;
     RunPrunedLevelBfs(
         dag, hop, /*forward=*/true, threads, &mark, epoch,
-        [&](Vertex x, uint32_t d) { return Distance(hop, x) <= d; },
-        [&](Vertex x, uint32_t d) { build_in_[x].push_back(Entry{key, d}); },
+        [&](Vertex x, uint32_t d) { return build_distance(hop, x) <= d; },
+        [&](Vertex x, uint32_t d) { build_in[x].push_back(Entry{key, d}); },
         &scratch);
     // Backward pruned BFS: u reaches hop at distance d => (hop, d) in
     // Lout(u) unless already certified.
     ++epoch;
     RunPrunedLevelBfs(
         dag, hop, /*forward=*/false, threads, &mark, epoch,
-        [&](Vertex x, uint32_t d) { return Distance(x, hop) <= d; },
-        [&](Vertex x, uint32_t d) { build_out_[x].push_back(Entry{key, d}); },
+        [&](Vertex x, uint32_t d) { return build_distance(x, hop) <= d; },
+        [&](Vertex x, uint32_t d) { build_out[x].push_back(Entry{key, d}); },
         &scratch);
     if ((key & 0x3ff) == 0 && budget_.max_seconds > 0 &&
         timer.ElapsedSeconds() > budget_.max_seconds) {
       return Status::ResourceExhausted("PL over time budget");
     }
   }
-  Seal();
+  Seal(&build_out, &build_in);
   return Status::OK();
 }
 
 uint64_t PrunedLandmarkOracle::IndexSizeIntegers() const {
-  if (sealed_) {
-    return 2 * (static_cast<uint64_t>(out_entries_.size()) +
-                in_entries_.size());
-  }
-  uint64_t total = 0;
-  for (const auto& label : build_out_) total += 2 * label.size();
-  for (const auto& label : build_in_) total += 2 * label.size();
-  return total;
+  return 2 * (static_cast<uint64_t>(out_entries_.size()) + in_entries_.size());
 }
 
 uint64_t PrunedLandmarkOracle::IndexSizeBytes() const {
-  if (sealed_) {
-    return (out_offsets_.capacity() + in_offsets_.capacity()) *
-               sizeof(uint64_t) +
-           (out_entries_.capacity() + in_entries_.capacity()) * sizeof(Entry);
-  }
-  uint64_t bytes = 0;
-  for (const auto& label : build_out_) bytes += label.capacity() * sizeof(Entry);
-  for (const auto& label : build_in_) bytes += label.capacity() * sizeof(Entry);
-  return bytes;
+  return (out_offsets_.capacity() + in_offsets_.capacity()) *
+             sizeof(uint64_t) +
+         (out_entries_.capacity() + in_entries_.capacity()) * sizeof(Entry);
 }
 
 }  // namespace reach

@@ -6,7 +6,7 @@
 // merge (no early exit), which is exactly the extra cost the paper observes
 // for PL in Tables 2/3.
 //
-// Storage follows the LabelStore lifecycle (core/label_store.h): the pruned
+// Storage follows the label lifecycle (core/label_store.h): the pruned
 // BFS sweeps append into per-vertex vectors, then BuildIndex seals both
 // sides into contiguous offsets[] + entries[] CSR arrays, so queries scan
 // two flat spans and IndexSizeBytes() is exact.
@@ -57,34 +57,29 @@ class PrunedLandmarkOracle : public ReachabilityOracle {
     uint32_t dist;  // Shortest distance between vertex and landmark.
   };
 
+  using Rows = std::vector<std::vector<Entry>>;
+
+  /// Shortest distance through a landmark both labels hold, kUnreachable
+  /// if they share none.
+  static uint32_t MergeDistance(std::span<const Entry> out,
+                                std::span<const Entry> in);
+
   std::span<const Entry> OutLabel(Vertex u) const {
-    if (sealed_) {
-      return {out_entries_.data() + out_offsets_[u],
-              static_cast<size_t>(out_offsets_[u + 1] - out_offsets_[u])};
-    }
-    return build_out_[u];
+    return {out_entries_.data() + out_offsets_[u],
+            static_cast<size_t>(out_offsets_[u + 1] - out_offsets_[u])};
   }
   std::span<const Entry> InLabel(Vertex v) const {
-    if (sealed_) {
-      return {in_entries_.data() + in_offsets_[v],
-              static_cast<size_t>(in_offsets_[v + 1] - in_offsets_[v])};
-    }
-    return build_in_[v];
+    return {in_entries_.data() + in_offsets_[v],
+            static_cast<size_t>(in_offsets_[v + 1] - in_offsets_[v])};
   }
 
-  /// Compacts the build vectors into the CSR arrays (exact allocations).
-  void Seal();
+  /// Compacts the build-phase rows into the CSR arrays (exact
+  /// allocations), freeing each side's rows once it is copied.
+  void Seal(Rows* out, Rows* in);
 
-  bool sealed_ = false;
-  // Build phase: the pruned BFS prune predicate calls Distance() while the
-  // labels are still growing, so queries must work pre-seal too.
-  std::vector<std::vector<Entry>> build_out_;  // Landmarks this vertex
-                                               // reaches.
-  std::vector<std::vector<Entry>> build_in_;   // Landmarks reaching this
-                                               // vertex.
-  // Sealed phase: entries of vertex v occupy offsets[v] .. offsets[v + 1).
-  std::vector<uint64_t> out_offsets_;
-  std::vector<uint64_t> in_offsets_;
+  // Entries of vertex v occupy offsets[v] .. offsets[v + 1).
+  std::vector<uint64_t> out_offsets_;  // Landmarks this vertex reaches.
+  std::vector<uint64_t> in_offsets_;   // Landmarks reaching this vertex.
   std::vector<Entry> out_entries_;
   std::vector<Entry> in_entries_;
 };

@@ -34,9 +34,9 @@ Status TwoHopOracle::BuildIndex(const Digraph& dag) {
   Timer timer;
   const int threads = build_threads();
   const size_t n = dag.num_vertices();
-  labeling_.Init(n);
+  LabelBuilder builder(n);
   if (n == 0) {
-    labeling_.Seal();
+    labeling_ = std::move(builder).Seal();
     return Status::OK();
   }
 
@@ -180,7 +180,7 @@ Status TwoHopOracle::BuildIndex(const Digraph& dag) {
     profitable_out.clear();
     out_mask.AppendSetBits(&profitable_out);
     ParallelFor(0, profitable_out.size(), 512, threads,
-                [&](size_t i) { labeling_.InsertIn(profitable_out[i], w); });
+                [&](size_t i) { builder.InsertIn(profitable_out[i], w); });
     uint64_t newly_covered = 0;
     if (threads > 1 && profitable_in.size() >= kEndpointParallelCutoff) {
       const size_t num_chunks =
@@ -191,7 +191,7 @@ Status TwoHopOracle::BuildIndex(const Digraph& dag) {
                        uint64_t local = 0;
                        for (size_t i = chunk.begin; i < chunk.end; ++i) {
                          const Vertex u = profitable_in[i];
-                         labeling_.InsertOut(u, w);
+                         builder.InsertOut(u, w);
                          local += covered[u].UnionCountNew(tc->Row(w));
                        }
                        chunk_gain[chunk.index] = local;
@@ -199,13 +199,13 @@ Status TwoHopOracle::BuildIndex(const Digraph& dag) {
       for (size_t c = 0; c < num_chunks; ++c) newly_covered += chunk_gain[c];
     } else {
       for (Vertex u : profitable_in) {
-        labeling_.InsertOut(u, w);
+        builder.InsertOut(u, w);
         newly_covered += covered[u].UnionCountNew(tc->Row(w));
       }
     }
     uncovered -= newly_covered;
   }
-  labeling_.Seal();
+  labeling_ = std::move(builder).Seal();
   return Status::OK();
 }
 

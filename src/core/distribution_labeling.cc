@@ -139,9 +139,9 @@ struct alignas(64) HopWorker {
 /// (MarkedIntersects). The hop itself is admitted unpruned: in a DAG its
 /// own Lout and Lin cannot intersect. Returns the admitted vertices, in
 /// BFS order, as the worker's queue.
-std::span<const Vertex> SearchHop(const Digraph& g, const LabelStore& labels,
-                                  Vertex hop, bool forward,
-                                  HopWorker* worker) {
+std::span<const Vertex> SearchHop(const Digraph& g,
+                                  const LabelBuilder& labels, Vertex hop,
+                                  bool forward, HopWorker* worker) {
   CandidateBuffer& queue = worker->queue;
   PageVector<uint32_t>& mark = worker->mark;
   const uint32_t epoch = worker->NextEpoch(g.num_vertices());
@@ -392,7 +392,7 @@ std::vector<Vertex> ComputeDistributionOrder(
       // group, and each group is then put in by_rank order, so the result
       // does not depend on the order of `members`. Its speed does: a group
       // of equal ranks is sorted already when `members` ascend, as DL's
-      // and DL+dyn's do, and only the groups that are not get sorted.
+      // do, and only the groups that are not get sorted.
       int top = 0;
       int bottom = 0;
       if (!octave.empty()) {
@@ -432,7 +432,7 @@ std::vector<Vertex> ComputeDistributionOrder(
 
 void DistributeLabels(const Digraph& g, const std::vector<Vertex>& order,
                       const std::vector<uint32_t>& key_of,
-                      LabelStore* labeling, int threads, BuildStats* stats) {
+                      LabelBuilder* labeling, int threads, BuildStats* stats) {
   const size_t n = g.num_vertices();
   const int resolved = threads > 0 ? threads : DefaultBuildThreads();
   // One append partition per thread. No batch has more hops than
@@ -590,22 +590,22 @@ Status DistributionLabelingOracle::BuildIndex(const Digraph& dag) {
   build_stats_.order_millis = phase.ElapsedMillis();
 
   phase.Reset();
-  labeling_.Init(n);
-  DistributeLabels(dag, order_, key_of, &labeling_, build_threads(),
+  LabelBuilder builder(n);
+  DistributeLabels(dag, order_, key_of, &builder, build_threads(),
                    &build_stats_);
   build_stats_.label_millis = phase.ElapsedMillis();
-  // Construction is done mutating: compact to the flat query layout.
-  phase.Reset();
-  labeling_.Seal(build_threads());
-  build_stats_.seal_millis = phase.ElapsedMillis();
 
   if (budget_.max_seconds > 0 && timer.ElapsedSeconds() > budget_.max_seconds) {
     return Status::ResourceExhausted("DL construction exceeded time budget");
   }
   if (budget_.max_index_integers > 0 &&
-      labeling_.TotalEntries() > budget_.max_index_integers) {
+      builder.TotalEntries() > budget_.max_index_integers) {
     return Status::ResourceExhausted("DL index exceeded size budget");
   }
+  // Construction is done mutating: compact to the flat query layout.
+  phase.Reset();
+  labeling_ = std::move(builder).Seal(build_threads());
+  build_stats_.seal_millis = phase.ElapsedMillis();
   return Status::OK();
 }
 

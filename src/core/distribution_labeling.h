@@ -52,7 +52,8 @@ struct DistributionOptions {
 /// Core routine shared by the DL oracle and by Hierarchical Labeling's
 /// core-graph labeler: runs Algorithm 2 on `g` over exactly the vertices in
 /// `order` (processed front to back), writing hop keys `key_of[v]` into
-/// `labeling` (which must be Init'ed and empty for all touched vertices).
+/// `labeling` (which must cover g's vertices and be empty for all touched
+/// vertices).
 /// Keys must be injective over `order`; each row is kept sorted by
 /// SortedInsert, which appends in O(1) when keys arrive ascending (order
 /// positions). Traversals never leave the `order` vertex set, because `g`
@@ -72,7 +73,7 @@ struct DistributionOptions {
 /// search_millis, cleanup_millis and append_millis, and counts batches.
 void DistributeLabels(const Digraph& g, const std::vector<Vertex>& order,
                       const std::vector<uint32_t>& key_of,
-                      LabelStore* labeling, int threads = 1,
+                      LabelBuilder* labeling, int threads = 1,
                       BuildStats* stats = nullptr);
 
 /// Computes the processing order of `members` under the given policy.

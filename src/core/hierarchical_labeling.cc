@@ -39,7 +39,7 @@ size_t ScratchSlots(int threads, size_t work) {
 void LabelCoreByNeighborhood(const Digraph& core,
                              const std::vector<Vertex>& members,
                              uint32_t half_eps, int threads,
-                             LabelStore* labeling) {
+                             LabelBuilder* labeling) {
   std::vector<BoundedBfs> bfs(ScratchSlots(threads, members.size()),
                               BoundedBfs(core.num_vertices()));
   ParallelChunks(0, members.size(), kLabelGrain, threads,
@@ -122,7 +122,7 @@ Status HierarchicalLabelingOracle::BuildIndex(const Digraph& dag) {
   const size_t n = dag.num_vertices();
   const int eps = hierarchy_->epsilon();
   const uint32_t half_eps = static_cast<uint32_t>((eps + 1) / 2);
-  labeling_.Init(n);
+  LabelBuilder builder(n);
 
   // --- Step 1: label the core graph Gh. ---
   const size_t core = hierarchy_->core_level();
@@ -136,7 +136,7 @@ Status HierarchicalLabelingOracle::BuildIndex(const Digraph& dag) {
   }
   if (use_neighborhood) {
     LabelCoreByNeighborhood(core_graph, core_members, half_eps, threads,
-                            &labeling_);
+                            &builder);
   } else {
     // Distribution Labeling restricted to the core, with vertex-id keys so
     // that core labels compose with the level labels below.
@@ -147,7 +147,7 @@ Status HierarchicalLabelingOracle::BuildIndex(const Digraph& dag) {
     build_stats_.order = DistributionOrderName(applied);
     std::vector<uint32_t> key_of(n);
     for (Vertex v = 0; v < n; ++v) key_of[v] = v;
-    DistributeLabels(core_graph, order, key_of, &labeling_, threads,
+    DistributeLabels(core_graph, order, key_of, &builder, threads,
                      &build_stats_);
   }
 
@@ -194,14 +194,14 @@ Status HierarchicalLabelingOracle::BuildIndex(const Digraph& dag) {
             worker_bfs.Run(
                 gi, v, static_cast<uint32_t>(eps), /*forward=*/true,
                 [this, i](Vertex w) { return hierarchy_->LevelOf(w) > i; },
-                [this, i, &gather](Vertex w, uint32_t) {
+                [this, i, &builder, &gather](Vertex w, uint32_t) {
                   if (hierarchy_->LevelOf(w) > i) {
-                    const auto& upper = labeling_.Out(w);
+                    const auto upper = builder.Out(w);
                     gather.insert(gather.end(), upper.begin(), upper.end());
                   }
                 });
             SortUnique(&gather);
-            *labeling_.MutableOut(v) = gather;
+            *builder.MutableOut(v) = gather;
 
             // Lin(v), symmetrically.
             gather.clear();
@@ -213,25 +213,25 @@ Status HierarchicalLabelingOracle::BuildIndex(const Digraph& dag) {
             worker_bfs.Run(
                 gi, v, static_cast<uint32_t>(eps), /*forward=*/false,
                 [this, i](Vertex w) { return hierarchy_->LevelOf(w) > i; },
-                [this, i, &gather](Vertex w, uint32_t) {
+                [this, i, &builder, &gather](Vertex w, uint32_t) {
                   if (hierarchy_->LevelOf(w) > i) {
-                    const auto& upper = labeling_.In(w);
+                    const auto upper = builder.In(w);
                     gather.insert(gather.end(), upper.begin(), upper.end());
                   }
                 });
             SortUnique(&gather);
-            *labeling_.MutableIn(v) = gather;
+            *builder.MutableIn(v) = gather;
           }
         });
   }
 
   build_stats_.label_millis = phase.ElapsedMillis();
   if (budget_.max_index_integers > 0 &&
-      labeling_.TotalEntries() > budget_.max_index_integers) {
+      builder.TotalEntries() > budget_.max_index_integers) {
     return Status::ResourceExhausted("HL index exceeded size budget");
   }
   phase.Reset();
-  labeling_.Seal(threads);
+  labeling_ = std::move(builder).Seal(threads);
   build_stats_.seal_millis = phase.ElapsedMillis();
   return Status::OK();
 }

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstring>
-#include <functional>
 #include <new>
 #include <ostream>
 #include <string>
@@ -84,43 +83,42 @@ Status CheckPad(const std::byte* pad, uint64_t total, const char* side) {
   return Status::OK();
 }
 
-// The one RLSTORE3 encoder: writes the header and both sides of the
-// build-phase labels into a fresh owned blob. Each side's offsets are one
-// serial prefix sum; its rows are then copied by up to `threads` workers,
-// every row to the place its offset names. `after_out`, when set, runs
-// once the Lout section is written — Seal frees the Lout build vectors
-// there, so they never coexist with the Lin section's pages.
-StatusOr<std::shared_ptr<const MappedBlob>> EncodeBlob(
-    const BuildSide& out, const BuildSide& in, int threads,
-    const std::function<void()>& after_out) {
-  const uint64_t n = out.size();
-  const uint64_t total_out = SideTotal(out);
-  const uint64_t total_in = SideTotal(in);
+// The one RLSTORE3 encoder: writes the header and both sides of a
+// builder's rows into a fresh owned blob, freeing each side's rows as soon
+// as that side is written, so the Lout rows never coexist with the Lin
+// section's pages. Each side's offsets are one serial prefix sum; its rows
+// are then copied by up to `threads` workers, every row to the place its
+// offset names.
+StatusOr<std::shared_ptr<const MappedBlob>> EncodeBlob(BuildSide* out,
+                                                       BuildSide* in,
+                                                       int threads) {
+  const uint64_t n = out->size();
+  const uint64_t total_out = SideTotal(*out);
+  const uint64_t total_in = SideTotal(*in);
   const Layout layout = LayoutFor(n, total_out, total_in);
   return MappedBlob::CreateOwned(
       static_cast<size_t>(layout.size), [&](std::span<std::byte> bytes) {
         std::byte* base = bytes.data();
         const uint64_t header[4] = {kMagic, n, total_out, total_in};
         std::memcpy(base, header, sizeof(header));
-        const auto encode_side = [base, threads](const BuildSide& labels,
+        const auto encode_side = [base, threads](BuildSide* labels,
                                                  uint64_t off_at,
                                                  uint64_t key_at) {
+          const BuildSide& rows = *labels;
           uint64_t* offsets = reinterpret_cast<uint64_t*>(base + off_at);
           uint32_t* keys = reinterpret_cast<uint32_t*>(base + key_at);
           offsets[0] = 0;
-          for (size_t v = 0; v < labels.size(); ++v) {
-            offsets[v + 1] = offsets[v] + labels[v].size();
+          for (size_t v = 0; v < rows.size(); ++v) {
+            offsets[v + 1] = offsets[v] + rows[v].size();
           }
-          ParallelFor(0, labels.size(), kSealRowGrain, threads,
-                      [&](size_t v) {
-                        std::copy(labels[v].begin(), labels[v].end(),
-                                  keys + offsets[v]);
-                      });
-          const uint64_t total = offsets[labels.size()];
+          ParallelFor(0, rows.size(), kSealRowGrain, threads, [&](size_t v) {
+            std::copy(rows[v].begin(), rows[v].end(), keys + offsets[v]);
+          });
+          const uint64_t total = offsets[rows.size()];
           std::memset(keys + total, 0, KeysPadBytes(total));
+          BuildSide().swap(*labels);
         };
         encode_side(out, layout.off_out, layout.key_out);
-        if (after_out) after_out();
         encode_side(in, layout.off_in, layout.key_in);
         return Status::OK();
       });
@@ -128,20 +126,7 @@ StatusOr<std::shared_ptr<const MappedBlob>> EncodeBlob(
 
 }  // namespace
 
-void LabelStore::Init(size_t num_vertices) {
-  *this = LabelStore();
-  num_vertices_ = num_vertices;
-  build_out_.assign(num_vertices, {});
-  build_in_.assign(num_vertices, {});
-}
-
-void LabelStore::Canonicalize() {
-  assert(!sealed_);
-  for (auto& label : build_out_) SortUnique(&label);
-  for (auto& label : build_in_) SortUnique(&label);
-}
-
-void LabelStore::Attach(MappedRegion region) {
+LabelStore::LabelStore(MappedRegion region) {
   const std::byte* base = region.bytes().data();
   uint64_t header[4];
   std::memcpy(header, base, sizeof(header));
@@ -152,81 +137,32 @@ void LabelStore::Attach(MappedRegion region) {
   off_in_ = reinterpret_cast<const uint64_t*>(base + layout.off_in);
   key_in_ = reinterpret_cast<const uint32_t*>(base + layout.key_in);
   region_ = std::move(region);
-  sealed_ = true;
 }
 
-void LabelStore::Seal(int threads) {
-  if (sealed_) return;
+uint64_t LabelBuilder::TotalEntries() const {
+  return SideTotal(out_) + SideTotal(in_);
+}
+
+LabelStore LabelBuilder::Seal(int threads) && {
   StatusOr<std::shared_ptr<const MappedBlob>> blob =
-      EncodeBlob(build_out_, build_in_, threads, [this] {
-        build_out_.clear();
-        build_out_.shrink_to_fit();
-      });
+      EncodeBlob(&out_, &in_, threads);
   if (!blob.ok()) throw std::bad_alloc();
-  build_in_.clear();
-  build_in_.shrink_to_fit();
-  Attach(MappedRegion{std::move(*blob), 0});
-}
-
-void LabelStore::Unseal() {
-  if (!sealed_) return;
-  const size_t n = num_vertices_;
-  BuildSide build_out(n);
-  BuildSide build_in(n);
-  for (Vertex v = 0; v < n; ++v) {
-    const std::span<const uint32_t> out = Out(v);
-    build_out[v].assign(out.begin(), out.end());
-    const std::span<const uint32_t> in = In(v);
-    build_in[v].assign(in.begin(), in.end());
-  }
-  *this = LabelStore();  // Drops the blob reference.
-  num_vertices_ = n;
-  build_out_ = std::move(build_out);
-  build_in_ = std::move(build_in);
-}
-
-uint64_t LabelStore::TotalEntries() const {
-  if (sealed_) {
-    return off_out_[num_vertices_] + off_in_[num_vertices_];
-  }
-  return SideTotal(build_out_) + SideTotal(build_in_);
-}
-
-size_t LabelStore::MaxLabelSize() const {
-  size_t max_size = 0;
-  for (Vertex v = 0; v < num_vertices_; ++v) {
-    max_size = std::max(max_size, Out(v).size() + In(v).size());
-  }
-  return max_size;
+  return LabelStore(MappedRegion{std::move(*blob), 0});
 }
 
 size_t LabelStore::MemoryBytes() const {
-  if (sealed_) {
-    // Exact: the blob addresses 2 offsets arrays + every key, plus only
-    // the fixed header and at most two 4-byte pads, which are not counted.
-    return 2 * (num_vertices_ + 1) * sizeof(uint64_t) +
-           static_cast<size_t>(TotalEntries()) * sizeof(uint32_t);
-  }
-  size_t bytes = (build_out_.capacity() + build_in_.capacity()) *
-                 sizeof(std::vector<uint32_t>);
-  for (const auto& label : build_out_) {
-    bytes += label.capacity() * sizeof(uint32_t);
-  }
-  for (const auto& label : build_in_) {
-    bytes += label.capacity() * sizeof(uint32_t);
-  }
-  return bytes;
+  if (region_.blob == nullptr) return 0;
+  // Exact: the blob addresses 2 offsets arrays + every key, plus only the
+  // fixed header and at most two 4-byte pads, which are not counted.
+  return 2 * (num_vertices_ + 1) * sizeof(uint64_t) +
+         static_cast<size_t>(TotalEntries()) * sizeof(uint32_t);
 }
 
 Status LabelStore::Write(std::ostream& out) const {
-  MappedRegion encoded = region_;
-  if (!sealed_) {
-    StatusOr<std::shared_ptr<const MappedBlob>> blob =
-        EncodeBlob(build_out_, build_in_, /*threads=*/1, nullptr);
-    if (!blob.ok()) return blob.status();
-    encoded = MappedRegion{std::move(*blob), 0};
+  if (region_.blob == nullptr) {
+    return Status::InvalidArgument("label store holds no labels to write");
   }
-  const std::span<const std::byte> bytes = encoded.bytes();
+  const std::span<const std::byte> bytes = region_.bytes();
   out.write(reinterpret_cast<const char*>(bytes.data()),
             static_cast<std::streamsize>(bytes.size()));
   if (!out) return Status::IOError("label store write failed");
@@ -314,9 +250,7 @@ StatusOr<LabelStore> LabelStore::FromMapped(MappedRegion region) {
       "Lout"));
   REACH_RETURN_IF_ERROR(CheckPad(
       base + layout.key_in + total_in * sizeof(uint32_t), total_in, "Lin"));
-  LabelStore store;
-  store.Attach(std::move(region));
-  return store;
+  return LabelStore(std::move(region));
 }
 
 Status LabelStore::Validate() const {
@@ -339,7 +273,6 @@ Status LabelStore::Validate() const {
         }
       }
     }
-    if (!sealed_) return Status::OK();
     const uint32_t* keys = out_side ? key_out_ : key_in_;
     const uint64_t total = (out_side ? off_out_ : off_in_)[n];
     return CheckPad(reinterpret_cast<const std::byte*>(keys + total), total,

@@ -1,36 +1,34 @@
-// Two-phase hop-label storage (reachability oracle labels): per-vertex
-// Lout/Lin sets of 32-bit keys. A query u -> v is a sorted-array
-// intersection test (util/sorted_ops.h) — the paper (Section 1) points out
-// that storing labels in sorted arrays rather than sets removes the
-// query-time gap earlier studies reported for 2-hop labelings.
+// Hop-label storage (reachability oracle labels): per-vertex Lout/Lin
+// sets of 32-bit keys. A query u -> v is a sorted-array intersection test
+// (util/sorted_ops.h) — the paper (Section 1) points out that storing
+// labels in sorted arrays rather than sets removes the query-time gap
+// earlier studies reported for 2-hop labelings.
 //
-// Lifecycle:
+// Lifecycle, one way, one type per phase:
 //
-//   build phase              Seal()              sealed phase
-//   ───────────              ──────              ────────────
-//   per-vertex               encodes both        offsets[] + keys[] CSR:
-//   std::vector labels,      sides into one      one contiguous array per
-//   append/insert API        blob and frees      side, per-vertex spans,
-//   (construction mutates    the build           exact MemoryBytes(),
-//   labels constantly)       vectors             cache-friendly queries
+//   LabelBuilder            Seal()              LabelStore
+//   ────────────            ──────              ──────────
+//   per-vertex              encodes both        offsets[] + keys[] CSR:
+//   std::vector rows,       sides into one      one contiguous array per
+//   insert/mutate API       blob and frees      side, per-vertex spans,
+//   (construction mutates   the builder's       exact MemoryBytes(),
+//   labels constantly)      rows                cache-friendly queries
 //
-// Construction algorithms run in the build phase (they interleave reads
-// and inserts); BuildIndex seals once the labeling is final, so every
-// query after a successful Build touches two contiguous spans instead of
-// chasing two heap-scattered vectors. Unseal() expands back for the
-// dynamic oracle's incremental patches. Queries work in either phase and
-// answer identically.
+// Construction algorithms fill a LabelBuilder (they interleave reads and
+// inserts); BuildIndex seals it once the labeling is final, so every query
+// after a successful Build touches two contiguous spans instead of chasing
+// two heap-scattered vectors. The paper's labelings are built once and
+// then only queried, so a sealed store never goes back to rows: LabelStore
+// has no member that changes a label.
 //
-// The sealed form has exactly one representation: an RLSTORE3 blob (the
-// snapshot format, see Write) held in a MappedBlob, with the read surface
-// pointing into it. Seal() encodes the build vectors into an owned blob
-// (MappedBlob::CreateOwned); FromMapped points into a blob holding a
-// snapshot — an mmap of the file (the zero-copy load path: the file's
-// bytes ARE the index, no parse-and-copy) or the file read into memory
-// (MappedBlob::OpenOwned). Either way the store retains the blob
+// A LabelStore is a view of an RLSTORE3 blob (the snapshot format, see
+// Write) held in a MappedBlob. Seal() encodes the builder's rows into an
+// owned blob (MappedBlob::CreateOwned); FromMapped points into a blob
+// holding a snapshot — an mmap of the file (the zero-copy load path: the
+// file's bytes ARE the index, no parse-and-copy) or the file read into
+// memory (MappedBlob::OpenOwned). Either way the store retains the blob
 // shared_ptr, so the bytes outlive every span handed out while the store
-// lives, and a copy of a sealed store shares the immutable blob. Unseal()
-// copies the labels out and drops it.
+// lives, and a copy of a store shares the immutable blob.
 //
 // The key space is algorithm-defined: Distribution Labeling stores
 // total-order positions (labels stay sorted by construction), Hierarchical
@@ -46,7 +44,6 @@
 #ifndef REACH_CORE_LABEL_STORE_H_
 #define REACH_CORE_LABEL_STORE_H_
 
-#include <cassert>
 #include <cstdint>
 #include <iosfwd>
 #include <memory>
@@ -60,113 +57,50 @@
 
 namespace reach {
 
-/// Two-sided hop labeling over a fixed vertex set; see header comment for
-/// the build/sealed lifecycle and the single sealed representation.
+/// Sealed two-sided hop labeling over a fixed vertex set: a read-only view
+/// of one RLSTORE3 blob (see the header comment). Built by
+/// LabelBuilder::Seal or loaded by FromMapped; a default-constructed store
+/// covers no vertices.
 class LabelStore {
  public:
   LabelStore() = default;
-  explicit LabelStore(size_t num_vertices) { Init(num_vertices); }
-
-  /// Resets to an empty build-phase store over `num_vertices` vertices.
-  void Init(size_t num_vertices);
 
   size_t num_vertices() const { return num_vertices_; }
-  bool sealed() const { return sealed_; }
 
-  /// True when the sealed labels are an mmap of a snapshot file rather
-  /// than an owned region (Seal, or a file read into memory).
+  /// True when the labels are an mmap of a snapshot file rather than an
+  /// owned region (Seal, or a file read into memory).
   bool mapped() const {
     return region_.blob != nullptr && region_.blob->mapped();
   }
 
-  // --- Build-phase mutation (requires !sealed()). -------------------------
-
-  std::vector<uint32_t>* MutableOut(Vertex v) {
-    assert(!sealed_);
-    return &build_out_[v];
-  }
-  std::vector<uint32_t>* MutableIn(Vertex v) {
-    assert(!sealed_);
-    return &build_in_[v];
-  }
-
-  /// Inserts a key keeping the label sorted; a key above the row's back is
-  /// an O(1) append (SortedInsert). A row's first insert reserves
-  /// kFirstRowCapacity keys.
-  void InsertOut(Vertex v, uint32_t key) {
-    assert(!sealed_);
-    InsertKey(&build_out_[v], key);
-  }
-  void InsertIn(Vertex v, uint32_t key) {
-    assert(!sealed_);
-    InsertKey(&build_in_[v], key);
-  }
-
-  /// Sorts and deduplicates every label (for algorithms that bulk-append).
-  void Canonicalize();
-
-  // --- Phase transitions. -------------------------------------------------
-
-  /// Encodes both sides into one owned RLSTORE3 blob and points the read
-  /// surface into it, freeing each side's build vectors as soon as that
-  /// side is encoded. Up to `threads` workers copy the rows, each into its
-  /// place from the offsets computed first; the blob is the same for any
-  /// count. Queries and every read-only accessor keep answering
-  /// identically. Idempotent. Throws std::bad_alloc when the blob cannot
-  /// be allocated, as the build vectors would.
-  void Seal(int threads = 1);
-
-  /// Expands the sealed labels back into per-vertex vectors so the
-  /// mutation API works again (dynamic labeling's incremental patches),
-  /// and releases the blob reference. Idempotent.
-  void Unseal();
-
-  // --- Reads (either phase). ----------------------------------------------
-
   std::span<const uint32_t> Out(Vertex v) const {
-    if (sealed_) {
-      return {key_out_ + off_out_[v],
-              static_cast<size_t>(off_out_[v + 1] - off_out_[v])};
-    }
-    return build_out_[v];
+    return {key_out_ + off_out_[v],
+            static_cast<size_t>(off_out_[v + 1] - off_out_[v])};
   }
   std::span<const uint32_t> In(Vertex v) const {
-    if (sealed_) {
-      return {key_in_ + off_in_[v],
-              static_cast<size_t>(off_in_[v + 1] - off_in_[v])};
-    }
-    return build_in_[v];
+    return {key_in_ + off_in_[v],
+            static_cast<size_t>(off_in_[v + 1] - off_in_[v])};
   }
 
   /// True iff Lout(u) and Lin(v) share a hop (adaptive intersection).
   bool Query(Vertex u, Vertex v) const {
-    if (sealed_) {
-      return SortedIntersects(
-          {key_out_ + off_out_[u],
-           static_cast<size_t>(off_out_[u + 1] - off_out_[u])},
-          {key_in_ + off_in_[v],
-           static_cast<size_t>(off_in_[v + 1] - off_in_[v])});
-    }
-    return SortedIntersects(build_out_[u], build_in_[v]);
+    return SortedIntersects(Out(u), In(v));
   }
 
   /// Total number of stored label entries, i.e. the paper's "index size in
   /// number of integers" metric (Figures 3 and 4).
-  uint64_t TotalEntries() const;
+  uint64_t TotalEntries() const {
+    return off_out_[num_vertices_] + off_in_[num_vertices_];
+  }
 
-  /// Largest |Lout(v)| + |Lin(v)| over all vertices.
-  size_t MaxLabelSize() const;
-
-  /// Footprint of the label arrays. Exact in the sealed phase: offsets +
-  /// keys, no headers or slack. For a mapped store this counts the bytes
-  /// addressed through the view, though only the touched pages are ever
-  /// resident. In the build phase an estimate including vector headers
-  /// and capacity.
+  /// Exact footprint of the label arrays: offsets + keys, no headers or
+  /// slack. For a mapped store this counts the bytes addressed through the
+  /// view, though only the touched pages are ever resident. Zero for a
+  /// default-constructed store, which holds no blob.
   size_t MemoryBytes() const;
 
   /// Binary serialization ("RLSTORE3", local-endian): one write of the
-  /// sealed blob's bytes. An unsealed store writes the same bytes through
-  /// the same encoder Seal uses.
+  /// blob's bytes. InvalidArgument for a default-constructed store.
   ///
   /// Layout, all sections 8-byte aligned relative to the blob start:
   ///   u64 magic, u64 n, u64 total_out, u64 total_in
@@ -176,26 +110,79 @@ class LabelStore {
   ///   u32 keys_in[total_in], zero-padded to 8
   Status Write(std::ostream& out) const;
 
-  /// The one load path: the sealed arrays point into `region` (which must
-  /// start 8-byte aligned within its 64-aligned blob and extend exactly to
-  /// the blob's end — the label blob is always a snapshot's final
-  /// section). Validates header arithmetic, the full offsets arrays and
-  /// the zero padding against the region size BEFORE dereferencing any
-  /// array section, so a truncated or forged file is rejected without
-  /// ever touching bytes past the mapping (no SIGBUS). Key values are not
+  /// The one load path: the arrays point into `region` (which must start
+  /// 8-byte aligned within its 64-aligned blob and extend exactly to the
+  /// blob's end — the label blob is always a snapshot's final section).
+  /// Validates header arithmetic, the full offsets arrays and the zero
+  /// padding against the region size BEFORE dereferencing any array
+  /// section, so a truncated or forged file is rejected without ever
+  /// touching bytes past the mapping (no SIGBUS). Key values are not
   /// validated — see the header comment and Validate(). The returned
   /// store retains region.blob.
   static StatusOr<LabelStore> FromMapped(MappedRegion region);
 
-  /// Full scan of the key values, in either phase: every key below n and
-  /// every label strictly ascending; a sealed store's padding is
-  /// re-checked as zero. Corruption names the side and row at fault.
-  /// O(index size), and on a mapped store it faults in every page.
+  /// Full scan of the key values: every key below n and every label
+  /// strictly ascending; the padding is re-checked as zero. Corruption
+  /// names the side and row at fault. O(index size), and on a mapped store
+  /// it faults in every page.
   Status Validate() const;
 
   /// Logical equality: same vertex count and per-vertex labels, regardless
-  /// of phase or backing (a sealed store equals its unsealed twin).
+  /// of backing (a built store equals its mapped snapshot).
   bool operator==(const LabelStore& other) const;
+
+ private:
+  friend class LabelBuilder;
+
+  /// Points the read surface into `region`, whose header and sizes the
+  /// encoder produced or FromMapped checked, and retains its blob.
+  explicit LabelStore(MappedRegion region);
+
+  /// The offsets of a store without a blob: no rows, no entries.
+  static constexpr uint64_t kNoOffsets[1] = {0};
+
+  size_t num_vertices_ = 0;
+  // Keys of vertex v occupy key_xxx_[off_xxx_[v] .. off_xxx_[v + 1]), all
+  // pointing into region_.
+  const uint64_t* off_out_ = kNoOffsets;
+  const uint64_t* off_in_ = kNoOffsets;
+  const uint32_t* key_out_ = nullptr;
+  const uint32_t* key_in_ = nullptr;
+  // The blob (and the label section's offset in it); empty in a
+  // default-constructed store.
+  MappedRegion region_;
+};
+
+/// Build-phase labels: one growable row per vertex and side, filled by the
+/// construction algorithms and then sealed, once, into a LabelStore.
+class LabelBuilder {
+ public:
+  explicit LabelBuilder(size_t num_vertices)
+      : out_(num_vertices), in_(num_vertices) {}
+
+  size_t num_vertices() const { return out_.size(); }
+
+  std::vector<uint32_t>* MutableOut(Vertex v) { return &out_[v]; }
+  std::vector<uint32_t>* MutableIn(Vertex v) { return &in_[v]; }
+
+  /// Inserts a key keeping the label sorted; a key above the row's back is
+  /// an O(1) append (SortedInsert). A row's first insert reserves
+  /// kFirstRowCapacity keys.
+  void InsertOut(Vertex v, uint32_t key) { InsertKey(&out_[v], key); }
+  void InsertIn(Vertex v, uint32_t key) { InsertKey(&in_[v], key); }
+
+  std::span<const uint32_t> Out(Vertex v) const { return out_[v]; }
+  std::span<const uint32_t> In(Vertex v) const { return in_[v]; }
+
+  /// Total number of label entries, the sealed store's TotalEntries().
+  uint64_t TotalEntries() const;
+
+  /// Encodes both sides into one owned RLSTORE3 blob and returns the store
+  /// viewing it, freeing each side's rows as soon as that side is encoded.
+  /// Up to `threads` workers copy the rows, each into its place from the
+  /// offsets computed first; the blob is the same for any count. Throws
+  /// std::bad_alloc when the blob cannot be allocated, as the rows would.
+  LabelStore Seal(int threads = 1) &&;
 
  private:
   /// 24 bytes: the payload of the smallest heap chunk on 64-bit glibc,
@@ -210,24 +197,8 @@ class LabelStore {
     SortedInsert(row, key);
   }
 
-  /// Points the sealed read surface into `region`, whose header and sizes
-  /// the encoder produced or FromMapped checked, and retains its blob.
-  void Attach(MappedRegion region);
-
-  size_t num_vertices_ = 0;
-  bool sealed_ = false;
-  // Build phase.
-  std::vector<std::vector<uint32_t>> build_out_;
-  std::vector<std::vector<uint32_t>> build_in_;
-  // Sealed phase: keys of vertex v occupy key_xxx_[off_xxx_[v] ..
-  // off_xxx_[v + 1]), all pointing into region_. Null in the build phase.
-  const uint64_t* off_out_ = nullptr;
-  const uint64_t* off_in_ = nullptr;
-  const uint32_t* key_out_ = nullptr;
-  const uint32_t* key_in_ = nullptr;
-  // The sealed blob (and the label section's offset in it); empty in the
-  // build phase.
-  MappedRegion region_;
+  std::vector<std::vector<uint32_t>> out_;
+  std::vector<std::vector<uint32_t>> in_;
 };
 
 /// Shared LoadIndexMapped body of the labeling oracles: maps a snapshot

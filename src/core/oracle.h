@@ -159,7 +159,7 @@ class ReachabilityOracle {
   virtual Status SaveIndex(std::ostream& out) const;
 
   /// True when this oracle implements SaveIndex/LoadMapped. The
-  /// labeling-based methods (DL, HL/TF, 2HOP, DL+dyn) do: their whole query
+  /// labeling-based methods (DL, HL/TF, 2HOP) do: their whole query
   /// state is one sealed LabelStore blob, and the bytes SaveIndex writes
   /// are the bytes LoadMapped serves. Traversal- and TC-based methods do
   /// not.

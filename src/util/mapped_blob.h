@@ -5,7 +5,7 @@
 // mmap(2) of a whole file (the fast path: load cost is O(pages touched),
 // not O(file size)) or by an owned region — filled with one streaming
 // read of the file (OpenOwned, or where the file cannot be mapped), or
-// written in memory by an encoder (LabelStore::Seal builds its sealed
+// written in memory by an encoder (LabelBuilder::Seal builds its sealed
 // labels this way) — callers never branch on which. The blob is
 // handed around as shared_ptr<const MappedBlob>; consumers that point into
 // the region (LabelStore's sealed labels) retain the shared_ptr, so the

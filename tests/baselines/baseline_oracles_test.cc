@@ -166,9 +166,9 @@ TEST(PrunedLandmarkTest, DistanceOnChain) {
 }
 
 TEST(PrunedLandmarkTest, RebuildResetsSealedState) {
-  // Regression: a second Build on the same oracle must re-enter the build
-  // phase — a stale sealed_ flag would make the prune predicate read the
-  // first build's CSR arrays and silently mislabel the second graph.
+  // Regression: a second Build on the same oracle must label the second
+  // graph from fresh rows — a prune predicate reading the first build's
+  // CSR arrays would silently mislabel it.
   PrunedLandmarkOracle oracle;
   ASSERT_TRUE(oracle.Build(RandomDag(120, 320, 31)).ok());
   Digraph g = RandomDag(140, 380, 32);

@@ -58,6 +58,23 @@ TEST(BuildBudgetTest, TinySizeBudgetReturnsResourceExhausted) {
   }
 }
 
+// The size budget is checked on the build-phase labels, before they are
+// sealed, so an over-budget build keeps no index.
+TEST(BuildBudgetTest, OverSizeBudgetBuildKeepsNoIndex) {
+  const Digraph g = RandomDag(2000, 8000, /*seed=*/13);
+  for (const char* name : {"DL", "HL"}) {
+    std::unique_ptr<ReachabilityOracle> oracle = MakeOracle(name);
+    ASSERT_NE(oracle, nullptr) << name;
+    BuildBudget budget;
+    budget.max_index_integers = 2;
+    oracle->set_budget(budget);
+    const Status st = oracle->Build(g);
+    EXPECT_TRUE(st.IsResourceExhausted())
+        << name << " returned " << st.ToString();
+    EXPECT_EQ(oracle->IndexSizeIntegers(), 0u) << name;
+  }
+}
+
 TEST(BuildBudgetTest, TinyTimeBudgetReturnsResourceExhausted) {
   const Digraph g = RandomDag(5000, 20000, /*seed=*/17);
   for (const char* name : kBudgetedOracles) {

@@ -96,12 +96,6 @@ INSTANTIATE_TEST_SUITE_P(
 // logical label equality AND identical serialized sealed blobs (the
 // snapshot a server would save must not depend on the thread count).
 
-std::string SerializedLabels(const LabelStore& labels) {
-  std::stringstream ss(std::ios::in | std::ios::out | std::ios::binary);
-  EXPECT_TRUE(labels.Write(ss).ok());
-  return ss.str();
-}
-
 TEST(BuildDeterminismExactTest, DistributionLabelingIsByteIdentical) {
   const Digraph dag = RandomDag(800, 4000, 21);
   DistributionLabelingOracle sequential;
@@ -112,8 +106,8 @@ TEST(BuildDeterminismExactTest, DistributionLabelingIsByteIdentical) {
     EXPECT_EQ(parallel.order(), sequential.order()) << threads;
     EXPECT_TRUE(parallel.labeling() == sequential.labeling())
         << "DL labels differ at threads=" << threads;
-    EXPECT_EQ(SerializedLabels(parallel.labeling()),
-              SerializedLabels(sequential.labeling()))
+    EXPECT_EQ(testing_util::LabelBytes(parallel.labeling()),
+              testing_util::LabelBytes(sequential.labeling()))
         << "DL sealed blob differs at threads=" << threads;
   }
 }
@@ -127,8 +121,8 @@ TEST(BuildDeterminismExactTest, HierarchicalLabelingIsByteIdentical) {
     ASSERT_TRUE(parallel.Build(dag, WithThreads(threads)).ok());
     EXPECT_TRUE(parallel.labeling() == sequential.labeling())
         << "HL labels differ at threads=" << threads;
-    EXPECT_EQ(SerializedLabels(parallel.labeling()),
-              SerializedLabels(sequential.labeling()))
+    EXPECT_EQ(testing_util::LabelBytes(parallel.labeling()),
+              testing_util::LabelBytes(sequential.labeling()))
         << "HL sealed blob differs at threads=" << threads;
   }
 }
@@ -142,8 +136,8 @@ TEST(BuildDeterminismExactTest, TwoHopLabelStoreIsByteIdentical) {
     ASSERT_TRUE(parallel.Build(dag, WithThreads(threads)).ok());
     EXPECT_TRUE(parallel.labeling() == sequential.labeling())
         << "2HOP labels differ at threads=" << threads;
-    EXPECT_EQ(SerializedLabels(parallel.labeling()),
-              SerializedLabels(sequential.labeling()))
+    EXPECT_EQ(testing_util::LabelBytes(parallel.labeling()),
+              testing_util::LabelBytes(sequential.labeling()))
         << "2HOP sealed blob differs at threads=" << threads;
   }
 }

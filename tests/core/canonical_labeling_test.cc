@@ -98,7 +98,7 @@ void ExpectCanonical(bool vertex_id_keys) {
 
     for (const int threads : {1, 2, 3, 8}) {
       SCOPED_TRACE(c.name + ", " + std::to_string(threads) + " threads");
-      LabelStore labels(n);
+      LabelBuilder labels(n);
       DistributeLabels(g, order, key_of, &labels, threads);
       size_t mismatches = 0;
       for (Vertex v = 0; v < n && mismatches < 5; ++v) {

@@ -1,6 +1,7 @@
 #include "core/distribution_labeling.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "gtest/gtest.h"
 #include "datasets/registry.h"
@@ -70,23 +71,21 @@ TEST(DistributionLabelingTest, NonRedundancyTheorem4) {
     };
     ASSERT_TRUE(complete(labels));
 
-    // Remove each entry in turn and expect incompleteness. BuildIndex
-    // sealed the labeling; mutate an unsealed copy (same answers).
+    // Remove each entry in turn and expect incompleteness: the sealed rows
+    // minus that entry, refilled into a builder and sealed again.
+    const auto without = [&](Vertex v, size_t i, bool out_side) {
+      LabelBuilder rows = testing_util::RowsOf(labels);
+      auto* row = out_side ? rows.MutableOut(v) : rows.MutableIn(v);
+      row->erase(row->begin() + static_cast<ptrdiff_t>(i));
+      return std::move(rows).Seal();
+    };
     for (Vertex v = 0; v < n; ++v) {
       for (size_t i = 0; i < labels.Out(v).size(); ++i) {
-        LabelStore mutated = labels;
-        mutated.Unseal();
-        auto* out = mutated.MutableOut(v);
-        out->erase(out->begin() + static_cast<ptrdiff_t>(i));
-        EXPECT_FALSE(complete(mutated))
+        EXPECT_FALSE(complete(without(v, i, /*out_side=*/true)))
             << "Lout(" << v << ") entry " << i << " was redundant";
       }
       for (size_t i = 0; i < labels.In(v).size(); ++i) {
-        LabelStore mutated = labels;
-        mutated.Unseal();
-        auto* in = mutated.MutableIn(v);
-        in->erase(in->begin() + static_cast<ptrdiff_t>(i));
-        EXPECT_FALSE(complete(mutated))
+        EXPECT_FALSE(complete(without(v, i, /*out_side=*/false)))
             << "Lin(" << v << ") entry " << i << " was redundant";
       }
     }

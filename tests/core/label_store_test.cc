@@ -20,10 +20,12 @@ std::vector<uint32_t> ToVec(std::span<const uint32_t> s) {
   return {s.begin(), s.end()};
 }
 
-/// A small two-phase store exercised by most tests:
+using testing_util::LabelBytes;
+
+/// The build-phase rows behind most tests:
 ///   Lout(0) = {1}, Lout(2) = {0, 2}; Lin(1) = {1}, Lin(2) = {0}.
-LabelStore SampleStore() {
-  LabelStore l(3);
+LabelBuilder SampleRows() {
+  LabelBuilder l(3);
   l.InsertOut(0, 1);
   l.InsertOut(2, 2);
   l.InsertOut(2, 0);
@@ -32,11 +34,7 @@ LabelStore SampleStore() {
   return l;
 }
 
-std::string Serialize(const LabelStore& l) {
-  std::stringstream ss(std::ios::in | std::ios::out | std::ios::binary);
-  EXPECT_TRUE(l.Write(ss).ok());
-  return ss.str();
-}
+LabelStore SampleStore() { return SampleRows().Seal(); }
 
 /// Loads `bytes` through the one load path, over a heap copy of them.
 StatusOr<LabelStore> Deserialize(const std::string& bytes) {
@@ -54,23 +52,41 @@ void Poke64(std::string* blob, size_t offset, uint64_t value) {
   std::memcpy(blob->data() + offset, &value, sizeof(value));
 }
 
+/// The build phase's answer: the same intersection over the rows.
+bool RowsQuery(const LabelBuilder& rows, Vertex u, Vertex v) {
+  return SortedIntersects(rows.Out(u), rows.In(v));
+}
+
+/// True iff `sealed` holds exactly the rows of `rows`.
+bool SameRows(const LabelStore& sealed, const LabelBuilder& rows) {
+  if (sealed.num_vertices() != rows.num_vertices()) return false;
+  for (Vertex v = 0; v < rows.num_vertices(); ++v) {
+    if (ToVec(sealed.Out(v)) != ToVec(rows.Out(v)) ||
+        ToVec(sealed.In(v)) != ToVec(rows.In(v))) {
+      return false;
+    }
+  }
+  return true;
+}
+
 TEST(LabelStoreTest, EmptyLabelsDoNotIntersect) {
-  LabelStore l(3);
+  const LabelStore l = LabelBuilder(3).Seal();
   EXPECT_FALSE(l.Query(0, 1));
   EXPECT_FALSE(l.Query(2, 2));
 }
 
 TEST(LabelStoreTest, QueryFindsCommonHop) {
-  LabelStore l(4);
-  l.InsertOut(0, 7);
-  l.InsertOut(0, 9);
-  l.InsertIn(1, 9);
+  LabelBuilder rows(4);
+  rows.InsertOut(0, 7);
+  rows.InsertOut(0, 9);
+  rows.InsertIn(1, 9);
+  const LabelStore l = std::move(rows).Seal();
   EXPECT_TRUE(l.Query(0, 1));
   EXPECT_FALSE(l.Query(1, 0));
 }
 
 TEST(LabelStoreTest, InsertKeepsSorted) {
-  LabelStore l(1);
+  LabelBuilder l(1);
   l.InsertOut(0, 9);
   l.InsertOut(0, 3);
   l.InsertOut(0, 7);
@@ -79,66 +95,34 @@ TEST(LabelStoreTest, InsertKeepsSorted) {
 }
 
 TEST(LabelStoreTest, AppendPattern) {
-  LabelStore l(2);
+  LabelBuilder l(2);
   l.InsertOut(0, 1);
   l.InsertOut(0, 5);
   l.InsertIn(1, 5);
   EXPECT_EQ(ToVec(l.Out(0)), (std::vector<uint32_t>{1, 5}));
-  EXPECT_TRUE(l.Query(0, 1));
-}
-
-TEST(LabelStoreTest, CanonicalizeSortsBulkAppends) {
-  LabelStore l(1);
-  l.MutableOut(0)->assign({9, 1, 9, 4});
-  l.MutableIn(0)->assign({3, 3});
-  l.Canonicalize();
-  EXPECT_EQ(ToVec(l.Out(0)), (std::vector<uint32_t>{1, 4, 9}));
-  EXPECT_EQ(ToVec(l.In(0)), (std::vector<uint32_t>{3}));
+  EXPECT_TRUE(std::move(l).Seal().Query(0, 1));
 }
 
 TEST(LabelStoreTest, SizeAccounting) {
-  LabelStore l(3);
+  LabelBuilder l(3);
   l.InsertOut(0, 1);
   l.InsertOut(1, 2);
   l.InsertIn(2, 3);
   l.InsertIn(2, 4);
   EXPECT_EQ(l.TotalEntries(), 4u);
-  EXPECT_EQ(l.MaxLabelSize(), 2u);
-  l.Seal();
-  EXPECT_EQ(l.TotalEntries(), 4u);
-  EXPECT_EQ(l.MaxLabelSize(), 2u);
+  EXPECT_EQ(std::move(l).Seal().TotalEntries(), 4u);
+  EXPECT_EQ(LabelStore().TotalEntries(), 0u);
 }
 
 TEST(LabelStoreTest, SealPreservesLabelsAndAnswers) {
-  LabelStore build_phase = SampleStore();
-  LabelStore sealed = SampleStore();
-  sealed.Seal();
-  ASSERT_TRUE(sealed.sealed());
-  EXPECT_FALSE(build_phase.sealed());
-  EXPECT_TRUE(sealed == build_phase);
+  const LabelBuilder rows = SampleRows();
+  const LabelStore sealed = SampleStore();
+  EXPECT_TRUE(SameRows(sealed, rows));
   for (Vertex v = 0; v < 3; ++v) {
-    EXPECT_EQ(ToVec(sealed.Out(v)), ToVec(build_phase.Out(v))) << v;
-    EXPECT_EQ(ToVec(sealed.In(v)), ToVec(build_phase.In(v))) << v;
     for (Vertex w = 0; w < 3; ++w) {
-      EXPECT_EQ(sealed.Query(v, w), build_phase.Query(v, w))
-          << v << "->" << w;
+      EXPECT_EQ(sealed.Query(v, w), RowsQuery(rows, v, w)) << v << "->" << w;
     }
   }
-  sealed.Seal();  // Idempotent.
-  EXPECT_TRUE(sealed == build_phase);
-}
-
-TEST(LabelStoreTest, UnsealRestoresMutation) {
-  LabelStore l = SampleStore();
-  l.Seal();
-  l.Unseal();
-  EXPECT_FALSE(l.sealed());
-  EXPECT_TRUE(l == SampleStore());
-  l.InsertOut(1, 0);
-  l.InsertIn(2, 0);
-  EXPECT_TRUE(l.Query(1, 2));
-  l.Seal();
-  EXPECT_TRUE(l.Query(1, 2));
 }
 
 TEST(LabelStoreTest, SealedMemoryBytesIsExactCsrFootprint) {
@@ -146,66 +130,69 @@ TEST(LabelStoreTest, SealedMemoryBytesIsExactCsrFootprint) {
   // vertex plus one, per side, and one key per stored label entry — no
   // per-vector headers, no capacity slack (the build-phase estimate had
   // understated the paper's index-size metric against allocator reality).
-  LabelStore l = SampleStore();
-  l.Seal();
+  const LabelStore l = SampleStore();
   const size_t expected =
       2 * (l.num_vertices() + 1) * sizeof(uint64_t) +
       static_cast<size_t>(l.TotalEntries()) * sizeof(uint32_t);
   EXPECT_EQ(l.MemoryBytes(), expected);
+  EXPECT_EQ(LabelStore().MemoryBytes(), 0u);
 }
 
-TEST(LabelStoreTest, WriteBytesIdenticalFromEitherPhase) {
-  LabelStore build_phase = SampleStore();
-  LabelStore sealed = SampleStore();
-  sealed.Seal();
-  EXPECT_EQ(Serialize(build_phase), Serialize(sealed));
+// Write is one write of the blob: a sealed store writes the bytes that,
+// loaded back, write themselves again. A store without a blob has none.
+TEST(LabelStoreTest, SealedWriteMatchesRoundTrippedBytes) {
+  const std::string bytes = LabelBytes(SampleStore());
+  auto back = Deserialize(bytes);
+  ASSERT_TRUE(back.ok()) << back.status().ToString();
+  EXPECT_EQ(LabelBytes(*back), bytes);
+  std::ostringstream out(std::ios::binary);
+  EXPECT_TRUE(LabelStore().Write(out).IsInvalidArgument());
+  EXPECT_TRUE(out.str().empty());
 }
 
 TEST(LabelStoreTest, SerializationRoundTrip) {
-  LabelStore l(5);
-  l.InsertOut(0, 1);
-  l.InsertOut(0, 2);
-  l.InsertIn(3, 1);
-  l.InsertIn(4, 4);
-  auto back = Deserialize(Serialize(l));
+  LabelBuilder rows(5);
+  rows.InsertOut(0, 1);
+  rows.InsertOut(0, 2);
+  rows.InsertIn(3, 1);
+  rows.InsertIn(4, 4);
+  const LabelStore l = LabelBuilder(rows).Seal();
+  auto back = Deserialize(LabelBytes(l));
   ASSERT_TRUE(back.ok()) << back.status().ToString();
-  EXPECT_TRUE(back->sealed());
   EXPECT_TRUE(*back == l);
+  EXPECT_TRUE(SameRows(*back, rows));
   EXPECT_EQ(back->TotalEntries(), 4u);
   // A reloaded store reports the same exact footprint as a sealed one.
-  LabelStore resealed = l;
-  resealed.Seal();
-  EXPECT_EQ(back->MemoryBytes(), resealed.MemoryBytes());
+  EXPECT_EQ(back->MemoryBytes(), l.MemoryBytes());
 }
 
 TEST(LabelStoreTest, RandomizedSealAndRoundTripAgree) {
   Rng rng(404);
   for (int round = 0; round < 20; ++round) {
     const size_t n = 1 + rng.Uniform(40);
-    LabelStore l(n);
+    LabelBuilder rows(n);
     const size_t inserts = rng.Uniform(120);
     for (size_t i = 0; i < inserts; ++i) {
       const Vertex v = static_cast<Vertex>(rng.Uniform(n));
       const uint32_t key = static_cast<uint32_t>(rng.Uniform(n));
       if (rng.Bernoulli(0.5)) {
-        l.InsertOut(v, key);
+        rows.InsertOut(v, key);
       } else {
-        l.InsertIn(v, key);
+        rows.InsertIn(v, key);
       }
     }
-    LabelStore sealed = l;
-    sealed.Seal();
-    EXPECT_TRUE(sealed == l);
+    const LabelStore sealed = LabelBuilder(rows).Seal();
+    EXPECT_TRUE(SameRows(sealed, rows));
     EXPECT_TRUE(sealed.Validate().ok());
-    auto back = Deserialize(Serialize(l));
+    auto back = Deserialize(LabelBytes(sealed));
     ASSERT_TRUE(back.ok()) << back.status().ToString();
-    EXPECT_TRUE(*back == l);
+    EXPECT_TRUE(*back == sealed);
     EXPECT_TRUE(back->Validate().ok());
     for (int q = 0; q < 50; ++q) {
       const Vertex u = static_cast<Vertex>(rng.Uniform(n));
       const Vertex v = static_cast<Vertex>(rng.Uniform(n));
-      EXPECT_EQ(l.Query(u, v), sealed.Query(u, v));
-      EXPECT_EQ(l.Query(u, v), back->Query(u, v));
+      EXPECT_EQ(RowsQuery(rows, u, v), sealed.Query(u, v));
+      EXPECT_EQ(RowsQuery(rows, u, v), back->Query(u, v));
     }
   }
 }
@@ -216,21 +203,21 @@ TEST(LabelStoreTest, RandomizedSealAndRoundTripAgree) {
 TEST(LabelStoreTest, SealBlobIsIdenticalAtAnyThreadCount) {
   constexpr size_t kRows = 20000;
   Rng rng(2602);
-  LabelStore labels(kRows);
+  LabelBuilder rows(kRows);
   for (size_t i = 0; i < 3 * kRows + 1; ++i) {
-    labels.InsertOut(static_cast<Vertex>(rng.Uniform(kRows)),
-                     static_cast<uint32_t>(rng.Uniform(kRows)));
+    rows.InsertOut(static_cast<Vertex>(rng.Uniform(kRows)),
+                   static_cast<uint32_t>(rng.Uniform(kRows)));
   }
   for (size_t i = 0; i < 2 * kRows; ++i) {
-    labels.InsertIn(static_cast<Vertex>(rng.Uniform(kRows)),
-                    static_cast<uint32_t>(rng.Uniform(kRows)));
+    rows.InsertIn(static_cast<Vertex>(rng.Uniform(kRows)),
+                  static_cast<uint32_t>(rng.Uniform(kRows)));
   }
-  const std::string expected = Serialize(labels);
-  for (const int threads : {1, 3, 8}) {
-    LabelStore sealed = labels;
-    sealed.Seal(threads);
-    EXPECT_EQ(Serialize(sealed), expected) << threads << " threads";
-    EXPECT_TRUE(sealed == labels) << threads << " threads";
+  const LabelStore expected = LabelBuilder(rows).Seal(1);
+  EXPECT_TRUE(SameRows(expected, rows));
+  for (const int threads : {3, 8}) {
+    const LabelStore sealed = LabelBuilder(rows).Seal(threads);
+    EXPECT_EQ(LabelBytes(sealed), LabelBytes(expected))
+        << threads << " threads";
   }
 }
 
@@ -264,15 +251,12 @@ StatusOr<LabelStore> MapDeserialize(const std::string& bytes,
 TEST(LabelStoreMappedTest, AnswersIdenticalToSealedStore) {
   // One sealed representation behind three backings: Seal's owned blob,
   // a heap read of the written bytes, and an mmap of them.
-  LabelStore sealed = SampleStore();
-  sealed.Seal();
-  const std::string blob = Serialize(sealed);
+  const LabelStore sealed = SampleStore();
+  const std::string blob = LabelBytes(sealed);
   auto heap = Deserialize(blob);
   auto mapped = MapDeserialize(blob, "equiv");
   ASSERT_TRUE(heap.ok()) << heap.status().ToString();
   ASSERT_TRUE(mapped.ok()) << mapped.status().ToString();
-  EXPECT_TRUE(mapped->sealed());
-  EXPECT_TRUE(heap->sealed());
   EXPECT_EQ(mapped->mapped(), MappedBlob::PlatformSupportsMmap());
   EXPECT_FALSE(heap->mapped());
   EXPECT_FALSE(sealed.mapped());
@@ -280,7 +264,7 @@ TEST(LabelStoreMappedTest, AnswersIdenticalToSealedStore) {
     EXPECT_TRUE(*store == sealed);
     EXPECT_EQ(store->TotalEntries(), sealed.TotalEntries());
     EXPECT_EQ(store->MemoryBytes(), sealed.MemoryBytes());
-    EXPECT_EQ(Serialize(*store), blob);  // Write is the blob's bytes.
+    EXPECT_EQ(LabelBytes(*store), blob);  // Write is the blob's bytes.
     for (Vertex u = 0; u < 3; ++u) {
       EXPECT_EQ(ToVec(store->Out(u)), ToVec(sealed.Out(u))) << u;
       EXPECT_EQ(ToVec(store->In(u)), ToVec(sealed.In(u))) << u;
@@ -294,7 +278,7 @@ TEST(LabelStoreMappedTest, AnswersIdenticalToSealedStore) {
 TEST(LabelStoreMappedTest, RetainsBackingAfterCallerDropsBlob) {
   LabelStore store;
   {
-    auto blob = testing_util::MapBytes(Serialize(SampleStore()),
+    auto blob = testing_util::MapBytes(LabelBytes(SampleStore()),
                                        "label_store.keepalive");
     ASSERT_NE(blob, nullptr);
     auto mapped = LabelStore::FromMapped(MappedRegion{blob, 0});
@@ -314,20 +298,8 @@ TEST(LabelStoreMappedTest, RetainsBackingAfterCallerDropsBlob) {
   EXPECT_TRUE(copy.Query(0, 1));
 }
 
-TEST(LabelStoreMappedTest, UnsealCopiesOutAndReleasesBlob) {
-  auto mapped = MapDeserialize(Serialize(SampleStore()), "unseal");
-  ASSERT_TRUE(mapped.ok()) << mapped.status().ToString();
-  mapped->Unseal();
-  EXPECT_FALSE(mapped->mapped());
-  EXPECT_FALSE(mapped->sealed());
-  EXPECT_TRUE(*mapped == SampleStore());
-  mapped->InsertOut(1, 0);
-  mapped->InsertIn(2, 0);
-  EXPECT_TRUE(mapped->Query(1, 2));
-}
-
 TEST(LabelStoreMappedTest, RejectsMisalignedRegionOffset) {
-  auto blob = testing_util::MapBytes(Serialize(SampleStore()),
+  auto blob = testing_util::MapBytes(LabelBytes(SampleStore()),
                                        "label_store.misaligned");
   ASSERT_NE(blob, nullptr);
   const Status status =
@@ -337,11 +309,11 @@ TEST(LabelStoreMappedTest, RejectsMisalignedRegionOffset) {
 }
 
 TEST(LabelStoreMappedTest, RejectsBadMagic) {
-  std::string swapped = Serialize(SampleStore());
+  std::string swapped = LabelBytes(SampleStore());
   // Byte-swap the magic: a file written on a foreign-endian machine can
   // never match the local-endian magic, so it dies at the first check.
   for (size_t i = 0; i < 4; ++i) std::swap(swapped[i], swapped[7 - i]);
-  std::string flipped = Serialize(SampleStore());
+  std::string flipped = LabelBytes(SampleStore());
   flipped[0] ^= 0x5a;
   const std::string garbage = "not a labeling blob at all, nor a header";
   size_t tag = 0;
@@ -354,7 +326,7 @@ TEST(LabelStoreMappedTest, RejectsBadMagic) {
 }
 
 TEST(LabelStoreMappedTest, RejectsTruncationAtEverySection) {
-  const std::string blob = Serialize(SampleStore());
+  const std::string blob = LabelBytes(SampleStore());
   ASSERT_EQ(blob.size(), 120u);
   // Cuts inside the header, out offsets, out keys, out pad, in offsets and
   // in keys, plus off-by-one at the end. Every rejection must come from
@@ -371,7 +343,7 @@ TEST(LabelStoreMappedTest, RejectsTruncationAtEverySection) {
 
 TEST(LabelStoreMappedTest, RejectsTrailingBytes) {
   for (const size_t extra : {1u, 8u}) {
-    std::string blob = Serialize(SampleStore());
+    std::string blob = LabelBytes(SampleStore());
     blob.append(extra, '\0');
     const Status status =
         MapDeserialize(blob, "trailing" + std::to_string(extra)).status();
@@ -385,7 +357,7 @@ TEST(LabelStoreMappedTest, RejectsForgedHeaderBeforeTouchingArrays) {
   // A forged n/total pair that is internally consistent (total <= n^2) but
   // far beyond the file must fail on the region-size bound, not by walking
   // an offsets array that is not there.
-  std::string blob = Serialize(SampleStore());
+  std::string blob = LabelBytes(SampleStore());
   Poke64(&blob, 8, uint64_t{1} << 20);
   Poke64(&blob, 16, uint64_t{1} << 30);
   const Status forged = MapDeserialize(blob, "forged_total").status();
@@ -393,7 +365,7 @@ TEST(LabelStoreMappedTest, RejectsForgedHeaderBeforeTouchingArrays) {
   EXPECT_NE(forged.message().find("truncated"), std::string::npos);
   // An impossible total for n = 3 (at most 9 strictly-ascending keys < 3
   // per side) dies on arithmetic alone.
-  blob = Serialize(SampleStore());
+  blob = LabelBytes(SampleStore());
   Poke64(&blob, 16, 12);
   const Status status = MapDeserialize(blob, "impossible").status();
   EXPECT_TRUE(status.IsCorruption());
@@ -401,7 +373,7 @@ TEST(LabelStoreMappedTest, RejectsForgedHeaderBeforeTouchingArrays) {
   // A vertex count beyond the uint32 id space, including the boundary
   // n == 2^32, which no uint32 key could address.
   for (const uint64_t n : {uint64_t{1} << 33, uint64_t{1} << 32}) {
-    blob = Serialize(SampleStore());
+    blob = LabelBytes(SampleStore());
     Poke64(&blob, 8, n);
     const Status id_space =
         MapDeserialize(blob, "id_space" + std::to_string(n)).status();
@@ -425,14 +397,14 @@ TEST(LabelStoreMappedTest, RejectsBadOffsetsArrays) {
       {"beyond_total", 40, 9, "monotone"},  // off_out {0, 9, 1, 3}.
   };
   for (const Case& c : cases) {
-    std::string blob = Serialize(SampleStore());
+    std::string blob = LabelBytes(SampleStore());
     Poke64(&blob, c.offset, c.value);
     const Status status = MapDeserialize(blob, c.tag).status();
     EXPECT_TRUE(status.IsCorruption()) << c.tag;
     EXPECT_NE(status.message().find(c.message), std::string::npos)
         << c.tag << ": " << status.ToString();
   }
-  std::string nonzero_pad = Serialize(SampleStore());
+  std::string nonzero_pad = LabelBytes(SampleStore());
   nonzero_pad[77] = '\x01';  // Inside the Lout keys pad (bytes 76..79).
   const Status status = MapDeserialize(nonzero_pad, "pad").status();
   EXPECT_TRUE(status.IsCorruption());
@@ -440,7 +412,7 @@ TEST(LabelStoreMappedTest, RejectsBadOffsetsArrays) {
 }
 
 TEST(LabelStoreMappedTest, MapLabelStoreForCrossChecksVertexCount) {
-  auto blob = testing_util::MapBytes(Serialize(SampleStore()),
+  auto blob = testing_util::MapBytes(LabelBytes(SampleStore()),
                                        "label_store.crosscheck");
   ASSERT_NE(blob, nullptr);
   const Digraph match = Digraph::FromEdges(3, {{0, 1}});
@@ -459,33 +431,43 @@ TEST(LabelStoreMappedTest, MapLabelStoreForCrossChecksVertexCount) {
 
 // --- Validate(): the explicit full scan of key values FromMapped skips.
 
-TEST(LabelStoreValidateTest, AcceptsWellFormedStoresInEveryPhase) {
-  LabelStore build_phase = SampleStore();
-  LabelStore sealed = SampleStore();
-  sealed.Seal();
-  auto mapped = MapDeserialize(Serialize(sealed), "validate_ok");
+TEST(LabelStoreValidateTest, AcceptsWellFormedStoresOfEveryBacking) {
+  const LabelStore sealed = SampleStore();
+  auto mapped = MapDeserialize(LabelBytes(sealed), "validate_ok");
   ASSERT_TRUE(mapped.ok()) << mapped.status().ToString();
-  EXPECT_TRUE(build_phase.Validate().ok());
   EXPECT_TRUE(sealed.Validate().ok());
   EXPECT_TRUE(mapped->Validate().ok());
   EXPECT_TRUE(LabelStore().Validate().ok());
 }
 
 TEST(LabelStoreValidateTest, RejectsKeyValuesThatFromMappedAccepts) {
+  // The sample with Lin(2) = {0, 2}: the reference layout up to the Lin
+  // keys, which hold {1} at 112 and {0, 2} at 116/120, then a pad.
+  LabelBuilder lin_pair = SampleRows();
+  lin_pair.InsertIn(2, 2);
+  const std::string sample = LabelBytes(SampleStore());
+  const std::string lin_pair_blob = LabelBytes(std::move(lin_pair).Seal());
   struct Case {
     const char* tag;
+    const std::string* base;
     std::vector<std::pair<size_t, uint32_t>> pokes;  // (u32 key offset, key)
     const char* side_and_row;
     const char* message;
   };
   const Case cases[] = {
-      {"duplicate", {{72, 0}}, "Lout row 2", "ascending"},  // {0, 0}.
-      {"unsorted", {{68, 2}, {72, 1}}, "Lout row 2", "ascending"},  // {2, 1}.
-      {"out_of_range", {{64, 7}}, "Lout row 0", "range"},  // Key 7, n = 3.
-      {"lin_out_of_range", {{116, 3}}, "Lin row 2", "range"},
+      // Lout(2) = {0, 0}.
+      {"duplicate", &sample, {{72, 0}}, "Lout row 2", "ascending"},
+      // Lout(2) = {2, 1}.
+      {"unsorted", &sample, {{68, 2}, {72, 1}}, "Lout row 2", "ascending"},
+      // Key 7, n = 3.
+      {"out_of_range", &sample, {{64, 7}}, "Lout row 0", "range"},
+      {"lin_out_of_range", &sample, {{116, 3}}, "Lin row 2", "range"},
+      // Lin(2) = {2, 0}.
+      {"lin_unsorted", &lin_pair_blob, {{116, 2}, {120, 0}}, "Lin row 2",
+       "ascending"},
   };
   for (const Case& c : cases) {
-    std::string blob = Serialize(SampleStore());
+    std::string blob = *c.base;
     for (const auto& [offset, key] : c.pokes) Poke32(&blob, offset, key);
     auto mapped = MapDeserialize(blob, c.tag);
     ASSERT_TRUE(mapped.ok()) << c.tag << ": " << mapped.status().ToString();
@@ -496,17 +478,6 @@ TEST(LabelStoreValidateTest, RejectsKeyValuesThatFromMappedAccepts) {
     EXPECT_NE(status.message().find(c.message), std::string::npos)
         << c.tag << ": " << status.ToString();
   }
-}
-
-TEST(LabelStoreValidateTest, RejectsBuildPhaseKeyValues) {
-  LabelStore unsorted = SampleStore();
-  unsorted.MutableIn(1)->assign({2, 1});
-  const Status status = unsorted.Validate();
-  EXPECT_TRUE(status.IsCorruption());
-  EXPECT_NE(status.message().find("Lin row 1"), std::string::npos);
-  LabelStore out_of_range = SampleStore();
-  out_of_range.InsertOut(1, 3);
-  EXPECT_TRUE(out_of_range.Validate().IsCorruption());
 }
 
 }  // namespace

@@ -15,7 +15,6 @@
 #include "baselines/factory.h"
 #include "baselines/twohop.h"
 #include "core/distribution_labeling.h"
-#include "core/dynamic_labeling.h"
 #include "core/hierarchical_labeling.h"
 #include "core/prefilter.h"
 #include "graph/generators.h"
@@ -37,7 +36,7 @@ struct FuzzCase {
 
 class DifferentialFuzzTest : public ::testing::TestWithParam<uint64_t> {};
 
-/// The label store behind one of the five labeling oracles.
+/// The label store behind one of the labeling oracles.
 const LabelStore& LabelsOf(const ReachabilityOracle& oracle) {
   if (const auto* dl =
           dynamic_cast<const DistributionLabelingOracle*>(&oracle)) {
@@ -47,18 +46,7 @@ const LabelStore& LabelsOf(const ReachabilityOracle& oracle) {
           dynamic_cast<const HierarchicalLabelingOracle*>(&oracle)) {
     return hl->labeling();
   }
-  if (const auto* twohop = dynamic_cast<const TwoHopOracle*>(&oracle)) {
-    return twohop->labeling();
-  }
-  return dynamic_cast<const DynamicDistributionLabeling&>(oracle).labeling();
-}
-
-std::unique_ptr<ReachabilityOracle> MakeLabelingOracle(
-    const std::string& method) {
-  if (method == "DL+dyn") {
-    return std::make_unique<DynamicDistributionLabeling>();
-  }
-  return MakeOracle(method);
+  return dynamic_cast<const TwoHopOracle&>(oracle).labeling();
 }
 
 TEST_P(DifferentialFuzzTest, OraclesAgreeWithBfs) {
@@ -97,10 +85,11 @@ TEST_P(DifferentialFuzzTest, OraclesAgreeWithBfs) {
 }
 
 // The sealed CSR layout must be a pure storage change: for every labeling
-// oracle, the sealed store, its unsealed (pre-seal vector-phase) twin and
-// that twin sealed again answer the FULL query matrix identically and pass
-// LabelStore::Validate(), and the stores agree with BFS truth
-// on sampled pairs — at 1 and 4 construction threads (the determinism
+// oracle, the sealed store, a builder refilled with its rows (the build
+// phase's labels) and that builder sealed again answer the FULL query
+// matrix identically; the resealed blob is byte-identical and both stores
+// pass LabelStore::Validate(); and the oracles agree with BFS truth on
+// sampled pairs — at 1 and 4 construction threads (the determinism
 // contract says the thread count never changes the labeling).
 TEST_P(DifferentialFuzzTest, SealedStoreMatchesPreSealAnswers) {
   const uint64_t seed = GetParam();
@@ -122,7 +111,6 @@ TEST_P(DifferentialFuzzTest, SealedStoreMatchesPreSealAnswers) {
       HierarchicalLabelingOracle tf(
           HierarchicalLabelingOracle::TfLabelOptions());
       TwoHopOracle twohop;
-      DynamicDistributionLabeling dyn;
       struct Case {
         const char* name;
         ReachabilityOracle* oracle;
@@ -133,23 +121,21 @@ TEST_P(DifferentialFuzzTest, SealedStoreMatchesPreSealAnswers) {
           {"HL", &hl, &hl.labeling()},
           {"TF", &tf, &tf.labeling()},
           {"2HOP", &twohop, &twohop.labeling()},
-          {"DL+dyn", &dyn, &dyn.labeling()},
       };
       for (const Case& oc : oracles) {
         ASSERT_TRUE(oc.oracle->Build(g, options).ok())
             << oc.name << " seed " << seed << " threads " << threads;
-        ASSERT_TRUE(oc.labels->sealed()) << oc.name;
         ASSERT_TRUE(oc.labels->Validate().ok()) << oc.name;
-        LabelStore preseal = *oc.labels;
-        preseal.Unseal();
-        ASSERT_TRUE(preseal.Validate().ok()) << oc.name;
-        LabelStore resealed = preseal;
-        resealed.Seal();
+        const LabelBuilder preseal = testing_util::RowsOf(*oc.labels);
+        const LabelStore resealed = LabelBuilder(preseal).Seal();
         ASSERT_TRUE(resealed.Validate().ok()) << oc.name;
+        ASSERT_EQ(testing_util::SaveIndexBytes(*oc.oracle),
+                  testing_util::LabelBytes(resealed))
+            << oc.name;
         for (Vertex u = 0; u < n; ++u) {
           for (Vertex v = 0; v < n; ++v) {
             const bool sealed = oc.labels->Query(u, v);
-            ASSERT_EQ(sealed, preseal.Query(u, v))
+            ASSERT_EQ(sealed, SortedIntersects(preseal.Out(u), preseal.In(v)))
                 << oc.name << " family " << GraphFamilyName(c.family)
                 << " seed " << seed << " threads " << threads << " pair ("
                 << u << "," << v << ")";
@@ -227,7 +213,7 @@ TEST_P(DifferentialFuzzTest, SealedStoreAnswersInvariantToSimdSwitch) {
 // rides along so the three bench query mixes are exercised end to end.
 TEST_P(DifferentialFuzzTest, PrefilterWrappedMatchesBareOracle) {
   const uint64_t seed = GetParam();
-  enum OracleKind { kDl, kHl, kTf, kTwoHop, kDlDyn, kNumOracleKinds };
+  enum OracleKind { kDl, kHl, kTf, kTwoHop, kNumOracleKinds };
   const auto make = [](int kind) -> std::unique_ptr<ReachabilityOracle> {
     switch (kind) {
       case kDl:
@@ -237,13 +223,11 @@ TEST_P(DifferentialFuzzTest, PrefilterWrappedMatchesBareOracle) {
       case kTf:
         return std::make_unique<HierarchicalLabelingOracle>(
             HierarchicalLabelingOracle::TfLabelOptions());
-      case kTwoHop:
-        return std::make_unique<TwoHopOracle>();
       default:
-        return std::make_unique<DynamicDistributionLabeling>();
+        return std::make_unique<TwoHopOracle>();
     }
   };
-  const char* kind_names[] = {"DL", "HL", "TF", "2HOP", "DL+dyn"};
+  const char* kind_names[] = {"DL", "HL", "TF", "2HOP"};
   const FuzzCase cases[] = {
       {GraphFamily::kSparseRandom, 85, 220},
       {GraphFamily::kStarForest, 90, 90},
@@ -309,13 +293,13 @@ TEST_P(DifferentialFuzzTest, MappedSnapshotMatchesOwnedAndBuiltAnswers) {
       {GraphFamily::kStarForest, 90, 90},
       {GraphFamily::kDenseLayers, 60, 360},
   };
-  const char* methods[] = {"DL", "HL", "TF", "2HOP", "DL+dyn"};
+  const char* methods[] = {"DL", "HL", "TF", "2HOP"};
   for (const FuzzCase& c : cases) {
     Digraph g = GenerateFamily(c.family, c.vertices, c.edges, seed * 911);
     ASSERT_TRUE(IsDag(g)) << GraphFamilyName(c.family);
     const size_t n = g.num_vertices();
     for (const char* method : methods) {
-      std::unique_ptr<ReachabilityOracle> built = MakeLabelingOracle(method);
+      std::unique_ptr<ReachabilityOracle> built = MakeOracle(method);
       ASSERT_NE(built, nullptr) << method;
       ASSERT_TRUE(built->Build(g).ok()) << method << " seed " << seed;
       ASSERT_TRUE(built->SupportsSnapshot()) << method;
@@ -324,12 +308,12 @@ TEST_P(DifferentialFuzzTest, MappedSnapshotMatchesOwnedAndBuiltAnswers) {
                               std::to_string(seed) + "." +
                               GraphFamilyName(c.family);
 
-      std::unique_ptr<ReachabilityOracle> owned = MakeLabelingOracle(method);
+      std::unique_ptr<ReachabilityOracle> owned = MakeOracle(method);
       const MappedRegion owned_region{
           testing_util::MapBytes(bytes, tag, /*owned=*/true), 0};
       ASSERT_TRUE(owned->LoadMapped(g, owned_region).ok())
           << method << " seed " << seed;
-      std::unique_ptr<ReachabilityOracle> mapped = MakeLabelingOracle(method);
+      std::unique_ptr<ReachabilityOracle> mapped = MakeOracle(method);
       const MappedRegion mapped_region{testing_util::MapBytes(bytes, tag), 0};
       ASSERT_TRUE(mapped->LoadMapped(g, mapped_region).ok())
           << method << " seed " << seed;
@@ -363,8 +347,8 @@ TEST_P(DifferentialFuzzTest, FlippedKeyByteIsCaughtByValidate) {
   const uint64_t seed = GetParam();
   Digraph g = GenerateFamily(GraphFamily::kSparseRandom, 120, 300, seed * 61);
   Rng rng(seed * 67);
-  for (const char* method : {"DL", "HL", "TF", "2HOP", "DL+dyn"}) {
-    std::unique_ptr<ReachabilityOracle> built = MakeLabelingOracle(method);
+  for (const char* method : {"DL", "HL", "TF", "2HOP"}) {
+    std::unique_ptr<ReachabilityOracle> built = MakeOracle(method);
     ASSERT_TRUE(built->Build(g).ok()) << method << " seed " << seed;
     std::string bytes = testing_util::SaveIndexBytes(*built);
 
@@ -392,7 +376,7 @@ TEST_P(DifferentialFuzzTest, FlippedKeyByteIsCaughtByValidate) {
 
     const std::string tag = "diff_fuzz." + std::string(method) + ".flip." +
                             std::to_string(seed);
-    std::unique_ptr<ReachabilityOracle> loaded = MakeLabelingOracle(method);
+    std::unique_ptr<ReachabilityOracle> loaded = MakeOracle(method);
     const MappedRegion region{testing_util::MapBytes(bytes, tag), 0};
     ASSERT_TRUE(loaded->LoadMapped(g, region).ok())
         << method << " seed " << seed;

@@ -8,7 +8,6 @@
 
 #include "baselines/factory.h"
 #include "core/distribution_labeling.h"
-#include "core/dynamic_labeling.h"
 #include "core/reachability.h"
 #include "datasets/registry.h"
 #include "graph/generators.h"
@@ -157,62 +156,6 @@ TEST(IntegrationTest, IndexSnapshotRoundTripsAcrossOracles) {
         ASSERT_EQ(loaded->Reachable(u, v), built->Reachable(u, v))
             << name << " pair (" << u << "," << v << ")";
       }
-    }
-  }
-}
-
-TEST(IntegrationTest, DynamicOracleSnapshotAcceptsInsertsAfterLoad) {
-  // The dynamic oracle (not in the bench factory) restores query state
-  // from the blob and keeps accepting patches on top of it. Per the
-  // documented contract, a snapshot saved after patching pairs with the
-  // ACCUMULATED graph (base + inserted edges), so post-load patches and
-  // rebuilds see every edge the labels already certify.
-  Digraph g = RandomDag(200, 500, 94);
-  DynamicDistributionLabeling built;
-  ASSERT_TRUE(built.Build(g).ok());
-  // Patch before saving: connect two mutually-unreachable vertices.
-  Vertex patched_to = 0;
-  for (Vertex u = 1; u < g.num_vertices(); ++u) {
-    if (!built.Reachable(0, u) && !built.Reachable(u, 0)) {
-      ASSERT_TRUE(built.InsertEdge(0, u).ok());
-      patched_to = u;
-      break;
-    }
-  }
-  ASSERT_NE(patched_to, 0u) << "graph unexpectedly strongly connected";
-  // Saved unsealed: the first InsertEdge unsealed the labeling.
-  ASSERT_FALSE(built.labeling().sealed());
-  const std::string bytes = testing_util::SaveIndexBytes(built);
-
-  // The accumulated graph the snapshot pairs with.
-  std::vector<Edge> edges = g.CollectEdges();
-  edges.push_back(Edge{0, patched_to});
-  Digraph accumulated =
-      Digraph::FromEdges(g.num_vertices(), std::move(edges));
-
-  DynamicDistributionLabeling loaded;
-  ASSERT_TRUE(loaded
-                  .LoadMapped(accumulated,
-                              MappedRegion{testing_util::OwnedBlob(bytes), 0})
-                  .ok());
-  ASSERT_TRUE(loaded.labeling().Validate().ok());
-  for (Vertex u = 0; u < g.num_vertices(); ++u) {
-    for (Vertex v = 0; v < g.num_vertices(); ++v) {
-      ASSERT_EQ(loaded.Reachable(u, v), built.Reachable(u, v))
-          << "(" << u << "," << v << ")";
-    }
-  }
-  // Further patches after the reload still work...
-  for (Vertex u = 1; u < g.num_vertices(); ++u) {
-    if (!loaded.Reachable(patched_to, u) && !loaded.Reachable(u, 0) &&
-        !loaded.Reachable(u, patched_to)) {
-      ASSERT_TRUE(loaded.InsertEdge(patched_to, u).ok());
-      EXPECT_TRUE(loaded.Reachable(patched_to, u));
-      // ...and so does a full rebuild, without losing the pre-save edge.
-      ASSERT_TRUE(loaded.Rebuild().ok());
-      EXPECT_TRUE(loaded.Reachable(0, patched_to));
-      EXPECT_TRUE(loaded.Reachable(patched_to, u));
-      break;
     }
   }
 }

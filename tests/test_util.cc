@@ -44,6 +44,24 @@ std::string SaveIndexBytes(const ReachabilityOracle& oracle) {
   return out.str();
 }
 
+std::string LabelBytes(const LabelStore& labels) {
+  std::ostringstream out(std::ios::binary);
+  const Status status = labels.Write(out);
+  EXPECT_TRUE(status.ok()) << status.ToString();
+  return out.str();
+}
+
+LabelBuilder RowsOf(const LabelStore& labels) {
+  LabelBuilder rows(labels.num_vertices());
+  for (Vertex v = 0; v < labels.num_vertices(); ++v) {
+    const std::span<const uint32_t> out = labels.Out(v);
+    const std::span<const uint32_t> in = labels.In(v);
+    rows.MutableOut(v)->assign(out.begin(), out.end());
+    rows.MutableIn(v)->assign(in.begin(), in.end());
+  }
+  return rows;
+}
+
 ::testing::AssertionResult OracleMatchesClosure(
     const ReachabilityOracle& oracle, const Digraph& dag) {
   auto tc = TransitiveClosure::Compute(dag);

@@ -11,6 +11,7 @@
 
 #include "gtest/gtest.h"
 
+#include "core/label_store.h"
 #include "core/oracle.h"
 #include "datasets/paper_examples.h"
 #include "graph/digraph.h"
@@ -73,6 +74,14 @@ std::shared_ptr<const MappedBlob> MapBytes(const std::string& bytes,
 /// The snapshot bytes `oracle.SaveIndex` writes; fails the current test
 /// when the save fails.
 std::string SaveIndexBytes(const ReachabilityOracle& oracle);
+
+/// The RLSTORE3 bytes `labels.Write` writes; fails the current test when
+/// the write fails.
+std::string LabelBytes(const LabelStore& labels);
+
+/// A builder holding a copy of `labels`' rows, as the build phase left
+/// them before sealing.
+LabelBuilder RowsOf(const LabelStore& labels);
 
 /// Graph configurations for the property sweeps.
 struct GraphCase {
