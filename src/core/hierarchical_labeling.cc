@@ -1,7 +1,6 @@
 #include "core/hierarchical_labeling.h"
 
 #include <algorithm>
-#include <atomic>
 
 #include "core/backbone.h"
 #include "core/distribution_labeling.h"
@@ -31,82 +30,6 @@ size_t ScratchSlots(int threads, size_t work) {
       1, std::min<size_t>(static_cast<size_t>(std::max(threads, 1)), chunks));
 }
 
-// Formula 3: Lout(v) = N^{ceil(eps/2)}_out(v | Gh) (plus v itself), and
-// symmetrically for Lin. Complete only if the core diameter is <= eps.
-// Every member is labeled independently from the immutable core graph, so
-// the sweep is embarrassingly parallel; per-worker BoundedBfs scratch keeps
-// the traversals allocation-free.
-void LabelCoreByNeighborhood(const Digraph& core,
-                             const std::vector<Vertex>& members,
-                             uint32_t half_eps, int threads,
-                             LabelBuilder* labeling) {
-  std::vector<BoundedBfs> bfs(ScratchSlots(threads, members.size()),
-                              BoundedBfs(core.num_vertices()));
-  ParallelChunks(0, members.size(), kLabelGrain, threads,
-                 [&](const ChunkInfo& chunk) {
-                   BoundedBfs& worker_bfs = bfs[chunk.worker];
-                   for (size_t i = chunk.begin; i < chunk.end; ++i) {
-                     const Vertex v = members[i];
-                     std::vector<uint32_t>* out = labeling->MutableOut(v);
-                     out->push_back(v);
-                     worker_bfs.Run(
-                         core, v, half_eps, /*forward=*/true,
-                         [](Vertex) { return false; },
-                         [out](Vertex w, uint32_t) { out->push_back(w); });
-                     SortUnique(out);
-                     std::vector<uint32_t>* in = labeling->MutableIn(v);
-                     in->push_back(v);
-                     worker_bfs.Run(
-                         core, v, half_eps, /*forward=*/false,
-                         [](Vertex) { return false; },
-                         [in](Vertex w, uint32_t) { in->push_back(w); });
-                     SortUnique(in);
-                   }
-                 });
-}
-
-// True if every reachable pair of core members lies within `eps` hops.
-// Used to validate the kNeighborhood core labeler before trusting it.
-bool CoreDiameterWithin(const Digraph& core,
-                        const std::vector<Vertex>& members, uint32_t eps,
-                        int threads) {
-  // BFS from each member without depth bound; any vertex first reached
-  // deeper than eps proves the diameter bound false. The per-member BFS
-  // runs are read-only and independent — the sweep parallelizes over
-  // members with per-worker dist/queue scratch, and the answer (a pure
-  // AND over members) is the same for any schedule. Once one violation is
-  // found the remaining chunks finish early via the shared flag.
-  std::atomic<bool> exceeded{false};
-  std::vector<std::vector<uint32_t>> dist(
-      ScratchSlots(threads, members.size()),
-      std::vector<uint32_t>(core.num_vertices()));
-  ParallelChunks(0, members.size(), kLabelGrain, threads,
-                 [&](const ChunkInfo& chunk) {
-                   std::vector<uint32_t>& d = dist[chunk.worker];
-                   std::vector<Vertex> queue;
-                   for (size_t i = chunk.begin; i < chunk.end; ++i) {
-                     if (exceeded.load(std::memory_order_relaxed)) return;
-                     const Vertex s = members[i];
-                     std::fill(d.begin(), d.end(), UINT32_MAX);
-                     queue.assign(1, s);
-                     d[s] = 0;
-                     for (size_t head = 0; head < queue.size(); ++head) {
-                       const Vertex v = queue[head];
-                       for (Vertex w : core.OutNeighbors(v)) {
-                         if (d[w] != UINT32_MAX) continue;
-                         d[w] = d[v] + 1;
-                         if (d[w] > eps) {
-                           exceeded.store(true, std::memory_order_relaxed);
-                           return;
-                         }
-                         queue.push_back(w);
-                       }
-                     }
-                   }
-                 });
-  return !exceeded.load(std::memory_order_relaxed);
-}
-
 }  // namespace
 
 Status HierarchicalLabelingOracle::BuildIndex(const Digraph& dag) {
@@ -128,28 +51,17 @@ Status HierarchicalLabelingOracle::BuildIndex(const Digraph& dag) {
   const size_t core = hierarchy_->core_level();
   const Digraph& core_graph = hierarchy_->LevelGraph(core);
   const std::vector<Vertex>& core_members = hierarchy_->LevelVertices(core);
-  bool use_neighborhood = options_.core_labeler == CoreLabeler::kNeighborhood;
-  if (use_neighborhood &&
-      !CoreDiameterWithin(core_graph, core_members,
-                          static_cast<uint32_t>(eps), threads)) {
-    use_neighborhood = false;  // Formula 3 would be incomplete; fall back.
-  }
-  if (use_neighborhood) {
-    LabelCoreByNeighborhood(core_graph, core_members, half_eps, threads,
-                            &builder);
-  } else {
-    // Distribution Labeling restricted to the core, with vertex-id keys so
-    // that core labels compose with the level labels below.
-    DistributionOptions dl_options;
-    DistributionOrder applied = dl_options.order;
-    std::vector<Vertex> order = ComputeDistributionOrder(
-        core_graph, core_members, dl_options, threads, &applied);
-    build_stats_.order = DistributionOrderName(applied);
-    std::vector<uint32_t> key_of(n);
-    for (Vertex v = 0; v < n; ++v) key_of[v] = v;
-    DistributeLabels(core_graph, order, key_of, &builder, threads,
-                     &build_stats_);
-  }
+  // Distribution Labeling restricted to the core, with vertex-id keys so
+  // that core labels compose with the level labels below.
+  DistributionOptions dl_options;
+  DistributionOrder applied = dl_options.order;
+  std::vector<Vertex> order = ComputeDistributionOrder(
+      core_graph, core_members, dl_options, threads, &applied);
+  build_stats_.order = DistributionOrderName(applied);
+  std::vector<uint32_t> key_of(n);
+  for (Vertex v = 0; v < n; ++v) key_of[v] = v;
+  DistributeLabels(core_graph, order, key_of, &builder, threads,
+                   &build_stats_);
 
   // --- Step 2: label levels h-1 .. 0 (Algorithm 1, Lines 4-10). ---
   // Levels must be processed top-down (a vertex's label unions the labels

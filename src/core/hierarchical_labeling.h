@@ -22,21 +22,11 @@
 
 namespace reach {
 
-/// How the core graph Gh is labeled (paper Section 4.1, "Labeling Core
-/// Graph"). The paper allows either the eps/2-neighborhood rule (Formula 3,
-/// valid only when the core diameter is <= eps) or any complete 2-hop
-/// labeler; we default to Distribution Labeling, which is complete (Thm. 3)
-/// and has no set-cover dependency.
-enum class CoreLabeler {
-  kDistribution,
-  /// Formula 3. Only complete when the core diameter is <= epsilon; the
-  /// builder verifies this and falls back to kDistribution otherwise.
-  kNeighborhood,
-};
-
+/// The core graph Gh is labeled by Distribution Labeling restricted to the
+/// core (paper Section 4.1, "Labeling Core Graph", allows any complete 2-hop
+/// labeler there): it is complete (Thm. 3) and has no set-cover dependency.
 struct HierarchicalOptions {
   HierarchyOptions hierarchy;
-  CoreLabeler core_labeler = CoreLabeler::kDistribution;
 };
 
 /// The HL reachability oracle. Hop keys are vertex ids.

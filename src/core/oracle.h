@@ -47,23 +47,6 @@ struct BuildOptions {
   int threads = 0;
 };
 
-/// Per-stage hit counters of the O(1) pre-filter tier (core/prefilter.h).
-/// A "hit" is a query the filter answered definitively without touching the
-/// wrapped oracle; `fallback` counts the residue that did reach it.
-struct PrefilterStageCounters {
-  uint64_t interval_yes = 0;  // Spanning-forest interval containment.
-  uint64_t interval_no = 0;   // Topo position / fmax / bmin bounds.
-  uint64_t support_yes = 0;   // u -> support s -> v witness bit.
-  uint64_t support_no = 0;    // Support-set containment violated.
-  uint64_t level_no = 0;      // Forward/backward level bounds.
-  uint64_t fallback = 0;      // Residue answered by the wrapped oracle.
-
-  uint64_t Hits() const {
-    return interval_yes + interval_no + support_yes + support_no + level_no;
-  }
-  uint64_t Total() const { return Hits() + fallback; }
-};
-
 /// Outcome of the last Build() call, recorded by the base class so that
 /// consumers (the bench harness, the CLI's --stats) read construction wall
 /// time, index size, and the budget-exceeded reason from one place instead
@@ -83,23 +66,17 @@ struct BuildStats {
   /// split by step and summed over its hop batches: the parallel pruned
   /// searches, the serial collection of in-batch witnesses between them
   /// and the append, and the parallel append that drops the witnessed
-  /// entries. Zero elsewhere, including HL's neighborhood core labeler.
+  /// entries. Zero elsewhere.
   double search_millis = 0;
   double cleanup_millis = 0;
   double append_millis = 0;
   uint64_t batches = 0;
   /// DistributionOrderName of the hop order that ranked DL's vertices or
-  /// HL's core. Empty for other methods, HL's neighborhood core labeler and
-  /// after a snapshot load.
+  /// HL's core. Empty for other methods and after a snapshot load.
   std::string order;
   bool ok = false;
   bool budget_exceeded = false;  // Build returned ResourceExhausted.
   std::string failure_reason;    // Status message when !ok, else empty.
-  /// Set when the oracle is a PrefilterOracle wrapper; `prefilter` is the
-  /// stage-counter snapshot at the time build_stats() was recorded (the
-  /// live, query-time values come from PrefilterOracle::counters()).
-  bool prefilter_active = false;
-  PrefilterStageCounters prefilter;
 };
 
 /// A reachability oracle over a DAG: after Build, Reachable(u, v) answers
@@ -203,8 +180,7 @@ class ReachabilityOracle {
 
   /// Hook for method-specific BuildStats fields, invoked by
   /// Build()/LoadMapped() after the common fields are filled (the
-  /// PrefilterOracle wrapper sets prefilter_active and its stage-counter
-  /// snapshot here).
+  /// PrefilterOracle wrapper copies its wrapped oracle's phases here).
   virtual void AnnotateBuildStats(BuildStats&) const {}
 
   /// The resolved worker count for the current Build() call (always >= 1).

@@ -58,6 +58,33 @@ void WriteArray(std::ostream& out, const std::vector<T>& values) {
             static_cast<std::streamsize>(values.size() * sizeof(T)));
 }
 
+// Writes one snapshot column: `field` of every record, in vertex order.
+template <typename Record, typename T>
+void WriteColumn(std::ostream& out, const std::vector<Record>& records,
+                 T Record::*field) {
+  std::vector<T> column(records.size());
+  for (size_t v = 0; v < records.size(); ++v) column[v] = records[v].*field;
+  WriteArray(out, column);
+}
+
+// Reads one column of the untrusted aux section into scratch, rejects it
+// unless every entry is `valid` (`invalid` completes the message), then
+// scatters it into `field` of every record.
+template <typename Record, typename T, typename Valid>
+Status ReadColumn(AuxReader& in, T Record::*field, const std::string& what,
+                  Valid valid, const char* invalid,
+                  std::vector<Record>* records) {
+  std::vector<T> column;
+  if (!ReadArray(in, records->size(), &column)) {
+    return Status::Corruption("truncated prefilter " + what);
+  }
+  for (const T value : column) {
+    if (!valid(value)) return Status::Corruption("prefilter " + what + invalid);
+  }
+  for (size_t v = 0; v < column.size(); ++v) (*records)[v].*field = column[v];
+  return Status::OK();
+}
+
 // Serialized aux-section size for n vertices and k supports: header
 // (magic, n, k), the support list, seven u32 arrays, two u64 mask arrays.
 // Deterministic in (n, k), so writer and both readers agree on the
@@ -89,48 +116,34 @@ bool PrefilterOracle::SupportsSnapshot() const {
   return inner_->SupportsSnapshot();
 }
 
-uint64_t PrefilterOracle::AuxIntegers() const {
-  // Seven uint32 arrays of n entries, the support ids, and two uint64 mask
-  // arrays counted as two integers per entry.
-  return 7 * static_cast<uint64_t>(n_) + supports_.size() +
-         4 * static_cast<uint64_t>(n_);
-}
-
-uint64_t PrefilterOracle::AuxBytes() const {
-  return (topo_pos_.size() + tree_in_.size() + tree_out_.size() +
-          fmax_.size() + bmin_.size() + flevel_.size() + blevel_.size() +
-          supports_.size()) *
-             sizeof(uint32_t) +
-         (fmask_.size() + bmask_.size()) * sizeof(uint64_t) +
-         records_.size() * sizeof(QueryRecord);
-}
-
 uint64_t PrefilterOracle::IndexSizeIntegers() const {
-  return AuxIntegers() + inner_->IndexSizeIntegers();
+  // Seven uint32 fields per vertex, two uint64 masks counted as two
+  // integers each, and the support ids.
+  return 11 * static_cast<uint64_t>(records_.size()) + supports_.size() +
+         inner_->IndexSizeIntegers();
 }
 
 uint64_t PrefilterOracle::IndexSizeBytes() const {
-  return AuxBytes() + inner_->IndexSizeBytes();
+  return records_.size() * sizeof(QueryRecord) +
+         supports_.size() * sizeof(Vertex) + inner_->IndexSizeBytes();
 }
 
 PrefilterStageCounters PrefilterOracle::counters() const {
+  const auto load = [this](Counter counter) {
+    return counts_[counter].load(std::memory_order_relaxed);
+  };
   PrefilterStageCounters c;
-  c.interval_yes = interval_yes_.load(std::memory_order_relaxed);
-  c.interval_no = interval_no_.load(std::memory_order_relaxed);
-  c.support_yes = support_yes_.load(std::memory_order_relaxed);
-  c.support_no = support_no_.load(std::memory_order_relaxed);
-  c.level_no = level_no_.load(std::memory_order_relaxed);
-  c.fallback = fallback_.load(std::memory_order_relaxed);
+  c.interval_yes = load(kIntervalYes);
+  c.interval_no = load(kIntervalNo);
+  c.support_yes = load(kSupportYes);
+  c.support_no = load(kSupportNo);
+  c.level_no = load(kLevelNo);
+  c.fallback = load(kFallback);
   return c;
 }
 
 void PrefilterOracle::ResetCounters() {
-  interval_yes_.store(0, std::memory_order_relaxed);
-  interval_no_.store(0, std::memory_order_relaxed);
-  support_yes_.store(0, std::memory_order_relaxed);
-  support_no_.store(0, std::memory_order_relaxed);
-  level_no_.store(0, std::memory_order_relaxed);
-  fallback_.store(0, std::memory_order_relaxed);
+  for (auto& count : counts_) count.store(0, std::memory_order_relaxed);
 }
 
 void PrefilterOracle::AnnotateBuildStats(BuildStats& stats) const {
@@ -144,131 +157,125 @@ void PrefilterOracle::AnnotateBuildStats(BuildStats& stats) const {
   stats.append_millis = inner.append_millis;
   stats.batches = inner.batches;
   stats.order = inner.order;
-  stats.prefilter_active = true;
-  stats.prefilter = counters();
+}
+
+PrefilterVerdict PrefilterOracle::IntervalVerdict(const QueryRecord& u,
+                                                  const QueryRecord& v) {
+  // Spanning-forest interval containment. Tree edges are graph edges, so v
+  // inside u's DFS interval proves a real u -> v path (and covers u == v
+  // reflexively).
+  if (u.tree_in <= v.tree_in && v.tree_in <= u.tree_out) {
+    return PrefilterVerdict::kYes;
+  }
+  // Topological-position bounds. Here u != v (containment above caught
+  // equality), so u -> v forces pos[u] < pos[v], pos[v] inside u's
+  // reachable-position range, and pos[u] inside v's reaching range.
+  if (u.topo_pos >= v.topo_pos || v.topo_pos > u.fmax ||
+      u.topo_pos < v.bmin) {
+    return PrefilterVerdict::kNo;
+  }
+  return PrefilterVerdict::kMaybe;
+}
+
+PrefilterVerdict PrefilterOracle::SupportVerdict(const QueryRecord& u,
+                                                 const QueryRecord& v) {
+  // A shared support s with u -> s and s -> v proves YES; u -> v forces
+  // fmask[u] subset-of fmask[v] (anything reaching u reaches v) and
+  // bmask[v] subset-of bmask[u].
+  if ((u.bmask & v.fmask) != 0) return PrefilterVerdict::kYes;
+  if ((u.fmask & ~v.fmask) != 0 || (v.bmask & ~u.bmask) != 0) {
+    return PrefilterVerdict::kNo;
+  }
+  return PrefilterVerdict::kMaybe;
+}
+
+PrefilterVerdict PrefilterOracle::LevelVerdict(const QueryRecord& u,
+                                               const QueryRecord& v) {
+  // Every edge strictly increases the forward longest-path level and
+  // strictly decreases the backward one.
+  return u.flevel >= v.flevel || u.blevel <= v.blevel
+             ? PrefilterVerdict::kNo
+             : PrefilterVerdict::kMaybe;
 }
 
 bool PrefilterOracle::Reachable(Vertex u, Vertex v) const {
   // The whole decision tree runs on two cache lines.
   const QueryRecord& ru = records_[u];
   const QueryRecord& rv = records_[v];
-  // Stage 1a: spanning-forest interval containment. Tree edges are graph
-  // edges, so v inside u's DFS interval proves a real u -> v path (and
-  // covers u == v reflexively).
-  if (ru.tree_in <= rv.tree_in && rv.tree_in <= ru.tree_out) {
-    if (counting_) interval_yes_.fetch_add(1, std::memory_order_relaxed);
-    return true;
+  // Counts a definite verdict in its stage's counter and returns it.
+  const auto settle = [this](PrefilterVerdict verdict, Counter yes,
+                             Counter no) {
+    const bool answer = verdict == PrefilterVerdict::kYes;
+    counts_[answer ? yes : no].fetch_add(1, std::memory_order_relaxed);
+    return answer;
+  };
+  PrefilterVerdict verdict = IntervalVerdict(ru, rv);
+  if (verdict != PrefilterVerdict::kMaybe) {
+    return settle(verdict, kIntervalYes, kIntervalNo);
   }
-  // Stage 1b: topological-position bounds. Here u != v (containment above
-  // caught equality), so u -> v forces pos[u] < pos[v], pos[v] inside u's
-  // reachable-position range, and pos[u] inside v's reaching range.
-  if (ru.topo_pos >= rv.topo_pos || rv.topo_pos > ru.fmax ||
-      ru.topo_pos < rv.bmin) {
-    if (counting_) interval_no_.fetch_add(1, std::memory_order_relaxed);
+  verdict = SupportVerdict(ru, rv);
+  if (verdict != PrefilterVerdict::kMaybe) {
+    return settle(verdict, kSupportYes, kSupportNo);
+  }
+  if (LevelVerdict(ru, rv) == PrefilterVerdict::kNo) {
+    counts_[kLevelNo].fetch_add(1, std::memory_order_relaxed);
     return false;
   }
-  // Stage 2: support bits. A shared support s with u -> s and s -> v
-  // proves YES; u -> v forces fmask[u] subset-of fmask[v] (anything
-  // reaching u reaches v) and bmask[v] subset-of bmask[u].
-  if ((ru.bmask & rv.fmask) != 0) {
-    if (counting_) support_yes_.fetch_add(1, std::memory_order_relaxed);
-    return true;
-  }
-  if ((ru.fmask & ~rv.fmask) != 0 || (rv.bmask & ~ru.bmask) != 0) {
-    if (counting_) support_no_.fetch_add(1, std::memory_order_relaxed);
-    return false;
-  }
-  // Stage 3: level bounds. Every edge strictly increases the forward
-  // longest-path level and strictly decreases the backward one.
-  if (ru.flevel >= rv.flevel || ru.blevel <= rv.blevel) {
-    if (counting_) level_no_.fetch_add(1, std::memory_order_relaxed);
-    return false;
-  }
-  if (counting_) fallback_.fetch_add(1, std::memory_order_relaxed);
+  counts_[kFallback].fetch_add(1, std::memory_order_relaxed);
   return inner_->Reachable(u, v);
-}
-
-void PrefilterOracle::PackRecords() {
-  records_.resize(n_);
-  for (size_t v = 0; v < n_; ++v) {
-    QueryRecord& r = records_[v];
-    r.tree_in = tree_in_[v];
-    r.tree_out = tree_out_[v];
-    r.topo_pos = topo_pos_[v];
-    r.fmax = fmax_[v];
-    r.bmin = bmin_[v];
-    r.flevel = flevel_[v];
-    r.blevel = blevel_[v];
-    r.fmask = fmask_[v];
-    r.bmask = bmask_[v];
-  }
 }
 
 PrefilterVerdict PrefilterOracle::TopoIntervalStage(Vertex u, Vertex v) const {
   if (u == v) return PrefilterVerdict::kYes;
-  if (tree_in_[u] <= tree_in_[v] && tree_in_[v] <= tree_out_[u]) {
-    return PrefilterVerdict::kYes;
-  }
-  if (topo_pos_[u] >= topo_pos_[v] || topo_pos_[v] > fmax_[u] ||
-      topo_pos_[u] < bmin_[v]) {
-    return PrefilterVerdict::kNo;
-  }
-  return PrefilterVerdict::kMaybe;
+  return IntervalVerdict(records_[u], records_[v]);
 }
 
 PrefilterVerdict PrefilterOracle::SupportStage(Vertex u, Vertex v) const {
   if (u == v) return PrefilterVerdict::kYes;
-  if ((bmask_[u] & fmask_[v]) != 0) return PrefilterVerdict::kYes;
-  if ((fmask_[u] & ~fmask_[v]) != 0 || (bmask_[v] & ~bmask_[u]) != 0) {
-    return PrefilterVerdict::kNo;
-  }
-  return PrefilterVerdict::kMaybe;
+  return SupportVerdict(records_[u], records_[v]);
 }
 
 PrefilterVerdict PrefilterOracle::LevelStage(Vertex u, Vertex v) const {
   if (u == v) return PrefilterVerdict::kYes;
-  if (flevel_[u] >= flevel_[v] || blevel_[u] <= blevel_[v]) {
-    return PrefilterVerdict::kNo;
-  }
-  return PrefilterVerdict::kMaybe;
+  return LevelVerdict(records_[u], records_[v]);
 }
 
 void PrefilterOracle::BuildAux(const Digraph& dag) {
-  n_ = dag.num_vertices();
+  const size_t n = dag.num_vertices();
   const std::optional<std::vector<Vertex>> order = TopologicalOrder(dag);
   // Build() validated acyclicity before calling us.
   const std::vector<Vertex>& topo = *order;
-  topo_pos_ = OrderPositions(topo);
+  const std::vector<uint32_t> topo_pos = OrderPositions(topo);
 
   // fmax[u] = max topological position in u's reachable set (reverse topo
   // order); bmin[v] = min position among vertices reaching v (topo order).
-  fmax_.assign(n_, 0);
-  bmin_.assign(n_, 0);
-  for (size_t i = n_; i-- > 0;) {
+  std::vector<uint32_t> fmax(n, 0);
+  std::vector<uint32_t> bmin(n, 0);
+  for (size_t i = n; i-- > 0;) {
     const Vertex u = topo[i];
-    uint32_t m = topo_pos_[u];
-    for (const Vertex w : dag.OutNeighbors(u)) m = std::max(m, fmax_[w]);
-    fmax_[u] = m;
+    uint32_t m = topo_pos[u];
+    for (const Vertex w : dag.OutNeighbors(u)) m = std::max(m, fmax[w]);
+    fmax[u] = m;
   }
-  for (size_t i = 0; i < n_; ++i) {
+  for (size_t i = 0; i < n; ++i) {
     const Vertex v = topo[i];
-    uint32_t m = topo_pos_[v];
-    for (const Vertex w : dag.InNeighbors(v)) m = std::min(m, bmin_[w]);
-    bmin_[v] = m;
+    uint32_t m = topo_pos[v];
+    for (const Vertex w : dag.InNeighbors(v)) m = std::min(m, bmin[w]);
+    bmin[v] = m;
   }
 
   // Deterministic DFS spanning forest: roots in topological order,
   // children in ascending id order (OutNeighbors spans are sorted). The
   // interval of a vertex covers exactly its tree descendants.
-  tree_in_.assign(n_, 0);
-  tree_out_.assign(n_, 0);
-  std::vector<uint8_t> visited(n_, 0);
+  std::vector<uint32_t> tree_in(n, 0);
+  std::vector<uint32_t> tree_out(n, 0);
+  std::vector<uint8_t> visited(n, 0);
   std::vector<std::pair<Vertex, size_t>> stack;
   uint32_t clock = 0;
   for (const Vertex root : topo) {
     if (visited[root]) continue;
     visited[root] = 1;
-    tree_in_[root] = clock++;
+    tree_in[root] = clock++;
     stack.emplace_back(root, size_t{0});
     while (!stack.empty()) {
       const Vertex u = stack.back().first;
@@ -276,22 +283,22 @@ void PrefilterOracle::BuildAux(const Digraph& dag) {
       size_t& idx = stack.back().second;
       while (idx < out.size() && visited[out[idx]]) ++idx;
       if (idx == out.size()) {
-        tree_out_[u] = clock - 1;
+        tree_out[u] = clock - 1;
         stack.pop_back();
         continue;
       }
       const Vertex w = out[idx];
       ++idx;  // Advance through the reference before emplace invalidates it.
       visited[w] = 1;
-      tree_in_[w] = clock++;
+      tree_in[w] = clock++;
       stack.emplace_back(w, size_t{0});
     }
   }
 
   // Longest-path levels, both directions.
-  flevel_ = LongestPathLevels(dag);
+  const std::vector<uint32_t> flevel = LongestPathLevels(dag);
   const Digraph reversed = dag.Reversed();
-  blevel_ = LongestPathLevels(reversed);
+  const std::vector<uint32_t> blevel = LongestPathLevels(reversed);
 
   // Supports: the k vertices with the largest (out+1)*(in+1) degree
   // product — the ones most likely to sit on many paths — ties broken by
@@ -299,8 +306,8 @@ void PrefilterOracle::BuildAux(const Digraph& dag) {
   // (pos - bmin), was measured too: it loses on hub-dominated graphs and
   // buys nothing on uniform-random ones, where the residue queries are
   // low-connectivity pairs no small support set can cover.)
-  const size_t k = std::min<size_t>(kMaxSupports, n_);
-  std::vector<Vertex> candidates(n_);
+  const size_t k = std::min<size_t>(kMaxSupports, n);
+  std::vector<Vertex> candidates(n);
   std::iota(candidates.begin(), candidates.end(), Vertex{0});
   std::partial_sort(
       candidates.begin(), candidates.begin() + static_cast<std::ptrdiff_t>(k),
@@ -319,9 +326,9 @@ void PrefilterOracle::BuildAux(const Digraph& dag) {
 
   // Per-support forward/backward BFS filling the reachability bit masks
   // (reflexive: a support carries its own bit on both sides).
-  fmask_.assign(n_, 0);
-  bmask_.assign(n_, 0);
-  std::vector<uint8_t> seen(n_, 0);
+  std::vector<uint64_t> fmask(n, 0);
+  std::vector<uint64_t> bmask(n, 0);
+  std::vector<uint8_t> seen(n, 0);
   std::vector<Vertex> queue;
   const auto mark = [&seen, &queue](const Digraph& g, Vertex source,
                                     uint64_t bit,
@@ -343,11 +350,24 @@ void PrefilterOracle::BuildAux(const Digraph& dag) {
   };
   for (size_t i = 0; i < supports_.size(); ++i) {
     const uint64_t bit = uint64_t{1} << i;
-    mark(dag, supports_[i], bit, fmask_);
-    mark(reversed, supports_[i], bit, bmask_);
+    mark(dag, supports_[i], bit, fmask);
+    mark(reversed, supports_[i], bit, bmask);
   }
 
-  PackRecords();
+  // The columns above die here; the records are the only state kept.
+  records_.resize(n);
+  for (size_t v = 0; v < n; ++v) {
+    QueryRecord& r = records_[v];
+    r.tree_in = tree_in[v];
+    r.tree_out = tree_out[v];
+    r.topo_pos = topo_pos[v];
+    r.fmax = fmax[v];
+    r.bmin = bmin[v];
+    r.flevel = flevel[v];
+    r.blevel = blevel[v];
+    r.fmask = fmask[v];
+    r.bmask = bmask[v];
+  }
 }
 
 Status PrefilterOracle::BuildIndex(const Digraph& dag) {
@@ -363,22 +383,23 @@ Status PrefilterOracle::SaveIndex(std::ostream& out) const {
   if (!inner_->SupportsSnapshot()) {
     return Status::NotSupported(name() + " does not support index snapshots");
   }
+  const size_t n = records_.size();
   WritePod(out, kPrefilterMagic);
-  WritePod(out, static_cast<uint64_t>(n_));
+  WritePod(out, static_cast<uint64_t>(n));
   WritePod(out, static_cast<uint32_t>(supports_.size()));
   WriteArray(out, supports_);
-  WriteArray(out, topo_pos_);
-  WriteArray(out, tree_in_);
-  WriteArray(out, tree_out_);
-  WriteArray(out, fmax_);
-  WriteArray(out, bmin_);
-  WriteArray(out, flevel_);
-  WriteArray(out, blevel_);
-  WriteArray(out, fmask_);
-  WriteArray(out, bmask_);
+  WriteColumn(out, records_, &QueryRecord::topo_pos);
+  WriteColumn(out, records_, &QueryRecord::tree_in);
+  WriteColumn(out, records_, &QueryRecord::tree_out);
+  WriteColumn(out, records_, &QueryRecord::fmax);
+  WriteColumn(out, records_, &QueryRecord::bmin);
+  WriteColumn(out, records_, &QueryRecord::flevel);
+  WriteColumn(out, records_, &QueryRecord::blevel);
+  WriteColumn(out, records_, &QueryRecord::fmask);
+  WriteColumn(out, records_, &QueryRecord::bmask);
   const char pad[sizeof(uint64_t)] = {};
-  out.write(pad, static_cast<std::streamsize>(
-                     AuxPadBytes(n_, supports_.size())));
+  out.write(pad,
+            static_cast<std::streamsize>(AuxPadBytes(n, supports_.size())));
   if (!out) return Status::IOError("prefilter snapshot write failed");
   return inner_->SaveIndex(out);
 }
@@ -388,13 +409,14 @@ Status PrefilterOracle::LoadIndexMapped(const Digraph& dag,
   if (!inner_->SupportsSnapshot()) {
     return Status::NotSupported(name() + " does not support index snapshots");
   }
-  // The aux tables are deep-validated and copied (see LoadAux); only the
+  // The aux columns are deep-validated and copied (see LoadAux); only the
   // wrapped labeling blob that follows is zero-copy.
   REACH_RETURN_IF_ERROR(LoadAux(dag, region.bytes()));
   // LoadAux consumed the aux section plus its alignment pad, so the inner
   // blob offset is 8-aligned relative to the (64-aligned) region start.
-  const size_t consumed = AuxSectionBytes(n_, supports_.size()) +
-                          AuxPadBytes(n_, supports_.size());
+  const size_t n = records_.size();
+  const size_t consumed = AuxSectionBytes(n, supports_.size()) +
+                          AuxPadBytes(n, supports_.size());
   return inner_->LoadMapped(dag, region.Subregion(consumed));
 }
 
@@ -424,7 +446,6 @@ Status PrefilterOracle::LoadAux(const Digraph& dag,
                               std::to_string(declared_k) +
                               " exceeds the allowed maximum");
   }
-  n_ = n;
   if (!ReadArray(in, declared_k, &supports_)) {
     return Status::Corruption("truncated prefilter support list");
   }
@@ -438,60 +459,54 @@ Status PrefilterOracle::LoadAux(const Digraph& dag,
       }
     }
   }
-  const auto read_positions = [&in, n](std::vector<uint32_t>* out,
-                                       const char* what) -> Status {
-    if (!ReadArray(in, n, out)) {
-      return Status::Corruption(std::string("truncated prefilter ") + what);
-    }
-    for (const uint32_t value : *out) {
-      if (value >= n) {
-        return Status::Corruption(std::string("prefilter ") + what +
-                                  " entry out of range");
-      }
-    }
-    return Status::OK();
+  records_.assign(n, QueryRecord{});
+  const auto read_positions = [&in, this, n](uint32_t QueryRecord::*field,
+                                             const char* what) {
+    return ReadColumn(
+        in, field, what, [n](uint32_t value) { return value < n; },
+        " entry out of range", &records_);
   };
-  REACH_RETURN_IF_ERROR(read_positions(&topo_pos_, "topo positions"));
+  REACH_RETURN_IF_ERROR(
+      read_positions(&QueryRecord::topo_pos, "topo positions"));
   // The positions must form a permutation — a repeated position could
   // smuggle an unsound NO verdict past the position bound checks.
-  {
-    std::vector<uint8_t> used(n, 0);
-    for (const uint32_t p : topo_pos_) {
-      if (used[p]) {
-        return Status::Corruption("prefilter topo positions repeat");
-      }
-      used[p] = 1;
+  std::vector<uint8_t> used(n, 0);
+  for (const QueryRecord& r : records_) {
+    if (used[r.topo_pos]) {
+      return Status::Corruption("prefilter topo positions repeat");
     }
+    used[r.topo_pos] = 1;
   }
-  REACH_RETURN_IF_ERROR(read_positions(&tree_in_, "tree intervals (in)"));
-  REACH_RETURN_IF_ERROR(read_positions(&tree_out_, "tree intervals (out)"));
-  for (size_t v = 0; v < n; ++v) {
-    if (tree_in_[v] > tree_out_[v]) {
+  REACH_RETURN_IF_ERROR(
+      read_positions(&QueryRecord::tree_in, "tree intervals (in)"));
+  REACH_RETURN_IF_ERROR(
+      read_positions(&QueryRecord::tree_out, "tree intervals (out)"));
+  for (const QueryRecord& r : records_) {
+    if (r.tree_in > r.tree_out) {
       return Status::Corruption("prefilter tree interval inverted");
     }
   }
-  REACH_RETURN_IF_ERROR(read_positions(&fmax_, "forward max positions"));
-  REACH_RETURN_IF_ERROR(read_positions(&bmin_, "backward min positions"));
-  REACH_RETURN_IF_ERROR(read_positions(&flevel_, "forward levels"));
-  REACH_RETURN_IF_ERROR(read_positions(&blevel_, "backward levels"));
+  REACH_RETURN_IF_ERROR(
+      read_positions(&QueryRecord::fmax, "forward max positions"));
+  REACH_RETURN_IF_ERROR(
+      read_positions(&QueryRecord::bmin, "backward min positions"));
+  REACH_RETURN_IF_ERROR(read_positions(&QueryRecord::flevel, "forward levels"));
+  REACH_RETURN_IF_ERROR(
+      read_positions(&QueryRecord::blevel, "backward levels"));
   const uint64_t allowed_bits = declared_k >= 64
                                     ? ~uint64_t{0}
                                     : (uint64_t{1} << declared_k) - 1;
-  const auto read_masks = [&in, n, allowed_bits](std::vector<uint64_t>* out,
-                                                 const char* what) -> Status {
-    if (!ReadArray(in, n, out)) {
-      return Status::Corruption(std::string("truncated prefilter ") + what);
-    }
-    for (const uint64_t mask : *out) {
-      if ((mask & ~allowed_bits) != 0) {
-        return Status::Corruption(std::string("prefilter ") + what +
-                                  " has bits beyond the support count");
-      }
-    }
-    return Status::OK();
+  const auto read_masks = [&in, this, allowed_bits](
+                              uint64_t QueryRecord::*field, const char* what) {
+    return ReadColumn(
+        in, field, what,
+        [allowed_bits](uint64_t mask) { return (mask & ~allowed_bits) == 0; },
+        " has bits beyond the support count", &records_);
   };
-  REACH_RETURN_IF_ERROR(read_masks(&fmask_, "forward support masks"));
-  REACH_RETURN_IF_ERROR(read_masks(&bmask_, "backward support masks"));
+  REACH_RETURN_IF_ERROR(
+      read_masks(&QueryRecord::fmask, "forward support masks"));
+  REACH_RETURN_IF_ERROR(
+      read_masks(&QueryRecord::bmask, "backward support masks"));
   // The writer pads the aux section with zeros up to the wrapped blob's
   // alignment boundary; anything else is not a snapshot it produced.
   char pad[sizeof(uint64_t)] = {};
@@ -504,7 +519,6 @@ Status PrefilterOracle::LoadAux(const Digraph& dag,
       return Status::Corruption("prefilter padding is not zero");
     }
   }
-  PackRecords();
   return Status::OK();
 }
 

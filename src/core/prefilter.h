@@ -1,8 +1,8 @@
 // O'Reach-style O(1) pre-filter tier (Hanauer et al., arxiv 2008.10932):
-// a composable wrapper that answers most reachability queries from a few
-// flat per-vertex arrays — topological-order interval containment, support-
-// vertex reachability bits, and longest-path level bounds — and falls back
-// to the wrapped oracle only on the residue.
+// a composable wrapper that answers most reachability queries from one
+// packed record per endpoint — topological-order interval containment,
+// support-vertex reachability bits, and longest-path level bounds — and
+// falls back to the wrapped oracle only on the residue.
 //
 // Soundness contract: every stage is three-valued (kYes / kNo / kMaybe).
 // A definite verdict must be provably correct for the built DAG; a stage
@@ -32,6 +32,23 @@ namespace reach {
 /// be correct; kMaybe defers to the next stage or the wrapped oracle.
 enum class PrefilterVerdict : uint8_t { kNo, kYes, kMaybe };
 
+/// Per-stage hit counters of the pre-filter tier. A "hit" is a query the
+/// filter answered definitively without touching the wrapped oracle;
+/// `fallback` counts the residue that did reach it.
+struct PrefilterStageCounters {
+  uint64_t interval_yes = 0;  // Spanning-forest interval containment.
+  uint64_t interval_no = 0;   // Topo position / fmax / bmin bounds.
+  uint64_t support_yes = 0;   // u -> support s -> v witness bit.
+  uint64_t support_no = 0;    // Support-set containment violated.
+  uint64_t level_no = 0;      // Forward/backward level bounds.
+  uint64_t fallback = 0;      // Residue answered by the wrapped oracle.
+
+  uint64_t Hits() const {
+    return interval_yes + interval_no + support_yes + support_no + level_no;
+  }
+  uint64_t Total() const { return Hits() + fallback; }
+};
+
 /// Wraps any ReachabilityOracle with three O(1) screening stages:
 ///
 ///  1. Topological intervals — a deterministic DFS spanning forest gives
@@ -47,8 +64,10 @@ enum class PrefilterVerdict : uint8_t { kNo, kYes, kMaybe };
 ///     edge on any u -> v path strictly increases the forward level and
 ///     strictly decreases the backward one.
 ///
-/// All auxiliary arrays are built sequentially, so they are byte-identical
-/// for any BuildOptions::threads value (the threading contract in
+/// The only per-vertex state is one 64-byte record of every stage operand;
+/// Reachable and the per-stage probes run the same stage functions on it.
+/// The records are built sequentially, so they are byte-identical for any
+/// BuildOptions::threads value (the threading contract in
 /// docs/ARCHITECTURE.md); the wrapped oracle builds with the caller's
 /// thread count as usual.
 class PrefilterOracle : public ReachabilityOracle {
@@ -77,32 +96,17 @@ class PrefilterOracle : public ReachabilityOracle {
   PrefilterVerdict LevelStage(Vertex u, Vertex v) const;
 
   /// Race-free snapshot of the live stage counters (queries may be in
-  /// flight; the counters are relaxed atomics).
+  /// flight; the counters are relaxed atomics). The server's STATS reply
+  /// exports them.
   PrefilterStageCounters counters() const;
   void ResetCounters();
-
-  /// Counting costs one uncontended locked add per query — real money next
-  /// to a two-cache-line screen. The server keeps it on (STATS exports the
-  /// counters); the bench turns it off inside timed loops and measures hit
-  /// rates in a separate untimed pass. Flip only while no queries are in
-  /// flight.
-  void set_counting_enabled(bool enabled) { counting_ = enabled; }
-  bool counting_enabled() const { return counting_; }
 
   const ReachabilityOracle& inner() const { return *inner_; }
   ReachabilityOracle& inner() { return *inner_; }
 
-  /// Auxiliary arrays, exposed for the determinism test battery.
-  const std::vector<uint32_t>& topo_positions() const { return topo_pos_; }
-  const std::vector<uint32_t>& tree_interval_in() const { return tree_in_; }
-  const std::vector<uint32_t>& tree_interval_out() const { return tree_out_; }
-  const std::vector<uint32_t>& forward_max_positions() const { return fmax_; }
-  const std::vector<uint32_t>& backward_min_positions() const { return bmin_; }
-  const std::vector<uint32_t>& forward_levels() const { return flevel_; }
-  const std::vector<uint32_t>& backward_levels() const { return blevel_; }
+  /// The sampled support vertices, bit i of the masks standing for
+  /// supports()[i].
   const std::vector<Vertex>& supports() const { return supports_; }
-  const std::vector<uint64_t>& forward_masks() const { return fmask_; }
-  const std::vector<uint64_t>& backward_masks() const { return bmask_; }
 
  protected:
   Status BuildIndex(const Digraph& dag) override;
@@ -111,67 +115,51 @@ class PrefilterOracle : public ReachabilityOracle {
 
  private:
   // Every stage operand for one query endpoint, packed into a single
-  // 64-byte cache line: the hot path loads records_[u] and records_[v]
-  // and never touches the cold per-field arrays (which stay authoritative
-  // for snapshots, probes, and the determinism tests). Without the
-  // packing a screened query pays up to seven scattered-array misses —
-  // more than the wrapped labeling's own range-rejected lookup costs.
+  // 64-byte cache line: a query loads records_[u] and records_[v] and
+  // nothing else. Spread over per-field arrays, a screened query would pay
+  // up to seven scattered misses — more than the wrapped labeling's own
+  // range-rejected lookup costs.
   struct alignas(64) QueryRecord {
-    uint32_t tree_in = 0;
+    uint32_t tree_in = 0;   // Stage 1: DFS spanning-forest interval,
     uint32_t tree_out = 0;
-    uint32_t topo_pos = 0;
-    uint32_t fmax = 0;
-    uint32_t bmin = 0;
-    uint32_t flevel = 0;
-    uint32_t blevel = 0;
+    uint32_t topo_pos = 0;  // topological position,
+    uint32_t fmax = 0;      // max position reachable from v,
+    uint32_t bmin = 0;      // min position reaching v.
+    uint32_t flevel = 0;    // Stage 3: longest-path level from sources,
+    uint32_t blevel = 0;    // and to sinks.
     uint32_t pad = 0;
-    uint64_t fmask = 0;
-    uint64_t bmask = 0;
+    uint64_t fmask = 0;     // Stage 2: bit i <=> supports_[i] reaches v.
+    uint64_t bmask = 0;     // Stage 2: bit i <=> v reaches supports_[i].
   };
   static_assert(sizeof(QueryRecord) == 64, "one cache line per vertex");
 
+  // The three stages, each written once over the endpoints' records. They
+  // assume u != v: Reachable runs the interval stage first, which answers
+  // every self-query YES, and the public probes short-circuit u == v.
+  static PrefilterVerdict IntervalVerdict(const QueryRecord& u,
+                                          const QueryRecord& v);
+  static PrefilterVerdict SupportVerdict(const QueryRecord& u,
+                                         const QueryRecord& v);
+  static PrefilterVerdict LevelVerdict(const QueryRecord& u,
+                                       const QueryRecord& v);
+
   void BuildAux(const Digraph& dag);
   /// LoadIndexMapped's front half: parses and validates the aux section
-  /// (header, arrays, alignment pad) from the front of `bytes`; the
-  /// wrapped oracle's blob follows it. The aux tables are index-typed
+  /// (header, columns, alignment pad) from the front of `bytes`; the
+  /// wrapped oracle's blob follows it. The aux columns are index-typed
   /// (they address arrays at query time), so they are always
-  /// deep-validated and copied — only the wrapped labeling is zero-copy.
+  /// deep-validated and copied into the records — only the wrapped
+  /// labeling is zero-copy.
   Status LoadAux(const Digraph& dag, std::span<const std::byte> bytes);
-  void PackRecords();
-  uint64_t AuxIntegers() const;
-  uint64_t AuxBytes() const;
 
   std::unique_ptr<ReachabilityOracle> inner_;
-  size_t n_ = 0;
   std::vector<QueryRecord> records_;
-
-  // Stage 1: topological positions, DFS spanning-forest intervals, and the
-  // max/min topological position reachable from / reaching each vertex.
-  std::vector<uint32_t> topo_pos_;
-  std::vector<uint32_t> tree_in_;
-  std::vector<uint32_t> tree_out_;
-  std::vector<uint32_t> fmax_;
-  std::vector<uint32_t> bmin_;
-
-  // Stage 2: sampled supports and per-vertex reachability bit masks.
-  // fmask_[v] bit i  <=>  supports_[i] reaches v;
-  // bmask_[v] bit i  <=>  v reaches supports_[i].
   std::vector<Vertex> supports_;
-  std::vector<uint64_t> fmask_;
-  std::vector<uint64_t> bmask_;
 
-  // Stage 3: longest-path levels, forward (from sources) and backward
-  // (from sinks, i.e. on the reversed DAG).
-  std::vector<uint32_t> flevel_;
-  std::vector<uint32_t> blevel_;
-
-  bool counting_ = true;
-  mutable std::atomic<uint64_t> interval_yes_{0};
-  mutable std::atomic<uint64_t> interval_no_{0};
-  mutable std::atomic<uint64_t> support_yes_{0};
-  mutable std::atomic<uint64_t> support_no_{0};
-  mutable std::atomic<uint64_t> level_no_{0};
-  mutable std::atomic<uint64_t> fallback_{0};
+  // Live stage counters, in PrefilterStageCounters' field order.
+  enum Counter { kIntervalYes, kIntervalNo, kSupportYes, kSupportNo,
+                 kLevelNo, kFallback, kNumCounters };
+  mutable std::atomic<uint64_t> counts_[kNumCounters] = {};
 };
 
 }  // namespace reach

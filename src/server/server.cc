@@ -368,7 +368,7 @@ Status ReachServer::ReloadFromSnapshot(const std::string& path) {
         "2HOP)");
   }
   // A prefilter server snapshots (and therefore reloads) the screening
-  // arrays in front of the oracle blob; re-wrap so the formats line up.
+  // columns in front of the oracle blob; re-wrap so the formats line up.
   if (prefilter_) {
     oracle = std::make_unique<PrefilterOracle>(std::move(oracle));
   }

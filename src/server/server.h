@@ -75,11 +75,11 @@ struct ServerOptions {
   /// exclusive with save_index_path.
   std::string load_index_path;
   /// Wrap the oracle in the O(1) pre-filter tier (core/prefilter.h): most
-  /// queries are answered from flat screening arrays without touching the
-  /// wrapped index, answers are bit-identical either way, and STATS gains
-  /// per-stage hit counters. Snapshots written/loaded by a prefilter
-  /// server carry the screening arrays in front of the oracle blob, so a
-  /// prefilter snapshot requires a prefilter server (and vice versa).
+  /// queries are answered from one packed screening record per endpoint
+  /// without touching the wrapped index, answers are bit-identical either
+  /// way, and STATS gains per-stage hit counters. A prefilter server's
+  /// snapshots carry the screening columns in front of the oracle blob, so
+  /// only a prefilter server loads them (and it loads no bare snapshot).
   bool prefilter = false;
   /// Optional human-readable event sink (reach_serve points it at stderr):
   /// receives one line per index publish — the Start load and every

@@ -142,8 +142,8 @@ TEST(BuildDeterminismExactTest, TwoHopLabelStoreIsByteIdentical) {
   }
 }
 
-// The pre-filter tier builds its auxiliary arrays sequentially by design,
-// so every array — and the serialized snapshot that embeds them — must be
+// The pre-filter tier builds its records sequentially by design, so the
+// serialized snapshot — which holds every aux column — must be
 // byte-identical for any construction thread count.
 TEST(BuildDeterminismExactTest, PrefilterAuxArraysAreByteIdentical) {
   const Digraph dag = RandomDag(600, 3000, 24);
@@ -154,27 +154,6 @@ TEST(BuildDeterminismExactTest, PrefilterAuxArraysAreByteIdentical) {
   for (const int threads : {2, 8}) {
     PrefilterOracle parallel(std::make_unique<DistributionLabelingOracle>());
     ASSERT_TRUE(parallel.Build(dag, WithThreads(threads)).ok());
-    EXPECT_EQ(parallel.topo_positions(), sequential.topo_positions())
-        << threads;
-    EXPECT_EQ(parallel.tree_interval_in(), sequential.tree_interval_in())
-        << threads;
-    EXPECT_EQ(parallel.tree_interval_out(), sequential.tree_interval_out())
-        << threads;
-    EXPECT_EQ(parallel.forward_max_positions(),
-              sequential.forward_max_positions())
-        << threads;
-    EXPECT_EQ(parallel.backward_min_positions(),
-              sequential.backward_min_positions())
-        << threads;
-    EXPECT_EQ(parallel.forward_levels(), sequential.forward_levels())
-        << threads;
-    EXPECT_EQ(parallel.backward_levels(), sequential.backward_levels())
-        << threads;
-    EXPECT_EQ(parallel.supports(), sequential.supports()) << threads;
-    EXPECT_EQ(parallel.forward_masks(), sequential.forward_masks())
-        << threads;
-    EXPECT_EQ(parallel.backward_masks(), sequential.backward_masks())
-        << threads;
     std::stringstream blob(std::ios::in | std::ios::out | std::ios::binary);
     ASSERT_TRUE(parallel.SaveIndex(blob).ok());
     EXPECT_EQ(blob.str(), ref_blob.str())

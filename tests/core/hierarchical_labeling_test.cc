@@ -50,29 +50,6 @@ TEST(HierarchicalLabelingTest, Epsilon1TfLabelVariant) {
   }
 }
 
-TEST(HierarchicalLabelingTest, NeighborhoodCoreLabelerFallsBackSafely) {
-  // A long chain has diameter far above epsilon: the Formula-3 labeler must
-  // detect this and fall back to the distribution core labeler.
-  Digraph g = ChainDag(50);
-  HierarchicalOptions options;
-  options.core_labeler = CoreLabeler::kNeighborhood;
-  HierarchicalLabelingOracle oracle(options);
-  ASSERT_TRUE(oracle.Build(g).ok());
-  EXPECT_TRUE(testing_util::OracleMatchesClosure(oracle, g));
-}
-
-TEST(HierarchicalLabelingTest, NeighborhoodCoreLabelerOnShallowCore) {
-  // Depth-1 star: diameter 1 <= epsilon, Formula 3 is complete by itself.
-  GraphBuilder b(6);
-  for (Vertex v = 1; v < 6; ++v) b.AddEdge(0, v);
-  Digraph g = b.Build();
-  HierarchicalOptions options;
-  options.core_labeler = CoreLabeler::kNeighborhood;
-  HierarchicalLabelingOracle oracle(options);
-  ASSERT_TRUE(oracle.Build(g).ok());
-  EXPECT_TRUE(testing_util::OracleMatchesClosure(oracle, g));
-}
-
 TEST(HierarchicalLabelingTest, PaperFigure1Example) {
   // Section 4's running example: the labeling must resolve, among others,
   // the worked pair facts around vertex 14 (Lin from backbone {7}, Lout

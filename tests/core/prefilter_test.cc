@@ -213,8 +213,22 @@ TEST(PrefilterCountersTest, EveryQueryLandsInExactlyOneCounter) {
                       static_cast<Vertex>(rng.Uniform(g.num_vertices())));
   }
   EXPECT_EQ(oracle->counters().Total(), kQueries);
-  EXPECT_EQ(oracle->build_stats().prefilter_active, true);
   EXPECT_EQ(oracle->name(), "DL+pf");
+}
+
+// The records are the only per-vertex state: one 64-byte QueryRecord per
+// vertex plus the support ids, on top of the wrapped oracle. The integer
+// count is the snapshot's: seven u32 columns, two u64 masks, the supports.
+TEST(PrefilterSizeTest, IndexSizeCountsOneRecordPerVertex) {
+  const Digraph g = RandomDag(300, 900, 12);
+  auto oracle = BuildPrefilterDL(g);
+  const uint64_t n = g.num_vertices();
+  const uint64_t k = oracle->supports().size();
+  ASSERT_EQ(k, PrefilterOracle::kMaxSupports);
+  EXPECT_EQ(oracle->IndexSizeBytes(),
+            oracle->inner().IndexSizeBytes() + 64 * n + 4 * k);
+  EXPECT_EQ(oracle->IndexSizeIntegers(),
+            oracle->inner().IndexSizeIntegers() + 11 * n + k);
 }
 
 TEST(PrefilterSnapshotTest, RoundTripRestoresAuxArraysAndAnswers) {
@@ -227,24 +241,14 @@ TEST(PrefilterSnapshotTest, RoundTripRestoresAuxArraysAndAnswers) {
   ASSERT_TRUE(
       loaded.LoadMapped(g, MappedRegion{testing_util::OwnedBlob(original), 0})
           .ok());
-  EXPECT_EQ(loaded.topo_positions(), built->topo_positions());
-  EXPECT_EQ(loaded.tree_interval_in(), built->tree_interval_in());
-  EXPECT_EQ(loaded.tree_interval_out(), built->tree_interval_out());
-  EXPECT_EQ(loaded.forward_max_positions(), built->forward_max_positions());
-  EXPECT_EQ(loaded.backward_min_positions(),
-            built->backward_min_positions());
-  EXPECT_EQ(loaded.forward_levels(), built->forward_levels());
-  EXPECT_EQ(loaded.backward_levels(), built->backward_levels());
-  EXPECT_EQ(loaded.supports(), built->supports());
-  EXPECT_EQ(loaded.forward_masks(), built->forward_masks());
-  EXPECT_EQ(loaded.backward_masks(), built->backward_masks());
   for (Vertex u = 0; u < g.num_vertices(); ++u) {
     for (Vertex v = 0; v < g.num_vertices(); ++v) {
       ASSERT_EQ(loaded.Reachable(u, v), built->Reachable(u, v))
           << "(" << u << "," << v << ")";
     }
   }
-  // Save-of-load is byte-identical: the snapshot is a fixed point.
+  // Save-of-load is byte-identical: the snapshot is a fixed point, and it
+  // holds every aux column, so the loaded records equal the built ones.
   EXPECT_EQ(testing_util::SaveIndexBytes(loaded), original);
 }
 

@@ -339,6 +339,65 @@ TEST(ReachServerTest, SaveThenReloadRoundTripsOverProtocol) {
   reach_server.Stop();
 }
 
+TEST(ReachServerTest, PrefilterSnapshotRestartsAndReloads) {
+  // A pre-filter snapshot carries the screening columns in front of the
+  // oracle blob: a pre-filter server restarts from it and RELOADs it, and
+  // refuses a bare snapshot without touching the live index.
+  const Digraph graph = RandomDag(150, 450, 41);
+  ScopedSnapshotPath pf_snap("prefilter_restart.snap");
+  ScopedSnapshotPath bare_snap("prefilter_bare.snap");
+  {
+    ReachServer bare;
+    ServerOptions options = QuickOptions("DL");
+    options.save_index_path = bare_snap.get();
+    ASSERT_TRUE(bare.Start(graph, options).ok());
+    bare.Stop();
+  }
+  ServerOptions options = QuickOptions("DL");
+  options.prefilter = true;
+  ReachServer first;
+  ASSERT_TRUE(first.Start(graph, options).ok());
+  auto [queries, expected] = MakeExpected(first, 500, 150, 43);
+  {
+    Client client;
+    ASSERT_TRUE(client.Connect("127.0.0.1", first.port()).ok());
+    EXPECT_EQ(*client.Save(pf_snap.get()), "OK");
+    const auto answers = client.Batch(queries);
+    ASSERT_TRUE(answers.ok()) << answers.status().ToString();
+    EXPECT_EQ(*answers, expected);
+    client.Close();
+  }
+  first.Stop();
+
+  options.load_index_path = pf_snap.get();
+  ReachServer second;
+  ASSERT_TRUE(second.Start(graph, options).ok());
+  EXPECT_TRUE(second.loaded_from_snapshot());
+  Client client;
+  ASSERT_TRUE(client.Connect("127.0.0.1", second.port()).ok());
+  auto answers = client.Batch(queries);
+  ASSERT_TRUE(answers.ok()) << answers.status().ToString();
+  EXPECT_EQ(*answers, expected);
+
+  // A bare DL snapshot has no screening columns: refused, live index kept.
+  const auto refused = client.Reload(bare_snap.get());
+  ASSERT_TRUE(refused.ok());
+  EXPECT_EQ(refused->rfind("ERR ", 0), 0u) << *refused;
+  EXPECT_EQ(second.stats().reloads.load(), 0u);
+  EXPECT_EQ(second.stats().err_reload.load(), 1u);
+  answers = client.Batch(queries);
+  ASSERT_TRUE(answers.ok()) << answers.status().ToString();
+  EXPECT_EQ(*answers, expected);
+
+  EXPECT_EQ(*client.Reload(pf_snap.get()), "OK");
+  EXPECT_EQ(second.stats().reloads.load(), 1u);
+  answers = client.Batch(queries);
+  ASSERT_TRUE(answers.ok()) << answers.status().ToString();
+  EXPECT_EQ(*answers, expected);
+  client.Close();
+  second.Stop();
+}
+
 TEST(ReachServerTest, ReloadUnderConcurrentBatchLoad) {
   // The swap-under-load acceptance bar: clients stream BATCH frames while
   // another connection hammers RELOAD. Every answer must stay correct, no
