@@ -145,6 +145,8 @@ void BM_IntersectSimd(benchmark::State& state) {
   state.SetLabel(SimdKernelName());
 }
 
+#if REACH_SIMD_TIER >= 2
+// The vectorized gallop probe exists on AVX2 builds only.
 void BM_IntersectSimdGallop(benchmark::State& state) {
   auto [small, large] = StateInputs(state);
   for (auto _ : state) {
@@ -152,13 +154,14 @@ void BM_IntersectSimdGallop(benchmark::State& state) {
   }
   state.SetLabel(SimdKernelName());
 }
+#endif
 
 void BM_IntersectAdaptive(benchmark::State& state) {
   auto [small, large] = StateInputs(state);
   for (auto _ : state) {
     benchmark::DoNotOptimize(SortedIntersects(small, large));
   }
-  state.SetLabel(SimdEnabled() ? SimdKernelName() : "scalar");
+  state.SetLabel(SimdKernelName());
 }
 
 void IntersectRatioArgs(benchmark::internal::Benchmark* b) {
@@ -181,30 +184,10 @@ void IntersectRatioArgs(benchmark::internal::Benchmark* b) {
 BENCHMARK(BM_IntersectMerge)->Apply(IntersectRatioArgs);
 BENCHMARK(BM_IntersectGallop)->Apply(IntersectRatioArgs);
 BENCHMARK(BM_IntersectSimd)->Apply(IntersectRatioArgs);
+#if REACH_SIMD_TIER >= 2
 BENCHMARK(BM_IntersectSimdGallop)->Apply(IntersectRatioArgs);
+#endif
 BENCHMARK(BM_IntersectAdaptive)->Apply(IntersectRatioArgs);
-
-// --- SortedUnionInto: the append fast path (src entirely >= dst.back(),
-// the shape of DL's ordered hop admissions) vs the general allocate-merge
-// it replaces. Arg is |dst| = |src|.
-void BM_SortedUnionAppend(benchmark::State& state) {
-  const size_t len = static_cast<size_t>(state.range(0));
-  std::vector<uint32_t> dst_proto;
-  std::vector<uint32_t> src;
-  for (uint32_t i = 0; i < len; ++i) dst_proto.push_back(i);
-  for (uint32_t i = 0; i < len; ++i) {
-    src.push_back(static_cast<uint32_t>(len) + i);
-  }
-  for (auto _ : state) {
-    state.PauseTiming();
-    std::vector<uint32_t> dst = dst_proto;
-    dst.reserve(2 * len);
-    state.ResumeTiming();
-    SortedUnionInto(&dst, src);
-    benchmark::DoNotOptimize(dst.data());
-  }
-}
-BENCHMARK(BM_SortedUnionAppend)->Arg(64)->Arg(1024)->Arg(16384);
 
 // --- SortedInsert on ascending keys: the push_back fast path every DL
 // label append takes (keys are order positions). Grows one row from empty
@@ -222,29 +205,6 @@ void BM_SortedInsertAppend(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(len));
 }
 BENCHMARK(BM_SortedInsertAppend)->Arg(64)->Arg(1024)->Arg(16384);
-
-// The general-merge control: one src element below dst.back() disables the
-// append path, so this times the fresh-vector set_union on inputs of the
-// same size (the cost the fast path removes).
-void BM_SortedUnionMergeFallback(benchmark::State& state) {
-  const size_t len = static_cast<size_t>(state.range(0));
-  std::vector<uint32_t> dst_proto;
-  std::vector<uint32_t> src;
-  for (uint32_t i = 0; i < len; ++i) dst_proto.push_back(2 * i + 1);
-  src.push_back(0);  // Below dst.front(): forces the general merge.
-  for (uint32_t i = 1; i < len; ++i) {
-    src.push_back(2 * (static_cast<uint32_t>(len) + i));
-  }
-  for (auto _ : state) {
-    state.PauseTiming();
-    std::vector<uint32_t> dst = dst_proto;
-    dst.reserve(2 * len);
-    state.ResumeTiming();
-    SortedUnionInto(&dst, src);
-    benchmark::DoNotOptimize(dst.data());
-  }
-}
-BENCHMARK(BM_SortedUnionMergeFallback)->Arg(64)->Arg(1024)->Arg(16384);
 
 // The O(1) range rejection: two big labels whose key windows are disjoint
 // (exactly what DL's total-order keys produce on most negative queries).

@@ -39,12 +39,6 @@ class PrunedLandmarkOracle : public ReachabilityOracle {
   /// Distance(v, v) is 0.
   uint32_t Distance(Vertex u, Vertex v) const;
 
-  /// k-hop reachability (the k-reach generalization the paper's conclusion
-  /// points at): true iff u reaches v within k steps.
-  bool WithinK(Vertex u, Vertex v, uint32_t k) const {
-    return Distance(u, v) <= k;
-  }
-
   static constexpr uint32_t kUnreachable = UINT32_MAX;
 
   std::string name() const override { return "PL"; }

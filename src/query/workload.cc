@@ -1,8 +1,5 @@
 #include "query/workload.h"
 
-#include <algorithm>
-#include <cmath>
-
 #include "util/rng.h"
 
 namespace reach {
@@ -42,6 +39,7 @@ Workload MakeEqualWorkload(const Digraph& dag, const ReachabilityOracle& truth,
                            const WorkloadOptions& options) {
   Rng rng(options.seed);
   Workload workload;
+  if (dag.num_vertices() == 0) return workload;
   workload.queries.reserve(options.num_queries);
   std::vector<Vertex> sources;
   for (Vertex v = 0; v < dag.num_vertices(); ++v) {
@@ -52,8 +50,13 @@ Workload MakeEqualWorkload(const Digraph& dag, const ReachabilityOracle& truth,
     workload.queries.push_back(
         RandomPositive(dag, sources, &rng, options.max_walk_length));
   }
-  // Negatives: rejection-sample random pairs until unreachable.
-  while (workload.queries.size() < options.num_queries) {
+  // Negatives: rejection-sample random pairs until unreachable. In a DAG
+  // with n >= 2 at least a quarter of the draws succeed, so the bound, far
+  // above the expected draw count, only stops graphs with no negative.
+  const size_t max_attempts = 64 * options.num_queries + 1024;
+  for (size_t attempts = 0; workload.queries.size() < options.num_queries &&
+                            attempts < max_attempts;
+       ++attempts) {
     const Vertex u = RandomVertex(dag, &rng);
     const Vertex v = RandomVertex(dag, &rng);
     if (u == v) continue;
@@ -66,88 +69,12 @@ Workload MakeEqualWorkload(const Digraph& dag, const ReachabilityOracle& truth,
   return workload;
 }
 
-const char* QueryMixName(QueryMix mix) {
-  switch (mix) {
-    case QueryMix::kNegativeHeavy:
-      return "neg";
-    case QueryMix::kMixed:
-      return "mixed";
-    case QueryMix::kPositiveHeavy:
-      return "pos";
-  }
-  return "mixed";
-}
-
-double QueryMixPositiveFraction(QueryMix mix) {
-  switch (mix) {
-    case QueryMix::kNegativeHeavy:
-      return 0.1;
-    case QueryMix::kMixed:
-      return 0.5;
-    case QueryMix::kPositiveHeavy:
-      return 0.9;
-  }
-  return 0.5;
-}
-
-Workload MakeMixWorkload(const Digraph& dag, const ReachabilityOracle& truth,
-                         const WorkloadOptions& options,
-                         double positive_fraction) {
-  positive_fraction = std::clamp(positive_fraction, 0.0, 1.0);
-  Rng rng(options.seed);
-  Workload workload;
-  if (dag.num_vertices() == 0 || options.num_queries == 0) return workload;
-  workload.queries.reserve(options.num_queries);
-  std::vector<Vertex> sources;
-  for (Vertex v = 0; v < dag.num_vertices(); ++v) {
-    if (dag.OutDegree(v) > 0) sources.push_back(v);
-  }
-  const size_t positives =
-      sources.empty()
-          ? 0
-          : static_cast<size_t>(std::llround(
-                positive_fraction *
-                static_cast<double>(options.num_queries)));
-  for (size_t i = 0; i < positives && workload.queries.size() <
-                                          options.num_queries; ++i) {
-    workload.queries.push_back(
-        RandomPositive(dag, sources, &rng, options.max_walk_length));
-  }
-  // Negatives: bounded rejection sampling so a graph where (almost) every
-  // pair is reachable cannot spin forever.
-  const size_t max_attempts = 64 * options.num_queries + 1024;
-  for (size_t attempts = 0;
-       workload.queries.size() < options.num_queries &&
-       attempts < max_attempts;
-       ++attempts) {
-    const Vertex u = RandomVertex(dag, &rng);
-    const Vertex v = RandomVertex(dag, &rng);
-    if (u == v) continue;
-    if (!truth.Reachable(u, v)) {
-      workload.queries.push_back(Query{u, v, false});
-    }
-  }
-  // Degenerate remainder: truth-labeled random pairs keep the workload at
-  // its full size even when the requested class barely exists.
-  while (workload.queries.size() < options.num_queries) {
-    const Vertex u = RandomVertex(dag, &rng);
-    const Vertex v = RandomVertex(dag, &rng);
-    workload.queries.push_back(Query{u, v, truth.Reachable(u, v)});
-  }
-  Shuffle(&workload.queries, &rng);
-  return workload;
-}
-
-Workload MakeMixWorkload(const Digraph& dag, const ReachabilityOracle& truth,
-                         const WorkloadOptions& options, QueryMix mix) {
-  return MakeMixWorkload(dag, truth, options, QueryMixPositiveFraction(mix));
-}
-
 Workload MakeRandomWorkload(const Digraph& dag,
                             const ReachabilityOracle& truth,
                             const WorkloadOptions& options) {
   Rng rng(options.seed);
   Workload workload;
+  if (dag.num_vertices() == 0) return workload;
   workload.queries.reserve(options.num_queries);
   for (size_t i = 0; i < options.num_queries; ++i) {
     const Vertex u = RandomVertex(dag, &rng);

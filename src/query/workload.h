@@ -37,42 +37,17 @@ struct Workload {
 };
 
 /// Equal workload: 50% positives (random forward walks of random length,
-/// guaranteed reachable) and 50% negatives (random pairs verified against
-/// `truth`, which must already be a correct oracle for `dag`).
+/// guaranteed reachable) and 50% negatives (random pairs u != v verified
+/// against `truth`, which must already be a correct oracle for `dag`).
+/// Negatives are rejection-sampled with a bounded number of draws, so a
+/// graph with no unreachable pair u != v (one vertex, or a cyclic input)
+/// yields a short workload instead of spinning; a graph with no vertex
+/// yields an empty one.
 Workload MakeEqualWorkload(const Digraph& dag, const ReachabilityOracle& truth,
                            const WorkloadOptions& options);
 
-/// Named query mixes for the pre-filter tier benchmarks: the mixes differ
-/// only in their positive fraction (10% / 50% / 90%).
-enum class QueryMix {
-  kNegativeHeavy,
-  kMixed,
-  kPositiveHeavy,
-};
-
-/// Short mix name for reports and dataset labels: "neg", "mixed", "pos".
-const char* QueryMixName(QueryMix mix);
-
-/// The positive-query fraction a mix targets (0.1 / 0.5 / 0.9).
-double QueryMixPositiveFraction(QueryMix mix);
-
-/// Mix workload: exactly round(positive_fraction * num_queries) positives
-/// (random forward walks, guaranteed reachable, from != to) and the rest
-/// negatives (rejection-sampled random pairs verified against `truth`,
-/// u != v), deterministically shuffled. On degenerate graphs where
-/// negatives (or positives) barely exist, the remainder is filled with
-/// truth-labeled random pairs so the workload always has num_queries
-/// entries; the fraction is exact whenever the graph supports it.
-/// `positive_fraction` is clamped to [0, 1].
-Workload MakeMixWorkload(const Digraph& dag, const ReachabilityOracle& truth,
-                         const WorkloadOptions& options,
-                         double positive_fraction);
-
-/// As above with the fraction of a named mix.
-Workload MakeMixWorkload(const Digraph& dag, const ReachabilityOracle& truth,
-                         const WorkloadOptions& options, QueryMix mix);
-
-/// Random workload: uniform random pairs labeled via `truth`.
+/// Random workload: uniform random pairs labeled via `truth`; empty when
+/// `dag` has no vertex.
 Workload MakeRandomWorkload(const Digraph& dag,
                             const ReachabilityOracle& truth,
                             const WorkloadOptions& options);

@@ -14,13 +14,6 @@ size_t Bitset::Count() const {
   return total;
 }
 
-bool Bitset::None() const {
-  for (uint64_t w : words_) {
-    if (w != 0) return false;
-  }
-  return true;
-}
-
 void Bitset::UnionWith(const Bitset& other) {
   assert(num_bits_ == other.num_bits_);
   const size_t n = words_.size();
@@ -39,22 +32,6 @@ size_t Bitset::UnionCountNew(const Bitset& other) {
   return added;
 }
 
-size_t Bitset::IntersectCount(const Bitset& other) const {
-  assert(num_bits_ == other.num_bits_);
-  const size_t n = words_.size();
-  size_t count = 0;
-  for (size_t i = 0; i < n; ++i) {
-    count += std::popcount(words_[i] & other.words_[i]);
-  }
-  return count;
-}
-
-void Bitset::IntersectWith(const Bitset& other) {
-  assert(num_bits_ == other.num_bits_);
-  const size_t n = words_.size();
-  for (size_t i = 0; i < n; ++i) words_[i] &= other.words_[i];
-}
-
 void Bitset::SubtractWith(const Bitset& other) {
   assert(num_bits_ == other.num_bits_);
   const size_t n = words_.size();
@@ -68,32 +45,6 @@ bool Bitset::Intersects(const Bitset& other) const {
     if (words_[i] & other.words_[i]) return true;
   }
   return false;
-}
-
-bool Bitset::IsSubsetOf(const Bitset& other) const {
-  assert(num_bits_ == other.num_bits_);
-  const size_t n = words_.size();
-  for (size_t i = 0; i < n; ++i) {
-    if (words_[i] & ~other.words_[i]) return false;
-  }
-  return true;
-}
-
-size_t Bitset::FindNext(size_t from) const {
-  if (from >= num_bits_) return num_bits_;
-  size_t word = from >> 6;
-  uint64_t w = words_[word] >> (from & 63);
-  if (w != 0) {
-    size_t pos = from + std::countr_zero(w);
-    return pos < num_bits_ ? pos : num_bits_;
-  }
-  for (++word; word < words_.size(); ++word) {
-    if (words_[word] != 0) {
-      size_t pos = (word << 6) + std::countr_zero(words_[word]);
-      return pos < num_bits_ ? pos : num_bits_;
-    }
-  }
-  return num_bits_;
 }
 
 void Bitset::AppendSetBits(std::vector<uint32_t>* out) const {

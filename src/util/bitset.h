@@ -34,32 +34,17 @@ class Bitset {
   /// Number of set bits.
   size_t Count() const;
 
-  /// True if no bit is set.
-  bool None() const;
-
   /// Bitwise OR of `other` into this. Both must have equal size.
   void UnionWith(const Bitset& other);
 
   /// Bitwise OR of `other` into this, returning how many bits flipped 0 -> 1.
   size_t UnionCountNew(const Bitset& other);
 
-  /// Number of positions set in both this and `other`.
-  size_t IntersectCount(const Bitset& other) const;
-
-  /// Bitwise AND of `other` into this. Both must have equal size.
-  void IntersectWith(const Bitset& other);
-
   /// Removes all bits present in `other` (this &= ~other).
   void SubtractWith(const Bitset& other);
 
   /// True if this and `other` share at least one set bit.
   bool Intersects(const Bitset& other) const;
-
-  /// True if every set bit of this is also set in `other`.
-  bool IsSubsetOf(const Bitset& other) const;
-
-  /// Index of first set bit at position >= `from`, or `size()` if none.
-  size_t FindNext(size_t from) const;
 
   /// Appends the indices of all set bits to `out`.
   void AppendSetBits(std::vector<uint32_t>* out) const;

@@ -1,29 +1,25 @@
-// SIMD kernels for the sorted-uint32 intersection hot path, plus the
-// compile-time feature detection and the runtime kill switch that gate
-// them. The adaptive dispatch lives in util/sorted_ops.h; this header owns
-// only the vector kernels and keeps the scalar fallbacks mandatory:
+// SIMD kernels for the sorted-uint32 intersection hot path, the
+// compile-time feature detection that gates them, and the scalar merge
+// they fall back to. The adaptive dispatch lives in util/sorted_ops.h.
 //
-//   - Compile-time tiers: kSimdTier is 2 when the translation unit is built
-//     with AVX2 (e.g. -march=x86-64-v3), 1 with baseline x86-64 SSE2, and 0
-//     elsewhere — at tier 0 every kernel below degrades to a scalar loop,
-//     so the library builds and answers identically on any target.
-//   - Runtime kill switch: SetSimdEnabled(false) (or REACH_NO_SIMD=1 in the
-//     environment) makes SortedIntersects take the scalar kernels even in a
-//     SIMD build. The differential fuzz suite runs the full query matrix
-//     both ways and pins byte-identical answers.
+// Compile-time tiers: kSimdTier is 2 when the translation unit is built
+// with AVX2 (e.g. -march=x86-64-v3), 1 with baseline x86-64 SSE2, and 0
+// elsewhere. The tier is the only switch: there is no runtime toggle, and
+// tests check every kernel against MergeIntersects directly.
 //
 // Kernel shapes (both require sorted input, duplicates allowed):
 //
-//   SimdIntersects       block-compare for balanced sizes: load one W-lane
+//   SimdIntersects       block-compare for balanced sizes (tiers 1 and 2;
+//                        MergeIntersects at tier 0): load one W-lane
 //                        block per side (W = 8 AVX2 / 4 SSE2), test all
 //                        W x W pairs with W compares over lane rotations,
 //                        then advance the block whose max is smaller —
 //                        the vector analogue of the two-pointer merge,
 //                        W elements per branchless step.
-//   SimdGallopIntersects the skewed-size probe: the scalar exponential
-//                        probe narrows to a window, a branchless vector
-//                        lower-bound (biased-signed compares + movemask
-//                        popcount) finishes it.
+//   SimdGallopIntersects the skewed-size probe, compiled at tier 2 only:
+//                        the scalar exponential probe narrows to a window,
+//                        a branchless 8-lane lower-bound (biased-signed
+//                        compares + movemask popcount) finishes it.
 //
 // Correctness of the advance rule: all pairs of the two current blocks are
 // compared before advancing, and when block A advances its elements are all
@@ -36,8 +32,8 @@
 #define REACH_UTIL_SIMD_H_
 
 #include <bit>
+#include <cstddef>
 #include <cstdint>
-#include <cstdlib>
 #include <span>
 
 #if defined(__AVX2__)
@@ -62,23 +58,16 @@ inline constexpr const char* SimdKernelName() {
   return kSimdTier == 2 ? "avx2" : kSimdTier == 1 ? "sse2" : "scalar";
 }
 
-namespace simd_internal {
-
-/// Process-wide runtime switch. Defaults on in SIMD builds unless the
-/// REACH_NO_SIMD environment variable is set to a non-empty, non-"0" value.
-inline bool& EnabledFlag() {
-  static bool enabled = [] {
-    const char* env = std::getenv("REACH_NO_SIMD");
-    return env == nullptr || *env == '\0' ||
-           (*env == '0' && *(env + 1) == '\0');
-  }();
-  return enabled;
-}
-
-/// Scalar two-pointer merge over raw pointers: the tail of the block kernel
-/// and the whole kernel at tier 0.
-inline bool ScalarMergeRange(const uint32_t* pa, const uint32_t* ea,
-                             const uint32_t* pb, const uint32_t* eb) {
+/// Two-pointer merge scan: O(|a| + |b|). The scalar reference the vector
+/// kernels are tested against, the block kernel's tail, and the balanced
+/// kernel at tier 0. Exposed (rather than folded into SortedIntersects) so
+/// the micro benchmarks can measure each kernel alone.
+inline bool MergeIntersects(std::span<const uint32_t> a,
+                            std::span<const uint32_t> b) {
+  const uint32_t* pa = a.data();
+  const uint32_t* ea = pa + a.size();
+  const uint32_t* pb = b.data();
+  const uint32_t* eb = pb + b.size();
   while (pa != ea && pb != eb) {
     if (*pa < *pb) {
       ++pa;
@@ -90,6 +79,8 @@ inline bool ScalarMergeRange(const uint32_t* pa, const uint32_t* ea,
   }
   return false;
 }
+
+namespace simd_internal {
 
 #if REACH_SIMD_TIER >= 2
 
@@ -148,43 +139,9 @@ inline bool BlockIntersects(const uint32_t* a, const uint32_t* b) {
   return _mm_movemask_epi8(eq) != 0;
 }
 
-/// First element of sorted [p, end) that is >= x (see the AVX2 twin).
-inline const uint32_t* VectorLowerBound(const uint32_t* p,
-                                        const uint32_t* end, uint32_t x) {
-  const __m128i bias = _mm_set1_epi32(static_cast<int>(0x80000000u));
-  const __m128i vx =
-      _mm_xor_si128(_mm_set1_epi32(static_cast<int>(x)), bias);
-  while (end - p >= static_cast<ptrdiff_t>(kLanes)) {
-    const __m128i v = _mm_xor_si128(
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(p)), bias);
-    const unsigned lt = static_cast<unsigned>(
-        _mm_movemask_ps(_mm_castsi128_ps(_mm_cmplt_epi32(v, vx))));
-    if (lt != 0xFu) return p + std::popcount(lt);
-    p += kLanes;
-  }
-  while (p != end && *p < x) ++p;
-  return p;
-}
-
 #endif  // REACH_SIMD_TIER
 
 }  // namespace simd_internal
-
-/// True when the vector kernels are compiled in AND the runtime switch is
-/// on. Tier-0 builds return a compile-time false so the branch folds away.
-inline bool SimdEnabled() {
-  if constexpr (kSimdTier == 0) return false;
-  return simd_internal::EnabledFlag();
-}
-
-/// Runtime kill switch (differential tests force the scalar path with it;
-/// REACH_NO_SIMD=1 does the same without recompiling). No-op at tier 0.
-inline void SetSimdEnabled(bool on) { simd_internal::EnabledFlag() = on; }
-
-/// Below this window size the vectorized gallop probe stops bisecting and
-/// scans the rest with VectorLowerBound (a few branchless compares beat the
-/// final log2(window) branchy bisection steps).
-inline constexpr size_t kSimdProbeWindow = 64;
 
 /// Block-compare intersection test for balanced sorted ranges. At tier 0
 /// this IS the scalar merge — callers may use it unconditionally.
@@ -204,21 +161,24 @@ inline bool SimdIntersects(std::span<const uint32_t> a,
     if (amax <= bmax) pa += W;
     if (bmax <= amax) pb += W;
   }
-  return simd_internal::ScalarMergeRange(pa, ea, pb, eb);
+  return MergeIntersects({pa, ea}, {pb, eb});
 #else
-  return simd_internal::ScalarMergeRange(a.data(), a.data() + a.size(),
-                                         b.data(), b.data() + b.size());
+  return MergeIntersects(a, b);
 #endif
 }
 
+#if REACH_SIMD_TIER >= 2
+
+/// Below this window size the vectorized gallop probe stops bisecting and
+/// scans the rest with VectorLowerBound (a few branchless compares beat the
+/// final log2(window) branchy bisection steps).
+inline constexpr size_t kSimdProbeWindow = 64;
+
 /// Galloping intersection with a vectorized probe, for skewed sizes: the
 /// exponential probe and coarse bisection are scalar (they touch one cache
-/// line per step), the final window is resolved by VectorLowerBound. At
-/// tier 0 this is the scalar merge (the caller's ratio dispatch never
-/// routes here at tier 0 — SimdEnabled() is false).
+/// line per step), the final window is resolved by VectorLowerBound.
 inline bool SimdGallopIntersects(std::span<const uint32_t> small,
                                  std::span<const uint32_t> large) {
-#if REACH_SIMD_TIER > 0
   const uint32_t* lo = large.data();
   const uint32_t* const end = lo + large.size();
   for (const uint32_t x : small) {
@@ -241,12 +201,9 @@ inline bool SimdGallopIntersects(std::span<const uint32_t> small,
     if (*lo == x) return true;
   }
   return false;
-#else
-  return simd_internal::ScalarMergeRange(
-      small.data(), small.data() + small.size(), large.data(),
-      large.data() + large.size());
-#endif
 }
+
+#endif  // REACH_SIMD_TIER >= 2
 
 }  // namespace reach
 

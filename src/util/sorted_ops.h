@@ -16,8 +16,8 @@
 //      scanning the gap linearly — O(|small| * log |large|) total. AVX2
 //      builds resolve the probe's final window vectorized at moderate skew
 //      (SimdGallopIntersects, util/simd.h; see kSimdGallopMaxRatio).
-//   3. Balanced sizes: the SIMD block-compare kernel (SimdIntersects) when
-//      compiled in, enabled, and the small side has at least
+//   3. Balanced sizes: the SIMD block-compare kernel (SimdIntersects) on
+//      the SSE2 and AVX2 tiers when the small side has at least
 //      kSimdMinBalanced elements; the scalar two-pointer merge otherwise.
 //      Both are O(|a| + |b|), the block kernel retires one W-lane block per
 //      branchless step.
@@ -59,8 +59,9 @@ inline constexpr size_t kGallopRatio = 8;
 /// loses at 128:128000 (2719 vs 2194) and on clustered 16:1600 (114 vs
 /// 76) — at extreme skew the probe lands in one cache line and the scalar
 /// binary-search descent is already minimal, so the 8-lane window compare
-/// is pure overhead. SSE2's 4-lane window never recoups its setup (128:
-/// 4096 uniform: 1425 vs scalar 1167), so tier 1 stays on scalar gallop.
+/// is pure overhead. SSE2's 4-lane window never recouped its setup (128:
+/// 4096 uniform: 1425 vs scalar 1167), so the vector probe is compiled at
+/// tier 2 only and tier 1 stays on scalar gallop.
 inline constexpr size_t kSimdGallopMaxRatio = 64;
 
 /// Minimum size of the smaller side before the balanced path uses the SIMD
@@ -79,26 +80,6 @@ inline bool SortedRangesOverlap(std::span<const uint32_t> a,
                                 std::span<const uint32_t> b) {
   return !a.empty() && !b.empty() && a.back() >= b.front() &&
          b.back() >= a.front();
-}
-
-/// Two-pointer merge scan: O(|a| + |b|). Exposed (rather than folded into
-/// SortedIntersects) so the micro benchmarks can measure each kernel alone.
-inline bool MergeIntersects(std::span<const uint32_t> a,
-                            std::span<const uint32_t> b) {
-  const uint32_t* pa = a.data();
-  const uint32_t* ea = pa + a.size();
-  const uint32_t* pb = b.data();
-  const uint32_t* eb = pb + b.size();
-  while (pa != ea && pb != eb) {
-    if (*pa < *pb) {
-      ++pa;
-    } else if (*pb < *pa) {
-      ++pb;
-    } else {
-      return true;
-    }
-  }
-  return false;
 }
 
 /// Galloping scan: for each element of `small`, exponential-search the
@@ -124,21 +105,22 @@ inline bool GallopIntersects(std::span<const uint32_t> small,
 
 /// True if the two sorted ranges share at least one element. Adaptive:
 /// range rejection, then gallop or merge by size ratio (header comment),
-/// each tier taking its vector kernel when compiled in and enabled
-/// (util/simd.h). Answers are bit-identical with SIMD on or off.
+/// each taking its vector kernel when the compiled tier has one
+/// (util/simd.h). Answers are bit-identical on every tier.
 inline bool SortedIntersects(std::span<const uint32_t> a,
                              std::span<const uint32_t> b) {
   if (!SortedRangesOverlap(a, b)) return false;
   if (a.size() > b.size()) std::swap(a, b);
   if (a.size() * kGallopRatio < b.size()) {
-    if (SimdEnabled() && kSimdTier >= 2 &&
-        b.size() < a.size() * kSimdGallopMaxRatio) {
+#if REACH_SIMD_TIER >= 2
+    if (b.size() < a.size() * kSimdGallopMaxRatio) {
       return SimdGallopIntersects(a, b);
     }
+#endif
     return GallopIntersects(a, b);
   }
-  if (SimdEnabled() && a.size() >= kSimdMinBalanced) {
-    return SimdIntersects(a, b);
+  if constexpr (kSimdTier > 0) {
+    if (a.size() >= kSimdMinBalanced) return SimdIntersects(a, b);
   }
   return MergeIntersects(a, b);
 }
@@ -163,11 +145,6 @@ inline bool MarkedIntersects(std::span<const uint32_t> row,
   return false;
 }
 
-/// Binary search membership test.
-inline bool SortedContains(std::span<const uint32_t> v, uint32_t x) {
-  return std::binary_search(v.begin(), v.end(), x);
-}
-
 /// Inserts `x` into sorted vector `v` if absent. Returns true if inserted.
 /// A key above the back is a plain push_back: Distribution Labeling's keys
 /// are order positions, so nearly every label append takes that path
@@ -183,45 +160,10 @@ inline bool SortedInsert(std::vector<uint32_t>* v, uint32_t x) {
   return true;
 }
 
-/// Merges sorted `src` into sorted `dst`, dropping duplicates. When `src`
-/// lies entirely at or above `dst`'s back — the common case for ordered
-/// hop admissions, where every new key exceeds the keys already stored —
-/// the merge degenerates to an in-place append (no fresh allocation, no
-/// re-copy of the `dst` prefix; BM_SortedUnionAppend vs
-/// BM_SortedUnionMergeFallback pins the win — 317ns vs 2650ns at 1024).
-inline void SortedUnionInto(std::vector<uint32_t>* dst,
-                            const std::vector<uint32_t>& src) {
-  if (src.empty()) return;
-  if (dst->empty()) {
-    *dst = src;
-    return;
-  }
-  if (src.front() >= dst->back()) {
-    // Sorted-unique inputs: at most the seam element can repeat.
-    dst->insert(dst->end(),
-                src.begin() + (src.front() == dst->back() ? 1 : 0),
-                src.end());
-    return;
-  }
-  std::vector<uint32_t> out;
-  out.reserve(dst->size() + src.size());
-  std::set_union(dst->begin(), dst->end(), src.begin(), src.end(),
-                 std::back_inserter(out));
-  dst->swap(out);
-}
-
 /// Sorts and deduplicates in place.
 inline void SortUnique(std::vector<uint32_t>* v) {
   std::sort(v->begin(), v->end());
   v->erase(std::unique(v->begin(), v->end()), v->end());
-}
-
-/// Intersection of two sorted ranges, appended to `out`.
-inline void SortedIntersection(std::span<const uint32_t> a,
-                               std::span<const uint32_t> b,
-                               std::vector<uint32_t>* out) {
-  std::set_intersection(a.begin(), a.end(), b.begin(), b.end(),
-                        std::back_inserter(*out));
 }
 
 }  // namespace reach

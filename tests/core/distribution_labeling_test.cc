@@ -38,8 +38,10 @@ TEST(DistributionLabelingTest, EveryVertexLabelsItself) {
     key_of[oracle.order()[i]] = i;
   }
   for (Vertex v = 0; v < g.num_vertices(); ++v) {
-    EXPECT_TRUE(SortedContains(oracle.labeling().Out(v), key_of[v]));
-    EXPECT_TRUE(SortedContains(oracle.labeling().In(v), key_of[v]));
+    EXPECT_TRUE(
+        std::ranges::binary_search(oracle.labeling().Out(v), key_of[v]));
+    EXPECT_TRUE(
+        std::ranges::binary_search(oracle.labeling().In(v), key_of[v]));
   }
 }
 
@@ -105,10 +107,10 @@ TEST(DistributionLabelingTest, HighestRankHopIsDistributedEverywhere) {
   // Key 0 (the first distributed hop) appears in Lout of exactly TC^-1(top)
   // and in Lin of exactly TC(top) — nothing prunes the first hop.
   for (Vertex v = 0; v < g.num_vertices(); ++v) {
-    EXPECT_EQ(SortedContains(oracle.labeling().Out(v), 0),
+    EXPECT_EQ(std::ranges::binary_search(oracle.labeling().Out(v), 0u),
               tc->Reachable(v, top))
         << "Lout(" << v << ")";
-    EXPECT_EQ(SortedContains(oracle.labeling().In(v), 0),
+    EXPECT_EQ(std::ranges::binary_search(oracle.labeling().In(v), 0u),
               tc->Reachable(top, v))
         << "Lin(" << v << ")";
   }

@@ -19,7 +19,6 @@
 #include "core/prefilter.h"
 #include "graph/generators.h"
 #include "graph/topology.h"
-#include "query/workload.h"
 #include "tests/test_util.h"
 #include "util/mapped_blob.h"
 #include "util/rng.h"
@@ -85,18 +84,23 @@ TEST_P(DifferentialFuzzTest, OraclesAgreeWithBfs) {
 }
 
 // The sealed CSR layout must be a pure storage change: for every labeling
-// oracle, the sealed store, a builder refilled with its rows (the build
-// phase's labels) and that builder sealed again answer the FULL query
-// matrix identically; the resealed blob is byte-identical and both stores
-// pass LabelStore::Validate(); and the oracles agree with BFS truth on
-// sampled pairs — at 1 and 4 construction threads (the determinism
-// contract says the thread count never changes the labeling).
+// oracle, the sealed store, the scalar merge over a builder refilled with
+// its rows (the build phase's labels) and that builder sealed again answer
+// the FULL query matrix identically; the resealed blob is byte-identical
+// and both stores pass LabelStore::Validate(); and the oracles agree with
+// BFS truth on sampled pairs — at 1 and 4 construction threads (the
+// determinism contract says the thread count never changes the labeling).
+// Comparing against MergeIntersects also checks the adaptive dispatcher
+// and the compiled SIMD kernels on real label shapes: short skewed spans,
+// range-rejected pairs, shared-hop hits. (util/simd_test.cc fuzzes the
+// kernels on synthetic ranges.)
 TEST_P(DifferentialFuzzTest, SealedStoreMatchesPreSealAnswers) {
   const uint64_t seed = GetParam();
   const FuzzCase cases[] = {
       {GraphFamily::kSparseRandom, 90, 230},
       {GraphFamily::kCitation, 80, 210},
       {GraphFamily::kLayered, 90, 180},
+      {GraphFamily::kDenseLayers, 70, 420},
   };
   for (const FuzzCase& c : cases) {
     Digraph g = GenerateFamily(c.family, c.vertices, c.edges, seed * 131);
@@ -135,7 +139,7 @@ TEST_P(DifferentialFuzzTest, SealedStoreMatchesPreSealAnswers) {
         for (Vertex u = 0; u < n; ++u) {
           for (Vertex v = 0; v < n; ++v) {
             const bool sealed = oc.labels->Query(u, v);
-            ASSERT_EQ(sealed, SortedIntersects(preseal.Out(u), preseal.In(v)))
+            ASSERT_EQ(sealed, MergeIntersects(preseal.Out(u), preseal.In(v)))
                 << oc.name << " family " << GraphFamilyName(c.family)
                 << " seed " << seed << " threads " << threads << " pair ("
                 << u << "," << v << ")";
@@ -164,53 +168,9 @@ TEST_P(DifferentialFuzzTest, SealedStoreMatchesPreSealAnswers) {
   }
 }
 
-// The SIMD intersection kernels must be invisible in answers: the FULL
-// sealed-store query matrix with the runtime SIMD switch off equals the
-// matrix with it on, for every labeling oracle. (util/simd_test.cc fuzzes
-// the kernels on synthetic ranges; this drives them through real label
-// shapes — short skewed spans, range-rejected pairs, shared-hop hits.)
-TEST_P(DifferentialFuzzTest, SealedStoreAnswersInvariantToSimdSwitch) {
-  const uint64_t seed = GetParam();
-  const FuzzCase cases[] = {
-      {GraphFamily::kSparseRandom, 90, 230},
-      {GraphFamily::kDenseLayers, 70, 420},
-  };
-  for (const FuzzCase& c : cases) {
-    Digraph g = GenerateFamily(c.family, c.vertices, c.edges, seed * 271);
-    ASSERT_TRUE(IsDag(g)) << GraphFamilyName(c.family);
-    const size_t n = g.num_vertices();
-    DistributionLabelingOracle dl;
-    HierarchicalLabelingOracle hl;
-    HierarchicalLabelingOracle tf(HierarchicalLabelingOracle::TfLabelOptions());
-    TwoHopOracle twohop;
-    const std::pair<const char*, ReachabilityOracle*> oracles[] = {
-        {"DL", &dl}, {"HL", &hl}, {"TF", &tf}, {"2HOP", &twohop}};
-    for (const auto& [name, oracle] : oracles) {
-      ASSERT_TRUE(oracle->Build(g).ok()) << name << " seed " << seed;
-    }
-    for (const auto& [name, oracle] : oracles) {
-      for (Vertex u = 0; u < n; ++u) {
-        for (Vertex v = 0; v < n; ++v) {
-          SetSimdEnabled(true);
-          const bool with_simd = oracle->Reachable(u, v);
-          SetSimdEnabled(false);
-          const bool without_simd = oracle->Reachable(u, v);
-          SetSimdEnabled(true);
-          ASSERT_EQ(with_simd, without_simd)
-              << name << " family " << GraphFamilyName(c.family) << " seed "
-              << seed << " pair (" << u << "," << v << ")";
-        }
-      }
-    }
-  }
-}
-
 // The pre-filter tier must be answer-invisible: PrefilterOracle(X) and a
 // bare X built from the same options agree on the FULL query matrix for
-// every labeling oracle, at 1 and 4 construction threads, with the runtime
-// SIMD switch in both positions (the fallback path runs the same
-// intersection kernels the bare oracle does). A mix-workload verification
-// rides along so the three bench query mixes are exercised end to end.
+// every labeling oracle, at 1 and 4 construction threads.
 TEST_P(DifferentialFuzzTest, PrefilterWrappedMatchesBareOracle) {
   const uint64_t seed = GetParam();
   enum OracleKind { kDl, kHl, kTf, kTwoHop, kNumOracleKinds };
@@ -247,33 +207,13 @@ TEST_P(DifferentialFuzzTest, PrefilterWrappedMatchesBareOracle) {
             << kind_names[kind] << " seed " << seed << " threads " << threads;
         ASSERT_TRUE(wrapped.Build(g, options).ok())
             << kind_names[kind] << " seed " << seed << " threads " << threads;
-        for (const bool simd : {true, false}) {
-          SetSimdEnabled(simd);
-          for (Vertex u = 0; u < n; ++u) {
-            for (Vertex v = 0; v < n; ++v) {
-              ASSERT_EQ(wrapped.Reachable(u, v), bare->Reachable(u, v))
-                  << kind_names[kind] << " family "
-                  << GraphFamilyName(c.family) << " seed " << seed
-                  << " threads " << threads << " simd " << simd << " pair ("
-                  << u << "," << v << ")";
-            }
-          }
-        }
-        SetSimdEnabled(true);
-        // Every query of the three bench mixes verifies against the
-        // wrapped oracle too (same ground truth, shuffled class ratios).
-        if (kind == kDl && threads == 1) {
-          WorkloadOptions wopts;
-          wopts.num_queries = 300;
-          wopts.seed = seed * 31;
-          for (const QueryMix mix : {QueryMix::kNegativeHeavy,
-                                     QueryMix::kMixed,
-                                     QueryMix::kPositiveHeavy}) {
-            const Workload w = MakeMixWorkload(g, *bare, wopts, mix);
-            Query mismatch{0, 0, false};
-            EXPECT_TRUE(VerifyWorkload(wrapped, w, &mismatch))
-                << QueryMixName(mix) << " seed " << seed << " pair ("
-                << mismatch.from << "," << mismatch.to << ")";
+        for (Vertex u = 0; u < n; ++u) {
+          for (Vertex v = 0; v < n; ++v) {
+            ASSERT_EQ(wrapped.Reachable(u, v), bare->Reachable(u, v))
+                << kind_names[kind] << " family "
+                << GraphFamilyName(c.family) << " seed " << seed
+                << " threads " << threads << " pair (" << u << "," << v
+                << ")";
           }
         }
       }

@@ -93,107 +93,42 @@ TEST_F(WorkloadTest, VerifyWorkloadDetectsWrongOracle) {
   EXPECT_FALSE(VerifyWorkload(bad, w, &mismatch));
 }
 
-TEST_F(WorkloadTest, MixWorkloadHonorsRatioBounds) {
-  WorkloadOptions options;
-  options.num_queries = 2000;
-  // On this sparse DAG both classes are plentiful, so the generator must
-  // hit the requested positive count exactly (round(fraction * n)).
-  const struct {
-    QueryMix mix;
-    size_t expected_positives;
-  } cases[] = {
-      {QueryMix::kNegativeHeavy, 200},
-      {QueryMix::kMixed, 1000},
-      {QueryMix::kPositiveHeavy, 1800},
-  };
-  for (const auto& c : cases) {
-    const Workload w = MakeMixWorkload(dag_, truth_, options, c.mix);
-    EXPECT_EQ(w.queries.size(), 2000u) << QueryMixName(c.mix);
-    EXPECT_EQ(w.PositiveCount(), c.expected_positives) << QueryMixName(c.mix);
-  }
-  // An out-of-range fraction clamps instead of misbehaving.
-  const Workload all_pos = MakeMixWorkload(dag_, truth_, options, 1.5);
-  EXPECT_EQ(all_pos.PositiveCount(), all_pos.queries.size());
-}
-
-TEST_F(WorkloadTest, MixWorkloadClassificationMatchesBfs) {
-  WorkloadOptions options;
-  options.num_queries = 600;
-  for (const QueryMix mix :
-       {QueryMix::kNegativeHeavy, QueryMix::kMixed, QueryMix::kPositiveHeavy}) {
-    const Workload w = MakeMixWorkload(dag_, truth_, options, mix);
-    for (const Query& q : w.queries) {
-      EXPECT_EQ(BfsReachable(dag_, q.from, q.to), q.reachable)
-          << QueryMixName(mix) << " (" << q.from << "," << q.to << ")";
-    }
-  }
-}
-
-TEST_F(WorkloadTest, MixWorkloadSeededDeterminism) {
-  WorkloadOptions options;
-  options.num_queries = 400;
-  for (const QueryMix mix :
-       {QueryMix::kNegativeHeavy, QueryMix::kMixed, QueryMix::kPositiveHeavy}) {
-    const Workload a = MakeMixWorkload(dag_, truth_, options, mix);
-    const Workload b = MakeMixWorkload(dag_, truth_, options, mix);
-    ASSERT_EQ(a.queries.size(), b.queries.size());
-    for (size_t i = 0; i < a.queries.size(); ++i) {
-      ASSERT_EQ(a.queries[i].from, b.queries[i].from) << QueryMixName(mix);
-      ASSERT_EQ(a.queries[i].to, b.queries[i].to) << QueryMixName(mix);
-      ASSERT_EQ(a.queries[i].reachable, b.queries[i].reachable);
-    }
-    WorkloadOptions reseeded = options;
-    reseeded.seed = options.seed + 1;
-    const Workload c = MakeMixWorkload(dag_, truth_, reseeded, mix);
-    bool any_diff = false;
-    for (size_t i = 0; i < a.queries.size(); ++i) {
-      any_diff |= a.queries[i].from != c.queries[i].from ||
-                  a.queries[i].to != c.queries[i].to;
-    }
-    EXPECT_TRUE(any_diff) << QueryMixName(mix);
-  }
-}
-
-TEST(WorkloadMixMetaTest, NamesAndFractions) {
-  EXPECT_STREQ(QueryMixName(QueryMix::kNegativeHeavy), "neg");
-  EXPECT_STREQ(QueryMixName(QueryMix::kMixed), "mixed");
-  EXPECT_STREQ(QueryMixName(QueryMix::kPositiveHeavy), "pos");
-  EXPECT_DOUBLE_EQ(QueryMixPositiveFraction(QueryMix::kNegativeHeavy), 0.1);
-  EXPECT_DOUBLE_EQ(QueryMixPositiveFraction(QueryMix::kMixed), 0.5);
-  EXPECT_DOUBLE_EQ(QueryMixPositiveFraction(QueryMix::kPositiveHeavy), 0.9);
-}
-
-TEST(WorkloadEdgeCaseTest, MixOnEdgeFreeGraphDegradesGracefully) {
-  Digraph g = Digraph::FromEdges(10, {});
-  OnlineSearchOracle truth;
-  ASSERT_TRUE(truth.Build(g).ok());
-  WorkloadOptions options;
-  options.num_queries = 50;
-  // No positives exist; the mix fills with labeled negatives at full size.
-  const Workload w =
-      MakeMixWorkload(g, truth, options, QueryMix::kPositiveHeavy);
-  EXPECT_EQ(w.queries.size(), 50u);
-  EXPECT_EQ(w.PositiveCount(), 0u);
-  for (const Query& q : w.queries) {
-    EXPECT_EQ(BfsReachable(g, q.from, q.to), q.reachable);
-  }
-}
-
-TEST(WorkloadEdgeCaseTest, MixOnEmptyGraphAndZeroQueries) {
+TEST(WorkloadEdgeCaseTest, EmptyGraph) {
   Digraph empty = Digraph::FromEdges(0, {});
   OnlineSearchOracle truth;
   ASSERT_TRUE(truth.Build(empty).ok());
   WorkloadOptions options;
   options.num_queries = 10;
-  EXPECT_TRUE(
-      MakeMixWorkload(empty, truth, options, QueryMix::kMixed).queries.empty());
+  EXPECT_TRUE(MakeEqualWorkload(empty, truth, options).queries.empty());
+  EXPECT_TRUE(MakeRandomWorkload(empty, truth, options).queries.empty());
+}
 
+// One vertex has no pair u != v: no positive, no negative, and the
+// bounded negative sampling must give up instead of spinning.
+TEST(WorkloadEdgeCaseTest, SingleVertexGraph) {
+  Digraph one = Digraph::FromEdges(1, {});
+  OnlineSearchOracle truth;
+  ASSERT_TRUE(truth.Build(one).ok());
+  WorkloadOptions options;
+  options.num_queries = 10;
+  EXPECT_TRUE(MakeEqualWorkload(one, truth, options).queries.empty());
+  const Workload random = MakeRandomWorkload(one, truth, options);
+  EXPECT_EQ(random.queries.size(), 10u);
+  for (const Query& q : random.queries) {
+    EXPECT_EQ(q.from, 0u);
+    EXPECT_EQ(q.to, 0u);
+    EXPECT_TRUE(q.reachable);
+  }
+}
+
+TEST(WorkloadEdgeCaseTest, ZeroQueries) {
   Digraph g = RandomDag(20, 40, 1);
-  OnlineSearchOracle truth2;
-  ASSERT_TRUE(truth2.Build(g).ok());
+  OnlineSearchOracle truth;
+  ASSERT_TRUE(truth.Build(g).ok());
+  WorkloadOptions options;
   options.num_queries = 0;
-  EXPECT_TRUE(
-      MakeMixWorkload(g, truth2, options, QueryMix::kMixed).queries.empty());
+  EXPECT_TRUE(MakeEqualWorkload(g, truth, options).queries.empty());
+  EXPECT_TRUE(MakeRandomWorkload(g, truth, options).queries.empty());
 }
 
 TEST(WorkloadEdgeCaseTest, EdgeFreeGraph) {
@@ -206,6 +141,12 @@ TEST(WorkloadEdgeCaseTest, EdgeFreeGraph) {
   // No positives exist (beyond reflexive); workload degrades to negatives.
   EXPECT_EQ(w.queries.size(), 50u);
   EXPECT_EQ(w.PositiveCount(), 0u);
+  // Random pairs on an edge-free graph reach only when u == v.
+  const Workload random = MakeRandomWorkload(g, truth, options);
+  EXPECT_EQ(random.queries.size(), 50u);
+  for (const Query& q : random.queries) {
+    EXPECT_EQ(q.reachable, q.from == q.to) << q.from << "," << q.to;
+  }
 }
 
 }  // namespace

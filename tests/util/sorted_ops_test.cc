@@ -66,14 +66,6 @@ TEST(SortedOpsTest, AdaptiveMatchesMergeOnSkewedSizes) {
   }
 }
 
-TEST(SortedOpsTest, ContainsBinarySearch) {
-  std::vector<uint32_t> v{2, 4, 8, 16};
-  EXPECT_TRUE(SortedContains(v, 2));
-  EXPECT_TRUE(SortedContains(v, 16));
-  EXPECT_FALSE(SortedContains(v, 3));
-  EXPECT_FALSE(SortedContains(V({}), 0));
-}
-
 TEST(SortedOpsTest, SortedInsertKeepsOrderAndUniqueness) {
   std::vector<uint32_t> v;
   EXPECT_TRUE(SortedInsert(&v, 5));
@@ -103,65 +95,10 @@ TEST(SortedOpsTest, SortedInsertBelowBackAfterAppends) {
   EXPECT_EQ(v, (std::vector<uint32_t>{0, 5, 10, 20, 30, 35, 40, 50}));
 }
 
-TEST(SortedOpsTest, UnionInto) {
-  std::vector<uint32_t> dst{1, 4, 6};
-  SortedUnionInto(&dst, {2, 4, 7});
-  EXPECT_EQ(dst, (std::vector<uint32_t>{1, 2, 4, 6, 7}));
-  SortedUnionInto(&dst, {});
-  EXPECT_EQ(dst.size(), 5u);
-  std::vector<uint32_t> empty;
-  SortedUnionInto(&empty, {3, 3'000'000});
-  EXPECT_EQ(empty, (std::vector<uint32_t>{3, 3'000'000}));
-}
-
-TEST(SortedOpsTest, UnionIntoAppendsInPlaceWhenSrcIsAllGreater) {
-  // src entirely above dst->back(): the append fast path, which must not
-  // reallocate when capacity suffices and must still dedup the seam.
-  std::vector<uint32_t> dst{1, 4, 6};
-  dst.reserve(8);
-  const uint32_t* data_before = dst.data();
-  SortedUnionInto(&dst, {7, 9});
-  EXPECT_EQ(dst, (std::vector<uint32_t>{1, 4, 6, 7, 9}));
-  EXPECT_EQ(dst.data(), data_before);  // Appended in place.
-  // Seam duplicate: src.front() == dst->back() keeps exactly one copy.
-  SortedUnionInto(&dst, {9, 12});
-  EXPECT_EQ(dst, (std::vector<uint32_t>{1, 4, 6, 7, 9, 12}));
-  EXPECT_EQ(dst.data(), data_before);
-  // One element below the back disables the fast path but not correctness.
-  SortedUnionInto(&dst, {11, 13});
-  EXPECT_EQ(dst, (std::vector<uint32_t>{1, 4, 6, 7, 9, 11, 12, 13}));
-}
-
-TEST(SortedOpsTest, UnionIntoRandomizedMatchesSetUnion) {
-  Rng rng(404);
-  for (int round = 0; round < 200; ++round) {
-    std::set<uint32_t> sd;
-    std::set<uint32_t> ss;
-    for (size_t i = rng.Uniform(12); i > 0; --i) sd.insert(rng.Uniform(64));
-    // Bias some rounds into the append regime (src above dst's window).
-    const uint32_t base = round % 2 == 0 ? 64 : 0;
-    for (size_t i = rng.Uniform(12); i > 0; --i) {
-      ss.insert(base + rng.Uniform(64));
-    }
-    std::vector<uint32_t> dst(sd.begin(), sd.end());
-    const std::vector<uint32_t> src(ss.begin(), ss.end());
-    std::set<uint32_t> expected = sd;
-    expected.insert(ss.begin(), ss.end());
-    SortedUnionInto(&dst, src);
-    EXPECT_EQ(dst, std::vector<uint32_t>(expected.begin(), expected.end()));
-  }
-}
-
 TEST(SortedOpsTest, SortUnique) {
   std::vector<uint32_t> v{5, 1, 5, 3, 1};
   SortUnique(&v);
   EXPECT_EQ(v, (std::vector<uint32_t>{1, 3, 5}));
-}
-
-TEST(SortedOpsTest, Intersection) {
-  std::vector<uint32_t> out;
-  SortedIntersection(V({1, 2, 3, 8}), V({2, 3, 9}), &out);
-  EXPECT_EQ(out, (std::vector<uint32_t>{2, 3}));
 }
 
 TEST(SortedOpsTest, RandomizedIntersectsAgainstStdSet) {
