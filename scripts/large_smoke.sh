@@ -89,9 +89,10 @@ port=$(wait_for_port "$workdir/build.out")
 # The graph read is logged as one key=value line before LISTENING.
 grep -q '^event=graph_read .*vertices=1001000 edges=1000000 read_ms=' \
   "$workdir/build.err" || fail "build server did not log event=graph_read"
-# The generated edge list is in source order, so the reader must finish it
-# in one pass; a silent fallback to the second pass fails here.
-grep -q '^event=graph_read .* passes=1 ' "$workdir/build.err" \
+# The generated edge list is in source order with ascending rows, so the
+# reader must finish it in one pass and skip canonicalization; a silent
+# fallback to the second pass or to sorting the rows fails here.
+grep -q '^event=graph_read .* passes=1 canonical=1 ' "$workdir/build.err" \
   || fail "build server did not read the source-ordered graph in one pass"
 # The build names the hop order that ranked DL's vertices. The graph's
 # closure is sparse, so the default cover-per-cost rank applies.

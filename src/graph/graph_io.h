@@ -11,6 +11,18 @@
 //        1: #
 //        ...
 //  * Binary snapshot: magic + counts + CSR arrays, for fast reload.
+//
+// Hostile sizes: no reader allocates more than its input's size backs.
+//  * Edge list (the size rule): the largest id sets the vertex count, so a
+//    line may name ids only below 4 * S + 2^16, where S is the input's
+//    size in bytes. A line past it fails with ResourceExhausted naming the
+//    file, the line and the id, before any row array grows. Edge lists
+//    written from the dataset registry use at most 0.2 ids a byte, 20x
+//    under the rule.
+//  * .gra: the declared vertex count must be backed by that many
+//    adjacency lines.
+//  * .bin: the rows must be delivered; they are read in bounded slices,
+//    so the header's counts size nothing the rows did not pay for.
 
 #ifndef REACH_GRAPH_GRAPH_IO_H_
 #define REACH_GRAPH_GRAPH_IO_H_
@@ -28,31 +40,43 @@ namespace reach {
 /// "u v" line is parsed in place in its chunk; any other line goes whole
 /// to the strict tokenizer, which alone decides its verdict and error.
 /// The edges are buffered in an edge vector, so peak memory is ~3x the
-/// final CSR; files should go through ReadEdgeListFile.
+/// final CSR; files should go through ReadEdgeListFile. The size rule
+/// holds each line to the bytes left in `in` when it can seek; a pipe's
+/// vertex count is held to all the bytes it delivered, after the last line
+/// and before any vertex-sized allocation.
 StatusOr<Digraph> ReadEdgeList(std::istream& in);
 
 /// What a streamed edge-list file read did: how many passes it made over
 /// the file and where its time went.
 struct GraphReadStats {
-  int passes = 0;              // 1 if the sources were in order, else 2.
+  int passes = 0;  // 1 if every row could be staged in order, else 2.
+  // True when every row arrived strictly ascending in one pass, so no row
+  // was sorted or deduplicated (every file WriteEdgeList writes).
+  bool canonical_input = false;
   double parse_ms = 0;         // Line parsing, over every pass.
-  double canonicalize_ms = 0;  // Sorting and deduplicating each row.
+  double canonicalize_ms = 0;  // Row canonicalization and the final copy.
   double reverse_csr_ms = 0;   // Digraph::FromCsr's in-edge CSR.
 };
 
 /// Parses a SNAP-style edge list from a file straight into CSR, with no
 /// intermediate edge vector — the large-graph load path. The first pass
-/// counts degrees; while the edge lines' sources are nondecreasing (as
-/// WriteEdgeList writes them) it also stages their heads, which are then
-/// the CSR's row array, and the read ends there. At the first descending
-/// source the staging is dropped and a second pass fills each row in
-/// place. The staging sits on fresh pages sized from the file, which
-/// become resident only as heads are written, and are freed before the
-/// reverse CSR is built. Peak memory therefore stays at what FromCsr needs
-/// for the final CSR, plus one 64 KiB read chunk and one line longer than
-/// it. Only the second pass needs a seekable
-/// file. Accepts, rejects, and produces exactly what ReadEdgeList does on
-/// the same bytes. A failed read is an IOError naming `path`. `stats`, if
+/// parses each id a word at a time and holds every line to the size rule
+/// from the first line on. While the edge lines' sources are nondecreasing
+/// (as WriteEdgeList writes them), it stages their heads and each row's
+/// start as its source first appears; if the whole file keeps that order,
+/// the read ends there, and when every row also arrived strictly
+/// ascending no row is sorted or deduplicated. At the first descending
+/// source (or one past the staged rows: a quarter of S plus 2^16) the row
+/// starts turn into degrees, the staging is dropped, the pass goes on
+/// counting degrees, and a second pass fills each row in place. The
+/// staging sits on fresh pages sized from the file, which become resident
+/// only as entries are written; heads and row starts are copied once into
+/// exact-size vectors and the pages freed before the reverse CSR is built.
+/// Peak memory therefore stays at what FromCsr needs for the final CSR,
+/// plus one 64 KiB read chunk and one line longer than it. A pipe is
+/// refused with an IOError: the second pass needs a file that seeks.
+/// Accepts, rejects, and produces exactly what ReadEdgeList does on the
+/// same bytes. A failed read is an IOError naming `path`. `stats`, if
 /// given, is filled when the read succeeds.
 StatusOr<Digraph> ReadEdgeListFile(const std::string& path,
                                    GraphReadStats* stats = nullptr);

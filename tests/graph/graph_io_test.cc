@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cctype>
+#include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <filesystem>
@@ -10,6 +11,7 @@
 #include <string>
 #include <string_view>
 #include <thread>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -331,13 +333,17 @@ TEST(GraphIoTest, MissingFileIsIOError) {
 
 namespace {
 
+/// The temp file ReadEdgeListFileFromString writes for `tag`.
+std::string TempEdgeListPath(const std::string& tag) {
+  return ::testing::TempDir() + "/graph_io_test." + tag + ".txt";
+}
+
 /// Writes `content` to a temp file, reads it through the streamed file
 /// reader, and removes the file.
 StatusOr<Digraph> ReadEdgeListFileFromString(const std::string& content,
                                              const std::string& tag,
                                              GraphReadStats* stats = nullptr) {
-  const std::string path =
-      ::testing::TempDir() + "/graph_io_test." + tag + ".txt";
+  const std::string path = TempEdgeListPath(tag);
   {
     std::ofstream out(path);
     out << content;
@@ -440,8 +446,9 @@ void ExpectSameCsr(const Digraph& got, const Digraph& want,
 }
 
 /// Reads `content` through the one-pass stream reader and the streamed
-/// file reader and requires the same graph or the same error from both.
-/// Returns the one-pass result for case-specific checks.
+/// file reader and requires the same graph or the same error from both;
+/// the file reader's size-rule error also names the file. Returns the
+/// one-pass result for case-specific checks.
 StatusOr<Digraph> ReadBothWays(const std::string& content,
                                const std::string& tag,
                                GraphReadStats* stats = nullptr) {
@@ -453,7 +460,12 @@ StatusOr<Digraph> ReadBothWays(const std::string& content,
   if (one_pass.ok() && two_pass.ok()) {
     ExpectSameCsr(*two_pass, *one_pass, tag);
   } else if (!one_pass.ok() && !two_pass.ok()) {
-    EXPECT_EQ(two_pass.status().ToString(), one_pass.status().ToString())
+    EXPECT_EQ(two_pass.status().code(), one_pass.status().code()) << tag;
+    const std::string named = one_pass.status().IsResourceExhausted()
+                                  ? TempEdgeListPath(tag) + ": "
+                                  : "";
+    EXPECT_EQ(two_pass.status().message(),
+              named + one_pass.status().message())
         << tag;
   }
   return one_pass;
@@ -617,21 +629,38 @@ TEST(GraphIoTest, ReadGraphFileMatchesStreamedEdgeListReader) {
   EXPECT_EQ(stats.passes, 1);
 }
 
-// A pipe cannot be rewound for the second pass, so ReadGraphFile reads it
-// in one; the graph is the same.
-TEST(GraphIoTest, ReadGraphFileReadsAPipeInOnePass) {
-  const std::string content = "# piped\n0 1\n1 2\n2 0\n5 3\n";
-  const std::string fifo = ::testing::TempDir() + "/graph_io_test.fifo.txt";
+namespace {
+
+// The named pipe ReadThroughPipe reads from.
+std::string FifoPath() {
+  return ::testing::TempDir() + "/graph_io_test.fifo.txt";
+}
+
+/// Writes `content` into a named pipe from another thread and reads it
+/// through ReadGraphFile.
+StatusOr<Digraph> ReadThroughPipe(const std::string& content,
+                                  GraphReadStats* stats = nullptr) {
+  const std::string fifo = FifoPath();
   std::remove(fifo.c_str());
-  ASSERT_EQ(mkfifo(fifo.c_str(), 0600), 0);
+  EXPECT_EQ(mkfifo(fifo.c_str(), 0600), 0);
   std::thread writer([&] {
     std::ofstream out(fifo, std::ios::binary);
     out << content;
   });
-  GraphReadStats stats;
-  auto piped = ReadGraphFile(fifo, &stats);
+  StatusOr<Digraph> piped = ReadGraphFile(fifo, stats);
   writer.join();
   std::remove(fifo.c_str());
+  return piped;
+}
+
+}  // namespace
+
+// A pipe cannot be rewound for the second pass, so ReadGraphFile reads it
+// in one; the graph is the same.
+TEST(GraphIoTest, ReadGraphFileReadsAPipeInOnePass) {
+  const std::string content = "# piped\n0 1\n1 2\n2 0\n5 3\n";
+  GraphReadStats stats;
+  auto piped = ReadThroughPipe(content, &stats);
   ASSERT_TRUE(piped.ok()) << piped.status().ToString();
   EXPECT_EQ(stats.passes, 0);  // The stream reader leaves stats alone.
   std::istringstream in(content);
@@ -646,11 +675,14 @@ namespace {
 /// with graph_io.cc: '\n' ends a line (an unterminated last line counts),
 /// empty and '#'/'%' lines are skipped, and every other line must split on
 /// the C-locale isspace set into exactly two all-digit tokens that fit
-/// uint64, both below UINT32_MAX.
+/// uint64, both below UINT32_MAX, and both below the size rule's limit of
+/// 4 ids a byte of the whole content plus 2^16.
 struct ReferenceRead {
   bool ok = true;
   bool range_error = false;  // InvalidArgument rather than Corruption.
+  bool size_error = false;   // ResourceExhausted: the size rule.
   size_t line = 0;           // 1-based number of the rejected line.
+  uint64_t id = 0;           // The larger id on a size_error line.
   size_t num_vertices = 0;
   std::vector<Edge> edges;   // Self-loop lines included, in file order.
 };
@@ -660,6 +692,18 @@ bool SourcesNondecreasing(const std::vector<Edge>& edges) {
   return std::is_sorted(
       edges.begin(), edges.end(),
       [](const Edge& a, const Edge& b) { return a.from < b.from; });
+}
+
+/// True when, self-loops aside, each source's heads strictly ascend in file
+/// order: no row needs sorting or deduplicating.
+bool RowsStrictlyAscending(const std::vector<Edge>& edges) {
+  std::vector<Edge> loop_free;
+  for (const Edge& e : edges) {
+    if (e.from != e.to) loop_free.push_back(e);
+  }
+  return std::is_sorted(loop_free.begin(), loop_free.end()) &&
+         std::adjacent_find(loop_free.begin(), loop_free.end()) ==
+             loop_free.end();
 }
 
 bool ReferenceNumber(std::string_view token, uint64_t* value) {
@@ -678,7 +722,10 @@ bool ReferenceIsSpace(char c) {
   return std::isspace(static_cast<unsigned char>(c)) != 0;
 }
 
-ReferenceRead ReferenceParse(std::string_view content) {
+ReferenceRead ReferenceParse(std::string_view content,
+                             bool size_rule = true) {
+  const uint64_t id_limit =
+      size_rule ? 4 * content.size() + (uint64_t{1} << 16) : UINT64_MAX;
   ReferenceRead ref;
   size_t line_no = 0;
   std::vector<std::string_view> tokens;
@@ -706,6 +753,12 @@ ReferenceRead ReferenceParse(std::string_view content) {
     if (u >= UINT32_MAX || v >= UINT32_MAX) {
       ref.ok = false;
       ref.range_error = true;
+      return ref;
+    }
+    if (std::max(u, v) >= id_limit) {
+      ref.ok = false;
+      ref.size_error = true;
+      ref.id = std::max(u, v);
       return ref;
     }
     ref.num_vertices = std::max<size_t>(ref.num_vertices, std::max(u, v) + 1);
@@ -747,18 +800,23 @@ const std::vector<std::string>& CorpusShapes() {
       std::string("1\0 2", 4), std::string("1 2\0", 4), std::string(1, '\0'),
       "1 2 3", "1\t2\t3", "1 2 x", "1 2 #", "1 2 3\r",
       "# comment", "% comment", "#", "%", " # indented", "", " ", "   ",
-      "\t", "\r", "\v", "\f", "1", "1 ", "x y"};
+      "\t", "\r", "\v", "\f", "1", "1 ", "x y",
+      // Every id length the word-at-a-time parse splits on: 7 digits fit
+      // one word load, 8 fill it, 9 and 10 take the byte loop. Their values
+      // pass the size rule only with leading zeros; the rest are rejected
+      // by it, with the parsed id quoted in the error.
+      "7654321 1", "1 7654321", "12345678 87654321", "99999999 1",
+      "123456789 1", "1 987654321", "1234567890 1", "1 4000000000",
+      "0000007 0000009", "00000007 00000009", "000000007 0000000009",
+      "00000000 1", "0004294967294 1", "1 0004294967295", "4294967294 1"};
   return shapes;
 }
-
-// Beyond any corpus filler id; an accepted id past it sizes a vast CSR.
-constexpr size_t kCorpusMaxVertices = size_t{1} << 20;
 
 /// The sources of filler lines: a walk from `next` that rises by 0 or 1 a
 /// line and stops rising at `cap`, so filler keeps a file in source order.
 struct SourceWalk {
   uint64_t next = 0;
-  uint64_t cap = kCorpusMaxVertices - 1;
+  uint64_t cap = UINT64_MAX;
 
   uint64_t Take(Rng* rng) {
     const uint64_t source = next;
@@ -792,20 +850,14 @@ std::string CorpusFillerLines(Rng* rng, SourceWalk* sources, size_t lines) {
 
 /// Reads `content` through both edge-list readers and requires each to
 /// match the reference: the same CSR on accept, the same status code and
-/// `line N` on reject. An accepted file must also have been built with
-/// its sources in order exactly when `want_passes` is 1, and the file
-/// reader must have made `want_passes` passes over it.
-void ExpectReadersMatchReference(std::string content, const std::string& tag,
-                                 int want_passes) {
-  ReferenceRead want = ReferenceParse(content);
-  // An accepted id just below UINT32_MAX implies a 2^32-vertex CSR; a
-  // rejected last line stops both readers before they size one.
-  if (want.ok && want.num_vertices > kCorpusMaxVertices) {
-    ASSERT_EQ(content.back(), '\n') << tag;
-    content += "end\n";
-    want = ReferenceParse(content);
-    ASSERT_FALSE(want.ok) << tag;
-  }
+/// `line N` on reject, and on a size-rule reject the same id. An accepted
+/// file must also have been built with its sources in order exactly when
+/// `want_passes` is 1, the file reader must have made `want_passes` passes
+/// over it, and it must have skipped canonicalization exactly when that
+/// one pass met strictly ascending rows.
+void ExpectReadersMatchReference(const std::string& content,
+                                 const std::string& tag, int want_passes) {
+  const ReferenceRead want = ReferenceParse(content);
   GraphReadStats stats;
   const StatusOr<Digraph> got = ReadBothWays(content, tag, &stats);
   ASSERT_EQ(got.ok(), want.ok) << tag << ": " << got.status().ToString();
@@ -814,15 +866,26 @@ void ExpectReadersMatchReference(std::string content, const std::string& tag,
                   tag);
     EXPECT_EQ(SourcesNondecreasing(want.edges), want_passes == 1) << tag;
     EXPECT_EQ(stats.passes, want_passes) << tag;
+    EXPECT_EQ(stats.canonical_input,
+              want_passes == 1 && RowsStrictlyAscending(want.edges))
+        << tag;
     return;
   }
   EXPECT_EQ(got.status().IsInvalidArgument(), want.range_error)
       << tag << ": " << got.status().ToString();
-  EXPECT_EQ(got.status().IsCorruption(), !want.range_error)
+  EXPECT_EQ(got.status().IsResourceExhausted(), want.size_error)
+      << tag << ": " << got.status().ToString();
+  EXPECT_EQ(got.status().IsCorruption(), !want.range_error && !want.size_error)
       << tag << ": " << got.status().ToString();
   EXPECT_TRUE(NamesLine(got.status().message(), want.line))
       << tag << ": want line " << want.line << ", got "
       << got.status().ToString();
+  if (want.size_error) {
+    EXPECT_NE(got.status().message().find(
+                  "vertex id " + std::to_string(want.id) + " implies"),
+              std::string::npos)
+        << tag << ": " << got.status().ToString();
+  }
 }
 
 }  // namespace
@@ -836,14 +899,18 @@ void ExpectReadersMatchReference(std::string content, const std::string& tag,
 // a descent can come; mid-chunk; on the line across the chunk boundary;
 // right after a self-loop line; and on the last line. Both readers share
 // the in-place line parse, so comparing them with each other alone could
-// not catch a bug in it.
+// not catch a bug in it. The word-at-a-time id parse reads 8 bytes at once:
+// the corpus holds ids of every length it splits on, with leading zeros
+// and next to UINT32_MAX, and the straddling offsets put an id's last digit
+// and its line's '\n' on the chunk's last byte, where a load without the
+// chunk's padding leaves the allocation (the ASan job's graph_io_test).
 TEST(GraphIoTest, EdgeListReadersMatchIndependentTokenizer) {
   Rng rng(20240611);
   const std::vector<std::string>& shapes = CorpusShapes();
   for (size_t i = 0; i < shapes.size(); ++i) {
     const std::string& shape = shapes[i];
     const std::string tag = "shape " + std::to_string(i);
-    const ReferenceRead alone = ReferenceParse(shape);
+    const ReferenceRead alone = ReferenceParse(shape, /*size_rule=*/false);
     // Filler ahead of the near miss stays at or below its source, and
     // filler behind it starts there.
     const uint64_t source =
@@ -893,10 +960,6 @@ TEST(GraphIoTest, EdgeListReadersMatchIndependentTokenizer) {
         tag + " descent after a self-loop", 2);
     ExpectReadersMatchReference(in_order + descent,
                                 tag + " descent on the last line", 2);
-
-    // An accepted id near UINT32_MAX needs a rejected line after it (see
-    // ExpectReadersMatchReference), which a last line cannot have.
-    if (alone.ok && alone.num_vertices > kCorpusMaxVertices) continue;
     ExpectReadersMatchReference(lines(up_to(), 200) + shape,
                                 tag + " unterminated", 1);
   }
@@ -920,10 +983,147 @@ TEST(GraphIoTest, SourceOrderedFileIsCanonicalizedInOnePass) {
                                   {2, 4}, {2, 8}, {5, 0}};
   EXPECT_EQ(g->CollectEdges(), want);
 
+  EXPECT_FALSE(stats.canonical_input);
+
   stats = GraphReadStats{};
   auto after_loop = ReadBothWays("0 1\n5 5\n3 4\n", "loop_descent", &stats);
   ASSERT_TRUE(after_loop.ok()) << after_loop.status().ToString();
   EXPECT_EQ(stats.passes, 2);
+}
+
+// One pass skips canonicalization only when every row arrived strictly
+// ascending. A duplicate edge or a descending head inside a row makes the
+// reader sort and dedupe; a self-loop line is never staged, so it leaves
+// the rows as they were. Each file is checked against the reference, the
+// canonical flag included, so both branches meet the same oracle.
+TEST(GraphIoTest, OnePassCanonicalizesOnlyRowsThatNeedIt) {
+  std::stringstream written;
+  ASSERT_TRUE(WriteEdgeList(RandomDag(3000, 12000, 41), written).ok());
+  std::vector<std::string> lines;
+  for (std::string line; std::getline(written, line);) {
+    lines.push_back(line + "\n");
+  }
+  // Line `at` and the next share a source: heads a < b of row `source`.
+  size_t at = lines.size() / 2;
+  const auto source_of = [&](size_t i) {
+    return lines[i].substr(0, lines[i].find(' '));
+  };
+  while (source_of(at) != source_of(at + 1)) ++at;
+  const std::string source = source_of(at);
+  const auto joined = [&](const std::vector<std::string>& parts) {
+    std::string out;
+    for (const std::string& part : parts) out += part;
+    return out;
+  };
+  std::vector<std::string> duplicate = lines;
+  duplicate.insert(duplicate.begin() + at + 1, lines[at]);
+  std::vector<std::string> descending = lines;
+  std::swap(descending[at], descending[at + 1]);
+  std::vector<std::string> loop = lines;
+  loop.insert(loop.begin() + at + 1, source + " " + source + "\n");
+  std::vector<std::string> loop_then_descent = descending;
+  loop_then_descent.insert(loop_then_descent.begin() + at + 1,
+                           source + " " + source + "\n");
+  const std::vector<std::tuple<std::string, std::string, bool>> cases = {
+      {"as written", joined(lines), true},
+      {"duplicate edge", joined(duplicate), false},
+      {"descending head", joined(descending), false},
+      {"self-loop inside a row", joined(loop), true},
+      {"self-loop before a descending head", joined(loop_then_descent),
+       false},
+  };
+  for (const auto& [tag, content, canonical] : cases) {
+    ASSERT_EQ(RowsStrictlyAscending(ReferenceParse(content).edges), canonical)
+        << tag;
+    ExpectReadersMatchReference(content, "canonical " + tag, 1);
+  }
+}
+
+// Row starts are staged by source id up to a quarter of the file's bytes
+// plus 2^16. A file whose sources keep their order but run past that is
+// read in two passes, to the same graph.
+TEST(GraphIoTest, SourcesPastTheStagedRowsTakeTwoPasses) {
+  const std::string content = FillerLines(1000) + "70000 1\n70000 5\n";
+  const ReferenceRead want = ReferenceParse(content);
+  ASSERT_TRUE(want.ok);
+  GraphReadStats stats;
+  const StatusOr<Digraph> got = ReadBothWays(content, "sparse_sources", &stats);
+  ASSERT_TRUE(got.ok()) << got.status().ToString();
+  ExpectSameCsr(*got, Digraph::FromEdges(want.num_vertices, want.edges),
+                "sparse sources");
+  EXPECT_EQ(stats.passes, 2);
+  EXPECT_FALSE(stats.canonical_input);
+}
+
+// The size rule (graph_io.h): an edge list may name ids only below 4 per
+// byte of its size plus 2^16. The 11-byte file "0 30000000" used to imply
+// a 30M-vertex CSR (1.7 GB and 2.6 s through reach_cli); it now fails at
+// its first line, before any row array grows, on every read path.
+TEST(GraphIoTest, EdgeListIdBeyondItsSizeIsResourceExhausted) {
+  const std::string content = "0 30000000\n";
+  ASSERT_EQ(content.size(), 11u);
+  const std::string path = TempEdgeListPath("hostile");
+  {
+    std::ofstream out(path, std::ios::binary);
+    out << content;
+  }
+  const auto start = std::chrono::steady_clock::now();
+  const StatusOr<Digraph> streamed = ReadEdgeListFile(path);
+  const StatusOr<Digraph> dispatched = ReadGraphFile(path);
+  const auto elapsed = std::chrono::steady_clock::now() - start;
+  std::remove(path.c_str());
+  EXPECT_LT(elapsed, std::chrono::milliseconds(50));
+  const std::string why =
+      "edge list line 1: vertex id 30000000 implies 30000001 vertices, more "
+      "than the 65580 that 11 bytes of input allow";
+  for (const StatusOr<Digraph>* g : {&streamed, &dispatched}) {
+    ASSERT_FALSE(g->ok());
+    EXPECT_TRUE(g->status().IsResourceExhausted()) << g->status().ToString();
+    EXPECT_EQ(g->status().message(), path + ": " + why);
+  }
+  std::istringstream in(content);
+  const StatusOr<Digraph> stream = ReadEdgeList(in);
+  EXPECT_TRUE(stream.status().IsResourceExhausted())
+      << stream.status().ToString();
+  EXPECT_EQ(stream.status().message(), why);
+}
+
+// The rule's edge, on both ids of a line: the 8-byte file "0 65567\n" may
+// name ids below 4 * 8 + 65536 = 65568.
+TEST(GraphIoTest, EdgeListSizeRuleBoundIsExact) {
+  auto at_limit = ReadBothWays("0 65567\n", "size_rule_at");
+  ASSERT_TRUE(at_limit.ok()) << at_limit.status().ToString();
+  EXPECT_EQ(at_limit->num_vertices(), 65568u);
+  for (const char* past : {"0 65568\n", "65568 0\n"}) {
+    auto g = ReadBothWays(past, "size_rule_past");
+    EXPECT_TRUE(g.status().IsResourceExhausted()) << g.status().ToString();
+    EXPECT_NE(g.status().message().find("vertex id 65568 implies"),
+              std::string::npos)
+        << g.status().ToString();
+  }
+}
+
+// A pipe has no size to hold each line to, so its count is held to every
+// byte it delivered: an early large id stands when enough lines follow it,
+// as it does in a file of the same bytes, and fails naming its line when
+// they do not.
+TEST(GraphIoTest, PipeIsHeldToTheBytesItDelivered) {
+  const std::string big = "# piped\n0 70000\n";
+  const auto piped_short = ReadThroughPipe(big);
+  ASSERT_FALSE(piped_short.ok());
+  EXPECT_TRUE(piped_short.status().IsResourceExhausted())
+      << piped_short.status().ToString();
+  EXPECT_EQ(piped_short.status().message(),
+            FifoPath() +
+                ": edge list line 2: vertex id 70000 implies 70001 vertices, "
+                "more than the 65600 that 16 bytes of input allow");
+  const std::string backed = big + FillerLines(300);
+  const auto piped = ReadThroughPipe(backed);
+  ASSERT_TRUE(piped.ok()) << piped.status().ToString();
+  auto from_file = ReadBothWays(backed, "pipe_backed");
+  ASSERT_TRUE(from_file.ok()) << from_file.status().ToString();
+  ExpectSameCsr(*piped, *from_file, "pipe backed");
+  EXPECT_EQ(piped->num_vertices(), 70001u);
 }
 
 // A directory opens as a stream but fails its first read; the error must
