@@ -18,6 +18,7 @@
 #include "baselines/pwah.h"
 #include "core/distribution_labeling.h"
 #include "core/hierarchical_labeling.h"
+#include "core/label_store.h"
 #include "datasets/registry.h"
 #include "graph/generators.h"
 #include "graph/graph_io.h"
@@ -189,22 +190,24 @@ BENCHMARK(BM_IntersectSimdGallop)->Apply(IntersectRatioArgs);
 #endif
 BENCHMARK(BM_IntersectAdaptive)->Apply(IntersectRatioArgs);
 
-// --- SortedInsert on ascending keys: the push_back fast path every DL
-// label append takes (keys are order positions). Grows one row from empty
-// to Arg keys per iteration; the rate is per inserted key. On a 4-vCPU
-// x86-64 VM: 149ns at 64 keys and 2.3us at 1024, against 643ns and 17.8us
-// for the lower_bound + insert it replaces (10x at 16384).
-void BM_SortedInsertAppend(benchmark::State& state) {
-  const size_t len = static_cast<size_t>(state.range(0));
-  std::vector<uint32_t> row;
+// --- LabelBuilder inserts on ascending keys: the append every DL label
+// entry takes (keys are order positions). Grows 64 rows of one partition
+// from empty to Arg keys each per iteration, in a fresh builder, so the
+// rate per inserted key includes the row moves and the arena's chunks.
+void BM_LabelBuilderAppend(benchmark::State& state) {
+  constexpr Vertex kRows = 64;
+  const uint32_t len = static_cast<uint32_t>(state.range(0));
   for (auto _ : state) {
-    row.clear();
-    for (uint32_t i = 0; i < len; ++i) SortedInsert(&row, 3 * i);
-    benchmark::DoNotOptimize(row.data());
+    LabelBuilder rows(kRows);
+    for (uint32_t i = 0; i < len; ++i) {
+      for (Vertex v = 0; v < kRows; ++v) rows.InsertOut(v, 3 * i);
+    }
+    benchmark::DoNotOptimize(rows.Out(0).data());
   }
-  state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(len));
+  state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(len) *
+                          kRows);
 }
-BENCHMARK(BM_SortedInsertAppend)->Arg(64)->Arg(1024)->Arg(16384);
+BENCHMARK(BM_LabelBuilderAppend)->Arg(4)->Arg(64)->Arg(1024);
 
 // The O(1) range rejection: two big labels whose key windows are disjoint
 // (exactly what DL's total-order keys produce on most negative queries).
@@ -277,8 +280,8 @@ void BM_TransitiveClosure(benchmark::State& state) {
 BENCHMARK(BM_TransitiveClosure)->Arg(500)->Arg(2000);
 
 // Args: vertices, build threads. The label phase's split (search, cleanup,
-// append) is reported per build, so 1 against 4 threads shows which phase
-// scales.
+// append) and the seal are reported per build, so 1 against 4 threads
+// shows which phase scales.
 void BM_BuildDL(benchmark::State& state) {
   Digraph g = CitationDag(static_cast<size_t>(state.range(0)), 3.0, 7);
   BuildOptions options;
@@ -291,11 +294,13 @@ void BM_BuildDL(benchmark::State& state) {
     phases.search_millis += stats.search_millis;
     phases.cleanup_millis += stats.cleanup_millis;
     phases.append_millis += stats.append_millis;
+    phases.seal_millis += stats.seal_millis;
   }
   const double builds = static_cast<double>(state.iterations());
   state.counters["search_ms"] = phases.search_millis / builds;
   state.counters["cleanup_ms"] = phases.cleanup_millis / builds;
   state.counters["append_ms"] = phases.append_millis / builds;
+  state.counters["seal_ms"] = phases.seal_millis / builds;
 }
 BENCHMARK(BM_BuildDL)
     ->ArgsProduct({{1000, 10000, 50000}, {1, 4}})

@@ -34,6 +34,7 @@ Status TwoHopOracle::BuildIndex(const Digraph& dag) {
   Timer timer;
   const int threads = build_threads();
   const size_t n = dag.num_vertices();
+  // One row partition: the label inserts run on this thread (below).
   LabelBuilder builder(n);
   if (n == 0) {
     labeling_ = std::move(builder).Seal();
@@ -174,13 +175,15 @@ Status TwoHopOracle::BuildIndex(const Digraph& dag) {
     }
 
     // Commit hop w: label only the endpoints with uncovered pairs through w
-    // (zero-gain endpoints are peeled away). Both sweeps touch one vertex's
-    // slot per element (labels, covered[u]) and reduce plain integer sums,
-    // so they fan out without affecting the result.
+    // (zero-gain endpoints are peeled away). The label inserts stay on
+    // this thread: each is a few nanoseconds against the closure-row work
+    // per endpoint. The coverage sweep touches one vertex's covered[u] per
+    // element and reduces a plain integer sum, so it fans out without
+    // affecting the result.
     profitable_out.clear();
     out_mask.AppendSetBits(&profitable_out);
-    ParallelFor(0, profitable_out.size(), 512, threads,
-                [&](size_t i) { builder.InsertIn(profitable_out[i], w); });
+    for (const Vertex v : profitable_out) builder.InsertIn(v, w);
+    for (const Vertex u : profitable_in) builder.InsertOut(u, w);
     uint64_t newly_covered = 0;
     if (threads > 1 && profitable_in.size() >= kEndpointParallelCutoff) {
       const size_t num_chunks =
@@ -191,7 +194,6 @@ Status TwoHopOracle::BuildIndex(const Digraph& dag) {
                        uint64_t local = 0;
                        for (size_t i = chunk.begin; i < chunk.end; ++i) {
                          const Vertex u = profitable_in[i];
-                         builder.InsertOut(u, w);
                          local += covered[u].UnionCountNew(tc->Row(w));
                        }
                        chunk_gain[chunk.index] = local;
@@ -199,12 +201,12 @@ Status TwoHopOracle::BuildIndex(const Digraph& dag) {
       for (size_t c = 0; c < num_chunks; ++c) newly_covered += chunk_gain[c];
     } else {
       for (Vertex u : profitable_in) {
-        builder.InsertOut(u, w);
         newly_covered += covered[u].UnionCountNew(tc->Row(w));
       }
     }
     uncovered -= newly_covered;
   }
+  build_stats_.label_storage_bytes = builder.StorageBytes();
   labeling_ = std::move(builder).Seal();
   return Status::OK();
 }

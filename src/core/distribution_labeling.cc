@@ -31,14 +31,6 @@ constexpr size_t kMaxHopBatch = 256;
 
 constexpr uint32_t kNotInBatch = UINT32_MAX;
 
-/// Rows go to append partitions in blocks of this many consecutive ids,
-/// round-robin: row u belongs to partition (u / kAppendRowBlock) % parts.
-/// A row's vector header is 24 bytes, so dealing single rows would give the
-/// rows sharing a cache line different writers. On the arxiv stand-in at 4
-/// threads (4-vCPU x86-64 VM) that made the append about a tenth slower,
-/// in 9 of 12 paired runs.
-constexpr size_t kAppendRowBlock = 64;
-
 /// The rank sort places members by a counting sort over their degree
 /// product clamped to [1, kRankGroups - 1] (within an octave); only ranks
 /// from kRankGroups - 1 up share a group and need comparisons. On the
@@ -432,13 +424,11 @@ std::vector<Vertex> ComputeDistributionOrder(
 
 void DistributeLabels(const Digraph& g, const std::vector<Vertex>& order,
                       const std::vector<uint32_t>& key_of,
-                      LabelBuilder* labeling, int threads, BuildStats* stats) {
+                      LabelBuilder* labeling, BuildStats* stats) {
   const size_t n = g.num_vertices();
-  const int resolved = threads > 0 ? threads : DefaultBuildThreads();
-  // One append partition per thread. No batch has more hops than
-  // kMaxHopBatch, so no dispatch engages more workers than that.
-  const size_t parts =
-      std::min(static_cast<size_t>(resolved), kMaxHopBatch);
+  // One worker per row partition of the builder: each searches hops, then
+  // appends its partition's rows.
+  const size_t parts = labeling->parts();
   std::vector<HopWorker> workers(parts);
   // Reserved up front: a BFS queue never holds more than n vertices, and a
   // partition's share of one batch's lists is about n / parts. These are
@@ -458,7 +448,6 @@ void DistributeLabels(const Digraph& g, const std::vector<Vertex>& order,
     slot.fwd.resize(parts);
   }
   std::vector<uint32_t> batch_pos(n, kNotInBatch);
-  auto part_of = [parts](Vertex v) { return v / kAppendRowBlock % parts; };
 
   // Algorithm 2's hop loop, a batch of consecutive hops at a time. Each
   // batch runs two parallel phases with a short serial step between:
@@ -466,7 +455,7 @@ void DistributeLabels(const Digraph& g, const std::vector<Vertex>& order,
   //      the labels as they stood when the batch began, so hops of one
   //      batch do not prune each other and their lists may hold redundant
   //      entries. Each list is routed once, by row partition
-  //      (kAppendRowBlock), into the worker's buffers.
+  //      (LabelBuilder::PartOf), into the worker's buffers.
   //   2. Cleanup, serial part: hop j's witnesses are the earlier hops k of
   //      the batch whose forward list holds hop j (they may make its Lout
   //      entries redundant) or whose reverse list does (Lin entries).
@@ -513,7 +502,7 @@ void DistributeLabels(const Digraph& g, const std::vector<Vertex>& order,
           if (batch_pos[v] != kNotInBatch && batch_pos[v] > j) {
             hits->emplace_back(batch_pos[v], j);
           }
-          worker.routed[part_of(v)].push_back(v);
+          worker.routed[labeling->PartOf(v)].push_back(v);
         }
         for (size_t p = 0; p < parts; ++p) {
           (*lists)[p].end = worker.routed[p].size();
@@ -584,15 +573,14 @@ Status DistributionLabelingOracle::BuildIndex(const Digraph& dag) {
   build_stats_.order = DistributionOrderName(applied);
 
   // Hop keys are order positions, so each row receives its keys in
-  // ascending order and every insert is SortedInsert's push_back path.
+  // ascending order and every insert is an append at the row's back.
   std::vector<uint32_t> key_of(n, 0);
   for (uint32_t i = 0; i < order_.size(); ++i) key_of[order_[i]] = i;
   build_stats_.order_millis = phase.ElapsedMillis();
 
   phase.Reset();
-  LabelBuilder builder(n);
-  DistributeLabels(dag, order_, key_of, &builder, build_threads(),
-                   &build_stats_);
+  LabelBuilder builder(n, static_cast<size_t>(build_threads()));
+  DistributeLabels(dag, order_, key_of, &builder, &build_stats_);
   build_stats_.label_millis = phase.ElapsedMillis();
 
   if (budget_.max_seconds > 0 && timer.ElapsedSeconds() > budget_.max_seconds) {
@@ -603,6 +591,7 @@ Status DistributionLabelingOracle::BuildIndex(const Digraph& dag) {
     return Status::ResourceExhausted("DL index exceeded size budget");
   }
   // Construction is done mutating: compact to the flat query layout.
+  build_stats_.label_storage_bytes = builder.StorageBytes();
   phase.Reset();
   labeling_ = std::move(builder).Seal(build_threads());
   build_stats_.seal_millis = phase.ElapsedMillis();

@@ -55,26 +55,24 @@ struct DistributionOptions {
 /// `labeling` (which must cover g's vertices and be empty for all touched
 /// vertices).
 /// Keys must be injective over `order`; each row is kept sorted by
-/// SortedInsert, which appends in O(1) when keys arrive ascending (order
-/// positions). Traversals never leave the `order` vertex set, because `g`
-/// is required to have edges only among those vertices.
+/// LabelBuilder's insert, which appends in O(1) when keys arrive ascending
+/// (order positions). Traversals never leave the `order` vertex set,
+/// because `g` is required to have edges only among those vertices.
 ///
-/// `threads` bounds the workers that search a batch of consecutive hops
-/// concurrently (against the labels of earlier batches) and then append
-/// the entries no earlier hop of the same batch covers: one task per row
-/// partition (one per worker; rows are dealt round-robin in blocks)
-/// appends its own rows' entries in batch order. The result is the
-/// sequential loop's canonical labeling, byte-identical for every thread
-/// count (see the .cc for the argument). `threads` <= 0 means
-/// DefaultBuildThreads(). Vertex ids and keys are both below
-/// g.num_vertices(): the search marks each hop's label side by key.
+/// One worker per row partition of `labeling` (LabelBuilder::parts())
+/// searches a batch of consecutive hops concurrently (against the labels
+/// of earlier batches), and then one task per partition appends the
+/// entries no earlier hop of the same batch covers to its own rows, in
+/// batch order. The result is the sequential loop's canonical labeling,
+/// byte-identical for every partition count (see the .cc for the
+/// argument). Vertex ids and keys are both below g.num_vertices(): the
+/// search marks each hop's label side by key.
 ///
 /// `stats`, when given, accumulates the wall time of the phases into
 /// search_millis, cleanup_millis and append_millis, and counts batches.
 void DistributeLabels(const Digraph& g, const std::vector<Vertex>& order,
                       const std::vector<uint32_t>& key_of,
-                      LabelBuilder* labeling, int threads = 1,
-                      BuildStats* stats = nullptr);
+                      LabelBuilder* labeling, BuildStats* stats = nullptr);
 
 /// Computes the processing order of `members` under the given policy.
 /// Deterministic for any `threads` (only per-vertex sweeps are parallel).

@@ -1,36 +1,15 @@
 #include "core/hierarchical_labeling.h"
 
 #include <algorithm>
+#include <memory>
 
 #include "core/backbone.h"
 #include "core/distribution_labeling.h"
 #include "graph/topology.h"
 #include "util/sorted_ops.h"
-#include "util/thread_pool.h"
 #include "util/timer.h"
 
 namespace reach {
-
-namespace {
-
-/// Members per parallel task in the per-vertex labeling sweeps. Vertices of
-/// one level are labeled independently (each reads only upper-level labels
-/// and writes its own slots), so the chunks just need to amortize the
-/// fork-join handshake over a few BFS runs.
-constexpr size_t kLabelGrain = 16;
-
-/// Worker slots a sweep over `work` items can actually use: ParallelChunks
-/// never engages more participants than chunks, so per-worker O(n) scratch
-/// (BoundedBfs mark arrays and the like) must not be sized by the raw
-/// requested thread count — 128 threads x a 5M-vertex mark array for a
-/// 40-item sweep would be a gigabyte of untouched zeroes.
-size_t ScratchSlots(int threads, size_t work) {
-  const size_t chunks = (work + kLabelGrain - 1) / kLabelGrain;
-  return std::max<size_t>(
-      1, std::min<size_t>(static_cast<size_t>(std::max(threads, 1)), chunks));
-}
-
-}  // namespace
 
 Status HierarchicalLabelingOracle::BuildIndex(const Digraph& dag) {
   Timer timer;
@@ -45,7 +24,7 @@ Status HierarchicalLabelingOracle::BuildIndex(const Digraph& dag) {
   const size_t n = dag.num_vertices();
   const int eps = hierarchy_->epsilon();
   const uint32_t half_eps = static_cast<uint32_t>((eps + 1) / 2);
-  LabelBuilder builder(n);
+  LabelBuilder builder(n, static_cast<size_t>(threads));
 
   // --- Step 1: label the core graph Gh. ---
   const size_t core = hierarchy_->core_level();
@@ -60,20 +39,19 @@ Status HierarchicalLabelingOracle::BuildIndex(const Digraph& dag) {
   build_stats_.order = DistributionOrderName(applied);
   std::vector<uint32_t> key_of(n);
   for (Vertex v = 0; v < n; ++v) key_of[v] = v;
-  DistributeLabels(core_graph, order, key_of, &builder, threads,
-                   &build_stats_);
+  DistributeLabels(core_graph, order, key_of, &builder, &build_stats_);
 
   // --- Step 2: label levels h-1 .. 0 (Algorithm 1, Lines 4-10). ---
   // Levels must be processed top-down (a vertex's label unions the labels
   // of upper-level vertices), but within one level every vertex is
   // independent: it reads only strictly-higher-level labels — complete and
-  // immutable by now — and writes its own Lout/Lin slots. The per-level
-  // sweep therefore fans out across workers, each with private BFS/gather
-  // scratch, and the result is byte-identical for any thread count.
-  // Per-worker scratch grows to the widest sweep actually run (never past
-  // what any level's chunk count can engage).
-  std::vector<BoundedBfs> bfs;
-  std::vector<std::vector<uint32_t>> gathers;
+  // immutable by now — and writes its own Lout/Lin rows. The per-level
+  // sweep therefore fans out over the builder's row partitions, one task
+  // per partition with private BFS/gather scratch, and the result is
+  // byte-identical for any thread count. A worker's scratch is made the
+  // first time that worker runs.
+  std::vector<std::unique_ptr<BoundedBfs>> bfs(builder.parts());
+  std::vector<std::vector<uint32_t>> gathers(builder.parts());
   std::vector<Vertex> todo;
   for (size_t i = core; i-- > 0;) {
     if (budget_.max_seconds > 0 &&
@@ -85,56 +63,47 @@ Status HierarchicalLabelingOracle::BuildIndex(const Digraph& dag) {
     for (Vertex v : hierarchy_->LevelVertices(i)) {
       if (hierarchy_->LevelOf(v) == i) todo.push_back(v);
     }
-    const size_t slots = ScratchSlots(threads, todo.size());
-    while (bfs.size() < slots) bfs.emplace_back(n);
-    if (gathers.size() < slots) gathers.resize(slots);
-    ParallelChunks(
-        0, todo.size(), kLabelGrain, threads, [&](const ChunkInfo& chunk) {
-          BoundedBfs& worker_bfs = bfs[chunk.worker];
-          std::vector<uint32_t>& gather = gathers[chunk.worker];
-          for (size_t t = chunk.begin; t < chunk.end; ++t) {
-            const Vertex v = todo[t];
+    builder.ForEachRowByPart(todo, [&](Vertex v, size_t worker) {
+      if (bfs[worker] == nullptr) bfs[worker] = std::make_unique<BoundedBfs>(n);
+      BoundedBfs& worker_bfs = *bfs[worker];
+      std::vector<uint32_t>& gather = gathers[worker];
 
-            // Lout(v) = {v} ∪ N^{half_eps}_out(v|Gi) ∪ labels of
-            // B^eps_out(v|Gi).
-            gather.clear();
-            gather.push_back(v);
-            worker_bfs.Run(
-                gi, v, half_eps, /*forward=*/true,
-                [](Vertex) { return false; },
-                [&gather](Vertex w, uint32_t) { gather.push_back(w); });
-            worker_bfs.Run(
-                gi, v, static_cast<uint32_t>(eps), /*forward=*/true,
-                [this, i](Vertex w) { return hierarchy_->LevelOf(w) > i; },
-                [this, i, &builder, &gather](Vertex w, uint32_t) {
-                  if (hierarchy_->LevelOf(w) > i) {
-                    const auto upper = builder.Out(w);
-                    gather.insert(gather.end(), upper.begin(), upper.end());
-                  }
-                });
-            SortUnique(&gather);
-            *builder.MutableOut(v) = gather;
+      // Lout(v) = {v} ∪ N^{half_eps}_out(v|Gi) ∪ labels of B^eps_out(v|Gi).
+      gather.clear();
+      gather.push_back(v);
+      worker_bfs.Run(
+          gi, v, half_eps, /*forward=*/true, [](Vertex) { return false; },
+          [&gather](Vertex w, uint32_t) { gather.push_back(w); });
+      worker_bfs.Run(
+          gi, v, static_cast<uint32_t>(eps), /*forward=*/true,
+          [this, i](Vertex w) { return hierarchy_->LevelOf(w) > i; },
+          [this, i, &builder, &gather](Vertex w, uint32_t) {
+            if (hierarchy_->LevelOf(w) > i) {
+              const auto upper = builder.Out(w);
+              gather.insert(gather.end(), upper.begin(), upper.end());
+            }
+          });
+      SortUnique(&gather);
+      builder.AssignOut(v, gather);
 
-            // Lin(v), symmetrically.
-            gather.clear();
-            gather.push_back(v);
-            worker_bfs.Run(
-                gi, v, half_eps, /*forward=*/false,
-                [](Vertex) { return false; },
-                [&gather](Vertex w, uint32_t) { gather.push_back(w); });
-            worker_bfs.Run(
-                gi, v, static_cast<uint32_t>(eps), /*forward=*/false,
-                [this, i](Vertex w) { return hierarchy_->LevelOf(w) > i; },
-                [this, i, &builder, &gather](Vertex w, uint32_t) {
-                  if (hierarchy_->LevelOf(w) > i) {
-                    const auto upper = builder.In(w);
-                    gather.insert(gather.end(), upper.begin(), upper.end());
-                  }
-                });
-            SortUnique(&gather);
-            *builder.MutableIn(v) = gather;
-          }
-        });
+      // Lin(v), symmetrically.
+      gather.clear();
+      gather.push_back(v);
+      worker_bfs.Run(
+          gi, v, half_eps, /*forward=*/false, [](Vertex) { return false; },
+          [&gather](Vertex w, uint32_t) { gather.push_back(w); });
+      worker_bfs.Run(
+          gi, v, static_cast<uint32_t>(eps), /*forward=*/false,
+          [this, i](Vertex w) { return hierarchy_->LevelOf(w) > i; },
+          [this, i, &builder, &gather](Vertex w, uint32_t) {
+            if (hierarchy_->LevelOf(w) > i) {
+              const auto upper = builder.In(w);
+              gather.insert(gather.end(), upper.begin(), upper.end());
+            }
+          });
+      SortUnique(&gather);
+      builder.AssignIn(v, gather);
+    });
   }
 
   build_stats_.label_millis = phase.ElapsedMillis();
@@ -142,6 +111,7 @@ Status HierarchicalLabelingOracle::BuildIndex(const Digraph& dag) {
       builder.TotalEntries() > budget_.max_index_integers) {
     return Status::ResourceExhausted("HL index exceeded size budget");
   }
+  build_stats_.label_storage_bytes = builder.StorageBytes();
   phase.Reset();
   labeling_ = std::move(builder).Seal(threads);
   build_stats_.seal_millis = phase.ElapsedMillis();

@@ -1,6 +1,8 @@
 #include "core/label_store.h"
 
 #include <algorithm>
+#include <array>
+#include <bit>
 #include <cstring>
 #include <new>
 #include <ostream>
@@ -26,7 +28,19 @@ constexpr size_t kHeaderBytes = 4 * sizeof(uint64_t);
 // Rows per task of the encoder's parallel copy.
 constexpr size_t kSealRowGrain = 4096;
 
-using BuildSide = std::vector<std::vector<uint32_t>>;
+// A row arena's first chunk; each next chunk doubles, up to the largest,
+// or holds exactly the block that did not fit. Chunks are fresh pages:
+// only what is carved becomes resident, and the untouched tail of a
+// retired chunk costs address space alone.
+constexpr size_t kFirstChunkBytes = size_t{64} << 10;
+constexpr size_t kMaxChunkBytes = size_t{1} << 20;
+
+// A chunk starts with the link to the arena's previous chunk and its own
+// size, so releasing an arena walks its chunks without a side table.
+struct ChunkHeader {
+  std::byte* prev;
+  size_t bytes;
+};
 
 // A keys section of `total` u32 entries is zero-padded to the next
 // 8-byte boundary so the section after it stays aligned.
@@ -59,9 +73,10 @@ Layout LayoutFor(uint64_t n, uint64_t total_out, uint64_t total_in) {
   return layout;
 }
 
-uint64_t SideTotal(const BuildSide& labels) {
+template <typename Rows>
+uint64_t SideTotal(const Rows& rows) {
   uint64_t total = 0;
-  for (const auto& label : labels) total += label.size();
+  for (const auto& row : rows) total += row.size;
   return total;
 }
 
@@ -83,47 +98,6 @@ Status CheckPad(const std::byte* pad, uint64_t total, const char* side) {
   return Status::OK();
 }
 
-// The one RLSTORE3 encoder: writes the header and both sides of a
-// builder's rows into a fresh owned blob, freeing each side's rows as soon
-// as that side is written, so the Lout rows never coexist with the Lin
-// section's pages. Each side's offsets are one serial prefix sum; its rows
-// are then copied by up to `threads` workers, every row to the place its
-// offset names.
-StatusOr<std::shared_ptr<const MappedBlob>> EncodeBlob(BuildSide* out,
-                                                       BuildSide* in,
-                                                       int threads) {
-  const uint64_t n = out->size();
-  const uint64_t total_out = SideTotal(*out);
-  const uint64_t total_in = SideTotal(*in);
-  const Layout layout = LayoutFor(n, total_out, total_in);
-  return MappedBlob::CreateOwned(
-      static_cast<size_t>(layout.size), [&](std::span<std::byte> bytes) {
-        std::byte* base = bytes.data();
-        const uint64_t header[4] = {kMagic, n, total_out, total_in};
-        std::memcpy(base, header, sizeof(header));
-        const auto encode_side = [base, threads](BuildSide* labels,
-                                                 uint64_t off_at,
-                                                 uint64_t key_at) {
-          const BuildSide& rows = *labels;
-          uint64_t* offsets = reinterpret_cast<uint64_t*>(base + off_at);
-          uint32_t* keys = reinterpret_cast<uint32_t*>(base + key_at);
-          offsets[0] = 0;
-          for (size_t v = 0; v < rows.size(); ++v) {
-            offsets[v + 1] = offsets[v] + rows[v].size();
-          }
-          ParallelFor(0, rows.size(), kSealRowGrain, threads, [&](size_t v) {
-            std::copy(rows[v].begin(), rows[v].end(), keys + offsets[v]);
-          });
-          const uint64_t total = offsets[rows.size()];
-          std::memset(keys + total, 0, KeysPadBytes(total));
-          BuildSide().swap(*labels);
-        };
-        encode_side(out, layout.off_out, layout.key_out);
-        encode_side(in, layout.off_in, layout.key_in);
-        return Status::OK();
-      });
-}
-
 }  // namespace
 
 LabelStore::LabelStore(MappedRegion region) {
@@ -139,13 +113,203 @@ LabelStore::LabelStore(MappedRegion region) {
   region_ = std::move(region);
 }
 
-uint64_t LabelBuilder::TotalEntries() const {
-  return SideTotal(out_) + SideTotal(in_);
+// Blocks are carved from chunks of fresh pages (AllocatePages); a block a
+// row gives back goes on the free list of its power-of-two size class and
+// is handed out again at that class's size. Aligned to a cache line of its
+// own: partitions' arenas are written by different threads. Chunks are
+// freed with the arena.
+class alignas(64) LabelBuilder::RowArena {
+ public:
+  RowArena() = default;
+  ~RowArena();
+  RowArena(const RowArena&) = delete;
+  RowArena& operator=(const RowArena&) = delete;
+
+  /// A block of at least *capacity keys (at least 2); *capacity becomes
+  /// its size. A free block of the class that fits comes first; else a
+  /// fresh one of exactly *capacity keys (`exact`) or of the next power of
+  /// two.
+  uint32_t* Take(size_t* capacity, bool exact);
+  /// Puts a block from Take back on its class's free list (blocks of fewer
+  /// than 2 keys, too small to link, are dropped).
+  void Give(uint32_t* keys, size_t capacity);
+  /// Bytes carved from the chunks so far.
+  uint64_t CarvedBytes() const;
+
+ private:
+  uint32_t* Carve(size_t keys);
+  std::byte* NewChunk(size_t bytes);
+
+  std::byte* chunks_ = nullptr;      // Newest chunk; each links the last.
+  std::byte* bump_chunk_ = nullptr;  // The chunk blocks are carved from,
+  uint32_t* next_ = nullptr;         // its carving cursor and end,
+  uint32_t* end_ = nullptr;
+  size_t bump_bytes_ = 0;            // and its size.
+  uint64_t carved_before_ = 0;       // Carved from retired chunks.
+  std::array<uint32_t*, 33> free_{};  // Class k: blocks of 2^k keys.
+};
+
+LabelBuilder::RowArena::~RowArena() {
+  while (chunks_ != nullptr) {
+    ChunkHeader header;
+    std::memcpy(&header, chunks_, sizeof(header));
+    FreePages(chunks_, header.bytes);
+    chunks_ = header.prev;
+  }
 }
 
+std::byte* LabelBuilder::RowArena::NewChunk(size_t bytes) {
+  std::byte* chunk = AllocatePages(bytes);
+  if (chunk == nullptr) throw std::bad_alloc();
+  const ChunkHeader header{chunks_, bytes};
+  std::memcpy(chunk, &header, sizeof(header));
+  chunks_ = chunk;
+  return chunk;
+}
+
+uint32_t* LabelBuilder::RowArena::Carve(size_t keys) {
+  if (keys > static_cast<size_t>(end_ - next_)) {
+    const size_t bytes = sizeof(ChunkHeader) + keys * sizeof(uint32_t);
+    carved_before_ = CarvedBytes();
+    bump_bytes_ = std::max(bytes, bump_bytes_ == 0
+                                      ? kFirstChunkBytes
+                                      : std::min(2 * bump_bytes_,
+                                                 kMaxChunkBytes));
+    bump_chunk_ = NewChunk(bump_bytes_);
+    next_ = reinterpret_cast<uint32_t*>(bump_chunk_ + sizeof(ChunkHeader));
+    end_ = reinterpret_cast<uint32_t*>(bump_chunk_ + bump_bytes_);
+  }
+  uint32_t* block = next_;
+  next_ += keys;
+  return block;
+}
+
+uint32_t* LabelBuilder::RowArena::Take(size_t* capacity, bool exact) {
+  const size_t need = std::max<size_t>(*capacity, 2);
+  const int k = std::bit_width(need - 1);  // 2^k >= need.
+  // A row holds at most UINT32_MAX keys (its size is a u32).
+  const size_t rounded = std::min<size_t>(size_t{1} << k, UINT32_MAX);
+  if (uint32_t* block = free_[k]) {
+    std::memcpy(&free_[k], block, sizeof(block));
+    *capacity = rounded;
+    return block;
+  }
+  *capacity = exact ? need : rounded;
+  return Carve(*capacity);
+}
+
+void LabelBuilder::RowArena::Give(uint32_t* keys, size_t capacity) {
+  if (capacity < 2) return;
+  const int k = std::bit_width(capacity) - 1;  // 2^k <= capacity.
+  std::memcpy(keys, &free_[k], sizeof(keys));
+  free_[k] = keys;
+}
+
+uint64_t LabelBuilder::RowArena::CarvedBytes() const {
+  if (bump_chunk_ == nullptr) return carved_before_;
+  return carved_before_ + static_cast<uint64_t>(
+                              reinterpret_cast<std::byte*>(next_) -
+                              bump_chunk_);
+}
+
+LabelBuilder::LabelBuilder(size_t num_vertices, size_t parts)
+    : parts_(std::clamp<size_t>(parts, 1, kMaxParts)) {
+  for (Side* side : {&out_, &in_}) {
+    side->rows.resize(num_vertices);
+    side->arenas = std::vector<RowArena>(parts_);
+  }
+}
+
+LabelBuilder::LabelBuilder(LabelBuilder&&) noexcept = default;
+LabelBuilder& LabelBuilder::operator=(LabelBuilder&&) noexcept = default;
+LabelBuilder::~LabelBuilder() = default;
+
+void LabelBuilder::InsertSlow(Side* side, Vertex v, uint32_t key) {
+  Row& row = side->rows[v];
+  uint32_t* const end = row.keys + row.size;
+  uint32_t* const at = std::lower_bound(row.keys, end, key);
+  if (at != end && *at == key) return;
+  const size_t pos = static_cast<size_t>(at - row.keys);
+  if (row.size < row.capacity) {
+    std::copy_backward(at, end, end + 1);
+  } else {
+    RowArena& arena = side->arenas[PartOf(v)];
+    size_t capacity = std::max<size_t>(row.size + 1, kFirstRowCapacity);
+    uint32_t* const keys = arena.Take(&capacity, /*exact=*/false);
+    std::copy(row.keys, at, keys);
+    std::copy(at, end, keys + pos + 1);
+    arena.Give(row.keys, row.capacity);
+    row.keys = keys;
+    row.capacity = static_cast<uint32_t>(capacity);
+  }
+  row.keys[pos] = key;
+  ++row.size;
+}
+
+void LabelBuilder::Assign(Side* side, Vertex v,
+                          std::span<const uint32_t> keys) {
+  Row& row = side->rows[v];
+  if (keys.size() > row.capacity) {
+    RowArena& arena = side->arenas[PartOf(v)];
+    arena.Give(row.keys, row.capacity);
+    size_t capacity = keys.size();
+    row.keys = arena.Take(&capacity, /*exact=*/true);
+    row.capacity = static_cast<uint32_t>(capacity);
+  }
+  std::copy(keys.begin(), keys.end(), row.keys);
+  row.size = static_cast<uint32_t>(keys.size());
+}
+
+uint64_t LabelBuilder::TotalEntries() const {
+  return SideTotal(out_.rows) + SideTotal(in_.rows);
+}
+
+uint64_t LabelBuilder::StorageBytes() const {
+  uint64_t bytes = 0;
+  for (const Side* side : {&out_, &in_}) {
+    bytes += side->rows.size() * sizeof(Row);
+    for (const RowArena& arena : side->arenas) bytes += arena.CarvedBytes();
+  }
+  return bytes;
+}
+
+// The one RLSTORE3 encoder: writes the header and both sides of the rows
+// into a fresh owned blob, releasing each side's arenas as soon as that
+// side is written, so the Lout rows never coexist with the Lin section's
+// pages. Each side's offsets are one serial prefix sum; its rows are then
+// copied by up to `threads` workers, every row to the place its offset
+// names.
 LabelStore LabelBuilder::Seal(int threads) && {
-  StatusOr<std::shared_ptr<const MappedBlob>> blob =
-      EncodeBlob(&out_, &in_, threads);
+  const uint64_t n = num_vertices();
+  const uint64_t total_out = SideTotal(out_.rows);
+  const uint64_t total_in = SideTotal(in_.rows);
+  const Layout layout = LayoutFor(n, total_out, total_in);
+  StatusOr<std::shared_ptr<const MappedBlob>> blob = MappedBlob::CreateOwned(
+      static_cast<size_t>(layout.size), [&](std::span<std::byte> bytes) {
+        std::byte* base = bytes.data();
+        const uint64_t header[4] = {kMagic, n, total_out, total_in};
+        std::memcpy(base, header, sizeof(header));
+        const auto encode_side = [base, threads](Side* side, uint64_t off_at,
+                                                 uint64_t key_at) {
+          const std::vector<Row>& rows = side->rows;
+          uint64_t* offsets = reinterpret_cast<uint64_t*>(base + off_at);
+          uint32_t* keys = reinterpret_cast<uint32_t*>(base + key_at);
+          offsets[0] = 0;
+          for (size_t v = 0; v < rows.size(); ++v) {
+            offsets[v + 1] = offsets[v] + rows[v].size;
+          }
+          ParallelFor(0, rows.size(), kSealRowGrain, threads, [&](size_t v) {
+            std::copy(rows[v].keys, rows[v].keys + rows[v].size,
+                      keys + offsets[v]);
+          });
+          const uint64_t total = offsets[rows.size()];
+          std::memset(keys + total, 0, KeysPadBytes(total));
+          *side = Side();
+        };
+        encode_side(&out_, layout.off_out, layout.key_out);
+        encode_side(&in_, layout.off_in, layout.key_in);
+        return Status::OK();
+      });
   if (!blob.ok()) throw std::bad_alloc();
   return LabelStore(MappedRegion{std::move(*blob), 0});
 }

@@ -8,18 +8,19 @@
 //
 //   LabelBuilder            Seal()              LabelStore
 //   ────────────            ──────              ──────────
-//   per-vertex              encodes both        offsets[] + keys[] CSR:
-//   std::vector rows,       sides into one      one contiguous array per
-//   insert/mutate API       blob and frees      side, per-vertex spans,
-//   (construction mutates   the builder's       exact MemoryBytes(),
-//   labels constantly)      rows                cache-friendly queries
+//   per-vertex rows in      encodes both        offsets[] + keys[] CSR:
+//   arenas owned by their   sides into one      one contiguous array per
+//   row partition; insert   blob and releases   side, per-vertex spans,
+//   and whole-row assign    each side's         exact MemoryBytes(),
+//   (construction mutates   arenas: a few       cache-friendly queries
+//   labels constantly)      chunks per side
 //
 // Construction algorithms fill a LabelBuilder (they interleave reads and
 // inserts); BuildIndex seals it once the labeling is final, so every query
 // after a successful Build touches two contiguous spans instead of chasing
-// two heap-scattered vectors. The paper's labelings are built once and
-// then only queried, so a sealed store never goes back to rows: LabelStore
-// has no member that changes a label.
+// two rows scattered over the build's arenas. The paper's labelings are
+// built once and then only queried, so a sealed store never goes back to
+// rows: LabelStore has no member that changes a label.
 //
 // A LabelStore is a view of an RLSTORE3 blob (the snapshot format, see
 // Write) held in a MappedBlob. Seal() encodes the builder's rows into an
@@ -44,6 +45,7 @@
 #ifndef REACH_CORE_LABEL_STORE_H_
 #define REACH_CORE_LABEL_STORE_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <iosfwd>
 #include <memory>
@@ -54,6 +56,7 @@
 #include "util/mapped_blob.h"
 #include "util/sorted_ops.h"
 #include "util/status.h"
+#include "util/thread_pool.h"
 
 namespace reach {
 
@@ -155,50 +158,134 @@ class LabelStore {
 
 /// Build-phase labels: one growable row per vertex and side, filled by the
 /// construction algorithms and then sealed, once, into a LabelStore.
+///
+/// Rows are dealt to parts() row partitions in blocks of kRowBlock
+/// consecutive ids, round-robin (PartOf). A partition keeps its rows' keys
+/// in two arenas of its own, one per side: chunks of fresh pages carved
+/// into blocks, with the blocks that rows outgrow kept on per-size free
+/// lists for the partition's next growing row. So a row grows in memory
+/// that only its partition's writer touches, with no malloc, no lock and
+/// no free into another thread's heap, and Seal releases a few chunks
+/// instead of a heap block per row.
+///
+/// Thread safety: writes (Insert*, Assign*) to rows of one partition must
+/// not overlap; writes to rows of different partitions may run
+/// concurrently, and so may reads of any row that is not being written.
+/// DistributeLabels runs one append task per partition, and
+/// ForEachRowByPart deals a list of rows out the same way.
 class LabelBuilder {
  public:
-  explicit LabelBuilder(size_t num_vertices)
-      : out_(num_vertices), in_(num_vertices) {}
+  /// Rows go to partitions in blocks of this many consecutive ids. Row
+  /// headers are 16 bytes, so a block of them is 16 cache lines: dealing
+  /// single rows would give the rows sharing a header line different
+  /// writers. That made DL's append about a tenth slower on the arxiv
+  /// stand-in at 4 threads (4-vCPU x86-64 VM, 9 of 12 paired runs,
+  /// measured with 24-byte row headers).
+  static constexpr size_t kRowBlock = 64;
+  /// Most partitions a builder keeps; a larger request is clamped.
+  static constexpr size_t kMaxParts = 256;
 
-  size_t num_vertices() const { return out_.size(); }
+  /// `parts` row partitions (at least 1): up to that many writers at once.
+  explicit LabelBuilder(size_t num_vertices, size_t parts = 1);
+  LabelBuilder(LabelBuilder&&) noexcept;
+  LabelBuilder& operator=(LabelBuilder&&) noexcept;
+  ~LabelBuilder();
 
-  std::vector<uint32_t>* MutableOut(Vertex v) { return &out_[v]; }
-  std::vector<uint32_t>* MutableIn(Vertex v) { return &in_[v]; }
+  size_t num_vertices() const { return out_.rows.size(); }
+  size_t parts() const { return parts_; }
+  size_t PartOf(Vertex v) const { return v / kRowBlock % parts_; }
 
   /// Inserts a key keeping the label sorted; a key above the row's back is
-  /// an O(1) append (SortedInsert). A row's first insert reserves
-  /// kFirstRowCapacity keys.
-  void InsertOut(Vertex v, uint32_t key) { InsertKey(&out_[v], key); }
-  void InsertIn(Vertex v, uint32_t key) { InsertKey(&in_[v], key); }
+  /// an O(1) append. A row's first block holds kFirstRowCapacity keys, and
+  /// a full row moves to a block of the next power of two.
+  void InsertOut(Vertex v, uint32_t key) { Insert(&out_, v, key); }
+  void InsertIn(Vertex v, uint32_t key) { Insert(&in_, v, key); }
 
-  std::span<const uint32_t> Out(Vertex v) const { return out_[v]; }
-  std::span<const uint32_t> In(Vertex v) const { return in_[v]; }
+  /// Replaces the whole row with `keys` (strictly ascending, not a view
+  /// of this builder). A row that must grow gets a block of exactly that
+  /// size, or a free one that fits.
+  void AssignOut(Vertex v, std::span<const uint32_t> keys) {
+    Assign(&out_, v, keys);
+  }
+  void AssignIn(Vertex v, std::span<const uint32_t> keys) {
+    Assign(&in_, v, keys);
+  }
+
+  std::span<const uint32_t> Out(Vertex v) const {
+    return {out_.rows[v].keys, out_.rows[v].size};
+  }
+  std::span<const uint32_t> In(Vertex v) const {
+    return {in_.rows[v].keys, in_.rows[v].size};
+  }
+
+  /// Calls write(v, worker) once for every v of `rows`, on up to parts()
+  /// workers: one task per partition writes that partition's rows, in
+  /// `rows` order, so each call may write row v. `worker` is a dense
+  /// participant id below parts(), for per-worker scratch.
+  template <typename Write>
+  void ForEachRowByPart(std::span<const Vertex> rows, Write write) {
+    ParallelChunks(0, parts(), 1, static_cast<int>(parts()),
+                   [&](const ChunkInfo& chunk) {
+                     for (const Vertex v : rows) {
+                       if (PartOf(v) == chunk.begin) write(v, chunk.worker);
+                     }
+                   });
+  }
 
   /// Total number of label entries, the sealed store's TotalEntries().
   uint64_t TotalEntries() const;
 
+  /// Bytes the builder holds: the row headers and every block its arenas
+  /// have carved, in use or free. Arenas only grow until Seal, so read just
+  /// before it this is the build's high-water. O(parts) per call.
+  uint64_t StorageBytes() const;
+
   /// Encodes both sides into one owned RLSTORE3 blob and returns the store
-  /// viewing it, freeing each side's rows as soon as that side is encoded.
-  /// Up to `threads` workers copy the rows, each into its place from the
-  /// offsets computed first; the blob is the same for any count. Throws
-  /// std::bad_alloc when the blob cannot be allocated, as the rows would.
+  /// viewing it, releasing each side's arenas as soon as that side is
+  /// encoded. Up to `threads` workers copy the rows, each into its place
+  /// from the offsets computed first; the blob is the same for any count.
+  /// Throws std::bad_alloc when the blob cannot be allocated, as a growing
+  /// row would.
   LabelStore Seal(int threads = 1) &&;
 
  private:
-  /// 24 bytes: the payload of the smallest heap chunk on 64-bit glibc,
-  /// which a row of one or two keys occupies anyway. Growing 1, 2, 4, 8
-  /// instead cost two more reallocations per row; on the arxiv stand-in
-  /// reserving this first took 12-18% off DL's label append at 1 and 4
-  /// threads (4-vCPU x86-64 VM).
-  static constexpr size_t kFirstRowCapacity = 6;
+  /// A row's keys: [keys, keys + size) of a block of `capacity` keys in
+  /// its partition's arena for the side (null while capacity is 0).
+  struct Row {
+    uint32_t* keys = nullptr;
+    uint32_t size = 0;
+    uint32_t capacity = 0;
+  };
 
-  static void InsertKey(std::vector<uint32_t>* row, uint32_t key) {
-    if (row->capacity() == 0) row->reserve(kFirstRowCapacity);
-    SortedInsert(row, key);
+  /// One partition's keys of one side (label_store.cc).
+  class RowArena;
+
+  struct Side {
+    std::vector<Row> rows;
+    std::vector<RowArena> arenas;  // One per partition.
+  };
+
+  /// Keys of a row's first block (16 bytes). Starting at 1 or 2 keys costs
+  /// one or two more moves per row. On the arxiv stand-in a first block of
+  /// 8 keys left DL's append unchanged and raised its label storage by 7%
+  /// (6.84 against 6.38 MB at 1 thread).
+  static constexpr size_t kFirstRowCapacity = 4;
+
+  void Insert(Side* side, Vertex v, uint32_t key) {
+    Row& row = side->rows[v];
+    if (row.size != 0 && row.size < row.capacity &&
+        row.keys[row.size - 1] < key) {
+      row.keys[row.size++] = key;
+      return;
+    }
+    InsertSlow(side, v, key);
   }
+  void InsertSlow(Side* side, Vertex v, uint32_t key);
+  void Assign(Side* side, Vertex v, std::span<const uint32_t> keys);
 
-  std::vector<std::vector<uint32_t>> out_;
-  std::vector<std::vector<uint32_t>> in_;
+  size_t parts_;
+  Side out_;
+  Side in_;
 };
 
 /// Shared LoadIndexMapped body of the labeling oracles: maps a snapshot

@@ -71,6 +71,10 @@ struct BuildStats {
   double cleanup_millis = 0;
   double append_millis = 0;
   uint64_t batches = 0;
+  /// LabelBuilder::StorageBytes() as the labels were sealed: the build's
+  /// high-water of label row storage (DL, HL and 2HOP; zero elsewhere and
+  /// after a snapshot load).
+  uint64_t label_storage_bytes = 0;
   /// DistributionOrderName of the hop order that ranked DL's vertices or
   /// HL's core. Empty for other methods and after a snapshot load.
   std::string order;

@@ -156,6 +156,7 @@ void PrefilterOracle::AnnotateBuildStats(BuildStats& stats) const {
   stats.cleanup_millis = inner.cleanup_millis;
   stats.append_millis = inner.append_millis;
   stats.batches = inner.batches;
+  stats.label_storage_bytes = inner.label_storage_bytes;
   stats.order = inner.order;
 }
 

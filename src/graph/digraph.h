@@ -6,6 +6,8 @@
 #define REACH_GRAPH_DIGRAPH_H_
 
 #include <cstdint>
+#include <memory>
+#include <new>
 #include <span>
 #include <utility>
 #include <vector>
@@ -25,6 +27,28 @@ struct Edge {
   }
   bool operator<(const Edge& other) const {
     return from != other.from ? from < other.from : to < other.to;
+  }
+};
+
+/// std::allocator, except that a vector's value-less construct
+/// default-initializes: resize() of a trivial element type allocates
+/// without a zero fill, for arrays whose every slot is written next.
+template <typename T>
+struct NoFillAllocator : std::allocator<T> {
+  template <typename U>
+  struct rebind {
+    using other = NoFillAllocator<U>;
+  };
+  NoFillAllocator() = default;
+  template <typename U>
+  NoFillAllocator(const NoFillAllocator<U>&) noexcept {}
+  template <typename U>
+  void construct(U* p) {
+    ::new (static_cast<void*>(p)) U;
+  }
+  template <typename U, typename... Args>
+  void construct(U* p, Args&&... args) {
+    ::new (static_cast<void*>(p)) U(std::forward<Args>(args)...);
   }
 };
 
@@ -95,8 +119,9 @@ class Digraph {
   std::vector<uint64_t> out_offsets_{0};
   std::vector<Vertex> heads_;
   // CSR reverse: tails_[in_offsets_[v] .. in_offsets_[v+1]) = in-neighbors.
+  // Both builders write every slot of tails_, so it is sized unfilled.
   std::vector<uint64_t> in_offsets_{0};
-  std::vector<Vertex> tails_;
+  std::vector<Vertex, NoFillAllocator<Vertex>> tails_;
 };
 
 /// Incremental edge-list accumulator for building a Digraph.

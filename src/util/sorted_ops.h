@@ -145,21 +145,6 @@ inline bool MarkedIntersects(std::span<const uint32_t> row,
   return false;
 }
 
-/// Inserts `x` into sorted vector `v` if absent. Returns true if inserted.
-/// A key above the back is a plain push_back: Distribution Labeling's keys
-/// are order positions, so nearly every label append takes that path
-/// (BM_SortedInsertAppend pins it).
-inline bool SortedInsert(std::vector<uint32_t>* v, uint32_t x) {
-  if (v->empty() || v->back() < x) {
-    v->push_back(x);
-    return true;
-  }
-  auto it = std::lower_bound(v->begin(), v->end(), x);
-  if (it != v->end() && *it == x) return false;
-  v->insert(it, x);
-  return true;
-}
-
 /// Sorts and deduplicates in place.
 inline void SortUnique(std::vector<uint32_t>* v) {
   std::sort(v->begin(), v->end());

@@ -79,9 +79,10 @@ std::vector<Case> Graphs() {
   return cases;
 }
 
-// Runs DistributeLabels at 1, 2, 3 and 8 threads and requires every label
-// to equal the canonical one. 3 threads leave the append's row partitions
-// uneven. `vertex_id_keys` picks the key space.
+// Runs DistributeLabels over builders of 1, 2, 3 and 8 row partitions (one
+// worker each) and requires every label to equal the canonical one. 3
+// partitions leave the append's row blocks uneven. `vertex_id_keys` picks
+// the key space.
 void ExpectCanonical(bool vertex_id_keys) {
   for (const Case& c : Graphs()) {
     const Digraph& g = c.graph;
@@ -98,8 +99,8 @@ void ExpectCanonical(bool vertex_id_keys) {
 
     for (const int threads : {1, 2, 3, 8}) {
       SCOPED_TRACE(c.name + ", " + std::to_string(threads) + " threads");
-      LabelBuilder labels(n);
-      DistributeLabels(g, order, key_of, &labels, threads);
+      LabelBuilder labels(n, static_cast<size_t>(threads));
+      DistributeLabels(g, order, key_of, &labels);
       size_t mismatches = 0;
       for (Vertex v = 0; v < n && mismatches < 5; ++v) {
         const auto out = labels.Out(v);

@@ -1,7 +1,9 @@
 #include "core/distribution_labeling.h"
 
 #include <algorithm>
+#include <span>
 #include <utility>
+#include <vector>
 
 #include "gtest/gtest.h"
 #include "datasets/registry.h"
@@ -77,8 +79,15 @@ TEST(DistributionLabelingTest, NonRedundancyTheorem4) {
     // minus that entry, refilled into a builder and sealed again.
     const auto without = [&](Vertex v, size_t i, bool out_side) {
       LabelBuilder rows = testing_util::RowsOf(labels);
-      auto* row = out_side ? rows.MutableOut(v) : rows.MutableIn(v);
-      row->erase(row->begin() + static_cast<ptrdiff_t>(i));
+      const std::span<const uint32_t> keys =
+          out_side ? rows.Out(v) : rows.In(v);
+      std::vector<uint32_t> row(keys.begin(), keys.end());
+      row.erase(row.begin() + static_cast<ptrdiff_t>(i));
+      if (out_side) {
+        rows.AssignOut(v, row);
+      } else {
+        rows.AssignIn(v, row);
+      }
       return std::move(rows).Seal();
     };
     for (Vertex v = 0; v < n; ++v) {

@@ -7,6 +7,7 @@
 #include <utility>
 #include <vector>
 
+#include "core/distribution_labeling.h"
 #include "graph/digraph.h"
 #include "gtest/gtest.h"
 #include "tests/test_util.h"
@@ -156,7 +157,7 @@ TEST(LabelStoreTest, SerializationRoundTrip) {
   rows.InsertOut(0, 2);
   rows.InsertIn(3, 1);
   rows.InsertIn(4, 4);
-  const LabelStore l = LabelBuilder(rows).Seal();
+  const LabelStore l = testing_util::CopyOf(rows).Seal();
   auto back = Deserialize(LabelBytes(l));
   ASSERT_TRUE(back.ok()) << back.status().ToString();
   EXPECT_TRUE(*back == l);
@@ -181,7 +182,7 @@ TEST(LabelStoreTest, RandomizedSealAndRoundTripAgree) {
         rows.InsertIn(v, key);
       }
     }
-    const LabelStore sealed = LabelBuilder(rows).Seal();
+    const LabelStore sealed = testing_util::CopyOf(rows).Seal();
     EXPECT_TRUE(SameRows(sealed, rows));
     EXPECT_TRUE(sealed.Validate().ok());
     auto back = Deserialize(LabelBytes(sealed));
@@ -212,13 +213,172 @@ TEST(LabelStoreTest, SealBlobIsIdenticalAtAnyThreadCount) {
     rows.InsertIn(static_cast<Vertex>(rng.Uniform(kRows)),
                   static_cast<uint32_t>(rng.Uniform(kRows)));
   }
-  const LabelStore expected = LabelBuilder(rows).Seal(1);
+  const LabelStore expected = testing_util::CopyOf(rows).Seal(1);
   EXPECT_TRUE(SameRows(expected, rows));
   for (const int threads : {3, 8}) {
-    const LabelStore sealed = LabelBuilder(rows).Seal(threads);
+    const LabelStore sealed = testing_util::CopyOf(rows).Seal(threads);
     EXPECT_EQ(LabelBytes(sealed), LabelBytes(expected))
         << threads << " threads";
   }
+}
+
+// --- LabelBuilder's storage: each row partition keeps its rows in arenas
+// of its own and hands the blocks that rows outgrow to its next growing
+// rows. The tests below compare every row with a plain model, so a block
+// handed to two rows at once shows as a wrong label, and bound
+// StorageBytes(), so blocks that are never handed out again show as
+// growth.
+
+// DL in topological order on a star of leaves -> hub: every leaf is a hop
+// ahead of the hub, so Lin(hub) takes all 300,001 keys and grows through
+// every size class up to 2^19 keys, a block larger than the largest chunk
+// (it gets a chunk of its own size), while the leaves' one-key rows take
+// the blocks it leaves behind.
+TEST(LabelBuilderTest, HubRowOutgrowsEveryBlockSize) {
+  constexpr Vertex kLeaves = 300000;
+  constexpr Vertex kHub = kLeaves;
+  std::vector<Edge> edges;
+  for (Vertex leaf = 0; leaf < kLeaves; ++leaf) edges.push_back({leaf, kHub});
+  const Digraph star = Digraph::FromEdges(kLeaves + 1, std::move(edges));
+  DistributionOptions options;
+  options.order = DistributionOrder::kTopological;
+  std::string reference;
+  for (const int threads : {1, 4}) {
+    SCOPED_TRACE(std::to_string(threads) + " threads");
+    DistributionLabelingOracle dl(options);
+    BuildOptions build;
+    build.threads = threads;
+    ASSERT_TRUE(dl.Build(star, build).ok());
+    const LabelStore& labels = dl.labeling();
+    ASSERT_EQ(labels.In(kHub).size(), kLeaves + 1u);
+    for (uint32_t key = 0; key <= kLeaves; ++key) {
+      ASSERT_EQ(labels.In(kHub)[key], key);
+    }
+    ASSERT_EQ(labels.TotalEntries(), 3u * kLeaves + 2);
+    for (Vertex leaf = 0; leaf < kLeaves; ++leaf) {
+      ASSERT_EQ(labels.Out(leaf).size(), 1u) << leaf;
+      ASSERT_EQ(ToVec(labels.In(leaf)), ToVec(labels.Out(leaf))) << leaf;
+    }
+    EXPECT_TRUE(dl.Reachable(kLeaves - 1, kHub));
+    EXPECT_FALSE(dl.Reachable(kHub, 0));
+    // Row headers, a 4-key block per one-key row, and the hub's blocks of
+    // 4, 8, ..., 2^19 keys, with room for the chunk headers.
+    EXPECT_LE(dl.build_stats().label_storage_bytes,
+              2 * (kLeaves + 1) * 16 + (8 * kLeaves + 2 * 524288) * 4 + 4096);
+    if (threads == 1) {
+      reference = LabelBytes(labels);
+    } else {
+      EXPECT_EQ(LabelBytes(labels), reference);
+    }
+  }
+}
+
+// HL's level sweep: whole rows replaced from several workers, one task per
+// row partition. Within a partition, rows alternate: an even row takes 16
+// keys and then 100, giving its 16-key block back; the odd row after it
+// keeps 16 keys in that block.
+TEST(LabelBuilderTest, WholeRowReplacementFromSeveralWorkers) {
+  constexpr Vertex kRows = 2000;
+  constexpr size_t kParts = 4;
+  LabelBuilder rows(kRows, kParts);
+  std::vector<Vertex> all(kRows);
+  for (Vertex v = 0; v < kRows; ++v) all[v] = kRows - 1 - v;
+  const auto keys_of = [](Vertex v, uint32_t count) {
+    std::vector<uint32_t> keys(count);
+    for (uint32_t i = 0; i < count; ++i) keys[i] = v + 3 * i;
+    return keys;
+  };
+  const auto final_size = [](Vertex v) { return v % 2 == 0 ? 100u : 16u; };
+  rows.ForEachRowByPart(all, [&](Vertex v, size_t worker) {
+    ASSERT_LT(worker, kParts);
+    rows.AssignOut(v, keys_of(v, 16));
+    rows.AssignIn(v, keys_of(v + 1, 16));
+    rows.AssignOut(v, keys_of(v, final_size(v)));
+    rows.AssignIn(v, keys_of(v + 1, final_size(v)));
+  });
+  for (Vertex v = 0; v < kRows; ++v) {
+    ASSERT_EQ(ToVec(rows.Out(v)), keys_of(v, final_size(v))) << v;
+    ASSERT_EQ(ToVec(rows.In(v)), keys_of(v + 1, final_size(v))) << v;
+  }
+  // Every row costs its final block alone, plus the chunk headers.
+  EXPECT_LE(rows.StorageBytes(),
+            2 * kRows * 16 + 2 * (kRows / 2) * (100 + 16) * 4 + 1024);
+  // A row larger than an arena's first chunk, in a fresh builder, and a
+  // row carved after it.
+  LabelBuilder wide(2);
+  wide.AssignOut(0, keys_of(0, 30000));
+  wide.AssignOut(1, keys_of(1, 30000));
+  EXPECT_EQ(ToVec(wide.Out(0)), keys_of(0, 30000));
+  EXPECT_EQ(ToVec(wide.Out(1)), keys_of(1, 30000));
+  // A shorter row reuses its own block; the blob is the same from any
+  // number of copying workers.
+  rows.AssignOut(6, keys_of(6, 3));
+  EXPECT_EQ(ToVec(rows.Out(6)), keys_of(6, 3));
+  const std::string one = LabelBytes(testing_util::CopyOf(rows).Seal(1));
+  EXPECT_EQ(LabelBytes(std::move(rows).Seal(4)), one);
+}
+
+// 2HOP's inserts: keys in shuffled order, most of them below the row's
+// back. In the first half, each row grows key by key through every size
+// class up to 64 keys, on the blocks the row before it outgrew; the second
+// half's two-key rows then take blocks from the free lists and keep them.
+TEST(LabelBuilderTest, InsertsBelowTheBackKeepRowsSorted) {
+  constexpr Vertex kRows = 1000;
+  constexpr size_t kParts = 3;
+  constexpr uint32_t kKeys = 64;
+  LabelBuilder rows(kRows, kParts);
+  std::vector<Vertex> all(kRows);
+  for (Vertex v = 0; v < kRows; ++v) all[v] = v;
+  const auto expected_out = [](Vertex v) {
+    const uint32_t count = v < kRows / 2 ? kKeys : 2;
+    std::vector<uint32_t> keys(count);
+    for (uint32_t i = 0; i < count; ++i) keys[i] = 2 * i + v % 2;
+    return keys;
+  };
+  rows.ForEachRowByPart(all, [&](Vertex v, size_t) {
+    Rng rng(v);
+    std::vector<uint32_t> keys = expected_out(v);
+    Shuffle(&keys, &rng);
+    for (const uint32_t key : keys) {
+      rows.InsertOut(v, key);
+      rows.InsertOut(v, key);  // A duplicate is ignored.
+    }
+    rows.InsertIn(v, 9);
+    rows.InsertIn(v, 9);  // A duplicate of the back, too.
+    rows.InsertIn(v, v % 9);
+  });
+  for (Vertex v = 0; v < kRows; ++v) {
+    ASSERT_EQ(ToVec(rows.Out(v)), expected_out(v)) << v;
+    const std::vector<uint32_t> in =
+        v % 9 == 0 ? std::vector<uint32_t>{0, 9}
+                   : std::vector<uint32_t>{v % 9, 9};
+    ASSERT_EQ(ToVec(rows.In(v)), in) << v;
+  }
+  // Final blocks (64 or 4 keys a row on the Out side, 4 on the In side)
+  // plus one outgrown block of 4, 8, 16 and 32 keys per partition, and the
+  // chunk headers.
+  EXPECT_LE(rows.StorageBytes(),
+            2 * kRows * 16 +
+                ((kRows / 2) * (kKeys + 4) + kRows * 4 + kParts * 60) * 4 +
+                1024);
+}
+
+TEST(LabelBuilderTest, ZeroVerticesSealToAnEmptyStore) {
+  LabelBuilder rows(0, 4);
+  EXPECT_EQ(rows.num_vertices(), 0u);
+  EXPECT_EQ(rows.parts(), 4u);
+  EXPECT_EQ(rows.TotalEntries(), 0u);
+  EXPECT_EQ(rows.StorageBytes(), 0u);
+  rows.ForEachRowByPart({}, [](Vertex, size_t) { FAIL(); });
+  const LabelStore sealed = testing_util::CopyOf(rows).Seal(4);
+  EXPECT_EQ(sealed.num_vertices(), 0u);
+  EXPECT_EQ(sealed.TotalEntries(), 0u);
+  auto back = Deserialize(LabelBytes(sealed));
+  ASSERT_TRUE(back.ok()) << back.status().ToString();
+  EXPECT_TRUE(*back == sealed);
+  EXPECT_TRUE(back->Validate().ok());
+  DistributeLabels(Digraph(), {}, {}, &rows);
+  EXPECT_EQ(std::move(rows).Seal().MemoryBytes(), 2 * sizeof(uint64_t));
 }
 
 // --- The one load path. The RLSTORE3 reference blob (SampleStore, n = 3,

@@ -131,7 +131,7 @@ TEST_P(DifferentialFuzzTest, SealedStoreMatchesPreSealAnswers) {
             << oc.name << " seed " << seed << " threads " << threads;
         ASSERT_TRUE(oc.labels->Validate().ok()) << oc.name;
         const LabelBuilder preseal = testing_util::RowsOf(*oc.labels);
-        const LabelStore resealed = LabelBuilder(preseal).Seal();
+        const LabelStore resealed = testing_util::CopyOf(preseal).Seal();
         ASSERT_TRUE(resealed.Validate().ok()) << oc.name;
         ASSERT_EQ(testing_util::SaveIndexBytes(*oc.oracle),
                   testing_util::LabelBytes(resealed))

@@ -54,12 +54,19 @@ std::string LabelBytes(const LabelStore& labels) {
 LabelBuilder RowsOf(const LabelStore& labels) {
   LabelBuilder rows(labels.num_vertices());
   for (Vertex v = 0; v < labels.num_vertices(); ++v) {
-    const std::span<const uint32_t> out = labels.Out(v);
-    const std::span<const uint32_t> in = labels.In(v);
-    rows.MutableOut(v)->assign(out.begin(), out.end());
-    rows.MutableIn(v)->assign(in.begin(), in.end());
+    rows.AssignOut(v, labels.Out(v));
+    rows.AssignIn(v, labels.In(v));
   }
   return rows;
+}
+
+LabelBuilder CopyOf(const LabelBuilder& rows) {
+  LabelBuilder copy(rows.num_vertices(), rows.parts());
+  for (Vertex v = 0; v < rows.num_vertices(); ++v) {
+    copy.AssignOut(v, rows.Out(v));
+    copy.AssignIn(v, rows.In(v));
+  }
+  return copy;
 }
 
 ::testing::AssertionResult OracleMatchesClosure(

@@ -83,6 +83,9 @@ std::string LabelBytes(const LabelStore& labels);
 /// them before sealing.
 LabelBuilder RowsOf(const LabelStore& labels);
 
+/// A builder with the same rows and row partitions as `rows`.
+LabelBuilder CopyOf(const LabelBuilder& rows);
+
 /// Graph configurations for the property sweeps.
 struct GraphCase {
   std::string label;

@@ -66,35 +66,6 @@ TEST(SortedOpsTest, AdaptiveMatchesMergeOnSkewedSizes) {
   }
 }
 
-TEST(SortedOpsTest, SortedInsertKeepsOrderAndUniqueness) {
-  std::vector<uint32_t> v;
-  EXPECT_TRUE(SortedInsert(&v, 5));
-  EXPECT_TRUE(SortedInsert(&v, 1));
-  EXPECT_TRUE(SortedInsert(&v, 9));
-  EXPECT_FALSE(SortedInsert(&v, 5));  // Duplicate.
-  EXPECT_EQ(v, (std::vector<uint32_t>{1, 5, 9}));
-}
-
-// A key equal to the back must not take the append path.
-TEST(SortedOpsTest, SortedInsertRejectsDuplicateOfBack) {
-  std::vector<uint32_t> v{2, 4, 7};
-  EXPECT_FALSE(SortedInsert(&v, 7));
-  EXPECT_EQ(v, (std::vector<uint32_t>{2, 4, 7}));
-}
-
-// Ascending appends starting from an empty row (key 0 is not above any
-// back), then inserts below the back.
-TEST(SortedOpsTest, SortedInsertBelowBackAfterAppends) {
-  std::vector<uint32_t> v;
-  for (uint32_t key = 0; key <= 50; key += 10) {
-    EXPECT_TRUE(SortedInsert(&v, key));
-  }
-  EXPECT_TRUE(SortedInsert(&v, 35));
-  EXPECT_TRUE(SortedInsert(&v, 5));
-  EXPECT_FALSE(SortedInsert(&v, 30));
-  EXPECT_EQ(v, (std::vector<uint32_t>{0, 5, 10, 20, 30, 35, 40, 50}));
-}
-
 TEST(SortedOpsTest, SortUnique) {
   std::vector<uint32_t> v{5, 1, 5, 3, 1};
   SortUnique(&v);

@@ -168,14 +168,16 @@ int main(int argc, char** argv) {
     std::fprintf(stderr,
                  "phases: order=%s, order %.1f ms, label %.1f ms (search "
                  "%.1f ms, cleanup %.1f ms, append %.1f ms, %llu batches), "
-                 "seal %.1f ms\n",
+                 "seal %.1f ms, label storage %llu bytes\n",
                  build_stats.order.empty() ? "none"
                                            : build_stats.order.c_str(),
                  build_stats.order_millis, build_stats.label_millis,
                  build_stats.search_millis, build_stats.cleanup_millis,
                  build_stats.append_millis,
                  static_cast<unsigned long long>(build_stats.batches),
-                 build_stats.seal_millis);
+                 build_stats.seal_millis,
+                 static_cast<unsigned long long>(
+                     build_stats.label_storage_bytes));
   }
 
   auto answer = [&](Vertex u, Vertex v) {
