@@ -384,7 +384,8 @@ struct EdgeListFile {
 
 /// The ingest layer on its own: ReadEdgeListFile's streamed passes,
 /// canonicalization and CSR build, from the page cache. `passes` reports
-/// how many passes the reader made over the file.
+/// how many passes the reader made over the file, `ranges` how many byte
+/// ranges it parsed in parallel (REACH_THREADS sets the most).
 void ReadEdgeListFileLoop(benchmark::State& state, const EdgeListFile& file) {
   if (file.bytes == 0) {
     state.SkipWithError("cannot write the cit-Patents edge list");
@@ -404,6 +405,7 @@ void ReadEdgeListFileLoop(benchmark::State& state, const EdgeListFile& file) {
       static_cast<double>(state.iterations() * file.lines),
       benchmark::Counter::kIsRate);
   state.counters["passes"] = stats.passes;
+  state.counters["ranges"] = stats.ranges;
 }
 
 void BM_ReadEdgeListFile(benchmark::State& state) {
@@ -419,8 +421,8 @@ void BM_ReadEdgeListFileShuffled(benchmark::State& state) {
 }
 BENCHMARK(BM_ReadEdgeListFileShuffled)->Unit(benchmark::kMillisecond);
 
-// The fallback's worst case: the reader stages every head before the last
-// line's descent drops them, then reads the file again.
+// The fallback's worst case: the ranges stage every head before the last
+// range's descent drops them, then the file is read again in two passes.
 void BM_ReadEdgeListFileLastLineDescent(benchmark::State& state) {
   static const EdgeListFile file(LineOrder::kLastLineDescent);
   ReadEdgeListFileLoop(state, file);

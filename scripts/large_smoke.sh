@@ -3,7 +3,8 @@
 # (so the gcc and ASan/UBSan CI jobs both execute it): generate a
 # 10^6-edge DAG, stream it through the edge-list file reader (reach_serve
 # loads it with ReadGraphFile, which dispatches edge lists there; the
-# event=graph_read log line and its one-pass read are asserted), build +
+# event=graph_read log line, its one-pass read and its range count are
+# asserted), build +
 # save a DL snapshot, restart with --load-index (zero-copy mmap path), and require
 # 10k batched query answers byte-identical between the freshly built
 # server and the mmap-loaded one. The load leg must also
@@ -91,9 +92,15 @@ grep -q '^event=graph_read .*vertices=1001000 edges=1000000 read_ms=' \
   "$workdir/build.err" || fail "build server did not log event=graph_read"
 # The generated edge list is in source order with ascending rows, so the
 # reader must finish it in one pass and skip canonicalization; a silent
-# fallback to the second pass or to sorting the rows fails here.
-grep -q '^event=graph_read .* passes=1 canonical=1 ' "$workdir/build.err" \
-  || fail "build server did not read the source-ordered graph in one pass"
+# fallback to the second pass or to sorting the rows fails here. The file
+# (about 14 MB) is long enough for one range per thread, so with
+# REACH_THREADS set the read must have parsed exactly that many ranges.
+want_ranges='[1-9][0-9]*'
+[ -n "${REACH_THREADS:-}" ] && want_ranges=$REACH_THREADS
+grep -q "^event=graph_read .* passes=1 ranges=$want_ranges canonical=1 " \
+  "$workdir/build.err" \
+  || fail "build server did not read the source-ordered graph in one pass" \
+          "of ${want_ranges} ranges"
 # The build names the hop order that ranked DL's vertices. The graph's
 # closure is sparse, so the default cover-per-cost rank applies.
 grep -q '^event=index_built .*order=cover_per_cost ' "$workdir/build.err" \

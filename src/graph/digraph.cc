@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cassert>
 
+#include "util/thread_pool.h"
+
 namespace reach {
 
 Digraph Digraph::FromEdges(size_t num_vertices, std::vector<Edge> edges,
@@ -45,8 +47,8 @@ Digraph Digraph::FromEdges(size_t num_vertices, std::vector<Edge> edges,
 }
 
 Digraph Digraph::FromCsr(size_t num_vertices,
-                         std::vector<uint64_t> out_offsets,
-                         std::vector<Vertex> heads) {
+                         CsrVector<uint64_t> out_offsets,
+                         CsrVector<Vertex> heads, int threads) {
   assert(out_offsets.size() == num_vertices + 1);
   assert(out_offsets.front() == 0 && out_offsets.back() == heads.size());
 
@@ -54,28 +56,47 @@ Digraph Digraph::FromCsr(size_t num_vertices,
   g.num_vertices_ = num_vertices;
   g.out_offsets_ = std::move(out_offsets);
   g.heads_ = std::move(heads);
-
-  // Derive the reverse CSR in place, with no cursor array: count each
-  // in-degree at its own index, take inclusive prefix sums (in_offsets_[w]
-  // is then the end of w's bucket), and fill every bucket from its end
-  // while walking sources descending. Each slot steps back to its bucket's
-  // start, and every bucket ends up sorted ascending.
-  g.in_offsets_.assign(num_vertices + 1, 0);
-  for (const Vertex w : g.heads_) {
-    assert(w < num_vertices);
-    ++g.in_offsets_[w];
-  }
-  for (size_t v = 1; v < num_vertices; ++v) {
-    g.in_offsets_[v] += g.in_offsets_[v - 1];
-  }
-  g.in_offsets_[num_vertices] = g.heads_.size();
+  g.in_offsets_.resize(num_vertices + 1);
   g.tails_.resize(g.heads_.size());
-  for (size_t v = num_vertices; v-- > 0;) {
-    for (const Vertex w : g.OutNeighbors(static_cast<Vertex>(v))) {
-      g.tails_[--g.in_offsets_[w]] = static_cast<Vertex>(v);
+  // Target ranges split the ids evenly; each participant walks every edge.
+  const size_t parts = static_cast<size_t>(std::max(threads, 1));
+  ParallelChunks(0, parts, 1, static_cast<int>(parts),
+                 [&](const ChunkInfo& part) {
+                   g.FillInRows(num_vertices * part.begin / parts,
+                                num_vertices * part.end / parts);
+                 });
+  g.in_offsets_[num_vertices] = g.heads_.size();
+  return g;
+}
+
+void Digraph::FillInRows(size_t lo, size_t hi) {
+  // Count each in-degree at its own index and take inclusive prefix sums
+  // from the edges into targets below `lo`: in_offsets_[w] is then the end
+  // of w's bucket. Then fill every bucket from its end while walking
+  // sources descending. Each slot steps back to its bucket's start, and
+  // every bucket ends up sorted ascending.
+  uint64_t* const ends = in_offsets_.data();
+  std::fill(ends + lo, ends + hi, uint64_t{0});
+  // A target below `lo` wraps past `span`, so one compare tells "mine".
+  const size_t span = hi - lo;
+  uint64_t below = 0;
+  for (const Vertex w : heads_) {
+    assert(w < num_vertices_);
+    if (w - lo < span) {
+      ++ends[w];
+    } else {
+      below += w < lo;
     }
   }
-  return g;
+  for (size_t w = lo; w < hi; ++w) {
+    below += ends[w];
+    ends[w] = below;
+  }
+  for (size_t v = num_vertices_; v-- > 0;) {
+    for (const Vertex w : OutNeighbors(static_cast<Vertex>(v))) {
+      if (w - lo < span) tails_[--ends[w]] = static_cast<Vertex>(v);
+    }
+  }
 }
 
 bool Digraph::HasEdge(Vertex u, Vertex v) const {

@@ -52,6 +52,11 @@ struct NoFillAllocator : std::allocator<T> {
   }
 };
 
+/// The storage of a CSR array: builders write every slot, so it is sized
+/// without a fill, and its pages are first touched by whoever writes them.
+template <typename T>
+using CsrVector = std::vector<T, NoFillAllocator<T>>;
+
 /// Immutable CSR digraph. Construct through GraphBuilder or FromEdges.
 class Digraph {
  public:
@@ -72,9 +77,14 @@ class Digraph {
   /// no edge-vector or sort. This is the large-graph load path: FromEdges
   /// peaks at ~3x the final footprint (edge triples + both CSRs), FromCsr
   /// at the final footprint plus the reverse arrays it is building anyway.
-  static Digraph FromCsr(size_t num_vertices,
-                         std::vector<uint64_t> out_offsets,
-                         std::vector<Vertex> heads);
+  /// `threads` participants of the shared pool build the reverse CSR, each
+  /// the in-rows of its own range of target ids: it walks every row in the
+  /// serial order but counts and fills only its own targets, so every
+  /// in-row is byte-identical at any thread count. Each walks all edges, so
+  /// more threads pay only on a graph whose fill is bound by cache misses
+  /// (about 10^6 edges and up); the caller picks the count.
+  static Digraph FromCsr(size_t num_vertices, CsrVector<uint64_t> out_offsets,
+                         CsrVector<Vertex> heads, int threads = 1);
 
   size_t num_vertices() const { return num_vertices_; }
   size_t num_edges() const { return heads_.size(); }
@@ -114,14 +124,17 @@ class Digraph {
   size_t MemoryBytes() const;
 
  private:
+  /// Fills the in-rows of targets [lo, hi): in_offsets_[lo, hi) and their
+  /// slots of tails_. FromCsr's work for one range of targets.
+  void FillInRows(size_t lo, size_t hi);
+
   size_t num_vertices_ = 0;
   // CSR forward: heads_[out_offsets_[v] .. out_offsets_[v+1]) = out-neighbors.
-  std::vector<uint64_t> out_offsets_{0};
-  std::vector<Vertex> heads_;
+  CsrVector<uint64_t> out_offsets_{0};
+  CsrVector<Vertex> heads_;
   // CSR reverse: tails_[in_offsets_[v] .. in_offsets_[v+1]) = in-neighbors.
-  // Both builders write every slot of tails_, so it is sized unfilled.
-  std::vector<uint64_t> in_offsets_{0};
-  std::vector<Vertex, NoFillAllocator<Vertex>> tails_;
+  CsrVector<uint64_t> in_offsets_{0};
+  CsrVector<Vertex> tails_;
 };
 
 /// Incremental edge-list accumulator for building a Digraph.

@@ -12,9 +12,12 @@
 #include <ostream>
 #include <string>
 #include <string_view>
+#include <utility>
+#include <vector>
 
 #include "util/mapped_blob.h"
 #include "util/strict_parse.h"
+#include "util/thread_pool.h"
 #include "util/timer.h"
 
 namespace reach {
@@ -102,11 +105,13 @@ bool ParseSoleToken(std::string_view text, uint64_t* out) {
 /// A partial line at the chunk's end moves to the chunk front before the
 /// next read, so only a line longer than the chunk is copied, into a carry
 /// buffer that holds that one line. The chunk is zeroed and padded, so a
-/// word load anywhere in Lines() stays in initialized memory.
+/// word load anywhere in Lines() stays in initialized memory. The scanner
+/// reads at most `limit` bytes: the input ends there.
 class LineScanner {
  public:
-  explicit LineScanner(std::istream& in)
+  explicit LineScanner(std::istream& in, uint64_t limit = kUnsized)
       : in_(in),
+        limit_(limit),
         chunk_(std::make_unique<char[]>(kScanChunkBytes + kScanPadBytes)) {}
 
   /// The whole lines buffered at the cursor, each with its '\n', reading
@@ -178,9 +183,10 @@ class LineScanner {
     pos_ = 0;
     end_ = tail;
     lines_end_ = 0;
-    if (tail == kScanChunkBytes) return;
-    in_.read(chunk_.get() + tail,
-             static_cast<std::streamsize>(kScanChunkBytes - tail));
+    const uint64_t room =
+        std::min<uint64_t>(kScanChunkBytes - tail, limit_ - bytes_read_);
+    if (room == 0) return;
+    in_.read(chunk_.get() + tail, static_cast<std::streamsize>(room));
     end_ += static_cast<size_t>(in_.gcount());
     bytes_read_ += static_cast<uint64_t>(in_.gcount());
     // The tail holds no '\n', so only the new bytes are searched.
@@ -193,6 +199,7 @@ class LineScanner {
   }
 
   std::istream& in_;
+  const uint64_t limit_;
   std::unique_ptr<char[]> chunk_;
   size_t pos_ = 0;        // Cursor.
   size_t lines_end_ = 0;  // Just past the chunk's last '\n', or pos_.
@@ -328,10 +335,12 @@ Status TooManyVertices(const std::string& source, size_t line_no, uint64_t id,
 /// (kUnsized allows any) is rejected by the size rule before any caller
 /// sizes a row from it. Every edge-list read goes through this one reader,
 /// so every path accepts and rejects the same bytes with the same errors.
+/// It reads at most `limit` bytes of `in` (a range of a file).
 class EdgeReader {
  public:
-  EdgeReader(std::istream& in, uint64_t input_bytes, const std::string& source)
-      : lines_(in),
+  EdgeReader(std::istream& in, uint64_t input_bytes, const std::string& source,
+             uint64_t limit = kUnsized)
+      : lines_(in, limit),
         input_bytes_(input_bytes),
         id_limit_(input_bytes == kUnsized ? UINT64_MAX : IdLimit(input_bytes)),
         source_(source) {}
@@ -479,24 +488,28 @@ StatusOr<Digraph> ReadEdgeListStream(std::istream& in,
   }
 }
 
-/// Page-backed room for what pass 1 stages (see ReadEdgeListStreamed).
-/// Fresh pages become resident only as entries are written and go back to
-/// the kernel on Release, so an area sized from the file's bound costs only
-/// the entries it holds, and the heap sees only the final arrays. Inactive
-/// when it cannot be mapped.
+/// Page-backed room for what a range stages (see StageRange). Fresh pages
+/// become resident only as entries are written and go back to the kernel
+/// on Release, so an area sized from the range's bound costs only the
+/// entries it holds, and the heap sees only the final arrays. Inactive when
+/// it cannot be mapped.
 template <typename T>
 class PageStaging {
  public:
+  PageStaging() = default;
   explicit PageStaging(size_t capacity)
       : data_(reinterpret_cast<T*>(AllocatePages(capacity * sizeof(T)))),
         capacity_(data_ == nullptr ? 0 : capacity) {}
   ~PageStaging() { Release(); }
   PageStaging(const PageStaging&) = delete;
-  PageStaging& operator=(const PageStaging&) = delete;
+  PageStaging& operator=(PageStaging&& other) noexcept {
+    std::swap(data_, other.data_);
+    std::swap(capacity_, other.capacity_);
+    return *this;
+  }
 
   bool active() const { return data_ != nullptr; }
   T* data() const { return data_; }
-  size_t capacity() const { return capacity_; }
 
   void Release() {
     FreePages(reinterpret_cast<std::byte*>(data_), capacity_ * sizeof(T));
@@ -505,9 +518,181 @@ class PageStaging {
   }
 
  private:
-  T* data_;
-  size_t capacity_;
+  T* data_ = nullptr;
+  size_t capacity_ = 0;
 };
+
+// Digraph::FromCsr gets one participant per this many edges, up to the
+// read's thread count: each participant walks every edge, which pays only
+// once the in-row fill is bound by cache misses. On a 4-vCPU VM, 4
+// participants broke even with 1 near 6 * 10^5 edges and were 1.3x faster
+// at 2 * 10^6.
+constexpr size_t kEdgesPerReversePart = size_t{1} << 18;
+
+// A file is cut into one range per thread, but into no more ranges than it
+// holds this many bytes: below it, a range's own file handle, staging
+// pages and helper wake-up cost more than the parse it takes over. On a
+// 4-vCPU VM, prefixes of the cit-Patents stand-in read in 271 us as two
+// 64 KiB ranges against 327 us as one, while four 32 KiB ranges gained
+// nothing over two (medians of 300 reads).
+constexpr uint64_t kMinRangeBytes = kScanChunkBytes;
+
+/// One byte range of an edge-list file, [begin, end), each end just past a
+/// '\n' or at the end of the file, parsed on its own file handle. It stages
+/// the heads of its edge lines, and each row as its source first appears,
+/// on fresh pages.
+struct StagedRange {
+  /// A row as the range met it: the source and the index in `heads` of the
+  /// row's first head. A self-loop line opens a row but stages no head.
+  struct Row {
+    Vertex source;
+    uint64_t start;
+  };
+
+  uint64_t begin = 0;
+  uint64_t end = 0;
+  PageStaging<Vertex> heads;
+  PageStaging<Row> rows;
+  size_t num_heads = 0;
+  size_t num_rows = 0;
+  size_t n = 0;  // Largest id named in the range, plus 1.
+  // Every line read, with sources nondecreasing: the staging is complete.
+  bool ordered = false;
+  // Every row strictly ascending inside the range.
+  bool canonical = false;
+  // The first row's first head (UINT64_MAX when that row has none), and
+  // the last row's last head plus 1 (0 when it has none): what a row that
+  // spans a boundary is checked on.
+  uint64_t first_row_head = UINT64_MAX;
+  uint64_t last_row_floor = 0;
+};
+
+/// Parses `range` from `in`, positioned at its start, into its staging.
+/// It stops at a source below the previous one, at a line the reader
+/// rejects, and at a read that ends short of the range; the range is then
+/// not `ordered`, and the file goes to the two-pass read, which reports
+/// any error with its whole-file line number.
+void StageRange(std::istream& in, uint64_t size, const std::string& path,
+                StagedRange* range) {
+  const uint64_t bytes = range->end - range->begin;
+  // Every edge line takes at least 4 bytes ("0 1\n", or 3 unterminated at
+  // the end of the file), so the range's size bounds its lines.
+  const size_t lines_bound = static_cast<size_t>(bytes / 4 + 1);
+  range->heads = PageStaging<Vertex>(lines_bound);
+  range->rows = PageStaging<StagedRange::Row>(lines_bound);
+  if (!range->heads.active() || !range->rows.active()) return;
+  Vertex* const heads = range->heads.data();
+  StagedRange::Row* const rows = range->rows.data();
+  size_t num_heads = 0;
+  size_t num_rows = 0;
+  size_t n = 0;
+  bool canonical = true;
+  uint64_t row = UINT64_MAX;  // The current row's source; none yet.
+  uint64_t row_floor = 0;     // The least head that keeps the row ascending.
+  EdgeReader edges(in, size, path, bytes);
+  Vertex u = 0;
+  Vertex v = 0;
+  while (edges.Next(&u, &v)) {
+    // A self-loop line still grows the vertex space (GraphBuilder
+    // semantics) and counts toward the order, but adds no edge.
+    n = std::max<size_t>(n, size_t{std::max(u, v)} + 1);
+    if (u != row) {
+      if (u < row && num_rows != 0) return;  // A descent.
+      rows[num_rows++] = {u, num_heads};
+      row = u;
+      row_floor = 0;
+    }
+    if (u != v) {
+      canonical &= v >= row_floor;
+      row_floor = uint64_t{v} + 1;
+      heads[num_heads++] = v;
+    }
+  }
+  if (!edges.status().ok() || edges.bytes_read() != bytes) return;
+  range->num_heads = num_heads;
+  range->num_rows = num_rows;
+  range->n = n;
+  range->ordered = true;
+  range->canonical = canonical;
+  if (num_rows != 0 && (num_rows > 1 ? rows[1].start : num_heads) != 0) {
+    range->first_row_head = heads[0];
+  }
+  range->last_row_floor = row_floor;
+}
+
+/// The first line start at or after byte `cut` (0 < cut < size) of `in`:
+/// `cut` itself when the byte before it is '\n', else just past the next
+/// '\n', or `size` when none follows. False when `in` fails.
+bool LineStartFrom(std::istream& in, uint64_t cut, uint64_t size,
+                   uint64_t* start) {
+  in.clear();
+  in.seekg(static_cast<std::streamoff>(cut - 1));
+  char block[4096];
+  for (uint64_t at = cut - 1; at < size;) {
+    in.read(block, static_cast<std::streamsize>(
+                       std::min<uint64_t>(sizeof(block), size - at)));
+    const size_t got = static_cast<size_t>(in.gcount());
+    if (got == 0) break;  // The file shrank; its ranges will read short.
+    if (const void* newline = std::memchr(block, '\n', got)) {
+      *start = at + static_cast<uint64_t>(
+                        static_cast<const char*>(newline) - block) + 1;
+      return true;
+    }
+    at += got;
+  }
+  *start = size;
+  return !in.bad();
+}
+
+/// The ranges of a `size`-byte file cut at `cuts` (ascending), each cut
+/// moved on to the next line start; empty ranges are dropped. False when
+/// `in` cannot be read.
+bool CutIntoRanges(std::istream& in, uint64_t size,
+                   const std::vector<uint64_t>& cuts,
+                   std::vector<StagedRange>* ranges) {
+  std::vector<uint64_t> bounds = {0};
+  for (const uint64_t cut : cuts) {
+    // A cut inside the previous range's last line would land on its end.
+    if (cut <= bounds.back() || cut >= size) continue;
+    uint64_t start = 0;
+    if (!LineStartFrom(in, cut, size, &start)) return false;
+    if (start < size) bounds.push_back(start);
+  }
+  bounds.push_back(size);
+  *ranges = std::vector<StagedRange>(bounds.size() - 1);
+  for (size_t i = 0; i + 1 < bounds.size(); ++i) {
+    (*ranges)[i].begin = bounds[i];
+    (*ranges)[i].end = bounds[i + 1];
+  }
+  return true;
+}
+
+/// Whether the staged ranges, in file order, are each complete and keep
+/// the sources nondecreasing across every boundary: then they hold the
+/// whole CSR. Sets `*canonical` to whether every row, one that spans
+/// ranges included, arrived strictly ascending.
+bool RangesJoin(const std::vector<StagedRange>& ranges, bool* canonical) {
+  *canonical = true;
+  uint64_t row = 0;        // The last source so far.
+  uint64_t row_floor = 0;  // Its last head plus 1, or 0 when it has none.
+  for (const StagedRange& range : ranges) {
+    if (!range.ordered) return false;
+    *canonical &= range.canonical;
+    if (range.num_rows == 0) continue;
+    const Vertex first = range.rows.data()[0].source;
+    const Vertex last = range.rows.data()[range.num_rows - 1].source;
+    if (first < row) return false;
+    // A row that spans the boundary goes on ascending from its floor (a
+    // first range's row 0 has floor 0, which every head meets).
+    if (first == row) *canonical &= range.first_row_head >= row_floor;
+    // A range that is all one row and adds no head leaves the floor as is.
+    if (last != row || range.last_row_floor != 0) {
+      row_floor = range.last_row_floor;
+    }
+    row = last;
+  }
+  return true;
+}
 
 /// Sorts and dedups each row of the CSR `offsets` over `heads` in place,
 /// compacting leftwards (the write cursor never passes a row's read
@@ -532,80 +717,69 @@ uint64_t CanonicalizeRows(size_t n, uint64_t* offsets, Vertex* heads) {
   return write;
 }
 
-/// The streamed edge-list reader behind ReadEdgeListFile; `path` names
-/// `in` in errors.
-StatusOr<Digraph> ReadEdgeListStreamed(std::istream& in,
-                                       const std::string& path,
-                                       GraphReadStats* stats) {
-  // Straight into CSR, with nothing edge-sized materialized besides the CSR
-  // itself: the one-pass stream reader's Edge vector plus FromEdges' sort
-  // peak at ~3x the final footprint, which is what caps loadable graph
-  // size. While every edge line's source is at least the previous one's,
-  // pass 1 stages each head, and each row's start as its source first
-  // appears: if the whole file keeps that order, the staged rows are the
-  // CSR and no second pass runs. At the first descent the row starts turn
-  // into per-source degrees, the staging is dropped, pass 1 goes on
-  // counting degrees, and pass 2 re-reads the file to fill each row in
-  // place. Rows are then canonicalized (sorted, deduped, self-loops
-  // dropped) in place, unless every staged row arrived strictly ascending,
-  // so either way the result is byte-identical to ReadEdgeList on the same
-  // bytes.
-  const Timer timer;
-  const uint64_t size = InputBytes(in);
-  // Pass 2 needs a file that seeks: refuse a pipe before reading it.
-  if (size == kUnsized) return Status::IOError("cannot rewind " + path);
-  // Every edge line takes at least 4 bytes ("0 1\n", or 3 unterminated at
-  // the end), so the file size bounds the heads there are to stage. Row
-  // starts are staged by source id, for ids up to as many again plus the
-  // size rule's slack: a source past that is read as a descent is.
-  const size_t lines_bound = static_cast<size_t>(size / 4 + 1);
-  PageStaging<Vertex> staged(lines_bound);
-  PageStaging<uint64_t> starts(lines_bound + kIdSlack);
+/// Copies the joined ranges into the CSR's rows, one range per
+/// participant, and frees their staging. Each range writes its heads at
+/// its offset among all heads, and the row starts of the ids after the
+/// previous range's last source up to its own last source (the last range
+/// up to `n`), so no two participants write the same entry.
+void StitchRanges(std::vector<StagedRange>* ranges, size_t n, int threads,
+                  CsrVector<uint64_t>* offsets, CsrVector<Vertex>* heads) {
+  std::vector<uint64_t> base(ranges->size() + 1, 0);  // Heads ahead of each.
+  std::vector<uint64_t> after(ranges->size(), 0);     // Ids it starts past.
+  size_t last = 0;  // The last range that holds a row.
+  for (size_t i = 0; i < ranges->size(); ++i) {
+    const StagedRange& range = (*ranges)[i];
+    base[i + 1] = base[i] + range.num_heads;
+    if (i + 1 < ranges->size()) after[i + 1] = after[i];
+    if (range.num_rows != 0) {
+      last = i;
+      if (i + 1 < ranges->size()) {
+        after[i + 1] = range.rows.data()[range.num_rows - 1].source;
+      }
+    }
+  }
+  offsets->resize(n + 1);
+  heads->resize(base.back());
+  (*offsets)[0] = 0;
+  ParallelChunks(0, ranges->size(), 1, threads, [&](const ChunkInfo& chunk) {
+    const size_t i = chunk.index;
+    StagedRange& range = (*ranges)[i];
+    std::copy(range.heads.data(), range.heads.data() + range.num_heads,
+              heads->data() + base[i]);
+    uint64_t* const starts = offsets->data();
+    uint64_t id = after[i] + 1;
+    for (size_t r = 0; r < range.num_rows; ++r) {
+      const StagedRange::Row row = range.rows.data()[r];
+      for (; id <= row.source; ++id) starts[id] = base[i] + row.start;
+    }
+    if (i == last) {
+      for (; id <= n; ++id) starts[id] = base[i + 1];
+    }
+    range.heads.Release();
+    range.rows.Release();
+  });
+}
+
+/// The two-pass read of a file whose edge lines are not in source order:
+/// pass 1 counts each source's degree, pass 2 re-reads the file to fill
+/// each row in place. Leaves the rows as the file lists them.
+Status ReadTwoPasses(std::istream& in, const std::string& path, uint64_t size,
+                     size_t* n, CsrVector<uint64_t>* offsets,
+                     CsrVector<Vertex>* heads) {
+  const auto rewind = [&] {
+    in.clear();
+    in.seekg(0);
+    return in ? Status::OK() : Status::IOError("cannot rewind " + path);
+  };
   std::vector<uint64_t> degree;  // degree[u+1] = raw out-degree of u.
-  std::vector<uint64_t> offsets;
-  std::vector<Vertex> heads;
-  size_t n = 0;
   uint64_t raw_edges = 0;
-  bool ordered = staged.active() && starts.active();
-  if (ordered) starts.data()[0] = 0;
-  bool canonical = true;   // Every staged row strictly ascending so far.
-  Vertex row = 0;          // The last source, while ordered.
-  uint64_t row_floor = 0;  // The least head that keeps `row` ascending.
-  // A line can still imply a CSR larger than memory (the size rule allows
-  // 4 vertices a byte): a failed sizing is reported, not thrown.
-  try {
+  REACH_RETURN_IF_ERROR(rewind());
+  {
     EdgeReader edges(in, size, path);
     Vertex u = 0;
     Vertex v = 0;
     while (edges.Next(&u, &v)) {
-      // A self-loop line still grows the vertex space (GraphBuilder
-      // semantics) and counts toward the order, but adds no edge.
-      n = std::max<size_t>(n, size_t{std::max(u, v)} + 1);
-      if (ordered && u >= row && u < starts.capacity() &&
-          (u == v || raw_edges < staged.capacity())) {
-        if (u != row) {
-          std::fill(starts.data() + row + 1, starts.data() + u + 1, raw_edges);
-          row = u;
-          row_floor = 0;
-        }
-        if (u != v) {
-          canonical &= v >= row_floor;
-          row_floor = uint64_t{v} + 1;
-          staged.data()[raw_edges++] = v;
-        }
-        continue;
-      }
-      if (ordered) {
-        // A descent, a source past the staged rows, or a file that grew
-        // past its size ends the staging; pass 2 fills the rows instead.
-        degree.resize(size_t{row} + 2);
-        std::adjacent_difference(starts.data(), starts.data() + row + 1,
-                                 degree.begin());
-        degree[size_t{row} + 1] = raw_edges - starts.data()[row];
-        staged.Release();
-        starts.Release();
-        ordered = false;
-      }
+      *n = std::max<size_t>(*n, size_t{std::max(u, v)} + 1);
       if (u != v) {
         if (degree.size() < size_t{u} + 2) degree.resize(size_t{u} + 2, 0);
         ++degree[size_t{u} + 1];
@@ -613,77 +787,127 @@ StatusOr<Digraph> ReadEdgeListStreamed(std::istream& in,
       }
     }
     REACH_RETURN_IF_ERROR(edges.status());
-    if (ordered) {
-      offsets.assign(n + 1, raw_edges);
-      std::copy(starts.data(), starts.data() + row + 1, offsets.begin());
-      starts.Release();
-    } else {
-      degree.resize(n + 1, 0);
-      std::partial_sum(degree.begin(), degree.end(), degree.begin());
-      offsets = degree;  // degree[] turns into pass 2's row cursors.
-      heads.resize(raw_edges);
+  }
+  degree.resize(*n + 1, 0);
+  std::partial_sum(degree.begin(), degree.end(), degree.begin());
+  offsets->assign(degree.begin(), degree.end());  // degree[] turns into
+  heads->resize(raw_edges);                       // pass 2's row cursors.
+
+  REACH_RETURN_IF_ERROR(rewind());
+  // Pass 1 accepted every line and sized every row, so a bad line, an id
+  // beyond the vertex count, or a row overrunning its size here means the
+  // file changed between passes.
+  const auto changed = [&](const std::string& what) {
+    return Status::Corruption(path + " changed while being read: " + what);
+  };
+  EdgeReader edges(in, size, path);
+  Vertex u = 0;
+  Vertex v = 0;
+  while (edges.Next(&u, &v)) {
+    if (u >= *n || v >= *n) {
+      return changed("vertex id " + std::to_string(std::max(u, v)) +
+                     " appeared");
     }
+    if (u == v) continue;
+    if (degree[u] >= (*offsets)[size_t{u} + 1]) {
+      return changed("row " + std::to_string(u) + " grew");
+    }
+    (*heads)[degree[u]++] = v;
+  }
+  if (edges.status().IsIOError()) return edges.status();
+  if (!edges.status().ok()) return changed(edges.status().message());
+  for (size_t w = 0; w < *n; ++w) {
+    if (degree[w] != (*offsets)[w + 1]) {
+      return changed("row " + std::to_string(w) + " shrank");
+    }
+  }
+  return Status::OK();
+}
+
+/// The edge-list file reader behind ReadEdgeListFile and ReadGraphFile:
+/// `in` is open on `path` at its start. The file is cut into ranges at
+/// `cuts`, or when null into one range per thread but none shorter than
+/// kMinRangeBytes; `threads` participants of the shared pool parse them.
+StatusOr<Digraph> ReadEdgeListStreamed(std::istream& in,
+                                       const std::string& path, int threads,
+                                       const std::vector<uint64_t>* cuts,
+                                       GraphReadStats* stats) {
+  // Straight into CSR, with nothing edge-sized materialized besides the CSR
+  // itself: the one-pass stream reader's Edge vector plus FromEdges' sort
+  // peak at ~3x the final footprint, which is what caps loadable graph
+  // size. Each range stages its heads, and each row as its source first
+  // appears, on fresh pages. If every range keeps its sources in order and
+  // each boundary keeps that order too, the ranges are the CSR: one
+  // parallel copy stitches them together. Otherwise (a descent anywhere,
+  // or a line the reader rejects) the staging is dropped and the file is
+  // read again in two passes, the first counting degrees and the second
+  // filling each row in place. Rows are then canonicalized (sorted,
+  // deduped, self-loops dropped) in place, unless every row arrived
+  // strictly ascending, so either way the result is byte-identical to
+  // ReadEdgeList on the same bytes.
+  const Timer timer;
+  const uint64_t size = InputBytes(in);
+  // Pass 2 needs a file that seeks: refuse a pipe before reading it.
+  if (size == kUnsized) return Status::IOError("cannot rewind " + path);
+  std::vector<uint64_t> even_cuts;
+  if (cuts == nullptr) {
+    const uint64_t count = std::clamp<uint64_t>(
+        size / kMinRangeBytes, 1, static_cast<uint64_t>(threads));
+    for (uint64_t i = 1; i < count; ++i) even_cuts.push_back(size * i / count);
+    cuts = &even_cuts;
+  }
+  std::vector<StagedRange> ranges;
+  if (!CutIntoRanges(in, size, *cuts, &ranges)) {
+    return Status::IOError("cannot read " + path);
+  }
+  size_t n = 0;
+  bool canonical = false;
+  bool joined = false;
+  double parsed_ms = 0;
+  CsrVector<uint64_t> offsets;
+  CsrVector<Vertex> heads;
+  // A line can still imply a CSR larger than memory (the size rule allows
+  // 4 vertices a byte): a failed sizing is reported, not thrown.
+  try {
+    ParallelChunks(0, ranges.size(), 1, threads, [&](const ChunkInfo& chunk) {
+      StagedRange& range = ranges[chunk.index];
+      if (chunk.index == 0) {
+        in.clear();
+        in.seekg(0);
+        StageRange(in, size, path, &range);
+        return;
+      }
+      std::ifstream own(path, std::ios::binary);
+      own.seekg(static_cast<std::streamoff>(range.begin));
+      if (own) StageRange(own, size, path, &range);
+    });
+    joined = RangesJoin(ranges, &canonical);
+    if (joined) {
+      for (const StagedRange& range : ranges) n = std::max(n, range.n);
+    } else {
+      ranges.clear();  // Frees the staging before the second read.
+      REACH_RETURN_IF_ERROR(
+          ReadTwoPasses(in, path, size, &n, &offsets, &heads));
+    }
+    parsed_ms = timer.ElapsedMillis();
+    if (joined) StitchRanges(&ranges, n, threads, &offsets, &heads);
   } catch (const std::bad_alloc&) {
     return CsrTooLarge(path, n);
   }
-
-  if (!ordered) {
-    in.clear();
-    in.seekg(0);
-    if (!in) return Status::IOError("cannot rewind " + path);
-    // Pass 1 accepted every line and sized every row, so a bad line, an id
-    // beyond the vertex count, or a row overrunning its size here means
-    // the file changed between passes.
-    const auto changed = [&](const std::string& what) {
-      return Status::Corruption(path + " changed while being read: " + what);
-    };
-    EdgeReader edges(in, size, path);
-    Vertex u = 0;
-    Vertex v = 0;
-    while (edges.Next(&u, &v)) {
-      if (u >= n || v >= n) {
-        return changed("vertex id " + std::to_string(std::max(u, v)) +
-                       " appeared");
-      }
-      if (u == v) continue;
-      if (degree[u] >= offsets[size_t{u} + 1]) {
-        return changed("row " + std::to_string(u) + " grew");
-      }
-      heads[degree[u]++] = v;
-    }
-    if (edges.status().IsIOError()) return edges.status();
-    if (!edges.status().ok()) return changed(edges.status().message());
-    for (size_t w = 0; w < n; ++w) {
-      if (degree[w] != offsets[w + 1]) {
-        return changed("row " + std::to_string(w) + " shrank");
-      }
-    }
-    degree = {};  // Freed ahead of FromCsr, which sets the reader's peak.
-  }
-  const double parsed_ms = timer.ElapsedMillis();
-
-  if (ordered) {
-    const uint64_t edges =
-        canonical ? raw_edges
-                  : CanonicalizeRows(n, offsets.data(), staged.data());
-    // The exact-size copy is no larger than pass 2's heads would be, and
-    // the staging pages go back before FromCsr sets the reader's peak.
-    try {
-      heads.assign(staged.data(), staged.data() + edges);
-    } catch (const std::bad_alloc&) {
-      return CsrTooLarge(path, n);
-    }
-    staged.Release();
-  } else {
+  if (!joined || !canonical) {
     heads.resize(CanonicalizeRows(n, offsets.data(), heads.data()));
     heads.shrink_to_fit();
   }
   const double canonical_ms = timer.ElapsedMillis();
 
-  Digraph graph = Digraph::FromCsr(n, std::move(offsets), std::move(heads));
+  const int reverse_threads = static_cast<int>(std::clamp<uint64_t>(
+      heads.size() / kEdgesPerReversePart, 1, static_cast<uint64_t>(threads)));
+  Digraph graph = Digraph::FromCsr(n, std::move(offsets), std::move(heads),
+                                   reverse_threads);
   if (stats != nullptr) {
-    stats->passes = ordered ? 1 : 2;
-    stats->canonical_input = ordered && canonical;
+    stats->passes = joined ? 1 : 2;
+    stats->ranges = joined ? static_cast<int>(ranges.size()) : 1;
+    stats->canonical_input = joined && canonical;
     stats->parse_ms = parsed_ms;
     stats->canonicalize_ms = canonical_ms - parsed_ms;
     stats->reverse_csr_ms = timer.ElapsedMillis() - canonical_ms;
@@ -701,8 +925,24 @@ StatusOr<Digraph> ReadEdgeListFile(const std::string& path,
                                    GraphReadStats* stats) {
   std::ifstream in(path, std::ios::binary);
   if (!in) return Status::IOError("cannot open " + path);
-  return NameReadFailure(ReadEdgeListStreamed(in, path, stats), in, path);
+  return NameReadFailure(
+      ReadEdgeListStreamed(in, path, DefaultBuildThreads(), nullptr, stats),
+      in, path);
 }
+
+namespace internal {
+
+StatusOr<Digraph> ReadEdgeListFileCutAt(const std::string& path,
+                                        const std::vector<uint64_t>& cuts,
+                                        GraphReadStats* stats) {
+  std::ifstream in(path, std::ios::binary);
+  if (!in) return Status::IOError("cannot open " + path);
+  const int threads = static_cast<int>(cuts.size()) + 1;
+  return NameReadFailure(ReadEdgeListStreamed(in, path, threads, &cuts, stats),
+                         in, path);
+}
+
+}  // namespace internal
 
 Status WriteEdgeList(const Digraph& g, std::ostream& out) {
   out << "# libreach edge list: " << g.num_vertices() << " vertices, "
@@ -867,11 +1107,11 @@ StatusOr<Digraph> ReadBinary(std::istream& in) {
   // vector — the old ~3x peak footprint — is ever materialized. Both
   // arrays grow amortized, capped by what the stream actually delivered:
   // a forged n or m cannot pre-allocate memory the rows never back.
-  std::vector<uint64_t> offsets;
+  CsrVector<uint64_t> offsets;
   offsets.reserve(static_cast<size_t>(
       std::min<uint64_t>(n + 1, kBinaryOffsetSliceEntries)));
   offsets.push_back(0);
-  std::vector<Vertex> heads;
+  CsrVector<Vertex> heads;
   heads.reserve(static_cast<size_t>(
       std::min<uint64_t>(m, kBinaryRowSliceEntries)));
   uint64_t filled = 0;
@@ -945,7 +1185,8 @@ StatusOr<Digraph> ReadGraphFile(const std::string& path,
     if (in.rdbuf()->pubseekoff(0, std::ios::cur) == std::streampos(-1)) {
       return ReadEdgeListStream(in, path);
     }
-    return ReadEdgeListStreamed(in, path, stats);
+    return ReadEdgeListStreamed(in, path, DefaultBuildThreads(), nullptr,
+                                stats);
   };
   return NameReadFailure(read(), in, path);
 }

@@ -27,8 +27,10 @@
 #ifndef REACH_GRAPH_GRAPH_IO_H_
 #define REACH_GRAPH_GRAPH_IO_H_
 
+#include <cstdint>
 #include <iosfwd>
 #include <string>
+#include <vector>
 
 #include "graph/digraph.h"
 #include "util/status.h"
@@ -49,7 +51,8 @@ StatusOr<Digraph> ReadEdgeList(std::istream& in);
 /// What a streamed edge-list file read did: how many passes it made over
 /// the file and where its time went.
 struct GraphReadStats {
-  int passes = 0;  // 1 if every row could be staged in order, else 2.
+  int passes = 0;  // 1 if the ranges were in source order, else 2.
+  int ranges = 0;  // Byte ranges parsed in parallel (1 on the two-pass path).
   // True when every row arrived strictly ascending in one pass, so no row
   // was sorted or deduplicated (every file WriteEdgeList writes).
   bool canonical_input = false;
@@ -59,24 +62,28 @@ struct GraphReadStats {
 };
 
 /// Parses a SNAP-style edge list from a file straight into CSR, with no
-/// intermediate edge vector — the large-graph load path. The first pass
-/// parses each id a word at a time and holds every line to the size rule
-/// from the first line on. While the edge lines' sources are nondecreasing
-/// (as WriteEdgeList writes them), it stages their heads and each row's
-/// start as its source first appears; if the whole file keeps that order,
-/// the read ends there, and when every row also arrived strictly
-/// ascending no row is sorted or deduplicated. At the first descending
-/// source (or one past the staged rows: a quarter of S plus 2^16) the row
-/// starts turn into degrees, the staging is dropped, the pass goes on
-/// counting degrees, and a second pass fills each row in place. The
-/// staging sits on fresh pages sized from the file, which become resident
-/// only as entries are written; heads and row starts are copied once into
-/// exact-size vectors and the pages freed before the reverse CSR is built.
-/// Peak memory therefore stays at what FromCsr needs for the final CSR,
-/// plus one 64 KiB read chunk and one line longer than it. A pipe is
-/// refused with an IOError: the second pass needs a file that seeks.
-/// Accepts, rejects, and produces exactly what ReadEdgeList does on the
-/// same bytes. A failed read is an IOError naming `path`. `stats`, if
+/// intermediate edge vector — the large-graph load path. The file is cut
+/// into DefaultBuildThreads() byte ranges (REACH_THREADS, else the
+/// hardware count), but none shorter than 64 KiB, each ending just past a
+/// '\n'. Participants of the shared pool parse the ranges at once, each
+/// through its own file handle, parsing each id a word at a time and
+/// holding every line to the size rule. A range stages its heads, and
+/// each row as its source first appears, on fresh pages sized from its
+/// bytes, which become resident only as entries are written. If every
+/// range keeps its sources nondecreasing (as WriteEdgeList writes them)
+/// and each boundary keeps that order too, one parallel copy stitches
+/// the ranges into the CSR, and when every row also arrived strictly
+/// ascending no row is sorted or deduplicated. Any other file (a descent,
+/// or a rejected line) drops the staging and is read again in two passes
+/// on one thread: the first counts degrees, the second fills each row in
+/// place; every error comes from that read, so it names the file's first
+/// bad line. The reverse CSR is built on the read's threads once the
+/// graph has enough edges for them to pay. Peak memory stays at what
+/// Digraph::FromCsr needs for the final CSR, plus one 64 KiB read chunk
+/// and one line longer than it per range. A pipe is refused with an
+/// IOError: the second pass needs a file that seeks. Accepts, rejects,
+/// and produces exactly what ReadEdgeList does on the same bytes, at any
+/// thread count. A failed read is an IOError naming `path`. `stats`, if
 /// given, is filled when the read succeeds.
 StatusOr<Digraph> ReadEdgeListFile(const std::string& path,
                                    GraphReadStats* stats = nullptr);
@@ -101,14 +108,26 @@ StatusOr<Digraph> ReadBinary(std::istream& in);
 
 /// File-path conveniences that dispatch on extension:
 /// ".gra" -> gra, ".bin" -> binary, anything else -> edge list. Edge lists
-/// are read as ReadEdgeListFile reads them: one pass when the sources are
-/// nondecreasing, two otherwise. A pipe, which cannot be rewound, goes
+/// are read as ReadEdgeListFile reads them: one parallel pass when the
+/// sources are nondecreasing, two more otherwise. A pipe, which cannot be rewound, goes
 /// through ReadEdgeList instead. `stats` is filled only by the
 /// ReadEdgeListFile path; the others leave it as it was. A failed read is
 /// an IOError naming `path`.
 StatusOr<Digraph> ReadGraphFile(const std::string& path,
                                 GraphReadStats* stats = nullptr);
 Status WriteGraphFile(const Digraph& g, const std::string& path);
+
+namespace internal {
+
+/// ReadEdgeListFile with the file cut at `cuts` (ascending byte offsets,
+/// each moved on to the next line start) into ranges parsed by one thread
+/// each, whatever the file's size: puts range boundaries where a test
+/// wants them.
+StatusOr<Digraph> ReadEdgeListFileCutAt(const std::string& path,
+                                        const std::vector<uint64_t>& cuts,
+                                        GraphReadStats* stats = nullptr);
+
+}  // namespace internal
 
 }  // namespace reach
 

@@ -103,8 +103,11 @@ namespace internal {
 
 namespace {
 
-// Shared state of one ParallelChunksImpl call. Helpers and the caller pull
-// chunk indices from `next`; `pending_helpers` gates the caller's return.
+// Shared state of one ParallelChunksImpl call. Helpers and the caller claim
+// chunk indices from `next`; `finished` counts the claimed chunks that are
+// done, and the caller returns once it reaches `num_chunks`. A helper that
+// starts after every chunk was claimed finds none and never touches `fn`,
+// so the caller never waits on a helper still queued behind other tasks.
 struct ChunkRun {
   size_t begin = 0;
   size_t end = 0;
@@ -113,30 +116,38 @@ struct ChunkRun {
   const std::function<void(const ChunkInfo&)>* fn = nullptr;
 
   std::atomic<size_t> next{0};
+  std::atomic<size_t> finished{0};
   std::atomic<bool> failed{false};
 
   Mutex mu;
-  CondVar done_cv;  // Signals pending_helpers reaching zero.
-  size_t pending_helpers GUARDED_BY(mu) = 0;
+  CondVar done_cv;  // Signals `finished` reaching num_chunks.
   std::exception_ptr first_exception GUARDED_BY(mu);
 
   void RunChunksAs(size_t worker) EXCLUDES(mu) {
     for (;;) {
-      if (failed.load(std::memory_order_relaxed)) return;
       const size_t chunk = next.fetch_add(1, std::memory_order_relaxed);
       if (chunk >= num_chunks) return;
-      ChunkInfo info;
-      info.index = chunk;
-      info.begin = begin + chunk * grain;
-      info.end = std::min(end, info.begin + grain);
-      info.worker = worker;
-      try {
-        (*fn)(info);
-      } catch (...) {
+      // A chunk claimed after a failure is abandoned, but still counted.
+      if (!failed.load(std::memory_order_relaxed)) {
+        ChunkInfo info;
+        info.index = chunk;
+        info.begin = begin + chunk * grain;
+        info.end = std::min(end, info.begin + grain);
+        info.worker = worker;
+        try {
+          (*fn)(info);
+        } catch (...) {
+          MutexLock lock(mu);
+          if (!first_exception) first_exception = std::current_exception();
+          failed.store(true, std::memory_order_relaxed);
+        }
+      }
+      // Release: the chunk's writes happen before the caller's return.
+      if (finished.fetch_add(1, std::memory_order_acq_rel) + 1 == num_chunks) {
+        // Under the lock, so the caller cannot miss it between its check
+        // and its wait.
         MutexLock lock(mu);
-        if (!first_exception) first_exception = std::current_exception();
-        failed.store(true, std::memory_order_relaxed);
-        return;
+        done_cv.NotifyAll();
       }
     }
   }
@@ -181,19 +192,15 @@ void ParallelChunksImpl(size_t begin, size_t end, size_t grain, int threads,
   run->grain = grain;
   run->num_chunks = num_chunks;
   run->fn = &fn;
-  run->pending_helpers = participants - 1;
 
   ThreadPool& pool = ThreadPool::Shared();
   pool.EnsureWorkers(participants - 1);
   for (size_t helper = 1; helper < participants; ++helper) {
+    // The task holds `run`: it may start after this call has returned.
     pool.Submit([run, helper] {
       in_parallel_region = true;
       run->RunChunksAs(helper);
       in_parallel_region = false;
-      // Notify under the lock: the caller's wait below may be the last
-      // reference keeping `run` alive once it observes zero.
-      MutexLock lock(run->mu);
-      if (--run->pending_helpers == 0) run->done_cv.NotifyAll();
     });
   }
 
@@ -201,9 +208,18 @@ void ParallelChunksImpl(size_t begin, size_t end, size_t grain, int threads,
   run->RunChunksAs(0);
   in_parallel_region = false;
 
-  MutexLock lock(run->mu);
-  while (run->pending_helpers != 0) run->done_cv.Wait(run->mu);
-  if (run->first_exception) std::rethrow_exception(run->first_exception);
+  // Every chunk is claimed by now; wait only for those still running.
+  std::exception_ptr error;
+  {
+    MutexLock lock(run->mu);
+    while (run->finished.load(std::memory_order_acquire) != num_chunks) {
+      run->done_cv.Wait(run->mu);
+    }
+    // Taken out of `run`, which a late helper may be the one to destroy:
+    // the exception is then released only on this thread.
+    error = std::move(run->first_exception);
+  }
+  if (error) std::rethrow_exception(error);
 }
 
 }  // namespace internal

@@ -29,8 +29,9 @@ namespace reach {
 ///    drain every task still queued, then joins — it never cancels work,
 ///    so a submitted task WILL run; do not submit tasks referencing state
 ///    that may die before the pool does. Callers that need to observe
-///    completion must track it themselves (ParallelChunks does, and blocks
-///    until every chunk it issued has run).
+///    completion must track it themselves (ParallelChunks does: it blocks
+///    until every chunk has run, and its helper tasks own the state they
+///    touch, so they may start after it returned).
 ///  - Submit() and EnsureWorkers() are safe to call from any thread.
 ///  - Tasks must never block waiting for another task in the same pool;
 ///    ParallelChunks obeys this by running nested invocations inline on the
@@ -111,6 +112,13 @@ void ParallelChunksImpl(size_t begin, size_t end, size_t grain, int threads,
 /// `threads` concurrent participants (the calling thread plus workers from
 /// ThreadPool::Shared()). Blocks until every chunk has run. `threads` <= 0
 /// means DefaultBuildThreads().
+///
+/// Progress does not depend on the pool: the caller claims chunks too and
+/// waits only for chunks a helper has claimed and is running. When every
+/// worker of the shared pool is busy (a server's connection handlers
+/// blocked in recv, say), the caller runs every chunk itself and returns;
+/// a helper that starts afterwards finds no chunk and returns without
+/// calling `fn`.
 ///
 /// Determinism contract (what makes builds byte-identical):
 ///  - The chunk decomposition depends only on (begin, end, grain) — never on

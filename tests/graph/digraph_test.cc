@@ -1,7 +1,10 @@
 #include "graph/digraph.h"
 
+#include <string>
+#include <utility>
 #include <vector>
 
+#include "graph/generators.h"
 #include "gtest/gtest.h"
 
 namespace reach {
@@ -105,6 +108,49 @@ TEST(GraphBuilderTest, MemoryAccounting) {
   for (Vertex v = 0; v + 1 < 100; ++v) b.AddEdge(v, v + 1);
   Digraph g = b.Build();
   EXPECT_GT(g.MemoryBytes(), 99 * 2 * sizeof(Vertex));
+}
+
+// FromCsr builds the reverse CSR in target ranges, one per thread; every
+// in-row must be byte-identical to the one-thread fill, and to FromEdges',
+// at any count, including more threads than vertices and a hub whose
+// in-row fills one range alone.
+TEST(DigraphTest, FromCsrInRowsAreIdenticalAtAnyThreadCount) {
+  std::vector<Edge> star;
+  for (Vertex leaf = 1; leaf < 3000; ++leaf) {
+    star.push_back({leaf, 0});
+    star.push_back({0, leaf});
+  }
+  const std::vector<std::pair<std::string, Digraph>> graphs = {
+      {"random", RandomDag(2000, 9000, 3)},
+      {"cyclic", RandomDigraphWithCycles(1500, 6000, 200, 4)},
+      {"hub", Digraph::FromEdges(3000, star)},
+      {"isolated tail", Digraph::FromEdges(50, {{0, 1}, {1, 2}})},
+      {"one vertex", Digraph::FromEdges(1, {})},
+      {"empty", Digraph::FromEdges(0, {})},
+  };
+  for (const auto& [name, g] : graphs) {
+    for (const int threads : {1, 2, 3, 4, 8, 13}) {
+      const std::string what = name + " at " + std::to_string(threads);
+      CsrVector<uint64_t> offsets = {0};
+      CsrVector<Vertex> heads;
+      for (Vertex v = 0; v < g.num_vertices(); ++v) {
+        const auto row = g.OutNeighbors(v);
+        heads.insert(heads.end(), row.begin(), row.end());
+        offsets.push_back(heads.size());
+      }
+      const Digraph got = Digraph::FromCsr(g.num_vertices(), std::move(offsets),
+                                           std::move(heads), threads);
+      ASSERT_EQ(got.num_vertices(), g.num_vertices()) << what;
+      ASSERT_EQ(got.num_edges(), g.num_edges()) << what;
+      for (Vertex v = 0; v < g.num_vertices(); ++v) {
+        const auto want = g.InNeighbors(v);
+        const auto in = got.InNeighbors(v);
+        ASSERT_EQ(std::vector<Vertex>(in.begin(), in.end()),
+                  std::vector<Vertex>(want.begin(), want.end()))
+            << what << ": in-row " << v;
+      }
+    }
+  }
 }
 
 }  // namespace

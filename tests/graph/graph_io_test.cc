@@ -445,29 +445,63 @@ void ExpectSameCsr(const Digraph& got, const Digraph& want,
   }
 }
 
-/// Reads `content` through the one-pass stream reader and the streamed
-/// file reader and requires the same graph or the same error from both;
-/// the file reader's size-rule error also names the file. Returns the
+/// Requires `got` to be the graph or the error `want` is, where `got` read
+/// the file at `path` and `want` read the same bytes from a stream: the
+/// file reader's size-rule error also names the file.
+void ExpectSameRead(const StatusOr<Digraph>& got, const StatusOr<Digraph>& want,
+                    const std::string& path, const std::string& what) {
+  ASSERT_EQ(got.ok(), want.ok()) << what << ": " << got.status().ToString();
+  if (want.ok()) {
+    ExpectSameCsr(*got, *want, what);
+    return;
+  }
+  EXPECT_EQ(got.status().code(), want.status().code()) << what;
+  const std::string named =
+      want.status().IsResourceExhausted() ? path + ": " : "";
+  EXPECT_EQ(got.status().message(), named + want.status().message()) << what;
+}
+
+/// The cuts ReadEdgeListFile makes in a `size`-byte file for `ranges`
+/// ranges: evenly spaced, before each is moved on to a line start.
+std::vector<uint64_t> EvenCuts(uint64_t size, size_t ranges) {
+  std::vector<uint64_t> cuts;
+  for (size_t i = 1; i < ranges; ++i) cuts.push_back(size * i / ranges);
+  return cuts;
+}
+
+/// Reads `content` through the one-pass stream reader, through the file
+/// reader, and through the file reader cut into 1, 2, 3, 4 and 7 ranges,
+/// and requires the same graph or the same error from all; every file read
+/// must also report the same passes and canonical flag, and no more ranges
+/// than it was cut into. `stats` gets the uncut file read's. Returns the
 /// one-pass result for case-specific checks.
 StatusOr<Digraph> ReadBothWays(const std::string& content,
                                const std::string& tag,
                                GraphReadStats* stats = nullptr) {
   std::istringstream in(content);
   StatusOr<Digraph> one_pass = ReadEdgeList(in);
-  const StatusOr<Digraph> two_pass =
-      ReadEdgeListFileFromString(content, tag, stats);
-  EXPECT_EQ(one_pass.ok(), two_pass.ok()) << tag;
-  if (one_pass.ok() && two_pass.ok()) {
-    ExpectSameCsr(*two_pass, *one_pass, tag);
-  } else if (!one_pass.ok() && !two_pass.ok()) {
-    EXPECT_EQ(two_pass.status().code(), one_pass.status().code()) << tag;
-    const std::string named = one_pass.status().IsResourceExhausted()
-                                  ? TempEdgeListPath(tag) + ": "
-                                  : "";
-    EXPECT_EQ(two_pass.status().message(),
-              named + one_pass.status().message())
-        << tag;
+  const std::string path = TempEdgeListPath(tag);
+  {
+    std::ofstream out(path, std::ios::binary);
+    out << content;
+    EXPECT_TRUE(out.good()) << path;
   }
+  GraphReadStats file_stats;
+  ExpectSameRead(ReadEdgeListFile(path, &file_stats), one_pass, path, tag);
+  for (const size_t ranges : {1, 2, 3, 4, 7}) {
+    const std::string what = tag + " in " + std::to_string(ranges) + " ranges";
+    GraphReadStats cut_stats;
+    const StatusOr<Digraph> cut = internal::ReadEdgeListFileCutAt(
+        path, EvenCuts(content.size(), ranges), &cut_stats);
+    ExpectSameRead(cut, one_pass, path, what);
+    if (!cut.ok()) continue;
+    EXPECT_EQ(cut_stats.passes, file_stats.passes) << what;
+    EXPECT_EQ(cut_stats.canonical_input, file_stats.canonical_input) << what;
+    EXPECT_GE(cut_stats.ranges, 1) << what;
+    EXPECT_LE(cut_stats.ranges, static_cast<int>(ranges)) << what;
+  }
+  std::remove(path.c_str());
+  if (stats != nullptr) *stats = file_stats;
   return one_pass;
 }
 
@@ -1039,10 +1073,11 @@ TEST(GraphIoTest, OnePassCanonicalizesOnlyRowsThatNeedIt) {
   }
 }
 
-// Row starts are staged by source id up to a quarter of the file's bytes
-// plus 2^16. A file whose sources keep their order but run past that is
-// read in two passes, to the same graph.
-TEST(GraphIoTest, SourcesPastTheStagedRowsTakeTwoPasses) {
+// Rows are staged as their sources appear, not by source id, so a file
+// whose sources keep their order but leave gaps far wider than the file
+// (ids up to the size rule's 2^16 slack) is still read in one pass, to the
+// same graph.
+TEST(GraphIoTest, SparseSourcesInOrderTakeOnePass) {
   const std::string content = FillerLines(1000) + "70000 1\n70000 5\n";
   const ReferenceRead want = ReferenceParse(content);
   ASSERT_TRUE(want.ok);
@@ -1051,8 +1086,172 @@ TEST(GraphIoTest, SourcesPastTheStagedRowsTakeTwoPasses) {
   ASSERT_TRUE(got.ok()) << got.status().ToString();
   ExpectSameCsr(*got, Digraph::FromEdges(want.num_vertices, want.edges),
                 "sparse sources");
+  EXPECT_EQ(stats.passes, 1);
+  EXPECT_FALSE(stats.canonical_input);  // Row 0 repeats its head.
+}
+
+namespace {
+
+/// Reads `content` from a file cut at `cuts` (byte offsets) and requires
+/// the graph or the status ReadEdgeList reads from the same bytes. Returns
+/// the cut read's stats.
+GraphReadStats ExpectCutReadMatches(const std::string& content,
+                                    const std::vector<uint64_t>& cuts,
+                                    const std::string& tag) {
+  std::istringstream in(content);
+  const StatusOr<Digraph> want = ReadEdgeList(in);
+  const std::string path = TempEdgeListPath("cut");
+  {
+    std::ofstream out(path, std::ios::binary);
+    out << content;
+  }
+  GraphReadStats stats;
+  ExpectSameRead(internal::ReadEdgeListFileCutAt(path, cuts, &stats), want,
+                 path, tag);
+  std::remove(path.c_str());
+  return stats;
+}
+
+/// The byte offset of the first `needle` in `content`, plus `plus`.
+uint64_t At(const std::string& content, const std::string& needle,
+            size_t plus = 0) {
+  const size_t at = content.find(needle);
+  EXPECT_NE(at, std::string::npos) << needle;
+  return at + plus;
+}
+
+}  // namespace
+
+// Where a range boundary falls, and what the lines beside it hold, never
+// changes the graph: each file read cut at chosen bytes gives what the
+// one-pass stream reader gives. A cut moves on to the next line start, so
+// a cut on a line start stays, and one inside a line (however long) moves
+// past its '\n'.
+TEST(GraphIoTest, RangeBoundariesAnywhereGiveTheSameGraph) {
+  const std::string plain = "0 1\n0 2\n1 5\n2 3\n";
+  GraphReadStats stats = ExpectCutReadMatches(plain, {At(plain, "1 5")},
+                                              "boundary on a line start");
+  EXPECT_EQ(stats.passes, 1);
+  EXPECT_EQ(stats.ranges, 2);
+  EXPECT_TRUE(stats.canonical_input);
+  stats = ExpectCutReadMatches(plain, {At(plain, "1 5", 1)},
+                               "boundary inside a line");
+  EXPECT_EQ(stats.ranges, 2);
+  stats = ExpectCutReadMatches(plain, {At(plain, "1 5", 3)},
+                               "boundary on a '\\n'");
+  EXPECT_EQ(stats.ranges, 2);
+  // Every cut inside the last line, or past the file, adds no range.
+  stats = ExpectCutReadMatches(plain, {plain.size() - 2, plain.size() + 5},
+                               "cuts in the last line");
+  EXPECT_EQ(stats.ranges, 1);
+
+  // A line longer than a scan chunk: two cuts inside it make one boundary,
+  // past it. Alone in its range or behind another line, it is read whole.
+  const std::string long_line = "0 1\n1 2" + std::string(kChunk + 10, ' ') +
+                                "\n#" + std::string(kChunk, 'c') +
+                                "\n2 3\n3 4\n";
+  stats = ExpectCutReadMatches(long_line, {6, kChunk / 2},
+                               "cuts inside a long line");
+  EXPECT_EQ(stats.ranges, 2);
+  EXPECT_EQ(stats.passes, 1);
+  stats = ExpectCutReadMatches(
+      long_line, {4, At(long_line, "#"), At(long_line, "#", kChunk)},
+      "a long line and a long comment in ranges of their own");
+  EXPECT_EQ(stats.ranges, 4);
+  EXPECT_EQ(stats.passes, 1);
+
+  // Comment lines on either side of a boundary, and a range of comments
+  // alone.
+  const std::string comments = "# head\n0 1\n% c\n# c\n1 2\n# tail";
+  stats = ExpectCutReadMatches(comments, {At(comments, "% c")},
+                               "boundary on a comment line");
+  EXPECT_EQ(stats.ranges, 2);
+  stats = ExpectCutReadMatches(comments,
+                               {At(comments, "% c"), At(comments, "1 2"),
+                                At(comments, "# tail", 2)},
+                               "a range of comments alone");
+  EXPECT_EQ(stats.ranges, 3);
+  EXPECT_EQ(stats.passes, 1);
+
+  // CRLF lines: a cut between '\r' and '\n' moves past the '\n'.
+  const std::string crlf = "0 1\r\n1 2\r\n2 3\r\n";
+  stats = ExpectCutReadMatches(crlf, {At(crlf, "\n")}, "a CRLF split");
+  EXPECT_EQ(stats.ranges, 2);
+  EXPECT_EQ(stats.passes, 1);
+}
+
+// A row whose source spans a boundary is joined across it: its heads stay
+// in file order, and it counts as canonical only when they ascend across
+// the boundary too. A duplicate or a smaller head across it, found only by
+// comparing the two ranges, makes the reader sort and dedupe the row, as
+// it does inside a range. A range that adds no head to the row (a self-
+// loop line alone) carries the row's last head on to the next range.
+TEST(GraphIoTest, RowsSpanningRangesAreJoined) {
+  const std::vector<std::tuple<std::string, std::string, bool>> cases = {
+      {"0 1\n5 2\n5 4\n", "5 6\n6 1\n", true},
+      {"0 1\n5 2\n5 4\n", "5 4\n5 7\n6 1\n", false},  // Duplicate 4.
+      {"0 1\n5 2\n5 4\n", "5 3\n6 1\n", false},        // 3 below 4.
+      {"5 4\n", "5 5\n5 3\n", false},  // A self-loop opens range 2.
+      {"5 5\n", "5 3\n", true},         // The row's first head.
+  };
+  for (const auto& [first, second, canonical] : cases) {
+    const std::string tag = first + "|" + second;
+    const GraphReadStats stats =
+        ExpectCutReadMatches(first + second, {first.size()}, tag);
+    EXPECT_EQ(stats.passes, 1) << tag;
+    EXPECT_EQ(stats.ranges, 2) << tag;
+    EXPECT_EQ(stats.canonical_input, canonical) << tag;
+  }
+  // Three ranges, the middle one all one row with no head of its own.
+  for (const auto& [middle, last, canonical] :
+       std::vector<std::tuple<std::string, std::string, bool>>{
+           {"5 5\n", "5 1\n", false},
+           {"5 5\n", "5 7\n", true},
+           {"5 5\n5 5\n", "5 3\n", false},
+           {"# only a comment\n", "5 3\n", false}}) {
+    const std::string first = "0 2\n5 3\n";
+    const std::string tag = first + "|" + middle + "|" + last;
+    const GraphReadStats stats = ExpectCutReadMatches(
+        first + middle + last, {first.size(), first.size() + middle.size()},
+        tag);
+    EXPECT_EQ(stats.passes, 1) << tag;
+    EXPECT_EQ(stats.ranges, 3) << tag;
+    EXPECT_EQ(stats.canonical_input, canonical) << tag;
+  }
+}
+
+// A source that descends exactly at a boundary, where neither range sees
+// a descent of its own, sends the file to the two-pass read.
+TEST(GraphIoTest, DescentAtARangeBoundaryTakesTwoPasses) {
+  const std::string first = "0 1\n3 1\n3 2\n";
+  const std::string content = first + "2 1\n4 0\n";
+  const GraphReadStats stats =
+      ExpectCutReadMatches(content, {first.size()}, "descent at a boundary");
   EXPECT_EQ(stats.passes, 2);
+  EXPECT_EQ(stats.ranges, 1);
   EXPECT_FALSE(stats.canonical_input);
+}
+
+// A bad line in any range fails the read with the error the one-pass
+// reader gives: the first bad line in file order, with its line number in
+// the whole file, and the size rule held to the whole file's size.
+TEST(GraphIoTest, RangeErrorsReportTheFirstBadLineOfTheFile) {
+  const std::string first = "0 1\nbad line\n1 2\n";
+  const std::string second = "2 3\nworse\n";
+  ExpectCutReadMatches(first + second, {first.size()}, "errors in two ranges");
+  ExpectCutReadMatches("0 1\n1 2\n" + second, {8}, "an error in range 2");
+  const std::string filler = FillerLines(100);
+  for (const std::string& last : {std::string("0 70000\n"),
+                                  std::string("1 4294967296\n"),
+                                  std::string("2 3 4\n")}) {
+    std::istringstream in(filler + last);
+    const StatusOr<Digraph> want = ReadEdgeList(in);
+    ASSERT_FALSE(want.ok()) << last;
+    EXPECT_TRUE(NamesLine(want.status().message(), 101))
+        << want.status().ToString();
+    ExpectCutReadMatches(filler + last, {200, filler.size()},
+                         "a bad last range: " + last);
+  }
 }
 
 // The size rule (graph_io.h): an edge list may name ids only below 4 per

@@ -1,15 +1,26 @@
 // Unit coverage for the parallel runtime: chunk decomposition, exact-once
 // index coverage for any thread count, the sequential-ordering guarantee,
-// exception propagation, nesting, and REACH_THREADS resolution.
+// exception propagation, nesting, progress while the shared pool is busy,
+// and REACH_THREADS resolution.
 
 #include "util/thread_pool.h"
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
+#include <cstdio>
 #include <cstdlib>
+#include <fstream>
+#include <functional>
+#include <future>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
+#include "baselines/factory.h"
+#include "core/reachability.h"
+#include "graph/generators.h"
+#include "graph/graph_io.h"
 #include "gtest/gtest.h"
 
 namespace reach {
@@ -113,6 +124,99 @@ TEST(ParallelForTest, NestedCallsRunInlineWithoutDeadlock) {
     });
   });
   for (auto& count : counts) ASSERT_EQ(count.load(), 1);
+}
+
+/// Holds `count` workers of ThreadPool::Shared() in a task each until
+/// Release(), as connection handlers blocked in recv hold them; the
+/// destructor releases them and waits until every task has returned.
+class BlockedSharedPool {
+ public:
+  explicit BlockedSharedPool(size_t count) : count_(count) {
+    ThreadPool::Shared().EnsureWorkers(count);
+    for (size_t i = 0; i < count; ++i) {
+      ThreadPool::Shared().Submit([this] { Hold(); });
+    }
+    MutexLock lock(mu_);
+    while (started_ != count_) cv_.Wait(mu_);
+  }
+  ~BlockedSharedPool() {
+    Release();
+    MutexLock lock(mu_);
+    while (finished_ != count_) cv_.Wait(mu_);
+  }
+
+  void Release() EXCLUDES(mu_) {
+    MutexLock lock(mu_);
+    released_ = true;
+    cv_.NotifyAll();
+  }
+
+ private:
+  void Hold() EXCLUDES(mu_) {
+    MutexLock lock(mu_);
+    ++started_;
+    cv_.NotifyAll();
+    while (!released_) cv_.Wait(mu_);
+    ++finished_;
+    cv_.NotifyAll();
+  }
+
+  const size_t count_;
+  Mutex mu_;
+  CondVar cv_;
+  size_t started_ GUARDED_BY(mu_) = 0;
+  size_t finished_ GUARDED_BY(mu_) = 0;
+  bool released_ GUARDED_BY(mu_) = false;
+};
+
+// A ParallelChunks caller waits only for chunks a helper has claimed, so
+// it finishes on its own thread while every worker of the shared pool is
+// busy (the in-process build that used to hang behind idle server
+// connections). Each call runs on another thread and must finish within
+// 5 s while the workers are held; a hang releases them and fails.
+TEST(ParallelChunksTest, FinishesWhileEverySharedWorkerIsBusy) {
+  const std::string path = ::testing::TempDir() + "/thread_pool_test.txt";
+  const Digraph written = RandomDag(3000, 12000, 5);
+  {
+    std::ofstream out(path, std::ios::binary);
+    ASSERT_TRUE(WriteEdgeList(written, out).ok());
+  }
+  const std::vector<std::pair<std::string, std::function<bool()>>> calls = {
+      {"4-participant ParallelChunks",
+       [] {
+         std::atomic<int> chunks{0};
+         ParallelChunks(0, 64, 1, 4,
+                        [&](const ChunkInfo&) { chunks.fetch_add(1); });
+         return chunks.load() == 64;
+       }},
+      {"4-thread DL build",
+       [] {
+         BuildOptions options;
+         options.threads = 4;
+         return ReachabilityIndex::Build(RandomDag(5000, 20000, 7),
+                                         MakeOracle("DL"), options)
+             .ok();
+       }},
+      {"4-range edge-list read",
+       [&] {
+         GraphReadStats stats;
+         const StatusOr<Digraph> graph = internal::ReadEdgeListFileCutAt(
+             path, {20000, 40000, 60000}, &stats);
+         return graph.ok() && stats.ranges == 4 &&
+                graph->CollectEdges() == written.CollectEdges();
+       }},
+  };
+  // More workers than any call here asks the pool for, so none is free.
+  BlockedSharedPool blocked(16);
+  for (const auto& [what, call] : calls) {
+    std::future<bool> done = std::async(std::launch::async, call);
+    const bool in_time =
+        done.wait_for(std::chrono::seconds(5)) == std::future_status::ready;
+    if (!in_time) blocked.Release();
+    EXPECT_TRUE(in_time) << what << " waited on a busy shared pool";
+    EXPECT_TRUE(done.get()) << what;
+  }
+  std::remove(path.c_str());
 }
 
 TEST(DefaultBuildThreadsTest, HonorsValidReachThreads) {

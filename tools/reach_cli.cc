@@ -151,13 +151,13 @@ int main(int argc, char** argv) {
     const BuildStats& build_stats = index->oracle().build_stats();
     std::fprintf(stderr,
                  "graph: %zu vertices, %zu edges, %zu SCCs, read_ms=%.1f "
-                 "passes=%d canonical=%d parse_ms=%.1f canonicalize_ms=%.1f "
-                 "reverse_csr_ms=%.1f\n"
+                 "passes=%d ranges=%d canonical=%d parse_ms=%.1f "
+                 "canonicalize_ms=%.1f reverse_csr_ms=%.1f\n"
                  "index: %s, %llu integers, %llu bytes, built in %.1f ms "
                  "(%.1f ms incl. condensation) with %d thread%s\n",
                  graph->num_vertices(), graph->num_edges(),
                  index->num_components(), read_ms, read_stats.passes,
-                 read_stats.canonical_input ? 1 : 0,
+                 read_stats.ranges, read_stats.canonical_input ? 1 : 0,
                  read_stats.parse_ms, read_stats.canonicalize_ms,
                  read_stats.reverse_csr_ms,
                  index->oracle().name().c_str(),

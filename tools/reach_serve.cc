@@ -179,10 +179,10 @@ int main(int argc, char** argv) {
   // One key=value line per load phase, ahead of the readiness line.
   std::fprintf(stderr,
                "event=graph_read path=%s vertices=%zu edges=%zu "
-               "read_ms=%.1f passes=%d canonical=%d parse_ms=%.1f "
+               "read_ms=%.1f passes=%d ranges=%d canonical=%d parse_ms=%.1f "
                "canonicalize_ms=%.1f reverse_csr_ms=%.1f\n",
                graph_path.c_str(), graph->num_vertices(), graph->num_edges(),
-               read_timer.ElapsedMillis(), read_stats.passes,
+               read_timer.ElapsedMillis(), read_stats.passes, read_stats.ranges,
                read_stats.canonical_input ? 1 : 0,
                read_stats.parse_ms, read_stats.canonicalize_ms,
                read_stats.reverse_csr_ms);
