@@ -293,4 +293,43 @@ server_pid=""
 grep -q '^drained after ' "$workdir/signal.err" \
   || fail "signal server did not report a drain"
 
-echo "serve_smoke OK (port $port, signal port $port2)"
+# Signal path with held handlers: SIGTERM while idle clients hold both
+# handlers must still drain, join the server's handler threads and exit 0
+# within 5 s. The idle clients are bash's own /dev/tcp sockets, each served
+# once (PING/PONG) so a handler is known to hold it.
+"$SERVE" "$workdir/graph.txt" --method=DL --threads=1 --workers=2 \
+  > "$workdir/held.out" 2> "$workdir/held.err" &
+server_pid=$!
+port3=""
+for _ in $(seq 1 100); do
+  port3=$(awk '/^LISTENING /{print $2}' "$workdir/held.out" 2>/dev/null)
+  [ -n "$port3" ] && break
+  kill -0 "$server_pid" 2>/dev/null || fail "held server exited early"
+  sleep 0.1
+done
+[ -n "$port3" ] || fail "held server: no LISTENING line within 10s"
+exec 3<>"/dev/tcp/127.0.0.1/$port3" || fail "idle client could not connect"
+exec 4<>"/dev/tcp/127.0.0.1/$port3" || fail "idle client could not connect"
+for fd in 3 4; do
+  printf 'PING\n' >&"$fd"
+  reply=""
+  read -r -t 5 reply <&"$fd"
+  [ "$reply" = "PONG" ] || fail "idle client got '$reply' for PING"
+done
+kill -TERM "$server_pid"
+for _ in $(seq 1 50); do
+  kill -0 "$server_pid" 2>/dev/null || break
+  sleep 0.1
+done
+kill -0 "$server_pid" 2>/dev/null \
+  && fail "SIGTERM with idle clients connected: no exit within 5s"
+server_status=0
+wait "$server_pid" || server_status=$?
+server_pid=""
+exec 3>&- 4>&-
+[ "$server_status" -eq 0 ] \
+  || fail "SIGTERM with idle clients: exit code $server_status"
+grep -q '^drained after ' "$workdir/held.err" \
+  || fail "held server did not report a drain"
+
+echo "serve_smoke OK (port $port, signal port $port2, held port $port3)"

@@ -17,7 +17,6 @@
 #include "core/prefilter.h"
 #include "server/snapshot.h"
 #include "util/resource.h"
-#include "util/thread_pool.h"
 #include "util/timer.h"
 
 namespace reach {
@@ -140,8 +139,9 @@ Status ReachServer::Start(const Digraph& graph,
     return SaveLiveIndex(path);
   };
 
-  // Non-blocking listener: the accept loop polls it together with the
-  // wake pipe, so accept4 must never block after a spurious wakeup.
+  // Non-blocking listener: every handler polls it together with the wake
+  // pipe, and all of them wake for one connection, so accept4 must never
+  // block when another handler took it.
   const int fd =
       ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC | SOCK_NONBLOCK, 0);
   if (fd < 0) {
@@ -195,20 +195,16 @@ Status ReachServer::Start(const Digraph& graph,
   listen_fd_ = fd;
   started_ = true;
 
-  // One pool slot for the accept loop plus `workers` concurrent handlers.
-  // Handler tasks block in recv, so they occupy their worker for the
-  // connection's lifetime — the pool is sized up front to match.
   const int workers = options.workers < 1 ? 1 : options.workers;
-  ThreadPool::Shared().EnsureWorkers(static_cast<size_t>(workers) + 1);
-  {
-    MutexLock lock(mu_);
-    ++active_handlers_;  // The accept loop counts as an in-flight task.
+  MutexLock lock(mu_);
+  for (int i = 0; i < workers; ++i) {
+    handlers_.emplace_back([this] { ServeConnections(); });
+    ++running_handlers_;
   }
-  ThreadPool::Shared().Submit([this] { AcceptLoop(); });
   return Status::OK();
 }
 
-void ReachServer::AcceptLoop() {
+void ReachServer::ServeConnections() {
   while (true) {
     pollfd fds[2];
     fds[0] = {listen_fd_, POLLIN, 0};
@@ -225,8 +221,9 @@ void ReachServer::AcceptLoop() {
     if ((fds[0].revents & POLLIN) == 0) continue;
     const int fd = ::accept4(listen_fd_, nullptr, nullptr, SOCK_CLOEXEC);
     if (fd < 0) {
-      // The connection can vanish between poll and accept; only an error
-      // that outlives a retry is fatal.
+      // Another handler may have taken the connection, or it vanished
+      // between poll and accept; only an error that outlives a retry is
+      // fatal.
       if (errno == EINTR || errno == EAGAIN || errno == EWOULDBLOCK ||
           errno == ECONNABORTED) {
         continue;
@@ -257,27 +254,23 @@ void ReachServer::AcceptLoop() {
         continue;
       }
       session_fds_.insert(fd);
-      ++active_handlers_;
     }
     stats_.connections.fetch_add(1, std::memory_order_relaxed);
-    ThreadPool::Shared().Submit([this, fd] { HandleConnection(fd); });
+    HandleConnection(fd);
   }
-  bool need_drain = false;
-  {
-    MutexLock lock(mu_);
-    accept_done_ = true;
+  // The loop can end without SHUTDOWN/Stop (a listener error, or
+  // RequestStopFromSignal); the drain then starts here, and its wake byte
+  // ends every other handler's loop too.
+  InitiateDrain();
+  MutexLock lock(mu_);
+  if (--running_handlers_ == 0) {
     ::close(listen_fd_);
     listen_fd_ = -1;
-    --active_handlers_;
-    need_drain = !draining_;
-    // Notify under the lock: once it is released, Wait() may return and
-    // the server (cv_ included) may be destroyed, so the broadcast must
-    // already be over by then.
-    cv_.NotifyAll();
   }
-  // The accept loop can end without SHUTDOWN/Stop (listener error, or
-  // RequestStopFromSignal); finish the drain on this thread then.
-  if (need_drain) InitiateDrain();
+  // Notify under the lock: once it is released, Wait() may return and
+  // the server (cv_ included) may be destroyed, so the broadcast must
+  // already be over by then.
+  cv_.NotifyAll();
 }
 
 void ReachServer::HandleConnection(int fd) {
@@ -305,14 +298,9 @@ void ReachServer::HandleConnection(int fd) {
   {
     MutexLock lock(mu_);
     session_fds_.erase(fd);
-    --active_handlers_;
-    // Under the lock for the same reason as the accept loop: the last
-    // handler's broadcast must finish before Wait() can observe
-    // active_handlers_ == 0 and let the server be destroyed.
-    cv_.NotifyAll();
   }
   // The close stays after the erase so InitiateDrain can never shutdown()
-  // a recycled descriptor; fd is a local, so this touches no member state.
+  // a recycled descriptor.
   ::close(fd);
 }
 
@@ -321,7 +309,7 @@ void ReachServer::InitiateDrain() {
     MutexLock lock(mu_);
     if (draining_) return;
     draining_ = true;
-    // Unblock the accept loop: one byte on the wake pipe ends its poll.
+    // Unblock the handlers: one byte on the wake pipe ends every poll.
     const int wake_wr = wake_wr_.load();
     if (wake_wr >= 0) {
       const char byte = 0;
@@ -331,28 +319,36 @@ void ReachServer::InitiateDrain() {
     // and closes. Commands already received keep being answered — drain,
     // not abort.
     for (const int fd : session_fds_) ::shutdown(fd, SHUT_RD);
-    // Wait() may already be blocked with no live handlers left to wake it
-    // (an idle server drained by a signal or a listener failure), so the
-    // flag flip must notify by itself — under the lock, so the broadcast
-    // is over before Wait() can return and the server be destroyed.
-    cv_.NotifyAll();
   }
 }
 
 void ReachServer::Wait() {
-  MutexLock lock(mu_);
-  // Spelled-out predicate loop: draining_/accept_done_/active_handlers_
-  // are GUARDED_BY(mu_), and the analysis cannot see through a lambda
-  // capture (util/sync.h).
-  while (!(draining_ && accept_done_ && active_handlers_ == 0)) {
-    cv_.Wait(mu_);
+  // Every drain writes the wake byte. This thread watches for it too: a
+  // handler serving a connection does not poll the pipe, so with every
+  // handler held a signal's byte would otherwise wait for a connection to
+  // close.
+  pollfd wake = {wake_rd_, POLLIN, 0};
+  while (::poll(&wake, 1, -1) < 0 && errno == EINTR) {
   }
+  InitiateDrain();
+  MutexLock lock(mu_);
+  // Spelled-out predicate loop: running_handlers_ is GUARDED_BY(mu_), and
+  // the analysis cannot see through a lambda capture (util/sync.h).
+  while (running_handlers_ != 0) cv_.Wait(mu_);
 }
 
 void ReachServer::Stop() {
   if (!started_) return;
   InitiateDrain();
   Wait();
+  // Every handler is out of its loop; the join only waits for the threads
+  // to return.
+  std::vector<std::thread> handlers;
+  {
+    MutexLock lock(mu_);
+    handlers.swap(handlers_);
+  }
+  for (std::thread& handler : handlers) handler.join();
 }
 
 Status ReachServer::ReloadFromSnapshot(const std::string& path) {
@@ -426,9 +422,9 @@ Status ReachServer::SaveLiveIndex(const std::string& path) {
 void ReachServer::RequestStopFromSignal() {
   // Only async-signal-safe calls here: write(2) on the self-pipe, whose
   // descriptor stays valid until destruction — unlike the listener fd,
-  // which the accept loop closes (and the kernel may recycle) during the
-  // drain. The accept loop wakes from poll and completes the drain with
-  // proper locking on a pool thread.
+  // which the last handler closes (and the kernel may recycle) during the
+  // drain. The handlers polling it, and a thread blocked in Wait(), wake
+  // and complete the drain with proper locking.
   const int wake_wr = wake_wr_.load();
   if (wake_wr >= 0) {
     const char byte = 1;

@@ -4,15 +4,17 @@
 // the index amortizes across millions of requests instead of one process
 // per query batch.
 //
-// Concurrency model (reuses the PR 3 runtime, util/thread_pool.h):
+// Concurrency model:
 //  - Start() builds the oracle synchronously (SCC condensation + BuildIndex
-//    with BuildOptions.threads workers), binds, then submits the accept
-//    loop to ThreadPool::Shared().
-//  - Each accepted connection runs as one pool task: blocking recv ->
-//    Session::Feed -> send, until EOF, a protocol-fatal error, or drain.
-//    Up to `options.workers` connections are served concurrently; later
-//    connections queue in the pool (EnsureWorkers sizes it so the accept
-//    loop can never starve the handlers).
+//    with BuildOptions.threads workers), binds, then starts
+//    `options.workers` handler threads that the server owns.
+//  - Each handler thread polls the listener, accepts a connection and
+//    serves it (blocking recv -> Session::Feed -> send) until EOF, a
+//    protocol-fatal error, or drain, then accepts the next. So up to
+//    `options.workers` connections are served concurrently; later ones
+//    wait in the kernel's listen backlog. The handlers are not the
+//    parallel runtime's helpers (util/thread_pool.h): a build in the same
+//    process keeps its helpers however many connections are open.
 //  - Queries on the built index are const and lock-free for oracles whose
 //    ConcurrentQuerySafe() is true; otherwise every session shares one
 //    query mutex (core/oracle.h).
@@ -22,11 +24,11 @@
 //    old index (retired when its last reference drops). A failed RELOAD
 //    or SAVE never disturbs the live index.
 //
-// Graceful drain: on SHUTDOWN the listener stops accepting, every open
+// Graceful drain: on SHUTDOWN the handlers stop accepting, every open
 // connection is shut down for reading (already-received commands are still
-// answered and flushed), and Wait() returns once the last handler exits.
-// No task is ever cancelled, so the shared pool's drain-at-exit contract
-// holds.
+// answered and flushed), the last handler to stop closes the listener, and
+// Wait() returns once every handler has stopped. Stop() and the destructor
+// join the handler threads.
 
 #ifndef REACH_SERVER_SERVER_H_
 #define REACH_SERVER_SERVER_H_
@@ -36,6 +38,8 @@
 #include <memory>
 #include <set>
 #include <string>
+#include <thread>
+#include <vector>
 
 #include "core/reachability.h"
 #include "graph/digraph.h"
@@ -52,7 +56,8 @@ struct ServerOptions {
   std::string host = "127.0.0.1";
   /// TCP port; 0 picks an ephemeral port (read it back via port()).
   uint16_t port = 0;
-  /// Connections served concurrently (pool workers dedicated to handlers).
+  /// Connections served concurrently: the number of handler threads the
+  /// server starts, each serving one connection at a time.
   int workers = 4;
   /// Oracle registry name (baselines/factory.h).
   std::string method = "DL";
@@ -137,7 +142,9 @@ class ReachServer {
     return index_slot_.Acquire();
   }
 
-  /// Blocks until the server has drained (SHUTDOWN command or Stop()).
+  /// Blocks until the server has drained (SHUTDOWN command, Stop(), or
+  /// RequestStopFromSignal: the calling thread starts that drain itself
+  /// when every handler is busy serving).
   void Wait() EXCLUDES(mu_);
 
   /// Initiates a graceful drain and waits for it to finish. Idempotent;
@@ -146,14 +153,17 @@ class ReachServer {
 
   /// Async-signal-safe drain trigger: only calls write(2) on a self-pipe
   /// whose descriptor stays valid from Start() until destruction, so a
-  /// signal can never race the accept loop into touching a recycled fd.
-  /// The accept loop wakes from poll and runs the normal drain path on a
-  /// pool thread. For use in SIGINT/SIGTERM handlers; the handler must be
-  /// unregistered (or g_server cleared) before the server is destroyed.
+  /// signal can never race a handler into touching a recycled fd. A
+  /// handler polling for connections, or a thread blocked in Wait(), wakes
+  /// and runs the normal drain path. For use in SIGINT/SIGTERM handlers;
+  /// the handler must be unregistered (or g_server cleared) before the
+  /// server is destroyed.
   void RequestStopFromSignal();
 
  private:
-  void AcceptLoop() EXCLUDES(mu_);
+  /// Body of each handler thread: accept a connection, serve it, repeat
+  /// until the wake pipe or a listener error ends the loop.
+  void ServeConnections() EXCLUDES(mu_);
   void HandleConnection(int fd) EXCLUDES(mu_);
   void InitiateDrain() EXCLUDES(mu_);
   /// RELOAD: loads + validates the snapshot at `path` and atomically
@@ -172,10 +182,9 @@ class ReachServer {
   // Everything outside a GUARDED_BY below is either written only during
   // the single-threaded Start() setup phase and read-only afterwards
   // (context_, build_stats_, graph_, prefilter_, port_, started_,
-  // loaded_from_snapshot_, wake_rd_), owned by exactly one thread
-  // (listen_fd_: the accept loop after Start), atomic (wake_wr_), or
-  // internally synchronized (stats_: relaxed atomics; index_slot_: its
-  // own mutex).
+  // loaded_from_snapshot_, wake_rd_, and listen_fd_ until the last handler
+  // closes it), atomic (wake_wr_), or internally synchronized (stats_:
+  // relaxed atomics; index_slot_: its own mutex).
 
   SessionContext context_;
   ServerStats stats_;
@@ -189,19 +198,20 @@ class ReachServer {
   Mutex query_mutex_;       // Used only when the oracle is not
                             // concurrent-query-safe (context_.query_mutex).
 
-  /// Guards the drain handshake: which sessions are live, whether the
-  /// accept loop still runs, and the drain flag Wait() blocks on.
+  /// Guards the drain handshake: which sessions are live, how many
+  /// handlers still run, and the drain flag Wait() blocks on.
   Mutex mu_;
-  CondVar cv_;  // Signals drain progress: draining_ set, a handler done,
-                // or the accept loop exiting. Always notified under mu_
-                // (destruction discipline, util/sync.h).
-  // Owned by the accept loop after Start(); nothing else touches it, so a
-  // signal handler can never shutdown(2) a recycled descriptor number.
+  CondVar cv_;  // Signals a handler leaving its loop. Always notified
+                // under mu_ (destruction discipline, util/sync.h).
+  // Polled by every handler; the last one to leave its loop closes it
+  // (under mu_, after every other handler stopped polling it). Nothing
+  // else touches it, so a signal handler can never shutdown(2) a recycled
+  // descriptor number.
   int listen_fd_ = -1;
-  // Self-pipe that wakes the accept loop's poll: InitiateDrain and
-  // RequestStopFromSignal write one byte. Both ends live until the
-  // destructor; the write end is atomic because the signal handler reads
-  // it without mu_.
+  // Self-pipe that wakes the handlers' polls: InitiateDrain and
+  // RequestStopFromSignal write one byte, which nothing reads, so it ends
+  // every handler's poll. Both ends live until the destructor; the write
+  // end is atomic because the signal handler reads it without mu_.
   int wake_rd_ = -1;
   std::atomic<int> wake_wr_{-1};
   uint16_t port_ = 0;
@@ -209,9 +219,9 @@ class ReachServer {
   bool loaded_from_snapshot_ = false;
   bool loaded_mmap_ = false;
   bool draining_ GUARDED_BY(mu_) = false;
-  bool accept_done_ GUARDED_BY(mu_) = false;
   std::set<int> session_fds_ GUARDED_BY(mu_);
-  size_t active_handlers_ GUARDED_BY(mu_) = 0;
+  size_t running_handlers_ GUARDED_BY(mu_) = 0;  // Not yet out of the loop.
+  std::vector<std::thread> handlers_ GUARDED_BY(mu_);  // Joined by Stop().
 };
 
 }  // namespace server

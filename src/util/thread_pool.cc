@@ -4,19 +4,53 @@
 #include <atomic>
 #include <cstdio>
 #include <cstdlib>
+#include <deque>
 #include <exception>
 #include <memory>
+#include <thread>
+#include <utility>
+#include <vector>
 
 #include "util/strict_parse.h"
+#include "util/sync.h"
 
 namespace reach {
 
-ThreadPool::ThreadPool(size_t num_workers) { EnsureWorkers(num_workers); }
+namespace {
+
+// The helper threads of every ParallelChunks call: workers fed from one
+// locked queue, grown to the most helpers any call has asked for and never
+// shrunk. Every task is a ChunkRun helper, which only runs chunks, so a
+// queued task waits only behind other calls' chunks.
+class ThreadPool {
+ public:
+  ThreadPool() = default;
+  // Lets the workers drain every queued task, then joins them: a submitted
+  // task always runs, so it must own the state it touches.
+  ~ThreadPool();
+
+  ThreadPool(const ThreadPool&) = delete;
+  ThreadPool& operator=(const ThreadPool&) = delete;
+
+  void EnsureWorkers(size_t num_workers) EXCLUDES(mu_);
+  void Submit(std::function<void()> task) EXCLUDES(mu_);
+
+ private:
+  void WorkerLoop() EXCLUDES(mu_);
+
+  // One lock for the whole pool: queue contents, the stop flag and the
+  // worker set change together. Leaf mutex: tasks run after it is
+  // released.
+  Mutex mu_;
+  CondVar cv_;  // Signals: queue_ non-empty, or stop_ flipped.
+  std::deque<std::function<void()>> queue_ GUARDED_BY(mu_);
+  bool stop_ GUARDED_BY(mu_) = false;
+  std::vector<std::thread> workers_ GUARDED_BY(mu_);
+};
 
 ThreadPool::~ThreadPool() {
-  // The worker set is moved out under the lock (workers_ is GUARDED_BY
-  // mu_), then joined without it: join() blocks until the worker exits its
-  // loop, and a worker about to re-check the queue needs mu_ to do so.
+  // The worker set is moved out under the lock, then joined without it: a
+  // worker about to re-check the queue needs mu_ to do so.
   std::vector<std::thread> workers;
   {
     MutexLock lock(mu_);
@@ -31,9 +65,11 @@ ThreadPool::~ThreadPool() {
   for (std::thread& worker : workers) worker.join();
 }
 
-size_t ThreadPool::num_workers() const {
+void ThreadPool::EnsureWorkers(size_t num_workers) {
   MutexLock lock(mu_);
-  return workers_.size();
+  while (workers_.size() < num_workers) {
+    workers_.emplace_back([this] { WorkerLoop(); });
+  }
 }
 
 void ThreadPool::Submit(std::function<void()> task) {
@@ -42,13 +78,6 @@ void ThreadPool::Submit(std::function<void()> task) {
     queue_.push_back(std::move(task));
   }
   cv_.NotifyOne();
-}
-
-void ThreadPool::EnsureWorkers(size_t num_workers) {
-  MutexLock lock(mu_);
-  while (workers_.size() < num_workers) {
-    workers_.emplace_back([this] { WorkerLoop(); });
-  }
 }
 
 void ThreadPool::WorkerLoop() {
@@ -68,13 +97,7 @@ void ThreadPool::WorkerLoop() {
   }
 }
 
-ThreadPool& ThreadPool::Shared() {
-  // Function-local static: joined during static destruction, after every
-  // ParallelChunks call has completed (they are synchronous), so no task is
-  // in flight by then.
-  static ThreadPool pool(0);
-  return pool;
-}
+}  // namespace
 
 unsigned HardwareThreads() {
   const unsigned hw = std::thread::hardware_concurrency();
@@ -154,8 +177,7 @@ struct ChunkRun {
 };
 
 // True while the current thread is executing a chunk; nested ParallelChunks
-// calls then run inline instead of blocking on the (possibly saturated)
-// shared pool.
+// calls then run inline instead of dispatching helpers.
 thread_local bool in_parallel_region = false;
 
 }  // namespace
@@ -193,7 +215,9 @@ void ParallelChunksImpl(size_t begin, size_t end, size_t grain, int threads,
   run->num_chunks = num_chunks;
   run->fn = &fn;
 
-  ThreadPool& pool = ThreadPool::Shared();
+  // Joined during static destruction, after every ParallelChunks call has
+  // returned; a helper still queued then owns the `run` it touches.
+  static ThreadPool pool;
   pool.EnsureWorkers(participants - 1);
   for (size_t helper = 1; helper < participants; ++helper) {
     // The task holds `run`: it may start after this call has returned.

@@ -18,6 +18,7 @@
 #include <sys/stat.h>
 
 #include "gtest/gtest.h"
+#include "tests/test_util.h"
 #include "graph/generators.h"
 #include "util/rng.h"
 
@@ -335,7 +336,7 @@ namespace {
 
 /// The temp file ReadEdgeListFileFromString writes for `tag`.
 std::string TempEdgeListPath(const std::string& tag) {
-  return ::testing::TempDir() + "/graph_io_test." + tag + ".txt";
+  return testing_util::TempPath("graph_io_test." + tag + ".txt");
 }
 
 /// Writes `content` to a temp file, reads it through the streamed file
@@ -650,7 +651,8 @@ TEST(GraphIoTest, EdgeListRoundTripIsByteIdenticalOnBothReaders) {
 
 TEST(GraphIoTest, ReadGraphFileMatchesStreamedEdgeListReader) {
   const Digraph g = RandomDigraphWithCycles(3000, 9000, 500, 31);
-  const std::string path = ::testing::TempDir() + "/graph_io_test.dispatch.txt";
+  const std::string path =
+      testing_util::TempPath("graph_io_test.dispatch.txt");
   ASSERT_TRUE(WriteGraphFile(g, path).ok());
   GraphReadStats stats;
   auto via_dispatch = ReadGraphFile(path, &stats);
@@ -667,7 +669,7 @@ namespace {
 
 // The named pipe ReadThroughPipe reads from.
 std::string FifoPath() {
-  return ::testing::TempDir() + "/graph_io_test.fifo.txt";
+  return testing_util::TempPath("graph_io_test.fifo.txt");
 }
 
 /// Writes `content` into a named pipe from another thread and reads it
@@ -1328,7 +1330,7 @@ TEST(GraphIoTest, PipeIsHeldToTheBytesItDelivered) {
 // A directory opens as a stream but fails its first read; the error must
 // say which path could not be read.
 TEST(GraphIoTest, ReadFailureNamesThePath) {
-  const std::string dir = ::testing::TempDir() + "/graph_io_test.dir";
+  const std::string dir = testing_util::TempPath("graph_io_test.dir");
   for (const std::string& path : {dir, dir + ".gra", dir + ".bin"}) {
     std::filesystem::create_directories(path);
     StatusOr<Digraph> via_dispatch = ReadGraphFile(path);

@@ -2,27 +2,40 @@
 // ephemeral port, driven by the blocking Client. The acceptance bar for
 // the serving layer: a 10k-query batched workload answered byte-identically
 // to the in-process oracle, malformed input survived, concurrent clients
-// served, and a graceful drain on SHUTDOWN.
+// served, a graceful drain on SHUTDOWN, and idle clients that hold every
+// handler neither starve an in-process build nor stall a drain.
 
 #include "server/server.h"
 
+#include <arpa/inet.h>
+#include <netinet/in.h>
+#include <poll.h>
+#include <sys/socket.h>
+#include <unistd.h>
+
 #include <atomic>
+#include <cerrno>
 #include <chrono>
 #include <cstdio>
 #include <fstream>
+#include <future>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <tuple>
 #include <utility>
 #include <vector>
 
+#include "baselines/factory.h"
 #include "graph/generators.h"
 #include "gtest/gtest.h"
 #include "query/workload.h"
 #include "server/client.h"
+#include "tests/test_util.h"
 #include "util/mapped_blob.h"
 #include "util/rng.h"
+#include "util/thread_pool.h"
 
 namespace reach {
 namespace server {
@@ -277,6 +290,199 @@ TEST(ReachServerTest, SignalStopDrainsActiveConnection) {
   reach_server.Stop();
 }
 
+/// What RawConnection::ReadLine returns when the server ended the
+/// connection (EOF or a reset), and when nothing complete arrived in time.
+constexpr char kEnded[] = "<ended>";
+constexpr char kSilent[] = "<silent>";
+
+/// A loopback connection whose every read is bounded, for tests that hold
+/// every handler or wait in the listen backlog, where a Client read could
+/// block for good.
+class RawConnection {
+ public:
+  RawConnection() = default;
+  ~RawConnection() { Close(); }
+  RawConnection(const RawConnection&) = delete;
+  RawConnection& operator=(const RawConnection&) = delete;
+
+  bool Connect(uint16_t port) {
+    fd_ = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    addr.sin_port = htons(port);
+    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+    return fd_ >= 0 && ::connect(fd_, reinterpret_cast<const sockaddr*>(&addr),
+                                 sizeof(addr)) == 0;
+  }
+
+  bool Send(std::string_view bytes) {
+    return ::send(fd_, bytes.data(), bytes.size(), MSG_NOSIGNAL) ==
+           static_cast<ssize_t>(bytes.size());
+  }
+
+  /// The next line the server sent within `timeout` (without its '\n'),
+  /// kEnded, or kSilent.
+  std::string ReadLine(std::chrono::milliseconds timeout) {
+    const auto deadline = std::chrono::steady_clock::now() + timeout;
+    while (true) {
+      const size_t eol = pending_.find('\n');
+      if (eol != std::string::npos) {
+        std::string line = pending_.substr(0, eol);
+        pending_.erase(0, eol + 1);
+        return line;
+      }
+      const auto left = std::chrono::duration_cast<std::chrono::milliseconds>(
+          deadline - std::chrono::steady_clock::now());
+      if (left.count() <= 0) return kSilent;
+      pollfd readable = {fd_, POLLIN, 0};
+      const int ready = ::poll(&readable, 1, static_cast<int>(left.count()));
+      if (ready < 0 && errno == EINTR) continue;
+      if (ready <= 0) return kSilent;
+      char buffer[256];
+      const ssize_t n = ::recv(fd_, buffer, sizeof(buffer), 0);
+      if (n < 0 && errno == EINTR) continue;
+      if (n <= 0) return kEnded;
+      pending_.append(buffer, static_cast<size_t>(n));
+    }
+  }
+
+  void Close() {
+    if (fd_ >= 0) ::close(fd_);
+    fd_ = -1;
+  }
+
+ private:
+  int fd_ = -1;
+  std::string pending_;
+};
+
+/// `count` connections that each got PONG for a PING and then stay idle:
+/// with `count` equal to the server's workers, every handler is held.
+std::vector<std::unique_ptr<RawConnection>> HoldHandlers(
+    const ReachServer& reach_server, int count) {
+  std::vector<std::unique_ptr<RawConnection>> idle;
+  for (int i = 0; i < count; ++i) {
+    auto connection = std::make_unique<RawConnection>();
+    if (!connection->Connect(reach_server.port()) ||
+        !connection->Send("PING\n") ||
+        connection->ReadLine(std::chrono::seconds(5)) != "PONG") {
+      ADD_FAILURE() << "idle client " << i << " was not served";
+      break;
+    }
+    idle.push_back(std::move(connection));
+  }
+  return idle;
+}
+
+// The handlers are the server's own threads, so a ParallelChunks in the
+// same process still gets its helpers while idle clients hold every
+// handler, and an in-process build runs beside them.
+TEST(ReachServerTest, HeldHandlersLeaveParallelChunksItsHelpers) {
+  const Digraph graph = ChainDag(8);
+  ReachServer reach_server;
+  ServerOptions options = QuickOptions("DL");
+  // More handlers than any test here asks ParallelChunks for helpers, so
+  // if handlers ran on the runtime's helper threads, none would be free.
+  options.workers = 16;
+  ASSERT_TRUE(reach_server.Start(graph, options).ok());
+  const auto idle = HoldHandlers(reach_server, options.workers);
+  ASSERT_EQ(idle.size(), 16u);
+
+  // Each chunk waits, for at most 5 s, until all 4 have started: only
+  // four participants running at once get there.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  std::atomic<int> started{0};
+  std::atomic<int> saw_all{0};
+  ParallelChunks(0, 4, 1, 4, [&](const ChunkInfo&) {
+    started.fetch_add(1);
+    while (started.load() < 4 && std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    if (started.load() == 4) saw_all.fetch_add(1);
+  });
+  EXPECT_EQ(saw_all.load(), 4)
+      << "ParallelChunks ran without its helpers while idle clients held "
+         "every handler";
+
+  BuildOptions build_options;
+  build_options.threads = 4;
+  EXPECT_TRUE(ReachabilityIndex::Build(RandomDag(5000, 20000, 7),
+                                       MakeOracle("DL"), build_options)
+                  .ok());
+  reach_server.Stop();
+}
+
+TEST(ReachServerTest, BacklogClientIsServedOnceAHandlerFrees) {
+  const Digraph graph = ChainDag(4);
+  ReachServer reach_server;
+  ServerOptions options = QuickOptions("DL");
+  options.workers = 2;
+  ASSERT_TRUE(reach_server.Start(graph, options).ok());
+  auto idle = HoldHandlers(reach_server, options.workers);
+  ASSERT_EQ(idle.size(), 2u);
+
+  RawConnection waiting;
+  ASSERT_TRUE(waiting.Connect(reach_server.port()));
+  ASSERT_TRUE(waiting.Send("PING\n"));
+  // Every handler is busy, so the connection waits in the backlog.
+  EXPECT_EQ(waiting.ReadLine(std::chrono::milliseconds(200)), kSilent);
+  idle[0]->Close();
+  EXPECT_EQ(waiting.ReadLine(std::chrono::seconds(5)), "PONG");
+  reach_server.Stop();
+}
+
+TEST(ReachServerTest, StopEndsHeldAndBacklogConnections) {
+  const Digraph graph = ChainDag(4);
+  ReachServer reach_server;
+  ServerOptions options = QuickOptions("DL");
+  options.workers = 2;
+  ASSERT_TRUE(reach_server.Start(graph, options).ok());
+  auto idle = HoldHandlers(reach_server, options.workers);
+  ASSERT_EQ(idle.size(), 2u);
+  RawConnection backlog;
+  ASSERT_TRUE(backlog.Connect(reach_server.port()));
+  ASSERT_TRUE(backlog.Send("PING\n"));
+
+  std::future<void> stopped =
+      std::async(std::launch::async, [&] { reach_server.Stop(); });
+  const bool in_time = stopped.wait_for(std::chrono::seconds(5)) ==
+                       std::future_status::ready;
+  // A Stop() that waits on the idle clients is let go before it fails.
+  if (!in_time) idle.clear();
+  EXPECT_TRUE(in_time) << "Stop() waited on idle clients";
+  stopped.get();
+  for (const auto& connection : idle) {
+    EXPECT_EQ(connection->ReadLine(std::chrono::seconds(5)), kEnded);
+  }
+  EXPECT_EQ(backlog.ReadLine(std::chrono::seconds(5)), kEnded);
+}
+
+// With every handler serving an idle client, no handler polls the wake
+// pipe; the thread blocked in Wait() must see a signal's byte and drain.
+TEST(ReachServerTest, SignalStopDrainsWhileEveryHandlerIsHeld) {
+  const Digraph graph = ChainDag(4);
+  ReachServer reach_server;
+  ServerOptions options = QuickOptions("DL");
+  options.workers = 2;
+  ASSERT_TRUE(reach_server.Start(graph, options).ok());
+  auto idle = HoldHandlers(reach_server, options.workers);
+  ASSERT_EQ(idle.size(), 2u);
+
+  std::future<void> waited =
+      std::async(std::launch::async, [&] { reach_server.Wait(); });
+  reach_server.RequestStopFromSignal();
+  const bool in_time = waited.wait_for(std::chrono::seconds(5)) ==
+                       std::future_status::ready;
+  if (!in_time) idle.clear();
+  EXPECT_TRUE(in_time) << "a signal stop waited on idle clients";
+  waited.get();
+  for (const auto& connection : idle) {
+    EXPECT_EQ(connection->ReadLine(std::chrono::seconds(5)), kEnded);
+  }
+  reach_server.Stop();
+}
+
 TEST(ReachServerTest, StatsRoundTripThroughClient) {
   const Digraph graph = ChainDag(4);
   ReachServer reach_server;
@@ -303,7 +509,7 @@ TEST(ReachServerTest, StatsRoundTripThroughClient) {
 class ScopedSnapshotPath {
  public:
   explicit ScopedSnapshotPath(const std::string& name)
-      : path_(::testing::TempDir() + name) {
+      : path_(testing_util::TempPath(name)) {
     std::remove(path_.c_str());
     std::remove((path_ + ".tmp").c_str());
   }

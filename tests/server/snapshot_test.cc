@@ -16,6 +16,7 @@
 #include "core/reachability.h"
 #include "graph/generators.h"
 #include "gtest/gtest.h"
+#include "tests/test_util.h"
 #include "util/mapped_blob.h"
 
 namespace reach {
@@ -101,7 +102,7 @@ class SaveIndexSnapshotTest : public ::testing::Test {
         ReachabilityIndex::Build(graph_, MakeOracle("DL"));
     ASSERT_TRUE(index.ok());
     index_.emplace(std::move(*index));
-    path_ = ::testing::TempDir() + "snapshot_test_index.snap";
+    path_ = testing_util::TempPath("snapshot_test_index.snap");
     std::remove(path_.c_str());
     std::remove((path_ + ".tmp").c_str());
   }
@@ -178,7 +179,7 @@ TEST_F(SaveIndexSnapshotTest, FailedSaveWithNoPreviousSnapshotLeavesNone) {
 
 TEST_F(SaveIndexSnapshotTest, UnwritablePathFailsCleanly) {
   const std::string bad =
-      ::testing::TempDir() + "no_such_dir_snapshot_test/index.snap";
+      testing_util::TempPath("no_such_dir_snapshot_test/index.snap");
   const Status status =
       SaveIndexSnapshot(bad, "DL", graph_.num_vertices(),
                         graph_.num_edges(), index_->oracle());

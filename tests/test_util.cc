@@ -1,5 +1,7 @@
 #include "tests/test_util.h"
 
+#include <unistd.h>
+
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -10,6 +12,12 @@
 
 namespace reach {
 namespace testing_util {
+
+std::string TempPath(const std::string& name) {
+  // TempDir() ends in a path separator.
+  return ::testing::TempDir() + "reach_test." + std::to_string(::getpid()) +
+         "." + name;
+}
 
 std::shared_ptr<const MappedBlob> OwnedBlob(const std::string& bytes) {
   auto blob = MappedBlob::CreateOwned(
@@ -24,8 +32,8 @@ std::shared_ptr<const MappedBlob> OwnedBlob(const std::string& bytes) {
 std::shared_ptr<const MappedBlob> MapBytes(const std::string& bytes,
                                            const std::string& tag,
                                            bool owned) {
-  const std::string path = ::testing::TempDir() + "/reach_test." + tag +
-                           (owned ? ".owned" : ".mmap") + ".blob";
+  const std::string path =
+      TempPath(tag + (owned ? ".owned" : ".mmap") + ".blob");
   {
     std::ofstream out(path, std::ios::binary | std::ios::trunc);
     out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));

@@ -55,6 +55,11 @@ inline Digraph TwoChains() {
                                                 const Digraph& dag,
                                                 size_t samples, uint64_t seed);
 
+/// A scratch-file path in the gtest temp dir: `name` behind this process's
+/// id, so suite runs from two build trees at once never share a file.
+/// `name` must still be unique among the tests of one binary.
+std::string TempPath(const std::string& name);
+
 /// `bytes` copied into an owned, 64-byte-aligned MappedBlob: the heap twin
 /// of mapping a file that holds them. Fails the current test (and returns
 /// null) when the blob cannot be allocated.

@@ -213,7 +213,7 @@ TEST(CondVarTest, DrainHandshakeMirrorsServerWait) {
 }
 
 TEST(CondVarTest, ProducerConsumerHandoff) {
-  // A bounded handoff through a guarded slot: the pattern ThreadPool's
+  // A bounded handoff through a guarded slot: the pattern the helper pool's
   // queue uses, reduced to one element so every iteration exercises both
   // wait directions (consumer waits for full, producer waits for empty).
   constexpr int kItems = 500;

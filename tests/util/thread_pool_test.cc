@@ -1,7 +1,7 @@
 // Unit coverage for the parallel runtime: chunk decomposition, exact-once
 // index coverage for any thread count, the sequential-ordering guarantee,
-// exception propagation, nesting, progress while the shared pool is busy,
-// and REACH_THREADS resolution.
+// exception propagation, nesting, progress while every helper is busy, and
+// REACH_THREADS resolution.
 
 #include "util/thread_pool.h"
 
@@ -15,6 +15,7 @@
 #include <future>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "baselines/factory.h"
@@ -22,6 +23,8 @@
 #include "graph/generators.h"
 #include "graph/graph_io.h"
 #include "gtest/gtest.h"
+#include "tests/test_util.h"
+#include "util/sync.h"
 
 namespace reach {
 namespace {
@@ -126,23 +129,23 @@ TEST(ParallelForTest, NestedCallsRunInlineWithoutDeadlock) {
   for (auto& count : counts) ASSERT_EQ(count.load(), 1);
 }
 
-/// Holds `count` workers of ThreadPool::Shared() in a task each until
-/// Release(), as connection handlers blocked in recv hold them; the
-/// destructor releases them and waits until every task has returned.
-class BlockedSharedPool {
+/// Holds every helper a `count`-participant ParallelChunks asks for, each
+/// in a chunk that blocks until Release(), as another caller's long
+/// parallel region would. The call runs on a side thread, whose own chunk
+/// blocks too; the destructor releases them all and joins it.
+class HeldHelpers {
  public:
-  explicit BlockedSharedPool(size_t count) : count_(count) {
-    ThreadPool::Shared().EnsureWorkers(count);
-    for (size_t i = 0; i < count; ++i) {
-      ThreadPool::Shared().Submit([this] { Hold(); });
-    }
+  explicit HeldHelpers(size_t count)
+      : count_(count), side_([this] {
+          ParallelChunks(0, count_, 1, static_cast<int>(count_),
+                         [this](const ChunkInfo&) { Hold(); });
+        }) {
     MutexLock lock(mu_);
     while (started_ != count_) cv_.Wait(mu_);
   }
-  ~BlockedSharedPool() {
+  ~HeldHelpers() {
     Release();
-    MutexLock lock(mu_);
-    while (finished_ != count_) cv_.Wait(mu_);
+    side_.join();
   }
 
   void Release() EXCLUDES(mu_) {
@@ -157,25 +160,22 @@ class BlockedSharedPool {
     ++started_;
     cv_.NotifyAll();
     while (!released_) cv_.Wait(mu_);
-    ++finished_;
-    cv_.NotifyAll();
   }
 
   const size_t count_;
   Mutex mu_;
   CondVar cv_;
   size_t started_ GUARDED_BY(mu_) = 0;
-  size_t finished_ GUARDED_BY(mu_) = 0;
   bool released_ GUARDED_BY(mu_) = false;
+  std::thread side_;  // Last: its call uses the members above.
 };
 
 // A ParallelChunks caller waits only for chunks a helper has claimed, so
-// it finishes on its own thread while every worker of the shared pool is
-// busy (the in-process build that used to hang behind idle server
-// connections). Each call runs on another thread and must finish within
-// 5 s while the workers are held; a hang releases them and fails.
+// it finishes on its own thread while every helper is busy. Each call runs
+// on another thread and must finish within 5 s while the helpers are held;
+// a hang releases them and fails.
 TEST(ParallelChunksTest, FinishesWhileEverySharedWorkerIsBusy) {
-  const std::string path = ::testing::TempDir() + "/thread_pool_test.txt";
+  const std::string path = testing_util::TempPath("thread_pool_test.txt");
   const Digraph written = RandomDag(3000, 12000, 5);
   {
     std::ofstream out(path, std::ios::binary);
@@ -206,14 +206,15 @@ TEST(ParallelChunksTest, FinishesWhileEverySharedWorkerIsBusy) {
                 graph->CollectEdges() == written.CollectEdges();
        }},
   };
-  // More workers than any call here asks the pool for, so none is free.
-  BlockedSharedPool blocked(16);
+  // More helpers than any other test in this binary asks for, so none is
+  // free.
+  HeldHelpers blocked(16);
   for (const auto& [what, call] : calls) {
     std::future<bool> done = std::async(std::launch::async, call);
     const bool in_time =
         done.wait_for(std::chrono::seconds(5)) == std::future_status::ready;
     if (!in_time) blocked.Release();
-    EXPECT_TRUE(in_time) << what << " waited on a busy shared pool";
+    EXPECT_TRUE(in_time) << what << " waited on a busy helper";
     EXPECT_TRUE(done.get()) << what;
   }
   std::remove(path.c_str());
@@ -236,35 +237,6 @@ TEST(DefaultBuildThreadsTest, FallsBackOnMissingOrMalformedEnv) {
     EXPECT_EQ(DefaultBuildThreads(), hardware) << "REACH_THREADS=" << bad;
   }
   unsetenv("REACH_THREADS");
-}
-
-TEST(ThreadPoolTest, GrowsButNeverShrinks) {
-  ThreadPool pool(0);
-  EXPECT_EQ(pool.num_workers(), 0u);
-  pool.EnsureWorkers(2);
-  EXPECT_EQ(pool.num_workers(), 2u);
-  pool.EnsureWorkers(1);
-  EXPECT_EQ(pool.num_workers(), 2u);
-}
-
-TEST(ThreadPoolTest, SubmittedTasksAllRun) {
-  std::atomic<int> done{0};
-  Mutex mu;
-  CondVar cv;
-  {
-    ThreadPool pool(3);
-    for (int i = 0; i < 100; ++i) {
-      pool.Submit([&] {
-        if (done.fetch_add(1) + 1 == 100) {
-          MutexLock lock(mu);
-          cv.NotifyAll();
-        }
-      });
-    }
-    MutexLock lock(mu);
-    cv.Wait(mu, [&] { return done.load() == 100; });
-  }  // Destructor joins cleanly with an empty queue.
-  EXPECT_EQ(done.load(), 100);
 }
 
 }  // namespace

@@ -39,8 +39,8 @@ namespace {
 reach::server::ReachServer* g_server = nullptr;
 
 void HandleSignal(int /*signum*/) {
-  // Async-signal-safe drain trigger; the normal drain path finishes the
-  // shutdown on a pool thread.
+  // Async-signal-safe drain trigger; the server's handler threads wake and
+  // finish the shutdown on the normal drain path.
   if (g_server != nullptr) g_server->RequestStopFromSignal();
 }
 
