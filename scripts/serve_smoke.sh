@@ -93,6 +93,10 @@ grep -q '^malformed 1$' "$workdir/client.out" || fail "STATS missing malformed"
 grep -q '^err_range 1$' "$workdir/client.out" || fail "STATS missing err_range"
 grep -q '^err_parse 0$' "$workdir/client.out" || fail "STATS missing err_parse"
 grep -q '^batches 1$' "$workdir/client.out" || fail "STATS missing batches"
+# The smoke graph is a DAG, so the server indexed it in place: no SCC
+# condensation, component ids are vertex ids.
+grep -q '^identity_scc 1$' "$workdir/client.out" \
+  || fail "STATS missing identity_scc 1"
 # Without --prefilter the tier is off and no pf_ counters are exported.
 grep -q '^prefilter 0$' "$workdir/client.out" \
   || fail "STATS missing prefilter 0"

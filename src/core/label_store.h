@@ -10,10 +10,10 @@
 //   ────────────            ──────              ──────────
 //   per-vertex rows in      encodes both        offsets[] + keys[] CSR:
 //   arenas owned by their   sides into one      one contiguous array per
-//   row partition; insert   blob and releases   side, per-vertex spans,
-//   and whole-row assign    each side's         exact MemoryBytes(),
-//   (construction mutates   arenas: a few       cache-friendly queries
-//   labels constantly)      chunks per side
+//   row partition; insert   blob, a partition   side, per-vertex spans,
+//   and whole-row assign    at a time, freeing  exact MemoryBytes(),
+//   (construction mutates   its arena (a few    cache-friendly queries
+//   labels constantly)      chunks) once copied
 //
 // Construction algorithms fill a LabelBuilder (they interleave reads and
 // inserts); BuildIndex seals it once the labeling is final, so every query
@@ -165,8 +165,9 @@ class LabelStore {
 /// into blocks, with the blocks that rows outgrow kept on per-size free
 /// lists for the partition's next growing row. So a row grows in memory
 /// that only its partition's writer touches, with no malloc, no lock and
-/// no free into another thread's heap, and Seal releases a few chunks
-/// instead of a heap block per row.
+/// no free into another thread's heap, and Seal releases a few chunks per
+/// partition, as soon as that partition is copied, instead of a heap block
+/// per row.
 ///
 /// Thread safety: writes (Insert*, Assign*) to rows of one partition must
 /// not overlap; writes to rows of different partitions may run
@@ -241,11 +242,14 @@ class LabelBuilder {
   uint64_t StorageBytes() const;
 
   /// Encodes both sides into one owned RLSTORE3 blob and returns the store
-  /// viewing it, releasing each side's arenas as soon as that side is
-  /// encoded. Up to `threads` workers copy the rows, each into its place
-  /// from the offsets computed first; the blob is the same for any count.
-  /// Throws std::bad_alloc when the blob cannot be allocated, as a growing
-  /// row would.
+  /// viewing it. Each side is copied one row partition at a time, by up to
+  /// `threads` workers, every row into its place from the offsets computed
+  /// first, and a partition's arena for the side is released as soon as
+  /// its rows are copied. So the sealed section's pages fill in as the
+  /// arenas drain, instead of a whole section adding to the rows' peak.
+  /// The blob is the same for any thread and partition count. Throws
+  /// std::bad_alloc when the blob cannot be allocated, as a growing row
+  /// would.
   LabelStore Seal(int threads = 1) &&;
 
  private:

@@ -4,6 +4,8 @@
 #include <optional>
 #include <utility>
 
+#include "graph/topology.h"
+
 namespace reach {
 
 namespace {
@@ -20,8 +22,8 @@ std::optional<uint64_t> PeekMappedVertexCount(const MappedRegion& region) {
 }
 
 /// True when the snapshot can be served in original vertex-id space: the
-/// saved label count matches the raw graph, so CondenseToDag was the
-/// identity when the index was built. No explicit acyclicity check runs —
+/// saved label count matches the raw graph, so the graph was a DAG that
+/// Build indexed in place. No explicit acyclicity check runs —
 /// a cyclic graph can never match, because its condensation always has
 /// fewer components than vertices, so any snapshot actually saved from
 /// this graph's index peeks below num_vertices(). (A snapshot from a
@@ -43,6 +45,14 @@ StatusOr<ReachabilityIndex> ReachabilityIndex::Build(
   if (oracle == nullptr) {
     return Status::InvalidArgument("oracle must not be null");
   }
+  // A DAG is its own condensation: index it in place, in identity mode,
+  // with no Tarjan pass and no copy of the graph.
+  if (IsDag(g)) {
+    const Status status = oracle->Build(g, options);
+    if (stats_out != nullptr) *stats_out = oracle->build_stats();
+    REACH_RETURN_IF_ERROR(status);
+    return ReachabilityIndex(g, std::move(oracle));
+  }
   Condensation condensation = CondenseToDag(g);
   const Status status = oracle->Build(condensation.dag, options);
   if (stats_out != nullptr) *stats_out = oracle->build_stats();
@@ -57,16 +67,15 @@ StatusOr<ReachabilityIndex> ReachabilityIndex::LoadMapped(
     return Status::InvalidArgument("oracle must not be null");
   }
   // Lazy-SCC fast path: a snapshot whose vertex count matches the raw
-  // graph was built on the identity condensation (DAG input), so the
-  // oracle can load directly over `g` — no Tarjan pass, no condensed-graph
-  // materialization, no acyclicity re-check (see IdentityLoadApplies). The
-  // peek is untrusted; the oracle's validated cross-check rejects a forged
-  // count.
+  // graph was built in place over a DAG, so the oracle can load directly
+  // over `g` — no Tarjan pass, no condensed-graph materialization, no
+  // acyclicity re-check (see IdentityLoadApplies). The peek is untrusted;
+  // the oracle's validated cross-check rejects a forged count.
   if (IdentityLoadApplies(g, PeekMappedVertexCount(region))) {
     const Status status = oracle->LoadMapped(g, std::move(region));
     if (stats_out != nullptr) *stats_out = oracle->build_stats();
     REACH_RETURN_IF_ERROR(status);
-    return ReachabilityIndex(g.num_vertices(), std::move(oracle));
+    return ReachabilityIndex(g, std::move(oracle));
   }
   // Eager fallback: recompute the condensation (linear time); only the
   // oracle's index — the expensive part — comes from the snapshot. It was

@@ -83,9 +83,8 @@ Condensation CondenseToDag(const Digraph& g) {
   if (result.num_components == g.num_vertices()) {
     // Every SCC is trivial: use the identity condensation instead of
     // Tarjan's completion-order numbering. This keeps label keys in
-    // original vertex-id space for DAG inputs, which is what lets a saved
-    // index be re-served without recomputing SCCs (the snapshot's vertex
-    // count then matches the raw graph; see ReachabilityIndex::LoadMapped).
+    // original vertex-id space for DAG inputs, the ids ReachabilityIndex
+    // builds and loads a DAG's labels in.
     for (Vertex v = 0; v < g.num_vertices(); ++v) result.component[v] = v;
     result.dag = g;
     return result;

@@ -16,9 +16,9 @@ struct Condensation {
   /// component[v] = SCC id of original vertex v. When every SCC is trivial
   /// (the input is already a DAG) the condensation is the identity:
   /// component[v] == v and `dag` is a copy of the input graph, so labels
-  /// built on the condensation are keyed by original vertex ids and a
-  /// saved index can later be served without recomputing SCCs (see
-  /// ReachabilityIndex::LoadMapped). Otherwise SCC ids are dense and in
+  /// built on the condensation are keyed by original vertex ids, as they
+  /// are when ReachabilityIndex indexes a DAG in place without calling
+  /// this at all. Otherwise SCC ids are dense and in
   /// reverse topological order of the condensation (Tarjan's property: a
   /// component is numbered before any component that reaches it).
   std::vector<Vertex> component;

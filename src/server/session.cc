@@ -182,8 +182,9 @@ void Session::AppendStats(std::string* out) const {
   AppendKeyValue(out, "threads", static_cast<uint64_t>(build.threads));
   // Last index publish: wall time to ready it, peak RSS right after, and
   // whether the live index serves zero-copy from a file mapping. The
-  // identity_scc flag says the load skipped SCC condensation entirely
-  // (DAG-shaped snapshot; the large_smoke script pins it at startup).
+  // identity_scc flag says the index skipped SCC condensation entirely: a
+  // build over a DAG, or the load of a DAG-shaped snapshot (serve_smoke
+  // pins the first, large_smoke the second).
   char load_ms[32];
   std::snprintf(load_ms, sizeof(load_ms), "%.3f",
                 static_cast<double>(

@@ -198,27 +198,36 @@ TEST(LabelStoreTest, RandomizedSealAndRoundTripAgree) {
   }
 }
 
-// A parallel seal copies blocks of rows from precomputed offsets; the blob
-// must not depend on how many workers copied. 20,000 rows span several
-// blocks, and the sides get odd and even totals (padding on one side).
+// A seal copies each row partition's blocks of rows in turn, in parallel,
+// from precomputed offsets; the blob must depend on neither the partition
+// count nor how many workers copied. 20,000 rows span several blocks and
+// end in a partial one, and the sides get odd and even totals (padding on
+// one side); 100 rows are two blocks, so most partitions of a wide
+// builder own no rows; a zero-vertex builder seals to an empty store.
 TEST(LabelStoreTest, SealBlobIsIdenticalAtAnyThreadCount) {
-  constexpr size_t kRows = 20000;
-  Rng rng(2602);
-  LabelBuilder rows(kRows);
-  for (size_t i = 0; i < 3 * kRows + 1; ++i) {
-    rows.InsertOut(static_cast<Vertex>(rng.Uniform(kRows)),
-                   static_cast<uint32_t>(rng.Uniform(kRows)));
-  }
-  for (size_t i = 0; i < 2 * kRows; ++i) {
-    rows.InsertIn(static_cast<Vertex>(rng.Uniform(kRows)),
-                  static_cast<uint32_t>(rng.Uniform(kRows)));
-  }
-  const LabelStore expected = testing_util::CopyOf(rows).Seal(1);
-  EXPECT_TRUE(SameRows(expected, rows));
-  for (const int threads : {3, 8}) {
-    const LabelStore sealed = testing_util::CopyOf(rows).Seal(threads);
-    EXPECT_EQ(LabelBytes(sealed), LabelBytes(expected))
-        << threads << " threads";
+  for (const size_t rows_count : {size_t{20000}, size_t{100}, size_t{0}}) {
+    SCOPED_TRACE(std::to_string(rows_count) + " rows");
+    Rng rng(2602);
+    LabelBuilder rows(rows_count);
+    for (size_t i = 0; rows_count > 0 && i < 3 * rows_count + 1; ++i) {
+      rows.InsertOut(static_cast<Vertex>(rng.Uniform(rows_count)),
+                     static_cast<uint32_t>(rng.Uniform(rows_count)));
+    }
+    for (size_t i = 0; rows_count > 0 && i < 2 * rows_count; ++i) {
+      rows.InsertIn(static_cast<Vertex>(rng.Uniform(rows_count)),
+                    static_cast<uint32_t>(rng.Uniform(rows_count)));
+    }
+    const LabelStore expected = testing_util::CopyOf(rows).Seal(1);
+    EXPECT_TRUE(SameRows(expected, rows));
+    EXPECT_EQ(expected.num_vertices(), rows_count);
+    for (const size_t parts : {1, 2, 3, 4, 8}) {
+      for (const int threads : {1, 3, 8}) {
+        const LabelStore sealed =
+            testing_util::CopyOf(rows, parts).Seal(threads);
+        EXPECT_EQ(LabelBytes(sealed), LabelBytes(expected))
+            << parts << " partitions, " << threads << " threads";
+      }
+    }
   }
 }
 

@@ -53,13 +53,43 @@ TEST(ReachabilityIndexTest, MatchesBfsOnRandomCyclicGraphs) {
   }
 }
 
+// A DAG is indexed in place: identity mode, with dag() the caller's graph
+// itself rather than a copy, and answers in original vertex ids.
 TEST(ReachabilityIndexTest, DagInputPassesThrough) {
   Digraph g = RandomDag(100, 250, 9);
   auto index = ReachabilityIndex::Build(
       g, std::make_unique<DistributionLabelingOracle>());
   ASSERT_TRUE(index.ok());
+  EXPECT_TRUE(index->identity_condensation());
+  EXPECT_EQ(&index->dag(), &g);
   EXPECT_EQ(index->num_components(), g.num_vertices());
-  EXPECT_EQ(index->dag().num_edges(), g.num_edges());
+  for (Vertex u = 0; u < g.num_vertices(); ++u) {
+    EXPECT_EQ(index->ComponentOf(u), u);
+    for (Vertex v = 0; v < g.num_vertices(); ++v) {
+      ASSERT_EQ(index->Reachable(u, v), BfsReachable(g, u, v))
+          << "pair (" << u << "," << v << ")";
+    }
+  }
+}
+
+// A cyclic graph is condensed, and the index owns the condensation: it
+// keeps answering after the caller's graph is gone.
+TEST(ReachabilityIndexTest, CyclicInputOwnsItsCondensation) {
+  const auto build = [] {
+    const Digraph g = Digraph::FromEdges(4, {{0, 1}, {1, 0}, {1, 2}, {2, 3}});
+    return ReachabilityIndex::Build(
+        g, std::make_unique<DistributionLabelingOracle>());
+  };
+  auto index = build();
+  ASSERT_TRUE(index.ok());
+  EXPECT_FALSE(index->identity_condensation());
+  EXPECT_EQ(index->num_components(), 3u);
+  EXPECT_EQ(index->dag().num_vertices(), 3u);
+  EXPECT_EQ(index->dag().num_edges(), 2u);
+  EXPECT_TRUE(IsDag(index->dag()));
+  EXPECT_TRUE(index->Reachable(1, 0));
+  EXPECT_TRUE(index->Reachable(0, 3));
+  EXPECT_FALSE(index->Reachable(3, 2));
 }
 
 TEST(ReachabilityIndexTest, ExposesComponentMapping) {

@@ -300,9 +300,11 @@ TEST(ParseQueryLineTest, AgreesWithTokenizeReferenceOnMutatedCorpus) {
 
 class SessionTest : public ::testing::Test {
  protected:
-  /// A DL index over 0 -> 1 -> 2 -> 3, plus isolated 4.
+  /// A DL index over 0 -> 1 -> 2 -> 3, plus isolated 4. The graph is a
+  /// DAG, so the index is built over it in place and reads it for as long
+  /// as the index lives: it stays alive for the whole test program.
   static std::shared_ptr<const ReachabilityIndex> MakeIndex() {
-    Digraph graph = Digraph::FromEdges(
+    static const Digraph graph = Digraph::FromEdges(
         5, {{0, 1}, {1, 2}, {2, 3}});
     auto index = ReachabilityIndex::Build(
         graph, std::make_unique<DistributionLabelingOracle>());

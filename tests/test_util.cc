@@ -68,8 +68,8 @@ LabelBuilder RowsOf(const LabelStore& labels) {
   return rows;
 }
 
-LabelBuilder CopyOf(const LabelBuilder& rows) {
-  LabelBuilder copy(rows.num_vertices(), rows.parts());
+LabelBuilder CopyOf(const LabelBuilder& rows, size_t parts) {
+  LabelBuilder copy(rows.num_vertices(), parts == 0 ? rows.parts() : parts);
   for (Vertex v = 0; v < rows.num_vertices(); ++v) {
     copy.AssignOut(v, rows.Out(v));
     copy.AssignIn(v, rows.In(v));

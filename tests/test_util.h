@@ -88,8 +88,9 @@ std::string LabelBytes(const LabelStore& labels);
 /// them before sealing.
 LabelBuilder RowsOf(const LabelStore& labels);
 
-/// A builder with the same rows and row partitions as `rows`.
-LabelBuilder CopyOf(const LabelBuilder& rows);
+/// A builder with the same rows as `rows`, in `parts` row partitions (0:
+/// as many as `rows` has).
+LabelBuilder CopyOf(const LabelBuilder& rows, size_t parts = 0);
 
 /// Graph configurations for the property sweeps.
 struct GraphCase {

@@ -5,7 +5,8 @@
 //   reach_cli GRAPH [--oracle=DL] [--threads=N] [--stats] [u v]...
 //   echo "0 5\n3 7" | reach_cli graph.txt --oracle=HL
 //
-// Cyclic graphs are fine: the tool condenses SCCs before indexing.
+// Cyclic graphs are fine: the tool condenses SCCs before indexing (a DAG
+// is indexed as it is).
 
 #include <cstdio>
 #include <cerrno>
@@ -19,6 +20,7 @@
 #include "baselines/factory.h"
 #include "core/reachability.h"
 #include "graph/graph_io.h"
+#include "util/resource.h"
 #include "util/strict_parse.h"
 #include "util/timer.h"
 
@@ -147,14 +149,16 @@ int main(int argc, char** argv) {
   }
   if (stats) {
     // Index numbers come from the oracle's own BuildStats; the local timer
-    // only adds the SCC-condensation overhead on top of the oracle build.
+    // only adds the DAG check and any SCC condensation on top of the
+    // oracle build. peak_rss_kb is the process's peak so far, set by the
+    // read and the build: no query has run yet.
     const BuildStats& build_stats = index->oracle().build_stats();
     std::fprintf(stderr,
                  "graph: %zu vertices, %zu edges, %zu SCCs, read_ms=%.1f "
                  "passes=%d ranges=%d canonical=%d parse_ms=%.1f "
                  "canonicalize_ms=%.1f reverse_csr_ms=%.1f\n"
                  "index: %s, %llu integers, %llu bytes, built in %.1f ms "
-                 "(%.1f ms incl. condensation) with %d thread%s\n",
+                 "(%.1f ms %s) with %d thread%s, peak_rss_kb=%llu\n",
                  graph->num_vertices(), graph->num_edges(),
                  index->num_components(), read_ms, read_stats.passes,
                  read_stats.ranges, read_stats.canonical_input ? 1 : 0,
@@ -164,7 +168,11 @@ int main(int argc, char** argv) {
                  static_cast<unsigned long long>(build_stats.index_integers),
                  static_cast<unsigned long long>(build_stats.index_bytes),
                  build_stats.build_millis, build_timer.ElapsedMillis(),
-                 build_stats.threads, build_stats.threads == 1 ? "" : "s");
+                 index->identity_condensation() ? "with the DAG check, "
+                                                  "condensation skipped"
+                                                : "incl. condensation",
+                 build_stats.threads, build_stats.threads == 1 ? "" : "s",
+                 static_cast<unsigned long long>(PeakRssKb()));
     std::fprintf(stderr,
                  "phases: order=%s, order %.1f ms, label %.1f ms (search "
                  "%.1f ms, cleanup %.1f ms, append %.1f ms, %llu batches), "
