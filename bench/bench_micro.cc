@@ -273,7 +273,7 @@ void BM_TransitiveClosure(benchmark::State& state) {
   Digraph g = RandomDag(static_cast<size_t>(state.range(0)),
                         static_cast<size_t>(state.range(0)) * 3, 6);
   for (auto _ : state) {
-    auto tc = TransitiveClosure::Compute(g);
+    auto tc = TransitiveClosure::Compute(*Dag::Check(g));
     benchmark::DoNotOptimize(tc);
   }
 }

@@ -2,23 +2,21 @@
 
 #include <algorithm>
 
-#include "graph/topology.h"
 #include "util/timer.h"
 
 namespace reach {
 
-Status ChainOracle::BuildIndex(const Digraph& dag) {
-  REACH_RETURN_IF_ERROR(internal::ValidateDagInput(dag, "ChainOracle"));
+Status ChainOracle::BuildIndex(const Dag& dag) {
   Timer timer;
-  const size_t n = dag.num_vertices();
-  auto topo = TopologicalOrder(dag);
+  const Digraph& g = dag.graph();
+  const size_t n = g.num_vertices();
 
   // Greedy chain decomposition: walk forward in topological order, always
   // extending the current chain to an unassigned successor.
   chain_of_.assign(n, UINT32_MAX);
   pos_in_chain_.assign(n, 0);
   uint32_t next_chain = 0;
-  for (Vertex start : *topo) {
+  for (Vertex start : dag.order()) {
     if (chain_of_[start] != UINT32_MAX) continue;
     uint32_t pos = 0;
     Vertex v = start;
@@ -26,7 +24,7 @@ Status ChainOracle::BuildIndex(const Digraph& dag) {
       chain_of_[v] = next_chain;
       pos_in_chain_[v] = pos++;
       Vertex next = UINT32_MAX;
-      for (Vertex w : dag.OutNeighbors(v)) {
+      for (Vertex w : g.OutNeighbors(v)) {
         if (chain_of_[w] == UINT32_MAX) {
           next = w;
           break;
@@ -46,10 +44,10 @@ Status ChainOracle::BuildIndex(const Digraph& dag) {
   size_t processed = 0;
   std::vector<uint64_t> merged;
   for (size_t i = n; i-- > 0;) {
-    const Vertex v = (*topo)[i];
+    const Vertex v = dag.order()[i];
     merged.clear();
     merged.push_back(PackEntry(chain_of_[v], pos_in_chain_[v]));
-    for (Vertex w : dag.OutNeighbors(v)) {
+    for (Vertex w : g.OutNeighbors(v)) {
       merged.insert(merged.end(), reach_[w].begin(), reach_[w].end());
     }
     std::sort(merged.begin(), merged.end());

@@ -19,7 +19,7 @@ namespace reach {
 /// Chain-compressed transitive closure ("PT" column in the tables).
 class ChainOracle : public ReachabilityOracle {
  protected:
-  Status BuildIndex(const Digraph& dag) override;
+  Status BuildIndex(const Dag& dag) override;
 
  public:
 

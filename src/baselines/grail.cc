@@ -72,9 +72,8 @@ void RandomIntervalPass(const Digraph& g, Rng* rng, std::vector<uint32_t>* lo,
 
 }  // namespace
 
-Status GrailOracle::BuildIndex(const Digraph& dag) {
-  REACH_RETURN_IF_ERROR(internal::ValidateDagInput(dag, "GrailOracle"));
-  graph_ = dag;
+Status GrailOracle::BuildIndex(const Dag& dag) {
+  graph_ = dag.graph();
   lo_.resize(options_.num_labelings);
   hi_.resize(options_.num_labelings);
   Rng rng(options_.seed);

@@ -29,7 +29,7 @@ class GrailOracle : public ReachabilityOracle {
   explicit GrailOracle(GrailOptions options = {}) : options_(options) {}
 
  protected:
-  Status BuildIndex(const Digraph& dag) override;
+  Status BuildIndex(const Dag& dag) override;
 
  public:
   bool Reachable(Vertex u, Vertex v) const override;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "graph/topology.h"
 #include "util/timer.h"
 
 namespace reach {
@@ -52,20 +51,19 @@ std::vector<uint32_t> DfsPostOrderNumbers(const Digraph& g) {
 
 }  // namespace
 
-Status IntervalOracle::BuildIndex(const Digraph& dag) {
-  REACH_RETURN_IF_ERROR(internal::ValidateDagInput(dag, "IntervalOracle"));
+Status IntervalOracle::BuildIndex(const Dag& dag) {
   Timer timer;
-  const size_t n = dag.num_vertices();
-  number_ = DfsPostOrderNumbers(dag);
+  const Digraph& g = dag.graph();
+  const size_t n = g.num_vertices();
+  number_ = DfsPostOrderNumbers(g);
 
-  auto topo = TopologicalOrder(dag);
   closure_.assign(n, IntervalSet());
   uint64_t stored = 0;
   size_t processed = 0;
   for (size_t i = n; i-- > 0;) {
-    const Vertex v = (*topo)[i];
+    const Vertex v = dag.order()[i];
     IntervalSet& set = closure_[v];
-    for (Vertex w : dag.OutNeighbors(v)) {
+    for (Vertex w : g.OutNeighbors(v)) {
       set.UnionWith(closure_[w]);
     }
     set.Insert(number_[v]);

@@ -20,7 +20,7 @@ namespace reach {
 /// Interval-compressed transitive closure.
 class IntervalOracle : public ReachabilityOracle {
  protected:
-  Status BuildIndex(const Digraph& dag) override;
+  Status BuildIndex(const Dag& dag) override;
 
  public:
 

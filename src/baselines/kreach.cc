@@ -3,15 +3,13 @@
 #include <algorithm>
 
 #include "core/backbone.h"
-#include "graph/topology.h"
 #include "util/timer.h"
 
 namespace reach {
 
-Status KReachOracle::BuildIndex(const Digraph& dag) {
-  REACH_RETURN_IF_ERROR(internal::ValidateDagInput(dag, "KReachOracle"));
+Status KReachOracle::BuildIndex(const Dag& dag) {
   Timer timer;
-  graph_ = dag;
+  graph_ = dag.graph();
   const size_t n = dag.num_vertices();
 
   // Greedy vertex cover, high degree-product rank first (2-approx spirit:
@@ -19,7 +17,7 @@ Status KReachOracle::BuildIndex(const Digraph& dag) {
   std::vector<uint64_t> rank(n);
   std::vector<Vertex> order(n);
   for (Vertex v = 0; v < n; ++v) {
-    rank[v] = DegreeProductRank(dag, v);
+    rank[v] = DegreeProductRank(graph_, v);
     order[v] = v;
   }
   std::sort(order.begin(), order.end(), [&rank](Vertex a, Vertex b) {
@@ -27,7 +25,7 @@ Status KReachOracle::BuildIndex(const Digraph& dag) {
   });
   std::vector<bool> in_cover(n, false);
   for (Vertex u : order) {
-    for (Vertex v : dag.OutNeighbors(u)) {
+    for (Vertex v : graph_.OutNeighbors(u)) {
       if (in_cover[u]) break;
       if (!in_cover[v]) in_cover[rank[u] >= rank[v] ? u : v] = true;
     }

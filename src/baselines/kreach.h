@@ -20,7 +20,7 @@ namespace reach {
 /// Vertex-cover based reachability index ("KR" table column).
 class KReachOracle : public ReachabilityOracle {
  protected:
-  Status BuildIndex(const Digraph& dag) override;
+  Status BuildIndex(const Dag& dag) override;
 
  public:
   bool Reachable(Vertex u, Vertex v) const override;

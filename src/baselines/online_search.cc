@@ -2,9 +2,8 @@
 
 namespace reach {
 
-Status OnlineSearchOracle::BuildIndex(const Digraph& dag) {
-  REACH_RETURN_IF_ERROR(internal::ValidateDagInput(dag, "OnlineSearchOracle"));
-  graph_ = dag;
+Status OnlineSearchOracle::BuildIndex(const Dag& dag) {
+  graph_ = dag.graph();
   fwd_mark_.assign(dag.num_vertices(), 0);
   bwd_mark_.assign(dag.num_vertices(), 0);
   epoch_ = 0;

@@ -25,7 +25,7 @@ class OnlineSearchOracle : public ReachabilityOracle {
       : kind_(kind) {}
 
  protected:
-  Status BuildIndex(const Digraph& dag) override;
+  Status BuildIndex(const Dag& dag) override;
 
  public:
   bool Reachable(Vertex u, Vertex v) const override;

@@ -59,10 +59,9 @@ void PrunedLandmarkOracle::Seal(Rows* out, Rows* in) {
   seal_side(in, &in_offsets_, &in_entries_);
 }
 
-Status PrunedLandmarkOracle::BuildIndex(const Digraph& dag) {
-  REACH_RETURN_IF_ERROR(
-      internal::ValidateDagInput(dag, "PrunedLandmarkOracle"));
+Status PrunedLandmarkOracle::BuildIndex(const Dag& proven) {
   Timer timer;
+  const Digraph& dag = proven.graph();
   const size_t n = dag.num_vertices();
   // Build phase: the pruned BFS prune predicate asks for distances while
   // the labels are still growing, so it merges the growing rows. Nothing

@@ -27,7 +27,7 @@ namespace reach {
 /// Directed pruned-landmark distance labeling used as a reachability oracle.
 class PrunedLandmarkOracle : public ReachabilityOracle {
  protected:
-  Status BuildIndex(const Digraph& dag) override;
+  Status BuildIndex(const Dag& dag) override;
 
  public:
 

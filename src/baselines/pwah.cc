@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "graph/topology.h"
 #include "util/timer.h"
 
 namespace reach {
@@ -344,25 +343,25 @@ bool PwahBitset::Test(uint32_t bit) const {
   return false;  // Beyond the encoded stream: trailing zeros.
 }
 
-Status PwahOracle::BuildIndex(const Digraph& dag) {
-  REACH_RETURN_IF_ERROR(internal::ValidateDagInput(dag, "PwahOracle"));
+Status PwahOracle::BuildIndex(const Dag& dag) {
   Timer timer;
-  const size_t n = dag.num_vertices();
-  auto topo = TopologicalOrder(dag);
+  const Digraph& g = dag.graph();
+  const size_t n = g.num_vertices();
+  const std::vector<Vertex>& topo = dag.order();
 
   // Renumber along reverse topological order: descendants receive smaller
   // numbers near each other, producing long fills.
   number_.assign(n, 0);
-  for (size_t i = 0; i < n; ++i) number_[(*topo)[n - 1 - i]] = i;
+  for (size_t i = 0; i < n; ++i) number_[topo[n - 1 - i]] = i;
 
   rows_.assign(n, PwahBitset());
   Bitset scratch(n);
   uint64_t words_total = 0;
   size_t processed = 0;
   for (size_t i = n; i-- > 0;) {
-    const Vertex v = (*topo)[i];
+    const Vertex v = topo[i];
     scratch.Clear();
-    for (Vertex w : dag.OutNeighbors(v)) {
+    for (Vertex w : g.OutNeighbors(v)) {
       rows_[w].DecompressOrInto(&scratch);
     }
     scratch.Set(number_[v]);

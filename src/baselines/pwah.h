@@ -55,7 +55,7 @@ class PwahBitset {
 /// PWAH-compressed transitive closure oracle (the "PW8" table column).
 class PwahOracle : public ReachabilityOracle {
  protected:
-  Status BuildIndex(const Digraph& dag) override;
+  Status BuildIndex(const Dag& dag) override;
 
  public:
 

@@ -4,14 +4,13 @@
 
 namespace reach {
 
-Status ScarabOracle::BuildIndex(const Digraph& dag) {
-  REACH_RETURN_IF_ERROR(internal::ValidateDagInput(dag, "ScarabOracle"));
-  graph_ = dag;
+Status ScarabOracle::BuildIndex(const Dag& dag) {
+  graph_ = dag.graph();
   const size_t n = dag.num_vertices();
 
   std::vector<Vertex> members(n);
   for (Vertex v = 0; v < n; ++v) members[v] = v;
-  auto backbone = ExtractBackbone(dag, members, backbone_options_);
+  auto backbone = ExtractBackbone(dag.graph(), members, backbone_options_);
   if (!backbone.ok()) return backbone.status();
   is_backbone_ = std::move(backbone->is_backbone);
   backbone_vertices_ = std::move(backbone->vertices);

@@ -34,7 +34,7 @@ class ScarabOracle : public ReachabilityOracle {
         backbone_options_(backbone_options) {}
 
  protected:
-  Status BuildIndex(const Digraph& dag) override;
+  Status BuildIndex(const Dag& dag) override;
 
  public:
   bool Reachable(Vertex u, Vertex v) const override;

@@ -29,8 +29,7 @@ constexpr size_t kEndpointParallelCutoff = 2 * kEndpointGrain;
 
 }  // namespace
 
-Status TwoHopOracle::BuildIndex(const Digraph& dag) {
-  REACH_RETURN_IF_ERROR(internal::ValidateDagInput(dag, "TwoHopOracle"));
+Status TwoHopOracle::BuildIndex(const Dag& dag) {
   Timer timer;
   const int threads = build_threads();
   const size_t n = dag.num_vertices();
@@ -46,7 +45,10 @@ Status TwoHopOracle::BuildIndex(const Digraph& dag) {
       budget_.max_index_integers > 0 ? budget_.max_index_integers * 64 : 0;
   auto tc = TransitiveClosure::Compute(dag, tc_budget, threads);
   if (!tc.ok()) return tc.status();
-  auto rtc = TransitiveClosure::Compute(dag.Reversed(), tc_budget, threads);
+  const Digraph reversed = dag.graph().Reversed();
+  const StatusOr<Dag> reversed_dag = Dag::Check(reversed);
+  if (!reversed_dag.ok()) return reversed_dag.status();
+  auto rtc = TransitiveClosure::Compute(*reversed_dag, tc_budget, threads);
   if (!rtc.ok()) return rtc.status();
 
   // covered[u] marks targets v such that pair (u, v) is already covered.

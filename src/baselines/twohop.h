@@ -24,7 +24,7 @@ namespace reach {
 /// Set-cover based 2-hop labeling ("2HOP" table column).
 class TwoHopOracle : public ReachabilityOracle {
  protected:
-  Status BuildIndex(const Digraph& dag) override;
+  Status BuildIndex(const Dag& dag) override;
   Status LoadIndexMapped(const Digraph& dag, MappedRegion region) override;
 
  public:

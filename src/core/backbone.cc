@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "graph/topology.h"
-
 namespace reach {
 
 namespace {

@@ -5,12 +5,10 @@
 #include <bit>
 #include <cmath>
 #include <new>
-#include <optional>
 #include <span>
 #include <utility>
 
 #include "core/backbone.h"
-#include "graph/topology.h"
 #include "util/mapped_blob.h"
 #include "util/rng.h"
 #include "util/sorted_ops.h"
@@ -251,14 +249,15 @@ float EstimateSketch(const Sketch& sketch) {
   return static_cast<float>(estimate);
 }
 
-/// Estimates |desc(v)| (`descendants`) or |anc(v)| of every vertex of g,
-/// counting v itself. One pass in (reverse) topological order `topo`
-/// merges each vertex's children's (parents') sketches into its own:
-/// O(m * |E|) register work. `sketches` is scratch, one per vertex.
-std::vector<float> EstimateClosureSizes(const Digraph& g,
-                                        const std::vector<Vertex>& topo,
-                                        bool descendants, int threads,
+/// Estimates |desc(v)| (`descendants`) or |anc(v)| of every vertex of the
+/// DAG, counting v itself. One pass in (reverse) topological order merges
+/// each vertex's children's (parents') sketches into its own: O(m * |E|)
+/// register work. `sketches` is scratch, one per vertex.
+std::vector<float> EstimateClosureSizes(const Dag& dag, bool descendants,
+                                        int threads,
                                         PageVector<Sketch>* sketches) {
+  const Digraph& g = dag.graph();
+  const std::vector<Vertex>& topo = dag.order();
   const size_t n = topo.size();
   for (size_t k = 0; k < n; ++k) {
     const Vertex v = topo[descendants ? n - 1 - k : k];
@@ -283,17 +282,16 @@ std::vector<float> EstimateClosureSizes(const Digraph& g,
 /// stand-in's sketched mean is 0.77, and octaves there made DL's labels
 /// 2.1x larger; no other registry stand-in's graph or HL core is above
 /// 0.08.
-std::vector<int8_t> CoverPerCostOctaves(const Digraph& g,
+std::vector<int8_t> CoverPerCostOctaves(const Dag& dag,
                                         const std::vector<Vertex>& members,
-                                        const std::vector<Vertex>& topo,
                                         int threads) {
   // One direction at a time through one register array: m bytes per
   // vertex. Fresh pages, returned to the kernel before the labels grow.
-  PageVector<Sketch> sketches(g.num_vertices());
-  const std::vector<float> anc = EstimateClosureSizes(
-      g, topo, /*descendants=*/false, threads, &sketches);
-  const std::vector<float> desc = EstimateClosureSizes(
-      g, topo, /*descendants=*/true, threads, &sketches);
+  PageVector<Sketch> sketches(dag.num_vertices());
+  const std::vector<float> anc =
+      EstimateClosureSizes(dag, /*descendants=*/false, threads, &sketches);
+  const std::vector<float> desc =
+      EstimateClosureSizes(dag, /*descendants=*/true, threads, &sketches);
   PageVector<Sketch>().swap(sketches);
 
   double share = 0;
@@ -331,28 +329,23 @@ std::string DistributionOrderName(DistributionOrder order) {
 }
 
 std::vector<Vertex> ComputeDistributionOrder(
-    const Digraph& g, const std::vector<Vertex>& members,
+    const Dag& dag, const std::vector<Vertex>& members,
     const DistributionOptions& options, int threads,
     DistributionOrder* applied) {
+  const Digraph& g = dag.graph();
   DistributionOrder policy = options.order;
   std::vector<Vertex> order = members;
   std::vector<int8_t> octave;  // Empty: every member in octave 0.
-  if (policy == DistributionOrder::kTopological ||
-      policy == DistributionOrder::kCoverPerCost) {
-    const std::optional<std::vector<Vertex>> topo = TopologicalOrder(g);
-    if (!topo) {
-      policy = DistributionOrder::kDegreeProduct;
-    } else if (policy == DistributionOrder::kTopological) {
-      std::vector<bool> is_member(g.num_vertices(), false);
-      for (Vertex v : members) is_member[v] = true;
-      order.clear();
-      for (Vertex v : *topo) {
-        if (is_member[v]) order.push_back(v);
-      }
-    } else {
-      octave = CoverPerCostOctaves(g, members, *topo, threads);
-      if (octave.empty()) policy = DistributionOrder::kDegreeProduct;
+  if (policy == DistributionOrder::kTopological) {
+    std::vector<bool> is_member(g.num_vertices(), false);
+    for (Vertex v : members) is_member[v] = true;
+    order.clear();
+    for (Vertex v : dag.order()) {
+      if (is_member[v]) order.push_back(v);
     }
+  } else if (policy == DistributionOrder::kCoverPerCost) {
+    octave = CoverPerCostOctaves(dag, members, threads);
+    if (octave.empty()) policy = DistributionOrder::kDegreeProduct;
   }
   if (applied != nullptr) *applied = policy;
 
@@ -558,10 +551,7 @@ void DistributeLabels(const Digraph& g, const std::vector<Vertex>& order,
   }
 }
 
-Status DistributionLabelingOracle::BuildIndex(const Digraph& dag) {
-  if (!IsDag(dag)) {
-    return Status::InvalidArgument("DistributionLabeling requires a DAG");
-  }
+Status DistributionLabelingOracle::BuildIndex(const Dag& dag) {
   Timer timer;
   Timer phase;
   const size_t n = dag.num_vertices();
@@ -580,7 +570,7 @@ Status DistributionLabelingOracle::BuildIndex(const Digraph& dag) {
 
   phase.Reset();
   LabelBuilder builder(n, static_cast<size_t>(build_threads()));
-  DistributeLabels(dag, order_, key_of, &builder, &build_stats_);
+  DistributeLabels(dag.graph(), order_, key_of, &builder, &build_stats_);
   build_stats_.label_millis = phase.ElapsedMillis();
 
   if (budget_.max_seconds > 0 && timer.ElapsedSeconds() > budget_.max_seconds) {

@@ -76,13 +76,13 @@ void DistributeLabels(const Digraph& g, const std::vector<Vertex>& order,
 
 /// Computes the processing order of `members` under the given policy.
 /// Deterministic for any `threads` (only per-vertex sweeps are parallel).
-/// kCoverPerCost estimates closure sizes in all of `g`, so `g` should have
-/// edges only among `members` (as DistributeLabels requires anyway). On a
-/// cyclic `g`, kTopological and kCoverPerCost fall back to kDegreeProduct.
+/// kTopological and kCoverPerCost read the Dag's Kahn order.
+/// kCoverPerCost estimates closure sizes in all of the graph, so it should
+/// have edges only among `members` (as DistributeLabels requires anyway).
 /// `applied`, when given, receives the policy that actually ranked the
-/// members (kDegreeProduct after either fallback).
+/// members (kDegreeProduct after kCoverPerCost's dense-closure fallback).
 std::vector<Vertex> ComputeDistributionOrder(
-    const Digraph& g, const std::vector<Vertex>& members,
+    const Dag& dag, const std::vector<Vertex>& members,
     const DistributionOptions& options, int threads = 1,
     DistributionOrder* applied = nullptr);
 
@@ -93,7 +93,7 @@ class DistributionLabelingOracle : public ReachabilityOracle {
       : options_(options) {}
 
  protected:
-  Status BuildIndex(const Digraph& dag) override;
+  Status BuildIndex(const Dag& dag) override;
   Status LoadIndexMapped(const Digraph& dag, MappedRegion region) override;
 
  public:

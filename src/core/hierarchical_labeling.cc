@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <memory>
+#include <optional>
 
 #include "core/backbone.h"
 #include "core/distribution_labeling.h"
@@ -11,7 +12,7 @@
 
 namespace reach {
 
-Status HierarchicalLabelingOracle::BuildIndex(const Digraph& dag) {
+Status HierarchicalLabelingOracle::BuildIndex(const Dag& dag) {
   Timer timer;
   Timer phase;
   const int threads = build_threads();
@@ -30,12 +31,21 @@ Status HierarchicalLabelingOracle::BuildIndex(const Digraph& dag) {
   const size_t core = hierarchy_->core_level();
   const Digraph& core_graph = hierarchy_->LevelGraph(core);
   const std::vector<Vertex>& core_members = hierarchy_->LevelVertices(core);
+  // An unshrunk core is a copy of the input, whose Dag still holds; a
+  // backbone is a different graph, so it gets its own proof.
+  std::optional<Dag> shrunk_core;
+  if (core > 0) {
+    StatusOr<Dag> checked = Dag::Check(core_graph);
+    if (!checked.ok()) return checked.status();
+    shrunk_core.emplace(std::move(*checked));
+  }
+  const Dag& core_dag = shrunk_core ? *shrunk_core : dag;
   // Distribution Labeling restricted to the core, with vertex-id keys so
   // that core labels compose with the level labels below.
   DistributionOptions dl_options;
   DistributionOrder applied = dl_options.order;
   std::vector<Vertex> order = ComputeDistributionOrder(
-      core_graph, core_members, dl_options, threads, &applied);
+      core_dag, core_members, dl_options, threads, &applied);
   build_stats_.order = DistributionOrderName(applied);
   std::vector<uint32_t> key_of(n);
   for (Vertex v = 0; v < n; ++v) key_of[v] = v;

@@ -43,7 +43,7 @@ class HierarchicalLabelingOracle : public ReachabilityOracle {
   }
 
  protected:
-  Status BuildIndex(const Digraph& dag) override;
+  Status BuildIndex(const Dag& dag) override;
   Status LoadIndexMapped(const Digraph& dag, MappedRegion region) override;
 
  public:

@@ -1,14 +1,10 @@
 #include "core/hierarchy.h"
 
-#include "graph/topology.h"
-
 namespace reach {
 
-StatusOr<Hierarchy> Hierarchy::Build(const Digraph& g,
+StatusOr<Hierarchy> Hierarchy::Build(const Dag& dag,
                                      const HierarchyOptions& options) {
-  if (!IsDag(g)) {
-    return Status::InvalidArgument("hierarchy requires a DAG");
-  }
+  const Digraph& g = dag.graph();
   Hierarchy h;
   h.epsilon_ = options.backbone.epsilon;
   h.level_of_.assign(g.num_vertices(), 0);

@@ -12,6 +12,7 @@
 
 #include "core/backbone.h"
 #include "graph/digraph.h"
+#include "graph/topology.h"
 #include "util/status.h"
 
 namespace reach {
@@ -51,8 +52,8 @@ class Hierarchy {
 
   int epsilon() const { return epsilon_; }
 
-  /// Builds the decomposition of DAG `g`.
-  static StatusOr<Hierarchy> Build(const Digraph& g,
+  /// Builds the decomposition of `dag`.
+  static StatusOr<Hierarchy> Build(const Dag& dag,
                                    const HierarchyOptions& options);
 
  private:

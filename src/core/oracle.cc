@@ -1,6 +1,5 @@
 #include "core/oracle.h"
 
-#include "graph/topology.h"
 #include "util/thread_pool.h"
 #include "util/timer.h"
 
@@ -8,6 +7,13 @@ namespace reach {
 
 Status ReachabilityOracle::Build(const Digraph& dag,
                                  const BuildOptions& options) {
+  const StatusOr<Dag> proven = Dag::Check(dag);
+  if (proven.ok()) return Build(*proven, options);
+  build_stats_.failure_reason = proven.status().message();
+  return proven.status();
+}
+
+Status ReachabilityOracle::Build(const Dag& dag, const BuildOptions& options) {
   build_threads_ =
       options.threads > 0 ? options.threads : DefaultBuildThreads();
   // Reset before BuildIndex, which records its phase timers here.
@@ -64,14 +70,4 @@ Status ReachabilityOracle::LoadIndexMapped(const Digraph&, MappedRegion) {
   return Status::NotSupported(name() + " does not support index snapshots");
 }
 
-namespace internal {
-
-Status ValidateDagInput(const Digraph& g, const char* who) {
-  if (!IsDag(g)) {
-    return Status::InvalidArgument(std::string(who) + " requires a DAG");
-  }
-  return Status::OK();
-}
-
-}  // namespace internal
 }  // namespace reach

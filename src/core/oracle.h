@@ -11,6 +11,7 @@
 #include <string>
 
 #include "graph/digraph.h"
+#include "graph/topology.h"
 #include "util/mapped_blob.h"
 #include "util/status.h"
 
@@ -106,19 +107,20 @@ class ReachabilityOracle {
  public:
   virtual ~ReachabilityOracle() = default;
 
-  /// Builds the index for `dag`, which must be acyclic. Returns
-  /// InvalidArgument on cyclic input and ResourceExhausted when the
-  /// budget is exceeded, including an index that took longer than
-  /// budget().max_seconds in all (the online searchers, which store no
-  /// index, are exempt). An oracle must be built exactly once.
-  /// Non-virtual: times the method-specific BuildIndex() and records
-  /// build_stats().
-  Status Build(const Digraph& dag) { return Build(dag, BuildOptions()); }
+  /// Builds the index for `dag`, which must be acyclic: one Kahn pass
+  /// (Dag::Check) proves it, then the build runs as Build(const Dag&).
+  /// Returns InvalidArgument on cyclic input, with build_stats().ok false.
+  Status Build(const Digraph& dag, const BuildOptions& options = {});
 
-  /// As above, with explicit construction options. The resolved thread
-  /// count is recorded in build_stats().threads; per the determinism
-  /// guarantee (BuildOptions::threads) it affects wall time only.
-  Status Build(const Digraph& dag, const BuildOptions& options);
+  /// Builds the index for an already proven DAG, with no acyclicity pass
+  /// of its own. Returns ResourceExhausted when the budget is exceeded,
+  /// including an index that took longer than budget().max_seconds in all
+  /// (the online searchers, which store no index, are exempt). An oracle
+  /// must be built exactly once. Non-virtual: times the method-specific
+  /// BuildIndex() and records build_stats(). The resolved thread count is
+  /// recorded in build_stats().threads; per the determinism guarantee
+  /// (BuildOptions::threads) it affects wall time only.
+  Status Build(const Dag& dag, const BuildOptions& options = {});
 
   /// Restores a previously saved index for `dag` instead of constructing
   /// it — the restart-without-rebuild path. The oracle serves its sealed
@@ -172,8 +174,10 @@ class ReachabilityOracle {
   const BuildBudget& budget() const { return budget_; }
 
  protected:
-  /// Method-specific construction; invoked exactly once by Build().
-  virtual Status BuildIndex(const Digraph& dag) = 0;
+  /// Method-specific construction; invoked exactly once by Build(). The
+  /// Dag is trusted: it carries its Kahn order, which an oracle that needs
+  /// a topological order reads instead of sorting again.
+  virtual Status BuildIndex(const Dag& dag) = 0;
 
   /// Method-specific snapshot restore; invoked exactly once by
   /// LoadMapped(). Implementations validate the (untrusted) region
@@ -200,12 +204,6 @@ class ReachabilityOracle {
   int build_threads_ = 1;
 };
 
-namespace internal {
-
-/// Shared Build() precondition check: InvalidArgument unless `g` is acyclic.
-Status ValidateDagInput(const Digraph& g, const char* who);
-
-}  // namespace internal
 }  // namespace reach
 
 #endif  // REACH_CORE_ORACLE_H_

@@ -241,11 +241,10 @@ PrefilterVerdict PrefilterOracle::LevelStage(Vertex u, Vertex v) const {
   return LevelVerdict(records_[u], records_[v]);
 }
 
-void PrefilterOracle::BuildAux(const Digraph& dag) {
+void PrefilterOracle::BuildAux(const Dag& proven) {
+  const Digraph& dag = proven.graph();
   const size_t n = dag.num_vertices();
-  const std::optional<std::vector<Vertex>> order = TopologicalOrder(dag);
-  // Build() validated acyclicity before calling us.
-  const std::vector<Vertex>& topo = *order;
+  const std::vector<Vertex>& topo = proven.order();
   const std::vector<uint32_t> topo_pos = OrderPositions(topo);
 
   // fmax[u] = max topological position in u's reachable set (reverse topo
@@ -296,10 +295,11 @@ void PrefilterOracle::BuildAux(const Digraph& dag) {
     }
   }
 
-  // Longest-path levels, both directions.
-  const std::vector<uint32_t> flevel = LongestPathLevels(dag);
-  const Digraph reversed = dag.Reversed();
-  const std::vector<uint32_t> blevel = LongestPathLevels(reversed);
+  // Longest-path levels, both directions, off the one topological order.
+  const std::vector<uint32_t> flevel =
+      proven.LongestPathLevels(/*to_sinks=*/false);
+  const std::vector<uint32_t> blevel =
+      proven.LongestPathLevels(/*to_sinks=*/true);
 
   // Supports: the k vertices with the largest (out+1)*(in+1) degree
   // product — the ones most likely to sit on many paths — ties broken by
@@ -331,9 +331,9 @@ void PrefilterOracle::BuildAux(const Digraph& dag) {
   std::vector<uint64_t> bmask(n, 0);
   std::vector<uint8_t> seen(n, 0);
   std::vector<Vertex> queue;
-  const auto mark = [&seen, &queue](const Digraph& g, Vertex source,
-                                    uint64_t bit,
-                                    std::vector<uint64_t>& mask) {
+  const auto mark = [&dag, &seen, &queue](Vertex source, bool forward,
+                                          uint64_t bit,
+                                          std::vector<uint64_t>& mask) {
     std::fill(seen.begin(), seen.end(), 0);
     queue.clear();
     queue.push_back(source);
@@ -341,7 +341,8 @@ void PrefilterOracle::BuildAux(const Digraph& dag) {
     mask[source] |= bit;
     for (size_t head = 0; head < queue.size(); ++head) {
       const Vertex x = queue[head];
-      for (const Vertex w : g.OutNeighbors(x)) {
+      for (const Vertex w :
+           forward ? dag.OutNeighbors(x) : dag.InNeighbors(x)) {
         if (seen[w]) continue;
         seen[w] = 1;
         mask[w] |= bit;
@@ -351,8 +352,8 @@ void PrefilterOracle::BuildAux(const Digraph& dag) {
   };
   for (size_t i = 0; i < supports_.size(); ++i) {
     const uint64_t bit = uint64_t{1} << i;
-    mark(dag, supports_[i], bit, fmask);
-    mark(reversed, supports_[i], bit, bmask);
+    mark(supports_[i], /*forward=*/true, bit, fmask);
+    mark(supports_[i], /*forward=*/false, bit, bmask);
   }
 
   // The columns above die here; the records are the only state kept.
@@ -371,8 +372,7 @@ void PrefilterOracle::BuildAux(const Digraph& dag) {
   }
 }
 
-Status PrefilterOracle::BuildIndex(const Digraph& dag) {
-  REACH_RETURN_IF_ERROR(internal::ValidateDagInput(dag, "PrefilterOracle"));
+Status PrefilterOracle::BuildIndex(const Dag& dag) {
   BuildAux(dag);
   inner_->set_budget(budget_);
   BuildOptions options;

@@ -109,7 +109,7 @@ class PrefilterOracle : public ReachabilityOracle {
   const std::vector<Vertex>& supports() const { return supports_; }
 
  protected:
-  Status BuildIndex(const Digraph& dag) override;
+  Status BuildIndex(const Dag& dag) override;
   Status LoadIndexMapped(const Digraph& dag, MappedRegion region) override;
   void AnnotateBuildStats(BuildStats& stats) const override;
 
@@ -143,7 +143,7 @@ class PrefilterOracle : public ReachabilityOracle {
   static PrefilterVerdict LevelVerdict(const QueryRecord& u,
                                        const QueryRecord& v);
 
-  void BuildAux(const Digraph& dag);
+  void BuildAux(const Dag& dag);
   /// LoadIndexMapped's front half: parses and validates the aux section
   /// (header, columns, alignment pad) from the front of `bytes`; the
   /// wrapped oracle's blob follows it. The aux columns are index-typed

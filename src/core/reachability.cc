@@ -46,15 +46,18 @@ StatusOr<ReachabilityIndex> ReachabilityIndex::Build(
     return Status::InvalidArgument("oracle must not be null");
   }
   // A DAG is its own condensation: index it in place, in identity mode,
-  // with no Tarjan pass and no copy of the graph.
-  if (IsDag(g)) {
-    const Status status = oracle->Build(g, options);
+  // with no Tarjan pass and no copy of the graph. The check's Dag is the
+  // oracle's proof, so the oracle sorts nothing again.
+  if (const StatusOr<Dag> dag = Dag::Check(g); dag.ok()) {
+    const Status status = oracle->Build(*dag, options);
     if (stats_out != nullptr) *stats_out = oracle->build_stats();
     REACH_RETURN_IF_ERROR(status);
     return ReachabilityIndex(g, std::move(oracle));
   }
   Condensation condensation = CondenseToDag(g);
-  const Status status = oracle->Build(condensation.dag, options);
+  const StatusOr<Dag> dag = Dag::Check(condensation.dag);
+  REACH_RETURN_IF_ERROR(dag.status());  // A condensation is acyclic.
+  const Status status = oracle->Build(*dag, options);
   if (stats_out != nullptr) *stats_out = oracle->build_stats();
   REACH_RETURN_IF_ERROR(status);
   return ReachabilityIndex(std::move(condensation), std::move(oracle));

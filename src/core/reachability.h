@@ -34,11 +34,13 @@ class ReachabilityIndex {
   /// ReachabilityOracle::Build, e.g. the thread count) and returns the
   /// ready-to-query index.
   ///
-  /// One IsDag pass (Kahn's algorithm) decides how. A DAG is indexed in
-  /// place, in identity mode: the oracle builds straight over `g`, and no
-  /// Tarjan pass, no copy of the graph and no component map are made. A
-  /// cyclic graph is condensed (CondenseToDag), and the index owns the
-  /// condensation.
+  /// One Dag::Check pass (Kahn's algorithm) decides how, and its Dag is
+  /// the oracle's proof of acyclicity (ReachabilityOracle::Build(const
+  /// Dag&)), so no oracle sorts again. A DAG is indexed in place, in
+  /// identity mode: the oracle builds straight over `g`, and no Tarjan
+  /// pass, no copy of the graph and no component map are made. A cyclic
+  /// graph is condensed (CondenseToDag), one Dag::Check pass over the
+  /// condensation makes its Dag, and the index owns the condensation.
   ///
   /// `stats_out`, when non-null, receives the oracle's BuildStats after the
   /// build attempt — including on failure, when the consumed oracle (and

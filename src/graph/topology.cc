@@ -1,7 +1,6 @@
 #include "graph/topology.h"
 
 #include <algorithm>
-#include <cassert>
 #include <deque>
 
 namespace reach {
@@ -31,15 +30,22 @@ std::vector<uint32_t> OrderPositions(const std::vector<Vertex>& order) {
   return position;
 }
 
-bool IsDag(const Digraph& g) { return TopologicalOrder(g).has_value(); }
+StatusOr<Dag> Dag::Check(const Digraph& g) {
+  std::optional<std::vector<Vertex>> order = TopologicalOrder(g);
+  if (!order) {
+    return Status::InvalidArgument("graph has a cycle; a DAG is required");
+  }
+  return Dag(g, std::move(*order));
+}
 
-std::vector<uint32_t> LongestPathLevels(const Digraph& g) {
-  auto order = TopologicalOrder(g);
-  assert(order.has_value() && "LongestPathLevels requires a DAG");
-  std::vector<uint32_t> level(g.num_vertices(), 0);
-  for (Vertex v : *order) {
-    for (Vertex w : g.OutNeighbors(v)) {
-      level[w] = std::max(level[w], level[v] + 1);
+std::vector<uint32_t> Dag::LongestPathLevels(bool to_sinks) const {
+  const size_t n = order_.size();
+  std::vector<uint32_t> level(n, 0);
+  for (size_t i = 0; i < n; ++i) {
+    const Vertex v = order_[to_sinks ? n - 1 - i : i];
+    for (const Vertex w :
+         to_sinks ? graph_->OutNeighbors(v) : graph_->InNeighbors(v)) {
+      level[v] = std::max(level[v], level[w] + 1);
     }
   }
   return level;

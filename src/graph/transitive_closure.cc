@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "graph/topology.h"
 #include "util/thread_pool.h"
 
 namespace reach {
@@ -15,45 +14,24 @@ constexpr size_t kRowGrain = 8;
 
 }  // namespace
 
-StatusOr<TransitiveClosure> TransitiveClosure::Compute(const Digraph& g,
+StatusOr<TransitiveClosure> TransitiveClosure::Compute(const Dag& dag,
                                                        size_t max_bytes,
                                                        int threads) {
+  const Digraph& g = dag.graph();
   const size_t n = g.num_vertices();
   const size_t bytes = n * ((n + 63) / 64) * 8;
   if (max_bytes != 0 && bytes > max_bytes) {
     return Status::ResourceExhausted(
         "transitive closure would need " + std::to_string(bytes) + " bytes");
   }
-  auto order = TopologicalOrder(g);
-  if (!order.has_value()) {
-    return Status::InvalidArgument("transitive closure requires a DAG");
-  }
-
   TransitiveClosure tc;
   tc.rows_.assign(n, Bitset(n));
-  if (threads <= 1) {
-    // Reverse topological order: all successors are complete before v.
-    for (size_t i = n; i-- > 0;) {
-      const Vertex v = (*order)[i];
-      Bitset& row = tc.rows_[v];
-      row.Set(v);
-      for (Vertex w : g.OutNeighbors(v)) row.UnionWith(tc.rows_[w]);
-    }
-    return tc;
-  }
-
-  // Parallel DP over depth strata. depth[v] = longest path from v to a
-  // sink; every out-neighbor is strictly deeper, so once all rows of depth
-  // < d are complete the rows at depth d are independent of each other.
-  std::vector<uint32_t> depth(n, 0);
-  uint32_t max_depth = 0;
-  for (size_t i = n; i-- > 0;) {
-    const Vertex v = (*order)[i];
-    uint32_t d = 0;
-    for (Vertex w : g.OutNeighbors(v)) d = std::max(d, depth[w] + 1);
-    depth[v] = d;
-    max_depth = std::max(max_depth, d);
-  }
+  // DP over depth strata. depth[v] = longest path from v to a sink; every
+  // out-neighbor is strictly deeper, so once all rows of depth < d are
+  // complete the rows at depth d are independent of each other.
+  const std::vector<uint32_t> depth = dag.LongestPathLevels(/*to_sinks=*/true);
+  const uint32_t max_depth =
+      n == 0 ? 0 : *std::max_element(depth.begin(), depth.end());
   // Bucket by depth (counting sort keeps vertex order inside a stratum
   // deterministic, though row content is order-independent anyway).
   std::vector<size_t> bucket_start(max_depth + 2, 0);

@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "graph/digraph.h"
+#include "graph/topology.h"
 #include "util/bitset.h"
 #include "util/status.h"
 
@@ -17,16 +18,16 @@ namespace reach {
 /// The closure is *reflexive*: Reachable(v, v) is always true.
 class TransitiveClosure {
  public:
-  /// Computes the closure of a DAG by bitset DP in reverse topological order.
-  /// Fails with InvalidArgument if `g` has a cycle, or ResourceExhausted if
-  /// n^2 bits would exceed `max_bytes` (0 = unlimited).
+  /// Computes the closure of a DAG by bitset DP. Fails with
+  /// ResourceExhausted if n^2 bits would exceed `max_bytes` (0 =
+  /// unlimited).
   ///
-  /// `threads` > 1 parallelizes the row unions: vertices are grouped by
-  /// longest-path-to-sink depth, and within one depth stratum every row
-  /// depends only on strictly deeper (already complete) rows, so the rows
-  /// of a stratum are OR-reduced concurrently. Bitwise OR is commutative,
-  /// so the closure is bit-identical for every thread count.
-  static StatusOr<TransitiveClosure> Compute(const Digraph& g,
+  /// Vertices are grouped by longest-path-to-sink depth, and within one
+  /// depth stratum every row depends only on strictly deeper (already
+  /// complete) rows, so the rows of a stratum are OR-reduced on `threads`
+  /// workers. Bitwise OR is commutative, so the closure is bit-identical
+  /// for every thread count.
+  static StatusOr<TransitiveClosure> Compute(const Dag& dag,
                                              size_t max_bytes = 0,
                                              int threads = 1);
 

@@ -30,7 +30,7 @@ TEST(GrailTest, IntervalPruningIsSound) {
     Digraph g = RandomDag(200, 600, seed);
     GrailOracle oracle;
     ASSERT_TRUE(oracle.Build(g).ok());
-    auto tc = TransitiveClosure::Compute(g);
+    auto tc = TransitiveClosure::Compute(*Dag::Check(g));
     ASSERT_TRUE(tc.ok());
     for (Vertex u = 0; u < g.num_vertices(); ++u) {
       for (Vertex v = 0; v < g.num_vertices(); ++v) {

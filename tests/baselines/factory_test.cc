@@ -10,6 +10,8 @@
 
 #include "gtest/gtest.h"
 
+#include "core/distribution_labeling.h"
+#include "core/prefilter.h"
 #include "tests/test_util.h"
 
 namespace reach {
@@ -57,6 +59,35 @@ TEST(FactoryTest, EveryOracleRoundTripsFigure1) {
     Status st = oracle->Build(g);
     ASSERT_TRUE(st.ok()) << name << ": " << st.ToString();
     EXPECT_TRUE(OracleMatchesClosure(*oracle, g)) << name;
+  }
+}
+
+// Every public Build refuses a cyclic graph: a DAG with one 3-cycle
+// appended is turned away with InvalidArgument, and the build is recorded
+// as failed. The pre-filter over DL stands for the wrapping oracles.
+TEST(FactoryTest, EveryOracleRefusesACyclicGraph) {
+  std::vector<Edge> edges;
+  const Digraph dag = RandomDag(40, 120, 7);
+  for (Vertex u = 0; u < dag.num_vertices(); ++u) {
+    for (Vertex w : dag.OutNeighbors(u)) edges.push_back({u, w});
+  }
+  const Vertex a = 40, b = 41, c = 42;
+  edges.insert(edges.end(), {{0, a}, {a, b}, {b, c}, {c, a}});
+  const Digraph cyclic = Digraph::FromEdges(43, edges);
+
+  std::vector<std::pair<std::string, std::unique_ptr<ReachabilityOracle>>>
+      oracles;
+  for (const std::string& name : AllOracleNames()) {
+    oracles.emplace_back(name, MakeOracle(name));
+  }
+  oracles.emplace_back("DL+pf",
+                       std::make_unique<PrefilterOracle>(
+                           std::make_unique<DistributionLabelingOracle>()));
+  for (auto& [name, oracle] : oracles) {
+    ASSERT_NE(oracle, nullptr) << name;
+    const Status st = oracle->Build(cyclic);
+    EXPECT_TRUE(st.IsInvalidArgument()) << name << ": " << st.ToString();
+    EXPECT_FALSE(oracle->build_stats().ok) << name;
   }
 }
 

@@ -37,8 +37,8 @@ struct Labels {
 Labels CanonicalLabels(const Digraph& g, const std::vector<Vertex>& order,
                        const std::vector<uint32_t>& key_of) {
   const size_t n = g.num_vertices();
-  auto desc = TransitiveClosure::Compute(g);
-  auto anc = TransitiveClosure::Compute(g.Reversed());
+  auto desc = TransitiveClosure::Compute(*Dag::Check(g));
+  auto anc = TransitiveClosure::Compute(*Dag::Check(g.Reversed()));
   EXPECT_TRUE(desc.ok() && anc.ok());
   Labels labels;
   labels.out.resize(n);
@@ -89,8 +89,8 @@ void ExpectCanonical(bool vertex_id_keys) {
     const size_t n = g.num_vertices();
     std::vector<Vertex> members(n);
     for (Vertex v = 0; v < n; ++v) members[v] = v;
-    const std::vector<Vertex> order =
-        ComputeDistributionOrder(g, members, DistributionOptions());
+    const std::vector<Vertex> order = ComputeDistributionOrder(
+        *Dag::Check(g), members, DistributionOptions());
     std::vector<uint32_t> key_of(n);
     for (uint32_t i = 0; i < n; ++i) {
       key_of[order[i]] = vertex_id_keys ? order[i] : i;

@@ -57,7 +57,7 @@ TEST(DistributionLabelingTest, NonRedundancyTheorem4) {
   for (const Digraph& g : graphs) {
     DistributionLabelingOracle oracle;
     ASSERT_TRUE(oracle.Build(g).ok());
-    auto tc = TransitiveClosure::Compute(g);
+    auto tc = TransitiveClosure::Compute(*Dag::Check(g));
     ASSERT_TRUE(tc.ok());
     const LabelStore& labels = oracle.labeling();
     const size_t n = g.num_vertices();
@@ -111,7 +111,7 @@ TEST(DistributionLabelingTest, HighestRankHopIsDistributedEverywhere) {
   DistributionLabelingOracle oracle;
   ASSERT_TRUE(oracle.Build(g).ok());
   const Vertex top = oracle.order()[0];
-  auto tc = TransitiveClosure::Compute(g);
+  auto tc = TransitiveClosure::Compute(*Dag::Check(g));
   ASSERT_TRUE(tc.ok());
   // Key 0 (the first distributed hop) appears in Lout of exactly TC^-1(top)
   // and in Lin of exactly TC(top) — nothing prunes the first hop.
@@ -239,23 +239,26 @@ TEST(DistributionLabelingTest, DenseClosureFallsBackToDegreeProduct) {
 TEST(DistributionLabelingTest, OrderIsThreadCountInvariant) {
   // Wide enough that every parallel sweep splits into several chunks.
   const Digraph g = CitationDag(20000, 3.0, 50);
+  const Dag dag = Dag::Check(g).value();
   std::vector<Vertex> members(g.num_vertices());
   for (Vertex v = 0; v < g.num_vertices(); ++v) members[v] = v;
   const std::vector<Vertex> reference =
-      ComputeDistributionOrder(g, members, DistributionOptions(), 1);
+      ComputeDistributionOrder(dag, members, DistributionOptions(), 1);
   for (const int threads : {2, 4, 8}) {
-    EXPECT_EQ(ComputeDistributionOrder(g, members, DistributionOptions(),
+    EXPECT_EQ(ComputeDistributionOrder(dag, members, DistributionOptions(),
                                        threads),
               reference)
         << threads << " threads";
   }
 }
 
-// The function is public, so a cyclic graph must not reach the topological
-// sort's missing result: the orders that need one fall back to the paper's
-// rank, and every order is a permutation of the members.
-TEST(DistributionLabelingTest, CyclicGraphGetsAPermutation) {
-  const Digraph g = Digraph::FromEdges(3, {{0, 1}, {1, 2}, {2, 0}});
+// Every order is a permutation of the members, whatever order they come
+// in. A chain's closure is dense, so kCoverPerCost falls back to the
+// paper's rank there; every other policy is applied as asked. (A cyclic
+// graph cannot get here: only a Dag reaches ComputeDistributionOrder.)
+TEST(DistributionLabelingTest, EveryOrderIsAPermutation) {
+  const Digraph g = Digraph::FromEdges(3, {{0, 1}, {1, 2}});
+  const Dag dag = Dag::Check(g).value();
   const std::vector<Vertex> members = {2, 0, 1};
   for (DistributionOrder order :
        {DistributionOrder::kDegreeProduct, DistributionOrder::kRandom,
@@ -266,12 +269,11 @@ TEST(DistributionLabelingTest, CyclicGraphGetsAPermutation) {
     options.order = order;
     DistributionOrder applied = order;
     std::vector<Vertex> result =
-        ComputeDistributionOrder(g, members, options, 1, &applied);
+        ComputeDistributionOrder(dag, members, options, 1, &applied);
     std::sort(result.begin(), result.end());
     EXPECT_EQ(result, (std::vector<Vertex>{0, 1, 2}))
         << DistributionOrderName(order);
-    if (order == DistributionOrder::kTopological ||
-        order == DistributionOrder::kCoverPerCost) {
+    if (order == DistributionOrder::kCoverPerCost) {
       EXPECT_EQ(applied, DistributionOrder::kDegreeProduct)
           << DistributionOrderName(order);
     } else {

@@ -8,17 +8,10 @@
 namespace reach {
 namespace {
 
-TEST(HierarchyTest, RejectsCyclicInput) {
-  Digraph g = Digraph::FromEdges(2, {{0, 1}, {1, 0}});
-  auto h = Hierarchy::Build(g, HierarchyOptions{});
-  EXPECT_FALSE(h.ok());
-  EXPECT_TRUE(h.status().IsInvalidArgument());
-}
-
 TEST(HierarchyTest, SmallGraphIsItsOwnCore) {
   Digraph g = testing_util::Diamond();
   HierarchyOptions options;  // Default core threshold far above 4 vertices.
-  auto h = Hierarchy::Build(g, options);
+  auto h = Hierarchy::Build(*Dag::Check(g), options);
   ASSERT_TRUE(h.ok());
   EXPECT_EQ(h->num_levels(), 1u);
   EXPECT_EQ(h->core_level(), 0u);
@@ -29,7 +22,7 @@ TEST(HierarchyTest, LevelsAreNested) {
   Digraph g = TreeLikeDag(6000, 500, 31);
   HierarchyOptions options;
   options.core_size_threshold = 100;
-  auto h = Hierarchy::Build(g, options);
+  auto h = Hierarchy::Build(*Dag::Check(g), options);
   ASSERT_TRUE(h.ok());
   EXPECT_GT(h->num_levels(), 1u);
   for (size_t i = 1; i < h->num_levels(); ++i) {
@@ -46,7 +39,7 @@ TEST(HierarchyTest, LevelOfMatchesMembership) {
   Digraph g = RandomDag(3000, 9000, 32);
   HierarchyOptions options;
   options.core_size_threshold = 200;
-  auto h = Hierarchy::Build(g, options);
+  auto h = Hierarchy::Build(*Dag::Check(g), options);
   ASSERT_TRUE(h.ok());
   for (size_t i = 0; i < h->num_levels(); ++i) {
     for (Vertex v : h->LevelVertices(i)) {
@@ -72,7 +65,7 @@ TEST(HierarchyTest, Lemma1ReachabilityPreservedPerLevel) {
   Digraph g = RandomDag(600, 1500, 33);
   HierarchyOptions options;
   options.core_size_threshold = 30;
-  auto h = Hierarchy::Build(g, options);
+  auto h = Hierarchy::Build(*Dag::Check(g), options);
   ASSERT_TRUE(h.ok());
   for (size_t i = 1; i < h->num_levels(); ++i) {
     const auto& members = h->LevelVertices(i);
@@ -93,7 +86,7 @@ TEST(HierarchyTest, MaxLevelsRespected) {
   HierarchyOptions options;
   options.core_size_threshold = 1;
   options.max_levels = 2;
-  auto h = Hierarchy::Build(g, options);
+  auto h = Hierarchy::Build(*Dag::Check(g), options);
   ASSERT_TRUE(h.ok());
   EXPECT_LE(h->num_levels(), 3u);  // G0 plus at most two backbones.
 }
@@ -104,7 +97,7 @@ TEST(HierarchyTest, PaperFigure1Decomposes) {
   Digraph g = testing_util::PaperFigure1Graph();
   HierarchyOptions options;
   options.core_size_threshold = 4;
-  auto h = Hierarchy::Build(g, options);
+  auto h = Hierarchy::Build(*Dag::Check(g), options);
   ASSERT_TRUE(h.ok());
   EXPECT_GE(h->num_levels(), 2u);
   EXPECT_LT(h->LevelVertices(1).size(), g.num_vertices() / 2);
@@ -115,7 +108,7 @@ TEST(HierarchyTest, Epsilon1Hierarchy) {
   HierarchyOptions options;
   options.backbone.epsilon = 1;
   options.core_size_threshold = 100;
-  auto h = Hierarchy::Build(g, options);
+  auto h = Hierarchy::Build(*Dag::Check(g), options);
   ASSERT_TRUE(h.ok());
   EXPECT_EQ(h->epsilon(), 1);
   EXPECT_GT(h->num_levels(), 1u);

@@ -78,7 +78,7 @@ TEST_P(PrefilterStageFuzzTest, EveryStageSoundOnRandomDags) {
   for (const auto& c : cases) {
     const Digraph g = GenerateFamily(c.family, c.vertices, c.edges,
                                      seed * 977);
-    ASSERT_TRUE(IsDag(g));
+    ASSERT_TRUE(Dag::Check(g).ok());
     const auto oracle = BuildPrefilterDL(g);
     const size_t n = g.num_vertices();
     for (Vertex u = 0; u < n; ++u) {
@@ -94,7 +94,7 @@ TEST_P(PrefilterStageFuzzTest, SoundOnCyclicGraphsThroughCondensation) {
   // A DAG plus random back edges: cycles appear, the condensation handles
   // them, and the prefilter must stay exact on the condensed DAG.
   const Digraph g = RandomDigraphWithCycles(90, 240, 25, seed * 37);
-  ASSERT_FALSE(IsDag(g));
+  ASSERT_FALSE(Dag::Check(g).ok());
 
   auto index = ReachabilityIndex::Build(
       g, std::make_unique<PrefilterOracle>(

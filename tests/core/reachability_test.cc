@@ -86,7 +86,7 @@ TEST(ReachabilityIndexTest, CyclicInputOwnsItsCondensation) {
   EXPECT_EQ(index->num_components(), 3u);
   EXPECT_EQ(index->dag().num_vertices(), 3u);
   EXPECT_EQ(index->dag().num_edges(), 2u);
-  EXPECT_TRUE(IsDag(index->dag()));
+  EXPECT_TRUE(Dag::Check(index->dag()).ok());
   EXPECT_TRUE(index->Reachable(1, 0));
   EXPECT_TRUE(index->Reachable(0, 3));
   EXPECT_FALSE(index->Reachable(3, 2));

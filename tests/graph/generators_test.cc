@@ -27,7 +27,7 @@ TEST(GeneratorsTest, TreeLikeIsSparse) {
   EXPECT_EQ(g.num_vertices(), 1000u);
   EXPECT_LE(g.num_edges(), 1050u);
   EXPECT_GE(g.num_edges(), 900u);
-  EXPECT_TRUE(IsDag(g));
+  EXPECT_TRUE(Dag::Check(g).ok());
 }
 
 TEST(GeneratorsTest, TreeLikeRootFractionControlsEdgeCount) {
@@ -44,7 +44,7 @@ TEST(GeneratorsTest, CitationDagDegreeTarget) {
       static_cast<double>(g.num_edges()) / g.num_vertices();
   EXPECT_GT(avg, 2.5);
   EXPECT_LT(avg, 5.5);
-  EXPECT_TRUE(IsDag(g));
+  EXPECT_TRUE(Dag::Check(g).ok());
 }
 
 TEST(GeneratorsTest, CitationEdgesPointNewToOld) {
@@ -89,7 +89,7 @@ TEST(GeneratorsTest, DenseLayersConnectivity) {
 
 TEST(GeneratorsTest, LayeredDagRespectsLayerOrder) {
   Digraph g = LayeredDag(400, 10, 2.0, 8);
-  EXPECT_TRUE(IsDag(g));
+  EXPECT_TRUE(Dag::Check(g).ok());
   const size_t width = 40;
   for (Vertex v = 0; v < g.num_vertices(); ++v) {
     for (Vertex w : g.OutNeighbors(v)) {
@@ -108,7 +108,7 @@ TEST(GeneratorsTest, FamilyDispatcherProducesRequestedScale) {
         GraphFamily::kStarForest, GraphFamily::kHub, GraphFamily::kGrid,
         GraphFamily::kChain, GraphFamily::kDenseLayers}) {
     Digraph g = GenerateFamily(family, 800, 1600, 11);
-    EXPECT_TRUE(IsDag(g)) << GraphFamilyName(family);
+    EXPECT_TRUE(Dag::Check(g).ok()) << GraphFamilyName(family);
     EXPECT_GE(g.num_vertices(), 400u) << GraphFamilyName(family);
   }
 }
@@ -128,7 +128,7 @@ TEST(GeneratorsTest, FamilyNamesAreUnique) {
 
 TEST(GeneratorsTest, CyclicGeneratorHasCycles) {
   Digraph g = RandomDigraphWithCycles(200, 400, 100, 9);
-  EXPECT_FALSE(IsDag(g));
+  EXPECT_FALSE(Dag::Check(g).ok());
 }
 
 }  // namespace

@@ -43,7 +43,7 @@ TEST(SccTest, TwoCyclesWithBridge) {
 TEST(SccTest, CondensationIsAcyclic) {
   Digraph g = RandomDigraphWithCycles(300, 700, 200, 5);
   Condensation c = CondenseToDag(g);
-  EXPECT_TRUE(IsDag(c.dag));
+  EXPECT_TRUE(Dag::Check(c.dag).ok());
 }
 
 TEST(SccTest, ComponentNumberingIsReverseTopological) {

@@ -60,7 +60,7 @@ TEST_P(DifferentialFuzzTest, OraclesAgreeWithBfs) {
   };
   for (const FuzzCase& c : cases) {
     Digraph g = GenerateFamily(c.family, c.vertices, c.edges, seed * 7919);
-    ASSERT_TRUE(IsDag(g)) << GraphFamilyName(c.family);
+    ASSERT_TRUE(Dag::Check(g).ok()) << GraphFamilyName(c.family);
 
     std::unique_ptr<ReachabilityOracle> oracles[] = {
         MakeOracle("DL"), MakeOracle("HL"), MakeOracle("INT")};
@@ -104,7 +104,7 @@ TEST_P(DifferentialFuzzTest, SealedStoreMatchesPreSealAnswers) {
   };
   for (const FuzzCase& c : cases) {
     Digraph g = GenerateFamily(c.family, c.vertices, c.edges, seed * 131);
-    ASSERT_TRUE(IsDag(g)) << GraphFamilyName(c.family);
+    ASSERT_TRUE(Dag::Check(g).ok()) << GraphFamilyName(c.family);
     const size_t n = g.num_vertices();
 
     for (const int threads : {1, 4}) {
@@ -195,7 +195,7 @@ TEST_P(DifferentialFuzzTest, PrefilterWrappedMatchesBareOracle) {
   };
   for (const FuzzCase& c : cases) {
     Digraph g = GenerateFamily(c.family, c.vertices, c.edges, seed * 523);
-    ASSERT_TRUE(IsDag(g)) << GraphFamilyName(c.family);
+    ASSERT_TRUE(Dag::Check(g).ok()) << GraphFamilyName(c.family);
     const size_t n = g.num_vertices();
     for (const int threads : {1, 4}) {
       BuildOptions options;
@@ -236,7 +236,7 @@ TEST_P(DifferentialFuzzTest, MappedSnapshotMatchesOwnedAndBuiltAnswers) {
   const char* methods[] = {"DL", "HL", "TF", "2HOP"};
   for (const FuzzCase& c : cases) {
     Digraph g = GenerateFamily(c.family, c.vertices, c.edges, seed * 911);
-    ASSERT_TRUE(IsDag(g)) << GraphFamilyName(c.family);
+    ASSERT_TRUE(Dag::Check(g).ok()) << GraphFamilyName(c.family);
     const size_t n = g.num_vertices();
     for (const char* method : methods) {
       std::unique_ptr<ReachabilityOracle> built = MakeOracle(method);

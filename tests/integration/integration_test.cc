@@ -45,7 +45,7 @@ TEST(DatasetRegistryTest, FindByName) {
 TEST(DatasetRegistryTest, SmallDatasetsMatchPaperScaleRoughly) {
   for (const DatasetSpec& spec : SmallDatasets()) {
     Digraph g = MakeDataset(spec);
-    EXPECT_TRUE(IsDag(g)) << spec.name;
+    EXPECT_TRUE(Dag::Check(g).ok()) << spec.name;
     const double v_ratio =
         static_cast<double>(g.num_vertices()) / spec.paper_vertices;
     EXPECT_GT(v_ratio, 0.95) << spec.name;

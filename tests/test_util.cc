@@ -79,7 +79,12 @@ LabelBuilder CopyOf(const LabelBuilder& rows, size_t parts) {
 
 ::testing::AssertionResult OracleMatchesClosure(
     const ReachabilityOracle& oracle, const Digraph& dag) {
-  auto tc = TransitiveClosure::Compute(dag);
+  const StatusOr<Dag> proven = Dag::Check(dag);
+  if (!proven.ok()) {
+    return ::testing::AssertionFailure()
+           << "not a DAG: " << proven.status().ToString();
+  }
+  auto tc = TransitiveClosure::Compute(*proven);
   if (!tc.ok()) {
     return ::testing::AssertionFailure()
            << "closure failed: " << tc.status().ToString();
