@@ -2,8 +2,9 @@
 # End-to-end smoke test for the serving layer, run by CTest (and thus by
 # every CI job that runs the integration label, including the sanitizer
 # matrix): start reach_serve on an ephemeral port, run a scripted
-# reach_client batch, assert the answers and the STATS block, then SHUTDOWN
-# and require a clean (exit 0) drain.
+# reach_client batch, assert the answers and the STATS block, check that an
+# idle connection leaves the server off the CPU, then SHUTDOWN and require
+# a clean (exit 0) drain.
 #
 #   serve_smoke.sh <path-to-reach_serve> <path-to-reach_client>
 set -u
@@ -63,7 +64,7 @@ for _ in $(seq 1 100); do
 done
 [ -n "$port" ] || fail "no LISTENING line within 10s"
 # The build logs its phase timers in one key=value line before LISTENING.
-grep -Eq '^event=index_built threads=2 order=[a-z_]+ order_ms=[0-9.]+ label_ms=[0-9.]+ search_ms=[0-9.]+ cleanup_ms=[0-9.]+ append_ms=[0-9.]+ batches=[1-9][0-9]* seal_ms=[0-9.]+ build_ms=[0-9.]+$' \
+grep -Eq '^event=index_built threads=2 order=[a-z_]+ order_ms=[0-9.]+ label_ms=[0-9.]+ search_ms=[0-9.]+ cleanup_ms=[0-9.]+ append_ms=[0-9.]+ batches=[1-9][0-9]* probes=[0-9]+ pruned=[0-9]+ row_keys_read=[0-9]+ seal_ms=[0-9.]+ build_ms=[0-9.]+$' \
   "$workdir/server.err" || fail "server did not log event=index_built"
 
 # Scripted batch: six queries whose answers are known by construction,
@@ -103,6 +104,35 @@ grep -q '^prefilter 0$' "$workdir/client.out" \
 ! grep -q '^pf_' "$workdir/client.out" \
   || fail "unfiltered server exported pf_ counters"
 kill -0 "$server_pid" 2>/dev/null || fail "server died on malformed input"
+
+# An idle connection must not keep its handler on a CPU: a handler polls
+# for the next request only for a short window after each reply, then
+# blocks in recv. Hold one connection open after one round trip and read
+# the server's utime+stime (fields 14 and 15 of /proc/<pid>/stat, in clock
+# ticks) over about a second; more than 10% of one CPU fails.
+exec 5<>"/dev/tcp/127.0.0.1/$port" || fail "idle client could not connect"
+printf 'Q 0 4\n' >&5
+reply=""
+read -r -t 5 reply <&5
+[ "$reply" = "1" ] || fail "idle client got '$reply' for Q 0 4"
+[ -r "/proc/$server_pid/stat" ] || fail "cannot read /proc/$server_pid/stat"
+cpu_ticks() {
+  local stat
+  stat=$(cat "/proc/$server_pid/stat")
+  # Fields after the parenthesized command name start at field 3.
+  echo "${stat##*) }" | awk '{print $12 + $13}'
+}
+ticks_per_s=$(getconf CLK_TCK)
+ticks_before=$(cpu_ticks)
+wall_before=$(date +%s%N)
+sleep 1
+ticks_after=$(cpu_ticks)
+wall_after=$(date +%s%N)
+exec 5>&-
+cpu_ms=$(( (ticks_after - ticks_before) * 1000 / ticks_per_s ))
+wall_ms=$(( (wall_after - wall_before) / 1000000 ))
+[ $(( cpu_ms * 10 )) -le "$wall_ms" ] \
+  || fail "idle connection: server used $cpu_ms ms of CPU in $wall_ms ms"
 
 # Graceful drain: SHUTDOWN answers BYE and the server exits 0.
 bye=$("$CLIENT" --port="$port" --shutdown < /dev/null) \

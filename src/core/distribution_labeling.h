@@ -69,7 +69,8 @@ struct DistributionOptions {
 /// search marks each hop's label side by key.
 ///
 /// `stats`, when given, accumulates the wall time of the phases into
-/// search_millis, cleanup_millis and append_millis, and counts batches.
+/// search_millis, cleanup_millis and append_millis, and counts batches
+/// and the searches' probes, pruned probes and row keys read.
 void DistributeLabels(const Digraph& g, const std::vector<Vertex>& order,
                       const std::vector<uint32_t>& key_of,
                       LabelBuilder* labeling, BuildStats* stats = nullptr);

@@ -116,6 +116,9 @@ Status HierarchicalLabelingOracle::BuildIndex(const Dag& dag) {
     });
   }
 
+  // Every row is built: queries read only the labels, and callers of
+  // hierarchy() only the level sets.
+  hierarchy_->ReleaseLevelGraphs();
   build_stats_.label_millis = phase.ElapsedMillis();
   if (budget_.max_index_integers > 0 &&
       builder.TotalEntries() > budget_.max_index_integers) {

@@ -70,7 +70,9 @@ class HierarchicalLabelingOracle : public ReachabilityOracle {
   uint64_t IndexSizeBytes() const override { return labeling_.MemoryBytes(); }
 
   /// The decomposition (valid after Build, NOT after LoadMapped — a snapshot
-  /// carries only query state); exposed for tests and examples.
+  /// carries only query state); exposed for tests and examples. Build
+  /// releases its level graphs: the level sets, LevelOf, num_levels and
+  /// epsilon stay, and LevelGraph asserts.
   const Hierarchy& hierarchy() const {
     assert(hierarchy_ != nullptr &&
            "hierarchy() is only valid after Build(), not LoadMapped()");

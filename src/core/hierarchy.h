@@ -7,6 +7,7 @@
 #ifndef REACH_CORE_HIERARCHY_H_
 #define REACH_CORE_HIERARCHY_H_
 
+#include <cassert>
 #include <cstdint>
 #include <vector>
 
@@ -39,8 +40,15 @@ class Hierarchy {
   size_t num_levels() const { return level_vertices_.size(); }
   size_t core_level() const { return num_levels() - 1; }
 
-  /// Graph Gi.
-  const Digraph& LevelGraph(size_t i) const { return level_graphs_[i]; }
+  /// Graph Gi. Not after ReleaseLevelGraphs.
+  const Digraph& LevelGraph(size_t i) const {
+    assert(i < level_graphs_.size() &&
+           "LevelGraph() after ReleaseLevelGraphs()");
+    return level_graphs_[i];
+  }
+  /// Frees the level graphs, level 0's copy of the input included, once
+  /// their labels are built. The level sets and LevelOf stay.
+  void ReleaseLevelGraphs() { std::vector<Digraph>().swap(level_graphs_); }
   /// Sorted vertex set Vi.
   const std::vector<Vertex>& LevelVertices(size_t i) const {
     return level_vertices_[i];

@@ -72,6 +72,13 @@ struct BuildStats {
   double cleanup_millis = 0;
   double append_millis = 0;
   uint64_t batches = 0;
+  /// The same searches' pruning probes (MarkedIntersects), summed over
+  /// the batches: candidates probed against their hop's label side, the
+  /// probes that pruned their candidate, and the candidates' row keys the
+  /// probes read. Equal at any thread count. Zero elsewhere.
+  uint64_t probes = 0;
+  uint64_t pruned = 0;
+  uint64_t row_keys_read = 0;
   /// LabelBuilder::StorageBytes() as the labels were sealed: the build's
   /// high-water of label row storage (DL, HL and 2HOP; zero elsewhere and
   /// after a snapshot load).

@@ -156,6 +156,9 @@ void PrefilterOracle::AnnotateBuildStats(BuildStats& stats) const {
   stats.cleanup_millis = inner.cleanup_millis;
   stats.append_millis = inner.append_millis;
   stats.batches = inner.batches;
+  stats.probes = inner.probes;
+  stats.pruned = inner.pruned;
+  stats.row_keys_read = inner.row_keys_read;
   stats.label_storage_bytes = inner.label_storage_bytes;
   stats.order = inner.order;
 }

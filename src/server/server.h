@@ -9,8 +9,13 @@
 //    with BuildOptions.threads workers), binds, then starts
 //    `options.workers` handler threads that the server owns.
 //  - Each handler thread polls the listener, accepts a connection and
-//    serves it (blocking recv -> Session::Feed -> send) until EOF, a
-//    protocol-fatal error, or drain, then accepts the next. So up to
+//    serves it (recv -> Session::Feed -> send) until EOF, a protocol-fatal
+//    error, or drain, then accepts the next. Each recv first polls the
+//    socket for a short fixed window, yielding the CPU between polls, and
+//    only then blocks: a client that sends its next request within the
+//    window is answered without a thread wake-up. A handler whose polls
+//    keep ending without a request (a slow client, or yields that hand
+//    the CPU to other threads) mostly blocks at once. So up to
 //    `options.workers` connections are served concurrently; later ones
 //    wait in the kernel's listen backlog. The handlers are not the
 //    parallel runtime's helpers (util/thread_pool.h): a build in the same

@@ -132,16 +132,22 @@ inline bool SortedIntersects(std::span<const uint32_t> a,
 /// marked once and probed by many rows; each probe is the window reject
 /// plus a scan of `row` that stops past `marked.back()`. Marks left from an
 /// older epoch never equal `epoch`, so the array is never cleared between
-/// marked sets.
+/// marked sets. `*keys_read` grows by the keys of `row` the scan compared,
+/// the one it stopped at included (none after a window reject).
 inline bool MarkedIntersects(std::span<const uint32_t> row,
                              std::span<const uint32_t> marked,
-                             const uint32_t* marks, uint32_t epoch) {
+                             const uint32_t* marks, uint32_t epoch,
+                             uint64_t* keys_read) {
   if (!SortedRangesOverlap(row, marked)) return false;
   const uint32_t last = marked.back();
-  for (const uint32_t key : row) {
-    if (key > last) return false;
-    if (marks[key] == epoch) return true;
+  for (size_t i = 0; i < row.size(); ++i) {
+    const uint32_t key = row[i];
+    if (key > last || marks[key] == epoch) {
+      *keys_read += i + 1;
+      return key <= last;
+    }
   }
+  *keys_read += row.size();
   return false;
 }
 

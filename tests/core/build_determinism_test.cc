@@ -98,6 +98,18 @@ INSTANTIATE_TEST_SUITE_P(
 // and HL give their label builder one row partition per thread: 3 deals
 // the row blocks unevenly, 4 is the benchmark's width.
 
+// The label search reads the labels of earlier batches only, so its probe
+// counters are as thread-count invariant as the labels themselves.
+void ExpectSameProbeCounts(const BuildStats& parallel,
+                           const BuildStats& sequential, int threads) {
+  EXPECT_GT(sequential.probes, 0u);
+  EXPECT_GT(sequential.pruned, 0u);
+  EXPECT_GT(sequential.row_keys_read, 0u);
+  EXPECT_EQ(parallel.probes, sequential.probes) << threads;
+  EXPECT_EQ(parallel.pruned, sequential.pruned) << threads;
+  EXPECT_EQ(parallel.row_keys_read, sequential.row_keys_read) << threads;
+}
+
 TEST(BuildDeterminismExactTest, DistributionLabelingIsByteIdentical) {
   const Digraph dag = RandomDag(800, 4000, 21);
   DistributionLabelingOracle sequential;
@@ -111,6 +123,8 @@ TEST(BuildDeterminismExactTest, DistributionLabelingIsByteIdentical) {
     EXPECT_EQ(testing_util::LabelBytes(parallel.labeling()),
               testing_util::LabelBytes(sequential.labeling()))
         << "DL sealed blob differs at threads=" << threads;
+    ExpectSameProbeCounts(parallel.build_stats(), sequential.build_stats(),
+                          threads);
   }
 }
 
@@ -126,6 +140,8 @@ TEST(BuildDeterminismExactTest, HierarchicalLabelingIsByteIdentical) {
     EXPECT_EQ(testing_util::LabelBytes(parallel.labeling()),
               testing_util::LabelBytes(sequential.labeling()))
         << "HL sealed blob differs at threads=" << threads;
+    ExpectSameProbeCounts(parallel.build_stats(), sequential.build_stats(),
+                          threads);
   }
 }
 

@@ -1,5 +1,7 @@
 #include "core/hierarchical_labeling.h"
 
+#include <string>
+
 #include "gtest/gtest.h"
 #include "graph/generators.h"
 #include "tests/test_util.h"
@@ -98,6 +100,40 @@ TEST(HierarchicalLabelingTest, LowerLevelVerticesOnlyRecordUpperHops) {
           << "hop " << hop << " in Lin(" << v << ")";
     }
   }
+}
+
+// Build frees the level graphs once the labels are built, but what tests
+// and examples read of the decomposition still answers as a fresh
+// Hierarchy::Build over the same DAG does.
+TEST(HierarchicalLabelingTest, HierarchyAccessorsAnswerAfterBuild) {
+  const Digraph g = RandomDag(800, 2400, 81);
+  HierarchicalOptions options;
+  options.hierarchy.core_size_threshold = 32;
+  HierarchicalLabelingOracle oracle(options);
+  ASSERT_TRUE(oracle.Build(g).ok());
+  const StatusOr<Dag> dag = Dag::Check(g);
+  ASSERT_TRUE(dag.ok());
+  const StatusOr<Hierarchy> fresh = Hierarchy::Build(*dag, options.hierarchy);
+  ASSERT_TRUE(fresh.ok());
+
+  const Hierarchy& h = oracle.hierarchy();
+  ASSERT_GE(h.num_levels(), 2u);
+  ASSERT_EQ(h.num_levels(), fresh->num_levels());
+  EXPECT_EQ(h.epsilon(), fresh->epsilon());
+  for (size_t i = 0; i < h.num_levels(); ++i) {
+    EXPECT_EQ(h.LevelVertices(i), fresh->LevelVertices(i)) << "level " << i;
+  }
+  for (Vertex v = 0; v < g.num_vertices(); ++v) {
+    ASSERT_EQ(h.LevelOf(v), fresh->LevelOf(v)) << "vertex " << v;
+  }
+#ifndef NDEBUG
+  // The build's thread pool is running: fork into a fresh process for the
+  // death test, and leave the flag as the other tests found it.
+  const std::string style = ::testing::GTEST_FLAG(death_test_style);
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  EXPECT_DEATH(h.LevelGraph(0), "ReleaseLevelGraphs");
+  ::testing::GTEST_FLAG(death_test_style) = style;
+#endif
 }
 
 // BuildStats splits the build into ordering, labeling and sealing; the

@@ -2,14 +2,16 @@
 // ephemeral port, driven by the blocking Client. The acceptance bar for
 // the serving layer: a 10k-query batched workload answered byte-identically
 // to the in-process oracle, malformed input survived, concurrent clients
-// served, a graceful drain on SHUTDOWN, and idle clients that hold every
-// handler neither starve an in-process build nor stall a drain.
+// served, a graceful drain on SHUTDOWN, idle clients that hold every
+// handler neither starve an in-process build nor stall a drain, and a
+// handler's poll for the next request is bounded.
 
 #include "server/server.h"
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <poll.h>
+#include <sys/resource.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -432,6 +434,9 @@ TEST(ReachServerTest, BacklogClientIsServedOnceAHandlerFrees) {
   reach_server.Stop();
 }
 
+// The last held handler answered its PONG just before Stop(), so Stop()
+// may find it still polling for the next request rather than blocked in
+// recv: the drain's shutdown(SHUT_RD) must end either within the bound.
 TEST(ReachServerTest, StopEndsHeldAndBacklogConnections) {
   const Digraph graph = ChainDag(4);
   ReachServer reach_server;
@@ -480,6 +485,36 @@ TEST(ReachServerTest, SignalStopDrainsWhileEveryHandlerIsHeld) {
   for (const auto& connection : idle) {
     EXPECT_EQ(connection->ReadLine(std::chrono::seconds(5)), kEnded);
   }
+  reach_server.Stop();
+}
+
+/// User plus system CPU time of this process so far.
+std::chrono::microseconds ProcessCpuTime() {
+  rusage usage{};
+  ::getrusage(RUSAGE_SELF, &usage);
+  return std::chrono::seconds(usage.ru_utime.tv_sec + usage.ru_stime.tv_sec) +
+         std::chrono::microseconds(usage.ru_utime.tv_usec +
+                                   usage.ru_stime.tv_usec);
+}
+
+// A handler polls for the next request only for a short window after a
+// reply, then blocks: an idle connection must not keep it on a CPU.
+TEST(ReachServerTest, IdleConnectionDoesNotKeepItsHandlerOnCpu) {
+  const Digraph graph = ChainDag(4);
+  ReachServer reach_server;
+  ASSERT_TRUE(reach_server.Start(graph, QuickOptions("DL")).ok());
+  RawConnection connection;
+  ASSERT_TRUE(connection.Connect(reach_server.port()));
+  ASSERT_TRUE(connection.Send("Q 0 3\n"));
+  ASSERT_EQ(connection.ReadLine(std::chrono::seconds(5)), "1");
+
+  constexpr auto kIdle = std::chrono::milliseconds(200);
+  const std::chrono::microseconds before = ProcessCpuTime();
+  std::this_thread::sleep_for(kIdle);
+  const std::chrono::microseconds used = ProcessCpuTime() - before;
+  EXPECT_LT(used, kIdle / 5)
+      << "the process used " << used.count() << " us of CPU while its only "
+      << "connection sat idle for " << kIdle.count() << " ms";
   reach_server.Stop();
 }
 

@@ -92,6 +92,24 @@ TEST(SortedOpsTest, RandomizedIntersectsAgainstStdSet) {
   }
 }
 
+// The DL build's row_keys_read counter: every key the scan compared,
+// the one it stopped at included, and none after a window reject.
+TEST(SortedOpsTest, MarkedIntersectsCountsTheKeysItRead) {
+  std::vector<uint32_t> marks(64, 0);
+  const std::vector<uint32_t> marked = V({3, 9, 17, 40});
+  for (const uint32_t key : marked) marks[key] = 1;
+  auto keys_read = [&](const std::vector<uint32_t>& row, bool hit) {
+    uint64_t read = 0;
+    EXPECT_EQ(MarkedIntersects(row, marked, marks.data(), 1, &read), hit);
+    return read;
+  };
+  EXPECT_EQ(keys_read(V({41, 50, 63}), false), 0u);  // Window reject.
+  EXPECT_EQ(keys_read(V({3, 5, 6}), true), 1u);
+  EXPECT_EQ(keys_read(V({0, 2, 40}), true), 3u);
+  EXPECT_EQ(keys_read(V({0, 1, 5}), false), 3u);       // Ran off the row.
+  EXPECT_EQ(keys_read(V({0, 2, 41, 50}), false), 3u);  // Stopped past 40.
+}
+
 // MarkedIntersects against SortedIntersects. One marks array serves every
 // round, each under a fresh epoch, so the marks of the older rounds stay
 // behind as stale values that must never count as hits.
@@ -103,7 +121,8 @@ TEST(SortedOpsTest, MarkedIntersectsMatchesSortedIntersects) {
                    const std::vector<uint32_t>& marked) {
     ++epoch;
     for (const uint32_t key : marked) marks[key] = epoch;
-    EXPECT_EQ(MarkedIntersects(row, marked, marks.data(), epoch),
+    uint64_t keys_read = 0;
+    EXPECT_EQ(MarkedIntersects(row, marked, marks.data(), epoch, &keys_read),
               SortedIntersects(row, marked))
         << "row of " << row.size() << ", marked " << marked.size();
   };
@@ -121,8 +140,9 @@ TEST(SortedOpsTest, MarkedIntersectsMatchesSortedIntersects) {
   // stale mark is not a hit.
   ++epoch;
   for (const uint32_t key : V({10, 20, 30})) marks[key] = epoch;
+  uint64_t keys_read = 0;
   EXPECT_FALSE(MarkedIntersects(V({9, 17, 25}), V({10, 20, 30}),
-                                marks.data(), epoch));
+                                marks.data(), epoch, &keys_read));
 
   Rng rng(2601);
   for (int round = 0; round < 2000; ++round) {

@@ -175,14 +175,18 @@ int main(int argc, char** argv) {
                  static_cast<unsigned long long>(PeakRssKb()));
     std::fprintf(stderr,
                  "phases: order=%s, order %.1f ms, label %.1f ms (search "
-                 "%.1f ms, cleanup %.1f ms, append %.1f ms, %llu batches), "
-                 "seal %.1f ms, label storage %llu bytes\n",
+                 "%.1f ms, cleanup %.1f ms, append %.1f ms, %llu batches, "
+                 "%llu probes, %llu pruned, %llu row keys read), seal %.1f "
+                 "ms, label storage %llu bytes\n",
                  build_stats.order.empty() ? "none"
                                            : build_stats.order.c_str(),
                  build_stats.order_millis, build_stats.label_millis,
                  build_stats.search_millis, build_stats.cleanup_millis,
                  build_stats.append_millis,
                  static_cast<unsigned long long>(build_stats.batches),
+                 static_cast<unsigned long long>(build_stats.probes),
+                 static_cast<unsigned long long>(build_stats.pruned),
+                 static_cast<unsigned long long>(build_stats.row_keys_read),
                  build_stats.seal_millis,
                  static_cast<unsigned long long>(
                      build_stats.label_storage_bytes));

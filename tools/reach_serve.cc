@@ -226,12 +226,16 @@ int main(int argc, char** argv) {
     std::fprintf(stderr,
                  "event=index_built threads=%d order=%s order_ms=%.1f "
                  "label_ms=%.1f search_ms=%.1f cleanup_ms=%.1f "
-                 "append_ms=%.1f batches=%llu seal_ms=%.1f build_ms=%.1f\n",
+                 "append_ms=%.1f batches=%llu probes=%llu pruned=%llu "
+                 "row_keys_read=%llu seal_ms=%.1f build_ms=%.1f\n",
                  build.threads,
                  build.order.empty() ? "none" : build.order.c_str(),
                  build.order_millis, build.label_millis, build.search_millis,
                  build.cleanup_millis, build.append_millis,
                  static_cast<unsigned long long>(build.batches),
+                 static_cast<unsigned long long>(build.probes),
+                 static_cast<unsigned long long>(build.pruned),
+                 static_cast<unsigned long long>(build.row_keys_read),
                  build.seal_millis, build.build_millis);
     if (!options.save_index_path.empty()) {
       std::fprintf(stderr, "index snapshot saved to %s\n",
