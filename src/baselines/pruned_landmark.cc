@@ -1,9 +1,9 @@
 #include "baselines/pruned_landmark.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "core/backbone.h"
-#include "graph/level_bfs.h"
 #include "util/thread_pool.h"
 #include "util/timer.h"
 
@@ -88,39 +88,51 @@ Status PrunedLandmarkOracle::BuildIndex(const Dag& proven) {
   });
 
   // The landmark loop is inherently sequential (later landmarks prune
-  // against earlier labels); each pruned BFS parallelizes internally via
-  // the level-synchronous traversal of graph/level_bfs.h. Its contract
-  // holds here: the prune test for a candidate x at depth d reads
-  // Lout(hop)/Lin(x) (forward) or Lout(x)/Lin(hop) (backward), none of
-  // which a same-depth admission of another vertex mutates — and the
-  // current key cannot certify a candidate (it enters Lout(hop) only
-  // after the forward sweep, and never both sides of one test).
+  // against earlier labels), and so is each pruned BFS: a plain queue
+  // loop, run once per direction. A vertex is marked when discovered and
+  // tested when popped; the hop itself is admitted at depth 0 untested
+  // (build_distance(hop, hop) is 0, which would prune it).
+  // Testing at pop time admits the same sets as testing at discovery:
+  // the prune test for x at depth d reads Lout(hop)/Lin(x) (forward) or
+  // Lout(x)/Lin(hop) (backward), none of which an admission of another
+  // vertex in the same search writes — and the current key cannot
+  // certify a candidate (it enters Lout(hop) only after the forward
+  // sweep, and never both sides of one test). Each row receives at most
+  // one entry per key, in key order, whatever order a search pops in.
   std::vector<uint32_t> mark(n, 0);
   uint32_t epoch = 0;
-  LevelBfsScratch scratch;
-  for (uint32_t key = 0; key < n; ++key) {
+  std::vector<std::pair<Vertex, uint32_t>> queue;  // (vertex, depth)
+  // Forward: hop reaches x at distance d => (key, d) in Lin(x), unless the
+  // labels already certify Distance(hop, x) <= d (then x's whole subtree
+  // is pruned). Backward: x reaches hop => (key, d) in Lout(x), likewise.
+  const auto pruned_bfs = [&](uint32_t key, bool forward) {
     const Vertex hop = order[key];
-    // Forward pruned BFS: hop reaches w at distance d => add (hop, d) to
-    // Lin(w), unless existing labels already certify Distance(hop, w) <= d
-    // (then the whole subtree is pruned).
+    Rows& rows = forward ? build_in : build_out;
     ++epoch;
-    RunPrunedLevelBfs(
-        dag, hop, /*forward=*/true, threads, &mark, epoch,
-        [&](Vertex x, uint32_t d) { return build_distance(hop, x) <= d; },
-        [&](Vertex x, uint32_t d) { build_in[x].push_back(Entry{key, d}); },
-        &scratch);
-    // Backward pruned BFS: u reaches hop at distance d => (hop, d) in
-    // Lout(u) unless already certified.
-    ++epoch;
-    RunPrunedLevelBfs(
-        dag, hop, /*forward=*/false, threads, &mark, epoch,
-        [&](Vertex x, uint32_t d) { return build_distance(x, hop) <= d; },
-        [&](Vertex x, uint32_t d) { build_out[x].push_back(Entry{key, d}); },
-        &scratch);
-    if ((key & 0x3ff) == 0 && budget_.max_seconds > 0 &&
+    mark[hop] = epoch;
+    queue.assign(1, {hop, 0});
+    for (size_t head = 0; head < queue.size(); ++head) {
+      const auto [x, d] = queue[head];
+      if (x != hop && (forward ? build_distance(hop, x)
+                               : build_distance(x, hop)) <= d) {
+        continue;
+      }
+      rows[x].push_back(Entry{key, d});
+      for (const Vertex w :
+           forward ? dag.OutNeighbors(x) : dag.InNeighbors(x)) {
+        if (mark[w] == epoch) continue;
+        mark[w] = epoch;
+        queue.emplace_back(w, d + 1);
+      }
+    }
+  };
+  for (uint32_t key = 0; key < n; ++key) {
+    if (budget_.max_seconds > 0 &&
         timer.ElapsedSeconds() > budget_.max_seconds) {
       return Status::ResourceExhausted("PL over time budget");
     }
+    pruned_bfs(key, /*forward=*/true);
+    pruned_bfs(key, /*forward=*/false);
   }
   Seal(&build_out, &build_in);
   return Status::OK();

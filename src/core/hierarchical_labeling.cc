@@ -31,7 +31,7 @@ Status HierarchicalLabelingOracle::BuildIndex(const Dag& dag) {
   const size_t core = hierarchy_->core_level();
   const Digraph& core_graph = hierarchy_->LevelGraph(core);
   const std::vector<Vertex>& core_members = hierarchy_->LevelVertices(core);
-  // An unshrunk core is a copy of the input, whose Dag still holds; a
+  // An unshrunk core is the input graph, whose Dag still holds; a
   // backbone is a different graph, so it gets its own proof.
   std::optional<Dag> shrunk_core;
   if (core > 0) {

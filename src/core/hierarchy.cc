@@ -11,11 +11,11 @@ StatusOr<Hierarchy> Hierarchy::Build(const Dag& dag,
 
   std::vector<Vertex> all(g.num_vertices());
   for (Vertex v = 0; v < g.num_vertices(); ++v) all[v] = v;
-  h.level_graphs_.push_back(g);
+  h.input_ = &g;
   h.level_vertices_.push_back(std::move(all));
 
   while (static_cast<int>(h.num_levels()) - 1 < options.max_levels) {
-    const Digraph& current = h.level_graphs_.back();
+    const Digraph& current = h.LevelGraph(h.core_level());
     const std::vector<Vertex>& members = h.level_vertices_.back();
     if (members.size() <= options.core_size_threshold) break;
 
@@ -28,7 +28,7 @@ StatusOr<Hierarchy> Hierarchy::Build(const Dag& dag,
     }
     for (Vertex v : backbone->vertices) h.level_of_[v] += 1;
     h.level_vertices_.push_back(std::move(backbone->vertices));
-    h.level_graphs_.push_back(std::move(backbone->graph));
+    h.backbones_.push_back(std::move(backbone->graph));
   }
   return h;
 }

@@ -40,15 +40,19 @@ class Hierarchy {
   size_t num_levels() const { return level_vertices_.size(); }
   size_t core_level() const { return num_levels() - 1; }
 
-  /// Graph Gi. Not after ReleaseLevelGraphs.
+  /// Graph Gi; G0 is the graph of the Dag passed to Build, not a copy.
+  /// Not after ReleaseLevelGraphs.
   const Digraph& LevelGraph(size_t i) const {
-    assert(i < level_graphs_.size() &&
-           "LevelGraph() after ReleaseLevelGraphs()");
-    return level_graphs_[i];
+    assert(input_ != nullptr && "LevelGraph() after ReleaseLevelGraphs()");
+    assert(i < num_levels());
+    return i == 0 ? *input_ : backbones_[i - 1];
   }
-  /// Frees the level graphs, level 0's copy of the input included, once
-  /// their labels are built. The level sets and LevelOf stay.
-  void ReleaseLevelGraphs() { std::vector<Digraph>().swap(level_graphs_); }
+  /// Frees the backbone graphs and drops the reference to G0 once their
+  /// labels are built. The level sets and LevelOf stay.
+  void ReleaseLevelGraphs() {
+    input_ = nullptr;
+    std::vector<Digraph>().swap(backbones_);
+  }
   /// Sorted vertex set Vi.
   const std::vector<Vertex>& LevelVertices(size_t i) const {
     return level_vertices_[i];
@@ -60,13 +64,15 @@ class Hierarchy {
 
   int epsilon() const { return epsilon_; }
 
-  /// Builds the decomposition of `dag`.
+  /// Builds the decomposition of `dag`, whose graph must outlive every
+  /// LevelGraph(0) call.
   static StatusOr<Hierarchy> Build(const Dag& dag,
                                    const HierarchyOptions& options);
 
  private:
   int epsilon_ = 2;
-  std::vector<Digraph> level_graphs_;
+  const Digraph* input_ = nullptr;  // G0.
+  std::vector<Digraph> backbones_;   // G1 .. Gh.
   std::vector<std::vector<Vertex>> level_vertices_;
   std::vector<uint32_t> level_of_;
 };

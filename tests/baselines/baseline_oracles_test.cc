@@ -140,8 +140,14 @@ TEST(IntervalOracleTest, BudgetAborts) {
 // --- Pruned Landmark ---
 
 TEST(PrunedLandmarkTest, DistancesMatchBfs) {
-  for (uint64_t seed = 11; seed <= 13; ++seed) {
-    Digraph g = RandomDag(150, 400, seed);
+  // Sparse DAGs, then dense ones whose searches reach most vertices within
+  // a few levels.
+  const std::vector<Digraph> graphs = {
+      RandomDag(150, 400, 11), RandomDag(150, 400, 12),
+      RandomDag(150, 400, 13), RandomDag(600, 24000, 5),
+      RandomDag(600, 24000, 17)};
+  for (size_t gi = 0; gi < graphs.size(); ++gi) {
+    const Digraph& g = graphs[gi];
     PrunedLandmarkOracle oracle;
     ASSERT_TRUE(oracle.Build(g).ok());
     for (Vertex u = 0; u < g.num_vertices(); ++u) {
@@ -151,7 +157,7 @@ TEST(PrunedLandmarkTest, DistancesMatchBfs) {
             dist[v] == UINT32_MAX ? PrunedLandmarkOracle::kUnreachable
                                   : dist[v];
         EXPECT_EQ(oracle.Distance(u, v), expected)
-            << "seed " << seed << " pair (" << u << "," << v << ")";
+            << "graph " << gi << " pair (" << u << "," << v << ")";
       }
     }
   }

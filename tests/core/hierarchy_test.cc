@@ -25,6 +25,8 @@ TEST(HierarchyTest, LevelsAreNested) {
   auto h = Hierarchy::Build(*Dag::Check(g), options);
   ASSERT_TRUE(h.ok());
   EXPECT_GT(h->num_levels(), 1u);
+  // G0 is the input graph itself, not a copy of it.
+  EXPECT_EQ(&h->LevelGraph(0), &g);
   for (size_t i = 1; i < h->num_levels(); ++i) {
     const auto& upper = h->LevelVertices(i);
     const auto& lower = h->LevelVertices(i - 1);
