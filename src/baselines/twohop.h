@@ -13,44 +13,20 @@
 #define REACH_BASELINES_TWOHOP_H_
 
 #include <string>
-#include <vector>
 
-#include "core/label_store.h"
-#include "core/oracle.h"
-#include "graph/digraph.h"
+#include "core/labeling_oracle.h"
 
 namespace reach {
 
-/// Set-cover based 2-hop labeling ("2HOP" table column).
-class TwoHopOracle : public ReachabilityOracle {
+/// Set-cover based 2-hop labeling ("2HOP" table column). Hop keys are
+/// vertex ids. A snapshot restart skips the closure materialization and
+/// the set-cover greedy entirely.
+class TwoHopOracle : public LabelingOracle {
+ public:
+  std::string name() const override { return "2HOP"; }
+
  protected:
   Status BuildIndex(const Dag& dag) override;
-  Status LoadIndexMapped(const Digraph& dag, MappedRegion region) override;
-
- public:
-
-  bool Reachable(Vertex u, Vertex v) const override {
-    return u == v || labeling_.Query(u, v);
-  }
-
-  /// Snapshots: the whole query state is the sealed labeling blob, so a
-  /// restart can skip the TC materialization + set-cover greedy entirely.
-  /// LoadMapped serves the blob in place.
-  bool SupportsSnapshot() const override { return true; }
-  Status SaveIndex(std::ostream& out) const override {
-    return labeling_.Write(out);
-  }
-
-  std::string name() const override { return "2HOP"; }
-  uint64_t IndexSizeIntegers() const override {
-    return labeling_.TotalEntries();
-  }
-  uint64_t IndexSizeBytes() const override { return labeling_.MemoryBytes(); }
-
-  const LabelStore& labeling() const { return labeling_; }
-
- private:
-  LabelStore labeling_;  // Hop keys are vertex ids.
 };
 
 }  // namespace reach

@@ -54,18 +54,19 @@ inline uint64_t DegreeProductRank(const Digraph& g, Vertex v) {
          (static_cast<uint64_t>(g.InDegree(v)) + 1);
 }
 
-/// Bounded forward (or backward) BFS in `g` from `source`, visiting at most
-/// `max_depth` steps, collecting visited vertices (excluding the source).
-/// Vertices for which `prune(v)` is true are collected but not expanded.
-/// Scratch arrays avoid per-call allocation; see BoundedBfs struct.
+/// Bounded forward (or backward) BFS in `g` from `source`, at most
+/// `max_depth` steps deep. The mark and queue arrays are reused across
+/// runs, so a run allocates nothing once they have grown.
 class BoundedBfs {
  public:
   explicit BoundedBfs(size_t num_vertices)
       : mark_(num_vertices, 0), epoch_(0) {}
 
-  /// Runs the bounded BFS. `collect_pruned_only` = true collects only
-  /// vertices where prune() fired (first-hit backbone members);
-  /// otherwise collects every visited vertex.
+  /// Runs the bounded BFS. Every vertex w the search discovers (the source
+  /// excluded) is passed to `visit(w, depth)` once, at its BFS depth; then
+  /// `prune(w)` decides whether w's neighbours are explored: a pruned
+  /// vertex is visited but not expanded. What to collect is the caller's
+  /// choice in `visit` (e.g. only the vertices `prune` fires on).
   template <typename PruneFn, typename VisitFn>
   void Run(const Digraph& g, Vertex source, uint32_t max_depth, bool forward,
            PruneFn prune, VisitFn visit) {

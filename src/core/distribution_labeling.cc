@@ -37,6 +37,9 @@ constexpr uint32_t kNotInBatch = UINT32_MAX;
 /// 170 ms, a fifth of the whole DL build.
 constexpr uint64_t kRankGroups = 64;
 
+/// Seed of the kRandom order's shuffle.
+constexpr uint64_t kRandomOrderSeed = 42;
+
 /// Allocator of the per-worker scratch. Candidate buffers grow to
 /// megabytes on whichever thread runs a hop and die when the distribution
 /// ends; on the malloc heap that churn stays resident (per-thread arenas, a
@@ -371,7 +374,7 @@ std::vector<Vertex> ComputeDistributionOrder(
 
   switch (policy) {
     case DistributionOrder::kRandom: {
-      Rng rng(options.seed);
+      Rng rng(kRandomOrderSeed);
       Shuffle(&order, &rng);
       break;
     }
@@ -606,19 +609,7 @@ Status DistributionLabelingOracle::BuildIndex(const Dag& dag) {
     return Status::ResourceExhausted("DL index exceeded size budget");
   }
   // Construction is done mutating: compact to the flat query layout.
-  build_stats_.label_storage_bytes = builder.StorageBytes();
-  phase.Reset();
-  labeling_ = std::move(builder).Seal(build_threads());
-  build_stats_.seal_millis = phase.ElapsedMillis();
-  return Status::OK();
-}
-
-Status DistributionLabelingOracle::LoadIndexMapped(const Digraph& dag,
-                                                   MappedRegion region) {
-  StatusOr<LabelStore> mapped = MapLabelStoreFor(dag, std::move(region), "DL");
-  if (!mapped.ok()) return mapped.status();
-  labeling_ = std::move(*mapped);
-  order_.clear();  // Construction metadata; not part of the snapshot.
+  SealLabels(std::move(builder));
   return Status::OK();
 }
 

@@ -12,9 +12,11 @@
 #define REACH_CORE_DISTRIBUTION_LABELING_H_
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "core/label_store.h"
+#include "core/labeling_oracle.h"
 #include "core/oracle.h"
 #include "graph/digraph.h"
 #include "util/status.h"
@@ -45,8 +47,6 @@ std::string DistributionOrderName(DistributionOrder order);
 
 struct DistributionOptions {
   DistributionOrder order = DistributionOrder::kCoverPerCost;
-  /// Seed for kRandom.
-  uint64_t seed = 42;
 };
 
 /// Core routine shared by the DL oracle and by Hierarchical Labeling's
@@ -88,45 +88,22 @@ std::vector<Vertex> ComputeDistributionOrder(
     DistributionOrder* applied = nullptr);
 
 /// The DL reachability oracle.
-class DistributionLabelingOracle : public ReachabilityOracle {
+class DistributionLabelingOracle : public LabelingOracle {
  public:
   explicit DistributionLabelingOracle(DistributionOptions options = {})
       : options_(options) {}
 
+  std::string name() const override { return "DL"; }
+
+  /// The vertex processed at order position i: a hop's key is its
+  /// position. Construction metadata, empty after LoadMapped.
+  const std::vector<Vertex>& order() const { return order_; }
+
  protected:
   Status BuildIndex(const Dag& dag) override;
-  Status LoadIndexMapped(const Digraph& dag, MappedRegion region) override;
-
- public:
-
-  bool Reachable(Vertex u, Vertex v) const override {
-    return u == v || labeling_.Query(u, v);
-  }
-
-  /// Snapshots: the whole query state is the sealed labeling blob. After
-  /// LoadMapped (as opposed to Build) order() is empty — it is construction
-  /// metadata, not query state. LoadMapped serves the blob in place.
-  bool SupportsSnapshot() const override { return true; }
-  Status SaveIndex(std::ostream& out) const override {
-    return labeling_.Write(out);
-  }
-
-  std::string name() const override { return "DL"; }
-  uint64_t IndexSizeIntegers() const override {
-    return labeling_.TotalEntries();
-  }
-  uint64_t IndexSizeBytes() const override { return labeling_.MemoryBytes(); }
-
-  /// Label storage (hops are total-order positions). Exposed for tests
-  /// (non-redundancy) and serialization.
-  const LabelStore& labeling() const { return labeling_; }
-
-  /// The vertex processed at order position i.
-  const std::vector<Vertex>& order() const { return order_; }
 
  private:
   DistributionOptions options_;
-  LabelStore labeling_;
   std::vector<Vertex> order_;
 };
 

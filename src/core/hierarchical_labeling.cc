@@ -124,19 +124,7 @@ Status HierarchicalLabelingOracle::BuildIndex(const Dag& dag) {
       builder.TotalEntries() > budget_.max_index_integers) {
     return Status::ResourceExhausted("HL index exceeded size budget");
   }
-  build_stats_.label_storage_bytes = builder.StorageBytes();
-  phase.Reset();
-  labeling_ = std::move(builder).Seal(threads);
-  build_stats_.seal_millis = phase.ElapsedMillis();
-  return Status::OK();
-}
-
-Status HierarchicalLabelingOracle::LoadIndexMapped(const Digraph& dag,
-                                                   MappedRegion region) {
-  StatusOr<LabelStore> mapped = MapLabelStoreFor(dag, std::move(region), "HL");
-  if (!mapped.ok()) return mapped.status();
-  labeling_ = std::move(*mapped);
-  hierarchy_.reset();  // Construction metadata; not part of the snapshot.
+  SealLabels(std::move(builder));
   return Status::OK();
 }
 

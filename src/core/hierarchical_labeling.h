@@ -17,8 +17,7 @@
 #include <string>
 
 #include "core/hierarchy.h"
-#include "core/label_store.h"
-#include "core/oracle.h"
+#include "core/labeling_oracle.h"
 
 namespace reach {
 
@@ -30,7 +29,7 @@ struct HierarchicalOptions {
 };
 
 /// The HL reachability oracle. Hop keys are vertex ids.
-class HierarchicalLabelingOracle : public ReachabilityOracle {
+class HierarchicalLabelingOracle : public LabelingOracle {
  public:
   explicit HierarchicalLabelingOracle(HierarchicalOptions options = {})
       : options_(options) {}
@@ -42,32 +41,9 @@ class HierarchicalLabelingOracle : public ReachabilityOracle {
     return options;
   }
 
- protected:
-  Status BuildIndex(const Dag& dag) override;
-  Status LoadIndexMapped(const Digraph& dag, MappedRegion region) override;
-
- public:
-
-  bool Reachable(Vertex u, Vertex v) const override {
-    return u == v || labeling_.Query(u, v);
-  }
-
-  /// Snapshots: the whole query state is the sealed labeling blob. After
-  /// LoadMapped (as opposed to Build) hierarchy() is unavailable — the
-  /// decomposition is construction metadata, not query state. LoadMapped
-  /// serves the blob in place.
-  bool SupportsSnapshot() const override { return true; }
-  Status SaveIndex(std::ostream& out) const override {
-    return labeling_.Write(out);
-  }
-
   std::string name() const override {
     return options_.hierarchy.backbone.epsilon == 1 ? "TF" : "HL";
   }
-  uint64_t IndexSizeIntegers() const override {
-    return labeling_.TotalEntries();
-  }
-  uint64_t IndexSizeBytes() const override { return labeling_.MemoryBytes(); }
 
   /// The decomposition (valid after Build, NOT after LoadMapped — a snapshot
   /// carries only query state); exposed for tests and examples. Build
@@ -79,14 +55,12 @@ class HierarchicalLabelingOracle : public ReachabilityOracle {
     return *hierarchy_;
   }
 
-  /// False after LoadMapped (the decomposition is construction metadata).
-  bool has_hierarchy() const { return hierarchy_ != nullptr; }
-  const LabelStore& labeling() const { return labeling_; }
+ protected:
+  Status BuildIndex(const Dag& dag) override;
 
  private:
   HierarchicalOptions options_;
   std::unique_ptr<Hierarchy> hierarchy_;
-  LabelStore labeling_;
 };
 
 }  // namespace reach

@@ -476,19 +476,6 @@ Status LabelStore::Validate() const {
   return check_side(/*out_side=*/false, "Lin");
 }
 
-StatusOr<LabelStore> MapLabelStoreFor(const Digraph& dag, MappedRegion region,
-                                      const char* who) {
-  StatusOr<LabelStore> mapped = LabelStore::FromMapped(std::move(region));
-  if (!mapped.ok()) return mapped.status();
-  if (mapped->num_vertices() != dag.num_vertices()) {
-    return Status::Corruption(
-        std::string(who) + " snapshot covers " +
-        std::to_string(mapped->num_vertices()) + " vertices, graph has " +
-        std::to_string(dag.num_vertices()));
-  }
-  return mapped;
-}
-
 bool LabelStore::operator==(const LabelStore& other) const {
   if (num_vertices_ != other.num_vertices_) return false;
   for (Vertex v = 0; v < num_vertices_; ++v) {

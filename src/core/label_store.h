@@ -292,13 +292,6 @@ class LabelBuilder {
   Side in_;
 };
 
-/// Shared LoadIndexMapped body of the labeling oracles: maps a snapshot
-/// blob and cross-checks its vertex count against `dag`'s (`who` names the
-/// oracle in error messages). Validation of the blob itself lives in
-/// LabelStore::FromMapped.
-StatusOr<LabelStore> MapLabelStoreFor(const Digraph& dag, MappedRegion region,
-                                      const char* who);
-
 }  // namespace reach
 
 #endif  // REACH_CORE_LABEL_STORE_H_

@@ -43,11 +43,11 @@ Status ReachabilityOracle::Build(const Dag& dag, const BuildOptions& options) {
   return status;
 }
 
-Status ReachabilityOracle::LoadMapped(const Digraph& dag,
+Status ReachabilityOracle::LoadMapped(size_t num_vertices,
                                       MappedRegion region) {
   build_threads_ = 1;  // A mapped restore is one sequential validation.
   Timer timer;
-  const Status status = LoadIndexMapped(dag, std::move(region));
+  const Status status = LoadIndexMapped(num_vertices, std::move(region));
   build_stats_ = BuildStats();
   build_stats_.build_millis = timer.ElapsedMillis();
   build_stats_.threads = build_threads_;
@@ -66,7 +66,7 @@ Status ReachabilityOracle::SaveIndex(std::ostream&) const {
   return Status::NotSupported(name() + " does not support index snapshots");
 }
 
-Status ReachabilityOracle::LoadIndexMapped(const Digraph&, MappedRegion) {
+Status ReachabilityOracle::LoadIndexMapped(size_t, MappedRegion) {
   return Status::NotSupported(name() + " does not support index snapshots");
 }
 

@@ -57,9 +57,10 @@ struct BuildStats {
   uint64_t index_integers = 0;  // Valid only after an OK build.
   uint64_t index_bytes = 0;     // Valid only after an OK build.
   int threads = 0;              // Resolved worker count used by the build.
-  /// Construction phases of DL and HL (zero for other methods and after a
-  /// snapshot load): vertex ordering (HL: building the hierarchy), label
-  /// construction, and Seal() into the query layout.
+  /// Construction phases, zero after a snapshot load. Vertex ordering
+  /// (HL: building the hierarchy) and label construction are timed by DL
+  /// and HL only; Seal() into the query layout by every labeling oracle
+  /// (DL, HL/TF and 2HOP: core/labeling_oracle.h). Zero elsewhere.
   double order_millis = 0;
   double label_millis = 0;
   double seal_millis = 0;
@@ -129,18 +130,19 @@ class ReachabilityOracle {
   /// (BuildOptions::threads) it affects wall time only.
   Status Build(const Dag& dag, const BuildOptions& options = {});
 
-  /// Restores a previously saved index for `dag` instead of constructing
-  /// it — the restart-without-rebuild path. The oracle serves its sealed
-  /// index straight out of `region` (util/mapped_blob.h: an mmap of the
-  /// snapshot file, or the same bytes read onto the heap), retaining the
-  /// region's blob for the oracle's lifetime, so load cost is O(pages
-  /// validated), not O(index size). Like Build it may run exactly once,
-  /// records build_stats() (build_millis is the load time), and leaves the
-  /// oracle ready to answer queries for exactly the graph the snapshot was
-  /// saved from; callers are responsible for pairing snapshot and graph
-  /// (the sealed blob carries the vertex count, which is cross-checked,
-  /// but not the edges). NotSupported unless SupportsSnapshot().
-  Status LoadMapped(const Digraph& dag, MappedRegion region);
+  /// Restores a previously saved index over a DAG of `num_vertices`
+  /// vertices instead of constructing it — the restart-without-rebuild
+  /// path. The oracle serves its sealed index straight out of `region`
+  /// (util/mapped_blob.h: an mmap of the snapshot file, or the same bytes
+  /// read onto the heap), retaining the region's blob for the oracle's
+  /// lifetime, so load cost is O(pages validated), not O(index size). Like
+  /// Build it may run exactly once, records build_stats() (build_millis is
+  /// the load time), and leaves the oracle ready to answer queries for
+  /// exactly the graph the snapshot was saved from. The vertex count is
+  /// all a load checks (the sealed blob carries it, but not the edges), so
+  /// callers are responsible for pairing snapshot and graph. NotSupported
+  /// unless SupportsSnapshot().
+  Status LoadMapped(size_t num_vertices, MappedRegion region);
 
   /// Writes the built index to `out` in the method's sealed snapshot
   /// format (core/label_store.h for the labeling oracles). Only valid
@@ -149,10 +151,10 @@ class ReachabilityOracle {
   virtual Status SaveIndex(std::ostream& out) const;
 
   /// True when this oracle implements SaveIndex/LoadMapped. The
-  /// labeling-based methods (DL, HL/TF, 2HOP) do: their whole query
-  /// state is one sealed LabelStore blob, and the bytes SaveIndex writes
-  /// are the bytes LoadMapped serves. Traversal- and TC-based methods do
-  /// not.
+  /// labeling-based methods (DL, HL/TF, 2HOP: core/labeling_oracle.h) do:
+  /// their whole query state is one sealed LabelStore blob, and the bytes
+  /// SaveIndex writes are the bytes LoadMapped serves. Traversal- and
+  /// TC-based methods do not.
   virtual bool SupportsSnapshot() const { return false; }
 
   /// True iff u reaches v. Only valid after a successful Build.
@@ -187,11 +189,12 @@ class ReachabilityOracle {
   virtual Status BuildIndex(const Dag& dag) = 0;
 
   /// Method-specific snapshot restore; invoked exactly once by
-  /// LoadMapped(). Implementations validate the (untrusted) region
-  /// without ever touching bytes past its end, retain region.blob for
-  /// every pointer they keep into it, and leave the oracle answering
-  /// exactly as the saved one did.
-  virtual Status LoadIndexMapped(const Digraph& dag, MappedRegion region);
+  /// LoadMapped(), on an oracle that was never built. Implementations
+  /// validate the (untrusted) region without ever touching bytes past its
+  /// end, check it against `num_vertices`, retain region.blob for every
+  /// pointer they keep into it, and leave the oracle answering exactly as
+  /// the saved one did.
+  virtual Status LoadIndexMapped(size_t num_vertices, MappedRegion region);
 
   /// Hook for method-specific BuildStats fields, invoked by
   /// Build()/LoadMapped() after the common fields are filled (the

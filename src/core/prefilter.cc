@@ -408,24 +408,23 @@ Status PrefilterOracle::SaveIndex(std::ostream& out) const {
   return inner_->SaveIndex(out);
 }
 
-Status PrefilterOracle::LoadIndexMapped(const Digraph& dag,
+Status PrefilterOracle::LoadIndexMapped(size_t num_vertices,
                                         MappedRegion region) {
   if (!inner_->SupportsSnapshot()) {
     return Status::NotSupported(name() + " does not support index snapshots");
   }
   // The aux columns are deep-validated and copied (see LoadAux); only the
   // wrapped labeling blob that follows is zero-copy.
-  REACH_RETURN_IF_ERROR(LoadAux(dag, region.bytes()));
+  REACH_RETURN_IF_ERROR(LoadAux(num_vertices, region.bytes()));
   // LoadAux consumed the aux section plus its alignment pad, so the inner
   // blob offset is 8-aligned relative to the (64-aligned) region start.
   const size_t n = records_.size();
   const size_t consumed = AuxSectionBytes(n, supports_.size()) +
                           AuxPadBytes(n, supports_.size());
-  return inner_->LoadMapped(dag, region.Subregion(consumed));
+  return inner_->LoadMapped(num_vertices, region.Subregion(consumed));
 }
 
-Status PrefilterOracle::LoadAux(const Digraph& dag,
-                                std::span<const std::byte> bytes) {
+Status PrefilterOracle::LoadAux(size_t n, std::span<const std::byte> bytes) {
   AuxReader in{bytes};
   uint64_t magic = 0;
   if (!ReadPod(in, &magic)) {
@@ -439,7 +438,6 @@ Status PrefilterOracle::LoadAux(const Digraph& dag,
   if (!ReadPod(in, &declared_n) || !ReadPod(in, &declared_k)) {
     return Status::Corruption("truncated prefilter snapshot header");
   }
-  const size_t n = dag.num_vertices();
   if (declared_n != n) {
     return Status::Corruption(
         "prefilter snapshot is for " + std::to_string(declared_n) +

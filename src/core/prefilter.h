@@ -110,7 +110,7 @@ class PrefilterOracle : public ReachabilityOracle {
 
  protected:
   Status BuildIndex(const Dag& dag) override;
-  Status LoadIndexMapped(const Digraph& dag, MappedRegion region) override;
+  Status LoadIndexMapped(size_t num_vertices, MappedRegion region) override;
   void AnnotateBuildStats(BuildStats& stats) const override;
 
  private:
@@ -145,12 +145,12 @@ class PrefilterOracle : public ReachabilityOracle {
 
   void BuildAux(const Dag& dag);
   /// LoadIndexMapped's front half: parses and validates the aux section
-  /// (header, columns, alignment pad) from the front of `bytes`; the
-  /// wrapped oracle's blob follows it. The aux columns are index-typed
-  /// (they address arrays at query time), so they are always
+  /// of an `n`-vertex DAG (header, columns, alignment pad) from the front
+  /// of `bytes`; the wrapped oracle's blob follows it. The aux columns are
+  /// index-typed (they address arrays at query time), so they are always
   /// deep-validated and copied into the records — only the wrapped
   /// labeling is zero-copy.
-  Status LoadAux(const Digraph& dag, std::span<const std::byte> bytes);
+  Status LoadAux(size_t n, std::span<const std::byte> bytes);
 
   std::unique_ptr<ReachabilityOracle> inner_;
   std::vector<QueryRecord> records_;

@@ -75,7 +75,8 @@ StatusOr<ReachabilityIndex> ReachabilityIndex::LoadMapped(
   // acyclicity re-check (see IdentityLoadApplies). The peek is untrusted;
   // the oracle's validated cross-check rejects a forged count.
   if (IdentityLoadApplies(g, PeekMappedVertexCount(region))) {
-    const Status status = oracle->LoadMapped(g, std::move(region));
+    const Status status =
+        oracle->LoadMapped(g.num_vertices(), std::move(region));
     if (stats_out != nullptr) *stats_out = oracle->build_stats();
     REACH_RETURN_IF_ERROR(status);
     return ReachabilityIndex(g, std::move(oracle));
@@ -85,7 +86,8 @@ StatusOr<ReachabilityIndex> ReachabilityIndex::LoadMapped(
   // saved over the condensation of the same graph, so the vertex-count
   // cross-check inside the load catches a snapshot/graph mismatch.
   Condensation condensation = CondenseToDag(g);
-  const Status status = oracle->LoadMapped(condensation.dag, std::move(region));
+  const Status status = oracle->LoadMapped(condensation.num_components,
+                                             std::move(region));
   if (stats_out != nullptr) *stats_out = oracle->build_stats();
   REACH_RETURN_IF_ERROR(status);
   return ReachabilityIndex(std::move(condensation), std::move(oracle));

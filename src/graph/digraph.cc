@@ -113,15 +113,6 @@ std::vector<Edge> Digraph::CollectEdges() const {
   return edges;
 }
 
-Digraph Digraph::Reversed() const {
-  std::vector<Edge> edges;
-  edges.reserve(num_edges());
-  for (Vertex v = 0; v < num_vertices_; ++v) {
-    for (Vertex w : OutNeighbors(v)) edges.push_back(Edge{w, v});
-  }
-  return FromEdges(num_vertices_, std::move(edges));
-}
-
 Digraph Digraph::InducedSubgraphSameIds(
     const std::vector<Vertex>& members) const {
   std::vector<bool> in_set(num_vertices_, false);

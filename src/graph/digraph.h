@@ -112,9 +112,6 @@ class Digraph {
   /// All edges, grouped by source ascending.
   std::vector<Edge> CollectEdges() const;
 
-  /// Graph with every edge reversed.
-  Digraph Reversed() const;
-
   /// Subgraph induced on the given sorted vertex subset, with the *same*
   /// vertex id space (non-members have no edges). Used by the hierarchical
   /// decomposition, which keeps global ids across levels.

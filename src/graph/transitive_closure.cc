@@ -16,7 +16,8 @@ constexpr size_t kRowGrain = 8;
 
 StatusOr<TransitiveClosure> TransitiveClosure::Compute(const Dag& dag,
                                                        size_t max_bytes,
-                                                       int threads) {
+                                                       int threads,
+                                                       Direction direction) {
   const Digraph& g = dag.graph();
   const size_t n = g.num_vertices();
   const size_t bytes = n * ((n + 63) / 64) * 8;
@@ -26,10 +27,13 @@ StatusOr<TransitiveClosure> TransitiveClosure::Compute(const Dag& dag,
   }
   TransitiveClosure tc;
   tc.rows_.assign(n, Bitset(n));
-  // DP over depth strata. depth[v] = longest path from v to a sink; every
-  // out-neighbor is strictly deeper, so once all rows of depth < d are
-  // complete the rows at depth d are independent of each other.
-  const std::vector<uint32_t> depth = dag.LongestPathLevels(/*to_sinks=*/true);
+  // DP over depth strata. depth[v] = longest path from v to a sink (from
+  // a source to v, for ancestors); every neighbour a row ORs in is strictly
+  // shallower, so once all rows of depth < d are complete the rows at depth
+  // d are independent of each other.
+  const bool descendants = direction == Direction::kDescendants;
+  const std::vector<uint32_t> depth =
+      dag.LongestPathLevels(/*to_sinks=*/descendants);
   const uint32_t max_depth =
       n == 0 ? 0 : *std::max_element(depth.begin(), depth.end());
   // Bucket by depth (counting sort keeps vertex order inside a stratum
@@ -49,7 +53,8 @@ StatusOr<TransitiveClosure> TransitiveClosure::Compute(const Dag& dag,
                   const Vertex v = by_depth[i];
                   Bitset& row = tc.rows_[v];
                   row.Set(v);
-                  for (Vertex w : g.OutNeighbors(v)) {
+                  for (Vertex w : descendants ? g.OutNeighbors(v)
+                                              : g.InNeighbors(v)) {
                     row.UnionWith(tc.rows_[w]);
                   }
                 });

@@ -101,21 +101,27 @@ ReachServer::~ReachServer() {
   if (wake_wr >= 0) ::close(wake_wr);
 }
 
+StatusOr<std::unique_ptr<ReachabilityOracle>> ReachServer::MakeServedOracle(
+    const std::string& method, bool prefilter, bool need_snapshot) {
+  std::unique_ptr<ReachabilityOracle> oracle = MakeOracle(method);
+  if (oracle == nullptr) {
+    return Status::InvalidArgument("unknown oracle '" + method + "'");
+  }
+  if (prefilter) oracle = std::make_unique<PrefilterOracle>(std::move(oracle));
+  if (need_snapshot && !oracle->SupportsSnapshot()) {
+    return Status::InvalidArgument(
+        "method '" + method +
+        "' does not support index snapshots (snapshot-capable: DL, HL, TF, "
+        "2HOP)");
+  }
+  return oracle;
+}
+
 Status ReachServer::Start(const Digraph& graph,
                           const ServerOptions& options) {
   if (started_) {
     return Status::InvalidArgument("server already started");
   }
-  std::unique_ptr<ReachabilityOracle> oracle = MakeOracle(options.method);
-  if (oracle == nullptr) {
-    return Status::InvalidArgument("unknown oracle '" + options.method +
-                                   "'");
-  }
-  if (options.prefilter) {
-    oracle = std::make_unique<PrefilterOracle>(std::move(oracle));
-  }
-  prefilter_ = options.prefilter;
-  oracle->set_budget(options.budget);
   if (!options.save_index_path.empty() &&
       !options.load_index_path.empty()) {
     // Refuse the ambiguous combination rather than silently ignoring the
@@ -123,16 +129,16 @@ Status ReachServer::Start(const Digraph& graph,
     return Status::InvalidArgument(
         "save_index_path and load_index_path are mutually exclusive");
   }
-  if ((!options.save_index_path.empty() ||
-       !options.load_index_path.empty()) &&
-      !oracle->SupportsSnapshot()) {
-    // Fail before paying for a build whose snapshot write would then be
-    // refused (or a condensation whose load would).
-    return Status::InvalidArgument(
-        "method '" + options.method +
-        "' does not support index snapshots (snapshot-capable: DL, HL, TF, "
-        "2HOP)");
-  }
+  // A snapshot path fails here, before paying for a build whose snapshot
+  // write would then be refused (or a condensation whose load would).
+  StatusOr<std::unique_ptr<ReachabilityOracle>> made = MakeServedOracle(
+      options.method, options.prefilter,
+      /*need_snapshot=*/!options.save_index_path.empty() ||
+          !options.load_index_path.empty());
+  if (!made.ok()) return made.status();
+  std::unique_ptr<ReachabilityOracle> oracle = std::move(*made);
+  prefilter_ = options.prefilter;
+  oracle->set_budget(options.budget);
   info_log_ = options.info_log;
   Timer load_timer;
   if (!options.load_index_path.empty()) {
@@ -404,25 +410,18 @@ Status ReachServer::ReloadFromSnapshot(const std::string& path) {
   // full snapshot load only for all but the last publish to be wasted,
   // and the transient memory footprint stays bounded at two indexes.
   MutexLock lock(swap_mu_);
-  std::unique_ptr<ReachabilityOracle> oracle = MakeOracle(context_.method);
-  if (oracle == nullptr || !oracle->SupportsSnapshot()) {
-    return Status::InvalidArgument(
-        "method '" + context_.method +
-        "' does not support index snapshots (snapshot-capable: DL, HL, TF, "
-        "2HOP)");
-  }
   // A prefilter server snapshots (and therefore reloads) the screening
   // columns in front of the oracle blob; re-wrap so the formats line up.
-  if (prefilter_) {
-    oracle = std::make_unique<PrefilterOracle>(std::move(oracle));
-  }
+  StatusOr<std::unique_ptr<ReachabilityOracle>> oracle = MakeServedOracle(
+      context_.method, prefilter_, /*need_snapshot=*/true);
+  if (!oracle.ok()) return oracle.status();
   // Strict validation before the swap: same method, same graph shape, and
   // a label blob that passes the hardened reader (stream or mapped). Every
   // failure below returns with the live index untouched.
   Timer load_timer;
   bool mapped = false;
   StatusOr<ReachabilityIndex> next = LoadIndexSnapshotFile(
-      path, context_.method, *graph_, std::move(oracle), nullptr, &mapped);
+      path, context_.method, *graph_, std::move(*oracle), nullptr, &mapped);
   if (!next.ok()) return next.status();
   // Atomic publish: new queries acquire the new index; in-flight queries
   // finish on the old one, which dies with its last reference — and with

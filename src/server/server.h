@@ -171,6 +171,11 @@ class ReachServer {
   void ServeConnections() EXCLUDES(mu_);
   void HandleConnection(int fd) EXCLUDES(mu_);
   void InitiateDrain() EXCLUDES(mu_);
+  /// A fresh oracle of `method` for Start or RELOAD, behind the pre-filter
+  /// when `prefilter`. InvalidArgument for an unknown method, and with
+  /// `need_snapshot` for one that cannot save and load index snapshots.
+  static StatusOr<std::unique_ptr<ReachabilityOracle>> MakeServedOracle(
+      const std::string& method, bool prefilter, bool need_snapshot);
   /// RELOAD: loads + validates the snapshot at `path` and atomically
   /// publishes it; any failure returns without touching the live index.
   Status ReloadFromSnapshot(const std::string& path) EXCLUDES(swap_mu_);

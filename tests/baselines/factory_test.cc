@@ -7,10 +7,12 @@
 #include <algorithm>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "gtest/gtest.h"
 
 #include "core/distribution_labeling.h"
+#include "core/labeling_oracle.h"
 #include "core/prefilter.h"
 #include "tests/test_util.h"
 
@@ -35,6 +37,22 @@ TEST(FactoryTest, EveryRegisteredNameConstructs) {
     ASSERT_NE(oracle, nullptr) << name;
     EXPECT_FALSE(oracle->name().empty()) << name;
   }
+}
+
+// Snapshots are the labeling oracles' sealed label blob, so exactly the
+// LabelingOracle subclasses save and load them.
+TEST(FactoryTest, ExactlyTheLabelingOraclesSupportSnapshots) {
+  std::vector<std::string> labeling;
+  for (const std::string& name : AllOracleNames()) {
+    std::unique_ptr<ReachabilityOracle> oracle = MakeOracle(name);
+    ASSERT_NE(oracle, nullptr) << name;
+    const bool is_labeling =
+        dynamic_cast<const LabelingOracle*>(oracle.get()) != nullptr;
+    EXPECT_EQ(oracle->SupportsSnapshot(), is_labeling) << name;
+    if (is_labeling) labeling.push_back(name);
+  }
+  std::sort(labeling.begin(), labeling.end());
+  EXPECT_EQ(labeling, (std::vector<std::string>{"2HOP", "DL", "HL", "TF"}));
 }
 
 TEST(FactoryTest, PaperNamesAreSubsetOfRegistry) {

@@ -33,12 +33,16 @@ struct Labels {
 };
 
 // The canonical labeling of `order` with hop keys `key_of`, straight from
-// its definition over the closure and the reverse closure.
+// its definition over the descendant and ancestor closures.
 Labels CanonicalLabels(const Digraph& g, const std::vector<Vertex>& order,
                        const std::vector<uint32_t>& key_of) {
   const size_t n = g.num_vertices();
-  auto desc = TransitiveClosure::Compute(*Dag::Check(g));
-  auto anc = TransitiveClosure::Compute(*Dag::Check(g.Reversed()));
+  const StatusOr<Dag> dag = Dag::Check(g);
+  EXPECT_TRUE(dag.ok());
+  auto desc = TransitiveClosure::Compute(*dag);
+  auto anc = TransitiveClosure::Compute(
+      *dag, /*max_bytes=*/0, /*threads=*/1,
+      TransitiveClosure::Direction::kAncestors);
   EXPECT_TRUE(desc.ok() && anc.ok());
   Labels labels;
   labels.out.resize(n);

@@ -580,24 +580,6 @@ TEST(LabelStoreMappedTest, RejectsBadOffsetsArrays) {
   EXPECT_NE(status.message().find("padding"), std::string::npos);
 }
 
-TEST(LabelStoreMappedTest, MapLabelStoreForCrossChecksVertexCount) {
-  auto blob = testing_util::MapBytes(LabelBytes(SampleStore()),
-                                       "label_store.crosscheck");
-  ASSERT_NE(blob, nullptr);
-  const Digraph match = Digraph::FromEdges(3, {{0, 1}});
-  auto ok = MapLabelStoreFor(match, MappedRegion{blob, 0}, "test oracle");
-  ASSERT_TRUE(ok.ok()) << ok.status().ToString();
-  EXPECT_TRUE(*ok == SampleStore());
-
-  const Digraph mismatch = Digraph::FromEdges(4, {{0, 1}});
-  const Status status =
-      MapLabelStoreFor(mismatch, MappedRegion{blob, 0}, "test oracle")
-          .status();
-  EXPECT_TRUE(status.IsCorruption());
-  EXPECT_NE(status.message().find("test oracle"), std::string::npos);
-}
-
-
 // --- Validate(): the explicit full scan of key values FromMapped skips.
 
 TEST(LabelStoreValidateTest, AcceptsWellFormedStoresOfEveryBacking) {

@@ -239,7 +239,8 @@ TEST(PrefilterSnapshotTest, RoundTripRestoresAuxArraysAndAnswers) {
 
   PrefilterOracle loaded(std::make_unique<DistributionLabelingOracle>());
   ASSERT_TRUE(
-      loaded.LoadMapped(g, MappedRegion{testing_util::OwnedBlob(original), 0})
+      loaded.LoadMapped(g.num_vertices(),
+                        MappedRegion{testing_util::OwnedBlob(original), 0})
           .ok());
   for (Vertex u = 0; u < g.num_vertices(); ++u) {
     for (Vertex v = 0; v < g.num_vertices(); ++v) {
@@ -292,7 +293,7 @@ class PrefilterCorruptBlobTest : public ::testing::Test {
   Status LoadBlob(const std::string& bytes) {
     PrefilterOracle oracle(std::make_unique<DistributionLabelingOracle>());
     return oracle.LoadMapped(
-        graph_, MappedRegion{testing_util::OwnedBlob(bytes), 0});
+        graph_.num_vertices(), MappedRegion{testing_util::OwnedBlob(bytes), 0});
   }
 
   Digraph graph_;

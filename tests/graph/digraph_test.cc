@@ -73,15 +73,6 @@ TEST(DigraphTest, CollectEdgesRoundTrip) {
   EXPECT_EQ(collected, edges);
 }
 
-TEST(DigraphTest, ReversedSwapsDirections) {
-  Digraph g = Digraph::FromEdges(3, {{0, 1}, {1, 2}});
-  Digraph r = g.Reversed();
-  EXPECT_TRUE(r.HasEdge(1, 0));
-  EXPECT_TRUE(r.HasEdge(2, 1));
-  EXPECT_FALSE(r.HasEdge(0, 1));
-  EXPECT_EQ(r.num_edges(), g.num_edges());
-}
-
 TEST(DigraphTest, InducedSubgraphSameIds) {
   Digraph g = Digraph::FromEdges(5, {{0, 1}, {1, 2}, {2, 3}, {3, 4}, {0, 4}});
   Digraph sub = g.InducedSubgraphSameIds({0, 1, 4});

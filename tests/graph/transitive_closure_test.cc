@@ -67,5 +67,36 @@ TEST(TransitiveClosureTest, RowBitsMatchReachable) {
   }
 }
 
+// The ancestor closure is the descendant closure transposed: v is in u's
+// ancestor row iff u is in v's descendant row, at every thread count and
+// on the degenerate empty and one-vertex DAGs.
+TEST(TransitiveClosureTest, AncestorRowsTransposeDescendantRows) {
+  const Digraph graphs[] = {RandomDag(0, 0, 1),        RandomDag(1, 0, 2),
+                            RandomDag(2, 1, 3),        RandomDag(90, 250, 4),
+                            RandomDag(200, 1200, 5),   TreeLikeDag(120, 12, 6)};
+  for (const Digraph& g : graphs) {
+    const StatusOr<Dag> dag = Dag::Check(g);
+    ASSERT_TRUE(dag.ok());
+    const size_t n = g.num_vertices();
+    auto desc = TransitiveClosure::Compute(*dag);
+    ASSERT_TRUE(desc.ok());
+    for (const int threads : {1, 4}) {
+      auto anc = TransitiveClosure::Compute(
+          *dag, /*max_bytes=*/0, threads,
+          TransitiveClosure::Direction::kAncestors);
+      ASSERT_TRUE(anc.ok());
+      ASSERT_EQ(anc->num_vertices(), n);
+      EXPECT_EQ(anc->TotalPairs(), desc->TotalPairs()) << "n " << n;
+      for (Vertex u = 0; u < n; ++u) {
+        for (Vertex v = 0; v < n; ++v) {
+          ASSERT_EQ(anc->Row(u).Test(v), desc->Row(v).Test(u))
+              << "n " << n << " threads " << threads << " pair (" << u
+              << "," << v << ")";
+        }
+      }
+    }
+  }
+}
+
 }  // namespace
 }  // namespace reach

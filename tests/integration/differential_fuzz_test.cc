@@ -16,6 +16,7 @@
 #include "baselines/twohop.h"
 #include "core/distribution_labeling.h"
 #include "core/hierarchical_labeling.h"
+#include "core/labeling_oracle.h"
 #include "core/prefilter.h"
 #include "graph/generators.h"
 #include "graph/topology.h"
@@ -37,15 +38,7 @@ class DifferentialFuzzTest : public ::testing::TestWithParam<uint64_t> {};
 
 /// The label store behind one of the labeling oracles.
 const LabelStore& LabelsOf(const ReachabilityOracle& oracle) {
-  if (const auto* dl =
-          dynamic_cast<const DistributionLabelingOracle*>(&oracle)) {
-    return dl->labeling();
-  }
-  if (const auto* hl =
-          dynamic_cast<const HierarchicalLabelingOracle*>(&oracle)) {
-    return hl->labeling();
-  }
-  return dynamic_cast<const TwoHopOracle&>(oracle).labeling();
+  return dynamic_cast<const LabelingOracle&>(oracle).labeling();
 }
 
 TEST_P(DifferentialFuzzTest, OraclesAgreeWithBfs) {
@@ -251,11 +244,11 @@ TEST_P(DifferentialFuzzTest, MappedSnapshotMatchesOwnedAndBuiltAnswers) {
       std::unique_ptr<ReachabilityOracle> owned = MakeOracle(method);
       const MappedRegion owned_region{
           testing_util::MapBytes(bytes, tag, /*owned=*/true), 0};
-      ASSERT_TRUE(owned->LoadMapped(g, owned_region).ok())
+      ASSERT_TRUE(owned->LoadMapped(g.num_vertices(), owned_region).ok())
           << method << " seed " << seed;
       std::unique_ptr<ReachabilityOracle> mapped = MakeOracle(method);
       const MappedRegion mapped_region{testing_util::MapBytes(bytes, tag), 0};
-      ASSERT_TRUE(mapped->LoadMapped(g, mapped_region).ok())
+      ASSERT_TRUE(mapped->LoadMapped(g.num_vertices(), mapped_region).ok())
           << method << " seed " << seed;
       EXPECT_FALSE(LabelsOf(*owned).mapped()) << method;
       EXPECT_EQ(LabelsOf(*mapped).mapped(), MappedBlob::PlatformSupportsMmap())
@@ -318,7 +311,7 @@ TEST_P(DifferentialFuzzTest, FlippedKeyByteIsCaughtByValidate) {
                             std::to_string(seed);
     std::unique_ptr<ReachabilityOracle> loaded = MakeOracle(method);
     const MappedRegion region{testing_util::MapBytes(bytes, tag), 0};
-    ASSERT_TRUE(loaded->LoadMapped(g, region).ok())
+    ASSERT_TRUE(loaded->LoadMapped(g.num_vertices(), region).ok())
         << method << " seed " << seed;
     const Status status = LabelsOf(*loaded).Validate();
     EXPECT_TRUE(status.IsCorruption()) << method << " seed " << seed;

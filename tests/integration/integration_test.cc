@@ -143,9 +143,10 @@ TEST(IntegrationTest, IndexSnapshotRoundTripsAcrossOracles) {
     const std::string bytes = testing_util::SaveIndexBytes(*built);
 
     auto loaded = MakeOracle(name);
-    ASSERT_TRUE(
-        loaded->LoadMapped(g, MappedRegion{testing_util::OwnedBlob(bytes), 0})
-            .ok())
+    ASSERT_TRUE(loaded
+                    ->LoadMapped(g.num_vertices(),
+                                 MappedRegion{testing_util::OwnedBlob(bytes), 0})
+                    .ok())
         << name;
     EXPECT_TRUE(loaded->build_stats().ok) << name;
     EXPECT_EQ(loaded->IndexSizeIntegers(), built->IndexSizeIntegers())
@@ -160,18 +161,26 @@ TEST(IntegrationTest, IndexSnapshotRoundTripsAcrossOracles) {
   }
 }
 
+// A mapped load checks the snapshot against the vertex count it is given;
+// a wrong count is Corruption naming the oracle.
 TEST(IntegrationTest, SnapshotLoadRejectsMismatchedGraph) {
   Digraph g = RandomDag(100, 250, 91);
-  DistributionLabelingOracle built;
-  ASSERT_TRUE(built.Build(g).ok());
-  const std::string bytes = testing_util::SaveIndexBytes(built);
+  for (const std::string name : {"DL", "HL", "TF", "2HOP"}) {
+    auto built = MakeOracle(name);
+    ASSERT_TRUE(built->Build(g).ok()) << name;
+    const std::string bytes = testing_util::SaveIndexBytes(*built);
 
-  Digraph other = RandomDag(101, 250, 92);
-  DistributionLabelingOracle loaded;
-  const Status status =
-      loaded.LoadMapped(other, MappedRegion{testing_util::OwnedBlob(bytes), 0});
-  EXPECT_TRUE(status.IsCorruption()) << status.ToString();
-  EXPECT_FALSE(loaded.build_stats().ok);
+    auto loaded = MakeOracle(name);
+    const Status status =
+        loaded->LoadMapped(/*num_vertices=*/101,
+                           MappedRegion{testing_util::OwnedBlob(bytes), 0});
+    EXPECT_TRUE(status.IsCorruption()) << name << ": " << status.ToString();
+    EXPECT_NE(status.message().find(name + " snapshot covers 100 vertices, "
+                                           "graph has 101"),
+              std::string::npos)
+        << status.ToString();
+    EXPECT_FALSE(loaded->build_stats().ok) << name;
+  }
 }
 
 TEST(IntegrationTest, SnapshotNotSupportedOracleSaysSo) {
