@@ -1,7 +1,8 @@
 // Google-benchmark micro benchmarks for the hot primitives: sorted-vector
 // intersection (the query inner loop), bitset row unions (TC construction),
 // PWAH compress/probe, bounded BFS, end-to-end DL/HL/GRAIL builds on a
-// fixed mid-size graph, and the streamed edge-list reader.
+// fixed mid-size graph, a frame of label queries one by one against the
+// prefetch pipeline, and the streamed edge-list reader.
 
 #include <benchmark/benchmark.h>
 
@@ -9,7 +10,9 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <memory>
 #include <random>
+#include <span>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -19,6 +22,7 @@
 #include "core/distribution_labeling.h"
 #include "core/hierarchical_labeling.h"
 #include "core/label_store.h"
+#include "core/labeling_oracle.h"
 #include "datasets/registry.h"
 #include "graph/generators.h"
 #include "graph/graph_io.h"
@@ -339,6 +343,87 @@ void BM_QueryDL(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_QueryDL);
+
+/// A sealed label store over a registry stand-in, with 2^20 uniform random
+/// pairs: HL on cit-Patents (13.3 MB, larger than a core's L2) or DL on
+/// arxiv (3.9 MB), as perfbench's serving workloads index them.
+struct QueryStore {
+  QueryStore(const char* dataset, std::unique_ptr<LabelingOracle> built) {
+    const StatusOr<DatasetSpec> spec = FindDataset(dataset);
+    if (!spec.ok()) return;
+    graph = MakeDataset(*spec);
+    if (!built->Build(graph).ok()) return;
+    oracle = std::move(built);
+    Rng rng(20261021);
+    const size_t n = graph.num_vertices();
+    pairs.resize(size_t{1} << 20);
+    for (VertexPair& pair : pairs) {
+      pair.u = static_cast<Vertex>(rng.Uniform(n));
+      pair.v = static_cast<Vertex>(rng.Uniform(n));
+    }
+  }
+
+  Digraph graph;
+  std::unique_ptr<LabelingOracle> oracle;
+  std::vector<VertexPair> pairs;
+};
+
+/// Arg 0: HL on cit-Patents; 1: DL on arxiv. Built once per process.
+const QueryStore& QueryStoreFor(int64_t which) {
+  static const QueryStore hl(
+      "cit-Patents", std::make_unique<HierarchicalLabelingOracle>());
+  static const QueryStore dl(
+      "arxiv", std::make_unique<DistributionLabelingOracle>());
+  return which == 0 ? hl : dl;
+}
+
+/// Runs `frame(pairs, answers)` over the store's pairs in 1000-pair
+/// frames, cycling through them, and reports ns per pair.
+template <typename Frame>
+void QueryFrames(benchmark::State& state, Frame frame) {
+  const QueryStore& store = QueryStoreFor(state.range(0));
+  if (store.oracle == nullptr) {
+    state.SkipWithError("cannot build the stand-in's labels");
+    return;
+  }
+  constexpr size_t kFrame = 1000;
+  std::vector<uint8_t> answers(kFrame);
+  size_t at = 0;
+  for (auto _ : state) {
+    if (at + kFrame > store.pairs.size()) at = 0;
+    frame(store.oracle->labeling(),
+          std::span<const VertexPair>(store.pairs.data() + at, kFrame),
+          std::span<uint8_t>(answers));
+    benchmark::DoNotOptimize(answers.data());
+    benchmark::ClobberMemory();
+    at += kFrame;
+  }
+  state.counters["ns/pair"] = benchmark::Counter(
+      static_cast<double>(state.iterations() * kFrame),
+      benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+}
+
+// The frame answered one LabelStore::Query after another.
+void BM_QueryLoop(benchmark::State& state) {
+  QueryFrames(state, [](const LabelStore& labels,
+                        std::span<const VertexPair> pairs,
+                        std::span<uint8_t> answers) {
+    for (size_t i = 0; i < pairs.size(); ++i) {
+      answers[i] = labels.Query(pairs[i].u, pairs[i].v) ? 1 : 0;
+    }
+  });
+}
+BENCHMARK(BM_QueryLoop)->Arg(0)->Arg(1);
+
+// The same frames through the prefetch pipeline of LabelStore::QueryMany.
+void BM_QueryMany(benchmark::State& state) {
+  QueryFrames(state, [](const LabelStore& labels,
+                        std::span<const VertexPair> pairs,
+                        std::span<uint8_t> answers) {
+    labels.QueryMany(pairs, answers);
+  });
+}
+BENCHMARK(BM_QueryMany)->Arg(0)->Arg(1);
 
 /// How the edge lines of a benchmark edge list are ordered.
 enum class LineOrder {

@@ -33,6 +33,26 @@ constexpr size_t kHeaderBytes = 4 * sizeof(uint64_t);
 // --stats` runs at 4 threads, 4-vCPU x86-64 VM).
 constexpr size_t kSealBlockGrain = 16;
 
+// How many pairs ahead of the one it intersects QueryMany locates a
+// pair's spans and starts loading their end lines. Measured with
+// bench_micro's BM_QueryLoop against BM_QueryMany, uniform pairs in
+// 1000-pair frames (medians of 8 interleaved repetitions, three runs,
+// 4-vCPU x86-64 VM with 2 MiB of L2 per core):
+//   HL, cit-Patents stand-in (13.3 MB)  loop 61.0-65.8 ns/pair, D=4 48.8-50.8
+//   DL, arxiv (3.9 MB)                  loop 42.8-45.9 ns/pair, D=4 36.3-39.4
+// D = 8 and 16 read the same as 4 within the VM's noise, and D = 2
+// gained less. Prefetching every line of a span, its midpoint, or the
+// offsets a further D pairs ahead measured no better than the end lines.
+constexpr size_t kAhead = 4;
+
+// Starts loading the first and last key line of a label span: the two
+// lines the range rejection of SortedIntersects reads first.
+void PrefetchEnds(std::span<const uint32_t> keys) {
+  if (keys.empty()) return;
+  __builtin_prefetch(keys.data());
+  __builtin_prefetch(keys.data() + keys.size() - 1);
+}
+
 // A row arena's first chunk; each next chunk doubles, up to the largest,
 // or holds exactly the block that did not fit. Chunks are fresh pages:
 // only what is carved becomes resident, and the untouched tail of a
@@ -342,6 +362,26 @@ LabelStore LabelBuilder::Seal(int threads) && {
       });
   if (!blob.ok()) throw std::bad_alloc();
   return LabelStore(MappedRegion{std::move(*blob), 0});
+}
+
+void LabelStore::QueryMany(std::span<const VertexPair> pairs,
+                           std::span<uint8_t> answers) const {
+  // The located spans of the kAhead pairs after the one being intersected;
+  // pair i's sit in slot i % kAhead.
+  std::array<std::span<const uint32_t>, kAhead> out;
+  std::array<std::span<const uint32_t>, kAhead> in;
+  const auto locate = [&](size_t i) {
+    out[i % kAhead] = Out(pairs[i].u);
+    in[i % kAhead] = In(pairs[i].v);
+    PrefetchEnds(out[i % kAhead]);
+    PrefetchEnds(in[i % kAhead]);
+  };
+  const size_t n = pairs.size();
+  for (size_t i = 0; i < std::min(n, kAhead); ++i) locate(i);
+  for (size_t i = 0; i < n; ++i) {
+    answers[i] = SortedIntersects(out[i % kAhead], in[i % kAhead]) ? 1 : 0;
+    if (i + kAhead < n) locate(i + kAhead);
+  }
 }
 
 size_t LabelStore::MemoryBytes() const {

@@ -90,6 +90,16 @@ class LabelStore {
     return SortedIntersects(Out(u), In(v));
   }
 
+  /// answers[i] = Query(pairs[i].u, pairs[i].v) for every i (equal-length
+  /// spans). On an index larger than the cache a query is a chain of
+  /// misses, the offsets and then the keys they locate, so this runs the
+  /// frame as a two-stage software pipeline: a few pairs ahead of the one
+  /// it intersects, it locates a pair's two spans (the offsets loads) and
+  /// starts loading their first and last key lines (all that range
+  /// rejection reads), so the misses of consecutive pairs overlap.
+  void QueryMany(std::span<const VertexPair> pairs,
+                 std::span<uint8_t> answers) const;
+
   /// Total number of stored label entries, i.e. the paper's "index size in
   /// number of integers" metric (Figures 3 and 4).
   uint64_t TotalEntries() const {

@@ -7,6 +7,16 @@
 
 namespace reach {
 
+void LabelingOracle::ReachableMany(std::span<const VertexPair> pairs,
+                                   std::span<uint8_t> answers) const {
+  labeling_.QueryMany(pairs, answers);
+  // Reachable is reflexive, while a vertex's own two labels need not
+  // share a hop.
+  for (size_t i = 0; i < pairs.size(); ++i) {
+    if (pairs[i].u == pairs[i].v) answers[i] = 1;
+  }
+}
+
 Status LabelingOracle::LoadIndexMapped(size_t num_vertices,
                                        MappedRegion region) {
   StatusOr<LabelStore> mapped = LabelStore::FromMapped(std::move(region));

@@ -11,6 +11,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <iosfwd>
+#include <span>
 
 #include "core/label_store.h"
 #include "core/oracle.h"
@@ -30,6 +31,10 @@ class LabelingOracle : public ReachabilityOracle {
   bool Reachable(Vertex u, Vertex v) const final {
     return u == v || labeling_.Query(u, v);
   }
+  /// The frame's lookups run through LabelStore::QueryMany's prefetch
+  /// pipeline.
+  void ReachableMany(std::span<const VertexPair> pairs,
+                     std::span<uint8_t> answers) const final;
 
   bool SupportsSnapshot() const final { return true; }
   Status SaveIndex(std::ostream& out) const final {

@@ -62,6 +62,13 @@ Status ReachabilityOracle::LoadMapped(size_t num_vertices,
   return status;
 }
 
+void ReachabilityOracle::ReachableMany(std::span<const VertexPair> pairs,
+                                       std::span<uint8_t> answers) const {
+  for (size_t i = 0; i < pairs.size(); ++i) {
+    answers[i] = Reachable(pairs[i].u, pairs[i].v) ? 1 : 0;
+  }
+}
+
 Status ReachabilityOracle::SaveIndex(std::ostream&) const {
   return Status::NotSupported(name() + " does not support index snapshots");
 }

@@ -8,6 +8,7 @@
 #include <cstdint>
 #include <iosfwd>
 #include <memory>
+#include <span>
 #include <string>
 
 #include "graph/digraph.h"
@@ -159,6 +160,14 @@ class ReachabilityOracle {
 
   /// True iff u reaches v. Only valid after a successful Build.
   virtual bool Reachable(Vertex u, Vertex v) const = 0;
+
+  /// Answers a frame of pairs at once: answers[i] is 1 iff pairs[i].u
+  /// reaches pairs[i].v, exactly as Reachable says (the spans have equal
+  /// length). The default asks Reachable pair by pair; an oracle whose
+  /// query is a memory-bound lookup overrides it to overlap the lookups
+  /// of consecutive pairs. Same thread-safety as Reachable.
+  virtual void ReachableMany(std::span<const VertexPair> pairs,
+                             std::span<uint8_t> answers) const;
 
   /// Short method name as used in the paper's tables ("DL", "HL", "GL", ...).
   virtual std::string name() const = 0;

@@ -39,6 +39,28 @@ bool IdentityLoadApplies(const Digraph& g, std::optional<uint64_t> peeked) {
 
 }  // namespace
 
+void ReachabilityIndex::ReachableMany(
+    std::span<const VertexPair> pairs, std::span<uint8_t> answers,
+    std::vector<VertexPair>* components) const {
+  components->clear();
+  for (const VertexPair& pair : pairs) {
+    const VertexPair cpair{ComponentOf(pair.u), ComponentOf(pair.v)};
+    if (cpair.u != cpair.v) components->push_back(cpair);
+  }
+  const size_t asked = components->size();
+  oracle_->ReachableMany(*components, answers.first(asked));
+  if (asked == pairs.size()) return;
+  // Spread the oracle's answers from the front of `answers` to their
+  // pairs, back to front: the k-th asked pair sits at position k or
+  // later, so each answer is read before its slot is overwritten.
+  size_t next = asked;
+  for (size_t i = pairs.size(); i-- > 0;) {
+    answers[i] = ComponentOf(pairs[i].u) == ComponentOf(pairs[i].v)
+                     ? 1
+                     : answers[--next];
+  }
+}
+
 StatusOr<ReachabilityIndex> ReachabilityIndex::Build(
     const Digraph& g, std::unique_ptr<ReachabilityOracle> oracle,
     const BuildOptions& options, BuildStats* stats_out) {

@@ -7,7 +7,10 @@
 #ifndef REACH_CORE_REACHABILITY_H_
 #define REACH_CORE_REACHABILITY_H_
 
+#include <cstdint>
 #include <memory>
+#include <span>
+#include <vector>
 
 #include "core/oracle.h"
 #include "graph/digraph.h"
@@ -80,6 +83,17 @@ class ReachabilityIndex {
     const Vertex cv = condensation_.component[v];
     return cu == cv || oracle_->Reachable(cu, cv);
   }
+
+  /// Answers a frame: answers[i] = Reachable(pairs[i].u, pairs[i].v), for
+  /// equal-length spans. Pairs inside one SCC (u == v included) are
+  /// answered here, as Reachable answers them, so they never reach the
+  /// oracle (nor a pre-filter wrapper's counters). The rest are mapped to
+  /// component pairs in `*components`, a buffer the caller owns and
+  /// reuses across frames, and answered by one
+  /// ReachabilityOracle::ReachableMany call.
+  void ReachableMany(std::span<const VertexPair> pairs,
+                     std::span<uint8_t> answers,
+                     std::vector<VertexPair>* components) const;
 
   /// The DAG the oracle was built on: in identity mode the caller's graph
   /// itself (same object), else the condensation the index owns.

@@ -30,6 +30,12 @@ struct Edge {
   }
 };
 
+/// One reachability question: does u reach v?
+struct VertexPair {
+  Vertex u = 0;
+  Vertex v = 0;
+};
+
 /// std::allocator, except that a vector's value-less construct
 /// default-initializes: resize() of a trivial element type allocates
 /// without a zero fill, for arrays whose every slot is written next.

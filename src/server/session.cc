@@ -85,38 +85,44 @@ void Session::HandleLine(std::string_view line, std::string* out) {
 void Session::ExecuteSlots(std::string* out) {
   // One pinned index reference for the whole frame (not per slot): a RELOAD
   // published mid-frame takes effect on the next frame, and every slot of
-  // one frame is answered against one coherent index. Slots run in arrival
-  // order; grouping them by source vertex was measured to buy nothing.
+  // one frame is answered against one coherent index. The parsed in-range
+  // slots are answered by one ReachableMany call, in arrival order;
+  // grouping them by source vertex was measured to buy nothing.
   const std::shared_ptr<const ReachabilityIndex> index =
       context_->index->Acquire();
   const size_t vertices = context_->graph_vertices;
-  uint64_t answered = 0;
+  const auto answerable = [vertices](const Slot& slot) {
+    return slot.parsed && slot.u < vertices && slot.v < vertices;
+  };
+  pairs_.clear();
+  for (const Slot& slot : slots_) {
+    if (answerable(slot)) pairs_.push_back({slot.u, slot.v});
+  }
+  answers_.resize(pairs_.size());
+  if (context_->query_mutex != nullptr) {
+    MutexLock lock(*context_->query_mutex);
+    index->ReachableMany(pairs_, answers_, &components_);
+  } else {
+    index->ReachableMany(pairs_, answers_, &components_);
+  }
+  // The answers, and an ERR for every other slot, in arrival order.
   uint64_t parse_errors = 0;
   uint64_t range_errors = 0;
+  size_t next = 0;
   for (const Slot& slot : slots_) {
-    if (!slot.parsed) {
+    if (answerable(slot)) {
+      out->append(answers_[next++] != 0 ? "1\n" : "0\n", 2);
+    } else if (!slot.parsed) {
       ++parse_errors;
       *out += "ERR batch line: expected 'u v'\n";
-      continue;
-    }
-    if (slot.u >= vertices || slot.v >= vertices) {
+    } else {
       ++range_errors;
       *out += "ERR vertex out of range\n";
-      continue;
     }
-    bool reachable;
-    if (context_->query_mutex != nullptr) {
-      MutexLock lock(*context_->query_mutex);
-      reachable = index->Reachable(slot.u, slot.v);
-    } else {
-      reachable = index->Reachable(slot.u, slot.v);
-    }
-    ++answered;
-    out->append(reachable ? "1\n" : "0\n", 2);
   }
   slots_.clear();
   ServerStats& stats = *context_->stats;
-  stats.queries.fetch_add(answered, std::memory_order_relaxed);
+  stats.queries.fetch_add(pairs_.size(), std::memory_order_relaxed);
   if (parse_errors > 0) CountErrors(stats.err_parse, parse_errors);
   if (range_errors > 0) CountErrors(stats.err_range, range_errors);
 }

@@ -117,8 +117,8 @@ struct SessionContext {
   ServerStats* stats = nullptr;
   ProtocolLimits limits;
   /// Non-null when the oracle's ConcurrentQuerySafe() is false: sessions
-  /// then serialize every Reachable() call behind this mutex. RELOAD never
-  /// changes the method, so this choice is fixed at Start.
+  /// then hold this mutex across each frame's ReachableMany call. RELOAD
+  /// never changes the method, so this choice is fixed at Start.
   Mutex* query_mutex = nullptr;
   /// Server hook behind the RELOAD verb: validate the snapshot at `path`
   /// and atomically publish it as the live index. Must return an error
@@ -136,7 +136,8 @@ struct SessionContext {
 /// Every query runs through one slot executor (ExecuteSlots): a BATCH frame
 /// buffers its n parsed slots until the frame is complete, and `Q u v` is a
 /// frame of one slot. The executor acquires the live index once, answers
-/// the slots in arrival order straight into the response, and adds each
+/// the parsed in-range slots with one ReachableMany call, writes the
+/// answers and the other slots' ERR lines in arrival order, and adds each
 /// counter (`queries`, err_parse, err_range) once per frame.
 class Session {
  public:
@@ -179,6 +180,11 @@ class Session {
   State state_ = State::kOpen;
   uint64_t batch_remaining_ = 0;  // Body lines still expected.
   std::vector<Slot> slots_;       // Pending frame, arrival order.
+  // ExecuteSlots' buffers, kept across frames: the answerable slots'
+  // pairs, their answers, and the index's component pairs.
+  std::vector<VertexPair> pairs_;
+  std::vector<uint8_t> answers_;
+  std::vector<VertexPair> components_;
 };
 
 }  // namespace server

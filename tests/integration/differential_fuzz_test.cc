@@ -7,7 +7,9 @@
 #include <algorithm>
 #include <cstring>
 #include <memory>
+#include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "gtest/gtest.h"
@@ -18,6 +20,7 @@
 #include "core/hierarchical_labeling.h"
 #include "core/labeling_oracle.h"
 #include "core/prefilter.h"
+#include "core/reachability.h"
 #include "graph/generators.h"
 #include "graph/topology.h"
 #include "tests/test_util.h"
@@ -266,6 +269,162 @@ TEST_P(DifferentialFuzzTest, MappedSnapshotMatchesOwnedAndBuiltAnswers) {
               << method << "/mapped family " << GraphFamilyName(c.family)
               << " seed " << seed << " pair (" << u << "," << v << ")";
         }
+      }
+    }
+  }
+}
+
+/// A pre-filter's stage counters as one comparable list, in
+/// PrefilterStageCounters' field order.
+std::vector<uint64_t> StageCounts(const PrefilterStageCounters& c) {
+  return {c.interval_yes, c.interval_no, c.support_yes,
+          c.support_no,   c.level_no,    c.fallback};
+}
+
+/// Adds to `*total` what each stage counter gained from `before` to
+/// `after`.
+void AddMoved(const PrefilterStageCounters& before,
+              const PrefilterStageCounters& after,
+              PrefilterStageCounters* total) {
+  total->interval_yes += after.interval_yes - before.interval_yes;
+  total->interval_no += after.interval_no - before.interval_no;
+  total->support_yes += after.support_yes - before.support_yes;
+  total->support_no += after.support_no - before.support_no;
+  total->level_no += after.level_no - before.level_no;
+  total->fallback += after.fallback - before.fallback;
+}
+
+// The frame executor must be a pure batching change. For every registry
+// oracle, and for PrefilterOracle(DL), ReachabilityIndex::ReachableMany
+// answers exactly as per-pair Reachable and as BFS: over a DAG (identity
+// mode) and a cyclic graph (condensed mode), on frames of every length up
+// to 17 (the prefetch distance D and 2D, each +-1, for any D up to 8) and
+// of 1000, with u == v and same-SCC pairs mixed in. Snapshot-capable
+// oracles also answer loaded onto the heap and mmapped. Each labeling
+// oracle's LabelStore::QueryMany, run with the compiled SIMD tier, is
+// checked against the scalar MergeIntersects (the tier-0 kernel). The
+// pre-filter's stage counters move exactly as on the per-pair path.
+TEST_P(DifferentialFuzzTest, ReachableManyMatchesPerPairReachable) {
+  const uint64_t seed = GetParam();
+  constexpr size_t kMaxShortFrame = 17;
+  const Digraph graphs[] = {
+      GenerateFamily(GraphFamily::kSparseRandom, 90, 230, seed * 389),
+      RandomDigraphWithCycles(90, 200, 25, seed * 397)};
+  for (const Digraph& g : graphs) {
+    const bool cyclic = !Dag::Check(g).ok();
+    const size_t n = g.num_vertices();
+    // The indexes to compare, each with its name.
+    std::vector<std::pair<std::string, ReachabilityIndex>> indexes;
+    const auto add = [&](const std::string& name,
+                         StatusOr<ReachabilityIndex> index) {
+      ASSERT_TRUE(index.ok()) << name << " seed " << seed << ": "
+                              << index.status().ToString();
+      indexes.emplace_back(name, std::move(*index));
+    };
+    for (const std::string& name : AllOracleNames()) {
+      add(name, ReachabilityIndex::Build(g, MakeOracle(name)));
+      const ReachabilityOracle& built = indexes.back().second.oracle();
+      if (!built.SupportsSnapshot()) continue;
+      const std::string bytes = testing_util::SaveIndexBytes(built);
+      const std::string tag = "diff_fuzz.many." + name + "." +
+                              std::to_string(seed) + (cyclic ? ".cyc" : "");
+      for (const bool owned : {true, false}) {
+        const MappedRegion region{
+            testing_util::MapBytes(bytes, tag + (owned ? ".owned" : ""),
+                                   owned),
+            0};
+        add(name + (owned ? "/owned" : "/mapped"),
+            ReachabilityIndex::LoadMapped(g, MakeOracle(name), region));
+      }
+    }
+    add("DL+pf", ReachabilityIndex::Build(
+                     g, std::make_unique<PrefilterOracle>(MakeOracle("DL"))));
+
+    // 1000 pairs: a tenth u == v, a tenth inside one SCC (u == v again on
+    // a DAG, whose components are single vertices), the rest uniform.
+    const ReachabilityIndex& any = indexes.front().second;
+    std::vector<std::vector<Vertex>> members(any.num_components());
+    for (Vertex v = 0; v < n; ++v) members[any.ComponentOf(v)].push_back(v);
+    Rng rng(seed * 401);
+    std::vector<VertexPair> pool;
+    std::vector<uint8_t> truth;
+    for (int i = 0; i < 1000; ++i) {
+      const Vertex u = static_cast<Vertex>(rng.Uniform(n));
+      Vertex v = static_cast<Vertex>(rng.Uniform(n));
+      if (i % 10 == 0) v = u;
+      if (i % 10 == 1) {
+        const std::vector<Vertex>& scc = members[any.ComponentOf(u)];
+        v = scc[rng.Uniform(scc.size())];
+      }
+      pool.push_back({u, v});
+      truth.push_back(BfsReachable(g, u, v) ? 1 : 0);
+    }
+    std::vector<std::pair<size_t, size_t>> frames;  // (first, length)
+    size_t first = 0;
+    for (size_t length = 0; length <= kMaxShortFrame; ++length) {
+      frames.emplace_back(first, length);
+      first += length;
+    }
+    frames.emplace_back(0, pool.size());
+
+    for (const auto& [name, index] : indexes) {
+      const auto* prefilter =
+          dynamic_cast<const PrefilterOracle*>(&index.oracle());
+      const auto* labeling =
+          dynamic_cast<const LabelingOracle*>(&index.oracle());
+      PrefilterStageCounters per_pair;
+      PrefilterStageCounters many;
+      std::vector<VertexPair> components;
+      for (const auto& [at, length] : frames) {
+        const std::span<const VertexPair> frame(pool.data() + at, length);
+        const PrefilterStageCounters before =
+            prefilter ? prefilter->counters() : PrefilterStageCounters();
+        std::vector<uint8_t> expected;
+        for (const VertexPair& p : frame) {
+          expected.push_back(index.Reachable(p.u, p.v) ? 1 : 0);
+        }
+        const PrefilterStageCounters middle =
+            prefilter ? prefilter->counters() : PrefilterStageCounters();
+        // Poisoned, so an answer the frame never writes shows.
+        std::vector<uint8_t> answers(length, 7);
+        index.ReachableMany(frame, answers, &components);
+        if (prefilter != nullptr) {
+          AddMoved(before, middle, &per_pair);
+          AddMoved(middle, prefilter->counters(), &many);
+        }
+        for (size_t i = 0; i < length; ++i) {
+          const VertexPair& p = frame[i];
+          ASSERT_EQ(answers[i], expected[i])
+              << name << (cyclic ? " cyclic" : " dag") << " seed " << seed
+              << " frame " << length << " slot " << i << " pair (" << p.u
+              << "," << p.v << ")";
+          ASSERT_EQ(answers[i], truth[at + i])
+              << name << (cyclic ? " cyclic" : " dag") << " seed " << seed
+              << " frame " << length << " pair (" << p.u << "," << p.v
+              << ")";
+        }
+        if (labeling == nullptr) continue;
+        // The store's own pipeline on component pairs, against the scalar
+        // merge.
+        std::vector<VertexPair> cpairs;
+        for (const VertexPair& p : frame) {
+          cpairs.push_back({index.ComponentOf(p.u), index.ComponentOf(p.v)});
+        }
+        const LabelStore& labels = labeling->labeling();
+        std::vector<uint8_t> queried(length, 7);
+        labels.QueryMany(cpairs, queried);
+        for (size_t i = 0; i < length; ++i) {
+          ASSERT_EQ(queried[i], MergeIntersects(labels.Out(cpairs[i].u),
+                                                labels.In(cpairs[i].v))
+                                    ? 1
+                                    : 0)
+              << name << (cyclic ? " cyclic" : " dag") << " seed " << seed
+              << " frame " << length << " slot " << i;
+        }
+      }
+      if (prefilter != nullptr) {
+        EXPECT_GT(per_pair.Total(), 0u) << name;
+        EXPECT_EQ(StageCounts(many), StageCounts(per_pair)) << name;
       }
     }
   }

@@ -458,6 +458,51 @@ TEST_F(SessionTest, BatchAnswersFollowArrivalOrder) {
             "1\nERR batch line: expected 'u v'\n0\n1\n");
 }
 
+TEST_F(SessionTest, FrameErrorsAnywhereKeepArrivalOrder) {
+  // The executor answers a frame's parsed in-range slots with one
+  // ReachableMany call, whose pipeline fetches a few slots ahead, and puts
+  // the ERR lines back in between. A parse error opens every frame, a
+  // range error closes it, and one more error (the kinds alternate) sits
+  // at each position in between: so at position D of the pipeline, and
+  // next to it, for any prefetch distance D up to 8 (frames of 18 slots).
+  constexpr size_t kSlots = 18;
+  const auto reaches = [](Vertex u, Vertex v) {
+    return u == v || (u < v && v <= 3);  // 0 -> 1 -> 2 -> 3; 4 isolated.
+  };
+  Session session(&context_);
+  uint64_t answered = 0;
+  uint64_t parse_errors = 0;
+  uint64_t range_errors = 0;
+  for (size_t at = 1; at + 1 < kSlots; ++at) {
+    std::string request = "BATCH " + std::to_string(kSlots) + "\n";
+    std::string expected;
+    for (size_t i = 0; i < kSlots; ++i) {
+      const bool parse_error = i == 0 || (i == at && at % 2 == 0);
+      const bool range_error = i + 1 == kSlots || (i == at && at % 2 == 1);
+      if (parse_error) {
+        request += "not a pair\n";
+        expected += "ERR batch line: expected 'u v'\n";
+        ++parse_errors;
+      } else if (range_error) {
+        request += "2 " + std::to_string(5 + i) + "\n";
+        expected += "ERR vertex out of range\n";
+        ++range_errors;
+      } else {
+        const Vertex u = static_cast<Vertex>((i + at) % 5);
+        const Vertex v = static_cast<Vertex>((3 * i + at) % 5);
+        request += std::to_string(u) + " " + std::to_string(v) + "\n";
+        expected += reaches(u, v) ? "1\n" : "0\n";
+        ++answered;
+      }
+    }
+    EXPECT_EQ(Run(&session, request), expected) << "error at slot " << at;
+  }
+  EXPECT_EQ(stats_.queries.load(), answered);
+  EXPECT_EQ(ErrorKinds(),
+            (std::vector<uint64_t>{parse_errors, range_errors, 0, 0, 0}));
+  EXPECT_EQ(stats_.malformed.load(), parse_errors + range_errors);
+}
+
 // One test per ERR kind: each asserts that only its own err_* counter
 // moves, and that `malformed` stays the sum of the kinds.
 

@@ -15,6 +15,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cerrno>
 #include <chrono>
@@ -206,20 +207,23 @@ TEST(ReachServerTest, ConcurrentClientsGetConsistentAnswers) {
 
 TEST(ReachServerTest, SerializedOracleServesConcurrentClients) {
   // BFS answers by traversal over shared scratch (ConcurrentQuerySafe is
-  // false); the server must serialize its queries rather than race.
+  // false); the server must serialize its queries rather than race. The
+  // query mutex is taken once per frame, so the clients mix single Q
+  // round trips with BATCH frames of several sizes.
   const Digraph graph = RandomDag(150, 450, 9);
   ReachServer reach_server;
   ASSERT_TRUE(reach_server.Start(graph, QuickOptions("BFS")).ok());
   ASSERT_FALSE(reach_server.index()->oracle().ConcurrentQuerySafe());
 
   constexpr int kClients = 2;
+  constexpr size_t kQueriesEach = 500;
   // BFS queries race on scratch, so even the expected answers must be
   // computed before any concurrency starts.
   std::vector<std::vector<std::pair<Vertex, Vertex>>> queries(kClients);
   std::vector<std::vector<std::string>> expected(kClients);
   for (int c = 0; c < kClients; ++c) {
     std::tie(queries[c], expected[c]) =
-        MakeExpected(reach_server, 500, 150, 2000 + c);
+        MakeExpected(reach_server, kQueriesEach, 150, 2000 + c);
   }
   std::vector<std::thread> threads;
   std::vector<int> ok(kClients, 0);
@@ -227,12 +231,28 @@ TEST(ReachServerTest, SerializedOracleServesConcurrentClients) {
     threads.emplace_back([&, c] {
       Client client;
       if (!client.Connect("127.0.0.1", reach_server.port()).ok()) return;
-      const auto answers = client.Batch(queries[c]);
-      ok[c] = answers.ok() && *answers == expected[c];
+      // Frames of 1, 2, 3, ... slots, each followed by one Q round trip.
+      std::vector<std::string> answers;
+      size_t next = 0;
+      for (size_t frame = 1; next < kQueriesEach; ++frame) {
+        const size_t end = std::min(kQueriesEach, next + frame);
+        const auto batch = client.Batch(
+            {queries[c].begin() + next, queries[c].begin() + end});
+        if (!batch.ok()) return;
+        answers.insert(answers.end(), batch->begin(), batch->end());
+        next = end;
+        if (next == kQueriesEach) break;
+        const auto [u, v] = queries[c][next++];
+        const auto answer = client.Query(u, v);
+        if (!answer.ok()) return;
+        answers.push_back(*answer);
+      }
+      ok[c] = answers == expected[c];
     });
   }
   for (std::thread& t : threads) t.join();
   for (int c = 0; c < kClients; ++c) EXPECT_TRUE(ok[c]) << "client " << c;
+  EXPECT_EQ(reach_server.stats().queries.load(), kClients * kQueriesEach);
   reach_server.Stop();
 }
 

@@ -14,6 +14,7 @@
 #include <limits>
 #include <iostream>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -77,7 +78,7 @@ int main(int argc, char** argv) {
   std::string oracle_name = "DL";
   BuildOptions build_options;
   bool stats = false;
-  std::vector<std::pair<Vertex, Vertex>> pairs;
+  std::vector<VertexPair> pairs;
   std::vector<Vertex> positional;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -120,7 +121,7 @@ int main(int argc, char** argv) {
     return 2;
   }
   for (size_t i = 0; i + 1 < positional.size(); i += 2) {
-    pairs.emplace_back(positional[i], positional[i + 1]);
+    pairs.push_back({positional[i], positional[i + 1]});
   }
 
   const Timer read_timer;
@@ -192,16 +193,34 @@ int main(int argc, char** argv) {
                      build_stats.label_storage_bytes));
   }
 
-  auto answer = [&](Vertex u, Vertex v) {
-    if (u >= graph->num_vertices() || v >= graph->num_vertices()) {
-      std::printf("%u %u out-of-range\n", u, v);
-      return;
+  // Answers `list` with one ReachableMany call and prints one line per
+  // pair, in order; an out-of-range pair prints its own line in place.
+  std::vector<VertexPair> asked;
+  std::vector<uint8_t> answers;
+  std::vector<VertexPair> components;
+  const auto answer = [&](std::span<const VertexPair> list) {
+    const size_t n = graph->num_vertices();
+    const auto in_range = [n](const VertexPair& p) {
+      return p.u < n && p.v < n;
+    };
+    asked.clear();
+    for (const VertexPair& p : list) {
+      if (in_range(p)) asked.push_back(p);
     }
-    std::printf("%u %u %d\n", u, v, index->Reachable(u, v) ? 1 : 0);
+    answers.resize(asked.size());
+    index->ReachableMany(asked, answers, &components);
+    size_t next = 0;
+    for (const VertexPair& p : list) {
+      if (in_range(p)) {
+        std::printf("%u %u %d\n", p.u, p.v, answers[next++]);
+      } else {
+        std::printf("%u %u out-of-range\n", p.u, p.v);
+      }
+    }
   };
 
   if (!pairs.empty()) {
-    for (const auto& [u, v] : pairs) answer(u, v);
+    answer(pairs);
     return 0;
   }
   std::string u_token;
@@ -219,7 +238,8 @@ int main(int argc, char** argv) {
                    u_token.c_str(), v_token.c_str());
       return 2;
     }
-    answer(u, v);
+    const VertexPair pair{u, v};
+    answer({&pair, 1});
   }
   return 0;
 }
