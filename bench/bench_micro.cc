@@ -150,17 +150,6 @@ void BM_IntersectSimd(benchmark::State& state) {
   state.SetLabel(SimdKernelName());
 }
 
-#if REACH_SIMD_TIER >= 2
-// The vectorized gallop probe exists on AVX2 builds only.
-void BM_IntersectSimdGallop(benchmark::State& state) {
-  auto [small, large] = StateInputs(state);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(SimdGallopIntersects(small, large));
-  }
-  state.SetLabel(SimdKernelName());
-}
-#endif
-
 void BM_IntersectAdaptive(benchmark::State& state) {
   auto [small, large] = StateInputs(state);
   for (auto _ : state) {
@@ -177,7 +166,7 @@ void IntersectRatioArgs(benchmark::internal::Benchmark* b) {
     // Balanced sizes around (and past) typical label lengths: where the
     // SIMD block kernel vs scalar merge crossover (kSimdMinBalanced) and
     // the headline 128:128 comparison live.
-    for (const int64_t small : {8, 32, 128, 512}) {
+    for (const int64_t small : {4, 8, 32, 128, 512}) {
       b->Args({small, 1, dist});
     }
     for (const int64_t ratio : {32, 1000}) {
@@ -189,9 +178,6 @@ void IntersectRatioArgs(benchmark::internal::Benchmark* b) {
 BENCHMARK(BM_IntersectMerge)->Apply(IntersectRatioArgs);
 BENCHMARK(BM_IntersectGallop)->Apply(IntersectRatioArgs);
 BENCHMARK(BM_IntersectSimd)->Apply(IntersectRatioArgs);
-#if REACH_SIMD_TIER >= 2
-BENCHMARK(BM_IntersectSimdGallop)->Apply(IntersectRatioArgs);
-#endif
 BENCHMARK(BM_IntersectAdaptive)->Apply(IntersectRatioArgs);
 
 // --- LabelBuilder inserts on ascending keys: the append every DL label

@@ -10,6 +10,7 @@
 #include <cerrno>
 #include <charconv>
 #include <cstring>
+#include <string_view>
 
 namespace reach {
 namespace server {
@@ -173,6 +174,17 @@ StatusOr<std::vector<std::string>> Client::Batch(
     StatusOr<std::string> line = ReadLine();
     if (!line.ok()) return line.status();
     answers.push_back(std::move(*line));
+  }
+  // A refused header answers one line more than the frame: the refusal,
+  // then one ERR per body line. Read that last one to stay in step.
+  const std::string_view first =
+      answers.empty() ? std::string_view() : answers.front();
+  if (first.starts_with("ERR ") &&
+      first.substr(4).starts_with(kBatchLimitReason)) {
+    StatusOr<std::string> last = ReadLine();
+    if (!last.ok()) return last.status();
+    return Status::ResourceExhausted("server refused the batch: " +
+                                     answers.front());
   }
   return answers;
 }

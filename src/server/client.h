@@ -44,6 +44,9 @@ class Client {
 
   /// One "BATCH n" frame: sends every query in one write, reads exactly
   /// queries.size() answer lines. The cheap way to amortize round trips.
+  /// A header the server refuses (n past its batch limit) fails with the
+  /// refusal after every reply to the frame is read, so the connection
+  /// stays usable.
   StatusOr<std::vector<std::string>> Batch(
       const std::vector<std::pair<Vertex, Vertex>>& queries);
 

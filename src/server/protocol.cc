@@ -92,7 +92,8 @@ Command ParseCommandLine(std::string_view line,
       return Malformed("BATCH expects one decimal count: 'BATCH n'");
     }
     if (n > limits.max_batch) {
-      return Malformed("batch count " + std::string(tokens[1]) +
+      return Malformed(std::string(kBatchLimitReason) +
+                       std::string(tokens[1]) +
                        " exceeds limit " + std::to_string(limits.max_batch));
     }
     command.type = CommandType::kBatch;

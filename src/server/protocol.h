@@ -2,7 +2,9 @@
 // so that a batch of queries costs one round trip.
 //
 //   Q u v            one reachability query    -> "1" | "0" | "ERR <why>"
-//   BATCH n          n query lines "u v" follow -> n answer lines
+//   BATCH n          n query lines "u v" follow -> n answer lines; past
+//                    the batch limit, "ERR batch count ..." and then an
+//                    ERR for each of the n lines
 //   STATS            server/index statistics   -> "STATS", k/v lines, "END"
 //   PING             liveness probe            -> "PONG"
 //   RELOAD <path>    hot-swap onto the sealed index snapshot at <path>
@@ -40,6 +42,12 @@ struct ProtocolLimits {
   /// should split). Bounds per-connection response buffering.
   uint64_t max_batch = 1 << 20;
 };
+
+/// Start of the reason a BATCH header past ProtocolLimits::max_batch is
+/// refused with: "batch count <n> exceeds limit <max>". The n lines that
+/// follow the refused header are then parsed as commands, each answering
+/// ERR, so the refusal is one reply more than the frame's n.
+inline constexpr std::string_view kBatchLimitReason = "batch count ";
 
 enum class CommandType {
   kQuery,      // Q u v

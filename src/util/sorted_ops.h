@@ -13,13 +13,11 @@
 //   2. Galloping (exponential-search) scan when one side is much smaller
 //      than the other (|small| * kGallopRatio < |large|): each element of
 //      the small side is located in the large side in O(log gap) instead of
-//      scanning the gap linearly — O(|small| * log |large|) total. AVX2
-//      builds resolve the probe's final window vectorized at moderate skew
-//      (SimdGallopIntersects, util/simd.h; see kSimdGallopMaxRatio).
-//   3. Balanced sizes: the SIMD block-compare kernel (SimdIntersects) on
-//      the SSE2 and AVX2 tiers when the small side has at least
-//      kSimdMinBalanced elements; the scalar two-pointer merge otherwise.
-//      Both are O(|a| + |b|), the block kernel retires one W-lane block per
+//      scanning the gap linearly — O(|small| * log |large|) total.
+//   3. Balanced sizes: the SSE2 block-compare kernel (SimdIntersects,
+//      util/simd.h) when the small side has at least kSimdMinBalanced
+//      elements; the scalar two-pointer merge otherwise. Both are
+//      O(|a| + |b|), the block kernel retires one 4-lane block per
 //      branchless step.
 //
 // The crossover constants kGallopRatio and kSimdMinBalanced are measured,
@@ -40,38 +38,26 @@ namespace reach {
 
 /// Size ratio beyond which SortedIntersects switches from the (merge or
 /// block) scan to galloping: gallop when |small| * kGallopRatio < |large|.
-/// Measured with BM_Intersect{Merge,Gallop,Simd,SimdGallop} (bench_micro)
-/// on uniform, clustered-runs, and first-hit key distributions (AVX2
-/// numbers; SSE2 tracks the same shape):
-///   16:128  (ratio 8)   merge 198ns / gallop 106 / simd-block 56
-///   16:512  (ratio 32)  merge ~760  / gallop 137 / simd-block 209
-///   16:1600 (ratio 100) merge 2722  / gallop 186 / simd-block 742
-/// Clustered keys shrink everything but keep the same ordering. Scalar
-/// gallop overtakes merge right at ratio 8 and overtakes the block kernel
-/// between ratios 8 and 32; ratio 8 stays the switch point because the
-/// block kernel only back-fills the 8..16 band (a few ns either way) while
-/// merge loses badly past it.
+/// Measured with BM_Intersect{Merge,Gallop,Simd} (bench_micro) on the SSE2
+/// tier, uniform keys, median of 5:
+///   16:128  (ratio 8)   merge 115ns / gallop 104 / simd-block 59
+///   16:512  (ratio 32)  merge 457   / gallop 133 / simd-block 228
+///   16:1600 (ratio 100) merge 1454  / gallop 218 / simd-block 724
+/// Clustered keys shrink everything but keep the same ordering (ratio 32:
+/// merge 364 / gallop 72 / simd-block 176). Scalar gallop overtakes merge
+/// right at ratio 8 and overtakes the block kernel between ratios 8 and
+/// 32; ratio 8 stays the switch point because the block kernel only
+/// back-fills the 8..16 band while merge loses badly past it.
 inline constexpr size_t kGallopRatio = 8;
 
-/// The gallop tier takes the vectorized probe (SimdGallopIntersects) only
-/// on the AVX2 tier and only at moderate skew — |large| below |small| *
-/// this ratio. Measured: AVX2 wins at 128:4096 (936ns vs scalar 1180) but
-/// loses at 128:128000 (2719 vs 2194) and on clustered 16:1600 (114 vs
-/// 76) — at extreme skew the probe lands in one cache line and the scalar
-/// binary-search descent is already minimal, so the 8-lane window compare
-/// is pure overhead. SSE2's 4-lane window never recouped its setup (128:
-/// 4096 uniform: 1425 vs scalar 1167), so the vector probe is compiled at
-/// tier 2 only and tier 1 stays on scalar gallop.
-inline constexpr size_t kSimdGallopMaxRatio = 64;
-
 /// Minimum size of the smaller side before the balanced path uses the SIMD
-/// block kernel: one full SSE2/AVX2 comparison block. Measured by
-/// BM_IntersectSimd vs BM_IntersectMerge — the block kernel already wins
-/// 3.3x at 8:8 on AVX2 (3.7ns vs 12.0) and 1.9x on SSE2, and the win grows
-/// with size (128:128 uniform: 103ns vs 244, 2.4x). The only shape where
-/// merge stays ahead is an immediate first-element hit (1.3ns vs ~2-3.5ns
-/// fixed vector setup), which the threshold cannot see; the ~2ns loss
-/// there is accepted for the 2-3x win everywhere else.
+/// block kernel. Measured by BM_IntersectSimd vs BM_IntersectMerge on the
+/// SSE2 tier (uniform keys, median of 5): the block kernel wins 1.9x at
+/// 4:4 (3.3ns vs 6.3), 1.7x at 8:8 (6.5 vs 10.9) and 1.6x at 128:128 (130
+/// vs 212). So the crossover sits at one 4-lane block or below, and 8 is a
+/// conservative threshold. The only shape where merge stays ahead is an
+/// immediate first-element hit (1.4ns vs 1.8 at 8:8), which the threshold
+/// cannot see.
 inline constexpr size_t kSimdMinBalanced = 8;
 
 /// O(1) pretest: true when the [front, back] windows of two sorted
@@ -105,20 +91,13 @@ inline bool GallopIntersects(std::span<const uint32_t> small,
 
 /// True if the two sorted ranges share at least one element. Adaptive:
 /// range rejection, then gallop or merge by size ratio (header comment),
-/// each taking its vector kernel when the compiled tier has one
+/// the merge taking the block kernel when the compiled tier has it
 /// (util/simd.h). Answers are bit-identical on every tier.
 inline bool SortedIntersects(std::span<const uint32_t> a,
                              std::span<const uint32_t> b) {
   if (!SortedRangesOverlap(a, b)) return false;
   if (a.size() > b.size()) std::swap(a, b);
-  if (a.size() * kGallopRatio < b.size()) {
-#if REACH_SIMD_TIER >= 2
-    if (b.size() < a.size() * kSimdGallopMaxRatio) {
-      return SimdGallopIntersects(a, b);
-    }
-#endif
-    return GallopIntersects(a, b);
-  }
+  if (a.size() * kGallopRatio < b.size()) return GallopIntersects(a, b);
   if constexpr (kSimdTier > 0) {
     if (a.size() >= kSimdMinBalanced) return SimdIntersects(a, b);
   }

@@ -87,7 +87,7 @@ TEST_P(DifferentialFuzzTest, OraclesAgreeWithBfs) {
 // BFS truth on sampled pairs — at 1 and 4 construction threads (the
 // determinism contract says the thread count never changes the labeling).
 // Comparing against MergeIntersects also checks the adaptive dispatcher
-// and the compiled SIMD kernels on real label shapes: short skewed spans,
+// and the compiled SIMD kernel on real label shapes: short skewed spans,
 // range-rejected pairs, shared-hop hits. (util/simd_test.cc fuzzes the
 // kernels on synthetic ranges.)
 TEST_P(DifferentialFuzzTest, SealedStoreMatchesPreSealAnswers) {

@@ -115,6 +115,31 @@ TEST(ReachServerTest, BatchLargerThanSocketBuffersDoesNotDeadlock) {
   reach_server.Stop();
 }
 
+TEST(ReachServerTest, BatchPastTheLimitFailsAndKeepsTheConnectionInStep) {
+  // A refused BATCH header answers one line more than the frame: the
+  // refusal, then an ERR for each body line. Batch must read them all and
+  // fail, so the next request on the connection reads its own answer.
+  const Digraph graph = ChainDag(4);
+  ServerOptions options = QuickOptions("DL");
+  options.limits.max_batch = 2;
+  ReachServer reach_server;
+  ASSERT_TRUE(reach_server.Start(graph, options).ok());
+  Client client;
+  ASSERT_TRUE(client.Connect("127.0.0.1", reach_server.port()).ok());
+  const auto refused = client.Batch({{0, 1}, {1, 2}, {2, 3}});
+  ASSERT_FALSE(refused.ok());
+  EXPECT_NE(refused.status().message().find("batch count 3 exceeds limit 2"),
+            std::string::npos)
+      << refused.status().ToString();
+  EXPECT_EQ(*client.Query(0, 3), "1");
+  EXPECT_EQ(*client.Query(3, 0), "0");
+  const auto answers = client.Batch({{3, 0}, {1, 3}});
+  ASSERT_TRUE(answers.ok()) << answers.status().ToString();
+  EXPECT_EQ(*answers, (std::vector<std::string>{"0", "1"}));
+  client.Close();
+  reach_server.Stop();
+}
+
 TEST(ReachServerTest, SingleQueriesAndPing) {
   const Digraph graph = ChainDag(6);
   ReachServer reach_server;

@@ -1,18 +1,14 @@
-// Differential fuzz of the SIMD intersection kernels (util/simd.h) against
+// Differential fuzz of the SIMD intersection kernel (util/simd.h) against
 // the scalar references (NaiveIntersects below, MergeIntersects): for every
-// generated pair of sorted ranges, every kernel the compiled tier has and
+// generated pair of sorted ranges, the block kernel, the scalar gallop and
 // the adaptive dispatcher must agree — empty and length-1 ranges,
 // all-equal comparison windows, near-overflow uint32_t keys.
 //
-// The CI build matrix runs this suite twice: once on the default baseline
-// build (SSE2 tier on x86-64) and once with -march=x86-64-v3 and
-// REACH_REQUIRE_SIMD=avx2, which turns CompiledTierMatchesRequirement into
-// a hard failure if the AVX2 path silently compiled out. The vectorized
-// gallop (SimdGallopIntersects) exists only on that AVX2 build.
+// On x86-64 the suite runs the SSE2 block kernel: util/simd.h fails to
+// compile an x86-64 build without it, so no build can silently test the
+// scalar fallback in its place.
 
 #include <algorithm>
-#include <cstdlib>
-#include <string>
 #include <vector>
 
 #include "gtest/gtest.h"
@@ -53,13 +49,9 @@ void ExpectAllKernelsAgree(const std::vector<uint32_t>& a,
   EXPECT_EQ(SimdIntersects(a, b), expected) << label;
   EXPECT_EQ(SimdIntersects(b, a), expected) << label;
   if (!a.empty() || !b.empty()) {
-    // Gallop kernels take (small, large) in either size order.
+    // The gallop kernel takes (small, large) in either size order.
     EXPECT_EQ(GallopIntersects(a, b), expected) << label;
     EXPECT_EQ(GallopIntersects(b, a), expected) << label;
-#if REACH_SIMD_TIER >= 2
-    EXPECT_EQ(SimdGallopIntersects(a, b), expected) << label;
-    EXPECT_EQ(SimdGallopIntersects(b, a), expected) << label;
-#endif
   }
   // The adaptive dispatcher, both argument orders.
   EXPECT_EQ(SortedIntersects(a, b), expected) << label;
@@ -88,7 +80,7 @@ TEST(SimdKernelTest, AllEqualWindowAndSeams) {
   std::vector<uint32_t> v;
   for (uint32_t i = 0; i < 64; ++i) v.push_back(i * 3);
   ExpectAllKernelsAgree(v, v, "identical arrays");
-  // Single shared element exactly at a block seam (index 7/8 and 3/4).
+  // Single shared element exactly at a block seam (index 3/4 and 7/8).
   for (const size_t shared_at : {0u, 3u, 4u, 7u, 8u, 15u, 16u, 63u}) {
     std::vector<uint32_t> a;
     std::vector<uint32_t> b;
@@ -103,8 +95,9 @@ TEST(SimdKernelTest, AllEqualWindowAndSeams) {
 }
 
 TEST(SimdKernelTest, NearOverflowKeys) {
-  // The AVX2 vectorized lower bound biases to signed compares; keys around
-  // INT32_MAX and UINT32_MAX are exactly where a missing bias breaks.
+  // Keys around INT32_MAX and UINT32_MAX: a kernel that ordered them with a
+  // signed compare anywhere (a block advance, a gallop probe) would skip
+  // matches here.
   const uint32_t kMax = 0xFFFFFFFFu;
   const std::vector<uint32_t> high = {0x7FFFFFFEu, 0x7FFFFFFFu, 0x80000000u,
                                       0x80000001u, kMax - 1, kMax};
@@ -134,35 +127,8 @@ TEST(SimdKernelTest, RandomizedAgainstScalar) {
     const bool expected = MergeIntersects(a, b);
     ASSERT_EQ(SimdIntersects(a, b), expected) << "iter " << iter;
     ASSERT_EQ(SimdIntersects(b, a), expected) << "iter " << iter;
-#if REACH_SIMD_TIER >= 2
-    ASSERT_EQ(SimdGallopIntersects(a, b), expected) << "iter " << iter;
-    ASSERT_EQ(SimdGallopIntersects(b, a), expected) << "iter " << iter;
-#endif
     ASSERT_EQ(SortedIntersects(a, b), expected) << "iter " << iter;
     ASSERT_EQ(SortedIntersects(b, a), expected) << "iter " << iter;
-  }
-}
-
-TEST(SimdKernelTest, CompiledTierMatchesRequirement) {
-  // CI legs pin the tier they mean to exercise: REACH_REQUIRE_SIMD=avx2 on
-  // the -march=x86-64-v3 leg (the whole point of that leg is the AVX2
-  // kernels — silently compiling them out must fail the job), sse2 on the
-  // default x86-64 build.
-  const char* required = std::getenv("REACH_REQUIRE_SIMD");
-  if (required == nullptr || *required == '\0') {
-    GTEST_SKIP() << "REACH_REQUIRE_SIMD not set; compiled tier is "
-                 << SimdKernelName();
-  }
-  const std::string want(required);
-  if (want == "avx2") {
-    EXPECT_EQ(kSimdTier, 2) << "AVX2 kernels required but compiled tier is "
-                            << SimdKernelName();
-  } else if (want == "sse2") {
-    EXPECT_GE(kSimdTier, 1) << "SSE2 kernels required but compiled tier is "
-                            << SimdKernelName();
-  } else {
-    FAIL() << "unknown REACH_REQUIRE_SIMD value '" << want
-           << "' (expected avx2 or sse2)";
   }
 }
 
